@@ -7,7 +7,7 @@ use a4nn_core::prelude::*;
 use a4nn_core::{SurrogateFactory, SurrogateParams};
 use a4nn_lineage::Analyzer;
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     header(
         "Ablation",
         "prediction-engine parameter sweep (N, r) on medium-beam data",
@@ -25,7 +25,7 @@ fn main() {
                 engine.r = r;
             }
             let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
-            let out = A4nnWorkflow::new(config).run(&factory);
+            let out = A4nnWorkflow::new(config).run(&factory, RunOptions::default())?;
             let a = Analyzer::new(&out.commons);
             let marker = if n == 3 && (r - 0.5).abs() < 1e-9 {
                 "  <- paper (Table 1)"
@@ -46,4 +46,5 @@ fn main() {
     println!();
     println!("expected shape: looser tolerance / shorter window saves more epochs at");
     println!("the cost of larger prediction error; the paper's (3, 0.5) balances both.");
+    Ok(())
 }

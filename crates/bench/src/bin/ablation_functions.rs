@@ -12,7 +12,7 @@ use a4nn_core::{SurrogateFactory, SurrogateParams};
 use a4nn_lineage::Analyzer;
 use a4nn_penguin::ParametricCurve;
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     header(
         "Ablation",
         "parametric-function comparison for the prediction engine (§6 question)",
@@ -29,7 +29,7 @@ fn main() {
                 engine.family = family;
             }
             let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
-            let out = A4nnWorkflow::new(config).run(&factory);
+            let out = A4nnWorkflow::new(config).run(&factory, RunOptions::default())?;
             let a = Analyzer::new(&out.commons);
             println!(
                 "  {:>12} | {:>10} | {:>9.1}% | {:>9.0}% | {:>12}",
@@ -47,4 +47,5 @@ fn main() {
     println!("the paper uses exp-base (F(x) = a - b^(c-x)) throughout; this ablation");
     println!("answers its conclusions' open question by comparing savings vs accuracy");
     println!("trade-offs across families (lower MAE + higher saved% is better).");
+    Ok(())
 }

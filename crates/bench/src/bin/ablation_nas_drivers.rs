@@ -33,7 +33,7 @@ fn report(name: &str, out: &a4nn_core::RunOutput) {
     );
 }
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     header(
         "Ablation",
         "one engine, three NAS drivers (composability, §6)",
@@ -42,18 +42,22 @@ fn main() {
         println!("\nbeam {beam}:");
         let config = WorkflowConfig::a4nn(beam, 1, HARNESS_SEED);
         let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
-        report("NSGA-Net", &A4nnWorkflow::new(config.clone()).run(&factory));
+        report(
+            "NSGA-Net",
+            &A4nnWorkflow::new(config.clone()).run(&factory, RunOptions::default())?,
+        );
         report(
             "aging evolution",
-            &AgingEvolutionWorkflow::new(config.clone(), 5).run(&factory),
+            &AgingEvolutionWorkflow::new(config.clone(), 5).run(&factory, None)?,
         );
         report(
             "random search",
-            &RandomSearchWorkflow::new(config).run(&factory),
+            &RandomSearchWorkflow::new(config).run(&factory, None)?,
         );
     }
     println!();
     println!("expected shape: every driver enjoys the engine's epoch savings (the");
     println!("engine is policy-agnostic); NSGA-Net finds the cheapest models near the");
     println!("best accuracy because it is the only driver optimizing FLOPs.");
+    Ok(())
 }

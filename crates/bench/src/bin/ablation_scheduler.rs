@@ -9,12 +9,12 @@ use a4nn_bench::{header, hours, run_a4nn};
 use a4nn_core::prelude::*;
 use a4nn_sched::{schedule_generations, Task, TaskOrdering};
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     header(
         "Ablation",
         "FIFO vs LPT ordering on the simulated GPU cluster (idle-tail study)",
     );
-    let out = run_a4nn(BeamIntensity::Medium, 1);
+    let out = run_a4nn(BeamIntensity::Medium, 1)?;
     // Rebuild the per-generation task lists from the commons.
     let n_generations = out.config.nas.generations;
     let mut generations: Vec<Vec<Task>> = vec![Vec::new(); n_generations];
@@ -44,4 +44,5 @@ fn main() {
     println!("expected shape: idle tails grow with GPU count (10 models per generation");
     println!("do not divide evenly); LPT typically trims the tail FIFO leaves (within");
     println!("Graham's 4/3 bound of optimal in the worst case).");
+    Ok(())
 }

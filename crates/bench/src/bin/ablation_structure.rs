@@ -6,13 +6,13 @@ use a4nn_bench::{header, run_a4nn};
 use a4nn_core::prelude::*;
 use a4nn_lineage::{feature_fitness_correlations, success_contrast};
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     header(
         "Ablation",
         "structural similarities of successful architectures (§6 question)",
     );
     for beam in BeamIntensity::ALL {
-        let out = run_a4nn(beam, 1);
+        let out = run_a4nn(beam, 1)?;
         println!("\nbeam {beam}:");
         println!("  feature-fitness Pearson correlations:");
         for (name, corr) in feature_fitness_correlations(&out.commons) {
@@ -33,4 +33,5 @@ fn main() {
     println!("positively but weakly with fitness — structure helps, yet success is");
     println!("attainable across the space, which is why the multi-objective search");
     println!("finds accurate low-FLOPs models (Figure 6).");
+    Ok(())
 }

@@ -8,12 +8,12 @@ use a4nn_core::prelude::*;
 use a4nn_genome::viz::{render_ascii, render_dot};
 use a4nn_lineage::Analyzer;
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     header(
         "Figures 3 & 10",
         "architecture visualization of a near-optimal low-beam model",
     );
-    let out = run_a4nn(BeamIntensity::Low, 1);
+    let out = run_a4nn(BeamIntensity::Low, 1)?;
     let analyzer = Analyzer::new(&out.commons);
     let mut front = analyzer.pareto_front();
     front.sort_by(|a, b| a4nn_lineage::fitness_cmp(b.final_fitness, a.final_fitness));
@@ -34,4 +34,5 @@ fn main() {
         "{}",
         render_dot(&arch, &format!("a4nn-model-{}", model.model_id))
     );
+    Ok(())
 }

@@ -28,15 +28,15 @@ fn print_front(label: &str, out: &a4nn_core::RunOutput) {
     println!("    best accuracy on the front: {best:.2}%");
 }
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     header(
         "Figure 6",
         "Pareto fronts (validation accuracy vs FLOPs), A4NN vs standalone NSGA-Net",
     );
     for beam in BeamIntensity::ALL {
         println!("\nbeam intensity: {beam}");
-        let a4nn = run_a4nn(beam, 1);
-        let standalone = run_standalone(beam);
+        let a4nn = run_a4nn(beam, 1)?;
+        let standalone = run_standalone(beam)?;
         print_front("A4NN      ", &a4nn);
         print_front("standalone", &standalone);
     }
@@ -44,4 +44,5 @@ fn main() {
     println!("paper: A4NN reaches 99.8% below 650 FLOPs on low beam (standalone 98.1%),");
     println!("       ~100% on medium (standalone <99%), both ~99.9% @ ~450 FLOPs on high;");
     println!("       expected shape: A4NN fronts match or dominate standalone fronts.");
+    Ok(())
 }

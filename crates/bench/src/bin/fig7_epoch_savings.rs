@@ -5,7 +5,7 @@
 use a4nn_bench::{header, run_a4nn, run_standalone, summarize};
 use a4nn_core::prelude::*;
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     header(
         "Figure 7",
         "epochs required for 100 architectures and % saved over standalone NSGA-Net",
@@ -16,9 +16,9 @@ fn main() {
     );
     let paper = [("low", 13.3), ("medium", 34.1), ("high", 30.5)];
     for (beam, (_, paper_saved)) in BeamIntensity::ALL.into_iter().zip(paper) {
-        let base = summarize(&run_standalone(beam));
-        let one = summarize(&run_a4nn(beam, 1));
-        let four = summarize(&run_a4nn(beam, 4));
+        let base = summarize(&run_standalone(beam)?);
+        let one = summarize(&run_a4nn(beam, 1)?);
+        let four = summarize(&run_a4nn(beam, 4)?);
         println!(
             "{:>7} | {:>16} | {:>14} | {:>14} | {:>8.1}% | {:>8.1}%   (paper saved@1: {paper_saved}%)",
             beam.label(),
@@ -33,4 +33,5 @@ fn main() {
     println!("paper: standalone always trains 2,500 epochs; A4NN saves 13.3% / 34.1% /");
     println!("       30.5% on low/medium/high — expected shape: medium and high save");
     println!("       substantially more than low, all > 0.");
+    Ok(())
 }

@@ -5,7 +5,7 @@ use a4nn_bench::{header, run_a4nn};
 use a4nn_core::prelude::*;
 use a4nn_lineage::{shape_census, Analyzer};
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     header(
         "Figure 8",
         "distribution of termination epoch e_t and % of converged models (A4NN, 1 GPU)",
@@ -16,7 +16,7 @@ fn main() {
         ("high", "55% converged, mean e_t ~ 10, inverted-bell shape"),
     ];
     for (beam, (_, paper_note)) in BeamIntensity::ALL.into_iter().zip(paper) {
-        let out = run_a4nn(beam, 1);
+        let out = run_a4nn(beam, 1)?;
         let analyzer = Analyzer::new(&out.commons);
         let hist = analyzer.termination_histogram(25);
         let max = hist.iter().copied().max().unwrap_or(1).max(1);
@@ -41,4 +41,5 @@ fn main() {
             );
         }
     }
+    Ok(())
 }

@@ -5,7 +5,7 @@
 use a4nn_bench::{header, hours, run_a4nn, run_standalone};
 use a4nn_core::prelude::*;
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     header(
         "Figure 9",
         "wall times (simulated hours) for A4NN vs standalone, 1 and 4 GPUs",
@@ -17,9 +17,9 @@ fn main() {
     let paper_saved = [3.5, 15.8, 16.3];
     let paper_speedup = [3.8, 3.9, 3.4];
     for (i, beam) in BeamIntensity::ALL.into_iter().enumerate() {
-        let base = hours(run_standalone(beam).wall_time_s());
-        let one = hours(run_a4nn(beam, 1).wall_time_s());
-        let four = hours(run_a4nn(beam, 4).wall_time_s());
+        let base = hours(run_standalone(beam)?.wall_time_s());
+        let one = hours(run_a4nn(beam, 1)?.wall_time_s());
+        let four = hours(run_a4nn(beam, 4)?.wall_time_s());
         println!(
             "{:>7} | {:>11.2}h | {:>11.2}h | {:>11.2}h | {:>9.2}h | {:>7.2}x   (paper: saved {}h, speedup {}x)",
             beam.label(),
@@ -36,4 +36,5 @@ fn main() {
     println!("paper: wall-time savings of 3.5 / 15.8 / 16.3 hours vs standalone, and");
     println!("       near-linear 3.8x / 3.9x / 3.4x speedups from 1 to 4 GPUs.");
     println!("expected shape: low saves least; speedups near (but below) 4x.");
+    Ok(())
 }

@@ -10,7 +10,7 @@
 use a4nn_bench::{header, run_a4nn};
 use a4nn_core::prelude::*;
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     header(
         "§4.3.1",
         "prediction-engine overhead per test and per interaction",
@@ -20,7 +20,7 @@ fn main() {
         "beam", "interactions", "total overhead", "per interaction"
     );
     for beam in BeamIntensity::ALL {
-        let out = run_a4nn(beam, 1);
+        let out = run_a4nn(beam, 1)?;
         println!(
             "{:>7} | {:>14} | {:>16.3}s | {:>12.3}ms",
             beam.label(),
@@ -33,4 +33,5 @@ fn main() {
     println!("paper: 52.16s per 100-model test, 28.07ms per interaction,");
     println!("       1.12ms variance — i.e. negligible next to ~72s epochs.");
     println!("expected shape: overhead orders of magnitude below the training time.");
+    Ok(())
 }

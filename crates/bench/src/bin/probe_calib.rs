@@ -1,11 +1,11 @@
 use a4nn_core::prelude::*;
 use a4nn_lineage::Analyzer;
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     for beam in BeamIntensity::ALL {
         let config = WorkflowConfig::a4nn(beam, 1, 2023);
         let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
-        let out = A4nnWorkflow::new(config).run(&factory);
+        let out = A4nnWorkflow::new(config).run(&factory, RunOptions::default())?;
         let a = Analyzer::new(&out.commons);
         println!(
             "{beam:>6}: epochs={} saved={:.1}% converged={:.0}% mean_et={:.1} wall={:.1}h mean_fit={:.1} pred_err={:.2}",
@@ -19,4 +19,5 @@ fn main() {
         );
     }
     println!("targets: low saved~13-16% conv~60% et~18 | med saved~34% conv~70% et~12.5 | high saved~30% conv~55% et~10");
+    Ok(())
 }

@@ -17,7 +17,7 @@ use a4nn_lineage::Analyzer;
 use a4nn_xfel::generate_split;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     header(
         "Table 3",
         "wall time and accuracy: A4NN vs XPSI per beam intensity",
@@ -46,8 +46,8 @@ fn main() {
 
         // A4NN: search on the surrogate cluster, then train the best
         // architecture for real on the same data as XPSI.
-        let search_1 = run_a4nn(beam, 1);
-        let search_4 = run_a4nn(beam, 4);
+        let search_1 = run_a4nn(beam, 1)?;
+        let search_4 = run_a4nn(beam, 4)?;
         let analyzer = Analyzer::new(&search_1.commons);
         let mut front = analyzer.pareto_front();
         front.sort_by(|a, b| a4nn_lineage::fitness_cmp(b.final_fitness, a.final_fitness));
@@ -86,4 +86,5 @@ fn main() {
     println!("       4 GPUs cut A4NN to 12.06/9.17/9.46h.");
     println!("expected shape: A4NN accuracy >= XPSI accuracy per beam (largest gap on");
     println!("       noisy low beam); A4NN search costs more wall time than XPSI training.");
+    Ok(())
 }

@@ -29,17 +29,17 @@ use a4nn_lineage::Analyzer;
 pub const HARNESS_SEED: u64 = 0xA4A4_2023;
 
 /// Run A4NN (engine on) for one beam at a GPU count.
-pub fn run_a4nn(beam: BeamIntensity, gpus: usize) -> RunOutput {
+pub fn run_a4nn(beam: BeamIntensity, gpus: usize) -> Result<RunOutput, A4nnError> {
     let config = WorkflowConfig::a4nn(beam, gpus, HARNESS_SEED);
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
-    A4nnWorkflow::new(config).run(&factory)
+    A4nnWorkflow::new(config).run(&factory, RunOptions::default())
 }
 
 /// Run the standalone NSGA-Net baseline (no engine, 1 GPU) for one beam.
-pub fn run_standalone(beam: BeamIntensity) -> RunOutput {
+pub fn run_standalone(beam: BeamIntensity) -> Result<RunOutput, A4nnError> {
     let config = WorkflowConfig::standalone(beam, HARNESS_SEED);
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
-    A4nnWorkflow::new(config).run(&factory)
+    A4nnWorkflow::new(config).run(&factory, RunOptions::default())
 }
 
 /// Seconds → hours.
@@ -89,15 +89,15 @@ mod tests {
 
     #[test]
     fn harness_runs_are_reproducible() {
-        let a = summarize(&run_a4nn(BeamIntensity::Medium, 1));
-        let b = summarize(&run_a4nn(BeamIntensity::Medium, 1));
+        let a = summarize(&run_a4nn(BeamIntensity::Medium, 1).unwrap());
+        let b = summarize(&run_a4nn(BeamIntensity::Medium, 1).unwrap());
         assert_eq!(a.epochs, b.epochs);
         assert_eq!(a.wall_h, b.wall_h);
     }
 
     #[test]
     fn standalone_uses_exactly_2500_epochs() {
-        let s = summarize(&run_standalone(BeamIntensity::Low));
+        let s = summarize(&run_standalone(BeamIntensity::Low).unwrap());
         assert_eq!(s.epochs, 2500);
         assert_eq!(s.saved_pct, 0.0);
         assert_eq!(s.converged, 0.0);

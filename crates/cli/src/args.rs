@@ -22,8 +22,6 @@ commands:
   stats      summarize a run directory offline (metrics, retries, resume state)
   worker     serve trainer jobs to a remote search coordinator over TCP
   serve      serve batched classify requests from a commons' Pareto front
-  serve-bench  load-generate against a serve endpoint (or sweep batch
-             sizes in process) and write a bench report
   help       print this message
 
 common options:
@@ -58,10 +56,6 @@ search/baseline options (paper Table 2 defaults):
                              wall-clock only, never results)
   --real                     train for real on the CPU substrate
   --images <n>               images per class for --real / xpsi / dataset [100]
-  --conv-impl <name>         conv backend for --real training:
-                             naive|im2col              [im2col]
-  --dense-impl <name>        dense backend for --real training:
-                             naive|gemm                [gemm]
   --eval-chunk <n>           validation chunk size for --real
                              training                  [256]
 
@@ -99,27 +93,6 @@ serve options:
                              connections close (debounced) and at exit
   --metrics-interval-ms <n>  persist the snapshot at most once per
                              this interval                 [2000]
-
-serve-bench options:
-  --addr <addr>              target an already-running serve endpoint;
-                             without it, --commons sweeps batch sizes
-                             1,2,4,8 against in-process servers
-  --commons <dir>            commons to serve in-process and/or to
-                             verify responses against bitwise
-  --clients <n>              concurrent client connections    [4]
-  --requests <n>             requests per client              [50]
-  --height <n>               synthetic image height           [8]
-  --width <n>                synthetic image width            [8]
-  --verify-samples <n>       with --addr and --commons: classify this
-                             many seeded images per served model and
-                             require bitwise identity with direct
-                             evaluation                       [8]
-  --seed <u64>               synthetic pixel seed             [2023]
-  --out <file>               bench report path     [BENCH_serve.json]
-  --scaling                  with --commons (no --addr): append a
-                             connection-scaling sweep to the report —
-                             client counts 4,16,64,128,256 against
-                             each available --io mode
 
 viz options:
   --commons <dir>            commons directory (required)
@@ -195,8 +168,6 @@ pub enum Command {
     Worker,
     /// `a4nn serve`
     Serve,
-    /// `a4nn serve-bench`
-    ServeBench,
     /// `a4nn help`
     Help,
 }
@@ -219,8 +190,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--resume",
     "--run",
     "--images",
-    "--conv-impl",
-    "--dense-impl",
     "--eval-chunk",
     "--function",
     "--e-pred",
@@ -238,16 +207,10 @@ const VALUE_FLAGS: &[&str] = &[
     "--idle-ms",
     "--metrics-out",
     "--metrics-interval-ms",
-    "--addr",
-    "--clients",
-    "--requests",
-    "--height",
-    "--width",
-    "--verify-samples",
 ];
 
 /// Boolean flags.
-const BOOL_FLAGS: &[&str] = &["--real", "--dot", "--scaling"];
+const BOOL_FLAGS: &[&str] = &["--real", "--dot"];
 
 /// A parsed command line.
 #[derive(Debug, Clone)]
@@ -274,7 +237,6 @@ impl Parsed {
             Some("stats") => Command::Stats,
             Some("worker") => Command::Worker,
             Some("serve") => Command::Serve,
-            Some("serve-bench") => Command::ServeBench,
             Some("help" | "--help" | "-h") => Command::Help,
             Some(other) => return Err(ArgError::UnknownCommand(other.to_string())),
         };

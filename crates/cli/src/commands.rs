@@ -163,15 +163,19 @@ fn print_objective_front(analyzer: &Analyzer<'_>) -> Result<(), CommandError> {
 
 fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     let config = workflow_config(parsed, engine)?;
-    let orchestration = parsed.get_parse(
-        "--orchestration",
-        Orchestration::Direct,
-        "orchestration (direct|bus|socket)",
-    )?;
+    let mode = parsed.get("--orchestration").unwrap_or("direct");
+    if !matches!(mode, "direct" | "bus" | "socket") {
+        return Err(ArgError::BadValue {
+            flag: "--orchestration".into(),
+            value: mode.into(),
+            expected: "orchestration (direct|bus|socket)",
+        }
+        .into());
+    }
     let retries = parsed.get_parse("--max-retries", 2u32, "u32")?;
     let tolerance = FaultTolerance::new(RetryPolicy::with_retries(retries), FaultPlan::none());
     let workflow = A4nnWorkflow::new(config.clone());
-    if orchestration == Orchestration::Socket && parsed.flag("--real") {
+    if mode == "socket" && parsed.flag("--real") {
         return Err(CommandError::Invalid(
             "--real is not available over --orchestration socket; workers train the \
              deterministic surrogate rebuilt from the shipped configuration"
@@ -231,7 +235,7 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     if boundary_delay_ms > 0 {
         control = control.with_cancel(&pacing);
     }
-    let output = if orchestration == Orchestration::Socket {
+    let transport = if mode == "socket" {
         let workers: Vec<String> = parsed
             .get("--workers")
             .ok_or_else(|| {
@@ -261,22 +265,17 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
             transport.worker_count(),
             transport.total_gpus()
         );
-        let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-        workflow.try_run_transport_resumable(
-            &factory, None, &transport, &tolerance, &control, snapshot,
-        )?
-    } else if parsed.flag("--real") {
+        Some(transport)
+    } else {
+        None
+    };
+    let orchestration = match &transport {
+        Some(transport) => Orchestration::External(transport),
+        None if mode == "bus" => Orchestration::Bus,
+        None => Orchestration::Direct,
+    };
+    let factory: Box<dyn TrainerFactory> = if parsed.flag("--real") {
         let images = parsed.get_parse("--images", 100usize, "usize")?;
-        let conv_impl = parsed.get_parse(
-            "--conv-impl",
-            a4nn_nn::ConvImpl::default(),
-            "conv backend (naive|im2col)",
-        )?;
-        let dense_impl = parsed.get_parse(
-            "--dense-impl",
-            a4nn_nn::DenseImpl::default(),
-            "dense backend (naive|gemm)",
-        )?;
         let eval_chunk = parsed.get_parse(
             "--eval-chunk",
             TrainingHyperparams::default().eval_chunk,
@@ -289,29 +288,31 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
             train.len(),
             test.len()
         );
-        let factory = RealTrainerFactory::new(
+        Box::new(RealTrainerFactory::new(
             config.search_space(),
             Arc::new(train),
             Arc::new(test),
             TrainingHyperparams {
-                conv_impl,
-                dense_impl,
                 eval_chunk,
                 ..TrainingHyperparams::default()
             },
-        );
-        workflow.try_run_resumable(&factory, None, orchestration, &tolerance, &control, None)?
+        ))
     } else {
-        let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-        workflow.try_run_resumable(
-            &factory,
-            None,
-            orchestration,
-            &tolerance,
-            &control,
-            snapshot,
-        )?
+        Box::new(SurrogateFactory::new(
+            &config,
+            SurrogateParams::for_beam(config.beam),
+        ))
     };
+    let output = workflow.run(
+        factory.as_ref(),
+        RunOptions {
+            orchestration,
+            fault_tolerance: tolerance,
+            control,
+            resume: snapshot,
+            ..RunOptions::default()
+        },
+    )?;
 
     let analyzer = Analyzer::new(&output.commons);
     println!(
@@ -540,120 +541,6 @@ fn run_serve(parsed: &Parsed) -> Result<(), CommandError> {
     Ok(())
 }
 
-fn run_serve_bench(parsed: &Parsed) -> Result<(), CommandError> {
-    let clients = parsed.get_parse("--clients", 4usize, "usize")?;
-    let requests = parsed.get_parse("--requests", 50usize, "usize")?;
-    let height = parsed.get_parse("--height", 8usize, "usize")?;
-    let width = parsed.get_parse("--width", 8usize, "usize")?;
-    let seed = parsed.get_parse("--seed", 2023u64, "u64")?;
-    let out = PathBuf::from(parsed.get("--out").unwrap_or("BENCH_serve.json"));
-
-    let report = match (parsed.get("--addr"), parsed.get("--commons")) {
-        (Some(addr), commons) => {
-            // Target a running endpoint; with a commons we can also
-            // verify responses bitwise against direct evaluation.
-            if let Some(commons) = commons {
-                let verify_samples = parsed.get_parse("--verify-samples", 8usize, "usize")?;
-                let checked = a4nn_serve::verify_against_direct(
-                    &PathBuf::from(commons),
-                    addr,
-                    verify_samples,
-                    height,
-                    width,
-                    seed,
-                )?;
-                println!(
-                    "verified {checked} classify response(s) bitwise against direct evaluation"
-                );
-            }
-            let load = a4nn_serve::run_load(&a4nn_serve::LoadSpec {
-                addr: addr.to_string(),
-                clients,
-                requests_per_client: requests,
-                height,
-                width,
-                seed,
-            })?;
-            a4nn_serve::BenchReport {
-                clients,
-                requests_per_client: requests,
-                height,
-                width,
-                seed,
-                points: vec![a4nn_serve::BatchPoint {
-                    max_batch: 0, // unknown: the remote server's setting
-                    report: load,
-                }],
-                scaling: Vec::new(),
-            }
-        }
-        (None, Some(commons)) => {
-            let commons = PathBuf::from(commons);
-            let mut report = a4nn_serve::sweep_in_process(
-                &commons,
-                &[1, 2, 4, 8],
-                clients,
-                requests,
-                height,
-                width,
-                seed,
-            )?;
-            if parsed.flag("--scaling") {
-                // Threads everywhere; the reactor where epoll exists.
-                let modes: &[a4nn_serve::IoMode] = if cfg!(target_os = "linux") {
-                    &[a4nn_serve::IoMode::Threads, a4nn_serve::IoMode::Reactor]
-                } else {
-                    &[a4nn_serve::IoMode::Threads]
-                };
-                report.scaling = a4nn_serve::scaling_sweep(
-                    &commons,
-                    modes,
-                    &[4, 16, 64, 128, 256],
-                    requests,
-                    height,
-                    width,
-                    seed,
-                )?;
-            }
-            report
-        }
-        (None, None) => {
-            return Err(CommandError::Invalid(
-                "serve-bench needs --addr (live endpoint) or --commons (in-process sweep)".into(),
-            ))
-        }
-    };
-
-    for p in &report.points {
-        println!(
-            "batch {:>3}: {:8.1} req/s  p50 {:>6} us  p99 {:>6} us  ({} accepted, {} rejected)",
-            p.max_batch,
-            p.report.throughput_rps,
-            p.report.p50_us,
-            p.report.p99_us,
-            p.report.accepted,
-            p.report.rejected
-        );
-    }
-    for p in &report.scaling {
-        println!(
-            "{:>7} x{:>3} clients: {:8.1} req/s  p50 {:>6} us  p99 {:>6} us  ({} accepted, {} rejected)",
-            p.io,
-            p.clients,
-            p.report.throughput_rps,
-            p.report.p50_us,
-            p.report.p99_us,
-            p.report.accepted,
-            p.report.rejected
-        );
-    }
-    let bytes = serde_json::to_vec_pretty(&report)
-        .map_err(|e| CommandError::Invalid(format!("serializing bench report: {e}")))?;
-    a4nn_lineage::write_atomic(&out, &bytes)?;
-    println!("bench report written to {}", out.display());
-    Ok(())
-}
-
 fn run_xpsi(parsed: &Parsed) -> Result<(), CommandError> {
     let beam = beam_of(parsed)?;
     let seed = parsed.get_parse("--seed", 2023u64, "u64")?;
@@ -810,7 +697,6 @@ pub fn run_command(parsed: &Parsed) -> Result<(), CommandError> {
         Command::Stats => run_stats(parsed),
         Command::Worker => run_worker(parsed),
         Command::Serve => run_serve(parsed),
-        Command::ServeBench => run_serve_bench(parsed),
     }
 }
 
@@ -844,46 +730,6 @@ mod tests {
     fn baseline_has_no_engine() {
         let cfg = workflow_config(&parsed("baseline --beam low"), false).unwrap();
         assert!(cfg.engine.is_none());
-    }
-
-    #[test]
-    fn conv_impl_flag_parses_and_rejects_garbage() {
-        let p = parsed("search --conv-impl naive");
-        assert_eq!(
-            p.get_parse("--conv-impl", a4nn_nn::ConvImpl::default(), "conv backend")
-                .unwrap(),
-            a4nn_nn::ConvImpl::Naive
-        );
-        // Default is the lowered GEMM backend.
-        assert_eq!(a4nn_nn::ConvImpl::default(), a4nn_nn::ConvImpl::Im2colGemm);
-        let bad = parsed("search --conv-impl winograd");
-        assert!(bad
-            .get_parse("--conv-impl", a4nn_nn::ConvImpl::default(), "conv backend")
-            .is_err());
-    }
-
-    #[test]
-    fn dense_impl_flag_parses_and_rejects_garbage() {
-        let p = parsed("search --dense-impl naive");
-        assert_eq!(
-            p.get_parse(
-                "--dense-impl",
-                a4nn_nn::DenseImpl::default(),
-                "dense backend"
-            )
-            .unwrap(),
-            a4nn_nn::DenseImpl::Naive
-        );
-        // Default is the GEMM backend.
-        assert_eq!(a4nn_nn::DenseImpl::default(), a4nn_nn::DenseImpl::Gemm);
-        let bad = parsed("search --dense-impl strassen");
-        assert!(bad
-            .get_parse(
-                "--dense-impl",
-                a4nn_nn::DenseImpl::default(),
-                "dense backend"
-            )
-            .is_err());
     }
 
     #[test]

@@ -11,16 +11,57 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::WorkflowConfig;
-use crate::fault::{FaultStats, FaultTolerance};
+use crate::fault::FaultTolerance;
 use crate::pipeline::{DirectTransport, EvalPipeline, Transport};
 use crate::trainer::TrainerFactory;
-use crate::workflow::RunOutput;
+use crate::workflow::{RunOutput, SearchTotals};
 use a4nn_error::A4nnError;
-use a4nn_genome::Genome;
-use a4nn_lineage::DataCommons;
-use a4nn_sched::GenerationSchedule;
+use a4nn_genome::{Genome, SearchSpace};
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+
+/// The generation loop both drivers share. `propose` draws generation
+/// `g`'s genomes, seeing the previous generation's genomes with their
+/// final fitness (empty before generation 0); the pipeline trains them
+/// in process and the totals fold into a [`RunOutput`].
+fn run_generations(
+    cfg: &WorkflowConfig,
+    factory: &dyn TrainerFactory,
+    checkpoints: Option<&CheckpointStore>,
+    mut propose: impl FnMut(usize, &SearchSpace, &mut StdRng, &[(Genome, f64)]) -> Vec<Genome>,
+) -> Result<RunOutput, A4nnError> {
+    let space = cfg.search_space();
+    let ft = FaultTolerance::default();
+    let pipeline = EvalPipeline::new(cfg, &space, factory, checkpoints, &ft);
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut totals = SearchTotals::with_capacity(cfg);
+    let mut next_id = 0u64;
+    let mut evaluated: Vec<(Genome, f64)> = Vec::new();
+    for generation in 0..cfg.nas.generations {
+        let genomes = propose(generation, &space, &mut rng, &evaluated);
+        let batch = pipeline.run(&DirectTransport, &genomes, generation, next_id)?;
+        let fitness: Vec<f64> = batch
+            .outcomes
+            .iter()
+            .map(|(o, _)| o.final_fitness)
+            .collect();
+        totals.absorb(generation, next_id, batch);
+        next_id += genomes.len() as u64;
+        evaluated = genomes.into_iter().zip(fitness).collect();
+    }
+    Ok(totals.into_run_output(&pipeline, DirectTransport.name()))
+}
+
+/// Genomes a generation evaluates under the standard budget:
+/// `population` first, `offspring` after.
+fn generation_size(cfg: &WorkflowConfig, generation: usize) -> usize {
+    if generation == 0 {
+        cfg.nas.population
+    } else {
+        cfg.nas.offspring
+    }
+}
 
 /// Pure random search: every generation is a fresh random batch. The
 /// weakest sensible baseline — the engine still saves its epochs.
@@ -38,70 +79,19 @@ impl RandomSearchWorkflow {
     }
 
     /// Run the search; evaluates the same `population +
-    /// offspring × (generations − 1)` budget as the NSGA-Net driver.
-    pub fn run(&self, factory: &dyn TrainerFactory) -> RunOutput {
-        self.run_checkpointed(factory, None)
-    }
-
-    /// [`run`](Self::run) with per-epoch checkpointing. Panics on a
-    /// machinery failure; see
-    /// [`try_run_checkpointed`](Self::try_run_checkpointed).
-    pub fn run_checkpointed(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-    ) -> RunOutput {
-        self.try_run_checkpointed(factory, checkpoints)
-            .unwrap_or_else(|e| panic!("random search failed: {e}"))
-    }
-
-    /// [`run_checkpointed`](Self::run_checkpointed) returning machinery
-    /// failures as [`A4nnError`] instead of panicking.
-    pub fn try_run_checkpointed(
+    /// offspring × (generations − 1)` budget as the NSGA-Net driver,
+    /// checkpointing per epoch into `checkpoints` when given. `Err` means
+    /// the machinery failed, never a trainer.
+    pub fn run(
         &self,
         factory: &dyn TrainerFactory,
         checkpoints: Option<&CheckpointStore>,
     ) -> Result<RunOutput, A4nnError> {
         let cfg = &self.config;
-        let space = cfg.search_space();
-        let ft = FaultTolerance::default();
-        let pipeline = EvalPipeline::new(cfg, &space, factory, checkpoints, &ft);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-        let mut records = Vec::with_capacity(cfg.nas.total_models());
-        let mut schedules = Vec::with_capacity(cfg.nas.generations);
-        let mut engine_seconds = 0.0;
-        let mut engine_interactions = 0;
-        let mut next_id = 0u64;
-        for generation in 0..cfg.nas.generations {
-            let count = if generation == 0 {
-                cfg.nas.population
-            } else {
-                cfg.nas.offspring
-            };
-            let genomes: Vec<Genome> = (0..count).map(|_| space.random_genome(&mut rng)).collect();
-            let batch = pipeline.run(&DirectTransport, &genomes, generation, next_id)?;
-            for (outcome, _) in &batch.outcomes {
-                engine_seconds += outcome.engine_seconds;
-                engine_interactions += outcome.engine_interactions;
-            }
-            records.extend(batch.records);
-            schedules.push(batch.schedule);
-            next_id += count as u64;
-        }
-        let fault_stats = FaultStats::from_records(&records);
-        Ok(RunOutput {
-            commons: DataCommons::new(records),
-            schedule: GenerationSchedule {
-                generations: schedules,
-            },
-            config: cfg.clone(),
-            engine_seconds,
-            engine_interactions,
-            bus_stats: None,
-            transport_stats: pipeline.transport_stats(DirectTransport.name()),
-            fault_stats,
-            retry_ledger: a4nn_sched::RetryLedger::new(),
-            metrics: pipeline.metrics_registry().snapshot(),
+        run_generations(cfg, factory, checkpoints, |generation, space, rng, _| {
+            (0..generation_size(cfg, generation))
+                .map(|_| space.random_genome(rng))
+                .collect()
         })
     }
 }
@@ -130,51 +120,34 @@ impl AgingEvolutionWorkflow {
         }
     }
 
-    /// Run the search with the standard budget.
-    pub fn run(&self, factory: &dyn TrainerFactory) -> RunOutput {
-        self.run_checkpointed(factory, None)
-    }
-
-    /// [`run`](Self::run) with per-epoch checkpointing. Panics on a
-    /// machinery failure; see
-    /// [`try_run_checkpointed`](Self::try_run_checkpointed).
-    pub fn run_checkpointed(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-    ) -> RunOutput {
-        self.try_run_checkpointed(factory, checkpoints)
-            .unwrap_or_else(|e| panic!("aging evolution failed: {e}"))
-    }
-
-    /// [`run_checkpointed`](Self::run_checkpointed) returning machinery
-    /// failures as [`A4nnError`] instead of panicking.
-    pub fn try_run_checkpointed(
+    /// Run the search with the standard budget, checkpointing per epoch
+    /// into `checkpoints` when given. `Err` means the machinery failed,
+    /// never a trainer.
+    pub fn run(
         &self,
         factory: &dyn TrainerFactory,
         checkpoints: Option<&CheckpointStore>,
     ) -> Result<RunOutput, A4nnError> {
         let cfg = &self.config;
-        let space = cfg.search_space();
-        let ft = FaultTolerance::default();
-        let pipeline = EvalPipeline::new(cfg, &space, factory, checkpoints, &ft);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-        let mut records = Vec::with_capacity(cfg.nas.total_models());
-        let mut schedules = Vec::with_capacity(cfg.nas.generations);
-        let mut engine_seconds = 0.0;
-        let mut engine_interactions = 0;
-        let mut next_id = 0u64;
         // The aging queue: (genome, fitness), oldest at the front.
         let mut population: VecDeque<(Genome, f64)> = VecDeque::with_capacity(cfg.nas.population);
-
-        for generation in 0..cfg.nas.generations {
-            let genomes: Vec<Genome> = if generation == 0 {
-                (0..cfg.nas.population)
-                    .map(|_| space.random_genome(&mut rng))
-                    .collect()
-            } else {
-                (0..cfg.nas.offspring)
+        run_generations(
+            cfg,
+            factory,
+            checkpoints,
+            |generation, space, rng, evaluated| {
+                for member in evaluated {
+                    // Age out the oldest member once the queue is full.
+                    if population.len() == cfg.nas.population {
+                        population.pop_front();
+                    }
+                    population.push_back(member.clone());
+                }
+                (0..generation_size(cfg, generation))
                     .map(|_| {
+                        if generation == 0 {
+                            return space.random_genome(rng);
+                        }
                         // Tournament: best of S uniform samples.
                         let sample = self.sample_size.min(population.len());
                         let Some(parent) = (0..sample)
@@ -188,40 +161,12 @@ impl AgingEvolutionWorkflow {
                             unreachable!("tournament sample is non-empty")
                         };
                         let mut child = population[parent].0.clone();
-                        space.mutate(&mut child, &mut rng);
+                        space.mutate(&mut child, rng);
                         child
                     })
                     .collect()
-            };
-            let batch = pipeline.run(&DirectTransport, &genomes, generation, next_id)?;
-            for (genome, (outcome, _)) in genomes.iter().zip(&batch.outcomes) {
-                engine_seconds += outcome.engine_seconds;
-                engine_interactions += outcome.engine_interactions;
-                // Age out the oldest member once the queue is full.
-                if population.len() == cfg.nas.population {
-                    population.pop_front();
-                }
-                population.push_back((genome.clone(), outcome.final_fitness));
-            }
-            records.extend(batch.records);
-            schedules.push(batch.schedule);
-            next_id += genomes.len() as u64;
-        }
-        let fault_stats = FaultStats::from_records(&records);
-        Ok(RunOutput {
-            commons: DataCommons::new(records),
-            schedule: GenerationSchedule {
-                generations: schedules,
             },
-            config: cfg.clone(),
-            engine_seconds,
-            engine_interactions,
-            bus_stats: None,
-            transport_stats: pipeline.transport_stats(DirectTransport.name()),
-            fault_stats,
-            retry_ledger: a4nn_sched::RetryLedger::new(),
-            metrics: pipeline.metrics_registry().snapshot(),
-        })
+        )
     }
 }
 
@@ -257,7 +202,9 @@ mod tests {
     #[test]
     fn random_search_evaluates_full_budget() {
         let cfg = config(true, 3);
-        let out = RandomSearchWorkflow::new(cfg.clone()).run(&factory(&cfg));
+        let out = RandomSearchWorkflow::new(cfg.clone())
+            .run(&factory(&cfg), None)
+            .unwrap();
         assert_eq!(out.commons.len(), cfg.nas.total_models());
         assert!(out.total_epochs() > 0);
         assert!(
@@ -269,7 +216,9 @@ mod tests {
     #[test]
     fn aging_evolution_evaluates_full_budget_and_improves() {
         let cfg = config(true, 4);
-        let out = AgingEvolutionWorkflow::new(cfg.clone(), 3).run(&factory(&cfg));
+        let out = AgingEvolutionWorkflow::new(cfg.clone(), 3)
+            .run(&factory(&cfg), None)
+            .unwrap();
         assert_eq!(out.commons.len(), cfg.nas.total_models());
         // Mean fitness of late generations should not be worse than the
         // random initial generation (selection pressure works).
@@ -295,10 +244,14 @@ mod tests {
     fn drivers_are_deterministic_and_distinct() {
         let cfg = config(true, 5);
         let f = factory(&cfg);
-        let r1 = RandomSearchWorkflow::new(cfg.clone()).run(&f);
-        let r2 = RandomSearchWorkflow::new(cfg.clone()).run(&f);
+        let r1 = RandomSearchWorkflow::new(cfg.clone())
+            .run(&f, None)
+            .unwrap();
+        let r2 = RandomSearchWorkflow::new(cfg.clone())
+            .run(&f, None)
+            .unwrap();
         assert_eq!(r1.commons, r2.commons);
-        let a1 = AgingEvolutionWorkflow::new(cfg, 3).run(&f);
+        let a1 = AgingEvolutionWorkflow::new(cfg, 3).run(&f, None).unwrap();
         assert_ne!(
             r1.commons, a1.commons,
             "different drivers, different searches"
@@ -309,12 +262,14 @@ mod tests {
     fn standalone_drivers_train_full_budget() {
         let cfg = config(false, 6);
         let f = factory(&cfg);
-        let out = RandomSearchWorkflow::new(cfg.clone()).run(&f);
+        let out = RandomSearchWorkflow::new(cfg.clone())
+            .run(&f, None)
+            .unwrap();
         assert_eq!(
             out.total_epochs(),
             u64::from(cfg.nas.epochs) * cfg.nas.total_models() as u64
         );
-        let out = AgingEvolutionWorkflow::new(cfg, 3).run(&f);
+        let out = AgingEvolutionWorkflow::new(cfg, 3).run(&f, None).unwrap();
         assert_eq!(out.total_epochs(), 25 * 40);
     }
 
@@ -322,11 +277,13 @@ mod tests {
     fn nsga_beats_or_matches_random_search_on_pareto_quality() {
         // The multi-objective search should dominate random search on the
         // FLOPs-efficiency axis at comparable accuracy.
-        use crate::workflow::A4nnWorkflow;
+        use crate::workflow::{A4nnWorkflow, RunOptions};
         let cfg = config(true, 7);
         let f = factory(&cfg);
-        let nsga = A4nnWorkflow::new(cfg.clone()).run(&f);
-        let random = RandomSearchWorkflow::new(cfg).run(&f);
+        let nsga = A4nnWorkflow::new(cfg.clone())
+            .run(&f, RunOptions::default())
+            .unwrap();
+        let random = RandomSearchWorkflow::new(cfg).run(&f, None).unwrap();
         let best = |out: &RunOutput| {
             Analyzer::new(&out.commons)
                 .best_by_fitness()

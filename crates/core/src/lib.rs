@@ -38,9 +38,10 @@
 //! };
 //! let workflow = A4nnWorkflow::new(config.clone());
 //! let surrogate = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-//! let output = workflow.run(&surrogate);
+//! let output = workflow.run(&surrogate, RunOptions::default())?;
 //! assert_eq!(output.commons.len(), 12); // 4 + 4×2 models evaluated
 //! assert!(output.total_epochs() > 0);
+//! # Ok::<(), A4nnError>(())
 //! ```
 
 #![warn(clippy::redundant_clone)]
@@ -77,18 +78,17 @@ pub use resume::{config_hash, RunControl, SearchSnapshot, SNAPSHOT_VERSION};
 pub use surrogate::{SurrogateFactory, SurrogateParams};
 pub use trainer::{EpochResult, Trainer, TrainerFactory};
 pub use training::{
-    train_with_engine, train_with_engine_checkpointed, train_with_engine_fallible, AttemptProgress,
-    TrainingOutcome,
+    train_with_engine, train_with_engine_fallible, AttemptProgress, TrainingOutcome,
 };
-pub use workflow::{A4nnWorkflow, Orchestration, RunOutput};
+pub use workflow::{A4nnWorkflow, Orchestration, RunOptions, RunOutput};
 
 /// Convenience re-exports, including the satellite crates' key types.
 pub mod prelude {
     pub use crate::{
         netspec_from_arch, train_with_engine, A4nnError, A4nnWorkflow, CheckpointStore,
         EpochResult, EvalPipeline, FaultStats, FaultTolerance, ModelCost, NasSettings,
-        ObjectiveKind, ObjectiveSet, Orchestration, RealTrainerFactory, RunControl, RunOutput,
-        SearchSnapshot, SurrogateFactory, SurrogateParams, Trainer, TrainerFactory,
+        ObjectiveKind, ObjectiveSet, Orchestration, RealTrainerFactory, RunControl, RunOptions,
+        RunOutput, SearchSnapshot, SurrogateFactory, SurrogateParams, Trainer, TrainerFactory,
         TrainingHyperparams, TrainingOutcome, Transport, TransportStats, WorkflowConfig,
     };
     pub use a4nn_faults::{ChaosSpec, FaultEvent, FaultPlan};

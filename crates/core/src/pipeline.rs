@@ -11,13 +11,16 @@
 //! prediction engine are coupled:
 //!
 //! - [`DirectTransport`] — in-process calls: each trainer drives its own
-//!   engine instance inline (rayon data parallelism), and the pipeline
-//!   assembles the record trails itself;
+//!   engine instance inline (rayon data parallelism);
 //! - [`BusTransport`] — the `a4nn-bus` event bus (§2.2's in-situ task
 //!   coupling): trainers run as jobs on the sched thread pool, publish
 //!   per-epoch fitness, and block on the engine service's verdicts; the
-//!   lineage recorder service assembles the trails from the stream at
-//!   end of run.
+//!   lineage recorder service folds the stream into the run's commons.
+//!
+//! The pipeline assembles each generation's record trails itself on every
+//! transport — boundary snapshots need them as the generation completes,
+//! and the transport-equivalence contract makes them byte-identical to
+//! what the recorder service folds.
 //!
 //! Determinism contract: both transports consult the same
 //! [`FaultTolerance`] plan at the same `(model, epoch, attempt)` sites
@@ -134,9 +137,7 @@ pub struct BatchResult {
     pub outcomes: Vec<(TrainingOutcome, ModelCost)>,
     /// The generation's cluster schedule.
     pub schedule: ScheduleResult,
-    /// Completed record trails, in submission order — empty when the
-    /// transport assembles them elsewhere (see
-    /// [`Transport::assembles_records`]).
+    /// Completed record trails, in submission order.
     pub records: Vec<ModelRecord>,
 }
 
@@ -174,22 +175,19 @@ pub trait Transport {
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError>;
 
     /// Announce the completed generation (outcomes plus its cluster
-    /// schedule) to any out-of-process listeners. The direct transport
-    /// has none and does nothing.
+    /// schedule) to any listeners. Only the bus transport has some; the
+    /// default does nothing.
     fn publish_generation(
         &self,
-        pipeline: &EvalPipeline<'_>,
-        genomes: &[Genome],
-        generation: usize,
-        base_id: u64,
-        outcomes: &[(TrainingOutcome, ModelCost)],
-        schedule: &ScheduleResult,
-    ) -> Result<(), A4nnError>;
-
-    /// Whether the pipeline should assemble record trails inline
-    /// (`true`), or a downstream service folds them from the published
-    /// events (`false`).
-    fn assembles_records(&self) -> bool;
+        _pipeline: &EvalPipeline<'_>,
+        _genomes: &[Genome],
+        _generation: usize,
+        _base_id: u64,
+        _outcomes: &[(TrainingOutcome, ModelCost)],
+        _schedule: &ScheduleResult,
+    ) -> Result<(), A4nnError> {
+        Ok(())
+    }
 
     /// Short stable name for the metrics layer (`direct`, `bus`,
     /// `socket`).
@@ -357,11 +355,7 @@ impl<'a> EvalPipeline<'a> {
             }
         }
 
-        let records = if transport.assembles_records() {
-            self.assemble_records(genomes, generation, base_id, &outcomes, &schedule)
-        } else {
-            Vec::new()
-        };
+        let records = self.assemble_records(genomes, generation, base_id, &outcomes, &schedule);
         Ok(BatchResult {
             outcomes,
             schedule,
@@ -371,11 +365,7 @@ impl<'a> EvalPipeline<'a> {
 
     /// Fold outcomes and placements into one record trail per genome —
     /// the exact shape the bus recorder service reproduces from events.
-    /// Public so the resumable loop can materialize records for boundary
-    /// snapshots even under transports that delegate record assembly to
-    /// bus services (the proven transport-equivalence contract makes the
-    /// inline assembly byte-identical to the recorder's).
-    pub fn assemble_records(
+    fn assemble_records(
         &self,
         genomes: &[Genome],
         generation: usize,
@@ -423,7 +413,7 @@ impl<'a> EvalPipeline<'a> {
 }
 
 /// In-process coupling: rayon data parallelism, each trainer driving its
-/// own engine instance inline, record trails assembled by the pipeline.
+/// own engine instance inline.
 pub struct DirectTransport;
 
 impl Transport for DirectTransport {
@@ -456,22 +446,6 @@ impl Transport for DirectTransport {
                 (outcome, cost)
             })
             .collect())
-    }
-
-    fn publish_generation(
-        &self,
-        _pipeline: &EvalPipeline<'_>,
-        _genomes: &[Genome],
-        _generation: usize,
-        _base_id: u64,
-        _outcomes: &[(TrainingOutcome, ModelCost)],
-        _schedule: &ScheduleResult,
-    ) -> Result<(), A4nnError> {
-        Ok(())
-    }
-
-    fn assembles_records(&self) -> bool {
-        true
     }
 
     fn name(&self) -> &'static str {
@@ -637,10 +611,6 @@ impl Transport for BusTransport<'_> {
                 A4nnError::BusClosed(format!("publishing schedule of generation {generation}"))
             })?;
         Ok(())
-    }
-
-    fn assembles_records(&self) -> bool {
-        false
     }
 
     fn name(&self) -> &'static str {
@@ -977,7 +947,7 @@ mod tests {
             service.join().unwrap();
         }
 
-        assert!(bus.records.is_empty(), "bus leaves records to the recorder");
+        assert_eq!(direct.records, bus.records);
         assert_eq!(direct.schedule.assignments, bus.schedule.assignments);
         for ((d, df), (b, bf)) in direct.outcomes.iter().zip(&bus.outcomes) {
             assert_eq!(df, bf);

@@ -5,7 +5,7 @@ use crate::bridge::netspec_from_arch;
 use crate::objectives::ModelCost;
 use crate::trainer::{EpochResult, Trainer, TrainerFactory};
 use a4nn_genome::{estimate_macs, estimate_params_bytes, Genome, SearchSpace};
-use a4nn_nn::{train_epoch_ws, ConvImpl, Dataset, DenseImpl, Network, Sgd, Workspace};
+use a4nn_nn::{train_epoch_ws, Dataset, Network, Sgd, Workspace};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -22,12 +22,6 @@ pub struct TrainingHyperparams {
     pub weight_decay: f32,
     /// Minibatch size.
     pub batch_size: usize,
-    /// Convolution backend for every network this loop trains.
-    #[serde(default)]
-    pub conv_impl: ConvImpl,
-    /// Dense (classifier) backend for every network this loop trains.
-    #[serde(default)]
-    pub dense_impl: DenseImpl,
     /// Validation is evaluated in chunks of this many samples, bounding
     /// peak activation memory on large validation sets.
     #[serde(default = "default_eval_chunk")]
@@ -45,8 +39,6 @@ impl Default for TrainingHyperparams {
             momentum: 0.9,
             weight_decay: 1e-4,
             batch_size: 32,
-            conv_impl: ConvImpl::default(),
-            dense_impl: DenseImpl::default(),
             eval_chunk: default_eval_chunk(),
         }
     }
@@ -146,9 +138,7 @@ impl TrainerFactory for RealTrainerFactory {
             rand::rngs::StdRng::seed_from_u64(seed ^ model_id.wrapping_mul(0xD134_2543_DE82_EF95));
         let arch = self.space.decode(genome);
         let spec = netspec_from_arch(&arch);
-        let mut net = Network::new(&spec, &mut rng);
-        net.set_conv_impl(self.hyper.conv_impl);
-        net.set_dense_impl(self.hyper.dense_impl);
+        let net = Network::new(&spec, &mut rng);
         let hw = (self.train.height, self.train.width);
         let static_cost = ModelCost {
             flops: net.flops(hw) / 1e6,
@@ -237,6 +227,25 @@ mod tests {
         let a = f.make(&genome(3), 1, 9).flops();
         let b = f.make(&genome(3), 1, 9).flops();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn hyperparams_written_with_the_kernel_switch_still_load() {
+        // Configs saved before the `Naive|Gemm` kernel switch was removed
+        // carry its two keys; they are ignored, not rejected. The sample
+        // sits in the old-checkpoint fixture, written by the last commit
+        // that had the switch.
+        #[derive(Deserialize)]
+        struct OldCheckpoint {
+            hyperparams: TrainingHyperparams,
+        }
+        let old: OldCheckpoint = serde_json::from_str(include_str!(
+            "../../nn/tests/fixtures/network_with_impl_keys.json"
+        ))
+        .unwrap();
+        assert_eq!(old.hyperparams.lr, 0.01);
+        assert_eq!(old.hyperparams.batch_size, 16);
+        assert_eq!(old.hyperparams.eval_chunk, 64);
     }
 
     #[test]

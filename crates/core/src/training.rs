@@ -85,34 +85,24 @@ pub fn train_with_engine(
     engine_config: Option<&EngineConfig>,
     max_epochs: u32,
 ) -> TrainingOutcome {
-    train_with_engine_checkpointed(trainer, engine_config, max_epochs, None)
-}
-
-/// [`train_with_engine`] that additionally writes the trainer's per-epoch
-/// state into a [`CheckpointStore`] under `model_id` (§2.2.2). Trainers
-/// that cannot snapshot (the surrogate) simply contribute nothing.
-pub fn train_with_engine_checkpointed(
-    trainer: &mut dyn Trainer,
-    engine_config: Option<&EngineConfig>,
-    max_epochs: u32,
-    checkpoints: Option<(&CheckpointStore, u64)>,
-) -> TrainingOutcome {
-    let mut progress = AttemptProgress::default();
     train_with_engine_fallible(
         trainer,
         engine_config,
         max_epochs,
-        checkpoints,
         None,
-        &mut progress,
+        None,
+        &mut AttemptProgress::default(),
     )
 }
 
 /// One fallible attempt of Algorithm 1 with fault injection.
 ///
+/// `checkpoints = Some((store, model_id))` writes the trainer's per-epoch
+/// state into the store (§2.2.2); trainers that cannot snapshot (the
+/// surrogate) simply contribute nothing.
 /// `faults = Some((plan, model_id, attempt))` arms the plan's injection
 /// sites for this model/attempt; `None` (or an empty plan) runs the exact
-/// happy-path loop of [`train_with_engine_checkpointed`]. An injected
+/// happy-path loop of [`train_with_engine`]. An injected
 /// trainer fault panics out of this function after `progress` has been
 /// updated, so the caller's `catch_unwind` still sees the partial trail.
 /// An injected engine crash is caught *here*: the engine is dropped with

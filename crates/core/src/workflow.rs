@@ -32,39 +32,61 @@ use a4nn_sched::{GenerationSchedule, RetryEntry, RetryLedger, ScheduleResult};
 use rand::SeedableRng;
 use std::collections::HashSet;
 
-/// How the workflow couples trainers, prediction engine, and lineage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Orchestration {
-    /// In-process calls: trainers drive their own engine instance and
-    /// the batch evaluator assembles record trails (the seed path).
+/// How a run couples trainers, prediction engine, and lineage. Every
+/// mode produces identical record trails per seed.
+#[derive(Clone, Copy, Default)]
+pub enum Orchestration<'a> {
+    /// In-process calls: trainers drive their own engine instance (the
+    /// seed path).
     #[default]
     Direct,
     /// The a4nn-bus event bus: trainers publish per-epoch fitness, the
     /// engine/lineage/stats services run as subscribed threads (§2.2's
-    /// in-situ task coupling). Produces identical record trails.
+    /// in-situ task coupling).
     Bus,
-    /// TCP worker processes via the `a4nn-net` socket transport: the
-    /// coordinator shards each generation's jobs across connected
-    /// workers. The transport lives outside this crate, so socket runs
-    /// go through [`A4nnWorkflow::try_run_transport`] with a constructed
-    /// `SocketTransport`; this variant exists so the CLI can parse the
-    /// mode uniformly. Produces identical record trails.
-    Socket,
+    /// A transport constructed outside this crate — `a4nn-net`'s
+    /// `SocketTransport`, which shards each generation's jobs across
+    /// connected worker processes.
+    External(&'a dyn Transport),
 }
 
-impl std::str::FromStr for Orchestration {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "direct" => Ok(Orchestration::Direct),
-            "bus" => Ok(Orchestration::Bus),
-            "socket" => Ok(Orchestration::Socket),
-            other => Err(format!(
-                "unknown orchestration {other:?} (expected direct|bus|socket)"
-            )),
+impl std::fmt::Debug for Orchestration<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Orchestration::Direct => f.write_str("Direct"),
+            Orchestration::Bus => f.write_str("Bus"),
+            Orchestration::External(transport) => write!(f, "External({})", transport.name()),
         }
     }
+}
+
+/// Everything [`A4nnWorkflow::run`] can be told beyond the trainer
+/// factory. The default is the plain search: no checkpoints, direct
+/// orchestration, the default retry budget with no injected faults, no
+/// snapshots, a fresh start.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// Checkpoint every model's per-epoch state here when the trainer
+    /// supports it (§2.2.2's "model can be loaded and re-evaluated from
+    /// any point").
+    pub checkpoints: Option<&'a CheckpointStore>,
+    /// The coupling mode.
+    pub orchestration: Orchestration<'a>,
+    /// Panicked trainer attempts retry per the policy, injected faults
+    /// replay deterministically from the plan, and models exhausting
+    /// their budget survive the search as `Terminated::Failed` records.
+    /// The default reproduces the fault-free run byte for byte in every
+    /// coupling mode.
+    pub fault_tolerance: FaultTolerance,
+    /// Commit a full search-state snapshot at every generation boundary
+    /// into `control.snapshot_dir`, and optionally stop at a boundary via
+    /// `control.cancel` (surfaced as [`A4nnError::Interrupted`]).
+    pub control: RunControl<'a>,
+    /// Continue a prior run from the snapshot a previous process
+    /// committed before it was interrupted or killed. A resumed run
+    /// reproduces the uninterrupted run's commons byte for byte on every
+    /// transport.
+    pub resume: Option<SearchSnapshot>,
 }
 
 /// Everything a workflow run produces.
@@ -158,301 +180,107 @@ impl A4nnWorkflow {
     }
 
     /// Run the complete search using trainers from `factory`.
-    pub fn run(&self, factory: &dyn TrainerFactory) -> RunOutput {
-        self.run_checkpointed_with(factory, None, Orchestration::Direct)
-    }
-
-    /// [`run`](Self::run) with an explicit coupling mode. `Bus` and
-    /// `Direct` produce identical record trails per seed.
-    pub fn run_with(
-        &self,
-        factory: &dyn TrainerFactory,
-        orchestration: Orchestration,
-    ) -> RunOutput {
-        self.run_checkpointed_with(factory, None, orchestration)
-    }
-
-    /// [`run`](Self::run) that additionally checkpoints every model's
-    /// per-epoch state into `checkpoints` when the trainer supports it
-    /// (§2.2.2's "model can be loaded and re-evaluated from any point").
-    pub fn run_checkpointed(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-    ) -> RunOutput {
-        self.run_checkpointed_with(factory, checkpoints, Orchestration::Direct)
-    }
-
-    /// [`run_checkpointed`](Self::run_checkpointed) with an explicit
-    /// coupling mode.
-    pub fn run_checkpointed_with(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-        orchestration: Orchestration,
-    ) -> RunOutput {
-        self.run_resilient(
-            factory,
-            checkpoints,
-            orchestration,
-            &FaultTolerance::default(),
-        )
-    }
-
-    /// [`run_checkpointed_with`](Self::run_checkpointed_with) under an
-    /// explicit [`FaultTolerance`]: panicked trainer attempts retry per
-    /// the policy, injected faults replay deterministically from the
-    /// plan, and models exhausting their budget survive the search as
-    /// `Terminated::Failed` records. The default tolerance reproduces
-    /// the fault-free run byte for byte in both coupling modes.
     ///
-    /// Panics if the run's machinery breaks (bus closed mid-run, a
-    /// crashed service thread); use
-    /// [`try_run_resilient`](Self::try_run_resilient) to handle that as
-    /// an error instead.
-    pub fn run_resilient(
+    /// Trainer crashes are *not* errors — they flow through the retry
+    /// budget into `Terminated::Failed` records; `Err` means the run
+    /// itself could not continue (closed bus, crashed service, poisoned
+    /// pool, lost workers, a stale snapshot) or was interrupted at a
+    /// generation boundary by `options.control`.
+    pub fn run(
         &self,
         factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-        orchestration: Orchestration,
-        ft: &FaultTolerance,
-    ) -> RunOutput {
-        self.try_run_resilient(factory, checkpoints, orchestration, ft)
-            .unwrap_or_else(|e| panic!("workflow failed: {e}"))
-    }
-
-    /// [`run_resilient`](Self::run_resilient) returning machinery
-    /// failures as [`A4nnError`] instead of panicking. Trainer crashes
-    /// are *not* errors — they flow through the retry budget into
-    /// `Terminated::Failed` records; `Err` here means the run itself
-    /// could not continue (closed bus, crashed service, poisoned pool).
-    pub fn try_run_resilient(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-        orchestration: Orchestration,
-        ft: &FaultTolerance,
+        options: RunOptions<'_>,
     ) -> Result<RunOutput, A4nnError> {
-        self.try_run_resumable(
-            factory,
+        let RunOptions {
             checkpoints,
             orchestration,
-            ft,
-            &RunControl::default(),
-            None,
-        )
-    }
-
-    /// [`try_run_resilient`](Self::try_run_resilient) under a
-    /// [`RunControl`]: commit a full search-state snapshot at every
-    /// generation boundary into `control.snapshot_dir`, optionally stop
-    /// at a boundary via `control.cancel` (surfaced as
-    /// [`A4nnError::Interrupted`]), and continue a prior run from
-    /// `resume` — the snapshot a previous process committed before it
-    /// was interrupted or killed. A resumed run reproduces the
-    /// uninterrupted run's commons byte for byte on every transport.
-    pub fn try_run_resumable(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-        orchestration: Orchestration,
-        ft: &FaultTolerance,
-        control: &RunControl<'_>,
-        resume: Option<SearchSnapshot>,
-    ) -> Result<RunOutput, A4nnError> {
-        let cfg = &self.config;
-        let pipeline = EvalPipeline::new(cfg, &self.space, factory, checkpoints, ft);
-        match orchestration {
-            Orchestration::Direct => {
-                let out = self.run_loop(
-                    &pipeline,
-                    &mut |genomes, generation, base_id| {
-                        pipeline.run(&DirectTransport, genomes, generation, base_id)
-                    },
-                    control,
-                    resume,
-                )?;
-                let fault_stats = FaultStats::from_records(&out.records);
-                Ok(RunOutput {
-                    commons: DataCommons::new(out.records),
-                    schedule: GenerationSchedule {
-                        generations: out.schedules,
-                    },
-                    config: cfg.clone(),
-                    engine_seconds: out.engine_seconds,
-                    engine_interactions: out.engine_interactions,
-                    bus_stats: None,
-                    transport_stats: pipeline.transport_stats(DirectTransport.name()),
-                    fault_stats,
-                    retry_ledger: out.retry_ledger,
-                    metrics: pipeline.metrics_registry().snapshot(),
-                })
-            }
-            Orchestration::Socket => Err(A4nnError::Config(
-                "socket orchestration needs connected workers; construct a \
-                 SocketTransport (a4nn-net) and call try_run_transport"
-                    .into(),
-            )),
-            Orchestration::Bus => {
-                // The recorder service only sees events from this
-                // process; the generations completed before an
-                // interruption are prepended from the snapshot.
-                let prior_records: Vec<ModelRecord> = resume
-                    .as_ref()
-                    .map(|s| s.records.clone())
-                    .unwrap_or_default();
-                let topic: Topic<Event> = Topic::new("a4nn");
-                let engine_service = cfg.engine.clone().map(|engine| {
-                    // Injected engine crashes ride in through the service's
-                    // fault hook, driven by the same deterministic plan the
-                    // direct path consults inline.
-                    let hook: Option<EngineFaultHook> = ft.plan.has_engine_faults().then(|| {
-                        let plan = ft.plan.clone();
-                        Box::new(move |model: u64, epoch: u32| plan.engine_dropped(model, epoch))
-                            as EngineFaultHook
-                    });
-                    PredictionEngineService::spawn_hooked(&topic, engine, hook)
-                });
-                let recorder = LineageRecorderService::spawn(
-                    &topic,
-                    engine_params_record(cfg),
-                    cfg.beam.label().to_string(),
-                );
-                let aggregator = RunStatsAggregator::spawn(&topic);
-                // The plan's lagging subscriber: a slow, lossy consumer
-                // that exercises backpressure isolation without being able
-                // to perturb the run's results.
-                let laggard = ft.plan.subscriber_lag().map(|(capacity, delay_millis)| {
-                    let inbox = topic.subscribe(Policy::DropOldest { capacity });
-                    std::thread::spawn(move || {
-                        while inbox.recv().is_ok() {
-                            std::thread::sleep(std::time::Duration::from_millis(delay_millis));
-                        }
-                        inbox.stats()
-                    })
-                });
-                let transport = BusTransport::new(&topic);
-                let loop_result = self.run_loop(
-                    &pipeline,
-                    &mut |genomes, generation, base_id| {
-                        pipeline.run(&transport, genomes, generation, base_id)
-                    },
-                    control,
-                    resume,
-                );
-                // Always close and drain the services — even when the
-                // loop failed — so no thread is left blocked; then
-                // surface the loop's error ahead of any join error.
-                topic.close();
-                let engine_join = engine_service.map(|service| service.join()).transpose();
-                let records = recorder.join();
-                let bus_stats = aggregator.join();
-                let out = loop_result?;
-                engine_join?;
-                let records = {
-                    let mut all = prior_records;
-                    all.extend(records?);
-                    all
-                };
-                let bus_stats = bus_stats?;
-                let mut fault_stats = FaultStats::from_records(&records);
-                fault_stats.laggard = match laggard {
-                    Some(handle) => Some(handle.join().map_err(|_| {
-                        A4nnError::Internal("laggard subscriber thread panicked".into())
-                    })?),
-                    None => None,
-                };
-                Ok(RunOutput {
-                    commons: DataCommons::new(records),
-                    schedule: GenerationSchedule {
-                        generations: out.schedules,
-                    },
-                    config: cfg.clone(),
-                    engine_seconds: out.engine_seconds,
-                    engine_interactions: out.engine_interactions,
-                    bus_stats: Some(bus_stats),
-                    transport_stats: pipeline.transport_stats(transport.name()),
-                    fault_stats,
-                    retry_ledger: out.retry_ledger,
-                    metrics: pipeline.metrics_registry().snapshot(),
-                })
-            }
-        }
-    }
-
-    /// Run the search through an externally constructed [`Transport`] —
-    /// the entry point for transports that live outside this crate, such
-    /// as `a4nn-net`'s `SocketTransport`. The transport must assemble
-    /// record trails inline (like `DirectTransport`); transports that
-    /// delegate recording to bus services go through
-    /// [`try_run_resilient`](Self::try_run_resilient) instead, which
-    /// owns the service lifecycle.
-    pub fn try_run_transport(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-        transport: &dyn Transport,
-        ft: &FaultTolerance,
-    ) -> Result<RunOutput, A4nnError> {
-        self.try_run_transport_resumable(
-            factory,
-            checkpoints,
-            transport,
-            ft,
-            &RunControl::default(),
-            None,
-        )
-    }
-
-    /// [`try_run_transport`](Self::try_run_transport) under a
-    /// [`RunControl`]: boundary snapshots, optional cancellation, and
-    /// continuation from a prior snapshot — the socket-transport
-    /// counterpart of [`try_run_resumable`](Self::try_run_resumable).
-    pub fn try_run_transport_resumable(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-        transport: &dyn Transport,
-        ft: &FaultTolerance,
-        control: &RunControl<'_>,
-        resume: Option<SearchSnapshot>,
-    ) -> Result<RunOutput, A4nnError> {
-        if !transport.assembles_records() {
-            return Err(A4nnError::Config(format!(
-                "transport {:?} delegates record assembly to bus services; \
-                 run it through try_run_resilient",
-                transport.name()
-            )));
-        }
-        let cfg = &self.config;
-        let pipeline = EvalPipeline::new(cfg, &self.space, factory, checkpoints, ft);
-        let out = self.run_loop(
-            &pipeline,
-            &mut |genomes, generation, base_id| {
-                pipeline.run(transport, genomes, generation, base_id)
-            },
+            fault_tolerance: ft,
             control,
             resume,
-        )?;
-        let fault_stats = FaultStats::from_records(&out.records);
-        Ok(RunOutput {
-            commons: DataCommons::new(out.records),
-            schedule: GenerationSchedule {
-                generations: out.schedules,
-            },
-            config: cfg.clone(),
-            engine_seconds: out.engine_seconds,
-            engine_interactions: out.engine_interactions,
-            bus_stats: None,
-            transport_stats: pipeline.transport_stats(transport.name()),
-            fault_stats,
-            retry_ledger: out.retry_ledger,
-            metrics: pipeline.metrics_registry().snapshot(),
-        })
+        } = options;
+        let pipeline = EvalPipeline::new(&self.config, &self.space, factory, checkpoints, &ft);
+        let transport: &dyn Transport = match orchestration {
+            Orchestration::Direct => &DirectTransport,
+            Orchestration::External(transport) => transport,
+            Orchestration::Bus => return self.run_on_bus(&pipeline, &control, resume),
+        };
+        let totals = self.run_loop(&pipeline, transport, &control, resume)?;
+        Ok(totals.into_run_output(&pipeline, transport.name()))
     }
 
-    /// The shared NSGA-Net generational loop; `evaluate` trains one
-    /// generation batch through the pipeline (on any transport).
+    /// The bus-orchestrated run: spawn the engine, recorder and stats
+    /// services on a fresh topic, drive the loop through a
+    /// [`BusTransport`], then drain the services. The commons comes from
+    /// the recorder's fold of the event stream.
+    fn run_on_bus(
+        &self,
+        pipeline: &EvalPipeline<'_>,
+        control: &RunControl<'_>,
+        resume: Option<SearchSnapshot>,
+    ) -> Result<RunOutput, A4nnError> {
+        let cfg = &self.config;
+        let ft = pipeline.fault_tolerance();
+        // The recorder service only sees events from this process; the
+        // generations completed before an interruption stay as the
+        // snapshot recorded them.
+        let prior_records = resume.as_ref().map_or(0, |s| s.records.len());
+        let topic: Topic<Event> = Topic::new("a4nn");
+        let engine_service = cfg.engine.clone().map(|engine| {
+            // Injected engine crashes ride in through the service's
+            // fault hook, driven by the same deterministic plan the
+            // direct path consults inline.
+            let hook: Option<EngineFaultHook> = ft.plan.has_engine_faults().then(|| {
+                let plan = ft.plan.clone();
+                Box::new(move |model: u64, epoch: u32| plan.engine_dropped(model, epoch))
+                    as EngineFaultHook
+            });
+            PredictionEngineService::spawn_hooked(&topic, engine, hook)
+        });
+        let recorder = LineageRecorderService::spawn(
+            &topic,
+            engine_params_record(cfg),
+            cfg.beam.label().to_string(),
+        );
+        let aggregator = RunStatsAggregator::spawn(&topic);
+        // The plan's lagging subscriber: a slow, lossy consumer that
+        // exercises backpressure isolation without being able to perturb
+        // the run's results.
+        let laggard = ft.plan.subscriber_lag().map(|(capacity, delay_millis)| {
+            let inbox = topic.subscribe(Policy::DropOldest { capacity });
+            std::thread::spawn(move || {
+                while inbox.recv().is_ok() {
+                    std::thread::sleep(std::time::Duration::from_millis(delay_millis));
+                }
+                inbox.stats()
+            })
+        });
+        let transport = BusTransport::new(&topic);
+        let loop_result = self.run_loop(pipeline, &transport, control, resume);
+        // Always close and drain the services — even when the loop
+        // failed — so no thread is left blocked; then surface the loop's
+        // error ahead of any join error.
+        topic.close();
+        let engine_join = engine_service.map(|service| service.join()).transpose();
+        let records = recorder.join();
+        let bus_stats = aggregator.join();
+        let mut totals = loop_result?;
+        engine_join?;
+        totals.records.truncate(prior_records);
+        totals.records.extend(records?);
+        let mut out = totals.into_run_output(pipeline, transport.name());
+        out.bus_stats = Some(bus_stats?);
+        out.fault_stats.laggard =
+            match laggard {
+                Some(handle) => Some(handle.join().map_err(|_| {
+                    A4nnError::Internal("laggard subscriber thread panicked".into())
+                })?),
+                None => None,
+            };
+        Ok(out)
+    }
+
+    /// The NSGA-Net generational loop, training each generation batch
+    /// through the pipeline on `transport`.
     ///
     /// With a `resume` snapshot, the loop reconstructs every piece of
     /// state the snapshot's boundary committed — RNG stream, archive,
@@ -464,28 +292,23 @@ impl A4nnWorkflow {
     fn run_loop(
         &self,
         pipeline: &EvalPipeline<'_>,
-        evaluate: &mut GenerationEvaluator<'_>,
+        transport: &dyn Transport,
         control: &RunControl<'_>,
         resume: Option<SearchSnapshot>,
-    ) -> Result<LoopOutput, A4nnError> {
+    ) -> Result<SearchTotals, A4nnError> {
         let cfg = &self.config;
-        let snapshotting = control.snapshot_dir.is_some();
-        let cfg_hash = if snapshotting || resume.is_some() {
+        let cfg_hash = if control.snapshot_dir.is_some() || resume.is_some() {
             Some(config_hash(cfg)?)
         } else {
             None
         };
 
         let mut rng;
-        let mut records: Vec<ModelRecord>;
+        let mut totals: SearchTotals;
         let mut archive: Vec<Individual<Genome>>;
-        let mut schedules: Vec<ScheduleResult>;
         let mut seen: HashSet<String>;
-        let mut engine_seconds;
-        let mut engine_interactions;
         let mut next_id;
         let mut parents: Vec<usize>;
-        let mut ledger: RetryLedger;
         let mut genomes: Vec<Genome>;
         let start_generation;
 
@@ -534,15 +357,17 @@ impl A4nnWorkflow {
                 }
                 pipeline.restore_metrics(snap.metrics);
                 rng = rand::rngs::StdRng::from_state(snap.rng_state);
-                records = snap.records;
+                totals = SearchTotals {
+                    records: snap.records,
+                    schedules: snap.schedules,
+                    engine_seconds: snap.engine_seconds,
+                    engine_interactions: snap.engine_interactions,
+                    retry_ledger: snap.retries,
+                };
                 archive = snap.archive;
-                schedules = snap.schedules;
                 seen = snap.seen.into_iter().collect();
-                engine_seconds = snap.engine_seconds;
-                engine_interactions = snap.engine_interactions;
                 next_id = snap.next_id;
                 parents = snap.parents;
-                ledger = snap.retries;
                 // Offspring are regenerated from the archive inside the
                 // loop; generation 0's pre-drawn population is only
                 // needed on a fresh start.
@@ -551,14 +376,10 @@ impl A4nnWorkflow {
             }
             None => {
                 rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-                records = Vec::with_capacity(cfg.nas.total_models());
+                totals = SearchTotals::with_capacity(cfg);
                 archive = Vec::with_capacity(cfg.nas.total_models());
-                schedules = Vec::with_capacity(cfg.nas.generations);
                 seen = HashSet::new();
-                engine_seconds = 0.0f64;
-                engine_interactions = 0u64;
                 next_id = 0u64;
-                ledger = RetryLedger::new();
                 // Generation 0: random initial population.
                 genomes = (0..cfg.nas.population)
                     .map(|_| self.space.random_genome(&mut rng))
@@ -611,48 +432,21 @@ impl A4nnWorkflow {
                     .collect();
             }
 
-            // Train the whole generation on the configured evaluator.
+            // Train the whole generation on the configured transport.
             let base_id = next_id;
-            let batch = evaluate(&genomes, generation, base_id)?;
+            let batch = pipeline.run(transport, &genomes, generation, base_id)?;
             let mut generation_indices = Vec::with_capacity(genomes.len());
-            for (k, genome) in genomes.iter().enumerate() {
-                let model_id = base_id + k as u64;
-                let (outcome, cost) = &batch.outcomes[k];
-                engine_seconds += outcome.engine_seconds;
-                engine_interactions += outcome.engine_interactions;
-                ledger.push(RetryEntry {
-                    model_id,
-                    generation,
-                    attempts: outcome.attempts,
-                    failed: outcome.failed,
-                });
+            for (k, (genome, (outcome, cost))) in genomes.iter().zip(&batch.outcomes).enumerate() {
                 archive.push(Individual {
-                    id: model_id,
+                    id: base_id + k as u64,
                     generation,
                     genome: genome.clone(),
                     objectives: cfg.objectives.vector(outcome, cost),
                 });
                 generation_indices.push(archive.len() - 1);
             }
-            if snapshotting && batch.records.is_empty() {
-                // Bus transports delegate record assembly to the
-                // recorder service, which only materializes trails at
-                // end of run. A snapshot must carry this generation's
-                // trails now, so assemble them inline — valid on any
-                // transport by the transport-equivalence contract.
-                records.extend(pipeline.assemble_records(
-                    &genomes,
-                    generation,
-                    base_id,
-                    &batch.outcomes,
-                    &batch.schedule,
-                ));
-            } else {
-                records.extend(batch.records);
-            }
-            let schedule = batch.schedule;
+            totals.absorb(generation, base_id, batch);
             next_id += genomes.len() as u64;
-            schedules.push(schedule);
 
             // Elitist environmental selection (μ+λ).
             if generation == 0 {
@@ -680,11 +474,11 @@ impl A4nnWorkflow {
                     archive: archive.clone(),
                     parents: parents.clone(),
                     seen: seen_sorted,
-                    records: records.clone(),
-                    schedules: schedules.clone(),
-                    engine_seconds,
-                    engine_interactions,
-                    retries: ledger.clone(),
+                    records: totals.records.clone(),
+                    schedules: totals.schedules.clone(),
+                    engine_seconds: totals.engine_seconds,
+                    engine_interactions: totals.engine_interactions,
+                    retries: totals.retry_ledger.clone(),
                     metrics: pipeline.metrics_registry().snapshot(),
                 };
                 snap.save(dir)?;
@@ -702,28 +496,67 @@ impl A4nnWorkflow {
             }
         }
 
-        Ok(LoopOutput {
-            records,
-            schedules,
-            engine_seconds,
-            engine_interactions,
-            retry_ledger: ledger,
-        })
+        Ok(totals)
     }
 }
 
-/// Closure handed to [`A4nnWorkflow::run_loop`]: trains one generation
-/// batch `(genomes, generation, base_id)` through the pipeline.
-type GenerationEvaluator<'a> =
-    dyn FnMut(&[Genome], usize, u64) -> Result<BatchResult, A4nnError> + 'a;
-
-/// What the shared generational loop accumulates.
-struct LoopOutput {
+/// What a search accumulates generation by generation, whichever driver
+/// proposes the genomes: record trails, cluster schedules, engine
+/// overhead, and the retry ledger.
+pub(crate) struct SearchTotals {
     records: Vec<ModelRecord>,
     schedules: Vec<ScheduleResult>,
     engine_seconds: f64,
     engine_interactions: u64,
     retry_ledger: RetryLedger,
+}
+
+impl SearchTotals {
+    /// Empty totals sized for `cfg`'s evaluation budget.
+    pub(crate) fn with_capacity(cfg: &WorkflowConfig) -> Self {
+        SearchTotals {
+            records: Vec::with_capacity(cfg.nas.total_models()),
+            schedules: Vec::with_capacity(cfg.nas.generations),
+            engine_seconds: 0.0,
+            engine_interactions: 0,
+            retry_ledger: RetryLedger::new(),
+        }
+    }
+
+    /// Fold one evaluated generation (model ids from `base_id`) in.
+    pub(crate) fn absorb(&mut self, generation: usize, base_id: u64, batch: BatchResult) {
+        for (k, (outcome, _)) in batch.outcomes.iter().enumerate() {
+            self.engine_seconds += outcome.engine_seconds;
+            self.engine_interactions += outcome.engine_interactions;
+            self.retry_ledger.push(RetryEntry {
+                model_id: base_id + k as u64,
+                generation,
+                attempts: outcome.attempts,
+                failed: outcome.failed,
+            });
+        }
+        self.records.extend(batch.records);
+        self.schedules.push(batch.schedule);
+    }
+
+    /// Close the run: wrap the totals with the pipeline's dispatch
+    /// counters (under `transport`'s name) and metrics snapshot.
+    pub(crate) fn into_run_output(self, pipeline: &EvalPipeline<'_>, transport: &str) -> RunOutput {
+        RunOutput {
+            fault_stats: FaultStats::from_records(&self.records),
+            commons: DataCommons::new(self.records),
+            schedule: GenerationSchedule {
+                generations: self.schedules,
+            },
+            config: pipeline.config().clone(),
+            engine_seconds: self.engine_seconds,
+            engine_interactions: self.engine_interactions,
+            bus_stats: None,
+            transport_stats: pipeline.transport_stats(transport),
+            retry_ledger: self.retry_ledger,
+            metrics: pipeline.metrics_registry().snapshot(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -754,13 +587,22 @@ mod tests {
     fn run(engine: bool, gpus: usize, seed: u64) -> RunOutput {
         let config = small_config(engine, gpus, seed);
         let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-        A4nnWorkflow::new(config).run(&factory)
+        A4nnWorkflow::new(config)
+            .run(&factory, RunOptions::default())
+            .unwrap()
+    }
+
+    fn bus() -> RunOptions<'static> {
+        RunOptions {
+            orchestration: Orchestration::Bus,
+            ..RunOptions::default()
+        }
     }
 
     fn run_bus(engine: bool, gpus: usize, seed: u64) -> RunOutput {
         let config = small_config(engine, gpus, seed);
         let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-        A4nnWorkflow::new(config).run_with(&factory, Orchestration::Bus)
+        A4nnWorkflow::new(config).run(&factory, bus()).unwrap()
     }
 
     #[test]
@@ -893,7 +735,9 @@ mod tests {
         config.objectives =
             crate::objectives::ObjectiveSet::parse("neg_fitness,flops,peak_ws_bytes").unwrap();
         let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-        let out = A4nnWorkflow::new(config).run(&factory);
+        let out = A4nnWorkflow::new(config)
+            .run(&factory, RunOptions::default())
+            .unwrap();
         for r in &out.commons.records {
             assert_eq!(
                 r.objective_names,
@@ -912,7 +756,7 @@ mod tests {
             c
         };
         let factory3 = SurrogateFactory::new(&config3, SurrogateParams::for_beam(config3.beam));
-        let bus = A4nnWorkflow::new(config3).run_with(&factory3, Orchestration::Bus);
+        let bus = A4nnWorkflow::new(config3).run(&factory3, bus()).unwrap();
         assert_eq!(out.commons, bus.commons);
     }
 

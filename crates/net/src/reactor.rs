@@ -585,8 +585,11 @@ fn flush_outbound(
     write_ready: bool,
 ) -> Option<CloseReason> {
     let conn = conns.get_mut(&token.0)?;
-    if !write_ready && conn.outq.is_empty() {
-        return None;
+    if conn.outq.is_empty() {
+        // Nothing to write. A close that was waiting for the queue to
+        // drain is due now: left open, the connection would sit on
+        // `EPOLLRDHUP` alone and never be read or closed again.
+        return conn.closing.then_some(CloseReason::Requested);
     }
     match conn.outq.flush_into(&mut conn.stream) {
         Ok(true) if conn.closing => Some(CloseReason::Requested),

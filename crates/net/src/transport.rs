@@ -26,7 +26,7 @@ use a4nn_core::{
 };
 use a4nn_error::A4nnError;
 use a4nn_genome::Genome;
-use a4nn_sched::{GpuPool, RetryPolicy, ScheduleResult};
+use a4nn_sched::{GpuPool, RetryPolicy};
 use crossbeam::channel;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -432,22 +432,6 @@ impl Transport for SocketTransport {
             }
         }
         Ok(outcomes)
-    }
-
-    fn publish_generation(
-        &self,
-        _pipeline: &EvalPipeline<'_>,
-        _genomes: &[Genome],
-        _generation: usize,
-        _base_id: u64,
-        _outcomes: &[(TrainingOutcome, ModelCost)],
-        _schedule: &ScheduleResult,
-    ) -> Result<(), A4nnError> {
-        Ok(())
-    }
-
-    fn assembles_records(&self) -> bool {
-        true
     }
 
     fn name(&self) -> &'static str {

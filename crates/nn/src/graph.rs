@@ -10,7 +10,7 @@
 //! [`NetSpec`]; the workflow crate converts decoded genomes into specs.
 
 use crate::layers::{
-    BatchNorm2d, Conv2d, ConvImpl, Dense, DenseImpl, GlobalAvgPool, MaxPool2d, ParamVisitor, Relu,
+    reference, BatchNorm2d, Conv2d, Dense, GlobalAvgPool, MaxPool2d, ParamVisitor, Relu,
 };
 use crate::tensor::{Tensor2, Tensor4};
 use crate::workspace::Workspace;
@@ -126,10 +126,6 @@ impl ConvBnRelu {
     fn rebuild_buffers(&mut self) {
         self.conv.rebuild_buffers();
         self.bn.rebuild_buffers();
-    }
-
-    fn set_conv_impl(&mut self, conv_impl: ConvImpl) {
-        self.conv.set_impl(conv_impl);
     }
 
     fn flops(&self, h: usize, w: usize) -> f64 {
@@ -274,13 +270,6 @@ impl PhaseBlock {
         self.cache = None;
     }
 
-    fn set_conv_impl(&mut self, conv_impl: ConvImpl) {
-        self.stem.set_conv_impl(conv_impl);
-        for node in &mut self.nodes {
-            node.set_conv_impl(conv_impl);
-        }
-    }
-
     fn flops(&self, h: usize, w: usize) -> f64 {
         let mut total = self.stem.flops(h, w);
         for node in &self.nodes {
@@ -344,6 +333,15 @@ impl Network {
     /// returned logits borrow pool storage; recycle them with
     /// [`Workspace::give2`] when done.
     pub fn forward_ws(&mut self, x: &Tensor4, training: bool, ws: &mut Workspace) -> Tensor2 {
+        let pooled = self.features_ws(x, training, ws);
+        let logits = self.classifier.forward_ws(&pooled, ws);
+        ws.give2(pooled);
+        logits
+    }
+
+    /// Everything before the classifier: the phases, then global average
+    /// pooling.
+    fn features_ws(&mut self, x: &Tensor4, training: bool, ws: &mut Workspace) -> Tensor2 {
         let mut act = self.phases[0].forward_ws(x, training, ws);
         for phase in &mut self.phases[1..] {
             let next = phase.forward_ws(&act, training, ws);
@@ -352,9 +350,7 @@ impl Network {
         }
         let pooled = self.gap.forward_ws(&act, ws);
         ws.give4(act);
-        let logits = self.classifier.forward_ws(&pooled, ws);
-        ws.give2(pooled);
-        logits
+        pooled
     }
 
     /// Backward pass from logits gradient. Convenience wrapper over
@@ -366,6 +362,12 @@ impl Network {
     /// Backward pass drawing every intermediate gradient from `ws`.
     pub fn backward_ws(&mut self, dlogits: &Tensor2, ws: &mut Workspace) {
         let g = self.classifier.backward_ws(dlogits, ws);
+        self.backward_features_ws(g, ws);
+    }
+
+    /// Backward through everything before the classifier, from the
+    /// gradient with respect to the pooled features.
+    fn backward_features_ws(&mut self, g: Tensor2, ws: &mut Workspace) {
         let mut g4 = self.gap.backward_ws(&g, ws);
         ws.give2(g);
         for phase in self.phases.iter_mut().rev() {
@@ -374,6 +376,23 @@ impl Network {
             g4 = next;
         }
         ws.give4(g4);
+    }
+
+    /// [`forward`](Self::forward) with the classifier on the sequential
+    /// reference loops: the oracle of the whole-network check in
+    /// `tests/dense_equivalence.rs`, which is its only caller.
+    #[doc(hidden)]
+    pub fn forward_reference_dense(&mut self, x: &Tensor4, training: bool) -> Tensor2 {
+        let pooled = self.features_ws(x, training, &mut Workspace::default());
+        reference::dense_forward(&mut self.classifier, &pooled)
+    }
+
+    /// [`backward`](Self::backward) counterpart of
+    /// [`forward_reference_dense`](Self::forward_reference_dense).
+    #[doc(hidden)]
+    pub fn backward_reference_dense(&mut self, dlogits: &Tensor2) {
+        let g = reference::dense_backward(&mut self.classifier, dlogits);
+        self.backward_features_ws(g, &mut Workspace::default());
     }
 
     /// Visit all `(param, grad)` pairs in a stable order.
@@ -593,18 +612,6 @@ impl Network {
             phase.rebuild_buffers();
         }
         self.classifier.rebuild_buffers();
-    }
-
-    /// Select the convolution backend for every conv in the network.
-    pub fn set_conv_impl(&mut self, conv_impl: ConvImpl) {
-        for phase in &mut self.phases {
-            phase.set_conv_impl(conv_impl);
-        }
-    }
-
-    /// Select the dense (classifier) compute backend.
-    pub fn set_dense_impl(&mut self, dense_impl: DenseImpl) {
-        self.classifier.set_impl(dense_impl);
     }
 }
 

@@ -11,8 +11,10 @@ use crate::init::{he_normal, xavier_normal};
 use crate::tensor::{Tensor2, Tensor4};
 use crate::workspace::Workspace;
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+
+#[doc(hidden)]
+pub mod reference;
 
 /// Visitor signature for parameter/gradient pairs.
 pub type ParamVisitor<'a> = &'a mut dyn FnMut(&mut [f32], &mut [f32]);
@@ -20,85 +22,6 @@ pub type ParamVisitor<'a> = &'a mut dyn FnMut(&mut [f32], &mut [f32]);
 // ---------------------------------------------------------------------------
 // Conv2d
 // ---------------------------------------------------------------------------
-
-/// Which convolution kernel [`Conv2d`] runs on.
-///
-/// Both backends produce gradients and activations that agree to ≤1e-4
-/// (verified by proptest); `Im2colGemm` is the fast default, `Naive` the
-/// straight-line reference kept for differential testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ConvImpl {
-    /// Direct 7-deep loop nest, data-parallel over the batch via rayon.
-    Naive,
-    /// im2col lowering onto the cache-blocked GEMM in [`crate::gemm`],
-    /// batch-parallel on scoped threads sized by the intra-op budget.
-    #[default]
-    Im2colGemm,
-}
-
-impl std::str::FromStr for ConvImpl {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "naive" => Ok(ConvImpl::Naive),
-            "im2col" | "im2col-gemm" | "gemm" => Ok(ConvImpl::Im2colGemm),
-            other => Err(format!(
-                "unknown conv impl {other:?} (expected naive|im2col)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for ConvImpl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ConvImpl::Naive => "naive",
-            ConvImpl::Im2colGemm => "im2col",
-        })
-    }
-}
-
-/// Which kernel [`Dense`] runs on.
-///
-/// Unlike the conv backends (which agree to ≤1e-4), the two dense backends
-/// are **bitwise identical**: `Gemm` routes through
-/// [`gemm::gemm_nn_seq`], whose per-element accumulation order reproduces
-/// the naive sequential loops exactly (verified by the equivalence tests
-/// in `crates/nn/tests/dense_equivalence.rs`). `Naive` is kept for
-/// differential testing and as the PR 3 baseline in the training bench.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DenseImpl {
-    /// Straight-line triple loop, one sequential dot per output.
-    Naive,
-    /// Blocked sequential-accumulation GEMM ([`gemm::gemm_nn_seq`]),
-    /// row-parallel on scoped threads sized by the intra-op budget.
-    #[default]
-    Gemm,
-}
-
-impl std::str::FromStr for DenseImpl {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "naive" => Ok(DenseImpl::Naive),
-            "gemm" => Ok(DenseImpl::Gemm),
-            other => Err(format!(
-                "unknown dense impl {other:?} (expected naive|gemm)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for DenseImpl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            DenseImpl::Naive => "naive",
-            DenseImpl::Gemm => "gemm",
-        })
-    }
-}
 
 /// 2-D convolution, stride 1, `same` zero padding, square kernel.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -113,9 +36,6 @@ pub struct Conv2d {
     pub weight: Vec<f32>,
     /// Per-output-channel bias.
     pub bias: Vec<f32>,
-    /// Selected compute backend.
-    #[serde(default)]
-    pub conv_impl: ConvImpl,
     #[serde(skip)]
     wgrad: Vec<f32>,
     #[serde(skip)]
@@ -136,16 +56,10 @@ impl Conv2d {
             kernel,
             weight,
             bias: vec![0.0; c_out],
-            conv_impl: ConvImpl::default(),
             wgrad: vec![0.0; c_out * c_in * kernel * kernel],
             bgrad: vec![0.0; c_out],
             cached_input: None,
         }
-    }
-
-    /// Select the compute backend.
-    pub fn set_impl(&mut self, conv_impl: ConvImpl) {
-        self.conv_impl = conv_impl;
     }
 
     /// Forward pass; caches the input for backward. Convenience wrapper
@@ -156,74 +70,13 @@ impl Conv2d {
 
     /// Forward pass drawing all scratch (output tensor, im2col panel,
     /// input cache) from `ws` instead of the allocator.
-    pub fn forward_ws(&mut self, x: &Tensor4, ws: &mut Workspace) -> Tensor4 {
-        match self.conv_impl {
-            ConvImpl::Naive => self.forward_naive(x, ws),
-            ConvImpl::Im2colGemm => self.forward_gemm(x, ws),
-        }
-    }
-
-    /// Reference forward: direct loop nest, batch-parallel via rayon.
-    fn forward_naive(&mut self, x: &Tensor4, ws: &mut Workspace) -> Tensor4 {
-        assert_eq!(x.c, self.c_in, "conv input channel mismatch");
-        let (n, _, h, w) = x.shape();
-        let k = self.kernel;
-        let pad = k / 2;
-        // Every output element is written below, so stale scratch is fine.
-        let mut out = ws.t4_scratch(n, self.c_out, h, w);
-        let sample_out = self.c_out * h * w;
-        let weight = &self.weight;
-        let bias = &self.bias;
-        let c_in = self.c_in;
-        out.data_mut()
-            .par_chunks_mut(sample_out)
-            .enumerate()
-            .for_each(|(ni, out_s)| {
-                let x_s = x.sample(ni);
-                for co in 0..self.c_out {
-                    let b = bias[co];
-                    for y in 0..h {
-                        for xo in 0..w {
-                            let mut acc = b;
-                            for ci in 0..c_in {
-                                let x_base = ci * h * w;
-                                let w_base = ((co * c_in + ci) * k) * k;
-                                for ky in 0..k {
-                                    let yy = y as isize + ky as isize - pad as isize;
-                                    if yy < 0 || yy >= h as isize {
-                                        continue;
-                                    }
-                                    let row = x_base + (yy as usize) * w;
-                                    let wrow = w_base + ky * k;
-                                    for kx in 0..k {
-                                        let xx = xo as isize + kx as isize - pad as isize;
-                                        if xx < 0 || xx >= w as isize {
-                                            continue;
-                                        }
-                                        acc += x_s[row + xx as usize] * weight[wrow + kx];
-                                    }
-                                }
-                            }
-                            out_s[(co * h + y) * w + xo] = acc;
-                        }
-                    }
-                }
-            });
-        // Recycle a cache left by a forward that never ran backward
-        // (inference), so repeated eval forwards don't drain the pool.
-        if let Some(old) = self.cached_input.take() {
-            ws.give4(old);
-        }
-        self.cached_input = Some(ws.t4_copy(x));
-        out
-    }
-
-    /// im2col + blocked-GEMM forward: each sample's receptive fields are
+    ///
+    /// im2col + blocked GEMM: each sample's receptive fields are
     /// unrolled and multiplied against the weight matrix. Samples are
     /// distributed in contiguous blocks over scoped threads sized by the
     /// intra-op budget; every output element is produced by exactly one
     /// thread, so results are identical for any thread count.
-    fn forward_gemm(&mut self, x: &Tensor4, ws: &mut Workspace) -> Tensor4 {
+    pub fn forward_ws(&mut self, x: &Tensor4, ws: &mut Workspace) -> Tensor4 {
         assert_eq!(x.c, self.c_in, "conv input channel mismatch");
         let (n, _, h, w) = x.shape();
         let g = ConvGeometry::same(self.c_in, h, w, self.kernel);
@@ -275,28 +128,16 @@ impl Conv2d {
     /// returns the gradient with respect to the input. Convenience wrapper
     /// over [`backward_ws`](Self::backward_ws) with a throwaway workspace.
     pub fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        match self.conv_impl {
-            ConvImpl::Naive => self.backward_naive(grad_out),
-            ConvImpl::Im2colGemm => self.backward_gemm(grad_out, &mut Workspace::default()),
-        }
+        self.backward_ws(grad_out, &mut Workspace::default())
     }
 
     /// Backward pass drawing all scratch from `ws`; the input cache taken
     /// during forward is recycled back into the pool.
+    ///
+    /// im2col + blocked GEMM. Per-sample partial gradients are computed
+    /// on scoped threads (samples in contiguous blocks) and reduced in
+    /// sample order, so results do not depend on the thread budget.
     pub fn backward_ws(&mut self, grad_out: &Tensor4, ws: &mut Workspace) -> Tensor4 {
-        match self.conv_impl {
-            // The naive path keeps its allocating rayon partials — it
-            // exists for differential testing, not throughput.
-            ConvImpl::Naive => self.backward_naive(grad_out),
-            ConvImpl::Im2colGemm => self.backward_gemm(grad_out, ws),
-        }
-    }
-
-    /// im2col + blocked-GEMM backward. Per-sample partial gradients are
-    /// computed on scoped threads (samples in contiguous blocks) and
-    /// reduced in sample order, matching the naive path's reduction, so
-    /// results do not depend on the thread budget.
-    fn backward_gemm(&mut self, grad_out: &Tensor4, ws: &mut Workspace) -> Tensor4 {
         let Some(x) = self.cached_input.take() else {
             panic!("backward called before forward")
         };
@@ -349,9 +190,9 @@ impl Conv2d {
             ws.give(wg);
             ws.give(bg);
         } else {
-            // Per-sample (wg, bg) partials in sample order, exactly like
-            // the naive path — the reduction order (and thus rounding) is
-            // fixed no matter how samples were distributed over threads.
+            // Per-sample (wg, bg) partials in sample order — the
+            // reduction order (and thus rounding) is fixed no matter how
+            // samples were distributed over threads.
             let mut partials: Vec<(Vec<f32>, Vec<f32>)> = Vec::with_capacity(n);
             let per = n.div_ceil(threads);
             let x = &x;
@@ -400,83 +241,6 @@ impl Conv2d {
         }
         ws.give(wt_buf);
         ws.give4(x);
-        grad_in
-    }
-
-    /// Reference backward: direct loop nest with per-sample partials.
-    fn backward_naive(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let Some(x) = self.cached_input.take() else {
-            panic!("backward called before forward")
-        };
-        let (n, _, h, w) = x.shape();
-        let k = self.kernel;
-        let pad = k / 2;
-        assert_eq!(grad_out.shape(), (n, self.c_out, h, w));
-
-        // Per-sample partial results, reduced afterwards. The weight-grad
-        // buffers are small relative to activations, so the reduction is
-        // cheap and keeps the hot loops lock-free.
-        struct Partial {
-            gin: Vec<f32>,
-            wg: Vec<f32>,
-            bg: Vec<f32>,
-        }
-        let c_in = self.c_in;
-        let c_out = self.c_out;
-        let weight = &self.weight;
-        let partials: Vec<Partial> = (0..n)
-            .into_par_iter()
-            .map(|ni| {
-                let x_s = x.sample(ni);
-                let g_s = grad_out.sample(ni);
-                let mut gin = vec![0.0f32; c_in * h * w];
-                let mut wg = vec![0.0f32; weight.len()];
-                let mut bg = vec![0.0f32; c_out];
-                for co in 0..c_out {
-                    for y in 0..h {
-                        for xo in 0..w {
-                            let g = g_s[(co * h + y) * w + xo];
-                            if g == 0.0 {
-                                continue;
-                            }
-                            bg[co] += g;
-                            for ci in 0..c_in {
-                                let x_base = ci * h * w;
-                                let w_base = ((co * c_in + ci) * k) * k;
-                                for ky in 0..k {
-                                    let yy = y as isize + ky as isize - pad as isize;
-                                    if yy < 0 || yy >= h as isize {
-                                        continue;
-                                    }
-                                    let row = x_base + (yy as usize) * w;
-                                    let wrow = w_base + ky * k;
-                                    for kx in 0..k {
-                                        let xx = xo as isize + kx as isize - pad as isize;
-                                        if xx < 0 || xx >= w as isize {
-                                            continue;
-                                        }
-                                        wg[wrow + kx] += x_s[row + xx as usize] * g;
-                                        gin[row + xx as usize] += weight[wrow + kx] * g;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                Partial { gin, wg, bg }
-            })
-            .collect();
-
-        let mut grad_in = Tensor4::zeros(n, c_in, h, w);
-        for (ni, p) in partials.iter().enumerate() {
-            grad_in.sample_mut(ni).copy_from_slice(&p.gin);
-            for (acc, v) in self.wgrad.iter_mut().zip(&p.wg) {
-                *acc += v;
-            }
-            for (acc, v) in self.bgrad.iter_mut().zip(&p.bg) {
-                *acc += v;
-            }
-        }
         grad_in
     }
 
@@ -1026,9 +790,6 @@ pub struct Dense {
     pub weight: Vec<f32>,
     /// Bias `[d_out]`.
     pub bias: Vec<f32>,
-    /// Selected compute backend.
-    #[serde(default)]
-    pub dense_impl: DenseImpl,
     #[serde(skip)]
     wgrad: Vec<f32>,
     #[serde(skip)]
@@ -1047,16 +808,10 @@ impl Dense {
             d_out,
             weight,
             bias: vec![0.0; d_out],
-            dense_impl: DenseImpl::default(),
             wgrad: vec![0.0; d_out * d_in],
             bgrad: vec![0.0; d_out],
             cached_input: None,
         }
-    }
-
-    /// Select the compute backend.
-    pub fn set_impl(&mut self, dense_impl: DenseImpl) {
-        self.dense_impl = dense_impl;
     }
 
     /// Forward pass; caches the input. Convenience wrapper over
@@ -1067,46 +822,16 @@ impl Dense {
 
     /// Forward pass drawing the output, the `Wᵀ` panel and the input
     /// cache from `ws`.
+    ///
+    /// Blocked GEMM, bitwise identical to the sequential reference
+    /// loops ([`reference::dense_forward`]): the output is seeded with
+    /// the bias and [`gemm::gemm_nn_seq`] extends each element as one
+    /// strict ascending-`i` sum `bias + Σ x[i]·w[i]` — exactly the
+    /// reference order. Rows of the output split across scoped threads
+    /// under the intra-op budget; each element is produced by one
+    /// thread, so any budget gives identical bits.
     pub fn forward_ws(&mut self, x: &Tensor2, ws: &mut Workspace) -> Tensor2 {
         assert_eq!(x.cols, self.d_in, "dense input width mismatch");
-        match self.dense_impl {
-            DenseImpl::Naive => self.forward_naive(x, ws),
-            DenseImpl::Gemm => self.forward_gemm(x, ws),
-        }
-    }
-
-    /// Reference forward: one strictly sequential dot per output element.
-    fn forward_naive(&mut self, x: &Tensor2, ws: &mut Workspace) -> Tensor2 {
-        // Every output element is written below.
-        let mut out = ws.t2_scratch(x.rows, self.d_out);
-        for r in 0..x.rows {
-            let xi = x.row(r);
-            let or = out.row_mut(r);
-            for (o, out_v) in or.iter_mut().enumerate() {
-                let wrow = &self.weight[o * self.d_in..(o + 1) * self.d_in];
-                let mut acc = self.bias[o];
-                for (a, b) in xi.iter().zip(wrow) {
-                    acc += a * b;
-                }
-                *out_v = acc;
-            }
-        }
-        // Recycle a cache left by a forward that never ran backward
-        // (inference), so repeated eval forwards don't drain the pool.
-        if let Some(old) = self.cached_input.take() {
-            ws.give2(old);
-        }
-        self.cached_input = Some(ws.t2_copy(x));
-        out
-    }
-
-    /// Blocked-GEMM forward, bitwise identical to the naive path: the
-    /// output is seeded with the bias and [`gemm::gemm_nn_seq`] extends
-    /// each element as one strict ascending-`i` sum `bias + Σ x[i]·w[i]` —
-    /// exactly the naive loop's order. Rows of the output split across
-    /// scoped threads under the intra-op budget; each element is produced
-    /// by one thread, so any budget gives identical bits.
-    fn forward_gemm(&mut self, x: &Tensor2, ws: &mut Workspace) -> Tensor2 {
         let rows = x.rows;
         // B = Wᵀ, materialized so the shared axis (d_in) is the GEMM's
         // sequential k axis. transpose overwrites every element.
@@ -1143,43 +868,9 @@ impl Dense {
 
     /// Backward pass drawing all scratch from `ws`; the input cache is
     /// recycled back into the pool.
-    pub fn backward_ws(&mut self, grad_out: &Tensor2, ws: &mut Workspace) -> Tensor2 {
-        assert_eq!(grad_out.cols, self.d_out);
-        match self.dense_impl {
-            DenseImpl::Naive => self.backward_naive(grad_out, ws),
-            DenseImpl::Gemm => self.backward_gemm(grad_out, ws),
-        }
-    }
-
-    /// Reference backward: skips zero output-gradients, accumulates
-    /// directly into the persistent gradient buffers.
-    fn backward_naive(&mut self, grad_out: &Tensor2, ws: &mut Workspace) -> Tensor2 {
-        let Some(x) = self.cached_input.take() else {
-            panic!("backward called before forward")
-        };
-        let mut grad_in = ws.t2_zeroed(x.rows, self.d_in);
-        for r in 0..x.rows {
-            let g = grad_out.row(r);
-            let xi = x.row(r);
-            for (o, &go) in g.iter().enumerate() {
-                if go == 0.0 {
-                    continue;
-                }
-                self.bgrad[o] += go;
-                let wrow = &self.weight[o * self.d_in..(o + 1) * self.d_in];
-                let wgrow = &mut self.wgrad[o * self.d_in..(o + 1) * self.d_in];
-                let gi = grad_in.row_mut(r);
-                for i in 0..self.d_in {
-                    wgrow[i] += xi[i] * go;
-                    gi[i] += wrow[i] * go;
-                }
-            }
-        }
-        ws.give2(x);
-        grad_in
-    }
-
-    /// Blocked-GEMM backward, bitwise identical to the naive path:
+    ///
+    /// Blocked GEMM, bitwise identical to the sequential reference loops
+    /// ([`reference::dense_backward`], called "naive" below):
     ///
     /// - `wgrad += gᵀ·x` via [`gemm::gemm_nn_seq`] — per element the
     ///   shared axis is the batch row `r`, walked ascending and seeded
@@ -1196,7 +887,8 @@ impl Dense {
     /// prior sum) and `(+0.0) + (−0.0) = +0.0` under round-to-nearest. So
     /// skipping versus adding zeros produces identical bits (pinned by the
     /// dense equivalence tests).
-    fn backward_gemm(&mut self, grad_out: &Tensor2, ws: &mut Workspace) -> Tensor2 {
+    pub fn backward_ws(&mut self, grad_out: &Tensor2, ws: &mut Workspace) -> Tensor2 {
+        assert_eq!(grad_out.cols, self.d_out);
         let Some(x) = self.cached_input.take() else {
             panic!("backward called before forward")
         };

@@ -18,7 +18,8 @@
 //!   can be checkpointed into the data commons, as §2.2.2 requires.
 //!
 //! Minibatch forward/backward is data-parallel over the batch dimension
-//! via rayon. All randomness flows through caller-provided seeds.
+//! on scoped threads sized by the intra-op budget ([`gemm`]). All
+//! randomness flows through caller-provided seeds.
 
 #![warn(clippy::redundant_clone)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
@@ -42,7 +43,6 @@ pub use augment::{augment_batch, AugmentConfig};
 pub use cell::{CellNodeSpec, CellOp, CellSpec, MicroNetSpec, MicroNetwork};
 pub use data::{BatchIter, Dataset};
 pub use graph::{NetSpec, Network, PhaseNetSpec};
-pub use layers::{ConvImpl, DenseImpl};
 pub use loss::{cross_entropy, cross_entropy_ws, CrossEntropyOutput};
 pub use optim::{Adam, Sgd};
 pub use schedule::LrSchedule;

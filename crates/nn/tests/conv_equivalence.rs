@@ -5,7 +5,7 @@
 
 use a4nn_nn::gemm;
 use a4nn_nn::im2col::{conv_backward, conv_forward, ConvGeometry};
-use a4nn_nn::layers::{Conv2d, ConvImpl};
+use a4nn_nn::layers::{reference, Conv2d};
 use a4nn_nn::Tensor4;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -151,8 +151,9 @@ proptest! {
         assert_all_close(&bg_f, &bg_s, "bias grad");
     }
 
-    /// Layer-level equivalence: a `Conv2d` switched between its two
-    /// backends produces the same activations and accumulated gradients.
+    /// Layer-level equivalence: a `Conv2d` and a clone driven through the
+    /// reference loops produce the same activations and accumulated
+    /// gradients.
     #[test]
     fn conv2d_backends_agree(
         n in 1usize..5,
@@ -167,16 +168,14 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut conv = Conv2d::new(c_in, c_out, kernel, &mut rng);
         let mut twin = conv.clone();
-        conv.set_impl(ConvImpl::Naive);
-        twin.set_impl(ConvImpl::Im2colGemm);
 
         let x = Tensor4::from_vec(n, c_in, h, w, fill_random(&mut rng, n * c_in * h * w));
-        let out_naive = conv.forward(&x);
+        let out_naive = reference::conv2d_forward(&mut conv, &x);
         let out_gemm = twin.forward(&x);
         assert_all_close(out_gemm.data(), out_naive.data(), "layer forward");
 
         let grad = Tensor4::from_vec(n, c_out, h, w, fill_random(&mut rng, n * c_out * h * w));
-        let gin_naive = conv.backward(&grad);
+        let gin_naive = reference::conv2d_backward(&mut conv, &grad);
         let gin_gemm = twin.backward(&grad);
         assert_all_close(gin_gemm.data(), gin_naive.data(), "layer input grad");
 
@@ -190,23 +189,21 @@ proptest! {
     }
 }
 
-/// The paper's input geometry (128×128 XFEL images) through both layer
-/// backends, and thread-budget invariance of the fast path: the result is
-/// bitwise identical whatever the intra-op budget.
+/// The paper's input geometry (128×128 XFEL images) through the layer and
+/// the reference loops, and thread-budget invariance of the layer: the
+/// result is bitwise identical whatever the intra-op budget.
 #[test]
 fn paper_shape_agrees_and_is_budget_invariant() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(2023);
     let mut conv = Conv2d::new(1, 8, 3, &mut rng);
     let x = Tensor4::from_vec(4, 1, 128, 128, fill_random(&mut rng, 4 * 128 * 128));
-    conv.set_impl(ConvImpl::Naive);
-    let want = conv.forward(&x);
+    let want = reference::conv2d_forward(&mut conv, &x);
 
     let prev = gemm::thread_budget();
     let mut outs = Vec::new();
     for budget in [1usize, 2, 4] {
         gemm::set_thread_budget(budget);
         let mut fast = conv.clone();
-        fast.set_impl(ConvImpl::Im2colGemm);
         outs.push(fast.forward(&x));
     }
     gemm::set_thread_budget(prev);

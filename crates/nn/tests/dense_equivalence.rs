@@ -1,4 +1,4 @@
-//! Differential tests: the GEMM-backed `Dense` backend must be **bitwise
+//! Differential tests: the GEMM-backed `Dense` layer must be **bitwise
 //! identical** to the naive sequential-loop reference — forward, weight
 //! gradient, bias gradient, and input gradient — for every shape and
 //! every intra-op thread budget. `gemm_nn_seq` reproduces the naive
@@ -7,7 +7,7 @@
 //! equality here is exact, not approximate.
 
 use a4nn_nn::gemm;
-use a4nn_nn::layers::{Dense, DenseImpl};
+use a4nn_nn::layers::{reference, Dense};
 use a4nn_nn::{NetSpec, Network, PhaseNetSpec, Tensor2, Tensor4, Workspace};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -29,17 +29,16 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// Run one forward + backward on both backends and compare every output
-/// and accumulated gradient bit for bit.
+/// Run one forward + backward on the layer and on a clone driven through
+/// the reference loops, and compare every output and accumulated gradient
+/// bit for bit.
 fn check_pair(rows: usize, d_in: usize, d_out: usize, seed: u64, sparse_grad: bool) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut naive = Dense::new(d_in, d_out, &mut rng);
     let mut twin = naive.clone();
-    naive.set_impl(DenseImpl::Naive);
-    twin.set_impl(DenseImpl::Gemm);
 
     let x = Tensor2::from_vec(rows, d_in, fill_random(&mut rng, rows * d_in));
-    let out_naive = naive.forward(&x);
+    let out_naive = reference::dense_forward(&mut naive, &x);
     let out_gemm = twin.forward(&x);
     assert_bits_eq(out_gemm.data(), out_naive.data(), "forward");
 
@@ -54,7 +53,7 @@ fn check_pair(rows: usize, d_in: usize, d_out: usize, seed: u64, sparse_grad: bo
         }
     }
     let grad = Tensor2::from_vec(rows, d_out, gvals);
-    let gin_naive = naive.backward(&grad);
+    let gin_naive = reference::dense_backward(&mut naive, &grad);
     let gin_gemm = twin.backward(&grad);
     assert_bits_eq(gin_gemm.data(), gin_naive.data(), "input grad");
 
@@ -108,8 +107,7 @@ fn panel_boundary_shapes_agree_bitwise() {
 #[test]
 fn dense_thread_budget_invariance() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let mut proto = Dense::new(48, 37, &mut rng);
-    proto.set_impl(DenseImpl::Gemm);
+    let proto = Dense::new(48, 37, &mut rng);
     let x = Tensor2::from_vec(23, 48, fill_random(&mut rng, 23 * 48));
     let grad = Tensor2::from_vec(23, 37, fill_random(&mut rng, 23 * 37));
 
@@ -194,24 +192,23 @@ fn tiny_spec() -> NetSpec {
 }
 
 /// Whole-network check: logits and every parameter gradient are bitwise
-/// identical between dense backends after a training step.
+/// identical between the network and a clone whose classifier runs the
+/// reference loops, after a training step.
 #[test]
 fn network_level_dense_backends_agree_bitwise() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(31);
     let mut naive = Network::new(&tiny_spec(), &mut rng);
     let mut twin = naive.clone();
-    naive.set_dense_impl(DenseImpl::Naive);
-    twin.set_dense_impl(DenseImpl::Gemm);
 
     let x = Tensor4::from_vec(5, 1, 8, 8, fill_random(&mut rng, 5 * 8 * 8));
     let labels = [0usize, 1, 2, 0, 1];
-    let logits_naive = naive.forward(&x, true);
+    let logits_naive = naive.forward_reference_dense(&x, true);
     let logits_gemm = twin.forward(&x, true);
     assert_bits_eq(logits_gemm.data(), logits_naive.data(), "network logits");
 
     let out_naive = a4nn_nn::cross_entropy(&logits_naive, &labels);
     let out_gemm = a4nn_nn::cross_entropy(&logits_gemm, &labels);
-    naive.backward(&out_naive.dlogits);
+    naive.backward_reference_dense(&out_naive.dlogits);
     twin.backward(&out_gemm.dlogits);
 
     let mut naive_grads: Vec<Vec<f32>> = Vec::new();

@@ -24,9 +24,6 @@
 //!   thread-per-connection, or the epoll reactor from
 //!   `a4nn_net::reactor` multiplexing every connection through one
 //!   thread (Linux default).
-//! - [`loadgen`] — the load generator, the throughput-vs-batch-size and
-//!   connection-scaling sweeps behind `BENCH_serve.json`, and the
-//!   serve-vs-direct bitwise verifier CI runs.
 //!
 //! The load-bearing property is the serving restatement of the
 //! workspace determinism argument: eval-mode forward treats every sample
@@ -39,17 +36,12 @@
 
 pub mod batcher;
 pub mod client;
-pub mod loadgen;
 pub mod model;
 pub mod protocol;
 pub mod server;
 
 pub use batcher::{Batcher, BatcherConfig, Classification, ReplySink};
 pub use client::ServeClient;
-pub use loadgen::{
-    run_load, scaling_sweep, sweep_in_process, verify_against_direct, BatchPoint, BenchReport,
-    LoadReport, LoadSpec, ScalingPoint,
-};
 pub use model::{ModelRepo, ServedModel};
 pub use protocol::{ModelInfo, ServeRequest, ServeResponse};
 pub use server::{IoMode, ServeConfig, ServeHandle, ServeServer};

@@ -35,7 +35,10 @@ fn commons() -> &'static DataCommons {
             objectives: a4nn_core::ObjectiveSet::default(),
         };
         let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
-        A4nnWorkflow::new(cfg).run(&factory).commons
+        A4nnWorkflow::new(cfg)
+            .run(&factory, RunOptions::default())
+            .expect("in-process surrogate search")
+            .commons
     })
 }
 

@@ -1,6 +1,7 @@
-//! Idle-deadline enforcement, in both I/O modes: a client that stalls
+//! How connections end. In both I/O modes a client that stalls
 //! mid-frame is disconnected at the idle deadline, and while it stalls
-//! it never blocks service to healthy connections.
+//! it never blocks service to healthy connections; on the reactor a
+//! Goodbye closes the connection at once, not at that deadline.
 //!
 //! The stalled client sends *half* a frame and then goes silent — the
 //! worst case for a server, because the connection is mid-parse: a
@@ -8,6 +9,8 @@
 //! would keep the registration alive with no way to make progress.
 
 use a4nn_core::prelude::*;
+#[cfg(target_os = "linux")]
+use a4nn_metrics::names;
 use a4nn_net::encode;
 use a4nn_serve::{
     BatcherConfig, IoMode, ModelRepo, ServeClient, ServeConfig, ServeRequest, ServeServer,
@@ -34,7 +37,10 @@ fn commons() -> &'static DataCommons {
             objectives: a4nn_core::ObjectiveSet::default(),
         };
         let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
-        A4nnWorkflow::new(cfg).run(&factory).commons
+        A4nnWorkflow::new(cfg)
+            .run(&factory, RunOptions::default())
+            .expect("in-process surrogate search")
+            .commons
     })
 }
 
@@ -128,4 +134,50 @@ fn reactor_reaps_stalled_clients_without_blocking_others() {
 #[test]
 fn threads_reap_stalled_clients_without_blocking_others() {
     stalled_client_is_reaped_without_blocking_others(IoMode::Threads);
+}
+
+/// A Goodbye asks for close-after-flush with nothing queued to flush.
+/// The reactor used to wait for a write that never came: the closing
+/// connection stayed registered for hang-up only, its event fired on
+/// every `epoll_wait` once the peer left, and only the idle deadline
+/// reaped it — a `--sessions 1` server outlived its client by the whole
+/// timeout, spinning a core.
+#[cfg(target_os = "linux")]
+#[test]
+fn reactor_closes_on_goodbye_without_waiting_for_the_idle_deadline() {
+    const SESSIONS: usize = 8;
+    let metrics = Arc::new(MetricsRegistry::new());
+    let cfg = ServeConfig {
+        io: IoMode::Reactor,
+        idle_timeout: Duration::from_secs(30),
+        ..ServeConfig::default()
+    };
+    let handle = ServeServer::spawn("127.0.0.1:0", repo(), cfg, metrics.clone(), SESSIONS)
+        .expect("spawning the in-process serve endpoint");
+    let addr = handle.addr().to_string();
+    for _ in 0..SESSIONS {
+        let client = ServeClient::connect(&addr).expect("client connects");
+        client.goodbye().expect("clean goodbye");
+    }
+    let goodbyes_sent = Instant::now();
+    handle.join().expect("server drains its session budget");
+    let drained_after = goodbyes_sent.elapsed();
+    assert!(
+        drained_after < Duration::from_secs(5),
+        "the server took {drained_after:?} to return after the last Goodbye"
+    );
+    let snapshot = metrics.snapshot();
+    assert_eq!(
+        snapshot.counter(names::REACTOR_CONNS_OPENED),
+        SESSIONS as u64
+    );
+    assert_eq!(
+        snapshot.counter(names::REACTOR_CONNS_CLOSED),
+        snapshot.counter(names::REACTOR_CONNS_OPENED)
+    );
+    assert_eq!(
+        snapshot.counter(names::REACTOR_IDLE_CLOSED),
+        0,
+        "no connection may be left for the idle deadline to reap"
+    );
 }

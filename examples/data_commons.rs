@@ -13,12 +13,12 @@ use a4nn_lineage::{
     feature_fitness_correlations, models_csv, success_contrast, Analyzer, DataCommons,
 };
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     let beam = BeamIntensity::Medium;
     println!("== building a data commons from an A4NN run ==\n");
     let config = WorkflowConfig::a4nn(beam, 2, 7);
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
-    let output = A4nnWorkflow::new(config).run(&factory);
+    let output = A4nnWorkflow::new(config).run(&factory, RunOptions::default())?;
     println!(
         "run complete: {} record trails collected",
         output.commons.len()
@@ -112,4 +112,5 @@ fn main() {
         csv.lines().take(3).collect::<Vec<_>>().join("\n")
     );
     std::fs::remove_dir_all(&dir).ok();
+    Ok(())
 }

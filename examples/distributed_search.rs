@@ -17,7 +17,7 @@ use a4nn_sched::GpuPool;
 use a4nn_xfel::generate_split;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     let beam = BeamIntensity::Medium;
 
     println!("== part 1: simulated cluster scaling (paper configuration) ==\n");
@@ -29,7 +29,7 @@ fn main() {
     for gpus in [1usize, 2, 4, 8] {
         let config = WorkflowConfig::a4nn(beam, gpus, 2023);
         let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
-        let out = A4nnWorkflow::new(config).run(&factory);
+        let out = A4nnWorkflow::new(config).run(&factory, RunOptions::default())?;
         let hours = out.wall_time_s() / 3600.0;
         let baseline = *base.get_or_insert(hours);
         println!(
@@ -92,4 +92,5 @@ fn main() {
     }
     println!("\nFIFO dynamic scheduling: each free worker takes the next untrained model,");
     println!("exactly Ray's policy in the paper's deployment.");
+    Ok(())
 }

@@ -11,23 +11,23 @@ use a4nn_core::prelude::*;
 use a4nn_core::{SurrogateFactory, SurrogateParams};
 use a4nn_lineage::Analyzer;
 
-fn run(beam: BeamIntensity, engine: bool, gpus: usize) -> a4nn_core::RunOutput {
+fn run(beam: BeamIntensity, engine: bool, gpus: usize) -> Result<RunOutput, A4nnError> {
     let config = if engine {
         WorkflowConfig::a4nn(beam, gpus, 2023)
     } else {
         WorkflowConfig::standalone(beam, 2023)
     };
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
-    A4nnWorkflow::new(config).run(&factory)
+    A4nnWorkflow::new(config).run(&factory, RunOptions::default())
 }
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     println!("== protein-conformation classification: A4NN vs standalone NSGA-Net ==");
     println!("(100 architectures per test; training on the calibrated surrogate cluster)\n");
     for beam in BeamIntensity::ALL {
-        let a4nn = run(beam, true, 1);
-        let standalone = run(beam, false, 1);
-        let distributed = run(beam, true, 4);
+        let a4nn = run(beam, true, 1)?;
+        let standalone = run(beam, false, 1)?;
+        let distributed = run(beam, true, 4)?;
         let a = Analyzer::new(&a4nn.commons);
         let s = Analyzer::new(&standalone.commons);
         println!("beam intensity {beam}:");
@@ -61,4 +61,5 @@ fn main() {
     }
     println!("paper reference: up to 38% fewer epochs and 37% less training time,");
     println!("with no loss of Pareto quality relative to standalone NSGA-Net.");
+    Ok(())
 }

@@ -15,7 +15,7 @@ use a4nn_lineage::Analyzer;
 use a4nn_xfel::generate_split;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), A4nnError> {
     let beam = BeamIntensity::High;
     println!("== A4NN quickstart ==");
     println!("generating synthetic XFEL diffraction data ({beam} beam intensity)...");
@@ -59,7 +59,7 @@ fn main() {
         Arc::new(test),
         TrainingHyperparams::default(),
     );
-    let output = A4nnWorkflow::new(config).run(&factory);
+    let output = A4nnWorkflow::new(config).run(&factory, RunOptions::default())?;
 
     let analyzer = Analyzer::new(&output.commons);
     println!("\nresults:");
@@ -86,4 +86,5 @@ fn main() {
         "\nbest model: #{} at {:.1}% validation accuracy",
         best.model_id, best.final_fitness
     );
+    Ok(())
 }

@@ -21,7 +21,15 @@ fn run(seed: u64, engine: bool, orchestration: Orchestration) -> RunOutput {
         objectives: a4nn_core::ObjectiveSet::default(),
     };
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-    A4nnWorkflow::new(config).run_with(&factory, orchestration)
+    A4nnWorkflow::new(config)
+        .run(
+            &factory,
+            RunOptions {
+                orchestration,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap()
 }
 
 #[test]

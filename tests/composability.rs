@@ -30,9 +30,13 @@ fn all_three_drivers_share_the_engines_savings() {
     let cfg = config(21);
     let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
     let budget = (cfg.nas.epochs as u64) * cfg.nas.total_models() as u64;
-    let nsga = A4nnWorkflow::new(cfg.clone()).run(&factory);
-    let aging = AgingEvolutionWorkflow::new(cfg.clone(), 3).run(&factory);
-    let random = RandomSearchWorkflow::new(cfg).run(&factory);
+    let nsga = A4nnWorkflow::new(cfg.clone())
+        .run(&factory, RunOptions::default())
+        .unwrap();
+    let aging = AgingEvolutionWorkflow::new(cfg.clone(), 3)
+        .run(&factory, None)
+        .unwrap();
+    let random = RandomSearchWorkflow::new(cfg).run(&factory, None).unwrap();
     for (name, out) in [("nsga", &nsga), ("aging", &aging), ("random", &random)] {
         assert!(
             out.total_epochs() < budget,
@@ -48,7 +52,9 @@ fn drivers_emit_interchangeable_commons() {
     // A commons from any driver round-trips and analyzes identically.
     let cfg = config(22);
     let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
-    let out = AgingEvolutionWorkflow::new(cfg, 3).run(&factory);
+    let out = AgingEvolutionWorkflow::new(cfg, 3)
+        .run(&factory, None)
+        .unwrap();
     let dir = std::env::temp_dir().join(format!("a4nn-compos-{}", std::process::id()));
     out.commons.save_dir(&dir).unwrap();
     let loaded = a4nn_lineage::DataCommons::load_dir(&dir).unwrap();
@@ -68,7 +74,9 @@ fn surrogate_curves_cover_the_shape_taxonomy() {
     // (late bloomer), and flat (non-learner) curves within 100 models.
     let cfg = WorkflowConfig::a4nn(BeamIntensity::Low, 1, 23);
     let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
-    let out = A4nnWorkflow::new(cfg).run(&factory);
+    let out = A4nnWorkflow::new(cfg)
+        .run(&factory, RunOptions::default())
+        .unwrap();
     let shapes: Vec<CurveShape> = shape_census(&out.commons)
         .into_iter()
         .map(|(s, _, _)| s)

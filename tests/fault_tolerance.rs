@@ -44,7 +44,16 @@ fn config(seed: u64, engine: bool) -> WorkflowConfig {
 fn run(seed: u64, engine: bool, orchestration: Orchestration, ft: &FaultTolerance) -> RunOutput {
     let cfg = config(seed, engine);
     let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
-    A4nnWorkflow::new(cfg).run_resilient(&factory, None, orchestration, ft)
+    A4nnWorkflow::new(cfg)
+        .run(
+            &factory,
+            RunOptions {
+                orchestration,
+                fault_tolerance: ft.clone(),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap()
 }
 
 /// Assert the two outputs carry byte-identical commons and exports.

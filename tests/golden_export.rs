@@ -26,7 +26,9 @@ fn paper_run() -> RunOutput {
     // defaults; medium beam; the paper's seed.
     let config = WorkflowConfig::a4nn(BeamIntensity::Medium, 4, 2023);
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-    A4nnWorkflow::new(config).run(&factory)
+    A4nnWorkflow::new(config)
+        .run(&factory, RunOptions::default())
+        .unwrap()
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -82,7 +84,16 @@ fn zero_fault_run(orchestration: Orchestration) -> RunOutput {
     let config = WorkflowConfig::a4nn(BeamIntensity::Medium, 4, 2023);
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
     let ft = FaultTolerance::new(RetryPolicy::with_retries(0), FaultPlan::none());
-    A4nnWorkflow::new(config).run_resilient(&factory, None, orchestration, &ft)
+    A4nnWorkflow::new(config)
+        .run(
+            &factory,
+            RunOptions {
+                orchestration,
+                fault_tolerance: ft.clone(),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap()
 }
 
 #[test]
@@ -129,7 +140,15 @@ fn row_format_survives_a_failed_model() {
             failures: 99,
         }]),
     );
-    let out = A4nnWorkflow::new(config).run_resilient(&factory, None, Orchestration::Direct, &ft);
+    let out = A4nnWorkflow::new(config)
+        .run(
+            &factory,
+            RunOptions {
+                fault_tolerance: ft.clone(),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
     let models = models_csv(&out.commons);
     let row = models
         .lines()

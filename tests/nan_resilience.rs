@@ -4,7 +4,7 @@
 //! down twice over: `partial_cmp().expect()` panicked inside NSGA's
 //! crowding/selection, and even when it didn't, `total_cmp` on the
 //! *negated* fitness ranked the failed model best. These tests drive a
-//! full `run_resilient` search — both orchestration modes — with a
+//! full search — both orchestration modes — with a
 //! trainer that produces NaN fitness for specific models and assert the
 //! failed models survive to `models.csv` as `status=failed` without
 //! poisoning selection. The persistence tests kill a commons save
@@ -77,7 +77,15 @@ fn run(orchestration: Orchestration) -> RunOutput {
     let factory = DivergingFactory {
         inner: SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam)),
     };
-    A4nnWorkflow::new(cfg).run_resilient(&factory, None, orchestration, &FaultTolerance::default())
+    A4nnWorkflow::new(cfg)
+        .run(
+            &factory,
+            RunOptions {
+                orchestration,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap()
 }
 
 #[test]

@@ -34,7 +34,9 @@ fn tiny_real_run(engine: bool) -> a4nn_core::RunOutput {
         Arc::new(test),
         TrainingHyperparams::default(),
     );
-    A4nnWorkflow::new(config).run(&factory)
+    A4nnWorkflow::new(config)
+        .run(&factory, RunOptions::default())
+        .unwrap()
 }
 
 #[test]
@@ -123,7 +125,15 @@ fn checkpointed_workflow_records_every_epoch_state() {
         TrainingHyperparams::default(),
     );
     let store = CheckpointStore::new();
-    let out = A4nnWorkflow::new(config).run_checkpointed(&factory, Some(&store));
+    let out = A4nnWorkflow::new(config)
+        .run(
+            &factory,
+            RunOptions {
+                checkpoints: Some(&store),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
     // 4 models x 3 epochs, all checkpointed.
     assert_eq!(out.commons.len(), 4);
     assert_eq!(store.len(), 12);

@@ -93,24 +93,20 @@ impl Mode {
 fn run_mode(
     config: &WorkflowConfig,
     mode: Mode,
-    control: &RunControl<'_>,
+    control: RunControl<'_>,
     snapshot: Option<SearchSnapshot>,
 ) -> Result<RunOutput, A4nnError> {
     let factory = SurrogateFactory::new(config, SurrogateParams::for_beam(config.beam));
     let workflow = A4nnWorkflow::new(config.clone());
-    let ft = FaultTolerance::default();
+    let options = |orchestration| RunOptions {
+        orchestration,
+        control,
+        resume: snapshot,
+        ..RunOptions::default()
+    };
     match mode {
-        Mode::Direct => workflow.try_run_resumable(
-            &factory,
-            None,
-            Orchestration::Direct,
-            &ft,
-            control,
-            snapshot,
-        ),
-        Mode::Bus => {
-            workflow.try_run_resumable(&factory, None, Orchestration::Bus, &ft, control, snapshot)
-        }
+        Mode::Direct => workflow.run(&factory, options(Orchestration::Direct)),
+        Mode::Bus => workflow.run(&factory, options(Orchestration::Bus)),
         Mode::Socket => {
             let workers: Vec<WorkerHandle> = (0..2)
                 .map(|_| WorkerServer::spawn("127.0.0.1:0", 1, 1).unwrap())
@@ -119,14 +115,13 @@ fn run_mode(
             let transport = SocketTransport::connect(
                 &addrs,
                 config,
-                &ft,
+                &FaultTolerance::default(),
                 SocketOptions {
                     heartbeat_deadline: Duration::from_secs(2),
                     ..SocketOptions::default()
                 },
             )?;
-            let result = workflow
-                .try_run_transport_resumable(&factory, None, &transport, &ft, control, snapshot);
+            let result = workflow.run(&factory, options(Orchestration::External(&transport)));
             drop(transport);
             for w in workers {
                 let _ = w.join();
@@ -139,7 +134,7 @@ fn run_mode(
 /// Interrupt at every boundary, resume, and diff against gold.
 fn assert_resume_equivalent(mode: Mode, seed: u64) {
     let config = micro_config(seed);
-    let golden = run_mode(&config, mode, &RunControl::default(), None)
+    let golden = run_mode(&config, mode, RunControl::default(), None)
         .unwrap_or_else(|e| panic!("{} seed {seed}: golden run failed: {e}", mode.label()));
     let golden_csvs = csvs(&golden);
 
@@ -151,7 +146,7 @@ fn assert_resume_equivalent(mode: Mode, seed: u64) {
         // this boundary. The snapshot commits *before* the hook fires.
         let cancel = move |done: usize| done == boundary;
         let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-        let err = match run_mode(&config, mode, &control, None) {
+        let err = match run_mode(&config, mode, control, None) {
             Err(e) => e,
             Ok(_) => panic!(
                 "{} seed {seed}: cancel at boundary {boundary} must interrupt the run",
@@ -174,7 +169,7 @@ fn assert_resume_equivalent(mode: Mode, seed: u64) {
             )
         });
         assert_eq!(snap.generations_done, boundary);
-        let resumed = run_mode(&config, mode, &RunControl::snapshot_into(&dir), Some(snap))
+        let resumed = run_mode(&config, mode, RunControl::snapshot_into(&dir), Some(snap))
             .unwrap_or_else(|e| {
                 panic!(
                     "{} seed {seed} boundary {boundary}: resume failed: {e}",
@@ -233,17 +228,17 @@ fn socket_resume_is_bit_exact_across_all_boundaries() {
 #[test]
 fn snapshot_committed_on_bus_resumes_on_direct() {
     let config = micro_config(2023);
-    let golden = run_mode(&config, Mode::Direct, &RunControl::default(), None).unwrap();
+    let golden = run_mode(&config, Mode::Direct, RunControl::default(), None).unwrap();
     let dir = tmp_dir("cross-transport");
     std::fs::remove_dir_all(&dir).ok();
 
     let cancel = |done: usize| done == 2;
     let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-    let err = run_mode(&config, Mode::Bus, &control, None).unwrap_err();
+    let err = run_mode(&config, Mode::Bus, control, None).unwrap_err();
     assert_eq!(err.exit_code(), 10);
 
     let snap = SearchSnapshot::load(&dir, &config).unwrap();
-    let resumed = run_mode(&config, Mode::Direct, &RunControl::default(), Some(snap)).unwrap();
+    let resumed = run_mode(&config, Mode::Direct, RunControl::default(), Some(snap)).unwrap();
     assert_eq!(csvs(&golden), csvs(&resumed));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -258,7 +253,7 @@ fn stale_snapshot_is_refused_with_exit_5() {
 
     let cancel = |done: usize| done == 1;
     let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-    let err = run_mode(&config, Mode::Direct, &control, None).unwrap_err();
+    let err = run_mode(&config, Mode::Direct, control, None).unwrap_err();
     assert_eq!(err.exit_code(), 10);
 
     let mut other = config.clone();
@@ -286,18 +281,18 @@ fn three_objective_resume_is_bit_exact_across_transports() {
     let mut config = micro_config(2023);
     config.objectives = a4nn_core::ObjectiveSet::parse("neg_fitness,flops,peak_ws_bytes").unwrap();
     for mode in [Mode::Direct, Mode::Bus, Mode::Socket] {
-        let golden = run_mode(&config, mode, &RunControl::default(), None)
+        let golden = run_mode(&config, mode, RunControl::default(), None)
             .unwrap_or_else(|e| panic!("{}: 3-objective golden run failed: {e}", mode.label()));
         let dir = tmp_dir(&format!("3obj-{}", mode.label()));
         std::fs::remove_dir_all(&dir).ok();
 
         let cancel = |done: usize| done == 2;
         let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-        let err = run_mode(&config, mode, &control, None).unwrap_err();
+        let err = run_mode(&config, mode, control, None).unwrap_err();
         assert_eq!(err.exit_code(), 10);
 
         let snap = SearchSnapshot::load(&dir, &config).unwrap();
-        let resumed = run_mode(&config, mode, &RunControl::default(), Some(snap)).unwrap();
+        let resumed = run_mode(&config, mode, RunControl::default(), Some(snap)).unwrap();
         assert_eq!(
             csvs(&golden),
             csvs(&resumed),
@@ -319,7 +314,7 @@ fn changed_objectives_on_resume_are_refused_with_exit_5() {
 
     let cancel = |done: usize| done == 1;
     let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-    let err = run_mode(&config, Mode::Direct, &control, None).unwrap_err();
+    let err = run_mode(&config, Mode::Direct, control, None).unwrap_err();
     assert_eq!(err.exit_code(), 10);
 
     let mut widened = config.clone();
@@ -350,19 +345,19 @@ fn retry_ledger_carries_across_resume() {
         epoch: 2,
         failures: 1,
     }]);
-    let run = |control: &RunControl<'_>, snapshot| {
+    let run = |control: RunControl<'_>, snapshot| {
         let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-        let ft = FaultTolerance::new(RetryPolicy::with_retries(2), plan.clone());
-        A4nnWorkflow::new(config.clone()).try_run_resumable(
+        A4nnWorkflow::new(config.clone()).run(
             &factory,
-            None,
-            Orchestration::Direct,
-            &ft,
-            control,
-            snapshot,
+            RunOptions {
+                fault_tolerance: FaultTolerance::new(RetryPolicy::with_retries(2), plan.clone()),
+                control,
+                resume: snapshot,
+                ..RunOptions::default()
+            },
         )
     };
-    let golden = run(&RunControl::default(), None).unwrap();
+    let golden = run(RunControl::default(), None).unwrap();
     assert!(
         golden.retry_ledger.total_retries() > 0,
         "the injected panic must consume a retry"
@@ -372,11 +367,11 @@ fn retry_ledger_carries_across_resume() {
     std::fs::remove_dir_all(&dir).ok();
     let cancel = |done: usize| done == 1;
     let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-    let err = run(&control, None).unwrap_err();
+    let err = run(control, None).unwrap_err();
     assert_eq!(err.exit_code(), 10);
 
     let snap = SearchSnapshot::load(&dir, &config).unwrap();
-    let resumed = run(&RunControl::default(), Some(snap)).unwrap();
+    let resumed = run(RunControl::default(), Some(snap)).unwrap();
     assert_eq!(
         golden.retry_ledger.to_csv(),
         resumed.retry_ledger.to_csv(),

@@ -44,8 +44,14 @@ fn socket_run(
         },
     )?;
     let factory = SurrogateFactory::new(config, SurrogateParams::for_beam(config.beam));
-    let result =
-        A4nnWorkflow::new(config.clone()).try_run_transport(&factory, None, &transport, ft);
+    let result = A4nnWorkflow::new(config.clone()).run(
+        &factory,
+        RunOptions {
+            orchestration: Orchestration::External(&transport),
+            fault_tolerance: ft.clone(),
+            ..RunOptions::default()
+        },
+    );
     drop(transport); // closes every session so the sessions=1 servers exit
     for w in workers {
         let _ = w.join();
@@ -55,7 +61,15 @@ fn socket_run(
 
 fn direct_run(config: &WorkflowConfig, ft: &FaultTolerance) -> RunOutput {
     let factory = SurrogateFactory::new(config, SurrogateParams::for_beam(config.beam));
-    A4nnWorkflow::new(config.clone()).run_resilient(&factory, None, Orchestration::Direct, ft)
+    A4nnWorkflow::new(config.clone())
+        .run(
+            &factory,
+            RunOptions {
+                fault_tolerance: ft.clone(),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap()
 }
 
 fn csvs(out: &RunOutput) -> (String, String) {
@@ -98,12 +112,18 @@ fn three_objective_search_is_transport_invariant() {
 
     let direct = csvs(&direct_run(&config, &ft));
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-    let bus = csvs(&A4nnWorkflow::new(config.clone()).run_resilient(
-        &factory,
-        None,
-        Orchestration::Bus,
-        &ft,
-    ));
+    let bus = csvs(
+        &A4nnWorkflow::new(config.clone())
+            .run(
+                &factory,
+                RunOptions {
+                    orchestration: Orchestration::Bus,
+                    fault_tolerance: ft.clone(),
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap(),
+    );
     let socket = csvs(
         &socket_run(&config, &ft, &[2, 2], Duration::from_secs(2))
             .expect("healthy 3-objective socket run succeeds"),
@@ -128,12 +148,18 @@ fn paper_configuration_is_transport_invariant() {
 
         let direct = csvs(&direct_run(&config, &ft));
         let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-        let bus = csvs(&A4nnWorkflow::new(config.clone()).run_resilient(
-            &factory,
-            None,
-            Orchestration::Bus,
-            &ft,
-        ));
+        let bus = csvs(
+            &A4nnWorkflow::new(config.clone())
+                .run(
+                    &factory,
+                    RunOptions {
+                        orchestration: Orchestration::Bus,
+                        fault_tolerance: ft.clone(),
+                        ..RunOptions::default()
+                    },
+                )
+                .unwrap(),
+        );
         let socket = csvs(
             &socket_run(&config, &ft, &[2, 2], Duration::from_secs(2))
                 .expect("healthy socket run succeeds"),
@@ -300,9 +326,14 @@ fn heartbeat_deadline_detects_a_stalled_worker() {
     )
     .unwrap();
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-    let err = match A4nnWorkflow::new(config.clone())
-        .try_run_transport(&factory, None, &transport, &ft)
-    {
+    let err = match A4nnWorkflow::new(config.clone()).run(
+        &factory,
+        RunOptions {
+            orchestration: Orchestration::External(&transport),
+            fault_tolerance: ft.clone(),
+            ..RunOptions::default()
+        },
+    ) {
         Err(e) => e,
         Ok(_) => panic!("a stall that follows the job everywhere exhausts the fleet"),
     };

@@ -21,14 +21,18 @@ fn run(beam: BeamIntensity, engine: bool, gpus: usize, seed: u64) -> a4nn_core::
         objectives: a4nn_core::ObjectiveSet::default(),
     };
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
-    A4nnWorkflow::new(config).run(&factory)
+    A4nnWorkflow::new(config)
+        .run(&factory, RunOptions::default())
+        .unwrap()
 }
 
 #[test]
 fn full_paper_scale_run_matches_expected_structure() {
     let config = WorkflowConfig::a4nn(BeamIntensity::Medium, 4, 99);
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-    let out = A4nnWorkflow::new(config).run(&factory);
+    let out = A4nnWorkflow::new(config)
+        .run(&factory, RunOptions::default())
+        .unwrap();
     assert_eq!(out.commons.len(), 100, "Table 2: 100 networks per test");
     assert_eq!(out.schedule.generations.len(), 10);
     // Every record is complete.

@@ -418,9 +418,45 @@ unsafe fn gemm_nt_serial_avx2(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]
     gemm_nt_serial_generic(m, n, k, a, b, c)
 }
 
+/// A rows per [`gemm_nt`] register tile.
+const NT_MR: usize = 2;
+/// B rows per [`gemm_nt`] register tile.
+const NT_NR: usize = 4;
+/// Lanes of one [`dot_lanes`] accumulator (one AVX2 register of `f32`).
+const LANES: usize = 8;
+
+/// `NT_MR×NT_NR` outputs per tile, [`dot_lanes`] for the ragged right and
+/// bottom edges. Every element — tiled or not — is one [`dot_lanes`] sum,
+/// so where the tile boundaries fall (and therefore how the rows of `C`
+/// were split over threads) cannot change a bit of the output.
 #[inline(always)]
 fn gemm_nt_serial_generic(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    for i in 0..m {
+    let m_tiled = m - m % NT_MR;
+    let n_tiled = n - n % NT_NR;
+    for (ablock, cblock) in a[..m_tiled * k]
+        .chunks_exact(NT_MR * k)
+        .zip(c[..m_tiled * n].chunks_exact_mut(NT_MR * n))
+    {
+        let (a0, a1) = ablock.split_at(k);
+        let (c0, c1) = cblock.split_at_mut(n);
+        for (j, bblock) in b[..n_tiled * k].chunks_exact(NT_NR * k).enumerate() {
+            let (b0, rest) = bblock.split_at(k);
+            let (b1, rest) = rest.split_at(k);
+            let (b2, b3) = rest.split_at(k);
+            let tile = dot_lanes_tile([a0, a1], [b0, b1, b2, b3]);
+            for (crow, trow) in [&mut *c0, &mut *c1].into_iter().zip(&tile) {
+                for (cv, tv) in crow[j * NT_NR..(j + 1) * NT_NR].iter_mut().zip(trow) {
+                    *cv += tv;
+                }
+            }
+        }
+        for j in n_tiled..n {
+            let brow = &b[j * k..(j + 1) * k];
+            c0[j] += dot_lanes(a0, brow);
+            c1[j] += dot_lanes(a1, brow);
+        }
+    }
+    for i in m_tiled..m {
         let arow = &a[i * k..(i + 1) * k];
         let crow = &mut c[i * n..(i + 1) * n];
         for (j, cv) in crow.iter_mut().enumerate() {
@@ -429,28 +465,75 @@ fn gemm_nt_serial_generic(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c:
     }
 }
 
+/// The fixed reduction of one eight-lane accumulator plus its scalar tail.
+#[inline(always)]
+fn reduce_lanes(lanes: &[f32; LANES], tail: f32) -> f32 {
+    let even = (lanes[0] + lanes[4]) + (lanes[2] + lanes[6]);
+    let odd = (lanes[1] + lanes[5]) + (lanes[3] + lanes[7]);
+    (even + odd) + tail
+}
+
 /// Eight-lane strided dot product: vectorizes despite strict FP ordering
 /// because the lane structure is fixed, and stays deterministic because it
-/// never depends on thread count or slice alignment.
+/// never depends on thread count or slice alignment. Lane `l` sums the
+/// products at `k ≡ l (mod 8)` in ascending `k`; the leftover `k mod 8`
+/// products form one scalar chain; [`reduce_lanes`] joins them.
 #[inline(always)]
 fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
-    const L: usize = 8;
-    let mut lanes = [0.0f32; L];
-    let chunks = x.len() / L;
-    for ci in 0..chunks {
-        let xs: &[f32; L] = as_chunk(&x[ci * L..ci * L + L]);
-        let ys: &[f32; L] = as_chunk(&y[ci * L..ci * L + L]);
-        for l in 0..L {
+    let mut lanes = [0.0f32; LANES];
+    let (xc, xt) = x.as_chunks::<LANES>();
+    let (yc, yt) = y.as_chunks::<LANES>();
+    for (xs, ys) in xc.iter().zip(yc) {
+        for l in 0..LANES {
             lanes[l] += xs[l] * ys[l];
         }
     }
     let mut tail = 0.0f32;
-    for i in chunks * L..x.len() {
-        tail += x[i] * y[i];
+    for (xv, yv) in xt.iter().zip(yt) {
+        tail += xv * yv;
     }
-    let even = (lanes[0] + lanes[4]) + (lanes[2] + lanes[6]);
-    let odd = (lanes[1] + lanes[5]) + (lanes[3] + lanes[7]);
-    (even + odd) + tail
+    reduce_lanes(&lanes, tail)
+}
+
+/// `NT_MR×NT_NR` [`dot_lanes`] results at once: `out[r][s] =
+/// dot_lanes(x[r], y[s])`, bit for bit. Each output keeps its own
+/// eight-lane accumulator and its own tail, advanced in the same order as
+/// [`dot_lanes`] advances them; the tile only shares the *loads* — six
+/// row chunks feed eight multiply-adds, where eight separate dot products
+/// load sixteen — and defers the eight horizontal reductions to the end.
+#[inline(always)]
+fn dot_lanes_tile(x: [&[f32]; NT_MR], y: [&[f32]; NT_NR]) -> [[f32; NT_NR]; NT_MR] {
+    let (x0, xt0) = x[0].as_chunks::<LANES>();
+    let (x1, xt1) = x[1].as_chunks::<LANES>();
+    let (y0, yt0) = y[0].as_chunks::<LANES>();
+    let (y1, yt1) = y[1].as_chunks::<LANES>();
+    let (y2, yt2) = y[2].as_chunks::<LANES>();
+    let (y3, yt3) = y[3].as_chunks::<LANES>();
+    let mut lanes = [[[0.0f32; LANES]; NT_NR]; NT_MR];
+    // One zipped walk, not six indexed ones: indexing the chunk slices
+    // spills the accumulators to the stack (measured 10× slower).
+    for (((((xa, xb), ya), yb), yc), yd) in x0.iter().zip(x1).zip(y0).zip(y1).zip(y2).zip(y3) {
+        let (xs, ys) = ([xa, xb], [ya, yb, yc, yd]);
+        for r in 0..NT_MR {
+            for s in 0..NT_NR {
+                for l in 0..LANES {
+                    lanes[r][s][l] += xs[r][l] * ys[s][l];
+                }
+            }
+        }
+    }
+    let (xt, yt) = ([xt0, xt1], [yt0, yt1, yt2, yt3]);
+    let mut out = [[0.0f32; NT_NR]; NT_MR];
+    for r in 0..NT_MR {
+        for s in 0..NT_NR {
+            let mut tail = 0.0f32;
+            for (xv, yv) in xt[r].iter().zip(yt[s]) {
+                tail += xv * yv;
+            }
+            out[r][s] = reduce_lanes(&lanes[r][s], tail);
+        }
+    }
+    out
 }
 
 /// Row-major transpose: `dst[k×m] = src[m×k]ᵀ`.
@@ -486,6 +569,7 @@ pub fn transpose(m: usize, k: usize, src: &[f32], dst: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits;
 
     fn reference_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
         let mut c = vec![0.0f64; m * n];
@@ -542,6 +626,62 @@ mod tests {
         }
     }
 
+    /// The [`dot_lanes`] contract spelled out one scalar at a time: lane
+    /// `l` sums the products at `p ≡ l (mod 8)` in ascending `p`, the
+    /// `k mod 8` leftovers form one chain, and a fixed tree joins them.
+    fn dot_lanes_oracle(x: &[f32], y: &[f32]) -> f32 {
+        let full = x.len() / 8 * 8;
+        let mut lanes = [0.0f32; 8];
+        for p in 0..full {
+            lanes[p % 8] += x[p] * y[p];
+        }
+        let mut tail = 0.0f32;
+        for p in full..x.len() {
+            tail += x[p] * y[p];
+        }
+        let even = (lanes[0] + lanes[4]) + (lanes[2] + lanes[6]);
+        let odd = (lanes[1] + lanes[5]) + (lanes[3] + lanes[7]);
+        (even + odd) + tail
+    }
+
+    fn gemm_nt_oracle(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        for i in 0..m {
+            for j in 0..n {
+                c[i * n + j] += dot_lanes_oracle(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+            }
+        }
+    }
+
+    /// Shapes on every side of the `NT_MR×NT_NR` tile and the eight-lane
+    /// chunk: odd and even row counts, column counts with and without a
+    /// ragged edge, depths with and without a scalar tail.
+    fn nt_ragged_shapes() -> impl Iterator<Item = (usize, usize, usize)> {
+        const M: [usize; 5] = [1, 2, 3, 5, 8];
+        const N: [usize; 6] = [1, 3, 4, 5, 9, 72];
+        const K: [usize; 9] = [1, 4, 7, 8, 9, 16, 17, 64, 256];
+        M.into_iter()
+            .flat_map(|m| N.into_iter().map(move |n| (m, n)))
+            .flat_map(|(m, n)| K.into_iter().map(move |k| (m, n, k)))
+    }
+
+    #[test]
+    fn gemm_nt_is_bitwise_one_dot_lanes_per_element() {
+        for (m, n, k) in nt_ragged_shapes() {
+            let a = pseudo(m * k, 31);
+            let bt = pseudo(n * k, 32);
+            let seed = pseudo(m * n, 33);
+            let mut want = seed.clone();
+            gemm_nt_oracle(m, n, k, &a, &bt, &mut want);
+            let mut got = seed;
+            gemm_nt(m, n, k, &a, &bt, &mut got, 1);
+            assert_eq!(
+                bits(&want),
+                bits(&got),
+                "tiled gemm_nt left the dot_lanes order at ({m},{n},{k})"
+            );
+        }
+    }
+
     #[test]
     fn parallel_split_is_bitwise_identical_to_serial() {
         let (m, n, k) = (37, 129, 65);
@@ -565,6 +705,22 @@ mod tests {
             let mut par = vec![0.0f32; m * n];
             gemm_nt(m, n, k, &a, &bt, &mut par, threads);
             assert_eq!(nt_serial, par);
+        }
+        // A row split moves which rows pair up in a register tile.
+        for (m, n, k) in nt_ragged_shapes() {
+            let a = pseudo(m * k, 7);
+            let bt = pseudo(n * k, 8);
+            let mut serial = vec![0.0f32; m * n];
+            gemm_nt_serial(m, n, k, &a, &bt, &mut serial);
+            for threads in [2, 3] {
+                let mut par = vec![0.0f32; m * n];
+                gemm_nt(m, n, k, &a, &bt, &mut par, threads);
+                assert_eq!(
+                    bits(&serial),
+                    bits(&par),
+                    "gemm_nt ({m},{n},{k}) x{threads}"
+                );
+            }
         }
     }
 
@@ -667,6 +823,19 @@ mod tests {
         let mut generic = vec![0.0f32; m * n];
         gemm_nt_serial_generic(m, n, k, &a, &bt, &mut generic);
         assert_eq!(dispatched, generic, "gemm_nt ISA paths diverged");
+        for (m, n, k) in nt_ragged_shapes() {
+            let a = pseudo(m * k, 24);
+            let bt = pseudo(n * k, 25);
+            let mut dispatched = vec![0.0f32; m * n];
+            gemm_nt_serial(m, n, k, &a, &bt, &mut dispatched);
+            let mut generic = vec![0.0f32; m * n];
+            gemm_nt_serial_generic(m, n, k, &a, &bt, &mut generic);
+            assert_eq!(
+                bits(&dispatched),
+                bits(&generic),
+                "gemm_nt ISA paths diverged at ({m},{n},{k})"
+            );
+        }
     }
 
     #[test]

@@ -235,8 +235,6 @@ impl PhaseBlock {
         }
         ws.give4(grad);
         for i in (0..self.nodes.len()).rev() {
-            // Skip inactive gradients cheaply: an all-zero grad still
-            // back-propagates to zero, but the conv backward is expensive.
             let ng = std::mem::replace(&mut node_grads[i], empty_t4());
             let gin = self.nodes[i].backward_ws(ng, ws);
             if self.spec.node_inputs[i].is_empty() {

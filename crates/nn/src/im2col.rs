@@ -70,6 +70,13 @@ impl ConvGeometry {
         self.out_h() * self.out_w()
     }
 
+    /// Stride 1 with `same` padding under an odd kernel: the output plane
+    /// has the input's shape and tap `kx` reads `kx − pad` columns to the
+    /// right. What the fixed-width [`im2col`]/[`col2im`] bodies assume.
+    fn is_unit_stride_same(&self) -> bool {
+        self.stride == 1 && self.kernel == 2 * self.pad + 1
+    }
+
     fn validate(&self) {
         assert!(self.stride >= 1, "stride must be at least 1");
         assert!(
@@ -87,11 +94,29 @@ impl ConvGeometry {
 /// `dst[(c_in·k·k) × (out_h·out_w)]`, zero-filling out-of-bounds taps.
 pub fn im2col(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
     g.validate();
+    assert_eq!(src.len(), g.c_in * g.h * g.w, "im2col: src shape mismatch");
+    assert_eq!(
+        dst.len(),
+        g.patch() * g.pixels(),
+        "im2col: dst shape mismatch"
+    );
+    if g.is_unit_stride_same() {
+        match g.w {
+            16 => return im2col_same::<16>(src, g, dst),
+            8 => return im2col_same::<8>(src, g, dst),
+            4 => return im2col_same::<4>(src, g, dst),
+            _ => {}
+        }
+    }
+    im2col_general(src, g, dst);
+}
+
+/// [`im2col`] for any geometry: per output row, zero-fill the taps that
+/// fall off the input and copy (stride 1) or gather (strided) the rest.
+fn im2col_general(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
     let (k, s, pad, h, w) = (g.kernel, g.stride, g.pad, g.h, g.w);
     let (oh, ow) = (g.out_h(), g.out_w());
     let cols = oh * ow;
-    assert_eq!(src.len(), g.c_in * h * w, "im2col: src shape mismatch");
-    assert_eq!(dst.len(), g.patch() * cols, "im2col: dst shape mismatch");
     let mut row = 0;
     for ci in 0..g.c_in {
         let plane = &src[ci * h * w..(ci + 1) * h * w];
@@ -113,9 +138,14 @@ pub fn im2col(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
                         let hi = ((w as isize - shift).clamp(0, ow as isize)) as usize;
                         let hi = hi.max(lo);
                         seg[..lo].fill(0.0);
-                        seg[lo..hi].copy_from_slice(
-                            &srow[(lo as isize + shift) as usize..(hi as isize + shift) as usize],
-                        );
+                        // A tap more than a row's width off the row has
+                        // lo == hi and no in-range source column at all.
+                        if lo < hi {
+                            seg[lo..hi].copy_from_slice(
+                                &srow[(lo as isize + shift) as usize
+                                    ..(hi as isize + shift) as usize],
+                            );
+                        }
                         seg[hi..].fill(0.0);
                     } else {
                         for (ox, v) in seg.iter_mut().enumerate() {
@@ -138,15 +168,29 @@ pub fn im2col(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
 /// adjoint of [`im2col`]. `dst` accumulates (caller zeroes it).
 pub fn col2im(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
     g.validate();
+    assert_eq!(dst.len(), g.c_in * g.h * g.w, "col2im: dst shape mismatch");
+    assert_eq!(
+        cols_mat.len(),
+        g.patch() * g.pixels(),
+        "col2im: src shape mismatch"
+    );
+    if g.is_unit_stride_same() {
+        match g.w {
+            16 => return col2im_same::<16>(cols_mat, g, dst),
+            8 => return col2im_same::<8>(cols_mat, g, dst),
+            4 => return col2im_same::<4>(cols_mat, g, dst),
+            _ => {}
+        }
+    }
+    col2im_general(cols_mat, g, dst);
+}
+
+/// [`col2im`] for any geometry. Every input element receives its taps in
+/// ascending `(ky, kx)` order — the order [`col2im_same`] must keep.
+fn col2im_general(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
     let (k, s, pad, h, w) = (g.kernel, g.stride, g.pad, g.h, g.w);
     let (oh, ow) = (g.out_h(), g.out_w());
     let cols = oh * ow;
-    assert_eq!(dst.len(), g.c_in * h * w, "col2im: dst shape mismatch");
-    assert_eq!(
-        cols_mat.len(),
-        g.patch() * cols,
-        "col2im: src shape mismatch"
-    );
     let mut row = 0;
     for ci in 0..g.c_in {
         let plane = &mut dst[ci * h * w..(ci + 1) * h * w];
@@ -164,12 +208,14 @@ pub fn col2im(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
                         let shift = kx as isize - pad as isize;
                         let lo = ((-shift).max(0) as usize).min(ow);
                         let hi = (((w as isize - shift).clamp(0, ow as isize)) as usize).max(lo);
-                        for (dv, sv) in drow
-                            [(lo as isize + shift) as usize..(hi as isize + shift) as usize]
-                            .iter_mut()
-                            .zip(&seg[lo..hi])
-                        {
-                            *dv += sv;
+                        if lo < hi {
+                            for (dv, sv) in drow
+                                [(lo as isize + shift) as usize..(hi as isize + shift) as usize]
+                                .iter_mut()
+                                .zip(&seg[lo..hi])
+                            {
+                                *dv += sv;
+                            }
                         }
                     } else {
                         for (ox, sv) in seg.iter().enumerate() {
@@ -183,6 +229,108 @@ pub fn col2im(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
                 row += 1;
             }
         }
+    }
+}
+
+/// [`im2col`] for stride 1, `same` padding and a compile-time input
+/// width, so every row segment moves as whole vectors instead of a
+/// `fill` + `copy_from_slice` + `fill` call triple.
+///
+/// Each source row is framed by `W` zeros on either side; the segment tap
+/// `kx` contributes for that row is then the `W`-wide window `kx − pad`
+/// columns right of the row's start, zero padding included. Rows above
+/// and below the input are all-zero frames, which yields the vertical
+/// padding from the same loop. Pure data movement: bit-identical to
+/// [`im2col_general`] by construction.
+fn im2col_same<const W: usize>(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
+    let (k, pad, h) = (g.kernel, g.pad, g.h);
+    let cols = h * W;
+    let mut framed = [[0.0f32; W]; 3];
+    for (ci, plane) in src.chunks_exact(cols).enumerate() {
+        let (rows, _) = plane.as_chunks::<W>();
+        // `yp` is the source row index plus `pad`, so it starts at zero.
+        for yp in 0..h + 2 * pad {
+            framed[1] = match yp.checked_sub(pad).and_then(|yy| rows.get(yy)) {
+                Some(row) => *row,
+                None => [0.0; W],
+            };
+            let frame = framed.as_flattened();
+            // Output row `oy` reads source row `oy + ky − pad`.
+            for ky in 0..k.min(yp + 1) {
+                let oy = yp - ky;
+                if oy >= h {
+                    continue;
+                }
+                let seg_base = (ci * k + ky) * k * cols + oy * W;
+                for kx in 0..k {
+                    // Windows a full width off either side are all zero.
+                    let start = (W + kx).saturating_sub(pad).min(2 * W);
+                    let window: &[f32; W] = array_at(frame, start);
+                    let seg = seg_base + kx * cols;
+                    dst[seg..seg + W].copy_from_slice(window);
+                }
+            }
+        }
+    }
+}
+
+/// [`col2im`] for stride 1, `same` padding and a compile-time input
+/// width: each input row is accumulated in registers and stored once.
+///
+/// Input element `x` of a row takes, from tap `(ky, kx)`, the patch
+/// matrix element `x − (kx − pad)` of that tap's segment — when that lies
+/// inside the segment. Reading the `W`-wide window that starts
+/// `kx − pad` before the segment and adding only the lanes that map
+/// inside it performs exactly the additions [`col2im_general`] performs,
+/// in the same ascending `(ky, kx)` order per element, so the sums are
+/// bit-identical. (The window's masked-out lanes belong to a
+/// neighbouring segment or row; they are read, never added.)
+fn col2im_same<const W: usize>(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
+    let (k, pad, h) = (g.kernel, g.pad, g.h);
+    let cols = h * W;
+    // Lane mask of tap `kx`: the window `kx − pad` left of the set row.
+    let lane_masks = [[0u32; W], [!0u32; W], [0u32; W]];
+    let lane_masks = lane_masks.as_flattened();
+    for (ci, plane) in dst.chunks_exact_mut(cols).enumerate() {
+        let (rows, _) = plane.as_chunks_mut::<W>();
+        for (yy, drow) in rows.iter_mut().enumerate() {
+            let mut acc = *drow;
+            // Tap row `ky` reaches this input row from output row
+            // `yy + pad − ky`.
+            for ky in 0..k.min(yy + pad + 1) {
+                let oy = yy + pad - ky;
+                if oy >= h {
+                    continue;
+                }
+                let seg_base = (ci * k + ky) * k * cols + oy * W;
+                for kx in 0..k {
+                    // A tap a full width off either side touches no lane.
+                    if kx + W <= pad || kx >= pad + W {
+                        continue;
+                    }
+                    let under_tap: &[u32; W] = array_at(lane_masks, W + pad - kx);
+                    let window: &[f32; W] = array_at(cols_mat, seg_base + kx * cols + pad - kx);
+                    // `if under_tap { a + v } else { a }` as a bitwise
+                    // blend, which stays a vector operation where the
+                    // `if` compiles to one branch per lane.
+                    for ((a, v), &m) in acc.iter_mut().zip(window).zip(under_tap) {
+                        let sum = *a + v;
+                        *a = f32::from_bits((sum.to_bits() & m) | (a.to_bits() & !m));
+                    }
+                }
+            }
+            *drow = acc;
+        }
+    }
+}
+
+/// The `N` elements of `s` from `start` on, as an array: a fixed-width
+/// window at a run-time offset.
+#[inline(always)]
+fn array_at<T, const N: usize>(s: &[T], start: usize) -> &[T; N] {
+    match s[start..].first_chunk() {
+        Some(window) => window,
+        None => panic!("window {start}..{start}+{N} leaves a slice of {}", s.len()),
     }
 }
 
@@ -312,6 +460,7 @@ pub fn conv_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits;
 
     #[test]
     fn geometry_shapes() {
@@ -411,6 +560,80 @@ mod tests {
         let lhs: f64 = cx.iter().zip(&y).map(|(a, b)| f64::from(a * b)).sum();
         let rhs: f64 = x.iter().zip(&ay).map(|(a, b)| f64::from(a * b)).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    }
+
+    /// `pad > w`: some taps lie more than a row's width off the row. The
+    /// stride-1 loop used to slice the source row at a negative offset.
+    #[test]
+    fn padding_wider_than_the_image_matches_direct_gather() {
+        let g = ConvGeometry::same(1, 3, 5, 13);
+        let src: Vec<f32> = (0..15).map(|v| v as f32 + 1.0).collect();
+        let mut col = vec![f32::NAN; g.patch() * g.pixels()];
+        im2col(&src, &g, &mut col);
+        for (row, (ky, kx)) in (0..13)
+            .flat_map(|ky| (0..13).map(move |kx| (ky, kx)))
+            .enumerate()
+        {
+            for (px, (oy, ox)) in (0..3)
+                .flat_map(|oy| (0..5).map(move |ox| (oy, ox)))
+                .enumerate()
+            {
+                let (yy, xx) = ((oy + ky) as isize - 6, (ox + kx) as isize - 6);
+                let want = if (0..3).contains(&yy) && (0..5).contains(&xx) {
+                    src[yy as usize * 5 + xx as usize]
+                } else {
+                    0.0
+                };
+                assert_eq!(col[row * 15 + px], want, "tap ({ky},{kx}) at ({oy},{ox})");
+            }
+        }
+        // Every pixel lies under exactly one tap of each output position.
+        let mut back = vec![0.0f32; 15];
+        col2im(&col, &g, &mut back);
+        let want_back: Vec<f32> = src.iter().map(|v| v * 15.0).collect();
+        assert_eq!(back, want_back);
+    }
+
+    /// Every geometry the fixed-width bodies take — including kernels
+    /// wider than the image, and (at width 4) padding wider than the
+    /// image — against the general loop, bit for bit.
+    #[test]
+    fn fixed_width_bodies_equal_the_general_loop() {
+        let shapes = [(4, 4), (8, 8), (16, 16), (5, 8), (3, 16)];
+        for c_in in 1..=3 {
+            for (h, w) in shapes {
+                for kernel in [1, 3, 5, 7, 9, 11] {
+                    let g = ConvGeometry::same(c_in, h, w, kernel);
+                    assert!(g.is_unit_stride_same());
+                    let nx = c_in * h * w;
+                    let ny = g.patch() * g.pixels();
+                    let x: Vec<f32> = (0..nx)
+                        .map(|i| ((i * 37 + 11) % 101) as f32 - 50.5)
+                        .collect();
+                    let y: Vec<f32> = (0..ny)
+                        .map(|i| ((i * 53 + 3) % 89) as f32 * 0.37 - 16.0)
+                        .collect();
+
+                    // Stale contents must be overwritten, zeros included.
+                    let mut want = vec![7.0f32; ny];
+                    im2col_general(&x, &g, &mut want);
+                    let mut got = vec![-7.0f32; ny];
+                    im2col(&x, &g, &mut got);
+                    assert_eq!(bits(&want), bits(&got), "im2col {g:?}");
+
+                    // col2im accumulates onto whatever is there: -0.0 is
+                    // the one start value an added +0.0 would disturb.
+                    let seed: Vec<f32> = (0..nx)
+                        .map(|i| if i % 3 == 0 { -0.0 } else { i as f32 * 0.25 })
+                        .collect();
+                    let mut want = seed.clone();
+                    col2im_general(&y, &g, &mut want);
+                    let mut got = seed;
+                    col2im(&y, &g, &mut got);
+                    assert_eq!(bits(&want), bits(&got), "col2im {g:?}");
+                }
+            }
+        }
     }
 
     #[test]

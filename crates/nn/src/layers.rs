@@ -299,6 +299,41 @@ struct BnCache {
     inv_std: Vec<f32>,
 }
 
+/// Channels whose sums advance side by side in [`sum_channels`].
+const BN_LANES: usize = 8;
+
+/// `acc[ci] += term(ci, ci·hw + i)` for `i` ascending over one sample's
+/// `hw`-element channel planes.
+///
+/// One channel's sum is a single chain of dependent additions, so a
+/// channel at a time the loop waits out the add latency on every element.
+/// Channels are independent, though: walking [`BN_LANES`] of them through
+/// `i` together keeps that many chains in flight, and no chain's order
+/// changes — each channel still adds its own terms in ascending
+/// `(n, h, w)` order onto its running value, so the sums are bit-identical
+/// to the one-channel-at-a-time loop.
+#[inline(always)]
+fn sum_channels(acc: &mut [f32], hw: usize, term: impl Fn(usize, usize) -> f32) {
+    let (groups, rest) = acc.as_chunks_mut::<BN_LANES>();
+    let grouped = groups.len() * BN_LANES;
+    for (gi, group) in groups.iter_mut().enumerate() {
+        let c0 = gi * BN_LANES;
+        let mut sums = *group;
+        for i in 0..hw {
+            for (l, sum) in sums.iter_mut().enumerate() {
+                *sum += term(c0 + l, (c0 + l) * hw + i);
+            }
+        }
+        *group = sums;
+    }
+    for (l, sum) in rest.iter_mut().enumerate() {
+        let ci = grouped + l;
+        for i in ci * hw..(ci + 1) * hw {
+            *sum += term(ci, i);
+        }
+    }
+}
+
 impl BatchNorm2d {
     /// Identity-initialized batch norm.
     pub fn new(channels: usize) -> Self {
@@ -336,21 +371,15 @@ impl BatchNorm2d {
             let mut var = ws.take_zeroed(c);
             for ni in 0..n {
                 let s = x.sample(ni);
-                for ci in 0..c {
-                    for v in &s[ci * h * w..(ci + 1) * h * w] {
-                        mean[ci] += v;
-                    }
-                }
+                sum_channels(&mut mean, h * w, |_, i| s[i]);
             }
             mean.iter_mut().for_each(|m| *m /= per_c);
             for ni in 0..n {
                 let s = x.sample(ni);
-                for ci in 0..c {
-                    for v in &s[ci * h * w..(ci + 1) * h * w] {
-                        let d = v - mean[ci];
-                        var[ci] += d * d;
-                    }
-                }
+                sum_channels(&mut var, h * w, |ci, i| {
+                    let d = s[i] - mean[ci];
+                    d * d
+                });
             }
             var.iter_mut().for_each(|v| *v /= per_c);
             let mut inv_std = ws.take_scratch(c);
@@ -423,12 +452,8 @@ impl BatchNorm2d {
         for ni in 0..n {
             let gs = grad_out.sample(ni);
             let xh = cache.xhat.sample(ni);
-            for ci in 0..c {
-                for i in ci * h * w..(ci + 1) * h * w {
-                    sum_g[ci] += gs[i];
-                    sum_gx[ci] += gs[i] * xh[i];
-                }
-            }
+            sum_channels(&mut sum_g, h * w, |_, i| gs[i]);
+            sum_channels(&mut sum_gx, h * w, |_, i| gs[i] * xh[i]);
         }
         for ci in 0..c {
             self.bgrad[ci] += sum_g[ci];
@@ -497,15 +522,16 @@ impl Relu {
     /// In-place forward over an owned tensor: rectifies `x` directly and
     /// records the activation mask, with no copy. The mask capacity
     /// persists across calls, so steady state allocates nothing.
+    ///
+    /// The mask is sized once and both it and `x` are written through a
+    /// select, not a `push` behind a branch, so the loop vectorizes.
+    /// Anything not `> 0.0` — negatives, `-0.0`, NaN — becomes `+0.0`.
     pub fn forward_owned(&mut self, mut x: Tensor4) -> Tensor4 {
-        self.mask.clear();
-        self.mask.reserve(x.len());
-        for v in x.data_mut() {
-            let on = *v > 0.0;
-            self.mask.push(on);
-            if !on {
-                *v = 0.0;
-            }
+        // Every slot is overwritten below; `resize` only fixes the length.
+        self.mask.resize(x.len(), false);
+        for (v, on) in x.data_mut().iter_mut().zip(&mut self.mask) {
+            *on = *v > 0.0;
+            *v = if *on { *v } else { 0.0 };
         }
         x
     }
@@ -521,9 +547,7 @@ impl Relu {
     pub fn backward_owned(&mut self, mut grad_out: Tensor4) -> Tensor4 {
         assert_eq!(grad_out.len(), self.mask.len(), "relu backward shape");
         for (v, &on) in grad_out.data_mut().iter_mut().zip(&self.mask) {
-            if !on {
-                *v = 0.0;
-            }
+            *v = if on { *v } else { 0.0 };
         }
         grad_out
     }
@@ -589,12 +613,11 @@ impl Dropout {
         );
         self.draws += 1;
         let keep_scale = 1.0 / (1.0 - self.p);
-        self.mask.clear();
-        self.mask.reserve(x.len());
-        for v in x.data_mut() {
-            let keep = !rng.gen_bool(f64::from(self.p));
-            self.mask.push(keep);
-            *v = if keep { *v * keep_scale } else { 0.0 };
+        // Every slot is overwritten below; `resize` only fixes the length.
+        self.mask.resize(x.len(), false);
+        for (v, keep) in x.data_mut().iter_mut().zip(&mut self.mask) {
+            *keep = !rng.gen_bool(f64::from(self.p));
+            *v = if *keep { *v * keep_scale } else { 0.0 };
         }
         x
     }
@@ -655,30 +678,31 @@ impl MaxPool2d {
         self.argmax.clear();
         self.argmax.resize(n * c * oh * ow, 0);
         self.in_shape = x.shape();
-        for ni in 0..n {
-            for ci in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let (y, xx) = (oy * 2 + dy, ox * 2 + dx);
-                                if y >= h || xx >= w {
-                                    continue;
-                                }
-                                let idx = x.index(ni, ci, y, xx);
-                                let v = x.data()[idx];
-                                if v > best {
-                                    best = v;
-                                    best_idx = idx;
-                                }
+        let xd = x.data();
+        let od = out.data_mut();
+        for plane in 0..n * c {
+            let (in_base, out_base) = (plane * h * w, plane * oh * ow);
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0;
+                    for dy in 0..2 {
+                        for dx in 0..2 {
+                            let (y, xx) = (oy * 2 + dy, ox * 2 + dx);
+                            if y >= h || xx >= w {
+                                continue;
+                            }
+                            let idx = in_base + y * w + xx;
+                            let v = xd[idx];
+                            if v > best {
+                                best = v;
+                                best_idx = idx;
                             }
                         }
-                        let oidx = out.index(ni, ci, oy, ox);
-                        out.data_mut()[oidx] = best;
-                        self.argmax[oidx] = best_idx;
                     }
+                    let oidx = out_base + oy * ow + ox;
+                    od[oidx] = best;
+                    self.argmax[oidx] = best_idx;
                 }
             }
         }
@@ -947,6 +971,7 @@ impl Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -1081,6 +1106,164 @@ mod tests {
         let g = Tensor4::from_vec(1, 1, 1, 4, vec![1.0, 1.0, 1.0, 1.0]);
         let gi = relu.backward(&g);
         assert_eq!(gi.data(), &[0.0, 1.0, 0.0, 1.0]);
+    }
+
+    /// Values on every side of the `> 0.0` test, then ordinary ones so
+    /// the tensor is longer than one vector.
+    fn relu_edge_values() -> Vec<f32> {
+        let mut v = vec![
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1.0e-45,
+            -1.0e-45,
+        ];
+        v.extend((0..27).map(|i| (i as f32 - 13.0) * 0.37));
+        v
+    }
+
+    fn row_tensor(values: &[f32]) -> Tensor4 {
+        Tensor4::from_vec(1, 1, 1, values.len(), values.to_vec())
+    }
+
+    #[test]
+    fn relu_select_loops_equal_the_branchy_form_on_edge_values() {
+        let input = relu_edge_values();
+        // The loops the select-based ones replaced: push a flag per
+        // element, zero behind a branch.
+        let mut want = input.clone();
+        let mut want_mask = Vec::new();
+        for v in &mut want {
+            let on = *v > 0.0;
+            want_mask.push(on);
+            if !on {
+                *v = 0.0;
+            }
+        }
+        let mut grad = input.clone();
+        grad.rotate_left(3); // every edge value meets both mask states
+        let mut want_grad = grad.clone();
+        for (v, &on) in want_grad.iter_mut().zip(&want_mask) {
+            if !on {
+                *v = 0.0;
+            }
+        }
+
+        let mut relu = Relu::new();
+        // A longer forward first: the mask must shrink to this input.
+        let _ = relu.forward_owned(Tensor4::zeros(1, 1, 8, 8));
+        let got = relu.forward_owned(row_tensor(&input));
+        assert_eq!(bits(got.data()), bits(&want));
+        assert_eq!(relu.mask, want_mask);
+        let got_grad = relu.backward_owned(row_tensor(&grad));
+        assert_eq!(bits(got_grad.data()), bits(&want_grad));
+    }
+
+    #[test]
+    fn dropout_zip_loops_equal_the_push_form_on_edge_values() {
+        use rand::{Rng, SeedableRng};
+        let (p, seed) = (0.4f32, 17u64);
+        let input = relu_edge_values();
+        let mut d = Dropout::new(p, seed);
+        // Unequal lengths back to back: the mask shrinks, then grows.
+        for (draw, len) in [input.len(), 7, input.len()].into_iter().enumerate() {
+            let x = &input[..len];
+            let mut rng = rand::rngs::StdRng::seed_from_u64(
+                seed.wrapping_add((draw as u64).wrapping_mul(0x9E37_79B9)),
+            );
+            let keep_scale = 1.0 / (1.0 - p);
+            let mut want = x.to_vec();
+            let mut want_mask = Vec::new();
+            for v in &mut want {
+                let keep = !rng.gen_bool(f64::from(p));
+                want_mask.push(keep);
+                *v = if keep { *v * keep_scale } else { 0.0 };
+            }
+            let mut want_grad = x.to_vec();
+            want_grad.reverse();
+            let grad = want_grad.clone();
+            for (v, &keep) in want_grad.iter_mut().zip(&want_mask) {
+                *v = if keep { *v * keep_scale } else { 0.0 };
+            }
+
+            let got = d.forward_owned(row_tensor(x), true);
+            assert_eq!(bits(got.data()), bits(&want), "forward, draw {draw}");
+            assert_eq!(d.mask, want_mask, "mask, draw {draw}");
+            let got_grad = d.backward_owned(row_tensor(&grad));
+            assert_eq!(
+                bits(got_grad.data()),
+                bits(&want_grad),
+                "backward, draw {draw}"
+            );
+        }
+    }
+
+    #[test]
+    fn batchnorm_interleaved_sums_equal_one_channel_at_a_time() {
+        // 19 channels: two full BN_LANES groups and a ragged rest.
+        let (n, c, h, w) = (3, 2 * BN_LANES + 3, 3, 5);
+        let mut r = rng(11);
+        let mut x = Tensor4::zeros(n, c, h, w);
+        let mut g = Tensor4::zeros(n, c, h, w);
+        for v in x.data_mut().iter_mut().chain(g.data_mut()) {
+            *v = r.gen_range(-3.0f32..3.0);
+        }
+        let mut bn = BatchNorm2d::new(c);
+        let _ = bn.forward(&x, true);
+        let xhat = bn
+            .cache
+            .as_ref()
+            .expect("training forward caches")
+            .xhat
+            .clone();
+        let _ = bn.backward(&g);
+
+        // The four reductions, one channel at a time in (n, h, w) order.
+        let hw = h * w;
+        let per_c = (n * hw) as f32;
+        let chan =
+            |t: &Tensor4, ni: usize, ci: usize| t.sample(ni)[ci * hw..(ci + 1) * hw].to_vec();
+        for ci in 0..c {
+            let (mut mean, mut var, mut sum_g, mut sum_gx) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+            for ni in 0..n {
+                for v in chan(&x, ni, ci) {
+                    mean += v;
+                }
+            }
+            mean /= per_c;
+            for ni in 0..n {
+                for v in chan(&x, ni, ci) {
+                    let d = v - mean;
+                    var += d * d;
+                }
+                for (gv, xh) in chan(&g, ni, ci).into_iter().zip(chan(&xhat, ni, ci)) {
+                    sum_g += gv;
+                    sum_gx += gv * xh;
+                }
+            }
+            var /= per_c;
+            // The running stats started at (0, 1) and saw this one batch.
+            let m = bn.momentum;
+            assert_eq!(
+                bn.running_mean[ci].to_bits(),
+                ((1.0 - m) * 0.0 + m * mean).to_bits()
+            );
+            assert_eq!(
+                bn.running_var[ci].to_bits(),
+                ((1.0 - m) * 1.0 + m * var).to_bits()
+            );
+            assert_eq!(bn.bgrad[ci].to_bits(), sum_g.to_bits(), "Σg, channel {ci}");
+            assert_eq!(
+                bn.ggrad[ci].to_bits(),
+                sum_gx.to_bits(),
+                "Σg·x̂, channel {ci}"
+            );
+        }
     }
 
     #[test]

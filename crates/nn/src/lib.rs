@@ -114,3 +114,10 @@ pub fn train_epoch_ws(
     };
     (mean_loss, acc)
 }
+
+/// Bit patterns of `values`, for tests that pin results exactly: unlike
+/// `f32` equality it tells `-0.0` from `0.0` and compares NaN payloads.
+#[cfg(test)]
+pub(crate) fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}

@@ -1,5 +1,6 @@
 //! Allocation-regression guard: after the workspace pool warms up, a
-//! steady-state training batch must perform **zero** heap allocations.
+//! steady-state training batch must perform **zero** heap allocations,
+//! and so must an eval-mode forward (the path `a4nn serve` runs).
 //!
 //! A counting wrapper around the system allocator is installed as the
 //! global allocator for this test binary only (one test per binary, so
@@ -89,7 +90,11 @@ fn steady_state_training_batch_allocates_nothing() {
     gemm::set_thread_budget(1);
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let ds = dataset(24);
+    // 26 samples at batch 8 = three full batches and a remainder of two,
+    // so every epoch after the first opens with a full batch right after
+    // a short one: buffers sized per batch (the ReLU masks) must keep
+    // their capacity across the shrink.
+    let ds = dataset(26);
     let mut net = Network::new(&spec(), &mut rng);
     let mut opt = Sgd::new(0.05, 0.9, 1e-4);
     let mut ws = Workspace::new();
@@ -112,14 +117,28 @@ fn steady_state_training_batch_allocates_nothing() {
         "workspace pool allocated at steady state"
     );
 
-    // 24 samples at batch 8 = 3 batches per epoch. The shuffle's order
-    // vector (and its shuffling scratch) is the only permitted traffic —
-    // a small per-EPOCH constant. If any per-BATCH path allocated even
-    // once, the count would be >= 3.
+    // Four batches per epoch. The shuffle's order vector (and its
+    // shuffling scratch) is the only permitted traffic — a small
+    // per-EPOCH constant. If any per-BATCH path allocated even once per
+    // full batch, the count would be >= 3.
     assert!(
         epoch_allocs < 3,
         "steady-state epoch performed {epoch_allocs} heap allocations \
          (> per-epoch shuffle budget); a per-batch allocation crept back in"
+    );
+
+    // Eval-mode forward, the serve path: one pass at a new batch shape
+    // warms the pool, the next must not touch the allocator at all.
+    let (images, _) = ds.gather(&[0, 1, 2, 3, 4]);
+    let warm = net.forward_ws(&images, false, &mut ws);
+    ws.give2(warm);
+    let before = allocation_count();
+    let logits = net.forward_ws(&images, false, &mut ws);
+    let eval_allocs = allocation_count() - before;
+    ws.give2(logits);
+    assert_eq!(
+        eval_allocs, 0,
+        "a warmed eval-mode forward performed {eval_allocs} heap allocations"
     );
 
     gemm::set_thread_budget(prev);

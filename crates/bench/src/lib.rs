@@ -1,9 +1,9 @@
 //! # a4nn-bench — the experiment harness
 //!
-//! One binary per table and figure of the paper's evaluation (§4), plus
-//! criterion microbenches for the hot kernels. Every binary prints the
-//! paper's reported values next to the measured ones so the comparison in
-//! `EXPERIMENTS.md` can be regenerated with a single command each:
+//! One binary per table and figure of the paper's evaluation (§4). Every
+//! binary prints the paper's reported values next to the measured ones so
+//! the comparison in `EXPERIMENTS.md` can be regenerated with a single
+//! command each:
 //!
 //! | target | reproduces |
 //! |---|---|

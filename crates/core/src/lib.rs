@@ -51,7 +51,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod drivers;
 pub mod fault;
-pub mod micro;
 pub mod objectives;
 pub mod pipeline;
 pub mod real;
@@ -67,7 +66,6 @@ pub use checkpoint::CheckpointStore;
 pub use config::{NasSettings, WorkflowConfig};
 pub use drivers::{AgingEvolutionWorkflow, RandomSearchWorkflow};
 pub use fault::{FaultStats, FaultTolerance};
-pub use micro::{micro_netspec, micro_random_search, MicroTrainerFactory};
 pub use objectives::{ModelCost, ObjectiveKind, ObjectiveSet};
 pub use pipeline::{
     train_resilient_direct, BatchResult, BusTransport, DirectTransport, EvalPipeline, Transport,

@@ -10,8 +10,8 @@
 //! record trails. The transport decides only *how* trainers and the
 //! prediction engine are coupled:
 //!
-//! - [`DirectTransport`] — in-process calls: each trainer drives its own
-//!   engine instance inline (rayon data parallelism);
+//! - [`DirectTransport`] — in-process calls: trainers run as jobs on the
+//!   sched thread pool, each driving its own engine instance inline;
 //! - [`BusTransport`] — the `a4nn-bus` event bus (§2.2's in-situ task
 //!   coupling): trainers run as jobs on the sched thread pool, publish
 //!   per-epoch fitness, and block on the engine service's verdicts; the
@@ -51,7 +51,6 @@ use a4nn_sched::{
     TaskOrdering,
 };
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -412,8 +411,8 @@ impl<'a> EvalPipeline<'a> {
     }
 }
 
-/// In-process coupling: rayon data parallelism, each trainer driving its
-/// own engine instance inline.
+/// In-process coupling: trainers run as jobs on the sched thread pool
+/// ([`GpuPool`]), each driving its own engine instance inline.
 pub struct DirectTransport;
 
 impl Transport for DirectTransport {
@@ -424,28 +423,44 @@ impl Transport for DirectTransport {
         _generation: usize,
         base_id: u64,
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError> {
-        Ok(genomes
-            .par_iter()
+        let jobs: Vec<_> = genomes
+            .iter()
             .enumerate()
             .map(|(k, genome)| {
-                let model_id = base_id + k as u64;
-                let started = std::time::Instant::now();
-                let (outcome, cost) = train_resilient_direct(
-                    pipeline.cfg,
-                    pipeline.factory,
-                    genome,
-                    model_id,
-                    pipeline.checkpoints,
-                    pipeline.ft,
-                );
+                move |_worker: usize| {
+                    train_resilient_direct(
+                        pipeline.cfg,
+                        pipeline.factory,
+                        genome,
+                        base_id + k as u64,
+                        pipeline.checkpoints,
+                        pipeline.ft,
+                    )
+                }
+            })
+            .collect();
+        let (outputs, reports) = GpuPool::new(pipeline.cfg.gpus).run_batch(jobs)?;
+        outputs
+            .into_iter()
+            .zip(&reports)
+            .enumerate()
+            .map(|(k, (output, report))| {
+                // Trainer panics are absorbed inside the job; one that
+                // reaches the pool came from the machinery around them.
+                let (outcome, cost) = output.ok_or_else(|| {
+                    A4nnError::Internal(format!(
+                        "training job for model {} panicked outside its attempts",
+                        base_id + k as u64
+                    ))
+                })?;
                 pipeline.record_job(
-                    started.elapsed().as_secs_f64(),
+                    report.seconds,
                     0.0,
                     u64::from(outcome.attempts.saturating_sub(1)),
                 );
-                (outcome, cost)
+                Ok((outcome, cost))
             })
-            .collect())
+            .collect()
     }
 
     fn name(&self) -> &'static str {
@@ -890,8 +905,11 @@ fn train_over_bus(
 mod tests {
     use super::*;
     use crate::surrogate::{SurrogateFactory, SurrogateParams};
+    use crate::trainer::{EpochResult, Trainer};
     use a4nn_xfel::BeamIntensity;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn batch_evaluation_is_complete_and_consistent() {
@@ -955,6 +973,74 @@ mod tests {
             assert_eq!(d.epochs, b.epochs);
             assert_eq!(d.terminated_early, b.terminated_early);
         }
+    }
+
+    /// Trainers that count how many of them are inside `train_epoch` at
+    /// once; building the trainer of model `poisoned` panics.
+    #[derive(Default)]
+    struct ProbeFactory {
+        live_and_peak: Arc<(AtomicUsize, AtomicUsize)>,
+        poisoned: Option<u64>,
+    }
+
+    struct ProbeTrainer(Arc<(AtomicUsize, AtomicUsize)>);
+
+    impl Trainer for ProbeTrainer {
+        fn train_epoch(&mut self, epoch: u32) -> EpochResult {
+            let (live, peak) = &*self.0;
+            peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            // Long enough that trainers started together overlap.
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            live.fetch_sub(1, Ordering::SeqCst);
+            EpochResult {
+                train_acc: 50.0,
+                val_acc: 50.0 + f64::from(epoch),
+                duration_s: 1.0,
+            }
+        }
+
+        fn flops(&self) -> f64 {
+            1.0
+        }
+    }
+
+    impl TrainerFactory for ProbeFactory {
+        fn make(&self, _genome: &Genome, model_id: u64, _seed: u64) -> Box<dyn Trainer> {
+            assert!(Some(model_id) != self.poisoned, "no trainer for {model_id}");
+            Box::new(ProbeTrainer(self.live_and_peak.clone()))
+        }
+    }
+
+    fn probe_run(gpus: usize, factory: &ProbeFactory) -> Result<BatchResult, A4nnError> {
+        let mut cfg = WorkflowConfig::a4nn(BeamIntensity::Medium, gpus, 7);
+        cfg.engine = None;
+        cfg.nas.epochs = 3;
+        let space = cfg.search_space();
+        let ft = FaultTolerance::default();
+        let pipeline = EvalPipeline::new(&cfg, &space, factory, None, &ft);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let genomes: Vec<_> = (0..6).map(|_| space.random_genome(&mut rng)).collect();
+        pipeline.run(&DirectTransport, &genomes, 0, 0)
+    }
+
+    #[test]
+    fn direct_trains_at_most_gpus_models_at_once() {
+        for gpus in [1, 2] {
+            let factory = ProbeFactory::default();
+            assert_eq!(probe_run(gpus, &factory).unwrap().outcomes.len(), 6);
+            let peak = factory.live_and_peak.1.load(Ordering::SeqCst);
+            assert!((1..=gpus).contains(&peak), "peak {peak} with {gpus} gpu(s)");
+        }
+    }
+
+    #[test]
+    fn direct_reports_a_panic_outside_the_attempts_as_internal_error() {
+        let factory = ProbeFactory {
+            poisoned: Some(4),
+            ..ProbeFactory::default()
+        };
+        let err = probe_run(2, &factory).unwrap_err();
+        assert!(matches!(err, A4nnError::Internal(_)), "got {err}");
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod arch;
 pub mod cost;
 pub mod encoding;
 pub mod flops;
-pub mod micro;
 pub mod space;
 pub mod viz;
 
@@ -40,5 +39,4 @@ pub use arch::{ArchSpec, NodeOp, PhaseSpec};
 pub use cost::{estimate_macs, estimate_params_bytes, estimate_peak_ws_bytes};
 pub use encoding::{Genome, PhaseGenome};
 pub use flops::{estimate_flops, estimate_mflops};
-pub use micro::{MicroGene, MicroGenome, MicroSearchSpace, MICRO_OPS, MICRO_OP_NAMES};
 pub use space::{SearchSpace, VariationConfig};

@@ -160,8 +160,8 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
     let mute_until = Mutex::new(Instant::now());
     let interval = Duration::from_millis(heartbeat_interval_ms.max(1));
 
-    let result: Result<(), NetError> = crossbeam::thread::scope(|scope| {
-        scope.spawn(|_| {
+    let result: Result<(), NetError> = std::thread::scope(|scope| {
+        let heartbeat = scope.spawn(|| {
             while !done.load(Ordering::SeqCst) {
                 if Instant::now() >= *mute_until.lock()
                     && write_message(&mut *writer.lock(), &Message::Heartbeat).is_err()
@@ -177,6 +177,7 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
         // job it ever trained (the scope would otherwise hold them all
         // until the session ends).
         let mut jobs: Vec<std::thread::ScopedJoinHandle<'_, ()>> = Vec::new();
+        let mut panicked = false;
         let loop_result = loop {
             match read_message::<_, Message>(&mut reader) {
                 Ok(Some(Message::Job {
@@ -188,7 +189,7 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
                     let mut i = 0;
                     while i < jobs.len() {
                         if jobs[i].is_finished() {
-                            let _ = jobs.swap_remove(i).join();
+                            panicked |= jobs.swap_remove(i).join().is_err();
                         } else {
                             i += 1;
                         }
@@ -199,7 +200,7 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
                     let writer = &writer;
                     let mute_until = &mute_until;
                     let done = &done;
-                    jobs.push(scope.spawn(move |_| {
+                    jobs.push(scope.spawn(move || {
                         let epochs = config.nas.epochs;
                         let stall_ms: u64 = (1..=epochs)
                             .map(|e| ft.plan.worker_stall_millis(model_id, e))
@@ -242,9 +243,16 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
             }
         };
         done.store(true, Ordering::SeqCst);
+        // Join every thread before judging: a handle left unjoined would
+        // re-raise its panic when the scope exits.
+        for handle in jobs.into_iter().chain([heartbeat]) {
+            panicked |= handle.join().is_err();
+        }
+        if panicked {
+            return Err(NetError::Protocol("worker session thread panicked".into()));
+        }
         loop_result
-    })
-    .map_err(|_| NetError::Protocol("worker session thread panicked".into()))?;
+    });
 
     // Unblock any peer still reading from us before the session closes.
     let _ = writer.lock().shutdown(Shutdown::Both);

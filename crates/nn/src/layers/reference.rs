@@ -11,9 +11,8 @@
 
 use super::{Conv2d, Dense};
 use crate::tensor::{Tensor2, Tensor4};
-use rayon::prelude::*;
 
-/// [`Conv2d::forward`] as a direct loop nest, batch-parallel via rayon.
+/// [`Conv2d::forward`] as a direct loop nest, one sample at a time.
 pub fn conv2d_forward(conv: &mut Conv2d, x: &Tensor4) -> Tensor4 {
     assert_eq!(x.c, conv.c_in, "conv input channel mismatch");
     let (n, _, h, w) = x.shape();
@@ -24,40 +23,37 @@ pub fn conv2d_forward(conv: &mut Conv2d, x: &Tensor4) -> Tensor4 {
     let weight = &conv.weight;
     let bias = &conv.bias;
     let (c_in, c_out) = (conv.c_in, conv.c_out);
-    out.data_mut()
-        .par_chunks_mut(sample_out)
-        .enumerate()
-        .for_each(|(ni, out_s)| {
-            let x_s = x.sample(ni);
-            for co in 0..c_out {
-                let b = bias[co];
-                for y in 0..h {
-                    for xo in 0..w {
-                        let mut acc = b;
-                        for ci in 0..c_in {
-                            let x_base = ci * h * w;
-                            let w_base = ((co * c_in + ci) * k) * k;
-                            for ky in 0..k {
-                                let yy = y as isize + ky as isize - pad as isize;
-                                if yy < 0 || yy >= h as isize {
+    for (ni, out_s) in out.data_mut().chunks_mut(sample_out).enumerate() {
+        let x_s = x.sample(ni);
+        for co in 0..c_out {
+            let b = bias[co];
+            for y in 0..h {
+                for xo in 0..w {
+                    let mut acc = b;
+                    for ci in 0..c_in {
+                        let x_base = ci * h * w;
+                        let w_base = ((co * c_in + ci) * k) * k;
+                        for ky in 0..k {
+                            let yy = y as isize + ky as isize - pad as isize;
+                            if yy < 0 || yy >= h as isize {
+                                continue;
+                            }
+                            let row = x_base + (yy as usize) * w;
+                            let wrow = w_base + ky * k;
+                            for kx in 0..k {
+                                let xx = xo as isize + kx as isize - pad as isize;
+                                if xx < 0 || xx >= w as isize {
                                     continue;
                                 }
-                                let row = x_base + (yy as usize) * w;
-                                let wrow = w_base + ky * k;
-                                for kx in 0..k {
-                                    let xx = xo as isize + kx as isize - pad as isize;
-                                    if xx < 0 || xx >= w as isize {
-                                        continue;
-                                    }
-                                    acc += x_s[row + xx as usize] * weight[wrow + kx];
-                                }
+                                acc += x_s[row + xx as usize] * weight[wrow + kx];
                             }
                         }
-                        out_s[(co * h + y) * w + xo] = acc;
                     }
+                    out_s[(co * h + y) * w + xo] = acc;
                 }
             }
-        });
+        }
+    }
     conv.cached_input = Some(x.clone());
     out
 }
@@ -73,66 +69,54 @@ pub fn conv2d_backward(conv: &mut Conv2d, grad_out: &Tensor4) -> Tensor4 {
     let pad = k / 2;
     assert_eq!(grad_out.shape(), (n, conv.c_out, h, w));
 
-    // Per-sample partial results, reduced afterwards in sample order —
-    // the reduction order the production kernel reproduces.
-    struct Partial {
-        gin: Vec<f32>,
-        wg: Vec<f32>,
-        bg: Vec<f32>,
-    }
+    // Each sample's gradients are summed on their own and then added to
+    // the layer's buffers, in sample order — the reduction order the
+    // production kernel reproduces.
     let c_in = conv.c_in;
     let c_out = conv.c_out;
     let weight = &conv.weight;
-    let partials: Vec<Partial> = (0..n)
-        .into_par_iter()
-        .map(|ni| {
-            let x_s = x.sample(ni);
-            let g_s = grad_out.sample(ni);
-            let mut gin = vec![0.0f32; c_in * h * w];
-            let mut wg = vec![0.0f32; weight.len()];
-            let mut bg = vec![0.0f32; c_out];
-            for co in 0..c_out {
-                for y in 0..h {
-                    for xo in 0..w {
-                        let g = g_s[(co * h + y) * w + xo];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        bg[co] += g;
-                        for ci in 0..c_in {
-                            let x_base = ci * h * w;
-                            let w_base = ((co * c_in + ci) * k) * k;
-                            for ky in 0..k {
-                                let yy = y as isize + ky as isize - pad as isize;
-                                if yy < 0 || yy >= h as isize {
+    let mut grad_in = Tensor4::zeros(n, c_in, h, w);
+    for ni in 0..n {
+        let x_s = x.sample(ni);
+        let g_s = grad_out.sample(ni);
+        let gin = grad_in.sample_mut(ni);
+        let mut wg = vec![0.0f32; weight.len()];
+        let mut bg = vec![0.0f32; c_out];
+        for co in 0..c_out {
+            for y in 0..h {
+                for xo in 0..w {
+                    let g = g_s[(co * h + y) * w + xo];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    bg[co] += g;
+                    for ci in 0..c_in {
+                        let x_base = ci * h * w;
+                        let w_base = ((co * c_in + ci) * k) * k;
+                        for ky in 0..k {
+                            let yy = y as isize + ky as isize - pad as isize;
+                            if yy < 0 || yy >= h as isize {
+                                continue;
+                            }
+                            let row = x_base + (yy as usize) * w;
+                            let wrow = w_base + ky * k;
+                            for kx in 0..k {
+                                let xx = xo as isize + kx as isize - pad as isize;
+                                if xx < 0 || xx >= w as isize {
                                     continue;
                                 }
-                                let row = x_base + (yy as usize) * w;
-                                let wrow = w_base + ky * k;
-                                for kx in 0..k {
-                                    let xx = xo as isize + kx as isize - pad as isize;
-                                    if xx < 0 || xx >= w as isize {
-                                        continue;
-                                    }
-                                    wg[wrow + kx] += x_s[row + xx as usize] * g;
-                                    gin[row + xx as usize] += weight[wrow + kx] * g;
-                                }
+                                wg[wrow + kx] += x_s[row + xx as usize] * g;
+                                gin[row + xx as usize] += weight[wrow + kx] * g;
                             }
                         }
                     }
                 }
             }
-            Partial { gin, wg, bg }
-        })
-        .collect();
-
-    let mut grad_in = Tensor4::zeros(n, c_in, h, w);
-    for (ni, p) in partials.iter().enumerate() {
-        grad_in.sample_mut(ni).copy_from_slice(&p.gin);
-        for (acc, v) in conv.wgrad.iter_mut().zip(&p.wg) {
+        }
+        for (acc, v) in conv.wgrad.iter_mut().zip(&wg) {
             *acc += v;
         }
-        for (acc, v) in conv.bgrad.iter_mut().zip(&p.bg) {
+        for (acc, v) in conv.bgrad.iter_mut().zip(&bg) {
             *acc += v;
         }
     }

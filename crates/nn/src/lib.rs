@@ -23,8 +23,6 @@
 
 #![warn(clippy::redundant_clone)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
-pub mod augment;
-pub mod cell;
 pub mod data;
 pub mod gemm;
 pub mod graph;
@@ -33,19 +31,15 @@ pub mod init;
 pub mod layers;
 pub mod loss;
 pub mod optim;
-pub mod pool_same;
-pub mod schedule;
+pub mod par;
 pub mod serialize;
 pub mod tensor;
 pub mod workspace;
 
-pub use augment::{augment_batch, AugmentConfig};
-pub use cell::{CellNodeSpec, CellOp, CellSpec, MicroNetSpec, MicroNetwork};
 pub use data::{BatchIter, Dataset};
 pub use graph::{NetSpec, Network, PhaseNetSpec};
 pub use loss::{cross_entropy, cross_entropy_ws, CrossEntropyOutput};
 pub use optim::{Adam, Sgd};
-pub use schedule::LrSchedule;
 pub use serialize::ModelState;
 pub use tensor::{Tensor2, Tensor4};
 pub use workspace::Workspace;

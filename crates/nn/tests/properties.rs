@@ -1,7 +1,7 @@
 //! Property-based tests of the training substrate.
 
 use a4nn_nn::layers::{Conv2d, Dense};
-use a4nn_nn::{augment_batch, cross_entropy, AugmentConfig, LrSchedule, Tensor2, Tensor4};
+use a4nn_nn::{cross_entropy, Tensor2, Tensor4};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -79,43 +79,6 @@ proptest! {
             prop_assert!((psum - 1.0).abs() < 1e-4);
             let gsum: f32 = out.dlogits.row(r).iter().sum();
             prop_assert!(gsum.abs() < 1e-5);
-        }
-    }
-
-    /// Augmentation preserves the multiset of pixel values per sample.
-    #[test]
-    fn augmentation_is_a_permutation(img in arb_image(2, 1, 4, 4), seed in any::<u64>()) {
-        let mut batch = img.clone();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        augment_batch(&mut batch, AugmentConfig::full(), &mut rng);
-        for n in 0..2 {
-            let mut before: Vec<f32> = img.sample(n).to_vec();
-            let mut after: Vec<f32> = batch.sample(n).to_vec();
-            before.sort_by(f32::total_cmp);
-            after.sort_by(f32::total_cmp);
-            prop_assert_eq!(before, after);
-        }
-    }
-
-    /// Learning-rate schedules always produce finite, non-negative rates
-    /// bounded by their peak.
-    #[test]
-    fn schedules_are_bounded(
-        lr in 1e-5f32..1.0,
-        min_frac in 0.0f32..1.0,
-        total in 1u32..100,
-        epoch in 1u32..200,
-    ) {
-        let lr_min = lr * min_frac;
-        for s in [
-            LrSchedule::Constant { lr },
-            LrSchedule::Cosine { lr_max: lr, lr_min, total_epochs: total },
-            LrSchedule::Step { lr, step: 7, gamma: 0.5 },
-        ] {
-            let v = s.lr_at(epoch);
-            prop_assert!(v.is_finite());
-            prop_assert!(v >= 0.0);
-            prop_assert!(v <= lr * 1.0001, "{v} above peak {lr}");
         }
     }
 }

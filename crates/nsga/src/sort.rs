@@ -3,8 +3,8 @@
 //! Partitions a population into Pareto fronts `F₁, F₂, …` where `F₁` is the
 //! non-dominated set, `F₂` is non-dominated once `F₁` is removed, and so
 //! on. O(M·N²) like the original algorithm — N here is a NAS population of
-//! tens, so the quadratic term is irrelevant; a criterion bench in
-//! `a4nn-bench` tracks it anyway.
+//! tens, so the quadratic term is irrelevant; the benchmark's
+//! `nsga.sort_us_per_gen` probe tracks it anyway.
 
 use crate::objectives::{Dominance, Objectives};
 

@@ -110,6 +110,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Join every pool worker; a worker that died outside a job's
+/// `catch_unwind` is the pool's own machinery breaking.
+fn join_workers(handles: Vec<std::thread::ScopedJoinHandle<'_, ()>>) -> Result<(), A4nnError> {
+    // Join all of them before judging: a handle left unjoined would
+    // re-raise its panic when the scope exits.
+    let mut all_ok = true;
+    for handle in handles {
+        all_ok &= handle.join().is_ok();
+    }
+    if all_ok {
+        Ok(())
+    } else {
+        Err(A4nnError::Internal("pool worker thread panicked".into()))
+    }
+}
+
 /// Per-job result slot: the output (`None` if the job panicked) plus its
 /// report, filled in by whichever worker ran the job.
 type JobSlot<T> = Option<(Option<T>, JobReport)>;
@@ -161,11 +177,12 @@ impl GpuPool {
 
         let results: Mutex<Vec<JobSlot<T>>> = Mutex::new((0..n).map(|_| None).collect());
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(self.workers);
             for worker in 0..self.workers {
                 let job_rx = job_rx.clone();
                 let results = &results;
-                scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     while let Ok((i, job)) = job_rx.recv() {
                         let t0 = Instant::now();
                         let outcome = catch_unwind(AssertUnwindSafe(|| job(worker)));
@@ -188,10 +205,10 @@ impl GpuPool {
                         };
                         results.lock()[i] = Some((out, report));
                     }
-                });
+                }));
             }
-        })
-        .map_err(|_| A4nnError::Internal("pool worker thread panicked".into()))?;
+            join_workers(handles)
+        })?;
 
         let mut outs = Vec::with_capacity(n);
         let mut reports = Vec::with_capacity(n);
@@ -246,7 +263,8 @@ impl GpuPool {
         let job_seconds: Mutex<Vec<f64>> = Mutex::new(vec![0.0; n]);
         let jobs = &jobs;
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(self.workers);
             for worker in 0..self.workers {
                 let queue = &queue;
                 let outstanding = &outstanding;
@@ -256,7 +274,7 @@ impl GpuPool {
                 let attempts_log = &attempts_log;
                 let busy = &busy;
                 let job_seconds = &job_seconds;
-                scope.spawn(move |_| loop {
+                handles.push(scope.spawn(move || loop {
                     let pending = {
                         let mut q = queue.lock();
                         loop {
@@ -336,10 +354,10 @@ impl GpuPool {
                             ready.notify_all();
                         }
                     }
-                });
+                }));
             }
-        })
-        .map_err(|_| A4nnError::Internal("pool worker thread panicked".into()))?;
+            join_workers(handles)
+        })?;
 
         let reports = reports
             .into_inner()

@@ -29,11 +29,9 @@ pub mod conformer;
 pub mod dataset;
 pub mod diffraction;
 pub mod geometry;
-pub mod multiclass;
 
 pub use beam::BeamIntensity;
 pub use conformer::{Conformer, ConformerPair};
 pub use dataset::{generate_dataset, generate_split, XfelConfig};
 pub use diffraction::{diffraction_intensity, render_pattern};
 pub use geometry::{random_rotation, Rotation};
-pub use multiclass::{generate_multiclass_dataset, ProteinLibrary};

@@ -1,6 +1,6 @@
 //! k-nearest-neighbor classification on latent features.
 
-use rayon::prelude::*;
+use a4nn_nn::par::par_map;
 
 /// A fitted kNN classifier (stores the training features verbatim, as kNN
 /// does).
@@ -82,10 +82,9 @@ impl KnnClassifier {
     /// Classify a row-major batch in parallel.
     pub fn predict_batch(&self, queries: &[f32]) -> Vec<usize> {
         assert_eq!(queries.len() % self.dim, 0, "query matrix shape");
-        queries
-            .par_chunks(self.dim)
-            .map(|q| self.predict_one(q))
-            .collect()
+        par_map(queries.len() / self.dim, |i| {
+            self.predict_one(&queries[i * self.dim..(i + 1) * self.dim])
+        })
     }
 
     /// Accuracy (%) on a labeled query batch.

@@ -1,13 +1,9 @@
 //! Composability integration tests: the same engine/trainer/scheduler
-//! stack under alternative NAS drivers and the micro search space.
+//! stack under alternative NAS drivers.
 
 use a4nn::prelude::*;
-use a4nn_core::micro::{micro_random_search, MicroTrainerFactory};
 use a4nn_core::{AgingEvolutionWorkflow, RandomSearchWorkflow, SurrogateFactory, SurrogateParams};
-use a4nn_genome::MicroSearchSpace;
 use a4nn_lineage::{shape_census, Analyzer, CurveShape};
-use a4nn_xfel::generate_split;
-use std::sync::Arc;
 
 fn config(seed: u64) -> WorkflowConfig {
     WorkflowConfig {
@@ -85,31 +81,6 @@ fn surrogate_curves_cover_the_shape_taxonomy() {
         assert!(
             shapes.contains(&expected),
             "missing {expected:?} in {shapes:?}"
-        );
-    }
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
-fn micro_space_end_to_end() {
-    let (train, val) = generate_split(&XfelConfig::default(), BeamIntensity::High, 40, 8);
-    let space = MicroSearchSpace::reduced_defaults();
-    let factory = MicroTrainerFactory::new(space.clone(), Arc::new(train), Arc::new(val));
-    let mut cfg = WorkflowConfig::a4nn(BeamIntensity::High, 2, 31);
-    cfg.nas.epochs = 3;
-    if let Some(e) = cfg.engine.as_mut() {
-        e.e_pred = 3;
-    }
-    let (commons, schedule) = micro_random_search(&cfg, &space, &factory, 4);
-    assert_eq!(commons.len(), 4);
-    assert!(schedule.total_wall_time() > 0.0);
-    for r in &commons.records {
-        assert!(r.flops > 0.0);
-        assert!(r.epochs_trained() >= 1);
-        assert!(
-            r.arch_summary.contains('|'),
-            "micro summary: {}",
-            r.arch_summary
         );
     }
 }

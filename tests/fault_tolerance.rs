@@ -2,7 +2,7 @@
 //! identical deterministic fault plans with identical results.
 //!
 //! A [`FaultPlan`] is pure data keyed on `(model, epoch, attempt)`, so
-//! `Direct` (rayon + inline engine) and `Bus` (thread pool + engine
+//! `Direct` (thread pool + inline engine) and `Bus` (thread pool + engine
 //! service over the event bus) hit exactly the same injection sites.
 //! The contract under test, per fault class:
 //!

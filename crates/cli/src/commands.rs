@@ -508,6 +508,8 @@ fn run_serve(parsed: &Parsed) -> Result<(), CommandError> {
     };
     let repo = a4nn_serve::ModelRepo::load(&PathBuf::from(commons))?;
     let menu = repo.infos();
+    // Batch workers share the cores the way search's virtual GPUs do.
+    a4nn_nn::gemm::set_thread_budget(a4nn_sched::intra_op_threads(cfg.batcher.workers));
     let server =
         a4nn_serve::ServeServer::bind(listen, repo, cfg, Arc::new(MetricsRegistry::new()))?;
     println!(

@@ -14,18 +14,35 @@
 //! *rows* of `C` onto scoped threads — each element is still produced by
 //! exactly one thread.
 //!
-//! The thread budget is a process-wide knob ([`set_thread_budget`]) sized
-//! by the scheduler from its worker count, so intra-op threads and
-//! inter-model workers share the machine instead of oversubscribing it.
+//! The thread budget is a process-wide knob ([`set_thread_budget`]) that
+//! whoever owns the process's workers sets from their count — `a4nn
+//! search` from `--gpus`, `a4nn serve` from `--batch-workers`, both as
+//! `cores / workers` — so intra-op threads and inter-model workers share
+//! the machine instead of oversubscribing it. Left at `0` it means every
+//! core, and the host is asked how many that is once per process
+//! ([`host_parallelism`]): the lookup is a syscall plus cgroup file
+//! reads, 11–13 µs on the benchmark host — more than a 16×16 conv layer
+//! takes per image.
+//!
+//! Whether a layer *uses* its budget is [`threads_for`]'s decision: a
+//! scoped spawn and join costs tens of microseconds, so an op opens a
+//! scope only when every thread gets at least `MIN_MACS_PER_THREAD`
+//! multiply-adds. The kernels here are mechanism — they split as many
+//! ways as the caller asks, capped by the budget and the row count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide intra-op thread budget; `0` means "auto" (all cores).
 static THREAD_BUDGET: AtomicUsize = AtomicUsize::new(0);
 
+/// Work below which a thread is not worth spawning: about the GEMM a
+/// core finishes in the time one scoped spawn and join takes.
+const MIN_MACS_PER_THREAD: usize = 1 << 20;
+
 /// Set the intra-op thread budget. `0` restores auto (all available
-/// cores). The scheduler calls this with `cores / workers` so concurrent
-/// model trainings don't oversubscribe the machine.
+/// cores). Search and serve both call this with `cores / workers` so
+/// concurrent trainings or batch workers don't oversubscribe the machine.
 pub fn set_thread_budget(n: usize) {
     THREAD_BUDGET.store(n, Ordering::Relaxed);
 }
@@ -35,16 +52,41 @@ pub fn thread_budget() -> usize {
     THREAD_BUDGET.load(Ordering::Relaxed)
 }
 
+/// Cores available to this process, asked of the OS once and cached.
+pub fn host_parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Budget resolved against the host and the amount of splittable work:
 /// at least 1, at most `work` and at most the configured budget.
 pub fn resolved_threads(work: usize) -> usize {
     let budget = match thread_budget() {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        0 => host_parallelism(),
         n => n,
     };
     budget.min(work).max(1)
+}
+
+/// Threads worth opening a scope for, given `items` independent units of
+/// `macs_per_item` multiply-adds each: [`resolved_threads`] further capped
+/// so that every thread gets at least `MIN_MACS_PER_THREAD` of work.
+/// Every site that decides whether an op splits asks this; the answer
+/// never changes a result, only who computes it.
+pub fn threads_for(items: usize, macs_per_item: usize) -> usize {
+    let paid_for = items.saturating_mul(macs_per_item) / MIN_MACS_PER_THREAD;
+    resolved_threads(items.min(paid_for))
+}
+
+/// Threads a kernel splits its `rows` over: what the caller asked for,
+/// capped by the budget and the row count. A serial ask is answered before
+/// anything is read — that is every per-sample GEMM of a convolution.
+fn split_over(threads: usize, rows: usize) -> usize {
+    if threads <= 1 {
+        1
+    } else {
+        threads.min(resolved_threads(rows))
+    }
 }
 
 /// Cached runtime AVX2 detection. The kernels are written as plain
@@ -58,7 +100,6 @@ pub fn resolved_threads(work: usize) -> usize {
 /// multiply-add), so results are bitwise identical across ISAs.
 #[cfg(target_arch = "x86_64")]
 fn avx2_available() -> bool {
-    use std::sync::OnceLock;
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
@@ -91,7 +132,7 @@ pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let t = threads.min(resolved_threads(m));
+    let t = split_over(threads, m);
     if t <= 1 {
         gemm_nn_serial(m, n, k, a, b, c);
         return;
@@ -244,7 +285,7 @@ pub fn gemm_nn_seq(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let t = threads.min(resolved_threads(m));
+    let t = split_over(threads, m);
     if t <= 1 {
         gemm_nn_seq_serial(m, n, k, a, b, c);
         return;
@@ -387,7 +428,7 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let t = threads.min(resolved_threads(m));
+    let t = split_over(threads, m);
     if t <= 1 {
         gemm_nt_serial(m, n, k, a, b, c);
         return;

@@ -104,7 +104,7 @@ impl ConvBnRelu {
     }
 
     fn forward_ws(&mut self, x: &Tensor4, training: bool, ws: &mut Workspace) -> Tensor4 {
-        let a = self.conv.forward_ws(x, ws);
+        let a = self.conv.forward_ws(x, training, ws);
         let b = self.bn.forward_ws(&a, training, ws);
         ws.give4(a);
         self.relu.forward_owned(b)
@@ -332,7 +332,7 @@ impl Network {
     /// [`Workspace::give2`] when done.
     pub fn forward_ws(&mut self, x: &Tensor4, training: bool, ws: &mut Workspace) -> Tensor2 {
         let pooled = self.features_ws(x, training, ws);
-        let logits = self.classifier.forward_ws(&pooled, ws);
+        let logits = self.classifier.forward_ws(&pooled, training, ws);
         ws.give2(pooled);
         logits
     }
@@ -436,8 +436,9 @@ impl Network {
     }
 
     /// Accuracy over `images`, forwarding at most `chunk` samples at a
-    /// time (capping peak activation memory) and spreading chunks across
-    /// the intra-op thread budget with one network clone per worker.
+    /// time (capping peak activation memory) and, when the set is enough
+    /// work to pay for threads ([`gemm::threads_for`]), spreading chunks
+    /// across the intra-op budget with one network clone per worker.
     /// Chunking and threading cannot change the result: eval-mode forward
     /// treats every sample independently (per-sample im2col, running BN
     /// stats, row-wise dense), and the correct-count sum is an integer.
@@ -456,7 +457,8 @@ impl Network {
         let chunk = chunk.max(1);
         let n = images.n;
         let n_chunks = n.div_ceil(chunk);
-        let threads = gemm::resolved_threads(n_chunks);
+        let macs_per_image = self.flops((images.h, images.w)) / 2.0;
+        let threads = gemm::threads_for(n_chunks, chunk.min(n) * macs_per_image as usize);
         let correct: usize = if threads <= 1 {
             let mut ws = Workspace::new();
             (0..n_chunks)

@@ -63,20 +63,23 @@ impl Conv2d {
     }
 
     /// Forward pass; caches the input for backward. Convenience wrapper
-    /// over [`forward_ws`](Self::forward_ws) with a throwaway workspace.
+    /// over a training-mode [`forward_ws`](Self::forward_ws) with a
+    /// throwaway workspace.
     pub fn forward(&mut self, x: &Tensor4) -> Tensor4 {
-        self.forward_ws(x, &mut Workspace::default())
+        self.forward_ws(x, true, &mut Workspace::default())
     }
 
     /// Forward pass drawing all scratch (output tensor, im2col panel,
-    /// input cache) from `ws` instead of the allocator.
+    /// input cache) from `ws` instead of the allocator. The input is
+    /// cached for backward only when `training`.
     ///
     /// im2col + blocked GEMM: each sample's receptive fields are
-    /// unrolled and multiplied against the weight matrix. Samples are
-    /// distributed in contiguous blocks over scoped threads sized by the
-    /// intra-op budget; every output element is produced by exactly one
-    /// thread, so results are identical for any thread count.
-    pub fn forward_ws(&mut self, x: &Tensor4, ws: &mut Workspace) -> Tensor4 {
+    /// unrolled and multiplied against the weight matrix. When the batch
+    /// is enough work to pay for it ([`gemm::threads_for`]) samples are
+    /// distributed in contiguous blocks over scoped threads; every output
+    /// element is produced by exactly one thread, so results are
+    /// identical for any thread count.
+    pub fn forward_ws(&mut self, x: &Tensor4, training: bool, ws: &mut Workspace) -> Tensor4 {
         assert_eq!(x.c, self.c_in, "conv input channel mismatch");
         let (n, _, h, w) = x.shape();
         let g = ConvGeometry::same(self.c_in, h, w, self.kernel);
@@ -86,8 +89,8 @@ impl Conv2d {
         let sample_out = self.c_out * h * w;
         let weight = &self.weight;
         let bias = &self.bias;
-        let threads = gemm::resolved_threads(n.max(1));
-        if threads <= 1 || n <= 1 {
+        let threads = gemm::threads_for(n, self.c_out * g.patch() * g.pixels());
+        if threads <= 1 {
             // im2col overwrites the whole panel per sample.
             let mut col = ws.take_scratch(g.patch() * g.pixels());
             for (ni, out_s) in out.data_mut().chunks_mut(sample_out).enumerate() {
@@ -115,12 +118,14 @@ impl Conv2d {
                 }
             });
         }
-        // Recycle a cache left by a forward that never ran backward
-        // (inference), so repeated eval forwards don't drain the pool.
+        // Recycle a cache left by a training forward that never ran
+        // backward, so the pool gets its buffer back.
         if let Some(old) = self.cached_input.take() {
             ws.give4(old);
         }
-        self.cached_input = Some(ws.t4_copy(x));
+        if training {
+            self.cached_input = Some(ws.t4_copy(x));
+        }
         out
     }
 
@@ -153,8 +158,9 @@ impl Conv2d {
         let sample_in = self.c_in * h * w;
         // col2im accumulates, so the input gradient must start zeroed.
         let mut grad_in = ws.t4_zeroed(n, self.c_in, h, w);
-        let threads = gemm::resolved_threads(n.max(1));
-        if threads <= 1 || n <= 1 {
+        // Two GEMMs per sample: the input gradient and the weight gradient.
+        let threads = gemm::threads_for(n, 2 * c_out * kp * g.pixels());
+        if threads <= 1 {
             // Serial path: the per-sample (wg, bg) partials live in two
             // pooled buffers zeroed per sample and reduced immediately —
             // identical FP order to collecting them first (each partial is
@@ -838,23 +844,26 @@ impl Dense {
         }
     }
 
-    /// Forward pass; caches the input. Convenience wrapper over
-    /// [`forward_ws`](Self::forward_ws) with a throwaway workspace.
+    /// Forward pass; caches the input. Convenience wrapper over a
+    /// training-mode [`forward_ws`](Self::forward_ws) with a throwaway
+    /// workspace.
     pub fn forward(&mut self, x: &Tensor2) -> Tensor2 {
-        self.forward_ws(x, &mut Workspace::default())
+        self.forward_ws(x, true, &mut Workspace::default())
     }
 
     /// Forward pass drawing the output, the `Wᵀ` panel and the input
-    /// cache from `ws`.
+    /// cache from `ws`. The input is cached for backward only when
+    /// `training`.
     ///
     /// Blocked GEMM, bitwise identical to the sequential reference
     /// loops ([`reference::dense_forward`]): the output is seeded with
     /// the bias and [`gemm::gemm_nn_seq`] extends each element as one
     /// strict ascending-`i` sum `bias + Σ x[i]·w[i]` — exactly the
     /// reference order. Rows of the output split across scoped threads
-    /// under the intra-op budget; each element is produced by one
-    /// thread, so any budget gives identical bits.
-    pub fn forward_ws(&mut self, x: &Tensor2, ws: &mut Workspace) -> Tensor2 {
+    /// when there is enough work to pay for them ([`gemm::threads_for`]);
+    /// each element is produced by one thread, so any budget gives
+    /// identical bits.
+    pub fn forward_ws(&mut self, x: &Tensor2, training: bool, ws: &mut Workspace) -> Tensor2 {
         assert_eq!(x.cols, self.d_in, "dense input width mismatch");
         let rows = x.rows;
         // B = Wᵀ, materialized so the shared axis (d_in) is the GEMM's
@@ -872,15 +881,17 @@ impl Dense {
             x.data(),
             &wt,
             out.data_mut(),
-            gemm::resolved_threads(rows.max(1)),
+            gemm::threads_for(rows, self.d_in * self.d_out),
         );
         ws.give(wt);
-        // Recycle a cache left by a forward that never ran backward
-        // (inference), so repeated eval forwards don't drain the pool.
+        // Recycle a cache left by a training forward that never ran
+        // backward, so the pool gets its buffer back.
         if let Some(old) = self.cached_input.take() {
             ws.give2(old);
         }
-        self.cached_input = Some(ws.t2_copy(x));
+        if training {
+            self.cached_input = Some(ws.t2_copy(x));
+        }
         out
     }
 
@@ -932,7 +943,7 @@ impl Dense {
             &gt,
             x.data(),
             &mut self.wgrad,
-            gemm::resolved_threads(self.d_out.max(1)),
+            gemm::threads_for(self.d_out, self.d_in * rows),
         );
         ws.give(gt);
         let mut grad_in = ws.t2_zeroed(rows, self.d_in);
@@ -943,7 +954,7 @@ impl Dense {
             grad_out.data(),
             &self.weight,
             grad_in.data_mut(),
-            gemm::resolved_threads(rows.max(1)),
+            gemm::threads_for(rows, self.d_in * self.d_out),
         );
         ws.give2(x);
         grad_in
@@ -1039,6 +1050,25 @@ mod tests {
         assert_eq!(y.shape(), (1, 2, 4, 4));
         let gi = conv.backward(&Tensor4::zeros(1, 2, 4, 4));
         assert_eq!(gi.shape(), (1, 1, 4, 4));
+    }
+
+    #[test]
+    fn conv_caches_its_input_only_when_training() {
+        let mut r = rng(3);
+        let mut conv = Conv2d::new(1, 2, 3, &mut r);
+        let mut ws = Workspace::new();
+        let x = Tensor4::zeros(2, 1, 4, 4);
+        let eval = conv.forward_ws(&x, false, &mut ws);
+        assert!(conv.cached_input.is_none(), "eval forward kept its input");
+        let train = conv.forward_ws(&x, true, &mut ws);
+        assert!(conv.cached_input.is_some());
+        assert_eq!(bits(eval.data()), bits(train.data()));
+        let gi = conv.backward_ws(&Tensor4::zeros(2, 2, 4, 4), &mut ws);
+        assert_eq!(gi.shape(), x.shape());
+        // An eval forward also hands back a cache that never met a backward.
+        let _ = conv.forward_ws(&x, true, &mut ws);
+        let _ = conv.forward_ws(&x, false, &mut ws);
+        assert!(conv.cached_input.is_none());
     }
 
     #[test]
@@ -1346,6 +1376,24 @@ mod tests {
             (analytic - numeric).abs() / numeric.abs().max(1.0) < 2e-2,
             "analytic {analytic} numeric {numeric}"
         );
+    }
+
+    #[test]
+    fn dense_caches_its_input_only_when_training() {
+        let mut r = rng(7);
+        let mut dense = Dense::new(3, 2, &mut r);
+        let mut ws = Workspace::new();
+        let x = Tensor2::from_vec(2, 3, vec![0.5, -1.0, 2.0, 1.5, 0.0, -0.5]);
+        let eval = dense.forward_ws(&x, false, &mut ws);
+        assert!(dense.cached_input.is_none(), "eval forward kept its input");
+        let train = dense.forward_ws(&x, true, &mut ws);
+        assert!(dense.cached_input.is_some());
+        assert_eq!(bits(eval.data()), bits(train.data()));
+        let gi = dense.backward_ws(&train, &mut ws);
+        assert_eq!((gi.rows, gi.cols), (2, 3));
+        let _ = dense.forward_ws(&x, true, &mut ws);
+        let _ = dense.forward_ws(&x, false, &mut ws);
+        assert!(dense.cached_input.is_none());
     }
 
     #[test]

@@ -35,7 +35,7 @@ mod tests {
 
     #[test]
     fn output_order_equals_input_order() {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let cores = crate::gemm::host_parallelism();
         for n in [0, 1, cores - 1, cores + 1, 1000] {
             let expected: Vec<usize> = (0..n).map(|i| i * 3).collect();
             assert_eq!(par_map(n, |i| i * 3), expected, "n = {n}");

@@ -203,6 +203,11 @@ fn paper_shape_agrees_and_is_budget_invariant() {
     let mut outs = Vec::new();
     for budget in [1usize, 2, 4] {
         gemm::set_thread_budget(budget);
+        if budget > 1 {
+            // 8·9·128² MACs a sample: well over the work threshold, so
+            // the budgets above 1 really do take the threaded branch.
+            assert!(gemm::threads_for(x.n, 8 * 9 * 128 * 128) > 1);
+        }
         let mut fast = conv.clone();
         outs.push(fast.forward(&x));
     }

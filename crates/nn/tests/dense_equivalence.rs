@@ -103,37 +103,48 @@ fn panel_boundary_shapes_agree_bitwise() {
 
 /// The GEMM backend must produce identical bits under every thread
 /// budget: rows split contiguously, each output element is owned by one
-/// thread, and the per-element order never changes.
+/// thread, and the per-element order never changes. The small shape is
+/// below `gemm::threads_for`'s work threshold and runs serially whatever
+/// the budget; the large one is the one that splits.
 #[test]
 fn dense_thread_budget_invariance() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let proto = Dense::new(48, 37, &mut rng);
-    let x = Tensor2::from_vec(23, 48, fill_random(&mut rng, 23 * 48));
-    let grad = Tensor2::from_vec(23, 37, fill_random(&mut rng, 23 * 37));
-
     let prev = gemm::thread_budget();
-    let mut outs: Vec<(Tensor2, Tensor2, Vec<Vec<f32>>)> = Vec::new();
-    for budget in [1usize, 2, 3, 8] {
-        gemm::set_thread_budget(budget);
-        let mut d = proto.clone();
-        let out = d.forward(&x);
-        let gin = d.backward(&grad);
-        let mut grads = Vec::new();
-        d.visit_params(&mut |_, g| grads.push(g.to_vec()));
-        outs.push((out, gin, grads));
-    }
-    gemm::set_thread_budget(prev);
-    for (i, (out, gin, grads)) in outs.iter().enumerate().skip(1) {
-        assert_bits_eq(
-            out.data(),
-            outs[0].0.data(),
-            &format!("forward budget #{i}"),
-        );
-        assert_bits_eq(gin.data(), outs[0].1.data(), &format!("grad budget #{i}"));
-        for (s, g) in grads.iter().enumerate() {
-            assert_bits_eq(g, &outs[0].2[s], &format!("param grad budget #{i}"));
+    for (rows, d_in, d_out, splits) in [(23, 48, 37, false), (64, 512, 96, true)] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let proto = Dense::new(d_in, d_out, &mut rng);
+        let x = Tensor2::from_vec(rows, d_in, fill_random(&mut rng, rows * d_in));
+        let grad = Tensor2::from_vec(rows, d_out, fill_random(&mut rng, rows * d_out));
+
+        let mut outs: Vec<(Tensor2, Tensor2, Vec<Vec<f32>>)> = Vec::new();
+        for budget in [1usize, 2, 3, 8] {
+            gemm::set_thread_budget(budget);
+            if budget == 2 {
+                // Forward and input-gradient GEMMs split over rows, the
+                // weight-gradient GEMM over d_out.
+                let split = gemm::threads_for(rows, d_in * d_out) > 1
+                    && gemm::threads_for(d_out, d_in * rows) > 1;
+                assert_eq!(split, splits, "{rows}x{d_in}x{d_out} at budget 2");
+            }
+            let mut d = proto.clone();
+            let out = d.forward(&x);
+            let gin = d.backward(&grad);
+            let mut grads = Vec::new();
+            d.visit_params(&mut |_, g| grads.push(g.to_vec()));
+            outs.push((out, gin, grads));
+        }
+        for (i, (out, gin, grads)) in outs.iter().enumerate().skip(1) {
+            assert_bits_eq(
+                out.data(),
+                outs[0].0.data(),
+                &format!("forward budget #{i}"),
+            );
+            assert_bits_eq(gin.data(), outs[0].1.data(), &format!("grad budget #{i}"));
+            for (s, g) in grads.iter().enumerate() {
+                assert_bits_eq(g, &outs[0].2[s], &format!("param grad budget #{i}"));
+            }
         }
     }
+    gemm::set_thread_budget(prev);
 }
 
 /// Reusing a warm workspace (stale scratch contents) must not change a
@@ -149,7 +160,7 @@ fn workspace_reuse_is_bitwise_transparent() {
         let x = Tensor2::from_vec(9, 30, fill_random(&mut rng, 9 * 30));
         let grad = Tensor2::from_vec(9, 19, fill_random(&mut rng, 9 * 19));
         let out_fresh = fresh.forward(&x);
-        let out_warm = warm.forward_ws(&x, &mut ws);
+        let out_warm = warm.forward_ws(&x, true, &mut ws);
         assert_bits_eq(
             out_warm.data(),
             out_fresh.data(),
@@ -169,7 +180,7 @@ fn workspace_reuse_is_bitwise_transparent() {
     // The pool is warm after the first step: nothing allocated since.
     let after_first = ws.allocations();
     let x = Tensor2::from_vec(9, 30, fill_random(&mut rng, 9 * 30));
-    let out = warm.forward_ws(&x, &mut ws);
+    let out = warm.forward_ws(&x, true, &mut ws);
     ws.give2(out);
     assert_eq!(ws.allocations(), after_first, "warm pool allocated");
 }

@@ -54,17 +54,28 @@ fn chunk_sizes_agree_including_remainders() {
     assert_eq!(net.evaluate(&images, &labels), want);
 }
 
+/// Seventeen 8×8 images are far below `gemm::threads_for`'s work
+/// threshold and evaluate on one thread whatever the budget; 160 of them
+/// are enough to pay for a second, so that case runs the cloned-network
+/// branch.
 #[test]
 fn chunking_is_thread_budget_invariant() {
-    let (images, labels) = labeled_images(17, 2, 9);
-    let mut net = Network::new(&spec(2), &mut rand::rngs::StdRng::seed_from_u64(2));
     let prev = gemm::thread_budget();
-    gemm::set_thread_budget(1);
-    let want = net.evaluate_chunked(&images, &labels, 4);
-    for budget in [2usize, 3, 8] {
-        gemm::set_thread_budget(budget);
-        let got = net.evaluate_chunked(&images, &labels, 4);
-        assert_eq!(got, want, "budget {budget}");
+    for (n, chunk, splits) in [(17usize, 4usize, false), (160, 16, true)] {
+        let (images, labels) = labeled_images(n, 2, 9);
+        let mut net = Network::new(&spec(2), &mut rand::rngs::StdRng::seed_from_u64(2));
+        gemm::set_thread_budget(1);
+        let want = net.evaluate_chunked(&images, &labels, chunk);
+        for budget in [2usize, 3, 8] {
+            gemm::set_thread_budget(budget);
+            if budget == 2 {
+                let macs_per_chunk = chunk * (net.flops((8, 8)) / 2.0) as usize;
+                let split = gemm::threads_for(n.div_ceil(chunk), macs_per_chunk) > 1;
+                assert_eq!(split, splits, "{n} images in chunks of {chunk}");
+            }
+            let got = net.evaluate_chunked(&images, &labels, chunk);
+            assert_eq!(got, want, "{n} images, budget {budget}");
+        }
     }
     gemm::set_thread_budget(prev);
 }

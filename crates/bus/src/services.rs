@@ -98,8 +98,6 @@ impl PredictionEngineService {
                 let engine = engines
                     .entry(epoch.model_id)
                     .or_insert_with(|| PredictionEngine::new(config.clone()));
-                // Exactly the direct-path interaction sequence
-                // (core::training), so verdicts are bit-identical.
                 let interaction = catch_unwind(AssertUnwindSafe(|| {
                     if let Some(check) = &hook {
                         assert!(
@@ -109,19 +107,16 @@ impl PredictionEngineService {
                             epoch.epoch
                         );
                     }
-                    engine.observe(epoch.epoch, epoch.val_acc);
-                    let converged = engine.step();
-                    let prediction = engine.predictions().last().copied().flatten();
-                    (converged, prediction)
+                    engine.interact(epoch.epoch, epoch.val_acc)
                 }));
                 let verdict = match interaction {
-                    Ok((converged, prediction)) => {
+                    Ok(verdict) => {
                         let stats = engine.stats();
                         Event::EngineVerdict(EngineVerdict {
                             model_id: epoch.model_id,
                             epoch: epoch.epoch,
-                            prediction,
-                            converged,
+                            prediction: verdict.prediction,
+                            converged: verdict.converged,
                             engine_seconds: stats.total_seconds,
                             engine_interactions: stats.interactions,
                             retired: false,
@@ -399,17 +394,15 @@ mod tests {
         for (i, &acc) in curve.iter().enumerate() {
             let e = i as u32 + 1;
             topic.publish(epoch(7, e, acc)).unwrap();
-            reference.observe(e, acc);
-            let expect_converged = reference.step();
-            let expect_prediction = reference.predictions().last().copied().flatten();
+            let expect = reference.interact(e, acc);
             let Ok(Event::EngineVerdict(v)) = verdicts.recv() else {
                 panic!("expected a verdict");
             };
             assert_eq!(v.model_id, 7);
             assert_eq!(v.epoch, e);
-            assert_eq!(v.prediction, expect_prediction);
-            assert_eq!(v.converged, expect_converged);
-            if expect_converged.is_some() {
+            assert_eq!(v.prediction, expect.prediction);
+            assert_eq!(v.converged, expect.converged);
+            if expect.converged.is_some() {
                 break;
             }
         }

@@ -76,18 +76,18 @@ pub use resume::{config_hash, RunControl, SearchSnapshot, SNAPSHOT_VERSION};
 pub use surrogate::{SurrogateFactory, SurrogateParams};
 pub use trainer::{EpochResult, Trainer, TrainerFactory};
 pub use training::{
-    train_with_engine, train_with_engine_fallible, AttemptProgress, TrainingOutcome,
+    train_with_engine_fallible, AttemptProgress, EngineLink, InlineEngine, TrainingOutcome,
 };
 pub use workflow::{A4nnWorkflow, Orchestration, RunOptions, RunOutput};
 
 /// Convenience re-exports, including the satellite crates' key types.
 pub mod prelude {
     pub use crate::{
-        netspec_from_arch, train_with_engine, A4nnError, A4nnWorkflow, CheckpointStore,
-        EpochResult, EvalPipeline, FaultStats, FaultTolerance, ModelCost, NasSettings,
-        ObjectiveKind, ObjectiveSet, Orchestration, RealTrainerFactory, RunControl, RunOptions,
-        RunOutput, SearchSnapshot, SurrogateFactory, SurrogateParams, Trainer, TrainerFactory,
-        TrainingHyperparams, TrainingOutcome, Transport, TransportStats, WorkflowConfig,
+        netspec_from_arch, A4nnError, A4nnWorkflow, CheckpointStore, EpochResult, EvalPipeline,
+        FaultStats, FaultTolerance, ModelCost, NasSettings, ObjectiveKind, ObjectiveSet,
+        Orchestration, RealTrainerFactory, RunControl, RunOptions, RunOutput, SearchSnapshot,
+        SurrogateFactory, SurrogateParams, Trainer, TrainerFactory, TrainingHyperparams,
+        TrainingOutcome, Transport, TransportStats, WorkflowConfig,
     };
     pub use a4nn_faults::{ChaosSpec, FaultEvent, FaultPlan};
     pub use a4nn_genome::{Genome, SearchSpace};

@@ -7,51 +7,61 @@
 //! fault-tolerance layer's retries and deterministic injection always
 //! on — a zero-fault plan with no retries *is* the plain path), replay
 //! the simulated durations on the discrete-event scheduler, and emit
-//! record trails. The transport decides only *how* trainers and the
-//! prediction engine are coupled:
+//! record trails.
 //!
-//! - [`DirectTransport`] — in-process calls: trainers run as jobs on the
-//!   sched thread pool, each driving its own engine instance inline;
-//! - [`BusTransport`] — the `a4nn-bus` event bus (§2.2's in-situ task
-//!   coupling): trainers run as jobs on the sched thread pool, publish
-//!   per-epoch fitness, and block on the engine service's verdicts; the
-//!   lineage recorder service folds the stream into the run's commons.
+//! Every transport trains a model the same way: one job per genome,
+//! running the one retry loop [`train_resilient_direct`] around the one
+//! Algorithm-1 loop (`training::train_with_engine_fallible`). What a
+//! transport chooses is only where the job runs and how its trainer
+//! reaches the prediction engine — the [`EngineLink`]:
+//!
+//! - [`DirectTransport`] — jobs on the sched thread pool, each driving
+//!   its own engine instance inline ([`InlineEngine`]);
+//! - [`BusTransport`] — Direct plus a topic: the same jobs, whose link
+//!   publishes per-epoch fitness on the `a4nn-bus` event bus (§2.2's
+//!   in-situ task coupling) and blocks on the engine service's verdicts;
+//!   the lineage recorder service folds the stream into the run's
+//!   commons;
+//! - `a4nn-net`'s socket transport — the same function with an inline
+//!   engine on a worker process.
 //!
 //! The pipeline assembles each generation's record trails itself on every
 //! transport — boundary snapshots need them as the generation completes,
 //! and the transport-equivalence contract makes them byte-identical to
 //! what the recorder service folds.
 //!
-//! Determinism contract: both transports consult the same
+//! Determinism contract: every transport consults the same
 //! [`FaultTolerance`] plan at the same `(model, epoch, attempt)` sites
-//! and reproduce identical record trails per seed.
+//! and reproduces identical record trails per seed.
 //!
 //! Failure taxonomy: trainer panics (injected or organic) are *data* —
 //! they flow through retries into `Terminated::Failed` records. An
 //! [`A4nnError`] is reserved for the machinery itself breaking: a bus
-//! that closed mid-run, a poisoned pool, a crashed service thread.
+//! that closed mid-run, a trainer factory that panicked, a poisoned pool,
+//! a crashed service thread.
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::WorkflowConfig;
 use crate::fault::FaultTolerance;
 use crate::objectives::ModelCost;
-use crate::trainer::TrainerFactory;
-use crate::training::{train_with_engine_fallible, AttemptProgress, TrainingOutcome};
+use crate::trainer::{EpochResult, TrainerFactory};
+use crate::training::{
+    train_with_engine_fallible, AttemptProgress, EngineLink, InlineEngine, TrainingOutcome,
+};
 use a4nn_bus::{
-    EpochCompleted, Event, GenerationScheduled, GpuSlot, ModelCompleted, Policy, Topic,
-    TrainingFailed,
+    EpochCompleted, Event, GenerationScheduled, GpuSlot, ModelCompleted, Policy, Subscription,
+    Topic, TrainingFailed,
 };
 use a4nn_error::A4nnError;
 use a4nn_genome::{Genome, SearchSpace};
-use a4nn_lineage::{EngineParamsRecord, EpochRecord, ModelRecord};
+use a4nn_lineage::{EngineParamsRecord, ModelRecord};
 use a4nn_metrics::{MetricsRegistry, MetricsSnapshot};
-use a4nn_penguin::ParametricCurve;
+use a4nn_penguin::{ParametricCurve, Verdict};
 use a4nn_sched::{
     schedule_fifo, schedule_fifo_retry, GpuPool, RetryPolicy, RetryTask, ScheduleResult, Task,
     TaskOrdering,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Per-transport dispatch counters for one run — the first slice of the
@@ -423,44 +433,10 @@ impl Transport for DirectTransport {
         _generation: usize,
         base_id: u64,
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError> {
-        let jobs: Vec<_> = genomes
-            .iter()
-            .enumerate()
-            .map(|(k, genome)| {
-                move |_worker: usize| {
-                    train_resilient_direct(
-                        pipeline.cfg,
-                        pipeline.factory,
-                        genome,
-                        base_id + k as u64,
-                        pipeline.checkpoints,
-                        pipeline.ft,
-                    )
-                }
-            })
-            .collect();
-        let (outputs, reports) = GpuPool::new(pipeline.cfg.gpus).run_batch(jobs)?;
-        outputs
-            .into_iter()
-            .zip(&reports)
-            .enumerate()
-            .map(|(k, (output, report))| {
-                // Trainer panics are absorbed inside the job; one that
-                // reaches the pool came from the machinery around them.
-                let (outcome, cost) = output.ok_or_else(|| {
-                    A4nnError::Internal(format!(
-                        "training job for model {} panicked outside its attempts",
-                        base_id + k as u64
-                    ))
-                })?;
-                pipeline.record_job(
-                    report.seconds,
-                    0.0,
-                    u64::from(outcome.attempts.saturating_sub(1)),
-                );
-                Ok((outcome, cost))
-            })
-            .collect()
+        let (engine, plan) = (pipeline.cfg.engine.as_ref(), &pipeline.ft.plan);
+        train_generation(pipeline, genomes, base_id, |model_id| {
+            InlineEngine::new(engine, Some((plan, model_id)))
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -468,20 +444,14 @@ impl Transport for DirectTransport {
     }
 }
 
-/// Bus coupling: trainers run as jobs on the sched thread pool
-/// ([`GpuPool`]), publish per-epoch fitness onto the topic, and block on
-/// the engine service's verdicts — the same synchronous per-epoch
-/// hand-off as Algorithm 1, just routed through communicators. Requires
-/// the engine service (when `cfg.engine` is set), the lineage recorder,
-/// and any stats services to already be subscribed.
-///
-/// Fault tolerance: attempts run under the pool's `catch_unwind`; a
-/// dying attempt publishes [`TrainingFailed`] *before* it unwinds, so
-/// the engine and recorder services discard its partial state ahead of
-/// any retry's events. A trainer that receives a `retired` verdict (the
-/// engine crashed for its model) — or whose verdict subscription dies
-/// outright — degrades to run-to-completion training instead of
-/// deadlocking.
+/// Bus coupling: Direct plus a topic. Trainers run exactly as in
+/// [`DirectTransport`] — one job per genome on the sched thread pool,
+/// each through [`train_resilient_direct`] — but their engine is a bus
+/// link: per-epoch fitness goes out on the topic and the engine
+/// service's verdicts come back on it, the same synchronous hand-off as
+/// Algorithm 1, routed through communicators. Requires the engine
+/// service (when `cfg.engine` is set), the lineage recorder, and any
+/// stats services to already be subscribed.
 pub struct BusTransport<'t> {
     topic: &'t Topic<Event>,
 }
@@ -501,79 +471,14 @@ impl Transport for BusTransport<'_> {
         generation: usize,
         base_id: u64,
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError> {
-        let cfg = pipeline.cfg;
-        let engine_enabled = cfg.engine.is_some();
-        let partials: Mutex<HashMap<u64, Partial>> = Mutex::new(HashMap::new());
-        let jobs: Vec<_> = genomes
-            .iter()
-            .enumerate()
-            .map(|(k, genome)| {
-                let model_id = base_id + k as u64;
-                let topic = self.topic.clone();
-                let partials = &partials;
-                move |_worker: usize, attempt: u32| {
-                    train_over_bus(
-                        cfg,
-                        pipeline.factory,
-                        genome,
-                        model_id,
-                        generation,
-                        engine_enabled,
-                        pipeline.checkpoints,
-                        &topic,
-                        pipeline.ft,
-                        attempt,
-                        partials,
-                    )
-                }
-            })
-            .collect();
-        let batch = GpuPool::new(cfg.gpus).run_batch_retry(jobs, &pipeline.ft.retry)?;
-
-        let mut partials = partials.into_inner();
-        let reports = batch.reports;
-        for report in &reports {
-            pipeline.record_job(
-                report.seconds,
-                0.0,
-                u64::from(report.attempts.saturating_sub(1)),
-            );
-        }
-        let mut outcomes = Vec::with_capacity(genomes.len());
-        for (k, output) in batch.outputs.into_iter().enumerate() {
-            let model_id = base_id + k as u64;
-            let attempts = reports[k].attempts;
-            let partial = partials.remove(&model_id).unwrap_or_default();
-            match output {
-                Some(Ok((mut outcome, cost))) => {
-                    outcome.attempts = attempts;
-                    outcome.failed_attempt_seconds = partial.failed_attempt_seconds;
-                    outcomes.push((outcome, cost));
-                }
-                // The attempt itself hit broken machinery (bus closed
-                // mid-run): abort the generation.
-                Some(Err(e)) => return Err(e),
-                None => {
-                    // Every attempt died: a failed outcome from the
-                    // final attempt's partial trail, mirroring the
-                    // direct path.
-                    let outcome = TrainingOutcome {
-                        epochs: partial.epochs,
-                        final_fitness: 0.0,
-                        predicted_fitness: None,
-                        terminated_early: false,
-                        failed: true,
-                        attempts,
-                        failed_attempt_seconds: partial.failed_attempt_seconds,
-                        train_seconds: partial.train_seconds,
-                        engine_seconds: 0.0,
-                        engine_interactions: 0,
-                    };
-                    outcomes.push((outcome, partial.cost));
-                }
-            }
-        }
-        Ok(outcomes)
+        train_generation(pipeline, genomes, base_id, |model_id| BusLink {
+            topic: self.topic,
+            model_id,
+            generation,
+            engine_enabled: pipeline.cfg.engine.is_some(),
+            verdicts: None,
+            stats: (0.0, 0),
+        })
     }
 
     fn publish_generation(
@@ -673,11 +578,68 @@ fn generation_schedule(
     }
 }
 
-/// Train one model in direct mode with retries: each attempt runs under
-/// `catch_unwind` with a fresh trainer (deterministic replay of the
-/// same stochastic stream), and a model that exhausts its budget
-/// returns a `failed` outcome carrying the final attempt's partial
-/// trail instead of poisoning the generation.
+/// Train every genome of a generation as one job on the pool, each
+/// through [`train_resilient_direct`] with the engine link `link_for`
+/// builds for its model id — the whole of a generation on the
+/// in-process transports, which differ only in that link.
+fn train_generation<L: EngineLink>(
+    pipeline: &EvalPipeline<'_>,
+    genomes: &[Genome],
+    base_id: u64,
+    link_for: impl Fn(u64) -> L + Sync,
+) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError> {
+    let link_for = &link_for;
+    let jobs: Vec<_> = genomes
+        .iter()
+        .enumerate()
+        .map(|(k, genome)| {
+            let model_id = base_id + k as u64;
+            move |_worker: usize| {
+                train_resilient_direct(
+                    pipeline.cfg,
+                    pipeline.factory,
+                    genome,
+                    model_id,
+                    pipeline.checkpoints,
+                    pipeline.ft,
+                    &mut link_for(model_id),
+                )
+            }
+        })
+        .collect();
+    let (outputs, reports) = GpuPool::new(pipeline.cfg.gpus).run_batch(jobs)?;
+    outputs
+        .into_iter()
+        .zip(&reports)
+        .enumerate()
+        .map(|(k, (output, report))| {
+            // Trainer panics are absorbed inside the job; one that
+            // reaches the pool came from the machinery around them.
+            let (outcome, cost) = output.ok_or_else(|| {
+                A4nnError::Internal(format!(
+                    "training job for model {} panicked outside its attempts",
+                    base_id + k as u64
+                ))
+            })??;
+            pipeline.record_job(
+                report.seconds,
+                0.0,
+                u64::from(outcome.attempts.saturating_sub(1)),
+            );
+            Ok((outcome, cost))
+        })
+        .collect()
+}
+
+/// Train one model with retries — the one retry loop of every
+/// transport. Each attempt runs under `catch_unwind` with a fresh
+/// trainer (deterministic replay of the same stochastic stream) and
+/// tells `engine` when it dies, injected fault or organic panic alike;
+/// a model that exhausts its budget returns a `failed` outcome carrying
+/// the final attempt's partial trail instead of poisoning the
+/// generation. `factory.make` runs outside the attempt: a factory that
+/// panics is broken machinery, not a trainer crash. `Err` only when the
+/// engine link broke (a closed bus).
 ///
 /// Public because the `a4nn-net` worker runs exactly this function for
 /// each job it receives — remote training is the same deterministic
@@ -690,7 +652,9 @@ pub fn train_resilient_direct(
     model_id: u64,
     checkpoints: Option<&CheckpointStore>,
     ft: &FaultTolerance,
-) -> (TrainingOutcome, ModelCost) {
+    engine: &mut dyn EngineLink,
+) -> Result<(TrainingOutcome, ModelCost), A4nnError> {
+    let max_attempts = ft.retry.max_attempts.max(1);
     let mut failed_attempt_seconds = Vec::new();
     let mut attempt = 1u32;
     loop {
@@ -699,7 +663,7 @@ pub fn train_resilient_direct(
         let result = catch_unwind(AssertUnwindSafe(|| {
             train_with_engine_fallible(
                 trainer.as_mut(),
-                cfg.engine.as_ref(),
+                engine,
                 cfg.nas.epochs,
                 checkpoints.map(|store| (store, model_id)),
                 Some((&ft.plan, model_id, attempt)),
@@ -709,196 +673,130 @@ pub fn train_resilient_direct(
         // Read after training (or after the attempt's panic unwound):
         // the workspace peak is a high-water mark over the epochs run.
         let cost = trainer.cost();
-        match result {
-            Ok(mut outcome) => {
-                outcome.attempts = attempt;
-                outcome.failed_attempt_seconds = failed_attempt_seconds;
-                return (outcome, cost);
-            }
-            Err(_) if attempt < ft.retry.max_attempts.max(1) => {
-                failed_attempt_seconds.push(progress.train_seconds);
-                attempt += 1;
-            }
-            Err(_) => {
-                // Retry budget exhausted: surface the partial trail as a
-                // Terminated::Failed record with fitness 0, which NSGA-II
-                // treats as dominated.
-                let outcome = TrainingOutcome {
-                    epochs: progress.epochs,
-                    final_fitness: 0.0,
-                    predicted_fitness: None,
-                    terminated_early: false,
-                    failed: true,
-                    attempts: attempt,
-                    failed_attempt_seconds,
-                    train_seconds: progress.train_seconds,
-                    engine_seconds: 0.0,
-                    engine_interactions: 0,
-                };
-                return (outcome, cost);
-            }
+        if let Ok(outcome) = result {
+            let mut outcome = outcome?;
+            outcome.attempts = attempt;
+            outcome.failed_attempt_seconds = failed_attempt_seconds;
+            return Ok((outcome, cost));
         }
+        let will_retry = attempt < max_attempts;
+        engine.attempt_died(attempt, progress.epochs.len() as u32, will_retry)?;
+        if will_retry {
+            failed_attempt_seconds.push(progress.train_seconds);
+            attempt += 1;
+            continue;
+        }
+        // Retry budget exhausted: surface the partial trail as a
+        // Terminated::Failed record with fitness 0, which NSGA-II
+        // treats as dominated.
+        let outcome = TrainingOutcome {
+            epochs: progress.epochs,
+            final_fitness: 0.0,
+            predicted_fitness: None,
+            terminated_early: false,
+            failed: true,
+            attempts: attempt,
+            failed_attempt_seconds,
+            train_seconds: progress.train_seconds,
+            engine_seconds: 0.0,
+            engine_interactions: 0,
+        };
+        return Ok((outcome, cost));
     }
 }
 
-/// What a dying or dead attempt leaves behind for the failure
-/// bookkeeping: the final attempt's partial trail plus the simulated
-/// seconds every failed attempt consumed.
-#[derive(Debug, Default)]
-struct Partial {
-    epochs: Vec<EpochRecord>,
-    train_seconds: f64,
-    cost: ModelCost,
-    failed_attempt_seconds: Vec<f64>,
-}
-
-/// One attempt of Algorithm 1 with the engine across the bus: publish
-/// the epoch, block on the engine service's verdict, terminate early on
-/// convergence. Injected trainer faults record their partial progress
-/// and announce [`TrainingFailed`] before panicking out to the pool; a
-/// `retired` verdict (or a dead verdict stream) degrades the rest of the
-/// attempt to run-to-completion training. `Err` only when the bus
-/// closed under the attempt.
-#[allow(clippy::too_many_arguments)]
-fn train_over_bus(
-    cfg: &WorkflowConfig,
-    factory: &dyn TrainerFactory,
-    genome: &Genome,
+/// The engine across the bus: each epoch is published as
+/// [`EpochCompleted`] and the trainer blocks on the engine service's
+/// [`EngineVerdict`](Event::EngineVerdict) for it. A `retired` verdict
+/// (the engine crashed for this model) — or a verdict stream that dies
+/// outright — degrades the rest of the attempt to run-to-completion
+/// training instead of deadlocking. A dead attempt is announced as
+/// [`TrainingFailed`] so the engine and recorder services discard its
+/// partial state ahead of any retry's events.
+struct BusLink<'t> {
+    topic: &'t Topic<Event>,
     model_id: u64,
     generation: usize,
     engine_enabled: bool,
-    checkpoints: Option<&CheckpointStore>,
-    topic: &Topic<Event>,
-    ft: &FaultTolerance,
-    attempt: u32,
-    partials: &Mutex<HashMap<u64, Partial>>,
-) -> Result<(TrainingOutcome, ModelCost), A4nnError> {
-    // Subscribe to this model's verdicts before the first publish so no
-    // reply can be missed. Capacity 1 suffices: the hand-off is
-    // strictly request/reply, one verdict in flight per model.
-    let mut verdicts = engine_enabled.then(|| {
-        topic.subscribe_filtered(
-            Policy::Block { capacity: 1 },
-            move |event| matches!(event, Event::EngineVerdict(v) if v.model_id == model_id),
-        )
-    });
-    let mut trainer = factory.make(genome, model_id, cfg.seed);
-    let max_epochs = cfg.nas.epochs;
-    let mut epochs = Vec::with_capacity(max_epochs as usize);
-    let mut train_seconds = 0.0;
-    let mut final_fitness = 0.0;
-    let mut predicted_fitness = None;
-    let mut terminated_early = false;
-    let mut engine_seconds = 0.0;
-    let mut engine_interactions = 0u64;
+    verdicts: Option<Subscription<Event>>,
+    stats: (f64, u64),
+}
 
-    for e in 1..=max_epochs {
-        let stall = ft.plan.stall_millis(model_id, e);
-        if stall > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(stall));
+impl EngineLink for BusLink<'_> {
+    fn observe(&mut self, epoch: u32, result: &EpochResult) -> Result<Verdict, A4nnError> {
+        let model_id = self.model_id;
+        if epoch == 1 {
+            // A fresh attempt: subscribe to this model's verdicts before
+            // its first publish, so no reply can be missed. Capacity 1
+            // suffices: the hand-off is strictly request/reply.
+            self.stats = (0.0, 0);
+            self.verdicts = self.engine_enabled.then(|| {
+                self.topic.subscribe_filtered(
+                    Policy::Block { capacity: 1 },
+                    move |event| matches!(event, Event::EngineVerdict(v) if v.model_id == model_id),
+                )
+            });
         }
-        if ft.plan.panic_due(model_id, e, attempt) {
-            let will_retry = attempt < ft.retry.max_attempts.max(1);
-            {
-                let mut map = partials.lock();
-                let partial = map.entry(model_id).or_default();
-                // Same read point as the direct path: the cost after the
-                // epochs this attempt actually ran.
-                partial.cost = trainer.cost();
-                if will_retry {
-                    partial.failed_attempt_seconds.push(train_seconds);
-                } else {
-                    partial.epochs = std::mem::take(&mut epochs);
-                    partial.train_seconds = train_seconds;
-                }
-            }
-            // Announce the failure before unwinding so every subscriber
-            // sees it ahead of any retry's events. A publish error means
-            // the bus already closed; the panic below still aborts the
-            // attempt either way.
-            let _ = topic.publish(Event::TrainingFailed(TrainingFailed {
-                model_id,
-                generation,
-                epoch_reached: e - 1,
-                attempt,
-                will_retry,
-            }));
-            panic!("injected trainer fault: model {model_id} epoch {e} attempt {attempt}");
-        }
-        let result = trainer.train_epoch(e);
-        if let Some(store) = checkpoints {
-            if let Some(state) = trainer.snapshot(e) {
-                store.put(model_id, e, state);
-            }
-        }
-        train_seconds += result.duration_s;
-        final_fitness = result.val_acc;
-        topic
+        self.topic
             .publish(Event::EpochCompleted(EpochCompleted {
                 model_id,
-                generation,
-                epoch: e,
+                generation: self.generation,
+                epoch,
                 train_acc: result.train_acc,
                 val_acc: result.val_acc,
                 duration_s: result.duration_s,
             }))
             .map_err(|_| {
-                A4nnError::BusClosed(format!("publishing epoch {e} of model {model_id}"))
+                A4nnError::BusClosed(format!("publishing epoch {epoch} of model {model_id}"))
             })?;
-        let mut prediction = None;
-        let mut converged = None;
-        if let Some(stream) = verdicts.take() {
-            match stream.recv() {
-                Ok(Event::EngineVerdict(v)) if v.retired => {
-                    // The engine crashed for this model; keep its frozen
-                    // stats and run the remaining epochs without it.
-                    engine_seconds = v.engine_seconds;
-                    engine_interactions = v.engine_interactions;
+        let Some(stream) = self.verdicts.take() else {
+            return Ok(Verdict::default());
+        };
+        match stream.recv() {
+            Ok(Event::EngineVerdict(v)) => {
+                self.stats = (v.engine_seconds, v.engine_interactions);
+                if v.retired {
+                    // Keep the frozen stats; no more verdicts will come.
+                    return Ok(Verdict::default());
                 }
-                Ok(Event::EngineVerdict(v)) => {
-                    prediction = v.prediction;
-                    converged = v.converged;
-                    engine_seconds = v.engine_seconds;
-                    engine_interactions = v.engine_interactions;
-                    verdicts = Some(stream);
-                }
-                // The engine service itself died: degrade to
-                // run-to-completion instead of deadlocking.
-                _ => {}
+                self.verdicts = Some(stream);
+                Ok(Verdict {
+                    prediction: v.prediction,
+                    converged: v.converged,
+                })
             }
-        }
-        epochs.push(EpochRecord {
-            epoch: e,
-            train_acc: result.train_acc,
-            val_acc: result.val_acc,
-            duration_s: result.duration_s,
-            prediction,
-        });
-        if let Some(p) = converged {
-            final_fitness = p;
-            predicted_fitness = Some(p);
-            terminated_early = true;
-            break;
+            // The engine service itself died: degrade to
+            // run-to-completion instead of deadlocking.
+            _ => Ok(Verdict::default()),
         }
     }
-    Ok((
-        TrainingOutcome {
-            epochs,
-            final_fitness,
-            predicted_fitness,
-            terminated_early,
-            // NaN fitness classifies as failed, exactly as in the direct
-            // path (`train_with_engine_fallible`) — the two transports
-            // must stay byte-identical.
-            failed: final_fitness.is_nan(),
-            attempts: attempt,
-            failed_attempt_seconds: Vec::new(),
-            train_seconds,
-            engine_seconds,
-            engine_interactions,
-        },
-        trainer.cost(),
-    ))
+
+    fn stats(&self) -> (f64, u64) {
+        self.stats
+    }
+
+    fn attempt_died(
+        &mut self,
+        attempt: u32,
+        epoch_reached: u32,
+        will_retry: bool,
+    ) -> Result<(), A4nnError> {
+        self.topic
+            .publish(Event::TrainingFailed(TrainingFailed {
+                model_id: self.model_id,
+                generation: self.generation,
+                epoch_reached,
+                attempt,
+                will_retry,
+            }))
+            .map_err(|_| {
+                A4nnError::BusClosed(format!(
+                    "announcing failed attempt {attempt} of model {}",
+                    self.model_id
+                ))
+            })?;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1011,7 +909,13 @@ mod tests {
         }
     }
 
-    fn probe_run(gpus: usize, factory: &ProbeFactory) -> Result<BatchResult, A4nnError> {
+    /// Six engine-less models through `transport`. With no engine in
+    /// the config, no service needs to answer the bus link.
+    fn probe_run(
+        gpus: usize,
+        factory: &ProbeFactory,
+        transport: &dyn Transport,
+    ) -> Result<BatchResult, A4nnError> {
         let mut cfg = WorkflowConfig::a4nn(BeamIntensity::Medium, gpus, 7);
         cfg.engine = None;
         cfg.nas.epochs = 3;
@@ -1020,14 +924,15 @@ mod tests {
         let pipeline = EvalPipeline::new(&cfg, &space, factory, None, &ft);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let genomes: Vec<_> = (0..6).map(|_| space.random_genome(&mut rng)).collect();
-        pipeline.run(&DirectTransport, &genomes, 0, 0)
+        pipeline.run(transport, &genomes, 0, 0)
     }
 
     #[test]
     fn direct_trains_at_most_gpus_models_at_once() {
         for gpus in [1, 2] {
             let factory = ProbeFactory::default();
-            assert_eq!(probe_run(gpus, &factory).unwrap().outcomes.len(), 6);
+            let batch = probe_run(gpus, &factory, &DirectTransport).unwrap();
+            assert_eq!(batch.outcomes.len(), 6);
             let peak = factory.live_and_peak.1.load(Ordering::SeqCst);
             assert!((1..=gpus).contains(&peak), "peak {peak} with {gpus} gpu(s)");
         }
@@ -1035,12 +940,20 @@ mod tests {
 
     #[test]
     fn direct_reports_a_panic_outside_the_attempts_as_internal_error() {
-        let factory = ProbeFactory {
-            poisoned: Some(4),
-            ..ProbeFactory::default()
-        };
-        let err = probe_run(2, &factory).unwrap_err();
-        assert!(matches!(err, A4nnError::Internal(_)), "got {err}");
+        let topic: Topic<Event> = Topic::new("a4nn");
+        let bus = BusTransport::new(&topic);
+        for transport in [&DirectTransport as &dyn Transport, &bus] {
+            let factory = ProbeFactory {
+                poisoned: Some(4),
+                ..ProbeFactory::default()
+            };
+            let err = probe_run(2, &factory, transport).unwrap_err();
+            assert!(
+                matches!(err, A4nnError::Internal(_)),
+                "{}: got {err}",
+                transport.name()
+            );
+        }
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! runs to the epoch budget and the last measured `h_e` is used.
 
 use crate::checkpoint::CheckpointStore;
-use crate::trainer::Trainer;
+use crate::trainer::{EpochResult, Trainer};
+use a4nn_error::A4nnError;
 use a4nn_faults::FaultPlan;
 use a4nn_lineage::{EpochRecord, Terminated};
-use a4nn_penguin::{EngineConfig, PredictionEngine};
+use a4nn_penguin::{EngineConfig, PredictionEngine, Verdict};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -77,47 +78,113 @@ pub struct AttemptProgress {
     pub train_seconds: f64,
 }
 
-/// Run Algorithm 1 over `trainer` for at most `max_epochs` epochs.
-/// `engine_config = None` reproduces the standalone NAS (built-in
-/// truncated training: always the full budget).
-pub fn train_with_engine(
-    trainer: &mut dyn Trainer,
-    engine_config: Option<&EngineConfig>,
-    max_epochs: u32,
-) -> TrainingOutcome {
-    train_with_engine_fallible(
-        trainer,
-        engine_config,
-        max_epochs,
-        None,
-        None,
-        &mut AttemptProgress::default(),
-    )
+/// Algorithm 1's per-epoch hand-off between a trainer and the prediction
+/// engine, wherever the engine runs: [`InlineEngine`] in the trainer's own
+/// thread (Direct and socket transports) or a link to the engine service
+/// behind a bus topic (`pipeline`'s Bus transport). The training and
+/// retry loops see only this seam, so every transport records the same
+/// trails. Every attempt starts at epoch 1, and a link starts the
+/// attempt's engine state afresh there.
+pub trait EngineLink {
+    /// Hand epoch `epoch`'s measurements to the engine and return its
+    /// verdict. A link whose engine is gone (disabled, crashed, retired)
+    /// answers [`Verdict::default`]. `Err` only when the link's own
+    /// machinery broke (a closed bus).
+    fn observe(&mut self, epoch: u32, result: &EpochResult) -> Result<Verdict, A4nnError>;
+
+    /// `(engine_seconds, engine_interactions)` of the current attempt —
+    /// frozen at the crash point if the engine died under it.
+    fn stats(&self) -> (f64, u64);
+
+    /// The current attempt died after `epoch_reached` completed epochs;
+    /// `will_retry` says whether another attempt follows. A link with no
+    /// one to tell ignores it.
+    fn attempt_died(
+        &mut self,
+        _attempt: u32,
+        _epoch_reached: u32,
+        _will_retry: bool,
+    ) -> Result<(), A4nnError> {
+        Ok(())
+    }
 }
 
-/// One fallible attempt of Algorithm 1 with fault injection.
+/// The prediction engine running inline in the trainer's thread.
+///
+/// An engine crash — injected through the fault plan's `EngineDrop`
+/// sites, or organic — is caught here: the engine stops answering with
+/// its stats frozen at the crash and the rest of the attempt trains to
+/// completion, the same protocol the bus engine service follows.
+pub struct InlineEngine<'a> {
+    config: Option<&'a EngineConfig>,
+    faults: Option<(&'a FaultPlan, u64)>,
+    engine: Option<PredictionEngine>,
+    crashed: bool,
+}
+
+impl<'a> InlineEngine<'a> {
+    /// An engine built from `config` (`None` is the standalone NAS: no
+    /// engine, always the full epoch budget). `faults = Some((plan,
+    /// model_id))` arms the plan's engine-crash sites for that model.
+    pub fn new(config: Option<&'a EngineConfig>, faults: Option<(&'a FaultPlan, u64)>) -> Self {
+        InlineEngine {
+            config,
+            faults,
+            engine: None,
+            crashed: false,
+        }
+    }
+}
+
+impl EngineLink for InlineEngine<'_> {
+    fn observe(&mut self, epoch: u32, result: &EpochResult) -> Result<Verdict, A4nnError> {
+        if epoch == 1 {
+            self.engine = self.config.map(|cfg| PredictionEngine::new(cfg.clone()));
+            self.crashed = false;
+        }
+        let Some(engine) = self.engine.as_mut().filter(|_| !self.crashed) else {
+            return Ok(Verdict::default());
+        };
+        let crash = self
+            .faults
+            .is_some_and(|(plan, model_id)| plan.engine_dropped(model_id, epoch));
+        let interaction = catch_unwind(AssertUnwindSafe(|| {
+            assert!(!crash, "injected engine fault");
+            engine.interact(epoch, result.val_acc)
+        }));
+        self.crashed = interaction.is_err();
+        Ok(interaction.unwrap_or_default())
+    }
+
+    fn stats(&self) -> (f64, u64) {
+        self.engine.as_ref().map_or((0.0, 0), |e| {
+            let stats = e.stats();
+            (stats.total_seconds, stats.interactions)
+        })
+    }
+}
+
+/// One fallible attempt of Algorithm 1 over `trainer` for at most
+/// `max_epochs` epochs, coupled to the prediction engine through
+/// `engine`.
 ///
 /// `checkpoints = Some((store, model_id))` writes the trainer's per-epoch
 /// state into the store (§2.2.2); trainers that cannot snapshot (the
 /// surrogate) simply contribute nothing.
-/// `faults = Some((plan, model_id, attempt))` arms the plan's injection
-/// sites for this model/attempt; `None` (or an empty plan) runs the exact
-/// happy-path loop of [`train_with_engine`]. An injected
-/// trainer fault panics out of this function after `progress` has been
-/// updated, so the caller's `catch_unwind` still sees the partial trail.
-/// An injected engine crash is caught *here*: the engine is dropped with
-/// its stats frozen at the previous epoch and training degrades to
-/// run-to-completion — the same protocol the bus engine service follows.
+/// `faults = Some((plan, model_id, attempt))` arms the plan's trainer
+/// injection sites for this model/attempt; `None` (or an empty plan)
+/// runs the plain loop. An injected trainer fault panics out of this
+/// function after `progress` has been updated, so the caller's
+/// `catch_unwind` still sees the partial trail. `Err` only when the
+/// engine link broke.
 pub fn train_with_engine_fallible(
     trainer: &mut dyn Trainer,
-    engine_config: Option<&EngineConfig>,
+    engine: &mut dyn EngineLink,
     max_epochs: u32,
     checkpoints: Option<(&CheckpointStore, u64)>,
     faults: Option<(&FaultPlan, u64, u32)>,
     progress: &mut AttemptProgress,
-) -> TrainingOutcome {
-    let mut engine = engine_config.map(|cfg| PredictionEngine::new(cfg.clone()));
-    let mut frozen = (0.0, 0u64);
+) -> Result<TrainingOutcome, A4nnError> {
     let mut final_fitness = 0.0;
     let mut predicted_fitness = None;
     let mut terminated_early = false;
@@ -140,51 +207,23 @@ pub fn train_with_engine_fallible(
         }
         progress.train_seconds += result.duration_s;
         final_fitness = result.val_acc;
-        let mut prediction = None;
-        let mut converged = None;
-        if let Some(mut eng) = engine.take() {
-            let crash = faults.is_some_and(|(plan, model_id, _)| plan.engine_dropped(model_id, e));
-            let interaction = catch_unwind(AssertUnwindSafe(|| {
-                assert!(!crash, "injected engine fault");
-                eng.observe(e, result.val_acc);
-                let converged = eng.step();
-                let prediction = eng.predictions().last().copied().flatten();
-                (converged, prediction)
-            }));
-            match interaction {
-                Ok((c, p)) => {
-                    converged = c;
-                    prediction = p;
-                    engine = Some(eng);
-                }
-                Err(_) => {
-                    // Engine crashed before observing epoch `e`: freeze
-                    // its stats there and fall back to run-to-completion
-                    // training — exactly what the bus trainer does on a
-                    // retired verdict.
-                    let stats = eng.stats();
-                    frozen = (stats.total_seconds, stats.interactions);
-                }
-            }
-        }
+        let verdict = engine.observe(e, &result)?;
         progress.epochs.push(EpochRecord {
             epoch: e,
             train_acc: result.train_acc,
             val_acc: result.val_acc,
             duration_s: result.duration_s,
-            prediction,
+            prediction: verdict.prediction,
         });
-        if let Some(p) = converged {
+        if let Some(p) = verdict.converged {
             final_fitness = p;
             predicted_fitness = Some(p);
             terminated_early = true;
             break;
         }
     }
-    let (engine_seconds, engine_interactions) = engine
-        .map(|e| (e.stats().total_seconds, e.stats().interactions))
-        .unwrap_or(frozen);
-    TrainingOutcome {
+    let (engine_seconds, engine_interactions) = engine.stats();
+    Ok(TrainingOutcome {
         epochs: std::mem::take(&mut progress.epochs),
         final_fitness,
         predicted_fitness,
@@ -199,14 +238,29 @@ pub fn train_with_engine_fallible(
         train_seconds: progress.train_seconds,
         engine_seconds,
         engine_interactions,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::EpochResult;
-    use a4nn_penguin::EngineConfig;
+
+    /// Algorithm 1 with the inline engine and no faults.
+    fn train_inline(
+        trainer: &mut dyn Trainer,
+        engine: Option<&EngineConfig>,
+        max_epochs: u32,
+    ) -> TrainingOutcome {
+        train_with_engine_fallible(
+            trainer,
+            &mut InlineEngine::new(engine, None),
+            max_epochs,
+            None,
+            None,
+            &mut AttemptProgress::default(),
+        )
+        .unwrap()
+    }
 
     /// A trainer replaying a fixed learning curve.
     struct CurveTrainer {
@@ -238,7 +292,7 @@ mod tests {
     #[test]
     fn engine_terminates_well_behaved_curve_early() {
         let mut t = saturating(95.0, 0.65, 50.0);
-        let out = train_with_engine(&mut t, Some(&EngineConfig::paper_defaults()), 25);
+        let out = train_inline(&mut t, Some(&EngineConfig::paper_defaults()), 25);
         assert!(out.terminated_early);
         assert!(out.epochs_trained() < 25);
         assert!((out.final_fitness - 95.0).abs() < 1.5);
@@ -250,7 +304,7 @@ mod tests {
     #[test]
     fn standalone_trains_full_budget() {
         let mut t = saturating(95.0, 0.65, 50.0);
-        let out = train_with_engine(&mut t, None, 25);
+        let out = train_inline(&mut t, None, 25);
         assert!(!out.terminated_early);
         assert_eq!(out.epochs_trained(), 25);
         assert!(out.predicted_fitness.is_none());
@@ -266,7 +320,7 @@ mod tests {
             curve: Box::new(|e| 0.14 * f64::from(e) * f64::from(e)),
             flops: 1.0,
         };
-        let out = train_with_engine(&mut t, Some(&EngineConfig::paper_defaults()), 25);
+        let out = train_inline(&mut t, Some(&EngineConfig::paper_defaults()), 25);
         assert!(!out.terminated_early);
         assert_eq!(out.epochs_trained(), 25);
     }
@@ -274,7 +328,7 @@ mod tests {
     #[test]
     fn epoch_records_carry_predictions_once_available() {
         let mut t = saturating(92.0, 0.7, 45.0);
-        let out = train_with_engine(&mut t, Some(&EngineConfig::paper_defaults()), 25);
+        let out = train_inline(&mut t, Some(&EngineConfig::paper_defaults()), 25);
         // Before C_min = 3 points: no predictions.
         assert!(out.epochs[0].prediction.is_none());
         assert!(out.epochs[1].prediction.is_none());
@@ -285,7 +339,7 @@ mod tests {
     #[test]
     fn zero_epoch_budget_is_degenerate_but_safe() {
         let mut t = saturating(95.0, 0.65, 50.0);
-        let out = train_with_engine(&mut t, Some(&EngineConfig::paper_defaults()), 0);
+        let out = train_inline(&mut t, Some(&EngineConfig::paper_defaults()), 0);
         assert_eq!(out.epochs_trained(), 0);
         assert!(!out.terminated_early);
         assert_eq!(out.final_fitness, 0.0);

@@ -7,12 +7,11 @@
 //! connection with the lowest relative load (`in_flight / gpus`). Dead
 //! workers are detected by the heartbeat deadline — the reader thread's
 //! socket read timeout — and their in-flight jobs are *requeued* through
-//! the same [`GpuPool::run_batch_retry`] machinery the bus transport
-//! uses for trainer panics: a lost connection panics the dispatch
-//! attempt, the pool requeues the job, and the router routes it to a
-//! surviving worker. Only when every worker is gone (or a job has been
-//! dispatched to every worker and lost each time) does the run abort
-//! with a `Net`-class [`A4nnError`].
+//! the pool's dead-worker requeue, [`GpuPool::run_batch_retry`]: a lost
+//! connection panics the dispatch attempt, the pool requeues the job,
+//! and the router routes it to a surviving worker. Only when every
+//! worker is gone (or a job has been dispatched to every worker and lost
+//! each time) does the run abort with a `Net`-class [`A4nnError`].
 //!
 //! Failure taxonomy, unchanged from the in-process transports: a trainer
 //! panic *on* a worker is handled by the worker's own retry loop and

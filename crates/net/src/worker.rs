@@ -16,7 +16,9 @@
 
 use crate::frame::{read_message, write_message, NetError, PROTOCOL_VERSION};
 use crate::protocol::Message;
-use a4nn_core::{train_resilient_direct, FaultTolerance, SurrogateFactory, SurrogateParams};
+use a4nn_core::{
+    train_resilient_direct, FaultTolerance, InlineEngine, SurrogateFactory, SurrogateParams,
+};
 use a4nn_error::A4nnError;
 use parking_lot::Mutex;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -221,8 +223,19 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
                             let _ = writer.lock().shutdown(Shutdown::Both);
                             return;
                         }
-                        let (outcome, cost) =
-                            train_resilient_direct(config, factory, &genome, model_id, None, ft);
+                        let mut engine =
+                            InlineEngine::new(config.engine.as_ref(), Some((&ft.plan, model_id)));
+                        let Ok((outcome, cost)) = train_resilient_direct(
+                            config,
+                            factory,
+                            &genome,
+                            model_id,
+                            None,
+                            ft,
+                            &mut engine,
+                        ) else {
+                            unreachable!("an inline engine link never errs")
+                        };
                         let _ = write_message(
                             &mut *writer.lock(),
                             &Message::JobDone {

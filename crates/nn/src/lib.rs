@@ -39,7 +39,7 @@ pub mod workspace;
 pub use data::{BatchIter, Dataset};
 pub use graph::{NetSpec, Network, PhaseNetSpec};
 pub use loss::{cross_entropy, cross_entropy_ws, CrossEntropyOutput};
-pub use optim::{Adam, Sgd};
+pub use optim::Sgd;
 pub use serialize::ModelState;
 pub use tensor::{Tensor2, Tensor4};
 pub use workspace::Workspace;

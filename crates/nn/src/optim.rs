@@ -1,6 +1,5 @@
 //! Optimizers. NSGA-Net trains its candidates with SGD + momentum — the
-//! paper's configuration — and Adam is provided for the hyperparameter
-//! studies the composable workflow invites.
+//! paper's configuration.
 
 use crate::graph::Network;
 
@@ -48,75 +47,6 @@ impl Sgd {
                 let g = grads[i] + wd * params[i];
                 vel[i] = momentum * vel[i] + g;
                 params[i] -= lr * vel[i];
-                grads[i] = 0.0;
-            }
-            slot += 1;
-        });
-    }
-}
-
-/// Adam (Kingma & Ba, 2015) with bias-corrected first/second moments and
-/// decoupled L2 weight decay. Moment buffers are keyed by parameter-visit
-/// order like [`Sgd`]'s velocities.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// Exponential decay of the first moment.
-    pub beta1: f32,
-    /// Exponential decay of the second moment.
-    pub beta2: f32,
-    /// Numerical floor.
-    pub eps: f32,
-    /// L2 weight decay (0 disables).
-    pub weight_decay: f32,
-    step: u64,
-    m: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
-}
-
-impl Adam {
-    /// Adam with the canonical β₁ = 0.9, β₂ = 0.999.
-    pub fn new(lr: f32, weight_decay: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay,
-            step: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    /// Apply one update step using the gradients accumulated in `net`,
-    /// then zero the gradients.
-    pub fn step(&mut self, net: &mut Network) {
-        self.step += 1;
-        let t = self.step as f32;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
-        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
-        let mut slot = 0usize;
-        let m_buf = &mut self.m;
-        let v_buf = &mut self.v;
-        net.visit_params(&mut |params, grads| {
-            if m_buf.len() <= slot {
-                m_buf.push(vec![0.0; params.len()]);
-                v_buf.push(vec![0.0; params.len()]);
-            }
-            let m = &mut m_buf[slot];
-            let v = &mut v_buf[slot];
-            debug_assert_eq!(m.len(), params.len(), "parameter set changed size");
-            for i in 0..params.len() {
-                let g = grads[i] + wd * params[i];
-                m[i] = b1 * m[i] + (1.0 - b1) * g;
-                v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-                let mhat = m[i] / bc1;
-                let vhat = v[i] / bc2;
-                params[i] -= lr * mhat / (vhat.sqrt() + eps);
                 grads[i] = 0.0;
             }
             slot += 1;
@@ -203,45 +133,5 @@ mod tests {
     #[should_panic(expected = "learning rate")]
     fn zero_lr_rejected() {
         let _ = Sgd::new(0.0, 0.9, 0.0);
-    }
-
-    #[test]
-    fn adam_changes_parameters_and_clears_grads() {
-        let mut n = net(4);
-        let before = snapshot(&mut n);
-        let mut opt = Adam::new(1e-3, 0.0);
-        let x = Tensor4::from_vec(2, 1, 4, 4, (0..32).map(|i| i as f32 / 31.0).collect());
-        let logits = n.forward(&x, true);
-        let out = cross_entropy(&logits, &[0, 1]);
-        n.backward(&out.dlogits);
-        opt.step(&mut n);
-        let after = snapshot(&mut n);
-        assert_ne!(before, after);
-        n.visit_params(&mut |_, g| assert!(g.iter().all(|&v| v == 0.0)));
-    }
-
-    #[test]
-    fn adam_reduces_loss_on_toy_task() {
-        let mut n = net(5);
-        let mut opt = Adam::new(5e-3, 0.0);
-        let x = Tensor4::from_vec(2, 1, 4, 4, (0..32).map(|i| (i % 7) as f32 / 7.0).collect());
-        let labels = [0usize, 1];
-        let mut first = None;
-        let mut last = 0.0;
-        for _ in 0..40 {
-            let logits = n.forward(&x, true);
-            let out = cross_entropy(&logits, &labels);
-            n.backward(&out.dlogits);
-            opt.step(&mut n);
-            first.get_or_insert(out.loss);
-            last = out.loss;
-        }
-        assert!(last < first.unwrap() * 0.7, "{} -> {last}", first.unwrap());
-    }
-
-    #[test]
-    #[should_panic(expected = "learning rate")]
-    fn adam_zero_lr_rejected() {
-        let _ = Adam::new(0.0, 0.0);
     }
 }

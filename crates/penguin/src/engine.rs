@@ -86,6 +86,18 @@ impl PredictionOutcome {
     }
 }
 
+/// What one per-epoch interaction ([`PredictionEngine::interact`]) tells
+/// the trainer. The default is "no prediction, keep training" — also
+/// what a trainer whose engine is gone acts on.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Verdict {
+    /// This epoch's prediction of the fitness at `e_pred`, once `C_min`
+    /// points allow a fit.
+    pub prediction: Option<f64>,
+    /// The converged final fitness `P[-1]` when training should stop.
+    pub converged: Option<f64>,
+}
+
 /// Aggregate counters for overhead accounting (§4.3.1 reports ~28 ms per
 /// engine interaction and ~52 s added per 100-model test).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -167,6 +179,21 @@ impl PredictionEngine {
         }
     }
 
+    /// One per-epoch interaction of Algorithm 1:
+    /// [`observe`](Self::observe) the epoch's measured fitness, run one
+    /// [`step`](Self::step), and report the step's prediction `P[-1]`
+    /// beside its convergence verdict. Every caller that couples a
+    /// trainer to the engine goes through this, so verdicts are
+    /// bit-identical wherever the engine runs.
+    pub fn interact(&mut self, epoch: u32, fitness: f64) -> Verdict {
+        self.observe(epoch, fitness);
+        let converged = self.step();
+        Verdict {
+            prediction: self.predictions.last().copied().flatten(),
+            converged,
+        }
+    }
+
     fn predict_once(&mut self) -> Option<f64> {
         if self.history.len() < self.config.c_min.max(self.config.family.n_params()) {
             self.stats.fit_failures += 1;
@@ -229,8 +256,7 @@ impl PredictionEngine {
         let mut last_measured = f64::NAN;
         for e in 1..=max_epochs {
             last_measured = train_epoch(e);
-            self.observe(e, last_measured);
-            if let Some(p) = self.step() {
+            if let Some(p) = self.interact(e, last_measured).converged {
                 return PredictionOutcome::Converged {
                     epoch: e,
                     fitness: p,

@@ -29,8 +29,7 @@
 //! let mut outcome = None;
 //! for e in 1..=25u32 {
 //!     let fitness = 95.0 - 60.0 * 0.6f64.powi(e as i32);
-//!     engine.observe(e, fitness);
-//!     if let Some(p) = engine.step() {
+//!     if let Some(p) = engine.interact(e, fitness).converged {
 //!         outcome = Some((e, p));
 //!         break;
 //!     }
@@ -48,5 +47,5 @@ pub mod fit;
 
 pub use analyzer::{ConvergenceRule, PredictionAnalyzer};
 pub use curve::{CurveFamily, ParametricCurve};
-pub use engine::{EngineConfig, EngineStats, PredictionEngine, PredictionOutcome};
+pub use engine::{EngineConfig, EngineStats, PredictionEngine, PredictionOutcome, Verdict};
 pub use fit::{fit_curve, FitConfig, FitError, FitResult};

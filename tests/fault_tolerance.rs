@@ -15,11 +15,14 @@
 //! - an engine crash degrades the affected model to run-to-completion
 //!   training (frozen engine stats, no deadlock);
 //! - stalls (real wall time) and a lagging lossy subscriber (bus
-//!   backpressure) change no recorded byte at all.
+//!   backpressure) change no recorded byte at all;
+//! - organic trainer panics (a real `panic!`, no plan entry) retry and
+//!   fail exactly like injected ones, on both transports.
 
 use a4nn_core::prelude::*;
 use a4nn_faults::FaultEvent;
 use a4nn_lineage::{epochs_csv, models_csv};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 fn config(seed: u64, engine: bool) -> WorkflowConfig {
     WorkflowConfig {
@@ -44,9 +47,18 @@ fn config(seed: u64, engine: bool) -> WorkflowConfig {
 fn run(seed: u64, engine: bool, orchestration: Orchestration, ft: &FaultTolerance) -> RunOutput {
     let cfg = config(seed, engine);
     let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
+    run_with(cfg, &factory, orchestration, ft)
+}
+
+fn run_with(
+    cfg: WorkflowConfig,
+    factory: &dyn TrainerFactory,
+    orchestration: Orchestration,
+    ft: &FaultTolerance,
+) -> RunOutput {
     A4nnWorkflow::new(cfg)
         .run(
-            &factory,
+            factory,
             RunOptions {
                 orchestration,
                 fault_tolerance: ft.clone(),
@@ -344,4 +356,92 @@ fn standalone_runs_survive_trainer_faults_identically() {
     assert_eq!(direct.commons.records[0].attempts, 2);
     assert_ne!(direct.commons.records[0].termination, Terminated::Failed);
     assert!(direct.commons.records[5].failed());
+}
+
+/// The surrogate, except that the first `panicking` trainers it makes
+/// for model 3 `panic!` at epoch 2 — an organic crash the fault plan
+/// knows nothing about.
+struct Model3Panics {
+    surrogate: SurrogateFactory,
+    panicking: AtomicU32,
+}
+
+struct PanicsAtEpoch2(Box<dyn Trainer>);
+
+impl Trainer for PanicsAtEpoch2 {
+    fn train_epoch(&mut self, epoch: u32) -> EpochResult {
+        if epoch == 2 {
+            panic!("organic trainer fault at epoch 2");
+        }
+        self.0.train_epoch(epoch)
+    }
+
+    fn flops(&self) -> f64 {
+        self.0.flops()
+    }
+
+    fn cost(&self) -> ModelCost {
+        self.0.cost()
+    }
+}
+
+impl TrainerFactory for Model3Panics {
+    fn make(&self, genome: &Genome, model_id: u64, seed: u64) -> Box<dyn Trainer> {
+        let trainer = self.surrogate.make(genome, model_id, seed);
+        let panics = model_id == 3
+            && self
+                .panicking
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok();
+        if panics {
+            Box::new(PanicsAtEpoch2(trainer))
+        } else {
+            trainer
+        }
+    }
+}
+
+/// Direct and Bus runs (engine on, default retry budget of three
+/// attempts) whose model 3 panics organically in its first `panicking`
+/// trainers.
+fn organic_panic_runs(panicking: u32) -> (RunOutput, RunOutput) {
+    let run_on = |orchestration| {
+        let cfg = config(2023, true);
+        let factory = Model3Panics {
+            surrogate: SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam)),
+            panicking: AtomicU32::new(panicking),
+        };
+        run_with(cfg, &factory, orchestration, &FaultTolerance::default())
+    };
+    (run_on(Orchestration::Direct), run_on(Orchestration::Bus))
+}
+
+#[test]
+fn organic_panic_in_one_attempt_retries_identically_on_both_transports() {
+    let (direct, bus) = organic_panic_runs(1);
+    assert_equivalent(&direct, &bus, "organic panic, first attempt");
+    let clean = run(
+        2023,
+        true,
+        Orchestration::Direct,
+        &FaultTolerance::default(),
+    );
+    // The retry replays from epoch 1: the dead attempt leaves no epoch
+    // behind on either transport.
+    assert_eq!(epochs_csv(&clean.commons), epochs_csv(&bus.commons));
+    let recovered = &bus.commons.records[3];
+    assert_eq!(recovered.attempts, 2);
+    assert_ne!(recovered.termination, Terminated::Failed);
+    assert_eq!(bus.fault_stats.retries, 1);
+}
+
+#[test]
+fn organic_panic_in_every_attempt_fails_identically_on_both_transports() {
+    let (direct, bus) = organic_panic_runs(u32::MAX);
+    assert_equivalent(&direct, &bus, "organic panic, every attempt");
+    let failed = &bus.commons.records[3];
+    assert!(failed.failed());
+    assert_eq!(failed.attempts, 3, "the whole budget was consumed");
+    let trail: Vec<u32> = failed.epochs.iter().map(|e| e.epoch).collect();
+    assert_eq!(trail, [1], "only the final attempt's partial trail");
 }

@@ -1,13 +1,12 @@
 //! The event vocabulary of the A4NN bus.
 //!
-//! One [`Event`] enum flows on a single `Topic<Event>`; services select
-//! the variants they care about with
+//! One [`Event`] enum flows on a single `Topic<Event>`; subscribers
+//! select the variants they care about with
 //! [`subscribe_filtered`](crate::Topic::subscribe_filtered). The
-//! variants mirror the dataflow of the paper's workflow: trainers emit
-//! per-epoch fitness upstream, the prediction engine answers with
-//! verdicts, and the lineage recorder consumes everything.
-
-use a4nn_genome::Genome;
+//! variants are Algorithm 1's trainer–engine hand-off and nothing else:
+//! trainers emit per-epoch fitness, the prediction engine answers each
+//! epoch with a verdict, and a dead training attempt is announced so
+//! the engine drops its state before any retry.
 
 /// A trainer finished one epoch of one model (Algorithm 1's per-epoch
 /// fitness hand-off to the engine).
@@ -49,55 +48,9 @@ pub struct EngineVerdict {
     pub retired: bool,
 }
 
-/// The engine advises terminating one model's training early (§2.2's
-/// in-situ early-termination signal).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TerminationAdvised {
-    /// Model to stop training.
-    pub model_id: u64,
-    /// Epoch at which convergence was detected.
-    pub epoch: u32,
-    /// Predicted final fitness the NAS should use.
-    pub fitness: f64,
-}
-
-/// A model's training finished (to completion or early) and its record
-/// trail can be closed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelCompleted {
-    /// Model id.
-    pub model_id: u64,
-    /// Generation the model belongs to.
-    pub generation: usize,
-    /// The genome that was trained.
-    pub genome: Genome,
-    /// Human-readable architecture summary.
-    pub arch_summary: String,
-    /// Estimated forward FLOPs.
-    pub flops: f64,
-    /// Names of the objective set the run searches under, in objective
-    /// order. Empty when published by a pre-registry producer.
-    pub objective_names: Vec<String>,
-    /// The minimized objective values, aligned with `objective_names`.
-    pub objective_values: Vec<f64>,
-    /// Fitness the NAS will use for selection.
-    pub final_fitness: f64,
-    /// The engine's converged prediction, if training stopped early.
-    pub predicted_fitness: Option<f64>,
-    /// Whether training was terminated early.
-    pub terminated_early: bool,
-    /// Whether the model exhausted its retry budget; the record trail
-    /// carries whatever partial history the final attempt produced.
-    pub failed: bool,
-    /// Training attempts consumed (1 = no retries).
-    pub attempts: u32,
-    /// Total training seconds for this model.
-    pub train_seconds: f64,
-}
-
-/// One training attempt of one model died (a trainer panic was caught
-/// by the pool). Published *before* the panic resumes so every
-/// subscriber sees the failure ahead of any retry's events.
+/// One training attempt of one model died (the retry loop caught a
+/// trainer panic). Published before any retry starts, so the engine
+/// service drops the attempt's state ahead of the retry's epochs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingFailed {
     /// Model whose attempt failed.
@@ -113,28 +66,6 @@ pub struct TrainingFailed {
     pub will_retry: bool,
 }
 
-/// One model's slot in a generation's discrete-event GPU schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GpuSlot {
-    /// Model the slot belongs to.
-    pub model_id: u64,
-    /// Virtual GPU the model trained on.
-    pub gpu: usize,
-    /// Slot start, seconds from generation start.
-    pub start_s: f64,
-    /// Slot end, seconds from generation start.
-    pub end_s: f64,
-}
-
-/// A generation's GPU schedule was computed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GenerationScheduled {
-    /// Generation index.
-    pub generation: usize,
-    /// One slot per model in the generation.
-    pub assignments: Vec<GpuSlot>,
-}
-
 /// Everything that flows on the A4NN bus.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
@@ -142,38 +73,6 @@ pub enum Event {
     EpochCompleted(EpochCompleted),
     /// The prediction engine answered an epoch.
     EngineVerdict(EngineVerdict),
-    /// The engine advised early termination.
-    TerminationAdvised(TerminationAdvised),
-    /// A model's training finished.
-    ModelCompleted(ModelCompleted),
     /// One training attempt of a model died.
     TrainingFailed(TrainingFailed),
-    /// A generation's GPU schedule is available.
-    GenerationScheduled(GenerationScheduled),
-}
-
-impl Event {
-    /// The model id the event concerns, when it concerns exactly one.
-    pub fn model_id(&self) -> Option<u64> {
-        match self {
-            Event::EpochCompleted(e) => Some(e.model_id),
-            Event::EngineVerdict(e) => Some(e.model_id),
-            Event::TerminationAdvised(e) => Some(e.model_id),
-            Event::ModelCompleted(e) => Some(e.model_id),
-            Event::TrainingFailed(e) => Some(e.model_id),
-            Event::GenerationScheduled(_) => None,
-        }
-    }
-
-    /// Short kind label, for stats and debug output.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::EpochCompleted(_) => "epoch-completed",
-            Event::EngineVerdict(_) => "engine-verdict",
-            Event::TerminationAdvised(_) => "termination-advised",
-            Event::ModelCompleted(_) => "model-completed",
-            Event::TrainingFailed(_) => "training-failed",
-            Event::GenerationScheduled(_) => "generation-scheduled",
-        }
-    }
 }

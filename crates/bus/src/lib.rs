@@ -1,29 +1,27 @@
-//! # a4nn-bus — in-situ event bus and streaming services
+//! # a4nn-bus — in-situ event bus and the prediction-engine service
 //!
-//! The paper's workflow couples its tasks — concurrent trainers, the
-//! PENGUIN prediction engine, and the lineage/data-commons recorder —
-//! in situ, over memory instead of the filesystem (§2.2, built on
-//! Wilkins/LowFive in the reference implementation). This crate is
-//! that coupling layer as an explicit subsystem:
+//! The paper's workflow couples its concurrent trainers to the PENGUIN
+//! prediction engine in situ, over memory instead of the filesystem
+//! (§2.2, built on Wilkins/LowFive in the reference implementation).
+//! This crate is that coupling layer:
 //!
 //! - [`topic`] — a typed MPMC publish–subscribe [`Topic`] over bounded
 //!   per-subscriber queues with selectable backpressure ([`Policy`]:
 //!   lossless blocking, lossy drop-oldest with exact drop accounting,
-//!   or unbounded for audit streams), per-subscriber delivery/lag
-//!   counters, and graceful close-and-drain shutdown;
-//! - [`events`] — the [`Event`] vocabulary flowing between services:
-//!   per-epoch fitness, engine verdicts, termination advice, model
-//!   completions, and GPU schedules;
-//! - [`services`] — the streaming services: [`PredictionEngineService`]
-//!   (per-model PENGUIN engines answering epochs with verdicts),
-//!   [`LineageRecorderService`] (folds the stream into the same record
-//!   trails the direct call path produces), and [`RunStatsAggregator`]
-//!   (run-level counters and per-GPU utilization).
+//!   or unbounded), per-subscriber delivery/lag counters, and graceful
+//!   close-and-drain shutdown;
+//! - [`events`] — the three-variant [`Event`] vocabulary of the
+//!   trainer–engine hand-off: per-epoch fitness out, engine verdicts
+//!   back, and a dead training attempt announced;
+//! - [`services`] — the [`PredictionEngineService`], per-model PENGUIN
+//!   engines answering epochs with verdicts.
 //!
-//! Determinism contract: driving a search through the bus produces
-//! record trails identical to the direct in-process call path, because
-//! engine state is per-model, verdicts are joined back by
-//! `(model_id, epoch)`, and the recorder orders records by model id.
+//! Determinism contract: a trainer coupled through the bus sees the same
+//! verdicts as one driving its own engine inline, because engine state
+//! is per-model and every verdict answers exactly one
+//! `(model_id, epoch)`. The record trails are built by `a4nn-core`'s
+//! pipeline from the trainers' outcomes, the same way on every
+//! transport.
 
 #![warn(clippy::redundant_clone)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
@@ -31,14 +29,8 @@ pub mod events;
 pub mod services;
 pub mod topic;
 
-pub use events::{
-    EngineVerdict, EpochCompleted, Event, GenerationScheduled, GpuSlot, ModelCompleted,
-    TerminationAdvised, TrainingFailed,
-};
-pub use services::{
-    BusRunStats, EngineFaultHook, LineageRecorderService, PredictionEngineService,
-    RunStatsAggregator, ENGINE_INBOX_CAPACITY,
-};
+pub use events::{EngineVerdict, EpochCompleted, Event, TrainingFailed};
+pub use services::{EngineFaultHook, PredictionEngineService, ENGINE_INBOX_CAPACITY};
 pub use topic::{
     Policy, PublishError, RecvError, SubscriberStats, Subscription, Topic, TryRecvError,
 };

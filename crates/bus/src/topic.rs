@@ -30,8 +30,8 @@ pub enum Policy {
         /// Maximum queued events.
         capacity: usize,
     },
-    /// Unbounded queue (for audit/lineage streams that must be both
-    /// lossless and non-blocking).
+    /// Unbounded queue (for streams that must be both lossless and
+    /// non-blocking).
     Unbounded,
 }
 

@@ -340,17 +340,6 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     if output.transport_stats.jobs_dispatched > 0 {
         println!("{}", output.transport_stats.summary_line());
     }
-    if let Some(stats) = &output.bus_stats {
-        println!(
-            "bus: {} epochs streamed, {} verdicts, {} early stops; \
-             lineage stream delivered {} events, dropped {}",
-            stats.epochs_observed,
-            stats.engine_interactions,
-            stats.terminations_advised,
-            stats.subscriber.delivered,
-            stats.subscriber.dropped
-        );
-    }
     println!("Pareto front ({}):", config.objectives);
     print_objective_front(&analyzer)?;
     if let Some(dir) = &out_dir {

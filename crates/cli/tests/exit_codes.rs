@@ -196,6 +196,41 @@ fn stale_resume_snapshot_is_five() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `a4nn serve` over a commons whose checkpoint claims `u32::MAX` tensors
+/// refuses it as Checkpoint-class — exit code 5 — instead of trying to
+/// allocate for that count and aborting.
+#[test]
+fn hostile_checkpoint_is_five() {
+    let dir = std::env::temp_dir().join(format!("a4nn-exit-codes-ckpt-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let out = dir.to_string_lossy().to_string();
+    assert_eq!(
+        code(&format!(
+            "search --beam low --population 2 --offspring 2 --generations 1 --epochs 2 \
+             --out {out}"
+        )),
+        0
+    );
+    // A valid header (epoch, spec length, spec JSON) whose tensor count
+    // is u32::MAX, with nothing after it.
+    let spec = br#"{"input_channels":1,"phases":[],"num_classes":2}"#;
+    let mut hostile = Vec::new();
+    hostile.extend_from_slice(&1u32.to_le_bytes());
+    hostile.extend_from_slice(&(spec.len() as u32).to_le_bytes());
+    hostile.extend_from_slice(spec);
+    hostile.extend_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::create_dir_all(dir.join("checkpoints")).unwrap();
+    std::fs::write(dir.join("checkpoints/model_00000_epoch_001.a4nn"), hostile).unwrap();
+    assert_eq!(
+        code(&format!(
+            "serve --commons {out} --listen 127.0.0.1:0 --sessions 1"
+        )),
+        5,
+        "a hostile checkpoint is a checkpoint decode error"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `a4nn stats` reads a run directory offline: success on a real run
 /// dir, invalid-value on an empty one.
 #[test]

@@ -100,11 +100,9 @@ impl CheckpointStore {
                 ),
                 _ => continue,
             };
-            let bytes = bytes::Bytes::from(
-                std::fs::read(&path)
-                    .map_err(|e| A4nnError::io(format!("reading {}", path.display()), e))?,
-            );
-            let state = ModelState::from_bytes(bytes)
+            let bytes = std::fs::read(&path)
+                .map_err(|e| A4nnError::io(format!("reading {}", path.display()), e))?;
+            let state = ModelState::from_bytes(&bytes)
                 .map_err(|e| A4nnError::Checkpoint(format!("decoding {}: {e}", path.display())))?;
             store.put(model, epoch, state);
         }
@@ -193,6 +191,21 @@ mod tests {
         let loaded = CheckpointStore::load_dir(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded.get(0, 1).unwrap(), store.get(0, 1).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hostile_tensor_count_is_a_checkpoint_error() {
+        // A valid header claiming u32::MAX tensors must surface as a
+        // decode error (exit 5), not as a ~100 GB allocation abort.
+        let mut bytes = state(5, 1).to_bytes();
+        let spec_len = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
+        bytes[8 + spec_len..12 + spec_len].copy_from_slice(&u32::MAX.to_le_bytes());
+        let dir = std::env::temp_dir().join(format!("a4nn-ckpt-hostile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("model_00000_epoch_001.a4nn"), &bytes).unwrap();
+        let err = CheckpointStore::load_dir(&dir).unwrap_err();
+        assert!(matches!(err, A4nnError::Checkpoint(_)), "got {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,12 +1,13 @@
 //! Fault-tolerance policy and accounting: retry policies, deterministic
-//! fault injection, and failure counters shared by both transports.
+//! fault injection, and failure counters shared by all three transports.
 //!
 //! A [`FaultTolerance`] bundles the per-job [`RetryPolicy`] with an
 //! [`a4nn_faults::FaultPlan`] — a pure, seeded schedule of injected
-//! faults. Both transports of [`crate::pipeline::EvalPipeline`] consult
-//! the same plan at the same `(model, epoch, attempt)` sites, so a run
-//! under faults is as reproducible as a clean one and `Direct`/`Bus`
-//! keep producing identical record trails. The default value injects
+//! faults. Every transport of [`crate::pipeline::EvalPipeline`] —
+//! direct, bus and socket — consults the same plan at the same
+//! `(model, epoch, attempt)` sites, so a run under faults is as
+//! reproducible as a clean one and the transports keep producing
+//! identical record trails. The default value injects
 //! nothing and leaves every happy-path byte unchanged.
 
 use a4nn_bus::SubscriberStats;

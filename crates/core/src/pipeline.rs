@@ -20,15 +20,13 @@
 //! - [`BusTransport`] — Direct plus a topic: the same jobs, whose link
 //!   publishes per-epoch fitness on the `a4nn-bus` event bus (§2.2's
 //!   in-situ task coupling) and blocks on the engine service's verdicts;
-//!   the lineage recorder service folds the stream into the run's
-//!   commons;
 //! - `a4nn-net`'s socket transport — the same function with an inline
 //!   engine on a worker process.
 //!
-//! The pipeline assembles each generation's record trails itself on every
-//! transport — boundary snapshots need them as the generation completes,
-//! and the transport-equivalence contract makes them byte-identical to
-//! what the recorder service folds.
+//! A transport only trains: it hands back one outcome per genome. The
+//! pipeline builds every generation's record trails from those outcomes
+//! in one place ([`EvalPipeline::run`]), so the run's commons is the
+//! same code's output whichever transport trained it.
 //!
 //! Determinism contract: every transport consults the same
 //! [`FaultTolerance`] plan at the same `(model, epoch, attempt)` sites
@@ -48,10 +46,7 @@ use crate::trainer::{EpochResult, TrainerFactory};
 use crate::training::{
     train_with_engine_fallible, AttemptProgress, EngineLink, InlineEngine, TrainingOutcome,
 };
-use a4nn_bus::{
-    EpochCompleted, Event, GenerationScheduled, GpuSlot, ModelCompleted, Policy, Subscription,
-    Topic, TrainingFailed,
-};
+use a4nn_bus::{EpochCompleted, Event, Policy, Subscription, Topic, TrainingFailed};
 use a4nn_error::A4nnError;
 use a4nn_genome::{Genome, SearchSpace};
 use a4nn_lineage::{EngineParamsRecord, ModelRecord};
@@ -152,7 +147,7 @@ pub struct BatchResult {
 
 /// The engine-parameters stamp attached to every record trail of a run
 /// (Table 1), or `None` for standalone-NAS runs.
-pub fn engine_params_record(cfg: &WorkflowConfig) -> Option<EngineParamsRecord> {
+fn engine_params_record(cfg: &WorkflowConfig) -> Option<EngineParamsRecord> {
     cfg.engine.as_ref().map(|e| EngineParamsRecord {
         function: e.family.name().to_string(),
         c_min: e.c_min,
@@ -162,8 +157,8 @@ pub fn engine_params_record(cfg: &WorkflowConfig) -> Option<EngineParamsRecord> 
     })
 }
 
-/// How one generation's trainers are coupled to the prediction engine
-/// and the lineage sink. Implementations must keep the search trajectory
+/// How one generation's trainers are dispatched and coupled to the
+/// prediction engine. Implementations must keep the search trajectory
 /// bit-identical across transports: same outcomes per `(seed, genome)`,
 /// same simulated durations, same fault-plan consultation sites.
 pub trait Transport {
@@ -183,30 +178,13 @@ pub trait Transport {
         base_id: u64,
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError>;
 
-    /// Announce the completed generation (outcomes plus its cluster
-    /// schedule) to any listeners. Only the bus transport has some; the
-    /// default does nothing.
-    fn publish_generation(
-        &self,
-        _pipeline: &EvalPipeline<'_>,
-        _genomes: &[Genome],
-        _generation: usize,
-        _base_id: u64,
-        _outcomes: &[(TrainingOutcome, ModelCost)],
-        _schedule: &ScheduleResult,
-    ) -> Result<(), A4nnError> {
-        Ok(())
-    }
-
     /// Short stable name for the metrics layer (`direct`, `bus`,
     /// `socket`).
-    fn name(&self) -> &'static str {
-        "unknown"
-    }
+    fn name(&self) -> &'static str;
 }
 
 /// One generation-evaluation pipeline: the shared train → schedule →
-/// record sequence every driver and both transports run through.
+/// record sequence every driver and every transport runs through.
 pub struct EvalPipeline<'a> {
     cfg: &'a WorkflowConfig,
     space: &'a SearchSpace,
@@ -324,7 +302,7 @@ impl<'a> EvalPipeline<'a> {
     /// Evaluate one generation through `transport`: train every genome
     /// (each model's stochasticity keyed to its id, so the parallelism
     /// is deterministic), FIFO-schedule the simulated durations onto
-    /// `cfg.gpus` virtual GPUs, publish, and record.
+    /// `cfg.gpus` virtual GPUs, and record.
     pub fn run(
         &self,
         transport: &dyn Transport,
@@ -345,7 +323,6 @@ impl<'a> EvalPipeline<'a> {
         // on the other hand, are simulated time and are charged to the
         // GPUs.
         let schedule = generation_schedule(self.cfg.gpus, base_id, &outcomes, &self.ft.retry);
-        transport.publish_generation(self, genomes, generation, base_id, &outcomes, &schedule)?;
 
         // Outcome-derived metrics are counted here, after the transport
         // returns, so all three transports feed them identically.
@@ -373,7 +350,8 @@ impl<'a> EvalPipeline<'a> {
     }
 
     /// Fold outcomes and placements into one record trail per genome —
-    /// the exact shape the bus recorder service reproduces from events.
+    /// the run's commons on every transport, and what boundary snapshots
+    /// persist as each generation completes.
     fn assemble_records(
         &self,
         genomes: &[Genome],
@@ -449,9 +427,8 @@ impl Transport for DirectTransport {
 /// each through [`train_resilient_direct`] — but their engine is a bus
 /// link: per-epoch fitness goes out on the topic and the engine
 /// service's verdicts come back on it, the same synchronous hand-off as
-/// Algorithm 1, routed through communicators. Requires the engine
-/// service (when `cfg.engine` is set), the lineage recorder, and any
-/// stats services to already be subscribed.
+/// Algorithm 1, routed through communicators. When `cfg.engine` is set,
+/// the engine service must already be subscribed.
 pub struct BusTransport<'t> {
     topic: &'t Topic<Event>,
 }
@@ -479,58 +456,6 @@ impl Transport for BusTransport<'_> {
             verdicts: None,
             stats: (0.0, 0),
         })
-    }
-
-    fn publish_generation(
-        &self,
-        pipeline: &EvalPipeline<'_>,
-        genomes: &[Genome],
-        generation: usize,
-        base_id: u64,
-        outcomes: &[(TrainingOutcome, ModelCost)],
-        schedule: &ScheduleResult,
-    ) -> Result<(), A4nnError> {
-        for (k, (genome, (outcome, cost))) in genomes.iter().zip(outcomes).enumerate() {
-            let event = Event::ModelCompleted(ModelCompleted {
-                model_id: base_id + k as u64,
-                generation,
-                genome: genome.clone(),
-                arch_summary: pipeline.space.decode(genome).summary(),
-                flops: cost.flops,
-                objective_names: pipeline.cfg.objectives.names(),
-                objective_values: pipeline.cfg.objectives.values(outcome, cost),
-                final_fitness: outcome.final_fitness,
-                predicted_fitness: outcome.predicted_fitness,
-                terminated_early: outcome.terminated_early,
-                failed: outcome.failed,
-                attempts: outcome.attempts,
-                train_seconds: outcome.train_seconds,
-            });
-            self.topic.publish(event).map_err(|_| {
-                A4nnError::BusClosed(format!(
-                    "publishing completion of model {} in generation {generation}",
-                    base_id + k as u64
-                ))
-            })?;
-        }
-        self.topic
-            .publish(Event::GenerationScheduled(GenerationScheduled {
-                generation,
-                assignments: schedule
-                    .assignments
-                    .iter()
-                    .map(|a| GpuSlot {
-                        model_id: a.task_id,
-                        gpu: a.gpu,
-                        start_s: a.start,
-                        end_s: a.end,
-                    })
-                    .collect(),
-            }))
-            .map_err(|_| {
-                A4nnError::BusClosed(format!("publishing schedule of generation {generation}"))
-            })?;
-        Ok(())
     }
 
     fn name(&self) -> &'static str {
@@ -711,8 +636,8 @@ pub fn train_resilient_direct(
 /// (the engine crashed for this model) — or a verdict stream that dies
 /// outright — degrades the rest of the attempt to run-to-completion
 /// training instead of deadlocking. A dead attempt is announced as
-/// [`TrainingFailed`] so the engine and recorder services discard its
-/// partial state ahead of any retry's events.
+/// [`TrainingFailed`] so the engine service discards its partial state
+/// ahead of any retry's epochs.
 struct BusLink<'t> {
     topic: &'t Topic<Event>,
     model_id: u64,

@@ -11,15 +11,11 @@ use crate::checkpoint::CheckpointStore;
 use crate::config::WorkflowConfig;
 use crate::fault::{FaultStats, FaultTolerance};
 use crate::pipeline::{
-    engine_params_record, BatchResult, BusTransport, DirectTransport, EvalPipeline, Transport,
-    TransportStats,
+    BatchResult, BusTransport, DirectTransport, EvalPipeline, Transport, TransportStats,
 };
 use crate::resume::{config_hash, RunControl, SearchSnapshot, SNAPSHOT_VERSION};
 use crate::trainer::TrainerFactory;
-use a4nn_bus::{
-    BusRunStats, EngineFaultHook, Event, LineageRecorderService, Policy, PredictionEngineService,
-    RunStatsAggregator, Topic,
-};
+use a4nn_bus::{EngineFaultHook, Event, Policy, PredictionEngineService, Topic};
 use a4nn_error::A4nnError;
 use a4nn_genome::{Genome, SearchSpace};
 use a4nn_lineage::{DataCommons, ModelRecord};
@@ -40,9 +36,9 @@ pub enum Orchestration<'a> {
     /// seed path).
     #[default]
     Direct,
-    /// The a4nn-bus event bus: trainers publish per-epoch fitness, the
-    /// engine/lineage/stats services run as subscribed threads (§2.2's
-    /// in-situ task coupling).
+    /// The a4nn-bus event bus: trainers publish per-epoch fitness and
+    /// the prediction engine answers as a subscribed service thread
+    /// (§2.2's in-situ task coupling).
     Bus,
     /// A transport constructed outside this crate — `a4nn-net`'s
     /// `SocketTransport`, which shards each generation's jobs across
@@ -102,8 +98,6 @@ pub struct RunOutput {
     pub engine_seconds: f64,
     /// Total engine interactions across all models.
     pub engine_interactions: u64,
-    /// Bus-level counters, present when the run was bus-orchestrated.
-    pub bus_stats: Option<BusRunStats>,
     /// Dispatch counters of the transport that trained the run: jobs,
     /// retries, round-trip and queue-wait wall times.
     pub transport_stats: TransportStats,
@@ -208,24 +202,19 @@ impl A4nnWorkflow {
         Ok(totals.into_run_output(&pipeline, transport.name()))
     }
 
-    /// The bus-orchestrated run: spawn the engine, recorder and stats
-    /// services on a fresh topic, drive the loop through a
-    /// [`BusTransport`], then drain the services. The commons comes from
-    /// the recorder's fold of the event stream.
+    /// The bus-orchestrated run: spawn the engine service on a fresh
+    /// topic, drive the loop through a [`BusTransport`], then drain the
+    /// service. The commons is the pipeline's records, as on every
+    /// transport.
     fn run_on_bus(
         &self,
         pipeline: &EvalPipeline<'_>,
         control: &RunControl<'_>,
         resume: Option<SearchSnapshot>,
     ) -> Result<RunOutput, A4nnError> {
-        let cfg = &self.config;
         let ft = pipeline.fault_tolerance();
-        // The recorder service only sees events from this process; the
-        // generations completed before an interruption stay as the
-        // snapshot recorded them.
-        let prior_records = resume.as_ref().map_or(0, |s| s.records.len());
         let topic: Topic<Event> = Topic::new("a4nn");
-        let engine_service = cfg.engine.clone().map(|engine| {
+        let engine_service = self.config.engine.clone().map(|engine| {
             // Injected engine crashes ride in through the service's
             // fault hook, driven by the same deterministic plan the
             // direct path consults inline.
@@ -236,12 +225,6 @@ impl A4nnWorkflow {
             });
             PredictionEngineService::spawn_hooked(&topic, engine, hook)
         });
-        let recorder = LineageRecorderService::spawn(
-            &topic,
-            engine_params_record(cfg),
-            cfg.beam.label().to_string(),
-        );
-        let aggregator = RunStatsAggregator::spawn(&topic);
         // The plan's lagging subscriber: a slow, lossy consumer that
         // exercises backpressure isolation without being able to perturb
         // the run's results.
@@ -256,19 +239,14 @@ impl A4nnWorkflow {
         });
         let transport = BusTransport::new(&topic);
         let loop_result = self.run_loop(pipeline, &transport, control, resume);
-        // Always close and drain the services — even when the loop
-        // failed — so no thread is left blocked; then surface the loop's
-        // error ahead of any join error.
+        // Always close and drain the service — even when the loop failed
+        // — so no thread is left blocked; then surface the loop's error
+        // ahead of the join error.
         topic.close();
         let engine_join = engine_service.map(|service| service.join()).transpose();
-        let records = recorder.join();
-        let bus_stats = aggregator.join();
-        let mut totals = loop_result?;
+        let totals = loop_result?;
         engine_join?;
-        totals.records.truncate(prior_records);
-        totals.records.extend(records?);
         let mut out = totals.into_run_output(pipeline, transport.name());
-        out.bus_stats = Some(bus_stats?);
         out.fault_stats.laggard =
             match laggard {
                 Some(handle) => Some(handle.join().map_err(|_| {
@@ -551,7 +529,6 @@ impl SearchTotals {
             config: pipeline.config().clone(),
             engine_seconds: self.engine_seconds,
             engine_interactions: self.engine_interactions,
-            bus_stats: None,
             transport_stats: pipeline.transport_stats(transport),
             retry_ledger: self.retry_ledger,
             metrics: pipeline.metrics_registry().snapshot(),
@@ -615,13 +592,6 @@ mod tests {
             direct.schedule.total_wall_time(),
             bus.schedule.total_wall_time()
         );
-        let stats = bus.bus_stats.clone().expect("bus run reports stats");
-        assert_eq!(stats.epochs_observed, bus.total_epochs());
-        assert_eq!(stats.engine_interactions, bus.engine_interactions);
-        assert_eq!(stats.models_completed as usize, bus.commons.len());
-        assert_eq!(stats.generations_scheduled, 4);
-        assert_eq!(stats.subscriber.dropped, 0);
-        assert_eq!(stats.gpu_busy_seconds.len(), 2);
     }
 
     #[test]
@@ -629,9 +599,7 @@ mod tests {
         let direct = run(false, 1, 12);
         let bus = run_bus(false, 1, 12);
         assert_eq!(direct.commons, bus.commons);
-        let stats = bus.bus_stats.expect("bus run reports stats");
-        assert_eq!(stats.engine_interactions, 0);
-        assert_eq!(stats.terminations_advised, 0);
+        assert_eq!(bus.engine_interactions, 0);
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! state to memory, such that each model can be loaded and re-evaluated
 //! from any point in the training phase." A [`ModelState`] is that
 //! state: the spec plus every parameter and batch-norm statistic, with a
-//! compact binary wire format (via [`bytes`]) and serde support for JSON
+//! compact little-endian binary wire format and serde support for JSON
 //! record trails.
 
 use crate::graph::{NetSpec, Network};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// A serializable snapshot of a network's trainable state.
@@ -58,56 +57,53 @@ impl ModelState {
 
     /// Compact binary encoding: a little-endian stream of tensor lengths
     /// and payloads wrapped around the JSON-encoded spec.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let spec_json = match serde_json::to_vec(&self.spec) {
             Ok(json) => json,
             // NetSpec is a plain data struct; serialization cannot fail.
             Err(e) => unreachable!("spec serializes: {e}"),
         };
-        let mut buf = BytesMut::with_capacity(
+        let mut buf = Vec::with_capacity(
             16 + spec_json.len() + self.params.iter().map(|p| 4 + p.len() * 4).sum::<usize>(),
         );
-        buf.put_u32_le(self.epoch);
-        buf.put_u32_le(spec_json.len() as u32);
-        buf.put_slice(&spec_json);
-        buf.put_u32_le(self.params.len() as u32);
+        buf.extend_from_slice(&self.epoch.to_le_bytes());
+        buf.extend_from_slice(&(spec_json.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&spec_json);
+        buf.extend_from_slice(&(self.params.len() as u32).to_le_bytes());
         for p in &self.params {
-            buf.put_u32_le(p.len() as u32);
+            buf.extend_from_slice(&(p.len() as u32).to_le_bytes());
             for &v in p {
-                buf.put_f32_le(v);
+                buf.extend_from_slice(&v.to_le_bytes());
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decode the binary form produced by [`to_bytes`](Self::to_bytes).
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, String> {
-        let need = |data: &Bytes, n: usize| -> Result<(), String> {
-            if data.remaining() < n {
-                Err(format!("truncated model state: need {n} more bytes"))
-            } else {
-                Ok(())
-            }
-        };
-        need(&data, 8)?;
-        let epoch = data.get_u32_le();
-        let spec_len = data.get_u32_le() as usize;
-        need(&data, spec_len)?;
-        let spec_bytes = data.split_to(spec_len);
-        let spec: NetSpec =
-            serde_json::from_slice(&spec_bytes).map_err(|e| format!("bad spec: {e}"))?;
-        need(&data, 4)?;
-        let n_tensors = data.get_u32_le() as usize;
+    ///
+    /// The input is untrusted (a checkpoint file on disk): every length
+    /// is checked against the bytes that remain before anything is
+    /// allocated for it.
+    pub fn from_bytes(mut data: &[u8]) -> Result<Self, String> {
+        let epoch = read_u32(&mut data)?;
+        let spec_len = read_u32(&mut data)? as usize;
+        let spec: NetSpec = serde_json::from_slice(take(&mut data, spec_len)?)
+            .map_err(|e| format!("bad spec: {e}"))?;
+        let n_tensors = read_u32(&mut data)? as usize;
+        // Every tensor needs at least its 4-byte length.
+        if n_tensors > data.len() / 4 {
+            return Err(truncated(n_tensors.saturating_mul(4)));
+        }
         let mut params = Vec::with_capacity(n_tensors);
         for _ in 0..n_tensors {
-            need(&data, 4)?;
-            let len = data.get_u32_le() as usize;
-            need(&data, len * 4)?;
-            let mut t = Vec::with_capacity(len);
-            for _ in 0..len {
-                t.push(data.get_f32_le());
-            }
-            params.push(t);
+            let len = read_u32(&mut data)? as usize;
+            let payload = take(&mut data, len.saturating_mul(4))?;
+            params.push(
+                payload
+                    .chunks_exact(4)
+                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect(),
+            );
         }
         Ok(ModelState {
             spec,
@@ -115,6 +111,26 @@ impl ModelState {
             epoch,
         })
     }
+}
+
+fn truncated(need: usize) -> String {
+    format!("truncated model state: need {need} more bytes")
+}
+
+/// Split the next `n` bytes off the front of `data`.
+fn take<'a>(data: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
+    if data.len() < n {
+        return Err(truncated(n));
+    }
+    let (head, rest) = data.split_at(n);
+    *data = rest;
+    Ok(head)
+}
+
+/// Read the next little-endian `u32` off the front of `data`.
+fn read_u32(data: &mut &[u8]) -> Result<u32, String> {
+    let b = take(data, 4)?;
+    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
 #[cfg(test)]
@@ -160,7 +176,7 @@ mod tests {
         let mut net = Network::new(&spec(), &mut rng(2));
         let state = ModelState::capture(&mut net, 3);
         let bytes = state.to_bytes();
-        let back = ModelState::from_bytes(bytes).unwrap();
+        let back = ModelState::from_bytes(&bytes).unwrap();
         assert_eq!(state, back);
     }
 
@@ -169,8 +185,19 @@ mod tests {
         let mut net = Network::new(&spec(), &mut rng(3));
         let state = ModelState::capture(&mut net, 0);
         let bytes = state.to_bytes();
-        let truncated = bytes.slice(0..bytes.len() / 2);
-        assert!(ModelState::from_bytes(truncated).is_err());
+        assert!(ModelState::from_bytes(&bytes[..bytes.len() / 2]).is_err());
+    }
+
+    #[test]
+    fn hostile_tensor_count_errors_instead_of_allocating() {
+        // A valid header whose tensor count claims u32::MAX tensors: the
+        // decoder must refuse it, not reserve ~100 GB and abort.
+        let mut net = Network::new(&spec(), &mut rng(3));
+        let mut bytes = ModelState::capture(&mut net, 1).to_bytes();
+        let spec_len = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
+        bytes[8 + spec_len..12 + spec_len].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = ModelState::from_bytes(&bytes).unwrap_err();
+        assert!(err.starts_with("truncated model state"), "{err}");
     }
 
     #[test]

@@ -9,10 +9,43 @@
 //! eval-mode forward of [`probe_input`]. The hyperparameters, which carry
 //! the same two keys, are checked where their type lives
 //! (`a4nn-core`'s `real` module).
+//!
+//! `fixtures/model_state_epoch_7.a4nn` is the binary checkpoint format as
+//! the last commit with the vendored `bytes` crate wrote it for
+//! [`fixture_state`]; the slice-based codec must write and read it
+//! byte for byte.
 
-use a4nn_nn::{Network, Tensor4};
+use a4nn_nn::{ModelState, NetSpec, Network, PhaseNetSpec, Tensor4};
+use rand::SeedableRng;
 
 const FIXTURE: &str = include_str!("fixtures/network_with_impl_keys.json");
+const STATE_FIXTURE: &[u8] = include_bytes!("fixtures/model_state_epoch_7.a4nn");
+
+/// The small seeded net at epoch 7 that `STATE_FIXTURE` encodes.
+fn fixture_state() -> ModelState {
+    let spec = NetSpec {
+        input_channels: 1,
+        phases: vec![PhaseNetSpec {
+            out_channels: 4,
+            kernel: 3,
+            node_inputs: vec![vec![], vec![0]],
+            leaves: vec![1],
+            skip: false,
+        }],
+        num_classes: 2,
+    };
+    let mut net = Network::new(&spec, &mut rand::rngs::StdRng::seed_from_u64(2023));
+    ModelState::capture(&mut net, 7)
+}
+
+#[test]
+fn binary_checkpoint_format_is_unchanged() {
+    let state = fixture_state();
+    assert_eq!(state.to_bytes(), STATE_FIXTURE, "encoder drifted");
+    let decoded = ModelState::from_bytes(STATE_FIXTURE).expect("fixture decodes");
+    assert_eq!(decoded, state);
+    assert_eq!(decoded.to_bytes(), STATE_FIXTURE);
+}
 
 #[derive(serde::Deserialize)]
 struct OldCheckpoint {

@@ -68,31 +68,43 @@ fn bus_standalone_matches_direct_standalone() {
     assert_eq!(epochs_csv(&direct.commons), epochs_csv(&bus.commons));
 }
 
+/// The run-level counters every transport feeds into the metrics
+/// registry agree between Direct and Bus, and account for the commons
+/// they describe.
 #[test]
-fn bus_run_reports_consistent_stream_stats() {
-    let bus = run(2023, true, Orchestration::Bus);
-    let stats = bus
-        .bus_stats
-        .clone()
-        .expect("bus orchestration reports stats");
-    assert_eq!(stats.epochs_observed, bus.total_epochs());
-    assert_eq!(stats.engine_interactions, bus.engine_interactions);
-    assert_eq!(stats.models_completed as usize, bus.commons.len());
-    assert_eq!(
-        stats.generations_scheduled as usize,
-        bus.schedule.generations.len()
-    );
-    // Lossless audit stream: the aggregator saw every event.
-    assert_eq!(stats.subscriber.dropped, 0);
-    assert_eq!(
-        stats.subscriber.delivered,
-        stats.epochs_observed
-            + stats.engine_interactions
-            + stats.terminations_advised
-            + stats.models_completed
-            + stats.generations_scheduled
-    );
-    // Per-GPU utilization covers the configured cluster.
-    assert_eq!(stats.gpu_busy_seconds.len(), 4);
-    assert!(stats.gpu_busy_seconds.iter().all(|&s| s > 0.0));
+fn direct_and_bus_report_the_same_counters() {
+    use a4nn_metrics::names;
+    for seed in [2023u64, 7u64] {
+        let direct = run(seed, true, Orchestration::Direct);
+        let bus = run(seed, true, Orchestration::Bus);
+        for name in [
+            names::JOBS_DISPATCHED,
+            names::RETRIES,
+            names::EPOCHS_TRAINED,
+            names::EARLY_TERMINATIONS,
+            names::MODELS_FAILED,
+            names::GENERATIONS,
+        ] {
+            assert_eq!(
+                direct.metrics.counter(name),
+                bus.metrics.counter(name),
+                "counter {name} diverged at seed {seed}"
+            );
+        }
+        assert_eq!(direct.engine_interactions, bus.engine_interactions);
+        assert_eq!(
+            bus.metrics.counter(names::JOBS_DISPATCHED),
+            bus.commons.len() as u64
+        );
+        assert_eq!(
+            bus.metrics.counter(names::EPOCHS_TRAINED),
+            bus.total_epochs()
+        );
+        assert_eq!(
+            bus.metrics.counter(names::GENERATIONS),
+            bus.schedule.generations.len() as u64
+        );
+        assert!(bus.metrics.counter(names::EARLY_TERMINATIONS) > 0);
+        assert!(bus.engine_interactions >= bus.total_epochs());
+    }
 }

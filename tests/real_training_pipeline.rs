@@ -161,7 +161,7 @@ fn decoded_networks_checkpoint_and_restore() {
     let mut net = Network::new(&spec, &mut rng);
     let state = ModelState::capture(&mut net, 3);
     let bytes = state.to_bytes();
-    let restored = ModelState::from_bytes(bytes).unwrap();
+    let restored = ModelState::from_bytes(&bytes).unwrap();
     let mut net2 = restored.restore(&mut rng);
     let x = Tensor4::zeros(2, 1, 16, 16);
     assert_eq!(

@@ -346,18 +346,18 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
         output.commons.save_dir(dir)?;
         // Written beside the commons files, not through save_dir, so
         // run bookkeeping can never perturb the golden commons bytes
-        // the equivalence suite pins. Metrics and the retry ledger go
-        // through write_atomic: a kill during export must not leave a
-        // half-written snapshot next to a committed commons.
-        std::fs::write(
-            dir.join("transport_stats.csv"),
-            output.transport_stats.to_csv(),
+        // the equivalence suite pins. All of it goes through
+        // write_atomic: a kill during export must not leave a
+        // half-written file next to a committed commons.
+        a4nn_lineage::write_atomic(
+            &dir.join("transport_stats.csv"),
+            output.transport_stats.to_csv().as_bytes(),
         )?;
         a4nn_lineage::write_atomic(&dir.join("metrics.csv"), output.metrics.to_csv().as_bytes())?;
         a4nn_lineage::write_atomic(&dir.join("metrics.json"), &output.metrics.to_json()?)?;
         a4nn_lineage::write_atomic(
             &dir.join("retries.csv"),
-            output.retry_ledger.to_csv().as_bytes(),
+            a4nn_lineage::retries_csv(&output.commons.records).as_bytes(),
         )?;
         println!("commons written to {}", dir.display());
     }
@@ -432,7 +432,7 @@ fn run_stats(parsed: &Parsed) -> Result<(), CommandError> {
             .filter(|l| l.ends_with("true"))
             .count();
         println!(
-            "retry ledger : {entries} model(s) tracked, {retried} needed retries, \
+            "retries      : {entries} model(s) tracked, {retried} needed retries, \
              {failed} failed terminally"
         );
     }

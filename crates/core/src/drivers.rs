@@ -46,7 +46,7 @@ fn run_generations(
             .iter()
             .map(|(o, _)| o.final_fitness)
             .collect();
-        totals.absorb(generation, next_id, batch);
+        totals.absorb(batch);
         next_id += genomes.len() as u64;
         evaluated = genomes.into_iter().zip(fitness).collect();
     }

@@ -56,13 +56,12 @@ use a4nn_sched::{
     schedule_fifo, schedule_fifo_retry, GpuPool, RetryPolicy, RetryTask, ScheduleResult, Task,
     TaskOrdering,
 };
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Per-transport dispatch counters for one run — the first slice of the
-/// metrics layer. All figures are measured wall time (never simulated
-/// seconds), so they report the harness's own cost without perturbing
-/// the reproducible results.
+/// Per-transport dispatch counters for one run, read from the metrics
+/// registry — so they cover both halves of a resumed run. All times are
+/// measured wall time (never simulated seconds), so they report the
+/// harness's own cost without perturbing the reproducible results.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TransportStats {
     /// Which transport dispatched the jobs (`direct`, `bus`, `socket`).
@@ -70,8 +69,8 @@ pub struct TransportStats {
     /// Trainer jobs that completed through the transport.
     pub jobs_dispatched: u64,
     /// Extra attempts beyond the first, summed over all jobs — trainer
-    /// retries on the in-process transports, dispatch re-queues after a
-    /// dead worker on the socket transport.
+    /// retries on every transport, plus dispatch re-queues after a dead
+    /// worker on the socket transport.
     pub retries: u64,
     /// Mean wall seconds from dispatching a job to holding its outcome.
     pub round_trip_mean_s: f64,
@@ -119,18 +118,6 @@ impl TransportStats {
             self.queue_wait_max_s * 1e3,
         )
     }
-}
-
-/// The accumulating counters behind [`TransportStats`], shared by every
-/// transport through [`EvalPipeline::record_job`].
-#[derive(Debug, Default)]
-struct MetricsSink {
-    jobs: u64,
-    retries: u64,
-    round_trip_total_s: f64,
-    round_trip_max_s: f64,
-    queue_wait_total_s: f64,
-    queue_wait_max_s: f64,
 }
 
 /// Result of evaluating one generation batch.
@@ -191,7 +178,6 @@ pub struct EvalPipeline<'a> {
     factory: &'a dyn TrainerFactory,
     checkpoints: Option<&'a CheckpointStore>,
     ft: &'a FaultTolerance,
-    metrics: Mutex<MetricsSink>,
     registry: MetricsRegistry,
 }
 
@@ -212,7 +198,6 @@ impl<'a> EvalPipeline<'a> {
             factory,
             checkpoints,
             ft,
-            metrics: Mutex::new(MetricsSink::default()),
             registry: MetricsRegistry::new(),
         }
     }
@@ -255,20 +240,11 @@ impl<'a> EvalPipeline<'a> {
         self.ft
     }
 
-    /// Record one completed job in the metrics sink: its dispatch→outcome
-    /// wall time, the wall time it queued for a free slot, and the extra
-    /// attempts it consumed beyond the first. Every transport calls this
-    /// once per job it completes.
+    /// Record one completed job in the metrics registry: its
+    /// dispatch→outcome wall time, the wall time it queued for a free
+    /// slot, and the extra attempts it consumed beyond the first. Every
+    /// transport calls this once per job it completes.
     pub fn record_job(&self, round_trip_s: f64, queue_wait_s: f64, retries: u64) {
-        {
-            let mut m = self.metrics.lock();
-            m.jobs += 1;
-            m.retries += retries;
-            m.round_trip_total_s += round_trip_s;
-            m.round_trip_max_s = m.round_trip_max_s.max(round_trip_s);
-            m.queue_wait_total_s += queue_wait_s;
-            m.queue_wait_max_s = m.queue_wait_max_s.max(queue_wait_s);
-        }
         self.registry.add(a4nn_metrics::names::JOBS_DISPATCHED, 1);
         self.registry.add(a4nn_metrics::names::RETRIES, retries);
         self.registry
@@ -277,25 +253,28 @@ impl<'a> EvalPipeline<'a> {
             .observe_duration(a4nn_metrics::names::QUEUE_WAIT_US, queue_wait_s);
     }
 
-    /// Snapshot the accumulated dispatch counters under `transport`'s
-    /// name.
+    /// The registry's dispatch counters under `transport`'s name; the
+    /// times are the µs histograms' mean and max, in seconds.
     pub fn transport_stats(&self, transport: &str) -> TransportStats {
-        let m = self.metrics.lock();
-        let mean = |total: f64| {
-            if m.jobs == 0 {
-                0.0
-            } else {
-                total / m.jobs as f64
-            }
+        use a4nn_metrics::names;
+        let snapshot = self.registry.snapshot();
+        let seconds = |name: &str| {
+            snapshot.histogram(name).map_or((0.0, 0.0), |h| {
+                let mean = h.mean().unwrap_or(0.0);
+                let max = h.max().unwrap_or(0) as f64;
+                (mean / 1e6, max / 1e6)
+            })
         };
+        let (round_trip_mean_s, round_trip_max_s) = seconds(names::ROUND_TRIP_US);
+        let (queue_wait_mean_s, queue_wait_max_s) = seconds(names::QUEUE_WAIT_US);
         TransportStats {
             transport: transport.to_string(),
-            jobs_dispatched: m.jobs,
-            retries: m.retries,
-            round_trip_mean_s: mean(m.round_trip_total_s),
-            round_trip_max_s: m.round_trip_max_s,
-            queue_wait_mean_s: mean(m.queue_wait_total_s),
-            queue_wait_max_s: m.queue_wait_max_s,
+            jobs_dispatched: snapshot.counter(names::JOBS_DISPATCHED),
+            retries: snapshot.counter(names::RETRIES),
+            round_trip_mean_s,
+            round_trip_max_s,
+            queue_wait_mean_s,
+            queue_wait_max_s,
         }
     }
 

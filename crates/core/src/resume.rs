@@ -25,11 +25,12 @@
 //! variation resumes mid-stream; the NSGA-II archive with objectives,
 //! the survivor (parent) indices, the duplicate-architecture filter,
 //! the generation cursor, and the id counter reconstruct selection
-//! exactly; completed records, schedules, engine counters, the retry
-//! ledger, and the metrics snapshot restore everything the remaining
-//! generations append to. Because each model trains independently and
-//! every stochastic stream is keyed on `(seed, model_id)`, no state
-//! outside this struct crosses a generation boundary.
+//! exactly; completed records (which carry every model's attempt
+//! count), schedules, engine counters, and the metrics snapshot restore
+//! everything the remaining generations append to. Because each model
+//! trains independently and every stochastic stream is keyed on
+//! `(seed, model_id)`, no state outside this struct crosses a generation
+//! boundary.
 
 use crate::config::WorkflowConfig;
 use a4nn_error::A4nnError;
@@ -37,12 +38,14 @@ use a4nn_genome::Genome;
 use a4nn_lineage::{write_atomic, ModelRecord};
 use a4nn_metrics::MetricsSnapshot;
 use a4nn_nsga::Individual;
-use a4nn_sched::{RetryLedger, ScheduleResult};
+use a4nn_sched::ScheduleResult;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Schema version of [`SearchSnapshot`]; bump on any breaking change so
-/// old snapshots fail loudly instead of resuming wrongly.
+/// old snapshots fail loudly instead of resuming wrongly. Dropping a
+/// field is not breaking: the loader ignores keys it does not know, such
+/// as the per-model `retries` account older snapshots still carry.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// Name of the commit-point manifest inside a run directory.
@@ -109,8 +112,6 @@ pub struct SearchSnapshot {
     pub engine_seconds: f64,
     /// Accumulated engine interactions.
     pub engine_interactions: u64,
-    /// Per-model attempt accounting.
-    pub retries: RetryLedger,
     /// The metrics registry's state at the boundary.
     pub metrics: MetricsSnapshot,
 }
@@ -270,7 +271,6 @@ mod tests {
             schedules: Vec::new(),
             engine_seconds: 0.25,
             engine_interactions: 7,
-            retries: RetryLedger::new(),
             metrics: MetricsSnapshot::default(),
         }
     }

@@ -24,7 +24,7 @@ use a4nn_nsga::{
     crowding_distance, environmental_selection, fast_non_dominated_sort, ranks_from_fronts,
     tournament_select, Individual, Objectives, RankedIndividual,
 };
-use a4nn_sched::{GenerationSchedule, RetryEntry, RetryLedger, ScheduleResult};
+use a4nn_sched::{GenerationSchedule, ScheduleResult};
 use rand::SeedableRng;
 use std::collections::HashSet;
 
@@ -99,14 +99,13 @@ pub struct RunOutput {
     /// Total engine interactions across all models.
     pub engine_interactions: u64,
     /// Dispatch counters of the transport that trained the run: jobs,
-    /// retries, round-trip and queue-wait wall times.
+    /// retries, round-trip and queue-wait wall times, read from
+    /// [`metrics`](Self::metrics) — both halves of a resumed run.
     pub transport_stats: TransportStats,
     /// Failure accounting: retries consumed, models failed/recovered,
     /// and the injected laggard's delivery counters. Quiet (all zero)
     /// on a fault-free run.
     pub fault_stats: FaultStats,
-    /// Durable per-model attempt accounting, carried across resume.
-    pub retry_ledger: RetryLedger,
     /// The structured metrics registry's final state: counters and
     /// histograms accumulated across the whole run (both halves, when
     /// the run was interrupted and resumed).
@@ -262,7 +261,7 @@ impl A4nnWorkflow {
     ///
     /// With a `resume` snapshot, the loop reconstructs every piece of
     /// state the snapshot's boundary committed — RNG stream, archive,
-    /// survivors, duplicate filter, cursors, ledgers — and continues
+    /// survivors, duplicate filter, cursors, records, metrics — and continues
     /// from the next generation; the remaining trajectory is bit-exact
     /// because nothing outside the snapshot crosses a boundary. With a
     /// `control.snapshot_dir`, the state is committed (manifest-last)
@@ -340,7 +339,6 @@ impl A4nnWorkflow {
                     schedules: snap.schedules,
                     engine_seconds: snap.engine_seconds,
                     engine_interactions: snap.engine_interactions,
-                    retry_ledger: snap.retries,
                 };
                 archive = snap.archive;
                 seen = snap.seen.into_iter().collect();
@@ -423,7 +421,7 @@ impl A4nnWorkflow {
                 });
                 generation_indices.push(archive.len() - 1);
             }
-            totals.absorb(generation, base_id, batch);
+            totals.absorb(batch);
             next_id += genomes.len() as u64;
 
             // Elitist environmental selection (μ+λ).
@@ -456,7 +454,6 @@ impl A4nnWorkflow {
                     schedules: totals.schedules.clone(),
                     engine_seconds: totals.engine_seconds,
                     engine_interactions: totals.engine_interactions,
-                    retries: totals.retry_ledger.clone(),
                     metrics: pipeline.metrics_registry().snapshot(),
                 };
                 snap.save(dir)?;
@@ -479,14 +476,13 @@ impl A4nnWorkflow {
 }
 
 /// What a search accumulates generation by generation, whichever driver
-/// proposes the genomes: record trails, cluster schedules, engine
-/// overhead, and the retry ledger.
+/// proposes the genomes: record trails, cluster schedules, and engine
+/// overhead.
 pub(crate) struct SearchTotals {
     records: Vec<ModelRecord>,
     schedules: Vec<ScheduleResult>,
     engine_seconds: f64,
     engine_interactions: u64,
-    retry_ledger: RetryLedger,
 }
 
 impl SearchTotals {
@@ -497,21 +493,14 @@ impl SearchTotals {
             schedules: Vec::with_capacity(cfg.nas.generations),
             engine_seconds: 0.0,
             engine_interactions: 0,
-            retry_ledger: RetryLedger::new(),
         }
     }
 
-    /// Fold one evaluated generation (model ids from `base_id`) in.
-    pub(crate) fn absorb(&mut self, generation: usize, base_id: u64, batch: BatchResult) {
-        for (k, (outcome, _)) in batch.outcomes.iter().enumerate() {
+    /// Fold one evaluated generation in.
+    pub(crate) fn absorb(&mut self, batch: BatchResult) {
+        for (outcome, _) in &batch.outcomes {
             self.engine_seconds += outcome.engine_seconds;
             self.engine_interactions += outcome.engine_interactions;
-            self.retry_ledger.push(RetryEntry {
-                model_id: base_id + k as u64,
-                generation,
-                attempts: outcome.attempts,
-                failed: outcome.failed,
-            });
         }
         self.records.extend(batch.records);
         self.schedules.push(batch.schedule);
@@ -530,7 +519,6 @@ impl SearchTotals {
             engine_seconds: self.engine_seconds,
             engine_interactions: self.engine_interactions,
             transport_stats: pipeline.transport_stats(transport),
-            retry_ledger: self.retry_ledger,
             metrics: pipeline.metrics_registry().snapshot(),
         }
     }

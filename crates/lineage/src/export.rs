@@ -7,6 +7,7 @@
 //! into pandas/polars/R.
 
 use crate::commons::DataCommons;
+use crate::record::ModelRecord;
 use std::fmt::Write as _;
 
 /// One-row-per-model summary CSV.
@@ -101,6 +102,24 @@ pub fn epochs_csv(commons: &DataCommons) -> String {
     out
 }
 
+/// One row per model of its attempt accounting — generation, attempts
+/// consumed (1 = clean first attempt), and whether it failed terminally —
+/// the run's `retries.csv`.
+pub fn retries_csv(records: &[ModelRecord]) -> String {
+    let mut out = String::from("model_id,generation,attempts,failed\n");
+    for r in records {
+        let _ = writeln!(
+            out,
+            "{},{},{},{}",
+            r.model_id,
+            r.generation,
+            r.attempts,
+            r.failed()
+        );
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +181,18 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[1], "3,1,60,58,2,");
         assert_eq!(lines[2], "3,2,70,66,2.1,91.5");
+    }
+
+    #[test]
+    fn retries_csv_one_row_per_model() {
+        let mut c = commons();
+        assert_eq!(
+            retries_csv(&c.records),
+            "model_id,generation,attempts,failed\n3,1,1,false\n"
+        );
+        c.records[0].termination = Terminated::Failed;
+        c.records[0].attempts = 3;
+        assert!(retries_csv(&c.records).ends_with("\n3,1,3,true\n"));
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! - [`structure`] — structural analytics: fixed feature vectors over
 //!   genomes, feature↔fitness correlations, and success-vs-rest contrasts
 //!   (the conclusions' "structural similarities" question);
-//! - [`export`] — CSV exports (per-model and per-epoch) matching the
-//!   paper's "load into a DataFrame" affordance.
+//! - [`export`] — CSV exports (per-model, per-epoch, and per-model
+//!   attempt accounting) matching the paper's "load into a DataFrame"
+//!   affordance.
 
 #![warn(clippy::redundant_clone)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -33,6 +34,6 @@ pub mod structure;
 pub use analyzer::Analyzer;
 pub use commons::{write_atomic, DataCommons, LineageTracker};
 pub use curves::{classify_curve, classify_record, shape_census, CurveShape};
-pub use export::{epochs_csv, models_csv};
+pub use export::{epochs_csv, models_csv, retries_csv};
 pub use record::{fitness_cmp, EngineParamsRecord, EpochRecord, ModelRecord, Terminated};
 pub use structure::{feature_fitness_correlations, success_contrast, StructuralFeatures};

@@ -6,12 +6,12 @@
 //! in its `Welcome`, and the router always dispatches to the live
 //! connection with the lowest relative load (`in_flight / gpus`). Dead
 //! workers are detected by the heartbeat deadline — the reader thread's
-//! socket read timeout — and their in-flight jobs are *requeued* through
-//! the pool's dead-worker requeue, [`GpuPool::run_batch_retry`]: a lost
-//! connection panics the dispatch attempt, the pool requeues the job,
-//! and the router routes it to a surviving worker. Only when every
-//! worker is gone (or a job has been dispatched to every worker and lost
-//! each time) does the run abort with a `Net`-class [`A4nnError`].
+//! socket read timeout — and their in-flight jobs are *requeued*: each
+//! genome is one [`GpuPool::run_batch`] job whose body loops over
+//! dispatch attempts, so a job whose connection died routes its next
+//! attempt to a surviving worker. Only when every worker is gone (or a
+//! job has been dispatched to every worker and lost each time) does the
+//! run abort with a `Net`-class [`A4nnError`].
 //!
 //! Failure taxonomy, unchanged from the in-process transports: a trainer
 //! panic *on* a worker is handled by the worker's own retry loop and
@@ -25,7 +25,7 @@ use a4nn_core::{
 };
 use a4nn_error::A4nnError;
 use a4nn_genome::Genome;
-use a4nn_sched::{GpuPool, RetryPolicy};
+use a4nn_sched::GpuPool;
 use crossbeam::channel;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -128,7 +128,6 @@ struct ConnState {
 }
 
 struct Connection {
-    addr: String,
     gpus: usize,
     writer: Mutex<TcpStream>,
     state: Arc<Mutex<ConnState>>,
@@ -225,13 +224,13 @@ impl SocketTransport {
                 },
             )
             .map_err(|e| A4nnError::Net(format!("shipping run setup to worker {addr}: {e}")))?;
-            accepted.push((addr.clone(), gpus, stream, reader));
+            accepted.push((gpus, stream, reader));
         }
 
         let router = Arc::new(Router::new(
             accepted
                 .iter()
-                .map(|(_, gpus, _, _)| Slot {
+                .map(|(gpus, _, _)| Slot {
                     gpus: *gpus,
                     in_flight: 0,
                     alive: true,
@@ -241,7 +240,7 @@ impl SocketTransport {
         let connections = accepted
             .into_iter()
             .enumerate()
-            .map(|(i, (addr, gpus, stream, mut reader))| {
+            .map(|(i, (gpus, stream, mut reader))| {
                 let state = Arc::new(Mutex::new(ConnState {
                     alive: true,
                     pending: HashMap::new(),
@@ -277,7 +276,6 @@ impl SocketTransport {
                     reader_router.mark_dead(i);
                 });
                 Connection {
-                    addr,
                     gpus,
                     writer: Mutex::new(stream),
                     state,
@@ -307,9 +305,8 @@ impl SocketTransport {
         self.connections.iter().map(|c| c.gpus).sum()
     }
 
-    /// Dispatch one job to connection `conn_idx`; panics (for the retry
-    /// pool to requeue) when the connection dies at any point before
-    /// the outcome arrives.
+    /// Dispatch one job to connection `conn_idx`; `None` when the
+    /// connection dies at any point before the outcome arrives.
     fn dispatch(
         &self,
         conn_idx: usize,
@@ -366,71 +363,66 @@ impl Transport for SocketTransport {
                     .into(),
             ));
         }
-        // A job must survive every worker dying at most once while
-        // holding it; with n workers that bounds useful dispatch
-        // attempts at n + 1 (past that, acquire() returns None anyway).
-        let dispatch_policy = RetryPolicy {
-            max_attempts: self.connections.len() as u32 + 1,
-            backoff_base_s: 0.0,
-            backoff_factor: 1.0,
-        };
+        // A job loses at most one attempt per worker (a failed attempt
+        // retires its connection), so with n workers n + 1 dispatch
+        // attempts suffice (past that, acquire() returns None anyway).
+        let max_dispatches = self.connections.len() as u32 + 1;
         let jobs: Vec<_> = genomes
             .iter()
             .enumerate()
             .map(|(k, genome)| {
                 let model_id = base_id + k as u64;
-                move |_worker: usize,
-                      attempt: u32|
-                      -> Result<(TrainingOutcome, ModelCost), A4nnError> {
-                    let queued = Instant::now();
-                    let Some(conn_idx) = self.router.acquire() else {
-                        return Err(A4nnError::Net(format!(
-                            "no live workers remain to train model {model_id} \
-                             (all {} worker connection(s) lost)",
-                            self.connections.len()
-                        )));
-                    };
-                    let queue_wait_s = queued.elapsed().as_secs_f64();
-                    let dispatched = Instant::now();
-                    let result = self.dispatch(conn_idx, model_id, generation, attempt, genome);
-                    self.router.release(conn_idx);
-                    match result {
-                        Some(pair) => {
+                move |_worker: usize| -> Result<(TrainingOutcome, ModelCost), A4nnError> {
+                    for attempt in 1..=max_dispatches {
+                        let queued = Instant::now();
+                        let conn_idx = self.router.acquire().ok_or_else(|| {
+                            A4nnError::Net(format!(
+                                "no live workers remain to train model {model_id} \
+                                 (all {} worker connection(s) lost)",
+                                self.connections.len()
+                            ))
+                        })?;
+                        let queue_wait_s = queued.elapsed().as_secs_f64();
+                        let dispatched = Instant::now();
+                        let result = self.dispatch(conn_idx, model_id, generation, attempt, genome);
+                        if result.is_none() {
+                            // The connection died before the outcome
+                            // landed. Retire it before freeing the slot:
+                            // the reader thread drains this job before it
+                            // marks the router, and the next attempt must
+                            // not race back onto the dead connection.
+                            self.router.mark_dead(conn_idx);
+                        }
+                        self.router.release(conn_idx);
+                        if let Some((outcome, cost)) = result {
                             pipeline.record_job(
                                 dispatched.elapsed().as_secs_f64(),
                                 queue_wait_s,
-                                u64::from(attempt.saturating_sub(1)),
+                                u64::from(outcome.attempts.saturating_sub(1) + attempt - 1),
                             );
-                            Ok(pair)
+                            return Ok((outcome, cost));
                         }
-                        // Connection lost before the outcome landed:
-                        // panic so run_batch_retry requeues the job onto
-                        // a surviving worker.
-                        None => panic!(
-                            "worker {} lost while it held model {model_id}",
-                            self.connections[conn_idx].addr
-                        ),
                     }
+                    Err(A4nnError::Net(format!(
+                        "model {model_id} was dispatched {max_dispatches} time(s) and every \
+                         worker holding it died"
+                    )))
                 }
             })
             .collect();
-        let batch =
-            GpuPool::new(self.total_gpus().max(1)).run_batch_retry(jobs, &dispatch_policy)?;
-        let mut outcomes = Vec::with_capacity(genomes.len());
-        for (k, output) in batch.outputs.into_iter().enumerate() {
-            match output {
-                Some(Ok(pair)) => outcomes.push(pair),
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(A4nnError::Net(format!(
-                        "model {} was dispatched {} time(s) and every worker holding it died",
-                        base_id + k as u64,
-                        dispatch_policy.max_attempts
-                    )))
-                }
-            }
-        }
-        Ok(outcomes)
+        let (outputs, _) = GpuPool::new(self.total_gpus().max(1)).run_batch(jobs)?;
+        outputs
+            .into_iter()
+            .enumerate()
+            .map(|(k, output)| {
+                output.ok_or_else(|| {
+                    A4nnError::Internal(format!(
+                        "dispatch job for model {} panicked outside its attempts",
+                        base_id + k as u64
+                    ))
+                })?
+            })
+            .collect()
     }
 
     fn name(&self) -> &'static str {

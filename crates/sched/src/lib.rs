@@ -12,15 +12,15 @@
 //!   the per-generation idle tail. All the paper's wall-time figures are
 //!   regenerated on this simulator.
 //! - [`pool`] — a **real thread-pool executor** with the same FIFO
-//!   semantics, mapping virtual GPUs onto worker threads, used when the
-//!   workflow actually trains networks with `a4nn-nn`.
+//!   semantics, mapping virtual GPUs onto worker threads: the one job
+//!   runner of every transport. It runs each job once; retries and the
+//!   socket transport's dead-worker requeue are loops inside the jobs.
 //! - LPT ordering lives in [`des`] as an ablation: longest-processing-
 //!   time-first reduces the idle tail FIFO leaves behind.
 
 #![warn(clippy::redundant_clone)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod des;
-pub mod ledger;
 pub mod pool;
 pub mod retry;
 pub mod trace;
@@ -29,7 +29,6 @@ pub use des::{
     schedule_fifo, schedule_fifo_retry, schedule_generations, Assignment, GenerationSchedule,
     RetryTask, ScheduleResult, Task, TaskOrdering,
 };
-pub use ledger::{RetryEntry, RetryLedger};
-pub use pool::{intra_op_threads, AttemptRecord, GpuPool, JobReport, JobStatus, RetryBatch};
+pub use pool::{intra_op_threads, GpuPool, JobReport};
 pub use retry::RetryPolicy;
 pub use trace::chrome_trace;

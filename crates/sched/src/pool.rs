@@ -7,18 +7,15 @@
 //! with the worker that ran each job and its measured wall time.
 //!
 //! Jobs run under [`std::panic::catch_unwind`]: a panicking job yields a
-//! [`JobStatus::Failed`] report instead of poisoning the batch, and
-//! [`GpuPool::run_batch_retry`] requeues failed jobs onto the next free
-//! virtual GPU after an exponential backoff, up to a
-//! [`RetryPolicy`]-bounded attempt count.
+//! `None` output instead of poisoning the batch. The pool never retries:
+//! a job that wants another attempt loops inside itself — the trainers'
+//! retry loop and the socket transport's dead-worker requeue both do.
 
-use crate::retry::RetryPolicy;
 use a4nn_error::A4nnError;
 use crossbeam::channel;
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
+use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Intra-op thread budget for each of `workers` concurrent jobs: the
 /// machine's cores divided evenly among the virtual GPUs, at least 1.
@@ -32,82 +29,19 @@ pub fn intra_op_threads(workers: usize) -> usize {
     (cores / workers.max(1)).max(1)
 }
 
-/// Terminal state of one job in a batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobStatus {
-    /// The job returned a value.
-    Completed,
-    /// Every allowed attempt panicked; `error` is the last panic message.
-    Failed {
-        /// Panic payload of the final attempt, best-effort stringified.
-        error: String,
-    },
-}
-
-impl JobStatus {
-    /// Whether the job completed.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, JobStatus::Completed)
-    }
-}
-
 /// Execution record for one job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
-    /// Index of the job in the submitted batch.
-    pub job: usize,
-    /// Worker ("GPU") that executed its final attempt.
+    /// Worker ("GPU") that executed the job.
     pub worker: usize,
-    /// Measured wall seconds summed over every attempt.
+    /// Measured wall seconds of the job.
     pub seconds: f64,
-    /// Attempts consumed (1 = no retries needed).
-    pub attempts: u32,
-    /// Whether the job ultimately completed or failed.
-    pub status: JobStatus,
-}
-
-/// One attempt of one job, in dispatch order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttemptRecord {
-    /// Index of the job in the submitted batch.
-    pub job: usize,
-    /// 1-based attempt number.
-    pub attempt: u32,
-    /// Worker that ran the attempt.
-    pub worker: usize,
-    /// Measured wall seconds of this attempt.
-    pub seconds: f64,
-    /// Whether the attempt panicked.
-    pub failed: bool,
-}
-
-/// Everything [`GpuPool::run_batch_retry`] produces for one batch.
-#[derive(Debug)]
-pub struct RetryBatch<T> {
-    /// Job outputs in submission order; `None` where every attempt failed.
-    pub outputs: Vec<Option<T>>,
-    /// Final per-job reports, in submission order.
-    pub reports: Vec<JobReport>,
-    /// Every attempt that ran, in completion order.
-    pub attempts: Vec<AttemptRecord>,
-    /// Measured busy seconds per worker (sums to total attempt seconds).
-    pub worker_busy_s: Vec<f64>,
 }
 
 /// A fixed-size pool of worker threads with FIFO job dispatch.
 #[derive(Debug)]
 pub struct GpuPool {
     workers: usize,
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "job panicked".to_string()
-    }
 }
 
 /// Join every pool worker; a worker that died outside a job's
@@ -130,13 +64,6 @@ fn join_workers(handles: Vec<std::thread::ScopedJoinHandle<'_, ()>>) -> Result<(
 /// report, filled in by whichever worker ran the job.
 type JobSlot<T> = Option<(Option<T>, JobReport)>;
 
-/// One queue entry: a job attempt that becomes runnable at `not_before`.
-struct Pending {
-    job: usize,
-    attempt: u32,
-    not_before: Instant,
-}
-
 impl GpuPool {
     /// Create a pool that will use `workers` threads per batch.
     pub fn new(workers: usize) -> Self {
@@ -151,8 +78,8 @@ impl GpuPool {
 
     /// Run every job once, FIFO, across the pool. Returns the job
     /// outputs in submission order (`None` for panicked jobs) plus
-    /// per-job execution reports — a panicking job is reported as
-    /// [`JobStatus::Failed`] and never loses the rest of the batch.
+    /// per-job execution reports — a panicking job never loses the rest
+    /// of the batch.
     ///
     /// Jobs receive the worker index so trainers can tag lineage records
     /// with their virtual GPU. Errs only when the pool's own machinery
@@ -185,25 +112,9 @@ impl GpuPool {
                 handles.push(scope.spawn(move || {
                     while let Ok((i, job)) = job_rx.recv() {
                         let t0 = Instant::now();
-                        let outcome = catch_unwind(AssertUnwindSafe(|| job(worker)));
+                        let out = catch_unwind(AssertUnwindSafe(|| job(worker))).ok();
                         let seconds = t0.elapsed().as_secs_f64();
-                        let (out, status) = match outcome {
-                            Ok(v) => (Some(v), JobStatus::Completed),
-                            Err(payload) => (
-                                None,
-                                JobStatus::Failed {
-                                    error: panic_message(payload.as_ref()),
-                                },
-                            ),
-                        };
-                        let report = JobReport {
-                            job: i,
-                            worker,
-                            seconds,
-                            attempts: 1,
-                            status,
-                        };
-                        results.lock()[i] = Some((out, report));
+                        results.lock()[i] = Some((out, JobReport { worker, seconds }));
                     }
                 }));
             }
@@ -220,165 +131,12 @@ impl GpuPool {
         }
         Ok((outs, reports))
     }
-
-    /// Run every job FIFO with per-job retries: an attempt that panics is
-    /// requeued at the back of the ready queue, eligible again after the
-    /// policy's exponential backoff, and picked up by whichever virtual
-    /// GPU frees up first. Jobs that exhaust `policy.max_attempts`
-    /// attempts are reported as [`JobStatus::Failed`].
-    ///
-    /// Jobs receive `(worker, attempt)` so trainers can key per-attempt
-    /// behaviour (attempt is 1-based). As with [`run_batch`](Self::run_batch),
-    /// an `Err` means the pool itself broke; exhausted jobs come back as
-    /// `None` outputs with [`JobStatus::Failed`] reports.
-    pub fn run_batch_retry<T, F>(
-        &self,
-        jobs: Vec<F>,
-        policy: &RetryPolicy,
-    ) -> Result<RetryBatch<T>, A4nnError>
-    where
-        T: Send,
-        F: Fn(usize, u32) -> T + Send + Sync,
-    {
-        let n = jobs.len();
-        let max_attempts = policy.max_attempts.max(1);
-        let now = Instant::now();
-        let queue: Mutex<VecDeque<Pending>> = Mutex::new(
-            (0..n)
-                .map(|job| Pending {
-                    job,
-                    attempt: 1,
-                    not_before: now,
-                })
-                .collect(),
-        );
-        // Jobs not yet terminally resolved; workers exit when it hits 0.
-        let outstanding = Mutex::new(n);
-        let ready = Condvar::new();
-        let outputs: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-        let reports: Mutex<Vec<Option<JobReport>>> = Mutex::new((0..n).map(|_| None).collect());
-        let attempts_log: Mutex<Vec<AttemptRecord>> = Mutex::new(Vec::new());
-        let busy: Mutex<Vec<f64>> = Mutex::new(vec![0.0; self.workers]);
-        // Wall seconds accumulated per job across attempts.
-        let job_seconds: Mutex<Vec<f64>> = Mutex::new(vec![0.0; n]);
-        let jobs = &jobs;
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.workers);
-            for worker in 0..self.workers {
-                let queue = &queue;
-                let outstanding = &outstanding;
-                let ready = &ready;
-                let outputs = &outputs;
-                let reports = &reports;
-                let attempts_log = &attempts_log;
-                let busy = &busy;
-                let job_seconds = &job_seconds;
-                handles.push(scope.spawn(move || loop {
-                    let pending = {
-                        let mut q = queue.lock();
-                        loop {
-                            if *outstanding.lock() == 0 {
-                                return;
-                            }
-                            let now = Instant::now();
-                            // FIFO among eligible entries.
-                            if let Some(pos) = q.iter().position(|p| p.not_before <= now) {
-                                let Some(p) = q.remove(pos) else {
-                                    unreachable!("position from iter::position is in bounds")
-                                };
-                                break p;
-                            }
-                            match q.iter().map(|p| p.not_before).min() {
-                                // Backoffs pending: sleep until the
-                                // earliest becomes eligible.
-                                Some(wake) => {
-                                    ready.wait_for(&mut q, wake.saturating_duration_since(now));
-                                }
-                                // Queue empty: wait for a requeue or for
-                                // the batch to finish.
-                                None => {
-                                    ready.wait_for(&mut q, Duration::from_millis(50));
-                                }
-                            }
-                        }
-                    };
-                    let t0 = Instant::now();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        jobs[pending.job](worker, pending.attempt)
-                    }));
-                    let seconds = t0.elapsed().as_secs_f64();
-                    busy.lock()[worker] += seconds;
-                    job_seconds.lock()[pending.job] += seconds;
-                    attempts_log.lock().push(AttemptRecord {
-                        job: pending.job,
-                        attempt: pending.attempt,
-                        worker,
-                        seconds,
-                        failed: outcome.is_err(),
-                    });
-                    match outcome {
-                        Ok(v) => {
-                            outputs.lock()[pending.job] = Some(v);
-                            reports.lock()[pending.job] = Some(JobReport {
-                                job: pending.job,
-                                worker,
-                                seconds: job_seconds.lock()[pending.job],
-                                attempts: pending.attempt,
-                                status: JobStatus::Completed,
-                            });
-                            *outstanding.lock() -= 1;
-                            ready.notify_all();
-                        }
-                        Err(payload) if pending.attempt < max_attempts => {
-                            let backoff = policy.backoff_s(pending.attempt).max(0.0);
-                            drop(payload);
-                            queue.lock().push_back(Pending {
-                                job: pending.job,
-                                attempt: pending.attempt + 1,
-                                not_before: Instant::now() + Duration::from_secs_f64(backoff),
-                            });
-                            ready.notify_all();
-                        }
-                        Err(payload) => {
-                            reports.lock()[pending.job] = Some(JobReport {
-                                job: pending.job,
-                                worker,
-                                seconds: job_seconds.lock()[pending.job],
-                                attempts: pending.attempt,
-                                status: JobStatus::Failed {
-                                    error: panic_message(payload.as_ref()),
-                                },
-                            });
-                            *outstanding.lock() -= 1;
-                            ready.notify_all();
-                        }
-                    }
-                }));
-            }
-            join_workers(handles)
-        })?;
-
-        let reports = reports
-            .into_inner()
-            .into_iter()
-            .map(|r| {
-                r.ok_or_else(|| A4nnError::Internal("pool worker dropped a job report".into()))
-            })
-            .collect::<Result<Vec<_>, A4nnError>>()?;
-        Ok(RetryBatch {
-            outputs: outputs.into_inner(),
-            reports,
-            attempts: attempts_log.into_inner(),
-            worker_busy_s: busy.into_inner(),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn intra_op_budget_divides_cores_and_never_hits_zero() {
@@ -400,12 +158,7 @@ mod tests {
         let (outs, reports) = pool.run_batch(jobs).unwrap();
         assert_eq!(outs, (0..16).map(|i| Some(i * 10)).collect::<Vec<_>>());
         assert_eq!(reports.len(), 16);
-        for (i, r) in reports.iter().enumerate() {
-            assert_eq!(r.job, i);
-            assert!(r.worker < 4);
-            assert_eq!(r.status, JobStatus::Completed);
-            assert_eq!(r.attempts, 1);
-        }
+        assert!(reports.iter().all(|r| r.worker < 4));
     }
 
     #[test]
@@ -476,9 +229,9 @@ mod tests {
     }
 
     #[test]
-    fn panicking_job_reports_failed_without_losing_the_batch() {
+    fn panicking_job_yields_none_without_losing_the_batch() {
         // Regression: a panic used to unwind the whole scope and lose
-        // every result; now it must yield one Failed report.
+        // every result; now it must yield one `None` output.
         let pool = GpuPool::new(2);
         let jobs: Vec<Box<dyn FnOnce(usize) -> usize + Send>> = (0..6usize)
             .map(|i| {
@@ -491,117 +244,10 @@ mod tests {
             })
             .collect();
         let (outs, reports) = pool.run_batch(jobs).unwrap();
-        for i in 0..6 {
-            if i == 3 {
-                assert_eq!(outs[i], None);
-                let JobStatus::Failed { error } = &reports[i].status else {
-                    panic!("job 3 should be Failed");
-                };
-                assert!(error.contains("injected failure"));
-            } else {
-                assert_eq!(outs[i], Some(i * 2));
-                assert_eq!(reports[i].status, JobStatus::Completed);
-            }
+        assert_eq!(reports.len(), 6);
+        for (i, out) in outs.into_iter().enumerate() {
+            assert_eq!(out, (i != 3).then_some(i * 2));
         }
-    }
-
-    #[test]
-    fn retry_recovers_transient_failures() {
-        let pool = GpuPool::new(2);
-        let counters: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
-        let counters = &counters;
-        // Jobs 2 and 5 fail on their first attempt only.
-        let jobs: Vec<_> = (0..8)
-            .map(|i| {
-                move |_w: usize, attempt: u32| {
-                    counters[i].fetch_add(1, Ordering::SeqCst);
-                    if (i == 2 || i == 5) && attempt == 1 {
-                        panic!("transient fault");
-                    }
-                    i
-                }
-            })
-            .collect();
-        let batch = pool
-            .run_batch_retry(
-                jobs,
-                &RetryPolicy {
-                    max_attempts: 3,
-                    backoff_base_s: 0.001,
-                    backoff_factor: 2.0,
-                },
-            )
-            .unwrap();
-        for (i, counter) in counters.iter().enumerate() {
-            assert_eq!(batch.outputs[i], Some(i));
-            assert_eq!(batch.reports[i].status, JobStatus::Completed);
-            let expected = if i == 2 || i == 5 { 2 } else { 1 };
-            assert_eq!(batch.reports[i].attempts, expected);
-            assert_eq!(counter.load(Ordering::SeqCst), expected);
-        }
-        let total_attempts: usize = batch.attempts.len();
-        assert_eq!(total_attempts, 10);
-    }
-
-    #[test]
-    fn exhausted_retries_yield_failed_report() {
-        let pool = GpuPool::new(2);
-        let jobs: Vec<_> = (0..4)
-            .map(|i| {
-                move |_w: usize, _attempt: u32| {
-                    if i == 1 {
-                        panic!("permanent fault");
-                    }
-                    i
-                }
-            })
-            .collect();
-        let batch = pool
-            .run_batch_retry(
-                jobs,
-                &RetryPolicy {
-                    max_attempts: 3,
-                    backoff_base_s: 0.001,
-                    backoff_factor: 2.0,
-                },
-            )
-            .unwrap();
-        assert_eq!(batch.outputs[1], None);
-        assert_eq!(batch.reports[1].attempts, 3);
-        assert!(matches!(batch.reports[1].status, JobStatus::Failed { .. }));
-        for i in [0usize, 2, 3] {
-            assert_eq!(batch.outputs[i], Some(i));
-        }
-        // Three failed attempts logged for job 1.
-        assert_eq!(
-            batch
-                .attempts
-                .iter()
-                .filter(|a| a.job == 1 && a.failed)
-                .count(),
-            3
-        );
-    }
-
-    #[test]
-    fn busy_accounting_sums_to_attempt_seconds() {
-        let pool = GpuPool::new(3);
-        let jobs: Vec<_> = (0..9)
-            .map(|i| {
-                move |_w: usize, attempt: u32| {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                    if i == 4 && attempt == 1 {
-                        panic!("one transient");
-                    }
-                }
-            })
-            .collect();
-        let batch = pool.run_batch_retry(jobs, &RetryPolicy::default()).unwrap();
-        let attempt_total: f64 = batch.attempts.iter().map(|a| a.seconds).sum();
-        let busy_total: f64 = batch.worker_busy_s.iter().sum();
-        assert!((attempt_total - busy_total).abs() < 1e-9);
-        let report_total: f64 = batch.reports.iter().map(|r| r.seconds).sum();
-        assert!((attempt_total - report_total).abs() < 1e-9);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Per-job retry policy shared by the thread-pool executor and the
+//! Per-job retry policy shared by the trainers' attempt loop and the
 //! discrete-event simulator.
 //!
-//! A failed attempt (a panicking job) is requeued onto the FIFO ready
-//! queue after an exponential backoff. The pool waits out the backoff in
-//! real time; the DES advances simulated time by the same amount, so both
-//! resource managers agree on the policy's semantics.
+//! The attempt loop (`a4nn_core`'s `train_resilient_direct`) bounds a
+//! model's attempts by `max_attempts` and retries inline. The DES charges
+//! each failed attempt to its GPU and requeues the job onto the FIFO
+//! ready queue after the exponential backoff, in simulated time.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,109 +1,19 @@
-//! Property tests for the fault-tolerant execution layer: the real
-//! thread pool ([`GpuPool::run_batch_retry`]) and its simulated twin
-//! ([`schedule_fifo_retry`]) under arbitrary failure patterns.
+//! Property tests for the retry-aware discrete-event schedule
+//! ([`schedule_fifo_retry`]), which charges every trainer attempt —
+//! failed ones included — to the simulated GPUs, under arbitrary failure
+//! patterns:
 //!
-//! The invariants hold for *any* fault plan in which each job fails
-//! fewer times than the attempt budget allows:
-//!
-//! - every job completes exactly once, consuming `failures + 1` attempts;
-//! - per-worker busy accounting sums to the total attempt time;
-//! - the DES twin conserves time the same way, GPU by GPU.
+//! - the DES conserves time, GPU by GPU, over every attempt;
+//! - each task's attempts are strictly ordered and respect the policy's
+//!   exponential backoff.
 
-use a4nn_sched::{schedule_fifo_retry, GpuPool, RetryPolicy, RetryTask};
+use a4nn_sched::{schedule_fifo_retry, RetryPolicy, RetryTask};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// A per-job failure budget: the job panics on its first `failures`
-/// attempts and succeeds on attempt `failures + 1`.
-fn failure_plan(max_jobs: usize, max_failures: u32) -> impl Strategy<Value = Vec<u32>> {
-    proptest::collection::vec(0..=max_failures, 1..=max_jobs)
-}
-
-/// A fast policy so 32 proptest cases stay under a second of wall time.
-fn fast_policy(max_attempts: u32) -> RetryPolicy {
-    RetryPolicy {
-        max_attempts,
-        backoff_base_s: 0.0005,
-        backoff_factor: 1.5,
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any plan with `failures < max_attempts` per job drains the whole
-    /// batch: each job completes exactly once with exact attempt
-    /// accounting, and no attempt ran after its job succeeded.
-    #[test]
-    fn pool_completes_every_job_exactly_once(
-        failures in failure_plan(8, 2),
-        workers in 1usize..=4,
-    ) {
-        let max_attempts = 3;
-        let calls: Vec<AtomicU32> = failures.iter().map(|_| AtomicU32::new(0)).collect();
-        let jobs: Vec<_> = failures
-            .iter()
-            .enumerate()
-            .map(|(i, &budget)| {
-                let calls = &calls;
-                move |_worker: usize, attempt: u32| {
-                    calls[i].fetch_add(1, Ordering::SeqCst);
-                    assert!(attempt <= budget + 1, "attempt after success");
-                    if attempt <= budget {
-                        panic!("planned failure {attempt} of job {i}");
-                    }
-                    i
-                }
-            })
-            .collect();
-        let batch = GpuPool::new(workers).run_batch_retry(jobs, &fast_policy(max_attempts)).unwrap();
-
-        for (i, &budget) in failures.iter().enumerate() {
-            prop_assert_eq!(batch.outputs[i], Some(i), "job {} output", i);
-            prop_assert!(batch.reports[i].status.is_completed());
-            prop_assert_eq!(batch.reports[i].attempts, budget + 1);
-            prop_assert_eq!(calls[i].load(Ordering::SeqCst), budget + 1);
-        }
-        // The attempt log agrees with the per-job reports.
-        let total_attempts: u32 = failures.iter().map(|f| f + 1).sum();
-        prop_assert_eq!(batch.attempts.len() as u32, total_attempts);
-        let failed_attempts = batch.attempts.iter().filter(|a| a.failed).count() as u32;
-        prop_assert_eq!(failed_attempts, failures.iter().sum::<u32>());
-    }
-
-    /// Per-worker busy seconds are conservation-of-time accounting: they
-    /// sum to the measured duration of every attempt, successful or not.
-    #[test]
-    fn pool_busy_accounting_sums_to_total_attempt_time(
-        failures in failure_plan(6, 1),
-        workers in 1usize..=3,
-    ) {
-        let jobs: Vec<_> = failures
-            .iter()
-            .enumerate()
-            .map(|(i, &budget)| {
-                move |_worker: usize, attempt: u32| {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    if attempt <= budget {
-                        panic!("planned failure");
-                    }
-                    i
-                }
-            })
-            .collect();
-        let batch = GpuPool::new(workers).run_batch_retry(jobs, &fast_policy(2)).unwrap();
-
-        prop_assert_eq!(batch.worker_busy_s.len(), workers);
-        let busy: f64 = batch.worker_busy_s.iter().sum();
-        let attempt_total: f64 = batch.attempts.iter().map(|a| a.seconds).sum();
-        let report_total: f64 = batch.reports.iter().map(|r| r.seconds).sum();
-        prop_assert!((busy - attempt_total).abs() < 1e-9,
-            "busy {} != attempts {}", busy, attempt_total);
-        prop_assert!((busy - report_total).abs() < 1e-9,
-            "busy {} != reports {}", busy, report_total);
-    }
-
-    /// The DES twin conserves simulated time: `gpu_busy` sums to the sum
+    /// The DES conserves simulated time: `gpu_busy` sums to the sum
     /// of every attempt duration, and the assignment log holds exactly
     /// one entry per attempt, all within the makespan.
     #[test]

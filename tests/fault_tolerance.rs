@@ -21,7 +21,7 @@
 
 use a4nn_core::prelude::*;
 use a4nn_faults::FaultEvent;
-use a4nn_lineage::{epochs_csv, models_csv};
+use a4nn_lineage::{epochs_csv, models_csv, retries_csv};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 fn config(seed: u64, engine: bool) -> WorkflowConfig {
@@ -444,4 +444,27 @@ fn organic_panic_in_every_attempt_fails_identically_on_both_transports() {
     assert_eq!(failed.attempts, 3, "the whole budget was consumed");
     let trail: Vec<u32> = failed.epochs.iter().map(|e| e.epoch).collect();
     assert_eq!(trail, [1], "only the final attempt's partial trail");
+}
+
+/// `retries.csv` for chaos seed 7 (recoveries after one and two
+/// failures, and models that exhaust the budget) is pinned to a file
+/// written before the retry account was derived from the records.
+#[test]
+fn retries_csv_matches_the_faulted_golden_file() {
+    let spec = ChaosSpec {
+        models: 6 + 6 * 2,
+        max_epoch: 8,
+        max_failures: 3,
+        ..ChaosSpec::default()
+    };
+    let ft = FaultTolerance::new(RetryPolicy::with_retries(2), FaultPlan::seeded(7, &spec));
+    let golden = include_str!("golden/retries_faulted.csv");
+    for orchestration in [Orchestration::Direct, Orchestration::Bus] {
+        let out = run(7, true, orchestration, &ft);
+        assert_eq!(
+            retries_csv(&out.commons.records),
+            golden,
+            "{orchestration:?}"
+        );
+    }
 }

@@ -23,7 +23,7 @@
 
 use a4nn_core::prelude::*;
 use a4nn_core::{SurrogateFactory, SurrogateParams};
-use a4nn_lineage::{epochs_csv, models_csv};
+use a4nn_lineage::{epochs_csv, models_csv, retries_csv};
 use a4nn_metrics::names;
 use a4nn_net::{SocketOptions, SocketTransport, WorkerHandle, WorkerServer};
 use std::path::PathBuf;
@@ -334,52 +334,119 @@ fn changed_objectives_on_resume_are_refused_with_exit_5() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The retry ledger survives the boundary: a model that consumed
-/// retries before the interruption still reports them after resume.
-#[test]
-fn retry_ledger_carries_across_resume() {
+/// Direct search whose model 1 (generation 0) panics once at epoch 2
+/// and retries, under `control`, optionally resuming from `snapshot`.
+fn run_with_one_retry(
+    config: &WorkflowConfig,
+    control: RunControl<'_>,
+    snapshot: Option<SearchSnapshot>,
+) -> Result<RunOutput, A4nnError> {
     use a4nn_faults::FaultEvent;
-    let config = micro_config(2023);
     let plan = FaultPlan::new(vec![FaultEvent::PanicAt {
         model: 1,
         epoch: 2,
         failures: 1,
     }]);
-    let run = |control: RunControl<'_>, snapshot| {
-        let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-        A4nnWorkflow::new(config.clone()).run(
-            &factory,
-            RunOptions {
-                fault_tolerance: FaultTolerance::new(RetryPolicy::with_retries(2), plan.clone()),
-                control,
-                resume: snapshot,
-                ..RunOptions::default()
-            },
-        )
-    };
-    let golden = run(RunControl::default(), None).unwrap();
-    assert!(
-        golden.retry_ledger.total_retries() > 0,
-        "the injected panic must consume a retry"
-    );
+    let factory = SurrogateFactory::new(config, SurrogateParams::for_beam(config.beam));
+    A4nnWorkflow::new(config.clone()).run(
+        &factory,
+        RunOptions {
+            fault_tolerance: FaultTolerance::new(RetryPolicy::with_retries(2), plan),
+            control,
+            resume: snapshot,
+            ..RunOptions::default()
+        },
+    )
+}
 
-    let dir = tmp_dir("ledger");
+/// Interrupt [`run_with_one_retry`] at boundary 1 and resume it in a
+/// fresh directory tagged `tag`: `(golden, resumed)`.
+fn golden_and_resumed_from_boundary_1(tag: &str) -> (RunOutput, RunOutput) {
+    let config = micro_config(2023);
+    let golden = run_with_one_retry(&config, RunControl::default(), None).unwrap();
+    let dir = tmp_dir(tag);
     std::fs::remove_dir_all(&dir).ok();
     let cancel = |done: usize| done == 1;
     let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-    let err = run(control, None).unwrap_err();
+    let err = run_with_one_retry(&config, control, None).unwrap_err();
     assert_eq!(err.exit_code(), 10);
 
     let snap = SearchSnapshot::load(&dir, &config).unwrap();
-    let resumed = run(RunControl::default(), Some(snap)).unwrap();
+    let resumed = run_with_one_retry(&config, RunControl::default(), Some(snap)).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    (golden, resumed)
+}
+
+/// The retry account survives the boundary: a model that consumed
+/// retries before the interruption still reports them after resume.
+#[test]
+fn retry_account_carries_across_resume() {
+    let (golden, resumed) = golden_and_resumed_from_boundary_1("ledger");
+    assert!(
+        golden.fault_stats.retries > 0,
+        "the injected panic must consume a retry"
+    );
     assert_eq!(
-        golden.retry_ledger.to_csv(),
-        resumed.retry_ledger.to_csv(),
+        retries_csv(&golden.commons.records),
+        retries_csv(&resumed.commons.records),
         "the retry ledger must survive the interruption byte for byte"
     );
     assert_eq!(
         golden.metrics.counter(names::RETRIES),
         resumed.metrics.counter(names::RETRIES)
     );
+}
+
+/// The transport stats are the metrics registry's counters, so after a
+/// resume they cover both halves of the run, like `metrics.csv` does.
+#[test]
+fn transport_stats_count_both_halves_of_a_resumed_run() {
+    let (golden, resumed) = golden_and_resumed_from_boundary_1("stats");
+    let stats = &resumed.transport_stats;
+    assert_eq!(
+        stats.jobs_dispatched,
+        resumed.metrics.counter(names::JOBS_DISPATCHED)
+    );
+    assert_eq!(
+        stats.jobs_dispatched,
+        golden.transport_stats.jobs_dispatched
+    );
+    assert_eq!(stats.retries, resumed.metrics.counter(names::RETRIES));
+    assert_eq!(stats.retries, golden.transport_stats.retries);
+    assert!(stats.retries > 0, "the first half's retry is counted");
+}
+
+/// A snapshot written before the retry account moved into the records
+/// carries a `retries` key; it still loads and resumes to the golden run.
+#[test]
+fn snapshot_with_a_retries_key_still_loads() {
+    let config = micro_config(2023);
+    let golden = run_mode(&config, Mode::Direct, RunControl::default(), None).unwrap();
+    let dir = tmp_dir("retries-key");
+    std::fs::remove_dir_all(&dir).ok();
+    let cancel = |done: usize| done == 1;
+    let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
+    let err = run_mode(&config, Mode::Direct, control, None).unwrap_err();
+    assert_eq!(err.exit_code(), 10);
+
+    // The older writer's shape: one entry per model of generation 0.
+    let state = dir.join("search_state_g0001.json");
+    let json = std::fs::read_to_string(&state).unwrap();
+    let entries: Vec<String> = (0..4)
+        .map(|id| {
+            format!(r#"{{"model_id": {id}, "generation": 0, "attempts": 1, "failed": false}}"#)
+        })
+        .collect();
+    let legacy = json.replacen(
+        '{',
+        &format!(r#"{{"retries": {{"entries": [{}]}},"#, entries.join(", ")),
+        1,
+    );
+    assert_ne!(legacy, json);
+    std::fs::write(&state, legacy).unwrap();
+
+    let snap = SearchSnapshot::load(&dir, &config).expect("a retries key is ignored");
+    let resumed = run_mode(&config, Mode::Direct, RunControl::default(), Some(snap)).unwrap();
+    assert_eq!(csvs(&golden), csvs(&resumed));
     std::fs::remove_dir_all(&dir).ok();
 }

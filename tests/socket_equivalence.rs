@@ -347,3 +347,42 @@ fn heartbeat_deadline_detects_a_stalled_worker() {
          ending ({elapsed:?})"
     );
 }
+
+/// Trainer retries count on the socket transport as on Direct: under a
+/// plan of trainer panics alone, the run-level counters agree.
+#[test]
+fn trainer_retries_count_on_the_socket_transport_as_on_direct() {
+    use a4nn_metrics::names;
+    let config = micro_config(2023);
+    let plan = FaultPlan::new(vec![
+        FaultEvent::PanicAt {
+            model: 2,
+            epoch: 3,
+            failures: 2,
+        },
+        FaultEvent::PanicAt {
+            model: 5,
+            epoch: 1,
+            failures: 1,
+        },
+    ]);
+    let ft = FaultTolerance::new(RetryPolicy::with_retries(2), plan);
+    let socket = socket_run(&config, &ft, &[2, 2], Duration::from_secs(2))
+        .expect("trainer panics are survivable over sockets");
+    let direct = direct_run(&config, &ft);
+    for name in [
+        names::JOBS_DISPATCHED,
+        names::RETRIES,
+        names::EPOCHS_TRAINED,
+        names::EARLY_TERMINATIONS,
+        names::MODELS_FAILED,
+        names::GENERATIONS,
+    ] {
+        assert_eq!(
+            socket.metrics.counter(name),
+            direct.metrics.counter(name),
+            "counter {name} diverged"
+        );
+    }
+    assert_eq!(socket.transport_stats.retries, 3);
+}

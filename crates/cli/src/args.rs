@@ -22,6 +22,9 @@ commands:
   stats      summarize a run directory offline (metrics, retries, resume state)
   worker     serve trainer jobs to a remote search coordinator over TCP
   serve      serve batched classify requests from a commons' Pareto front
+  reproduce  regenerate the paper's figures, tables and ablations into
+             <out>/reproduction.json (--out required); exits 3 when a
+             shape claim no longer gives its recorded result
   help       print this message
 
 common options:
@@ -168,6 +171,8 @@ pub enum Command {
     Worker,
     /// `a4nn serve`
     Serve,
+    /// `a4nn reproduce`
+    Reproduce,
     /// `a4nn help`
     Help,
 }
@@ -237,6 +242,7 @@ impl Parsed {
             Some("stats") => Command::Stats,
             Some("worker") => Command::Worker,
             Some("serve") => Command::Serve,
+            Some("reproduce") => Command::Reproduce,
             Some("help" | "--help" | "-h") => Command::Help,
             Some(other) => return Err(ArgError::UnknownCommand(other.to_string())),
         };

@@ -688,6 +688,7 @@ pub fn run_command(parsed: &Parsed) -> Result<(), CommandError> {
         Command::Stats => run_stats(parsed),
         Command::Worker => run_worker(parsed),
         Command::Serve => run_serve(parsed),
+        Command::Reproduce => crate::reproduce::run_reproduce(parsed),
     }
 }
 

@@ -5,7 +5,8 @@
 //! run" and "the write location for model and metadata files is configured
 //! as a command-line argument to the NAS." This crate is that driver: a
 //! dependency-light argument parser ([`args`]) plus the subcommand
-//! implementations ([`commands`]) behind the `a4nn` binary:
+//! implementations ([`commands`]; the paper's evaluation in `reproduce`)
+//! behind the `a4nn` binary:
 //!
 //! ```text
 //! a4nn search    --beam medium --gpus 4 --out ./commons [--population 10 ...]
@@ -14,6 +15,7 @@
 //! a4nn dataset   --beam low --images 100 --out ./data.json
 //! a4nn analyze   --commons ./commons
 //! a4nn viz       --commons ./commons --model 51 [--dot]
+//! a4nn reproduce --out ./repro
 //! ```
 //!
 //! Everything the subcommands do is a thin composition of the library
@@ -23,6 +25,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod args;
 pub mod commands;
+mod reproduce;
 
 pub use args::{ArgError, Parsed};
 pub use commands::{run_command, CommandError};

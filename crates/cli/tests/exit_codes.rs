@@ -28,6 +28,7 @@ fn argument_parse_failures_are_two() {
 fn invalid_values_are_three() {
     assert_eq!(code("dataset --beam ultraviolet"), 3, "unknown beam");
     assert_eq!(code("analyze"), 3, "missing required --commons");
+    assert_eq!(code("reproduce"), 3, "missing required --out");
     assert_eq!(
         code("search --generations 1 --function polynomial17"),
         3,

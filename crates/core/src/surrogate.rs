@@ -78,8 +78,9 @@ pub struct SurrogateParams {
 
 impl SurrogateParams {
     /// Calibrated parameters per beam intensity. The resulting epoch
-    /// savings, convergence rates, and e_t means are validated against the
-    /// paper by `a4nn-bench`'s Figure 7/8 harnesses.
+    /// savings, convergence rates, and e_t means were tuned against the
+    /// paper's Figures 7 and 8; `a4nn reproduce` reports them (`fig7.*`,
+    /// `fig8.*`).
     pub fn for_beam(beam: BeamIntensity) -> Self {
         match beam {
             BeamIntensity::Low => SurrogateParams {

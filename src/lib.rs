@@ -4,7 +4,9 @@
 //! *"Composable Workflow for Accelerating Neural Architecture Search Using
 //! In Situ Analytics for Protein Classification"* (Channing et al., ICPP
 //! 2023). It re-exports each subsystem crate and the common prelude; the
-//! runnable entry points live in `examples/` and `crates/bench/`.
+//! runnable entry points live in `examples/` and the `a4nn` binary
+//! (`crates/cli`), whose `a4nn reproduce` regenerates the paper's
+//! evaluation.
 //!
 //! | module | crate | subsystem |
 //! |---|---|---|

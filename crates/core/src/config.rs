@@ -2,7 +2,6 @@
 
 use crate::objectives::ObjectiveSet;
 use a4nn_genome::SearchSpace;
-use a4nn_nsga::NsgaConfig;
 use a4nn_penguin::EngineConfig;
 use a4nn_xfel::BeamIntensity;
 use serde::{Deserialize, Serialize};
@@ -38,16 +37,6 @@ impl NasSettings {
     /// Total networks a run evaluates.
     pub fn total_models(&self) -> usize {
         self.population + self.offspring * self.generations.saturating_sub(1)
-    }
-
-    /// The equivalent engine configuration for `a4nn-nsga`.
-    pub fn nsga_config(&self, seed: u64) -> NsgaConfig {
-        NsgaConfig {
-            population: self.population,
-            offspring: self.offspring,
-            generations: self.generations,
-            seed,
-        }
     }
 }
 
@@ -147,14 +136,6 @@ mod tests {
         let cfg = WorkflowConfig::standalone(BeamIntensity::High, 3);
         assert!(cfg.engine.is_none());
         assert_eq!(cfg.gpus, 1);
-    }
-
-    #[test]
-    fn nsga_config_mapping() {
-        let nas = NasSettings::paper_defaults();
-        let nsga = nas.nsga_config(7);
-        assert_eq!(nsga.total_evaluations(), 100);
-        assert_eq!(nsga.seed, 7);
     }
 
     #[test]

@@ -23,7 +23,6 @@
 
 use crate::training::TrainingOutcome;
 use a4nn_error::A4nnError;
-use a4nn_nsga::Objectives;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -247,13 +246,8 @@ impl ObjectiveSet {
         *self == ObjectiveSet::default()
     }
 
-    /// Build the minimized NSGA vector for one evaluated model.
-    pub fn vector(&self, outcome: &TrainingOutcome, cost: &ModelCost) -> Objectives {
-        Objectives::new(self.kinds.iter().map(|k| k.value(outcome, cost)).collect())
-    }
-
-    /// The per-objective values as a plain vector (for lineage records
-    /// and bus events).
+    /// The minimized per-objective values for one evaluated model, as
+    /// lineage records carry them (and the NSGA archive reads them).
     pub fn values(&self, outcome: &TrainingOutcome, cost: &ModelCost) -> Vec<f64> {
         self.kinds.iter().map(|k| k.value(outcome, cost)).collect()
     }
@@ -310,8 +304,8 @@ mod tests {
         let set = ObjectiveSet::default();
         assert!(set.is_default());
         assert_eq!(set.names(), vec!["neg_fitness", "flops"]);
-        let v = set.vector(&outcome(91.5), &cost());
-        assert_eq!(v.values(), &[-91.5, 123.5]);
+        let v = set.values(&outcome(91.5), &cost());
+        assert_eq!(v, [-91.5, 123.5]);
     }
 
     #[test]
@@ -320,8 +314,8 @@ mod tests {
         let set = ObjectiveSet::parse(spec).unwrap();
         assert_eq!(set.len(), 5);
         assert_eq!(set.to_string(), spec);
-        let v = set.vector(&outcome(80.0), &cost());
-        assert_eq!(v.values(), &[-80.0, 123.5, 4096.0, 1e7, 2048.0]);
+        let v = set.values(&outcome(80.0), &cost());
+        assert_eq!(v, [-80.0, 123.5, 4096.0, 1e7, 2048.0]);
     }
 
     #[test]
@@ -364,7 +358,7 @@ mod tests {
         // The legacy archive pushed `-final_fitness` verbatim; a failed
         // model (fitness 0.0) must keep producing the identical -0.0.
         let set = ObjectiveSet::default();
-        let v = set.vector(&outcome(0.0), &cost());
-        assert_eq!(v.values()[0].to_bits(), (-0.0f64).to_bits());
+        let v = set.values(&outcome(0.0), &cost());
+        assert_eq!(v[0].to_bits(), (-0.0f64).to_bits());
     }
 }

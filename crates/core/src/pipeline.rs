@@ -52,10 +52,7 @@ use a4nn_genome::{Genome, SearchSpace};
 use a4nn_lineage::{EngineParamsRecord, ModelRecord};
 use a4nn_metrics::{MetricsRegistry, MetricsSnapshot};
 use a4nn_penguin::{ParametricCurve, Verdict};
-use a4nn_sched::{
-    schedule_fifo, schedule_fifo_retry, GpuPool, RetryPolicy, RetryTask, ScheduleResult, Task,
-    TaskOrdering,
-};
+use a4nn_sched::{schedule_fifo_retry, GpuPool, RetryPolicy, RetryTask, ScheduleResult};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Per-transport dispatch counters for one run, read from the metrics
@@ -442,44 +439,31 @@ impl Transport for BusTransport<'_> {
     }
 }
 
-/// The generation's discrete-event schedule, retry-aware.
-///
-/// When no model needed a retry this is exactly the seed's
-/// `schedule_fifo` (bitwise happy-path identity); otherwise every
-/// attempt — failed ones included — is charged to the virtual GPUs via
+/// The generation's discrete-event schedule, retry-aware: every attempt
+/// — failed ones included — is charged to the virtual GPUs via
 /// `schedule_fifo_retry`, with the policy's backoff between attempts.
+/// When no model needed a retry this is exactly the seed's
+/// `schedule_fifo` (bitwise happy-path identity).
 fn generation_schedule(
     gpus: usize,
     base_id: u64,
     outcomes: &[(TrainingOutcome, ModelCost)],
     policy: &RetryPolicy,
 ) -> ScheduleResult {
-    if outcomes.iter().all(|(o, _)| o.attempts == 1) {
-        let tasks: Vec<Task> = outcomes
-            .iter()
-            .enumerate()
-            .map(|(k, (outcome, _))| Task {
-                id: base_id + k as u64,
-                duration: outcome.train_seconds,
-            })
-            .collect();
-        schedule_fifo(gpus, &tasks, TaskOrdering::Fifo)
-    } else {
-        let tasks: Vec<RetryTask> = outcomes
-            .iter()
-            .enumerate()
-            .map(|(k, (outcome, _))| RetryTask {
-                id: base_id + k as u64,
-                attempt_durations: outcome
-                    .failed_attempt_seconds
-                    .iter()
-                    .copied()
-                    .chain([outcome.train_seconds])
-                    .collect(),
-            })
-            .collect();
-        schedule_fifo_retry(gpus, &tasks, policy)
-    }
+    let tasks: Vec<RetryTask> = outcomes
+        .iter()
+        .enumerate()
+        .map(|(k, (outcome, _))| RetryTask {
+            id: base_id + k as u64,
+            attempt_durations: outcome
+                .failed_attempt_seconds
+                .iter()
+                .copied()
+                .chain([outcome.train_seconds])
+                .collect(),
+        })
+        .collect();
+    schedule_fifo_retry(gpus, &tasks, policy)
 }
 
 /// Train every genome of a generation as one job on the pool, each
@@ -879,6 +863,7 @@ mod tests {
 
     #[test]
     fn clean_outcomes_schedule_exactly_like_the_seed() {
+        use a4nn_sched::{schedule_fifo, Task, TaskOrdering};
         let outcome = |s: f64| TrainingOutcome {
             epochs: Vec::new(),
             final_fitness: 0.0,

@@ -22,22 +22,22 @@
 //! ## What makes the continuation bit-exact
 //!
 //! The snapshot carries the raw xoshiro256** state words, so offspring
-//! variation resumes mid-stream; the NSGA-II archive with objectives,
-//! the survivor (parent) indices, the duplicate-architecture filter,
-//! the generation cursor, and the id counter reconstruct selection
-//! exactly; completed records (which carry every model's attempt
+//! variation resumes mid-stream; the survivor (parent) indices and the
+//! generation cursor reconstruct selection exactly; completed records
+//! (which carry every model's genome, objective vector and attempt
 //! count), schedules, engine counters, and the metrics snapshot restore
-//! everything the remaining generations append to. Because each model
-//! trains independently and every stochastic stream is keyed on
-//! `(seed, model_id)`, no state outside this struct crosses a generation
-//! boundary.
+//! everything the remaining generations append to. The NSGA-II archive,
+//! the duplicate-architecture filter and the next model id are not
+//! stored: resume rebuilds the archive from the records exactly as a
+//! live run builds it after each generation, and the filter and the id
+//! follow from the archive. Because each model trains independently and
+//! every stochastic stream is keyed on `(seed, model_id)`, no state
+//! outside this struct crosses a generation boundary.
 
 use crate::config::WorkflowConfig;
 use a4nn_error::A4nnError;
-use a4nn_genome::Genome;
 use a4nn_lineage::{write_atomic, ModelRecord};
 use a4nn_metrics::MetricsSnapshot;
-use a4nn_nsga::Individual;
 use a4nn_sched::ScheduleResult;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -45,7 +45,8 @@ use std::path::{Path, PathBuf};
 /// Schema version of [`SearchSnapshot`]; bump on any breaking change so
 /// old snapshots fail loudly instead of resuming wrongly. Dropping a
 /// field is not breaking: the loader ignores keys it does not know, such
-/// as the per-model `retries` account older snapshots still carry.
+/// as the per-model `retries` account, `archive`, `seen` and `next_id`
+/// that older snapshots still carry.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// Name of the commit-point manifest inside a run directory.
@@ -84,10 +85,10 @@ pub struct SearchSnapshot {
     pub version: u32,
     /// [`config_hash`] of the run's configuration.
     pub config_hash: u64,
-    /// Names of the objective set the archive's vectors were measured
+    /// Names of the objective set the records' vectors were measured
     /// under, in objective order. Empty on snapshots written before the
-    /// objective registry existed (those are validated by archive
-    /// dimension alone).
+    /// objective registry existed (those are validated by the records'
+    /// objective dimension alone).
     #[serde(default)]
     pub objective_names: Vec<String>,
     /// Generations fully completed (the next one to run).
@@ -95,16 +96,10 @@ pub struct SearchSnapshot {
     /// Raw xoshiro256** state words of the search RNG, captured after
     /// the boundary's last draw.
     pub rng_state: [u64; 4],
-    /// Next model id to assign.
-    pub next_id: u64,
-    /// The NSGA-II archive: every evaluated individual with objectives.
-    pub archive: Vec<Individual<Genome>>,
-    /// Indices into `archive` of the current survivor population.
+    /// Indices into `records` of the current survivor population.
     pub parents: Vec<usize>,
-    /// Compact strings of every architecture evaluated or generated —
-    /// the duplicate filter, sorted for deterministic serialization.
-    pub seen: Vec<String>,
-    /// Completed record trails, in evaluation order.
+    /// Completed record trails, in evaluation order: record `i` is model
+    /// `i`.
     pub records: Vec<ModelRecord>,
     /// Per-generation cluster schedules.
     pub schedules: Vec<ScheduleResult>,
@@ -263,10 +258,7 @@ mod tests {
             objective_names: cfg.objectives.names(),
             generations_done,
             rng_state: [1, 2, 3, 4],
-            next_id: 10,
-            archive: Vec::new(),
-            parents: Vec::new(),
-            seen: vec!["0000000".into()],
+            parents: vec![0, 2],
             records: Vec::new(),
             schedules: Vec::new(),
             engine_seconds: 0.25,
@@ -288,8 +280,7 @@ mod tests {
         let loaded = SearchSnapshot::load(&dir, &cfg).unwrap();
         assert_eq!(loaded.generations_done, 3);
         assert_eq!(loaded.rng_state, [1, 2, 3, 4]);
-        assert_eq!(loaded.next_id, 10);
-        assert_eq!(loaded.seen, vec!["0000000".to_string()]);
+        assert_eq!(loaded.parents, vec![0, 2]);
         assert_eq!(loaded.engine_seconds, 0.25);
         assert_eq!(loaded.engine_interactions, 7);
         std::fs::remove_dir_all(&dir).ok();

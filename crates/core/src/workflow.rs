@@ -2,9 +2,9 @@
 //! prediction engine in situ, FIFO multi-GPU scheduling per generation,
 //! and full lineage recording.
 //!
-//! The loop reuses `a4nn-nsga`'s primitives (non-dominated sort, crowding,
-//! tournament, environmental selection) but drives evaluation itself so a
-//! whole generation can be trained concurrently across the virtual GPUs —
+//! The loop breeds through `a4nn-nsga`'s generation step (`breed`, then
+//! `environmental_selection`) but drives evaluation itself so a whole
+//! generation can be trained concurrently across the virtual GPUs —
 //! exactly the Ray-style resource management of §2.5.
 
 use crate::checkpoint::CheckpointStore;
@@ -20,13 +20,9 @@ use a4nn_error::A4nnError;
 use a4nn_genome::{Genome, SearchSpace};
 use a4nn_lineage::{DataCommons, ModelRecord};
 use a4nn_metrics::MetricsSnapshot;
-use a4nn_nsga::{
-    crowding_distance, environmental_selection, fast_non_dominated_sort, ranks_from_fronts,
-    tournament_select, Individual, Objectives, RankedIndividual,
-};
+use a4nn_nsga::{breed, environmental_selection, Individual, Objectives};
 use a4nn_sched::{GenerationSchedule, ScheduleResult};
 use rand::SeedableRng;
-use std::collections::HashSet;
 
 /// How a run couples trainers, prediction engine, and lineage. Every
 /// mode produces identical record trails per seed.
@@ -154,9 +150,6 @@ pub struct A4nnWorkflow {
     space: SearchSpace,
 }
 
-/// Retries against the duplicate-architecture filter.
-const DUPLICATE_RETRIES: usize = 16;
-
 impl A4nnWorkflow {
     /// Build a workflow from its configuration.
     pub fn new(config: WorkflowConfig) -> Self {
@@ -260,12 +253,14 @@ impl A4nnWorkflow {
     /// through the pipeline on `transport`.
     ///
     /// With a `resume` snapshot, the loop reconstructs every piece of
-    /// state the snapshot's boundary committed — RNG stream, archive,
-    /// survivors, duplicate filter, cursors, records, metrics — and continues
-    /// from the next generation; the remaining trajectory is bit-exact
-    /// because nothing outside the snapshot crosses a boundary. With a
-    /// `control.snapshot_dir`, the state is committed (manifest-last)
-    /// after every generation, then the cancel hook may stop the run.
+    /// state the snapshot's boundary committed — RNG stream, survivors,
+    /// cursor, records, metrics — rebuilds the archive (and with it the
+    /// next model id and the duplicate filter) from the records, and
+    /// continues from the next generation; the remaining trajectory is
+    /// bit-exact because nothing outside the snapshot crosses a boundary.
+    /// With a `control.snapshot_dir`, the state is committed
+    /// (manifest-last) after every generation, then the cancel hook may
+    /// stop the run.
     fn run_loop(
         &self,
         pipeline: &EvalPipeline<'_>,
@@ -283,10 +278,7 @@ impl A4nnWorkflow {
         let mut rng;
         let mut totals: SearchTotals;
         let mut archive: Vec<Individual<Genome>>;
-        let mut seen: HashSet<String>;
-        let mut next_id;
         let mut parents: Vec<usize>;
-        let mut genomes: Vec<Genome>;
         let start_generation;
 
         match resume {
@@ -310,7 +302,7 @@ impl A4nnWorkflow {
                     )));
                 }
                 // A snapshot from a run searched under different
-                // objectives is stale — its archive lives in a different
+                // objectives is stale — its records live in a different
                 // objective space. Pre-registry snapshots carry no names
                 // (serde default: empty) and are validated by dimension
                 // alone.
@@ -318,118 +310,92 @@ impl A4nnWorkflow {
                     cfg.objectives
                         .check_snapshot_names(&snap.objective_names, "the snapshot")?;
                 }
-                if let Some(ind) = snap
-                    .archive
+                if let Some(record) = snap
+                    .records
                     .iter()
-                    .find(|ind| ind.objectives.len() != cfg.objectives.len())
+                    .find(|r| r.objective_vector().len() != cfg.objectives.len())
                 {
                     return Err(A4nnError::Checkpoint(format!(
-                        "stale snapshot: archived model {} carries {} objective value(s) but \
-                         this run is configured for {} ({})",
-                        ind.id,
-                        ind.objectives.len(),
+                        "stale snapshot: model {} carries {} objective value(s) but this run \
+                         is configured for {} ({})",
+                        record.model_id,
+                        record.objective_vector().len(),
                         cfg.objectives.len(),
                         cfg.objectives
                     )));
                 }
+                // The archive is rebuilt from the records by position, so
+                // their ids must be that position, and the survivors must
+                // index into them.
+                if let Some((k, record)) = snap
+                    .records
+                    .iter()
+                    .enumerate()
+                    .find(|(k, r)| r.model_id != *k as u64)
+                {
+                    return Err(A4nnError::Checkpoint(format!(
+                        "corrupt snapshot: record {k} holds model {} (ids must run 0..{})",
+                        record.model_id,
+                        snap.records.len()
+                    )));
+                }
+                if snap.parents.is_empty() || snap.parents.iter().any(|&i| i >= snap.records.len())
+                {
+                    return Err(A4nnError::Checkpoint(format!(
+                        "corrupt snapshot: survivors {:?} do not index its {} record(s)",
+                        snap.parents,
+                        snap.records.len()
+                    )));
+                }
                 pipeline.restore_metrics(snap.metrics);
                 rng = rand::rngs::StdRng::from_state(snap.rng_state);
+                archive = snap.records.iter().map(individual).collect();
                 totals = SearchTotals {
                     records: snap.records,
                     schedules: snap.schedules,
                     engine_seconds: snap.engine_seconds,
                     engine_interactions: snap.engine_interactions,
                 };
-                archive = snap.archive;
-                seen = snap.seen.into_iter().collect();
-                next_id = snap.next_id;
                 parents = snap.parents;
-                // Offspring are regenerated from the archive inside the
-                // loop; generation 0's pre-drawn population is only
-                // needed on a fresh start.
-                genomes = Vec::new();
                 start_generation = snap.generations_done;
             }
             None => {
                 rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
                 totals = SearchTotals::with_capacity(cfg);
                 archive = Vec::with_capacity(cfg.nas.total_models());
-                seen = HashSet::new();
-                next_id = 0u64;
-                // Generation 0: random initial population.
-                genomes = (0..cfg.nas.population)
-                    .map(|_| self.space.random_genome(&mut rng))
-                    .collect();
-                for g in &genomes {
-                    seen.insert(g.to_compact_string());
-                }
                 parents = Vec::new();
                 start_generation = 0;
             }
         }
 
         for generation in start_generation..cfg.nas.generations {
-            if generation > 0 {
-                // Rank current parents and vary into offspring.
-                let parent_objs: Vec<Objectives> = parents
-                    .iter()
-                    .map(|&i| archive[i].objectives.clone())
-                    .collect();
-                let fronts = fast_non_dominated_sort(&parent_objs);
-                let ranks = ranks_from_fronts(&fronts, parents.len());
-                let mut crowding = vec![0.0f64; parents.len()];
-                for front in &fronts {
-                    for (&i, &d) in front
-                        .iter()
-                        .zip(crowding_distance(&parent_objs, front).iter())
-                    {
-                        crowding[i] = d;
-                    }
-                }
-                let ranked: Vec<RankedIndividual> = ranks
-                    .iter()
-                    .zip(&crowding)
-                    .map(|(&rank, &crowding)| RankedIndividual { rank, crowding })
-                    .collect();
-                genomes = (0..cfg.nas.offspring)
-                    .map(|_| {
-                        let pa = &archive[parents[tournament_select(&ranked, &mut rng)]].genome;
-                        let pb = &archive[parents[tournament_select(&ranked, &mut rng)]].genome;
-                        let mut child = self.space.vary(pa, pb, &mut rng);
-                        for _ in 0..DUPLICATE_RETRIES {
-                            if !seen.contains(&child.to_compact_string()) {
-                                break;
-                            }
-                            child = self.space.vary(pa, pb, &mut rng);
-                        }
-                        seen.insert(child.to_compact_string());
-                        child
-                    })
-                    .collect();
-            }
+            let genomes: Vec<Genome> = if generation == 0 {
+                (0..cfg.nas.population)
+                    .map(|_| self.space.random_genome(&mut rng))
+                    .collect()
+            } else {
+                breed(
+                    &archive,
+                    &parents,
+                    cfg.nas.offspring,
+                    &mut rng,
+                    Genome::to_compact_string,
+                    |a, b, r| self.space.vary(a, b, r),
+                )
+            };
 
             // Train the whole generation on the configured transport.
-            let base_id = next_id;
-            let batch = pipeline.run(transport, &genomes, generation, base_id)?;
-            let mut generation_indices = Vec::with_capacity(genomes.len());
-            for (k, (genome, (outcome, cost))) in genomes.iter().zip(&batch.outcomes).enumerate() {
-                archive.push(Individual {
-                    id: base_id + k as u64,
-                    generation,
-                    genome: genome.clone(),
-                    objectives: cfg.objectives.vector(outcome, cost),
-                });
-                generation_indices.push(archive.len() - 1);
-            }
+            let base_id = archive.len();
+            let batch = pipeline.run(transport, &genomes, generation, base_id as u64)?;
+            archive.extend(batch.records.iter().map(individual));
             totals.absorb(batch);
-            next_id += genomes.len() as u64;
 
             // Elitist environmental selection (μ+λ).
             if generation == 0 {
-                parents = generation_indices;
+                parents = (base_id..archive.len()).collect();
             } else {
                 let mut pool = parents.clone();
-                pool.extend_from_slice(&generation_indices);
+                pool.extend(base_id..archive.len());
                 parents = environmental_selection(&archive, &pool, cfg.nas.population);
             }
 
@@ -438,18 +404,13 @@ impl A4nnWorkflow {
             // honor a cancellation request. A kill at any instant
             // leaves either the previous committed pair or this one.
             if let Some(dir) = &control.snapshot_dir {
-                let mut seen_sorted: Vec<String> = seen.iter().cloned().collect();
-                seen_sorted.sort_unstable();
                 let snap = SearchSnapshot {
                     version: SNAPSHOT_VERSION,
                     config_hash: cfg_hash.unwrap_or_default(),
                     objective_names: cfg.objectives.names(),
                     generations_done: generation + 1,
                     rng_state: rng.state(),
-                    next_id,
-                    archive: archive.clone(),
                     parents: parents.clone(),
-                    seen: seen_sorted,
                     records: totals.records.clone(),
                     schedules: totals.schedules.clone(),
                     engine_seconds: totals.engine_seconds,
@@ -472,6 +433,17 @@ impl A4nnWorkflow {
         }
 
         Ok(totals)
+    }
+}
+
+/// The NSGA-II archive entry of one evaluated model — built the same way
+/// after every batch and when a resume rebuilds the archive.
+fn individual(record: &ModelRecord) -> Individual<Genome> {
+    Individual {
+        id: record.model_id,
+        generation: record.generation,
+        genome: record.genome.clone(),
+        objectives: Objectives::new(record.objective_vector()),
     }
 }
 

@@ -1,10 +1,9 @@
-//! The data commons: thread-safe collection of record trails and the
+//! The data commons: the collection of record trails and the
 //! on-disk JSON layout (one file per model plus a manifest), the local
 //! stand-in for the paper's Harvard Dataverse deposit.
 
 use crate::record::ModelRecord;
 use a4nn_error::A4nnError;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -25,43 +24,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), A4nnError> {
             e,
         )
     })
-}
-
-/// Thread-safe recorder that concurrent trainers append to. The workflow
-/// shares one tracker across all virtual GPUs.
-#[derive(Debug, Default)]
-pub struct LineageTracker {
-    records: Mutex<Vec<ModelRecord>>,
-}
-
-impl LineageTracker {
-    /// New empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one completed record trail.
-    pub fn record(&self, record: ModelRecord) {
-        self.records.lock().push(record);
-    }
-
-    /// Number of records collected.
-    pub fn len(&self) -> usize {
-        self.records.lock().len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
-    }
-
-    /// Drain into a [`DataCommons`], sorted by model id so the commons is
-    /// deterministic regardless of training interleaving.
-    pub fn into_commons(self) -> DataCommons {
-        let mut records = self.records.into_inner();
-        records.sort_by_key(|r| r.model_id);
-        DataCommons { records }
-    }
 }
 
 /// Manifest stored next to the per-model files.
@@ -148,13 +110,6 @@ impl DataCommons {
         }
         Ok(DataCommons::new(records))
     }
-
-    /// Merge another commons into this one (e.g. the three beam
-    /// intensities of one experiment).
-    pub fn merge(&mut self, other: DataCommons) {
-        self.records.extend(other.records);
-        self.records.sort_by_key(|r| r.model_id);
-    }
 }
 
 #[cfg(test)]
@@ -194,36 +149,6 @@ mod tests {
             beam: "low".into(),
             wall_time_s: 1.0,
         }
-    }
-
-    #[test]
-    fn tracker_collects_and_sorts() {
-        let tracker = LineageTracker::new();
-        tracker.record(record(5));
-        tracker.record(record(2));
-        tracker.record(record(9));
-        assert_eq!(tracker.len(), 3);
-        let commons = tracker.into_commons();
-        let ids: Vec<u64> = commons.records.iter().map(|r| r.model_id).collect();
-        assert_eq!(ids, vec![2, 5, 9]);
-    }
-
-    #[test]
-    fn tracker_is_usable_across_threads() {
-        let tracker = std::sync::Arc::new(LineageTracker::new());
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let tr = tracker.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..8u64 {
-                    tr.record(record(t * 8 + i));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(tracker.len(), 32);
     }
 
     #[test]
@@ -279,14 +204,5 @@ mod tests {
     fn load_missing_dir_errors() {
         let dir = std::env::temp_dir().join("a4nn-definitely-missing-commons");
         assert!(DataCommons::load_dir(&dir).is_err());
-    }
-
-    #[test]
-    fn merge_keeps_order() {
-        let mut a = DataCommons::new(vec![record(0), record(4)]);
-        let b = DataCommons::new(vec![record(2)]);
-        a.merge(b);
-        let ids: Vec<u64> = a.records.iter().map(|r| r.model_id).collect();
-        assert_eq!(ids, vec![0, 2, 4]);
     }
 }

@@ -7,10 +7,9 @@
 //! - [`record`] — per-model record trails: genome, architecture summary,
 //!   engine parameters, per-epoch fitness/prediction/duration entries,
 //!   FLOPs, termination information, and the GPU that trained the model;
-//! - [`commons`] — the data commons: a thread-safe in-memory tracker that
-//!   concurrent trainers append to, plus an on-disk JSON layout (one file
-//!   per model and a manifest) standing in for the paper's Harvard
-//!   Dataverse deposit;
+//! - [`commons`] — the data commons: the run's record trails in memory,
+//!   plus an on-disk JSON layout (one file per model and a manifest)
+//!   standing in for the paper's Harvard Dataverse deposit;
 //! - [`analyzer`] — the analyzer: the query/aggregation API behind the
 //!   paper's Jupyter-notebook analysis (Pareto extraction, termination
 //!   distributions, epoch totals, FLOPs/accuracy correlation, attribute
@@ -32,7 +31,7 @@ pub mod record;
 pub mod structure;
 
 pub use analyzer::Analyzer;
-pub use commons::{write_atomic, DataCommons, LineageTracker};
+pub use commons::{write_atomic, DataCommons};
 pub use curves::{classify_curve, classify_record, shape_census, CurveShape};
 pub use export::{epochs_csv, models_csv, retries_csv};
 pub use record::{fitness_cmp, EngineParamsRecord, EpochRecord, ModelRecord, Terminated};

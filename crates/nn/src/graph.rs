@@ -15,7 +15,6 @@ use crate::layers::{
 use crate::tensor::{Tensor2, Tensor4};
 use crate::workspace::Workspace;
 use crate::{data::Dataset, gemm};
-use a4nn_error::A4nnError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -446,9 +445,6 @@ impl Network {
     /// An empty label set returns the sentinel `0.0` — accuracy over zero
     /// samples is undefined, and `0.0` keeps batch-mode search callers
     /// (which treat accuracy as a fitness to maximize) conservative.
-    /// Callers that must *distinguish* "empty input" from "every sample
-    /// misclassified" (the serve batcher, admission control) use
-    /// [`try_evaluate_chunked`](Self::try_evaluate_chunked) instead.
     pub fn evaluate_chunked(&mut self, images: &Tensor4, labels: &[usize], chunk: usize) -> f32 {
         assert_eq!(images.n, labels.len());
         if labels.is_empty() {
@@ -517,26 +513,6 @@ impl Network {
         100.0 * correct as f32 / labels.len() as f32
     }
 
-    /// Fallible form of [`evaluate_chunked`](Self::evaluate_chunked): an
-    /// empty label set is a typed [`A4nnError::Config`] rather than the
-    /// `0.0` sentinel, so long-running callers (the serve batcher) can
-    /// tell "nothing to evaluate" apart from "0% accuracy". Non-empty
-    /// inputs produce bitwise-identical results to the infallible path.
-    pub fn try_evaluate_chunked(
-        &mut self,
-        images: &Tensor4,
-        labels: &[usize],
-        chunk: usize,
-    ) -> Result<f32, A4nnError> {
-        if labels.is_empty() {
-            return Err(A4nnError::Config(
-                "cannot evaluate an empty label set: accuracy over zero samples is undefined"
-                    .into(),
-            ));
-        }
-        Ok(self.evaluate_chunked(images, labels, chunk))
-    }
-
     /// Forward samples `start..end` in eval mode and count correct
     /// predictions, with all scratch drawn from `ws`.
     fn eval_chunk(
@@ -566,9 +542,7 @@ impl Network {
     /// evaluation allocates nothing.
     ///
     /// An empty dataset returns the sentinel `0.0`, matching
-    /// [`evaluate_chunked`](Self::evaluate_chunked); use
-    /// [`try_evaluate_dataset`](Self::try_evaluate_dataset) where empty
-    /// input must be a typed error.
+    /// [`evaluate_chunked`](Self::evaluate_chunked).
     pub fn evaluate_dataset(&mut self, ds: &Dataset, chunk: usize, ws: &mut Workspace) -> f32 {
         if ds.is_empty() {
             return 0.0;
@@ -587,23 +561,6 @@ impl Network {
         }
         ws.give4(x);
         100.0 * correct as f32 / ds.len() as f32
-    }
-
-    /// Fallible form of [`evaluate_dataset`](Self::evaluate_dataset):
-    /// rejects an empty dataset with [`A4nnError::Config`] instead of
-    /// returning the `0.0` sentinel.
-    pub fn try_evaluate_dataset(
-        &mut self,
-        ds: &Dataset,
-        chunk: usize,
-        ws: &mut Workspace,
-    ) -> Result<f32, A4nnError> {
-        if ds.is_empty() {
-            return Err(A4nnError::Config(
-                "cannot evaluate an empty dataset: accuracy over zero samples is undefined".into(),
-            ));
-        }
-        Ok(self.evaluate_dataset(ds, chunk, ws))
     }
 
     /// Rebuild transient buffers after deserialization.

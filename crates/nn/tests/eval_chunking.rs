@@ -92,43 +92,6 @@ fn empty_set_is_zero_for_every_chunk_size() {
     assert_eq!(net.evaluate(&Tensor4::zeros(0, 1, 8, 8), &[]), 0.0);
 }
 
-/// The fallible entry points make empty input a typed `Config` error so
-/// serve-path callers can tell "nothing to evaluate" from 0% accuracy,
-/// while agreeing bitwise with the infallible paths on non-empty input.
-#[test]
-fn try_variants_reject_empty_input_and_match_otherwise() {
-    use a4nn_error::A4nnError;
-
-    let mut net = Network::new(&spec(3), &mut rand::rngs::StdRng::seed_from_u64(3));
-    for chunk in [0usize, 1, 8] {
-        let err = net
-            .try_evaluate_chunked(&Tensor4::zeros(0, 1, 8, 8), &[], chunk)
-            .unwrap_err();
-        assert!(matches!(err, A4nnError::Config(_)), "chunk {chunk}: {err}");
-        assert_eq!(err.exit_code(), 3);
-    }
-    let mut ws = Workspace::new();
-    let err = net
-        .try_evaluate_dataset(&Dataset::empty(1, 8, 8), 7, &mut ws)
-        .unwrap_err();
-    assert!(matches!(err, A4nnError::Config(_)), "{err}");
-
-    // Non-empty input: try_ and infallible paths agree bitwise.
-    let (images, labels) = labeled_images(11, 3, 21);
-    let want = net.evaluate_chunked(&images, &labels, 4);
-    let got = net.try_evaluate_chunked(&images, &labels, 4).unwrap();
-    assert_eq!(got.to_bits(), want.to_bits());
-
-    let mut ds = Dataset::empty(1, 8, 8);
-    let stride = 64;
-    for (i, &label) in labels.iter().enumerate() {
-        ds.push(&images.data()[i * stride..(i + 1) * stride], label);
-    }
-    let want_ds = net.evaluate_dataset(&ds, 4, &mut ws);
-    let got_ds = net.try_evaluate_dataset(&ds, 4, &mut ws).unwrap();
-    assert_eq!(got_ds.to_bits(), want_ds.to_bits());
-}
-
 #[test]
 fn evaluate_dataset_matches_materialized_tensor() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(13);

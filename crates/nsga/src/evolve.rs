@@ -1,71 +1,17 @@
-//! The NSGA-II generational loop with elitist (μ+λ) environmental
-//! selection, generic over genomes and evaluation.
+//! One NSGA-II generation step, generic over genomes: [`breed`] varies
+//! λ offspring from tournament-selected parents, and
+//! [`environmental_selection`] keeps the elitist (μ+λ) survivors. The
+//! caller evaluates the offspring in between, however it likes — A4NN's
+//! workflow trains a whole generation concurrently before selecting.
 
 use crate::crowding::crowding_distance;
 use crate::objectives::Objectives;
 use crate::select::{tournament_select, RankedIndividual};
 use crate::sort::{fast_non_dominated_sort, ranks_from_fronts};
-use rand::{RngCore, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// Context handed to [`Problem::evaluate`] so evaluators (like A4NN's
-/// trainer) can tag records with the model's identity.
-#[derive(Debug, Clone, Copy)]
-pub struct EvalContext {
-    /// 0-based generation this genome belongs to (0 = initial population).
-    pub generation: usize,
-    /// Position within its generation's batch.
-    pub index_in_generation: usize,
-    /// Globally unique model id, assigned in evaluation order.
-    pub model_id: u64,
-}
-
-/// A problem definition for the engine: how to create, vary, and score
-/// genomes. All objectives are minimized (see [`Objectives`]).
-pub trait Problem {
-    /// Genome representation (e.g. an NSGA-Net bit-string genome).
-    type Genome: Clone;
-
-    /// Score a genome. For A4NN this is where a network is built, trained
-    /// (possibly terminated early by the prediction engine), and measured.
-    fn evaluate(&mut self, genome: &Self::Genome, ctx: &EvalContext) -> Objectives;
-
-    /// Sample a random genome for the initial population.
-    fn random_genome(&mut self, rng: &mut dyn RngCore) -> Self::Genome;
-
-    /// Produce one offspring from two parents (crossover + mutation).
-    fn vary(&mut self, a: &Self::Genome, b: &Self::Genome, rng: &mut dyn RngCore) -> Self::Genome;
-
-    /// Optional duplicate filter: return true if `candidate` should be
-    /// rejected (e.g. identical architecture already evaluated). The engine
-    /// retries a bounded number of times before accepting a duplicate.
-    fn is_duplicate(&mut self, _candidate: &Self::Genome) -> bool {
-        false
-    }
-}
-
-/// Engine configuration — NSGA-Net's Table 2 settings map onto this
-/// directly: `population = 10`, `offspring = 10`, `generations = 10`
-/// evaluates `population + offspring × (generations − 1) = 100` networks.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct NsgaConfig {
-    /// Size of the parent population (μ).
-    pub population: usize,
-    /// Offspring produced per generation (λ).
-    pub offspring: usize,
-    /// Total number of generations, counting the initial population as
-    /// generation 0.
-    pub generations: usize,
-    /// RNG seed for the whole run (reproducibility of the search).
-    pub seed: u64,
-}
-
-impl NsgaConfig {
-    /// Total number of genome evaluations the run will perform.
-    pub fn total_evaluations(&self) -> usize {
-        self.population + self.offspring * self.generations.saturating_sub(1)
-    }
-}
+use std::collections::HashSet;
+use std::hash::Hash;
 
 /// One evaluated individual.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -80,148 +26,66 @@ pub struct Individual<G> {
     pub objectives: Objectives,
 }
 
-/// Result of a complete run.
-#[derive(Debug, Clone)]
-pub struct RunResult<G> {
-    /// Every individual ever evaluated, in evaluation order.
-    pub all: Vec<Individual<G>>,
-    /// Indices (into `all`) of the final parent population.
-    pub final_population: Vec<usize>,
-    /// The configuration that produced this result.
-    pub config: NsgaConfig,
-}
-
-impl<G: Clone> RunResult<G> {
-    /// Pareto-optimal individuals over *everything evaluated* (the paper's
-    /// Figure 6 fronts are computed over all 100 architectures of a test).
-    pub fn pareto_front(&self) -> Vec<&Individual<G>> {
-        let objs: Vec<Objectives> = self.all.iter().map(|i| i.objectives.clone()).collect();
-        let fronts = fast_non_dominated_sort(&objs);
-        fronts
-            .first()
-            .map(|f| f.iter().map(|&i| &self.all[i]).collect())
-            .unwrap_or_default()
-    }
-}
-
-/// The NSGA-II engine.
-#[derive(Debug, Clone)]
-pub struct Nsga2 {
-    config: NsgaConfig,
-}
-
-/// How many times `vary` is retried when the problem reports duplicates.
+/// How many times [`breed`] re-varies a child that duplicates a genome
+/// already seen before accepting the duplicate.
 const DUPLICATE_RETRIES: usize = 16;
 
-impl Nsga2 {
-    /// Create an engine with the given configuration.
-    pub fn new(config: NsgaConfig) -> Self {
-        assert!(config.population > 0, "population must be positive");
-        assert!(config.generations > 0, "need at least one generation");
-        Nsga2 { config }
-    }
-
-    /// Run the full generational loop. `on_generation` is invoked after
-    /// each generation's environmental selection with the indices (into the
-    /// global archive) of the surviving parents — A4NN's workflow
-    /// orchestrator uses this hook to flush lineage records.
-    pub fn run<P, F>(&self, problem: &mut P, mut on_generation: F) -> RunResult<P::Genome>
-    where
-        P: Problem,
-        F: FnMut(&[usize]),
-    {
-        let cfg = self.config;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-        let mut all: Vec<Individual<P::Genome>> = Vec::with_capacity(cfg.total_evaluations());
-        let mut next_id: u64 = 0;
-
-        // Generation 0: random initial population.
-        let mut parents: Vec<usize> = Vec::with_capacity(cfg.population);
-        for index in 0..cfg.population {
-            let genome = problem.random_genome(&mut rng);
-            let ctx = EvalContext {
-                generation: 0,
-                index_in_generation: index,
-                model_id: next_id,
-            };
-            let objectives = problem.evaluate(&genome, &ctx);
-            all.push(Individual {
-                id: next_id,
-                generation: 0,
-                genome,
-                objectives,
-            });
-            parents.push(all.len() - 1);
-            next_id += 1;
-        }
-        on_generation(&parents);
-
-        for generation in 1..cfg.generations {
-            // Rank the current parents for tournament selection.
-            let parent_objs: Vec<Objectives> =
-                parents.iter().map(|&i| all[i].objectives.clone()).collect();
-            let fronts = fast_non_dominated_sort(&parent_objs);
-            let ranks = ranks_from_fronts(&fronts, parents.len());
-            let mut crowding = vec![0.0f64; parents.len()];
-            for front in &fronts {
-                let d = crowding_distance(&parent_objs, front);
-                for (&i, &di) in front.iter().zip(&d) {
-                    crowding[i] = di;
-                }
-            }
-            let ranked: Vec<RankedIndividual> = ranks
-                .iter()
-                .zip(&crowding)
-                .map(|(&rank, &crowding)| RankedIndividual { rank, crowding })
-                .collect();
-
-            // Variation: λ offspring from tournament-selected parents.
-            let mut offspring: Vec<usize> = Vec::with_capacity(cfg.offspring);
-            for index in 0..cfg.offspring {
-                let pa = parents[tournament_select(&ranked, &mut rng)];
-                let pb = parents[tournament_select(&ranked, &mut rng)];
-                let mut child = problem.vary(&all[pa].genome, &all[pb].genome, &mut rng);
-                let mut retries = 0;
-                while problem.is_duplicate(&child) && retries < DUPLICATE_RETRIES {
-                    child = problem.vary(&all[pa].genome, &all[pb].genome, &mut rng);
-                    retries += 1;
-                }
-                let ctx = EvalContext {
-                    generation,
-                    index_in_generation: index,
-                    model_id: next_id,
-                };
-                let objectives = problem.evaluate(&child, &ctx);
-                all.push(Individual {
-                    id: next_id,
-                    generation,
-                    genome: child,
-                    objectives,
-                });
-                offspring.push(all.len() - 1);
-                next_id += 1;
-            }
-
-            // Elitist (μ+λ) environmental selection.
-            let mut pool: Vec<usize> = parents.clone();
-            pool.extend_from_slice(&offspring);
-            parents = environmental_selection(&all, &pool, cfg.population);
-            on_generation(&parents);
-        }
-
-        RunResult {
-            all,
-            final_population: parents,
-            config: cfg,
+/// Breed `count` offspring from the survivors `parents` (indices into
+/// `archive`, every individual evaluated so far).
+///
+/// The parents are ranked by non-dominated sorting and crowding
+/// distance. Each child draws two binary tournaments, then
+/// `vary(a, b, rng)`; while its `key` matches an archived genome or an
+/// earlier child of this call, it is re-varied from the same two parents,
+/// at most 16 times. The RNG is drawn in exactly that order, so a search
+/// seeded alike breeds alike.
+pub fn breed<G, K: Eq + Hash, R: Rng + ?Sized>(
+    archive: &[Individual<G>],
+    parents: &[usize],
+    count: usize,
+    rng: &mut R,
+    key: impl Fn(&G) -> K,
+    mut vary: impl FnMut(&G, &G, &mut R) -> G,
+) -> Vec<G> {
+    let objectives: Vec<Objectives> = parents
+        .iter()
+        .map(|&i| archive[i].objectives.clone())
+        .collect();
+    let fronts = fast_non_dominated_sort(&objectives);
+    let ranks = ranks_from_fronts(&fronts, parents.len());
+    let mut crowding = vec![0.0f64; parents.len()];
+    for front in &fronts {
+        for (&i, d) in front.iter().zip(crowding_distance(&objectives, front)) {
+            crowding[i] = d;
         }
     }
+    let ranked: Vec<RankedIndividual> = ranks
+        .iter()
+        .zip(&crowding)
+        .map(|(&rank, &crowding)| RankedIndividual { rank, crowding })
+        .collect();
+
+    let mut seen: HashSet<K> = archive.iter().map(|ind| key(&ind.genome)).collect();
+    let mut children = Vec::with_capacity(count);
+    for _ in 0..count {
+        let a = &archive[parents[tournament_select(&ranked, rng)]].genome;
+        let b = &archive[parents[tournament_select(&ranked, rng)]].genome;
+        let mut child = vary(a, b, rng);
+        for _ in 0..DUPLICATE_RETRIES {
+            if !seen.contains(&key(&child)) {
+                break;
+            }
+            child = vary(a, b, rng);
+        }
+        seen.insert(key(&child));
+        children.push(child);
+    }
+    children
 }
 
 /// Pick `keep` survivors from `pool` (indices into `all`): whole fronts
 /// while they fit, then the most crowded-distance-sparse members of the
-/// first overflowing front. Public so callers that drive their own
-/// generational loop (A4NN's workflow trains a whole generation in
-/// parallel before selecting) can reuse NSGA-II's exact selection.
+/// first overflowing front.
 pub fn environmental_selection<G>(
     all: &[Individual<G>],
     pool: &[usize],
@@ -255,120 +119,91 @@ pub fn environmental_selection<G>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Evolve real-valued genomes drawn from `[-6, 6)` for `generations`
+    /// through `breed` + `environmental_selection`, varying by midpoint
+    /// plus `U(-spread, spread)`: every individual evaluated and the
+    /// final survivors.
+    fn evolve(
+        seed: u64,
+        population: usize,
+        generations: usize,
+        spread: f64,
+        evaluate: impl Fn(f64) -> Objectives,
+    ) -> (Vec<Individual<f64>>, Vec<usize>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut all: Vec<Individual<f64>> = Vec::new();
+        let mut parents: Vec<usize> = Vec::new();
+        for generation in 0..generations {
+            let genomes: Vec<f64> = if generation == 0 {
+                (0..population).map(|_| rng.gen_range(-6.0..6.0)).collect()
+            } else {
+                breed(
+                    &all,
+                    &parents,
+                    population,
+                    &mut rng,
+                    |g| g.to_bits(),
+                    |a, b, r| (a + b) / 2.0 + r.gen_range(-spread..spread),
+                )
+            };
+            let start = all.len();
+            for (k, genome) in genomes.into_iter().enumerate() {
+                all.push(Individual {
+                    id: (start + k) as u64,
+                    generation,
+                    genome,
+                    objectives: evaluate(genome),
+                });
+            }
+            let mut pool = parents.clone();
+            pool.extend(start..all.len());
+            parents = environmental_selection(&all, &pool, population);
+        }
+        (all, parents)
+    }
 
     /// SCH: minimize (x², (x−2)²); Pareto set is x ∈ [0, 2].
-    struct Sch {
-        evals: usize,
+    fn sch(x: f64) -> Objectives {
+        Objectives::new(vec![x * x, (x - 2.0) * (x - 2.0)])
     }
 
-    impl Problem for Sch {
-        type Genome = f64;
-        fn evaluate(&mut self, g: &f64, _ctx: &EvalContext) -> Objectives {
-            self.evals += 1;
-            Objectives::new(vec![g * g, (g - 2.0) * (g - 2.0)])
-        }
-        fn random_genome(&mut self, rng: &mut dyn RngCore) -> f64 {
-            rng.gen_range(-6.0..6.0)
-        }
-        fn vary(&mut self, a: &f64, b: &f64, rng: &mut dyn RngCore) -> f64 {
-            let mid = (a + b) / 2.0;
-            mid + rng.gen_range(-0.3..0.3)
-        }
-    }
-
-    fn run_sch(seed: u64) -> RunResult<f64> {
-        let cfg = NsgaConfig {
-            population: 16,
-            offspring: 16,
-            generations: 25,
-            seed,
-        };
-        Nsga2::new(cfg).run(&mut Sch { evals: 0 }, |_| {})
+    fn pareto_front(all: &[Individual<f64>]) -> Vec<&Individual<f64>> {
+        let objs: Vec<Objectives> = all.iter().map(|i| i.objectives.clone()).collect();
+        fast_non_dominated_sort(&objs)
+            .first()
+            .map(|f| f.iter().map(|&i| &all[i]).collect())
+            .unwrap_or_default()
     }
 
     #[test]
     fn converges_to_sch_pareto_set() {
-        let result = run_sch(3);
-        let front = result.pareto_front();
-        assert!(front.len() >= 4);
+        let (all, survivors) = evolve(3, 16, 25, 0.3, sch);
+        assert!(pareto_front(&all).len() >= 4);
         // The final population should be concentrated near [0, 2].
-        let mut inside = 0;
-        for &i in &result.final_population {
-            let x = result.all[i].genome;
-            if (-0.3..=2.3).contains(&x) {
-                inside += 1;
-            }
-        }
+        let inside = survivors
+            .iter()
+            .filter(|&&i| (-0.3..=2.3).contains(&all[i].genome))
+            .count();
         assert!(
-            inside * 10 >= result.final_population.len() * 8,
+            inside * 10 >= survivors.len() * 8,
             "{inside}/{} in Pareto region",
-            result.final_population.len()
+            survivors.len()
         );
     }
 
     #[test]
-    fn evaluation_count_matches_config() {
-        let cfg = NsgaConfig {
-            population: 10,
-            offspring: 10,
-            generations: 10,
-            seed: 5,
-        };
-        assert_eq!(cfg.total_evaluations(), 100);
-        let mut problem = Sch { evals: 0 };
-        let result = Nsga2::new(cfg).run(&mut problem, |_| {});
-        assert_eq!(problem.evals, 100);
-        assert_eq!(result.all.len(), 100);
-    }
-
-    #[test]
-    fn model_ids_are_sequential_and_generations_recorded() {
-        let result = run_sch(9);
-        for (k, ind) in result.all.iter().enumerate() {
-            assert_eq!(ind.id as usize, k);
-        }
-        assert_eq!(result.all[0].generation, 0);
-        assert_eq!(result.all.last().unwrap().generation, 24);
-    }
-
-    #[test]
-    fn deterministic_under_seed() {
-        let a = run_sch(77);
-        let b = run_sch(77);
-        assert_eq!(a.all.len(), b.all.len());
-        for (x, y) in a.all.iter().zip(&b.all) {
-            assert_eq!(x.genome.to_bits(), y.genome.to_bits());
-        }
-    }
-
-    #[test]
     fn different_seeds_differ() {
-        let a = run_sch(1);
-        let b = run_sch(2);
+        let (a, _) = evolve(1, 16, 25, 0.3, sch);
+        let (b, _) = evolve(2, 16, 25, 0.3, sch);
         let same = a
-            .all
             .iter()
-            .zip(&b.all)
+            .zip(&b)
             .filter(|(x, y)| x.genome.to_bits() == y.genome.to_bits())
             .count();
-        assert!(same < a.all.len() / 2);
-    }
-
-    #[test]
-    fn on_generation_fires_once_per_generation() {
-        let cfg = NsgaConfig {
-            population: 8,
-            offspring: 8,
-            generations: 7,
-            seed: 0,
-        };
-        let mut calls = 0;
-        let _ = Nsga2::new(cfg).run(&mut Sch { evals: 0 }, |parents| {
-            calls += 1;
-            assert_eq!(parents.len(), 8);
-        });
-        assert_eq!(calls, 7);
+        assert!(same < a.len() / 2);
     }
 
     #[test]
@@ -376,57 +211,71 @@ mod tests {
         // Survivors of each generation are never dominated by a discarded
         // pool member of the same generation — check the final population
         // against the global archive of its last two generations.
-        let result = run_sch(13);
-        let last_gen = result.all.last().unwrap().generation;
-        let pool: Vec<usize> = (0..result.all.len())
-            .filter(|&i| result.all[i].generation >= last_gen.saturating_sub(1))
+        let (all, survivors) = evolve(13, 16, 25, 0.3, sch);
+        let last_gen = all.last().unwrap().generation;
+        let pool: Vec<usize> = (0..all.len())
+            .filter(|&i| all[i].generation >= last_gen.saturating_sub(1))
             .collect();
-        for &s in &result.final_population {
+        for &s in &survivors {
             for &p in &pool {
-                if result.all[p]
-                    .objectives
-                    .dominates(&result.all[s].objectives)
-                {
+                if all[p].objectives.dominates(&all[s].objectives) {
                     // A dominating pool member must itself be a survivor.
-                    assert!(
-                        result.final_population.contains(&p),
-                        "non-surviving dominator found"
-                    );
+                    assert!(survivors.contains(&p), "non-surviving dominator found");
                 }
             }
         }
     }
 
+    /// Archive of integer genomes `0..n` with distinct objectives.
+    fn integer_archive(n: u32) -> Vec<Individual<u32>> {
+        (0..n)
+            .map(|g| Individual {
+                id: u64::from(g),
+                generation: 0,
+                genome: g,
+                objectives: Objectives::new(vec![f64::from(g), -f64::from(g)]),
+            })
+            .collect()
+    }
+
     #[test]
-    fn duplicate_filter_is_consulted() {
-        struct DupProblem {
-            dup_checks: usize,
-        }
-        impl Problem for DupProblem {
-            type Genome = u32;
-            fn evaluate(&mut self, g: &u32, _ctx: &EvalContext) -> Objectives {
-                Objectives::new(vec![f64::from(*g), -f64::from(*g)])
-            }
-            fn random_genome(&mut self, rng: &mut dyn RngCore) -> u32 {
-                rng.next_u32() % 1000
-            }
-            fn vary(&mut self, a: &u32, _b: &u32, rng: &mut dyn RngCore) -> u32 {
-                a.wrapping_add(rng.next_u32() % 7)
-            }
-            fn is_duplicate(&mut self, _c: &u32) -> bool {
-                self.dup_checks += 1;
-                false
-            }
-        }
-        let cfg = NsgaConfig {
-            population: 4,
-            offspring: 4,
-            generations: 3,
-            seed: 0,
-        };
-        let mut p = DupProblem { dup_checks: 0 };
-        let _ = Nsga2::new(cfg).run(&mut p, |_| {});
-        assert_eq!(p.dup_checks, 8); // 4 offspring × 2 generations.
+    fn breed_re_varies_archived_and_sibling_duplicates() {
+        let archive = integer_archive(4);
+        // Child 1: 0 and 1 are archived, 7 is new. Child 2: 7 is its
+        // sibling, 8 is new.
+        let mut script = [0u32, 1, 7, 7, 8].into_iter();
+        let mut rng = StdRng::seed_from_u64(0);
+        let children = breed(
+            &archive,
+            &[0, 1, 2, 3],
+            2,
+            &mut rng,
+            |g| *g,
+            |_, _, _| script.next().unwrap(),
+        );
+        assert_eq!(children, vec![7, 8]);
+        assert_eq!(script.next(), None, "every scripted variation was drawn");
+    }
+
+    #[test]
+    fn breed_accepts_a_duplicate_after_bounded_retries() {
+        let archive = integer_archive(4);
+        let mut calls = 0u32;
+        let mut rng = StdRng::seed_from_u64(0);
+        let children = breed(
+            &archive,
+            &[0, 1, 2, 3],
+            2,
+            &mut rng,
+            |_| (),
+            |_, _, _| {
+                calls += 1;
+                calls
+            },
+        );
+        let per_child = 1 + DUPLICATE_RETRIES as u32;
+        assert_eq!(calls, 2 * per_child);
+        assert_eq!(children, vec![per_child, 2 * per_child]);
     }
 
     /// Regression: a population containing failed models (NaN objectives,
@@ -435,47 +284,30 @@ mod tests {
     /// failed models must never displace viable ones from the survivors.
     #[test]
     fn evolves_population_containing_failed_models() {
-        struct Flaky;
-        impl Problem for Flaky {
-            type Genome = f64;
-            fn evaluate(&mut self, g: &f64, _ctx: &EvalContext) -> Objectives {
-                if *g < 0.0 {
-                    // Crashed training: NaN fitness (negated, as the
-                    // workflow negates accuracy) and NaN cost.
-                    Objectives::new(vec![-f64::NAN, f64::NAN])
-                } else {
-                    Objectives::new(vec![g * g, (g - 2.0) * (g - 2.0)])
-                }
+        let population = 12;
+        let (all, survivors) = evolve(11, population, 8, 1.0, |g| {
+            if g < 0.0 {
+                // Crashed training: NaN fitness (negated, as the
+                // workflow negates accuracy) and NaN cost.
+                Objectives::new(vec![-f64::NAN, f64::NAN])
+            } else {
+                sch(g)
             }
-            fn random_genome(&mut self, rng: &mut dyn RngCore) -> f64 {
-                rng.gen_range(-6.0..6.0) // roughly half the seeds fail
-            }
-            fn vary(&mut self, a: &f64, b: &f64, rng: &mut dyn RngCore) -> f64 {
-                (a + b) / 2.0 + rng.gen_range(-1.0..1.0)
-            }
-        }
-        let cfg = NsgaConfig {
-            population: 12,
-            offspring: 12,
-            generations: 8,
-            seed: 11,
-        };
-        let result = Nsga2::new(cfg).run(&mut Flaky, |_| {});
-        assert_eq!(result.all.len(), cfg.total_evaluations());
-        let failed_total = result.all.iter().filter(|i| i.objectives.has_nan()).count();
+        });
+        assert_eq!(all.len(), population * 8);
+        let failed_total = all.iter().filter(|i| i.objectives.has_nan()).count();
         assert!(failed_total > 0, "test needs some failed evaluations");
         // Survivors: only failed if fewer viable candidates than slots.
-        let viable_total = result.all.len() - failed_total;
-        if viable_total >= cfg.population {
-            for &s in &result.final_population {
+        if all.len() - failed_total >= population {
+            for &s in &survivors {
                 assert!(
-                    !result.all[s].objectives.has_nan(),
+                    !all[s].objectives.has_nan(),
                     "failed model survived selection over viable ones"
                 );
             }
         }
         // The global Pareto front never contains a fully-NaN individual.
-        for ind in result.pareto_front() {
+        for ind in pareto_front(&all) {
             assert!(!ind.objectives.values().iter().all(|v| v.is_nan()));
         }
     }
@@ -505,16 +337,5 @@ mod tests {
             !survivors.contains(&3),
             "NaN member outlived a viable one: {survivors:?}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "population must be positive")]
-    fn zero_population_panics() {
-        let _ = Nsga2::new(NsgaConfig {
-            population: 0,
-            offspring: 4,
-            generations: 2,
-            seed: 0,
-        });
     }
 }

@@ -1,11 +1,11 @@
-//! # a4nn-nsga — generic NSGA-II multi-objective evolutionary engine
+//! # a4nn-nsga — NSGA-II primitives and the generation step
 //!
 //! From-scratch implementation of the NSGA-II algorithm (Deb et al., 2002)
 //! that underlies NSGA-Net (Lu et al., 2019), the NAS the A4NN paper plugs
-//! into its workflow. The engine is generic over the genome type and the
-//! evaluation function, which is exactly what A4NN's composability story
-//! requires: the workflow intercepts evaluation (to run the prediction
-//! engine in situ) without touching selection or variation.
+//! into its workflow. The crate owns selection and variation but not the
+//! loop: the caller evaluates each generation's offspring itself, which is
+//! exactly what A4NN's composability story requires — the workflow trains
+//! a whole generation with the prediction engine in situ, then selects.
 //!
 //! Components:
 //!
@@ -14,36 +14,44 @@
 //! - [`sort`] — fast non-dominated sorting into Pareto fronts,
 //! - [`crowding`] — crowding-distance assignment within a front,
 //! - [`select`] — binary tournament selection on (rank, crowding),
-//! - [`evolve`] — the generational loop: environmental selection of μ
-//!   parents, variation into λ offspring, elitist truncation.
+//! - [`evolve`] — one generation: [`breed`] λ offspring from the ranked
+//!   parents with a duplicate filter, then elitist (μ+λ)
+//!   [`environmental_selection`].
 //!
 //! ```
-//! use a4nn_nsga::prelude::*;
+//! use a4nn_nsga::{breed, environmental_selection, fast_non_dominated_sort, Individual, Objectives};
+//! use rand::{rngs::StdRng, Rng, SeedableRng};
 //!
 //! // Minimize the classic SCH problem: f1 = x², f2 = (x−2)².
-//! struct Sch;
-//! impl Problem for Sch {
-//!     type Genome = f64;
-//!     fn evaluate(&mut self, g: &f64, _ctx: &EvalContext) -> Objectives {
-//!         Objectives::new(vec![g * g, (g - 2.0) * (g - 2.0)])
+//! let sch = |x: f64| Objectives::new(vec![x * x, (x - 2.0) * (x - 2.0)]);
+//! let (population, generations) = (20, 20);
+//! let mut rng = StdRng::seed_from_u64(1);
+//! let mut all: Vec<Individual<f64>> = Vec::new();
+//! let mut parents: Vec<usize> = Vec::new();
+//! for generation in 0..generations {
+//!     let genomes: Vec<f64> = if generation == 0 {
+//!         (0..population).map(|_| rng.gen_range(-4.0..4.0)).collect()
+//!     } else {
+//!         breed(&all, &parents, population, &mut rng, |x| x.to_bits(), |a, b, r| {
+//!             (a + b) / 2.0 + r.gen_range(-0.2..0.2)
+//!         })
+//!     };
+//!     let start = all.len();
+//!     for (k, x) in genomes.into_iter().enumerate() {
+//!         let id = (start + k) as u64;
+//!         all.push(Individual { id, generation, genome: x, objectives: sch(x) });
 //!     }
-//!     fn random_genome(&mut self, rng: &mut dyn rand::RngCore) -> f64 {
-//!         use rand::Rng;
-//!         rng.gen_range(-4.0..4.0)
-//!     }
-//!     fn vary(&mut self, a: &f64, b: &f64, rng: &mut dyn rand::RngCore) -> f64 {
-//!         use rand::Rng;
-//!         (a + b) / 2.0 + rng.gen_range(-0.2..0.2)
-//!     }
+//!     let mut pool = parents.clone();
+//!     pool.extend(start..all.len());
+//!     parents = environmental_selection(&all, &pool, population);
 //! }
 //!
-//! let cfg = NsgaConfig { population: 20, offspring: 20, generations: 20, seed: 1 };
-//! let result = Nsga2::new(cfg).run(&mut Sch, |_| {});
-//! let front = result.pareto_front();
+//! // All Pareto-optimal x over everything evaluated lie in [0, 2].
+//! let objectives: Vec<Objectives> = all.iter().map(|i| i.objectives.clone()).collect();
+//! let front = &fast_non_dominated_sort(&objectives)[0];
 //! assert!(!front.is_empty());
-//! // All Pareto-optimal x lie in [0, 2].
-//! for ind in front {
-//!     assert!(ind.genome > -0.5 && ind.genome < 2.5);
+//! for &i in front {
+//!     assert!(all[i].genome > -0.5 && all[i].genome < 2.5);
 //! }
 //! ```
 #![warn(clippy::redundant_clone)]
@@ -55,17 +63,7 @@ pub mod select;
 pub mod sort;
 
 pub use crowding::crowding_distance;
-pub use evolve::{
-    environmental_selection, EvalContext, Individual, Nsga2, NsgaConfig, Problem, RunResult,
-};
+pub use evolve::{breed, environmental_selection, Individual};
 pub use objectives::{cmp_objective, DimensionMismatch, Dominance, Objectives};
 pub use select::{tournament_select, RankedIndividual};
 pub use sort::{fast_non_dominated_sort, ranks_from_fronts};
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::{
-        crowding_distance, fast_non_dominated_sort, tournament_select, Dominance, EvalContext,
-        Individual, Nsga2, NsgaConfig, Objectives, Problem, RunResult,
-    };
-}

@@ -408,27 +408,6 @@ mod tests {
         let _ = schedule_fifo(0, &tasks(&[1.0]), TaskOrdering::Fifo);
     }
 
-    fn single_attempt(durations: &[f64]) -> Vec<RetryTask> {
-        durations
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| RetryTask {
-                id: i as u64,
-                attempt_durations: vec![d],
-            })
-            .collect()
-    }
-
-    #[test]
-    fn retry_scheduler_reduces_to_fifo_without_retries() {
-        let durations = [3.0, 2.0, 5.0, 1.0, 4.0, 2.5];
-        let plain = schedule_fifo(2, &tasks(&durations), TaskOrdering::Fifo);
-        let retry = schedule_fifo_retry(2, &single_attempt(&durations), &RetryPolicy::default());
-        assert_eq!(plain.assignments, retry.assignments);
-        assert_eq!(plain.makespan, retry.makespan);
-        assert_eq!(plain.gpu_busy, retry.gpu_busy);
-    }
-
     #[test]
     fn failed_attempts_occupy_the_gpu_and_requeue_after_backoff() {
         // One task, first attempt fails after 2 s, retry takes 3 s; the

@@ -23,7 +23,6 @@
 pub mod des;
 pub mod pool;
 pub mod retry;
-pub mod trace;
 
 pub use des::{
     schedule_fifo, schedule_fifo_retry, schedule_generations, Assignment, GenerationSchedule,
@@ -31,4 +30,3 @@ pub use des::{
 };
 pub use pool::{intra_op_threads, GpuPool, JobReport};
 pub use retry::RetryPolicy;
-pub use trace::chrome_trace;

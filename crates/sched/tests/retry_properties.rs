@@ -5,9 +5,11 @@
 //!
 //! - the DES conserves time, GPU by GPU, over every attempt;
 //! - each task's attempts are strictly ordered and respect the policy's
-//!   exponential backoff.
+//!   exponential backoff;
+//! - with every task single-attempt it is [`schedule_fifo`] under FIFO
+//!   ordering, bit for bit.
 
-use a4nn_sched::{schedule_fifo_retry, RetryPolicy, RetryTask};
+use a4nn_sched::{schedule_fifo, schedule_fifo_retry, RetryPolicy, RetryTask, Task, TaskOrdering};
 use proptest::prelude::*;
 
 proptest! {
@@ -54,6 +56,36 @@ proptest! {
                 prop_assert!(w[1].start >= w[0].end, "attempts overlap");
             }
         }
+    }
+
+    /// Single-attempt tasks reduce exactly to the plain FIFO schedule:
+    /// the same assignments, and `makespan` and `gpu_busy` equal to the
+    /// bit, so a generation without retries schedules as it always did.
+    #[test]
+    fn single_attempt_retry_schedule_is_fifo_bit_for_bit(
+        durations in proptest::collection::vec(0.0f64..50.0, 0..=12),
+        n_gpus in 1usize..=5,
+    ) {
+        let plain: Vec<Task> = durations
+            .iter()
+            .enumerate()
+            .map(|(i, &duration)| Task { id: i as u64, duration })
+            .collect();
+        let single: Vec<RetryTask> = durations
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| RetryTask { id: i as u64, attempt_durations: vec![d] })
+            .collect();
+        let fifo = schedule_fifo(n_gpus, &plain, TaskOrdering::Fifo);
+        let retry = schedule_fifo_retry(n_gpus, &single, &RetryPolicy::default());
+        prop_assert_eq!(&fifo.assignments, &retry.assignments);
+        for (a, b) in fifo.assignments.iter().zip(&retry.assignments) {
+            prop_assert_eq!(a.start.to_bits(), b.start.to_bits());
+            prop_assert_eq!(a.end.to_bits(), b.end.to_bits());
+        }
+        prop_assert_eq!(fifo.makespan.to_bits(), retry.makespan.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&fifo.gpu_busy), bits(&retry.gpu_busy));
     }
 
     /// Simulated retries respect exponential backoff: attempt `k + 1`

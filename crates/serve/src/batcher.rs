@@ -351,8 +351,8 @@ fn worker_loop(shared: &Shared, mut nets: Vec<Network>) {
         };
         // Admission control can in principle hand a worker zero work (a
         // sibling drained the queue between wake-up and pop); the guard
-        // above makes that an explicit skip, never a zero-size forward —
-        // the same explicitness `try_evaluate_chunked` enforces.
+        // above makes that an explicit skip, never a zero-size forward,
+        // whose accuracy-style reductions are undefined.
         let Some(first) = batch.first() else {
             continue;
         };

@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`core`] | `a4nn-core` | workflow orchestrator, trainers, Algorithm 1 |
 //! | [`penguin`] | `a4nn-penguin` | parametric fitness-prediction engine |
-//! | [`nsga`] | `a4nn-nsga` | NSGA-II evolutionary engine |
+//! | [`nsga`] | `a4nn-nsga` | NSGA-II primitives and the generation step |
 //! | [`genome`] | `a4nn-genome` | NSGA-Net macro search space |
 //! | [`nn`] | `a4nn-nn` | CPU neural-network training substrate |
 //! | [`xfel`] | `a4nn-xfel` | synthetic XFEL diffraction dataset |

@@ -450,3 +450,49 @@ fn snapshot_with_a_retries_key_still_loads() {
     assert_eq!(csvs(&golden), csvs(&resumed));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A snapshot whose survivor indices point past its records (a tampered
+/// or torn state file) is refused as a `Checkpoint` error instead of
+/// panicking the resumed search.
+#[test]
+fn survivors_outside_the_records_are_refused_with_exit_5() {
+    let config = micro_config(2023);
+    let dir = tmp_dir("bad-parents");
+    std::fs::remove_dir_all(&dir).ok();
+    let cancel = |done: usize| done == 1;
+    let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
+    let err = run_mode(&config, Mode::Direct, control, None).unwrap_err();
+    assert_eq!(err.exit_code(), 10);
+
+    let state = dir.join("search_state_g0001.json");
+    let json = std::fs::read_to_string(&state).unwrap();
+    let start = json.find("\"parents\": [").unwrap();
+    let end = start + json[start..].find(']').unwrap() + 1;
+    let tampered = format!("{}\"parents\": [999]{}", &json[..start], &json[end..]);
+    std::fs::write(&state, tampered).unwrap();
+
+    let snap = SearchSnapshot::load(&dir, &config).unwrap();
+    let err = run_mode(&config, Mode::Direct, RunControl::default(), Some(snap)).unwrap_err();
+    assert!(matches!(err, A4nnError::Checkpoint(_)), "got {err}");
+    assert_eq!(err.exit_code(), 5);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A boundary-1 snapshot of `micro_config(2023)` written before the
+/// snapshot stopped storing the archive, the duplicate filter and the id
+/// counter: those keys are ignored, the state is rebuilt from the
+/// records, and the resumed run equals the uninterrupted one.
+#[test]
+fn snapshot_written_with_archive_seen_and_next_id_still_resumes() {
+    let config = micro_config(2023);
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_snapshot");
+    let state = std::fs::read_to_string(fixture.join("search_state_g0001.json")).unwrap();
+    for key in ["\"archive\"", "\"seen\"", "\"next_id\""] {
+        assert!(state.contains(key), "the fixture carries {key}");
+    }
+    let golden = run_mode(&config, Mode::Direct, RunControl::default(), None).unwrap();
+    let snap = SearchSnapshot::load(&fixture, &config).expect("the older keys are ignored");
+    let resumed = run_mode(&config, Mode::Direct, RunControl::default(), Some(snap)).unwrap();
+    assert_eq!(csvs(&golden), csvs(&resumed));
+    assert_eq!(golden.commons, resumed.commons);
+}

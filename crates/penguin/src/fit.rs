@@ -7,6 +7,13 @@
 //! Multiple data-driven initial guesses are tried and the best (lowest
 //! residual) fit wins, which makes the fitter robust against the noisy,
 //! sometimes pathological curves that NAS candidates produce.
+//!
+//! Every observation weighs the same (plain least squares). Each trial
+//! step evaluates the curve's values and Jacobian in one pass
+//! ([`ParametricCurve::eval_grad`]); an accepted step keeps both, so the
+//! next iteration builds `JᵀJ` and `Jᵀr` without evaluating the curve
+//! again. A fit allocates its buffers once and reuses them across starts
+//! and iterations.
 
 use crate::curve::ParametricCurve;
 
@@ -21,11 +28,6 @@ pub struct FitConfig {
     pub lambda_factor: f64,
     /// Convergence threshold on the relative decrease of the cost.
     pub tol: f64,
-    /// Optional recency weighting: observation `i` of `n` gets weight
-    /// `decay^(n−1−i)` with `decay ∈ (0, 1]`, so the newest epochs
-    /// dominate the fit. `None` (or 1.0) weighs all epochs equally — the
-    /// paper's plain least squares.
-    pub recency_decay: Option<f64>,
 }
 
 impl Default for FitConfig {
@@ -35,23 +37,7 @@ impl Default for FitConfig {
             lambda_init: 1e-2,
             lambda_factor: 8.0,
             tol: 1e-10,
-            recency_decay: None,
         }
-    }
-}
-
-impl FitConfig {
-    /// Per-observation weights implied by the configuration.
-    fn weights(&self, n: usize) -> Option<Vec<f64>> {
-        let decay = self.recency_decay?;
-        assert!(
-            decay > 0.0 && decay <= 1.0,
-            "recency decay must be in (0, 1], got {decay}"
-        );
-        if (decay - 1.0).abs() < f64::EPSILON {
-            return None;
-        }
-        Some((0..n).map(|i| decay.powi((n - 1 - i) as i32)).collect())
     }
 }
 
@@ -91,10 +77,11 @@ impl std::fmt::Display for FitError {
 
 impl std::error::Error for FitError {}
 
-/// Solve the dense linear system `A x = b` in place (A is `n×n`,
-/// row-major). Returns `None` for singular systems. Partial pivoting keeps
-/// the tiny systems we solve here stable.
-fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> Option<Vec<f64>> {
+/// Solve the dense linear system `A x = b` (A is `n×n`, row-major),
+/// overwriting `a` and `b` and writing the solution into `x`. Returns
+/// `false` for singular systems and non-finite solutions. Partial pivoting
+/// keeps the tiny systems we solve here stable.
+fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize, x: &mut [f64]) -> bool {
     for col in 0..n {
         // Pivot.
         let mut pivot_row = col;
@@ -107,7 +94,7 @@ fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> Option<Vec<f64>> {
             }
         }
         if pivot_val < 1e-300 {
-            return None;
+            return false;
         }
         if pivot_row != col {
             for k in 0..n {
@@ -129,7 +116,6 @@ fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> Option<Vec<f64>> {
         }
     }
     // Back substitution.
-    let mut x = vec![0.0; n];
     for col in (0..n).rev() {
         let mut acc = b[col];
         for k in (col + 1)..n {
@@ -137,103 +123,132 @@ fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> Option<Vec<f64>> {
         }
         x[col] = acc / a[col * n + col];
     }
-    if x.iter().all(|v| v.is_finite()) {
-        Some(x)
-    } else {
-        None
-    }
+    x[..n].iter().all(|v| v.is_finite())
 }
 
-fn sse_of(
-    curve: &dyn ParametricCurve,
-    params: &[f64],
-    xs: &[f64],
-    ys: &[f64],
-    weights: Option<&[f64]>,
-) -> f64 {
-    xs.iter()
-        .zip(ys)
-        .enumerate()
-        .map(|(i, (&x, &y))| {
-            let r = y - curve.eval(params, x);
-            let w = weights.map_or(1.0, |w| w[i]);
-            w * r * r
+/// Sum of squared residuals of the curve values `vals` against `ys`.
+fn sse_of(vals: &[f64], ys: &[f64]) -> f64 {
+    ys.iter()
+        .zip(vals)
+        .map(|(&y, &v)| {
+            let r = y - v;
+            r * r
         })
         .sum()
 }
 
-/// One Levenberg–Marquardt descent from `start`. Returns the refined
-/// parameters and their SSE, or `None` if the descent left the valid
-/// parameter domain immediately.
+/// The buffers of one fit, sized for `n_params` parameters and
+/// `n_points` observations and shared by all its starts.
+struct Scratch {
+    /// The current point θ, its curve values and its Jacobian.
+    params: Vec<f64>,
+    vals: Vec<f64>,
+    jac: Vec<f64>,
+    /// The trial point θ + δ, its values and its Jacobian; swapped with
+    /// the current ones when the step is accepted.
+    trial: Vec<f64>,
+    trial_vals: Vec<f64>,
+    trial_jac: Vec<f64>,
+    /// The normal equations `JᵀJ`, `Jᵀr`, their damped copies and the
+    /// step δ solving them.
+    jtj: Vec<f64>,
+    jtr: Vec<f64>,
+    a: Vec<f64>,
+    b: Vec<f64>,
+    step: Vec<f64>,
+}
+
+impl Scratch {
+    fn new(n_params: usize, n_points: usize) -> Self {
+        Scratch {
+            params: vec![0.0; n_params],
+            vals: vec![0.0; n_points],
+            jac: vec![0.0; n_points * n_params],
+            trial: vec![0.0; n_params],
+            trial_vals: vec![0.0; n_points],
+            trial_jac: vec![0.0; n_points * n_params],
+            jtj: vec![0.0; n_params * n_params],
+            jtr: vec![0.0; n_params],
+            a: vec![0.0; n_params * n_params],
+            b: vec![0.0; n_params],
+            step: vec![0.0; n_params],
+        }
+    }
+}
+
+/// One Levenberg–Marquardt descent from `start`, leaving the refined
+/// parameters in `s.params`. Returns their SSE and the iterations used,
+/// or `None` if the descent left the valid parameter domain.
 fn lm_from_start(
     curve: &dyn ParametricCurve,
     xs: &[f64],
     ys: &[f64],
     start: &[f64],
     cfg: &FitConfig,
-) -> Option<(Vec<f64>, f64, usize)> {
+    s: &mut Scratch,
+) -> Option<(f64, usize)> {
     let n_params = curve.n_params();
-    let n_points = xs.len();
     if !curve.params_valid(start) {
         return None;
     }
-    let weights = cfg.weights(xs.len());
-    let mut params = start.to_vec();
-    let mut cost = sse_of(curve, &params, xs, ys, weights.as_deref());
+    s.params.copy_from_slice(start);
+    curve.eval_grad(&s.params, xs, &mut s.vals, &mut s.jac);
+    let mut cost = sse_of(&s.vals, ys);
     if !cost.is_finite() {
         return None;
     }
     let mut lambda = cfg.lambda_init;
-    let mut grad_row = vec![0.0; n_params];
     let mut iterations = 0;
 
     for iter in 0..cfg.max_iters {
         iterations = iter + 1;
-        // Build JᵀJ and Jᵀr.
-        let mut jtj = vec![0.0; n_params * n_params];
-        let mut jtr = vec![0.0; n_params];
-        for i in 0..n_points {
-            let x = xs[i];
-            let w = weights.as_deref().map_or(1.0, |w| w[i]);
-            let r = ys[i] - curve.eval(&params, x);
-            curve.grad(&params, x, &mut grad_row);
-            if grad_row.iter().any(|g| !g.is_finite()) || !r.is_finite() {
+        // Build JᵀJ and Jᵀr from the current point's values and Jacobian.
+        s.jtj.fill(0.0);
+        s.jtr.fill(0.0);
+        for ((&y, &v), g) in ys.iter().zip(&s.vals).zip(s.jac.chunks_exact(n_params)) {
+            let r = y - v;
+            if g.iter().any(|g| !g.is_finite()) || !r.is_finite() {
                 return None;
             }
             for a in 0..n_params {
-                jtr[a] += w * grad_row[a] * r;
+                s.jtr[a] += g[a] * r;
                 for b in a..n_params {
-                    jtj[a * n_params + b] += w * grad_row[a] * grad_row[b];
+                    s.jtj[a * n_params + b] += g[a] * g[b];
                 }
             }
         }
         // Mirror the upper triangle.
         for a in 0..n_params {
             for b in 0..a {
-                jtj[a * n_params + b] = jtj[b * n_params + a];
+                s.jtj[a * n_params + b] = s.jtj[b * n_params + a];
             }
         }
 
         // Try damped steps, increasing λ until one is accepted.
         let mut accepted = false;
         for _ in 0..12 {
-            let mut a = jtj.clone();
+            s.a.copy_from_slice(&s.jtj);
             for d in 0..n_params {
-                a[d * n_params + d] += lambda * (1.0 + jtj[d * n_params + d]);
+                s.a[d * n_params + d] += lambda * (1.0 + s.jtj[d * n_params + d]);
             }
-            let mut b = jtr.clone();
-            if let Some(step) = solve_dense(&mut a, &mut b, n_params) {
-                let candidate: Vec<f64> = params.iter().zip(&step).map(|(p, s)| p + s).collect();
-                if curve.params_valid(&candidate) {
-                    let c = sse_of(curve, &candidate, xs, ys, weights.as_deref());
+            s.b.copy_from_slice(&s.jtr);
+            if solve_dense(&mut s.a, &mut s.b, n_params, &mut s.step) {
+                for ((t, p), d) in s.trial.iter_mut().zip(&s.params).zip(&s.step) {
+                    *t = p + d;
+                }
+                if curve.params_valid(&s.trial) {
+                    curve.eval_grad(&s.trial, xs, &mut s.trial_vals, &mut s.trial_jac);
+                    let c = sse_of(&s.trial_vals, ys);
                     if c.is_finite() && c < cost {
                         let rel = (cost - c) / cost.max(1e-300);
-                        params = candidate;
+                        std::mem::swap(&mut s.params, &mut s.trial);
+                        std::mem::swap(&mut s.vals, &mut s.trial_vals);
+                        std::mem::swap(&mut s.jac, &mut s.trial_jac);
                         cost = c;
                         lambda = (lambda / cfg.lambda_factor).max(1e-12);
                         accepted = true;
                         if rel < cfg.tol {
-                            return Some((params, cost, iterations));
+                            return Some((cost, iterations));
                         }
                         break;
                     }
@@ -248,7 +263,7 @@ fn lm_from_start(
             break;
         }
     }
-    Some((params, cost, iterations))
+    Some((cost, iterations))
 }
 
 /// Fit `curve` to the observed learning curve `(xs, ys)` with
@@ -270,22 +285,25 @@ pub fn fit_curve(
     if xs.len() != ys.len() {
         return Err(FitError::LengthMismatch);
     }
-    if xs.len() < curve.n_params() {
+    let n_params = curve.n_params();
+    if xs.len() < n_params {
         return Err(FitError::TooFewPoints {
             have: xs.len(),
-            need: curve.n_params(),
+            need: n_params,
         });
     }
-    let mut best: Option<(Vec<f64>, f64, usize)> = None;
+    let mut s = Scratch::new(n_params, xs.len());
+    let mut params = vec![0.0; n_params];
+    let mut best: Option<(f64, usize)> = None;
     for start in curve.initial_guesses(xs, ys) {
-        if let Some((p, c, it)) = lm_from_start(curve, xs, ys, &start, cfg) {
-            let better = best.as_ref().is_none_or(|(_, bc, _)| c < *bc);
-            if better {
-                best = Some((p, c, it));
+        if let Some((c, it)) = lm_from_start(curve, xs, ys, &start, cfg, &mut s) {
+            if best.is_none_or(|(bc, _)| c < bc) {
+                best = Some((c, it));
+                params.copy_from_slice(&s.params);
             }
         }
     }
-    best.map(|(params, sse, iterations)| FitResult {
+    best.map(|(sse, iterations)| FitResult {
         params,
         sse,
         iterations,
@@ -376,7 +394,8 @@ mod tests {
         // [2 1; 1 3] x = [3; 5] → x = [4/5, 7/5]
         let mut a = vec![2.0, 1.0, 1.0, 3.0];
         let mut b = vec![3.0, 5.0];
-        let x = solve_dense(&mut a, &mut b, 2).unwrap();
+        let mut x = vec![0.0; 2];
+        assert!(solve_dense(&mut a, &mut b, 2, &mut x));
         assert!((x[0] - 0.8).abs() < 1e-12);
         assert!((x[1] - 1.4).abs() < 1e-12);
     }
@@ -385,74 +404,8 @@ mod tests {
     fn solve_dense_rejects_singular() {
         let mut a = vec![1.0, 2.0, 2.0, 4.0];
         let mut b = vec![1.0, 2.0];
-        assert!(solve_dense(&mut a, &mut b, 2).is_none());
-    }
-
-    #[test]
-    fn recency_weighting_tracks_a_regime_change() {
-        // First half of the curve saturates at 70, second half at 95: the
-        // weighted fit must predict closer to the recent regime than the
-        // unweighted fit.
-        let xs: Vec<f64> = (1..=16).map(f64::from).collect();
-        let ys: Vec<f64> = xs
-            .iter()
-            .map(|&x| {
-                if x <= 7.0 {
-                    70.0 - 40.0 * 0.5f64.powf(x)
-                } else {
-                    95.0 - 30.0 * 0.4f64.powf(x - 7.0)
-                }
-            })
-            .collect();
-        let plain = fit_curve(&CurveFamily::ExpBase, &xs, &ys, &FitConfig::default()).unwrap();
-        let weighted = fit_curve(
-            &CurveFamily::ExpBase,
-            &xs,
-            &ys,
-            &FitConfig {
-                recency_decay: Some(0.6),
-                ..FitConfig::default()
-            },
-        )
-        .unwrap();
-        let pred_plain = CurveFamily::ExpBase.eval(&plain.params, 25.0);
-        let pred_weighted = CurveFamily::ExpBase.eval(&weighted.params, 25.0);
-        assert!(
-            (pred_weighted - 95.0).abs() < (pred_plain - 95.0).abs(),
-            "weighted {pred_weighted} should beat plain {pred_plain} on the new regime"
-        );
-    }
-
-    #[test]
-    fn decay_of_one_matches_unweighted() {
-        let (xs, ys) = synth(94.0, 1.7, 7.0, 10);
-        let plain = fit_curve(&CurveFamily::ExpBase, &xs, &ys, &FitConfig::default()).unwrap();
-        let unit = fit_curve(
-            &CurveFamily::ExpBase,
-            &xs,
-            &ys,
-            &FitConfig {
-                recency_decay: Some(1.0),
-                ..FitConfig::default()
-            },
-        )
-        .unwrap();
-        assert!((plain.sse - unit.sse).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "recency decay")]
-    fn invalid_decay_panics() {
-        let (xs, ys) = synth(94.0, 1.7, 7.0, 10);
-        let _ = fit_curve(
-            &CurveFamily::ExpBase,
-            &xs,
-            &ys,
-            &FitConfig {
-                recency_decay: Some(0.0),
-                ..FitConfig::default()
-            },
-        );
+        let mut x = vec![0.0; 2];
+        assert!(!solve_dense(&mut a, &mut b, 2, &mut x));
     }
 
     #[test]

@@ -6,6 +6,24 @@ use a4nn_penguin::{
 };
 use proptest::prelude::*;
 
+/// Valid parameters of `family` mapped from `unit`'s draws in `[0, 1)`,
+/// in ranges where learning curves over epochs 1..=25 live.
+fn valid_params(family: CurveFamily, unit: &[f64]) -> Vec<f64> {
+    let ranges: &[(f64, f64)] = match family {
+        CurveFamily::ExpBase => &[(50.0, 100.0), (1.1, 2.5), (2.0, 10.0)],
+        CurveFamily::Pow3 => &[(50.0, 100.0), (1.0, 60.0), (0.1, 2.0)],
+        CurveFamily::Log3 => &[(50.0, 100.0), (1.0, 60.0), (1.0, 5.0)],
+        CurveFamily::Vap3 => &[(3.0, 5.0), (-2.0, 0.0), (0.0, 0.1)],
+        CurveFamily::Weibull4 => &[(50.0, 100.0), (1.0, 60.0), (0.05, 1.0), (0.5, 2.0)],
+        CurveFamily::Janoschek3 => &[(50.0, 100.0), (0.0, 60.0), (0.05, 1.0)],
+    };
+    ranges
+        .iter()
+        .zip(unit)
+        .map(|(&(lo, hi), &u)| lo + u * (hi - lo))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -83,6 +101,43 @@ proptest! {
             let a = PredictionAnalyzer { rule, ..PredictionAnalyzer::paper_defaults() };
             prop_assert!(a.converged(&[Some(v), Some(v), Some(v)]));
             prop_assert!(!a.converged(&[Some(oob), Some(oob), Some(oob)]));
+        }
+    }
+
+    /// One function, two entry points: `eval_grad`'s values are `eval`'s
+    /// bit for bit, and its Jacobian matches central differences, in every
+    /// family at random valid parameters over epochs 1..=25.
+    #[test]
+    fn eval_grad_matches_eval_and_central_differences(
+        family in 0usize..CurveFamily::ALL.len(),
+        unit in proptest::collection::vec(0.0f64..1.0, 4),
+    ) {
+        let family = CurveFamily::ALL[family];
+        let params = valid_params(family, &unit);
+        prop_assert!(family.params_valid(&params), "{params:?}");
+        let n = family.n_params();
+        let xs: Vec<f64> = (1..=25).map(f64::from).collect();
+        let mut vals = vec![0.0; xs.len()];
+        let mut jac = vec![0.0; xs.len() * n];
+        family.eval_grad(&params, &xs, &mut vals, &mut jac);
+        for (j, &x) in xs.iter().enumerate() {
+            let direct = family.eval(&params, x);
+            prop_assert_eq!(vals[j].to_bits(), direct.to_bits(), "{} at x = {}", family.name(), x);
+            for i in 0..n {
+                let h = 1e-6 * params[i].abs().max(1.0);
+                let mut plus = params.clone();
+                let mut minus = params.clone();
+                plus[i] += h;
+                minus[i] -= h;
+                let numeric = (family.eval(&plus, x) - family.eval(&minus, x)) / (2.0 * h);
+                let analytic = jac[j * n + i];
+                let scale = numeric.abs().max(analytic.abs()).max(1.0);
+                prop_assert!(
+                    (numeric - analytic).abs() / scale < 1e-4,
+                    "{} param {} at x = {}: numeric {} vs analytic {}",
+                    family.name(), i, x, numeric, analytic
+                );
+            }
         }
     }
 

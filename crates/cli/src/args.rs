@@ -59,8 +59,6 @@ search/baseline options (paper Table 2 defaults):
                              wall-clock only, never results)
   --real                     train for real on the CPU substrate
   --images <n>               images per class for --real / xpsi / dataset [100]
-  --eval-chunk <n>           validation chunk size for --real
-                             training                  [256]
 
 engine options (search only; paper Table 1 defaults):
   --function <name>          exp-base|pow3|log3|vap3|weibull4|janoschek3
@@ -77,7 +75,11 @@ worker options:
 serve options:
   --commons <dir>            commons directory with the Pareto front to
                              serve (required); a checkpoints/ subdir
-                             supplies trained weights when present
+                             supplies trained weights, but no command
+                             writes one yet, so each model is an
+                             untrained rebuild of its genome, shown
+                             beside the fitness its search trained to
+                             (ROADMAP.md item 4)
   --listen <addr>            bind address (required), e.g. 0.0.0.0:7463
   --batch <n>                max requests per micro-batch     [8]
   --queue <n>                admission queue capacity; requests beyond
@@ -86,16 +88,11 @@ serve options:
   --ws-limit-mb <n>          workspace pool cap per worker, MiB [8]
   --sessions <n>             serve this many connections then exit;
                              0 serves forever                 [0]
-  --io <threads|reactor>     connection handling: one thread per
-                             connection, or one epoll event loop
-                             multiplexing all of them
-                             [reactor on Linux, threads elsewhere]
   --idle-ms <n>              drop a connection with no read/write
                              progress for this long       [30000]
   --metrics-out <file>       write the metrics snapshot here as
-                             connections close (debounced) and at exit
-  --metrics-interval-ms <n>  persist the snapshot at most once per
-                             this interval                 [2000]
+                             connections close (at most every 2 s)
+                             and at exit
 
 viz options:
   --commons <dir>            commons directory (required)
@@ -195,7 +192,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--resume",
     "--run",
     "--images",
-    "--eval-chunk",
     "--function",
     "--e-pred",
     "--n-converge",
@@ -208,10 +204,8 @@ const VALUE_FLAGS: &[&str] = &[
     "--queue",
     "--batch-workers",
     "--ws-limit-mb",
-    "--io",
     "--idle-ms",
     "--metrics-out",
-    "--metrics-interval-ms",
 ];
 
 /// Boolean flags.

@@ -257,7 +257,6 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
             &tolerance,
             SocketOptions {
                 heartbeat_deadline: std::time::Duration::from_millis(heartbeat_ms.max(1)),
-                ..SocketOptions::default()
             },
         )?;
         println!(
@@ -276,11 +275,6 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     };
     let factory: Box<dyn TrainerFactory> = if parsed.flag("--real") {
         let images = parsed.get_parse("--images", 100usize, "usize")?;
-        let eval_chunk = parsed.get_parse(
-            "--eval-chunk",
-            TrainingHyperparams::default().eval_chunk,
-            "usize",
-        )?;
         let (train, test) =
             generate_split(&XfelConfig::default(), config.beam, images, config.seed);
         println!(
@@ -292,10 +286,7 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
             config.search_space(),
             Arc::new(train),
             Arc::new(test),
-            TrainingHyperparams {
-                eval_chunk,
-                ..TrainingHyperparams::default()
-            },
+            TrainingHyperparams::default(),
         ))
     } else {
         Box::new(SurrogateFactory::new(
@@ -475,10 +466,6 @@ fn run_serve(parsed: &Parsed) -> Result<(), CommandError> {
         .get("--listen")
         .ok_or_else(|| CommandError::Invalid("--listen <addr> is required".into()))?;
     let sessions = parsed.get_parse("--sessions", 0usize, "usize")?;
-    let io = match parsed.get("--io") {
-        None => a4nn_serve::IoMode::default_for_platform(),
-        Some(raw) => a4nn_serve::IoMode::parse(raw)?,
-    };
     let cfg = a4nn_serve::ServeConfig {
         batcher: a4nn_serve::BatcherConfig {
             max_batch: parsed.get_parse("--batch", 8usize, "usize")?,
@@ -486,14 +473,8 @@ fn run_serve(parsed: &Parsed) -> Result<(), CommandError> {
             workers: parsed.get_parse("--batch-workers", 1usize, "usize")?,
             ws_limit_bytes: parsed.get_parse("--ws-limit-mb", 8usize, "usize")? * 1024 * 1024,
         },
-        io,
         idle_timeout: Duration::from_millis(parsed.get_parse("--idle-ms", 30_000u64, "u64")?),
         metrics_out: parsed.get("--metrics-out").map(PathBuf::from),
-        metrics_interval: Duration::from_millis(parsed.get_parse(
-            "--metrics-interval-ms",
-            2_000u64,
-            "u64",
-        )?),
     };
     let repo = a4nn_serve::ModelRepo::load(&PathBuf::from(commons))?;
     let menu = repo.infos();
@@ -502,9 +483,8 @@ fn run_serve(parsed: &Parsed) -> Result<(), CommandError> {
     let server =
         a4nn_serve::ServeServer::bind(listen, repo, cfg, Arc::new(MetricsRegistry::new()))?;
     println!(
-        "a4nn serve listening on {} (--io {}, {} Pareto model(s), {})",
+        "a4nn serve listening on {} ({} Pareto model(s), {})",
         server.local_addr()?,
-        io.as_str(),
         menu.len(),
         if sessions == 0 {
             "serving until killed".to_string()
@@ -519,8 +499,14 @@ fn run_serve(parsed: &Parsed) -> Result<(), CommandError> {
             .zip(&m.objective_values)
             .map(|(name, value)| format!("{name}={value:.3}"))
             .collect();
+        // The fitness is what the search trained the model to; the
+        // weights served are those only when a checkpoint was found.
+        let weights = match m.checkpoint_epoch {
+            Some(epoch) => format!("checkpoint epoch {epoch}"),
+            None => "untrained rebuild".to_string(),
+        };
         println!(
-            "  model {:>4}  fitness {:6.2}%  {}  {}{}",
+            "  model {:>4}  fitness {:6.2}%  {}  {}  [{weights}]{}",
             m.model_id,
             m.fitness,
             objectives.join("  "),
@@ -722,12 +708,6 @@ mod tests {
     fn baseline_has_no_engine() {
         let cfg = workflow_config(&parsed("baseline --beam low"), false).unwrap();
         assert!(cfg.engine.is_none());
-    }
-
-    #[test]
-    fn eval_chunk_flag_parses() {
-        let p = parsed("search --eval-chunk 64");
-        assert_eq!(p.get_parse("--eval-chunk", 256usize, "usize").unwrap(), 64);
     }
 
     #[test]

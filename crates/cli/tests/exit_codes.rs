@@ -24,6 +24,25 @@ fn argument_parse_failures_are_two() {
     assert_eq!(code("search --beam"), 2, "flag without value");
 }
 
+/// Retired flags are unknown flags: the serve connection layer, the
+/// validation chunk size and the metrics persist interval are fixed.
+#[test]
+fn retired_flags_are_unknown() {
+    use a4nn_cli::{ArgError, Parsed};
+    for cmdline in [
+        "serve --io reactor",
+        "search --eval-chunk 64",
+        "serve --metrics-interval-ms 5",
+    ] {
+        let argv: Vec<String> = cmdline.split_whitespace().map(String::from).collect();
+        let flag = &argv[1];
+        let err = Parsed::parse(&argv).unwrap_err();
+        assert_eq!(err, ArgError::UnknownFlag(flag.into()), "{cmdline}");
+        assert_eq!(err.to_string(), format!("unknown flag {flag}"));
+        assert_eq!(code(cmdline), 2, "{cmdline}");
+    }
+}
+
 #[test]
 fn invalid_values_are_three() {
     assert_eq!(code("dataset --beam ultraviolet"), 3, "unknown beam");

@@ -5,6 +5,7 @@ use crate::bridge::netspec_from_arch;
 use crate::objectives::ModelCost;
 use crate::trainer::{EpochResult, Trainer, TrainerFactory};
 use a4nn_genome::{estimate_macs, estimate_params_bytes, Genome, SearchSpace};
+use a4nn_nn::graph::DEFAULT_EVAL_CHUNK;
 use a4nn_nn::{train_epoch_ws, Dataset, Network, Sgd, Workspace};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -22,14 +23,6 @@ pub struct TrainingHyperparams {
     pub weight_decay: f32,
     /// Minibatch size.
     pub batch_size: usize,
-    /// Validation is evaluated in chunks of this many samples, bounding
-    /// peak activation memory on large validation sets.
-    #[serde(default = "default_eval_chunk")]
-    pub eval_chunk: usize,
-}
-
-fn default_eval_chunk() -> usize {
-    a4nn_nn::graph::DEFAULT_EVAL_CHUNK
 }
 
 impl Default for TrainingHyperparams {
@@ -39,7 +32,6 @@ impl Default for TrainingHyperparams {
             momentum: 0.9,
             weight_decay: 1e-4,
             batch_size: 32,
-            eval_chunk: default_eval_chunk(),
         }
     }
 }
@@ -73,7 +65,7 @@ impl Trainer for RealTrainer {
         );
         let val_acc = self
             .net
-            .evaluate_dataset(&self.val, self.hyper.eval_chunk, &mut self.ws);
+            .evaluate_dataset(&self.val, DEFAULT_EVAL_CHUNK, &mut self.ws);
         EpochResult {
             train_acc: f64::from(train_acc),
             val_acc: f64::from(val_acc),
@@ -96,13 +88,6 @@ impl Trainer for RealTrainer {
 
     fn snapshot(&mut self, epoch: u32) -> Option<a4nn_nn::ModelState> {
         Some(a4nn_nn::ModelState::capture(&mut self.net, epoch))
-    }
-}
-
-impl RealTrainer {
-    /// Access the trained network (for checkpointing into the commons).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
     }
 }
 
@@ -232,9 +217,10 @@ mod tests {
     #[test]
     fn hyperparams_written_with_the_kernel_switch_still_load() {
         // Configs saved before the `Naive|Gemm` kernel switch was removed
-        // carry its two keys; they are ignored, not rejected. The sample
-        // sits in the old-checkpoint fixture, written by the last commit
-        // that had the switch.
+        // carry its two keys, and the validation chunk size that was once
+        // a setting; all are ignored, not rejected. The sample sits in the
+        // old-checkpoint fixture, written by the last commit that had the
+        // switch.
         #[derive(Deserialize)]
         struct OldCheckpoint {
             hyperparams: TrainingHyperparams,
@@ -245,7 +231,6 @@ mod tests {
         .unwrap();
         assert_eq!(old.hyperparams.lr, 0.01);
         assert_eq!(old.hyperparams.batch_size, 16);
-        assert_eq!(old.hyperparams.eval_chunk, 64);
     }
 
     #[test]

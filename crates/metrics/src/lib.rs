@@ -381,7 +381,7 @@ pub mod names {
     /// (monotonic counter: updated by the delta since the last export).
     pub const SERVE_WS_PEAK_BYTES: &str = "serve_ws_peak_bytes";
 
-    // --- Event-driven I/O reactor (`a4nn serve --io reactor`) -----------
+    // --- Event-driven I/O reactor (`a4nn serve` on Linux) --------------
 
     /// `epoll_wait` returns, including deadline-only wakeups.
     pub const REACTOR_WAKEUPS: &str = "reactor_wakeups";

@@ -21,8 +21,8 @@
 //!   loop over hand-written syscall bindings ([`sys`]) that multiplexes
 //!   every connection through one thread, driving nonblocking state
 //!   machines built from the same [`FrameDecoder`] plus the buffered
-//!   partial-write [`WriteQueue`]. The serve endpoint runs on it by
-//!   default on Linux (`--io reactor`).
+//!   partial-write [`WriteQueue`]. The serve endpoint runs on it on
+//!   Linux.
 //!
 //! The load-bearing property is *placement invariance*: the worker runs
 //! exactly the in-process training function on a purely

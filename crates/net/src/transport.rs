@@ -33,6 +33,9 @@ use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// TCP connect timeout per worker address.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Tunables for a coordinator connection set.
 #[derive(Debug, Clone)]
 pub struct SocketOptions {
@@ -40,15 +43,12 @@ pub struct SocketOptions {
     /// in-flight jobs requeue. Workers are told to heartbeat at a
     /// quarter of this deadline.
     pub heartbeat_deadline: Duration,
-    /// TCP connect timeout per worker address.
-    pub connect_timeout: Duration,
 }
 
 impl Default for SocketOptions {
     fn default() -> Self {
         SocketOptions {
             heartbeat_deadline: Duration::from_secs(2),
-            connect_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -167,7 +167,7 @@ impl SocketTransport {
                 .ok_or_else(|| {
                     A4nnError::Net(format!("worker address {addr} resolved to nothing"))
                 })?;
-            let stream = TcpStream::connect_timeout(&sock_addr, options.connect_timeout)
+            let stream = TcpStream::connect_timeout(&sock_addr, CONNECT_TIMEOUT)
                 .map_err(|e| A4nnError::Net(format!("connecting to worker {addr}: {e}")))?;
             let _ = stream.set_nodelay(true);
             let mut reader = stream

@@ -9,12 +9,12 @@
 //! The crate stays decoupled from `a4nn-genome` by accepting a neutral
 //! [`NetSpec`]; the workflow crate converts decoded genomes into specs.
 
+use crate::data::Dataset;
 use crate::layers::{
     reference, BatchNorm2d, Conv2d, Dense, GlobalAvgPool, MaxPool2d, ParamVisitor, Relu,
 };
 use crate::tensor::{Tensor2, Tensor4};
 use crate::workspace::Workspace;
-use crate::{data::Dataset, gemm};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -425,124 +425,20 @@ impl Network {
         total
     }
 
-    /// Classification accuracy (%) over a labeled set of images.
-    /// Evaluates in bounded-size chunks (see
-    /// [`evaluate_chunked`](Self::evaluate_chunked)); per-sample inference
-    /// is independent in eval mode, so the result is bitwise identical to
-    /// a single whole-set forward.
-    pub fn evaluate(&mut self, images: &Tensor4, labels: &[usize]) -> f32 {
-        self.evaluate_chunked(images, labels, DEFAULT_EVAL_CHUNK)
-    }
-
-    /// Accuracy over `images`, forwarding at most `chunk` samples at a
-    /// time (capping peak activation memory) and, when the set is enough
-    /// work to pay for threads ([`gemm::threads_for`]), spreading chunks
-    /// across the intra-op budget with one network clone per worker.
-    /// Chunking and threading cannot change the result: eval-mode forward
-    /// treats every sample independently (per-sample im2col, running BN
-    /// stats, row-wise dense), and the correct-count sum is an integer.
+    /// Classification accuracy (%) over a [`Dataset`], forwarding at most
+    /// `chunk` samples at a time (capping peak activation memory; `0` is
+    /// clamped to 1) without materializing the set as one tensor: chunks
+    /// are copied straight from the dataset's flat storage into a pooled
+    /// batch buffer. Serial over chunks (inner ops still use the intra-op
+    /// budget); `ws` persists across calls so steady-state evaluation
+    /// allocates nothing. Chunking cannot change the result: eval-mode
+    /// forward treats every sample independently (per-sample im2col,
+    /// running BN stats, row-wise dense), and the correct-count sum is an
+    /// integer.
     ///
-    /// An empty label set returns the sentinel `0.0` — accuracy over zero
-    /// samples is undefined, and `0.0` keeps batch-mode search callers
-    /// (which treat accuracy as a fitness to maximize) conservative.
-    pub fn evaluate_chunked(&mut self, images: &Tensor4, labels: &[usize], chunk: usize) -> f32 {
-        assert_eq!(images.n, labels.len());
-        if labels.is_empty() {
-            return 0.0;
-        }
-        let chunk = chunk.max(1);
-        let n = images.n;
-        let n_chunks = n.div_ceil(chunk);
-        let macs_per_image = self.flops((images.h, images.w)) / 2.0;
-        let threads = gemm::threads_for(n_chunks, chunk.min(n) * macs_per_image as usize);
-        let correct: usize = if threads <= 1 {
-            let mut ws = Workspace::new();
-            (0..n_chunks)
-                .map(|i| {
-                    let start = i * chunk;
-                    self.eval_chunk(images, labels, start, (start + chunk).min(n), &mut ws)
-                })
-                .sum()
-        } else {
-            // Contiguous runs of chunks per worker; each worker clones the
-            // network once and reuses one warm workspace across its run.
-            let runs: Vec<(usize, usize)> = (0..threads)
-                .map(|t| {
-                    let per = n_chunks.div_ceil(threads);
-                    (t * per, ((t + 1) * per).min(n_chunks))
-                })
-                .filter(|(a, b)| a < b)
-                .collect();
-            let mut clones: Vec<Network> = (1..runs.len()).map(|_| self.clone()).collect();
-            std::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(clones.len());
-                for (net, &(c0, c1)) in clones.iter_mut().zip(&runs[1..]) {
-                    handles.push(s.spawn(move || {
-                        let mut ws = Workspace::new();
-                        (c0..c1)
-                            .map(|i| {
-                                let start = i * chunk;
-                                net.eval_chunk(
-                                    images,
-                                    labels,
-                                    start,
-                                    (start + chunk).min(n),
-                                    &mut ws,
-                                )
-                            })
-                            .sum::<usize>()
-                    }));
-                }
-                let (c0, c1) = runs[0];
-                let mut ws = Workspace::new();
-                let mut total: usize = (c0..c1)
-                    .map(|i| {
-                        let start = i * chunk;
-                        self.eval_chunk(images, labels, start, (start + chunk).min(n), &mut ws)
-                    })
-                    .sum();
-                for h in handles {
-                    total += match h.join() {
-                        Ok(correct) => correct,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    };
-                }
-                total
-            })
-        };
-        100.0 * correct as f32 / labels.len() as f32
-    }
-
-    /// Forward samples `start..end` in eval mode and count correct
-    /// predictions, with all scratch drawn from `ws`.
-    fn eval_chunk(
-        &mut self,
-        images: &Tensor4,
-        labels: &[usize],
-        start: usize,
-        end: usize,
-        ws: &mut Workspace,
-    ) -> usize {
-        let (_, c, h, w) = images.shape();
-        let stride = c * h * w;
-        let mut x = ws.t4_scratch(end - start, c, h, w);
-        x.data_mut()
-            .copy_from_slice(&images.data()[start * stride..end * stride]);
-        let logits = self.forward_ws(&x, false, ws);
-        ws.give4(x);
-        let correct = count_correct(&logits, &labels[start..end]);
-        ws.give2(logits);
-        correct
-    }
-
-    /// Accuracy over a [`Dataset`] without materializing it as one tensor:
-    /// chunks are copied straight from the dataset's flat storage into a
-    /// pooled batch buffer. Serial over chunks (inner ops still use the
-    /// intra-op budget); `ws` persists across calls so steady-state
-    /// evaluation allocates nothing.
-    ///
-    /// An empty dataset returns the sentinel `0.0`, matching
-    /// [`evaluate_chunked`](Self::evaluate_chunked).
+    /// An empty dataset returns the sentinel `0.0` — accuracy over zero
+    /// samples is undefined, and `0.0` keeps search callers (which treat
+    /// accuracy as a fitness to maximize) conservative.
     pub fn evaluate_dataset(&mut self, ds: &Dataset, chunk: usize, ws: &mut Workspace) -> f32 {
         if ds.is_empty() {
             return 0.0;
@@ -574,7 +470,7 @@ impl Network {
 
 /// Count rows of `logits` whose argmax matches the label. The argmax is
 /// a plain `max_by` over `total_cmp` — the same reduction whether the
-/// rows arrive chunked or whole, so both evaluation paths agree bitwise.
+/// rows arrive chunked or whole, so every chunk size agrees bitwise.
 fn count_correct(logits: &Tensor2, labels: &[usize]) -> usize {
     let mut correct = 0;
     for (r, &label) in labels.iter().enumerate() {
@@ -655,27 +551,26 @@ mod tests {
     fn training_reduces_loss_on_separable_toy_task() {
         // Class 0: bright top half; class 1: bright bottom half.
         let mut r = rng(7);
-        let n = 32;
-        let mut images = Tensor4::zeros(n, 1, 8, 8);
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
+        let mut ds = Dataset::empty(1, 8, 8);
+        for i in 0..32 {
             let label = i % 2;
-            labels.push(label);
-            for y in 0..8 {
-                for x in 0..8 {
-                    let bright = if label == 0 { y < 4 } else { y >= 4 };
+            let pixels: Vec<f32> = (0..64)
+                .map(|p| {
+                    let bright = if label == 0 { p / 8 < 4 } else { p / 8 >= 4 };
                     let base = if bright { 1.0 } else { 0.0 };
-                    images.set(i, 0, y, x, base + r.gen_range(-0.1..0.1));
-                }
-            }
+                    base + r.gen_range(-0.1..0.1)
+                })
+                .collect();
+            ds.push(&pixels, label);
         }
+        let (images, labels) = ds.as_tensor();
         let mut net = Network::new(&tiny_spec(), &mut r);
         let mut opt = Sgd::new(0.05, 0.9, 0.0);
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..30 {
             let logits = net.forward(&images, true);
-            let out = cross_entropy(&logits, &labels);
+            let out = cross_entropy(&logits, labels);
             net.backward(&out.dlogits);
             opt.step(&mut net);
             first_loss.get_or_insert(out.loss);
@@ -686,14 +581,18 @@ mod tests {
             "loss {} -> {last_loss}",
             first_loss.unwrap()
         );
-        let acc = net.evaluate(&images, &labels);
+        let acc = net.evaluate_dataset(&ds, DEFAULT_EVAL_CHUNK, &mut Workspace::new());
         assert!(acc > 90.0, "train accuracy {acc}");
     }
 
     #[test]
     fn evaluate_on_empty_set_is_zero() {
         let mut net = Network::new(&tiny_spec(), &mut rng(8));
-        let acc = net.evaluate(&Tensor4::zeros(0, 1, 8, 8), &[]);
+        let acc = net.evaluate_dataset(
+            &Dataset::empty(1, 8, 8),
+            DEFAULT_EVAL_CHUNK,
+            &mut Workspace::new(),
+        );
         assert_eq!(acc, 0.0);
     }
 

@@ -26,7 +26,7 @@ use crate::protocol::ModelInfo;
 use a4nn_error::A4nnError;
 use a4nn_metrics::{names, MetricsRegistry};
 use a4nn_nn::{Network, Workspace};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -67,32 +67,6 @@ pub struct Classification {
     pub logits: Vec<f32>,
 }
 
-/// Where a finished classification goes.
-///
-/// Connection threads block on a channel; the epoll reactor cannot
-/// block, so it hands the batcher a callback that posts the encoded
-/// response back through the reactor's completion doorbell. Either way
-/// the batch worker's job is the same: deliver one [`Classification`].
-pub enum ReplySink {
-    /// Send into a bounded channel (the blocking connection-thread path).
-    Channel(Sender<Classification>),
-    /// Invoke a closure on the batch worker thread (the reactor path —
-    /// the closure must be cheap: encode and notify, no tensor work).
-    Callback(Box<dyn FnOnce(Classification) + Send>),
-}
-
-impl ReplySink {
-    fn deliver(self, c: Classification) {
-        match self {
-            // A receiver that hung up (dead connection) is not an error.
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(c);
-            }
-            ReplySink::Callback(f) => f(c),
-        }
-    }
-}
-
 /// A request parked in the admission queue.
 struct Pending {
     model_idx: usize,
@@ -101,7 +75,8 @@ struct Pending {
     width: usize,
     pixels: Vec<f32>,
     enqueued: Instant,
-    reply: ReplySink,
+    /// Called once on the batch worker with the answer.
+    reply: Box<dyn FnOnce(Classification) + Send>,
 }
 
 impl Pending {
@@ -188,20 +163,18 @@ impl Batcher {
         pixels: Vec<f32>,
     ) -> Result<Receiver<Classification>, A4nnError> {
         let (tx, rx) = bounded(1);
-        self.submit_sink(
-            model_id,
-            channels,
-            height,
-            width,
-            pixels,
-            ReplySink::Channel(tx),
-        )?;
+        self.submit_sink(model_id, channels, height, width, pixels, move |c| {
+            // A receiver that hung up (dead connection) is not an error.
+            let _ = tx.send(c);
+        })?;
         Ok(rx)
     }
 
-    /// [`submit`](Self::submit) with an explicit reply sink — the
-    /// reactor's nonblocking entry point. Validation and admission
-    /// control are identical; only where the answer lands differs.
+    /// [`submit`](Self::submit) with a reply callback — the reactor's
+    /// nonblocking entry point. Validation and admission control are
+    /// identical; only where the answer lands differs. `reply` runs once
+    /// on the batch worker thread, so it must be cheap: encode and
+    /// notify, no tensor work.
     pub fn submit_sink(
         &self,
         model_id: Option<u64>,
@@ -209,7 +182,7 @@ impl Batcher {
         height: usize,
         width: usize,
         pixels: Vec<f32>,
-        reply: ReplySink,
+        reply: impl FnOnce(Classification) + Send + 'static,
     ) -> Result<(), A4nnError> {
         let model_idx = match model_id {
             None => self.shared.default_idx,
@@ -243,7 +216,7 @@ impl Batcher {
             width,
             pixels,
             enqueued: Instant::now(),
-            reply,
+            reply: Box::new(reply),
         };
         {
             let mut q = self.shared.queue.lock();
@@ -380,7 +353,7 @@ fn worker_loop(shared: &Shared, mut nets: Vec<Network>) {
         for (i, p) in batch.into_iter().enumerate() {
             let row = logits.row(i).to_vec();
             let class = argmax(&row);
-            p.reply.deliver(Classification {
+            (p.reply)(Classification {
                 model_id,
                 class,
                 logits: row,

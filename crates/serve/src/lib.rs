@@ -20,10 +20,10 @@
 //! - [`server`] / [`client`] — the TCP endpoint and its blocking client,
 //!   speaking [`protocol`] messages over the `a4nn-net` frame codec
 //!   (same magic, version, and typed frame errors as the distributed
-//!   search). Two interchangeable I/O layers (`--io threads|reactor`):
-//!   thread-per-connection, or the epoll reactor from
-//!   `a4nn_net::reactor` multiplexing every connection through one
-//!   thread (Linux default).
+//!   search). The platform picks the connection layer: on Linux the
+//!   epoll reactor from `a4nn_net::reactor` multiplexes every connection
+//!   through one thread; where epoll does not exist, each connection
+//!   gets its own thread.
 //!
 //! The load-bearing property is the serving restatement of the
 //! workspace determinism argument: eval-mode forward treats every sample
@@ -40,8 +40,8 @@ pub mod model;
 pub mod protocol;
 pub mod server;
 
-pub use batcher::{Batcher, BatcherConfig, Classification, ReplySink};
+pub use batcher::{Batcher, BatcherConfig, Classification};
 pub use client::ServeClient;
 pub use model::{ModelRepo, ServedModel};
 pub use protocol::{ModelInfo, ServeRequest, ServeResponse};
-pub use server::{IoMode, ServeConfig, ServeHandle, ServeServer};
+pub use server::{ServeConfig, ServeHandle, ServeServer};

@@ -1,90 +1,54 @@
 //! The serve endpoint: a TCP listener in front of the micro-batcher.
 //!
-//! Two interchangeable I/O layers drive the same protocol and the same
-//! [`Batcher`]:
+//! The platform picks the connection layer; the operator does not:
 //!
-//! - **`--io threads`** — the portable fallback: one thread per accepted
-//!   connection, blocking frame reads with the idle deadline applied as
-//!   a socket read timeout. Finished connection threads are reaped as
-//!   new connections arrive, so a long-lived server's bookkeeping stays
-//!   bounded.
-//! - **`--io reactor`** (Linux default) — the epoll event loop from
-//!   [`a4nn_net::reactor`]: every connection is a nonblocking state
-//!   machine (handshake → request decode → batcher hand-off → response
-//!   flush) multiplexed by one fixed thread, with batch workers posting
-//!   completions back through the reactor's eventfd doorbell. Thread
-//!   count is reactor + batch workers, independent of client count.
+//! - **Linux** — the epoll event loop from [`a4nn_net::reactor`]: every
+//!   connection is a nonblocking state machine (handshake → request
+//!   decode → batcher hand-off → response flush) multiplexed by one fixed
+//!   thread, with batch workers posting completions back through the
+//!   reactor's eventfd doorbell. Thread count is reactor + batch workers,
+//!   independent of client count.
+//! - **Elsewhere** (no epoll) — one thread per accepted connection,
+//!   blocking frame reads with the idle deadline applied as a socket read
+//!   timeout. Finished connection threads are reaped as new connections
+//!   arrive, so a long-lived server's bookkeeping stays bounded.
 //!
-//! In both modes connection handling does no tensor work: frames are
+//! Either way connection handling does no tensor work: frames are
 //! decoded, requests handed to the [`Batcher`], replies written. All
 //! `f32` scratch lives in the batch workers' pooled arenas.
 //!
 //! When a metrics path is configured, the registry snapshot is persisted
-//! atomically (tmp+rename) at most once per `metrics_interval` as
+//! atomically (tmp+rename) at most once every two seconds as
 //! connections close, plus once when the server finishes — so a server
 //! killed by a supervisor still leaves its measurements on disk, but
-//! metrics I/O no longer scales with connection churn.
+//! metrics I/O does not scale with connection churn.
 
-use crate::batcher::{Batcher, BatcherConfig, ReplySink};
+use crate::batcher::{Batcher, BatcherConfig};
 use crate::model::ModelRepo;
 use crate::protocol::{ServeRequest, ServeResponse};
 use a4nn_error::A4nnError;
 use a4nn_metrics::MetricsRegistry;
-use a4nn_net::{read_message, write_message, NetError, PROTOCOL_VERSION};
+use a4nn_net::PROTOCOL_VERSION;
 use parking_lot::Mutex;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+#[cfg(not(target_os = "linux"))]
+use {
+    a4nn_net::{read_message, write_message, NetError},
+    std::net::TcpStream,
+};
 
-/// Which connection-handling layer serves the endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// One OS thread per accepted connection (portable fallback).
-    Threads,
-    /// One epoll reactor thread multiplexing every connection
-    /// (Linux only; the default there).
-    Reactor,
-}
+/// Persist the metrics snapshot at most this often as connections close.
+const METRICS_INTERVAL: Duration = Duration::from_secs(2);
 
-impl IoMode {
-    /// The platform default: the reactor on Linux, threads elsewhere.
-    pub fn default_for_platform() -> Self {
-        if cfg!(target_os = "linux") {
-            IoMode::Reactor
-        } else {
-            IoMode::Threads
-        }
-    }
-
-    /// Parse a `--io` value.
-    pub fn parse(s: &str) -> Result<Self, A4nnError> {
-        match s {
-            "threads" => Ok(IoMode::Threads),
-            "reactor" => Ok(IoMode::Reactor),
-            other => Err(A4nnError::Config(format!(
-                "unknown io mode {other:?} (expected threads|reactor)"
-            ))),
-        }
-    }
-
-    /// The `--io` spelling of this mode.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            IoMode::Threads => "threads",
-            IoMode::Reactor => "reactor",
-        }
-    }
-}
-
-/// Server configuration: batcher knobs plus the I/O layer and the
+/// Server configuration: batcher knobs plus the idle deadline and the
 /// metrics sink.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Admission-queue and batching knobs.
     pub batcher: BatcherConfig,
-    /// Connection-handling layer.
-    pub io: IoMode,
     /// Close a connection with no read/write progress for this long —
     /// a client stalled mid-frame cannot hold its slot forever. Applied
     /// as the reactor deadline or the per-socket read timeout.
@@ -92,19 +56,14 @@ pub struct ServeConfig {
     /// Where to persist the metrics snapshot (atomic tmp+rename), when
     /// set.
     pub metrics_out: Option<PathBuf>,
-    /// Persist at most once per this interval as connections close
-    /// (plus once at shutdown).
-    pub metrics_interval: Duration,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             batcher: BatcherConfig::default(),
-            io: IoMode::default_for_platform(),
             idle_timeout: Duration::from_secs(30),
             metrics_out: None,
-            metrics_interval: Duration::from_secs(2),
         }
     }
 }
@@ -114,18 +73,17 @@ impl Default for ServeConfig {
 struct MetricsPersist {
     metrics: Arc<MetricsRegistry>,
     path: PathBuf,
-    interval: Duration,
     last: Mutex<Option<Instant>>,
 }
 
 impl MetricsPersist {
-    /// Persist if the interval elapsed since the last write (or none
-    /// happened yet). Connection churn beyond the rate costs nothing.
+    /// Persist if [`METRICS_INTERVAL`] elapsed since the last write (or
+    /// none happened yet). Connection churn beyond the rate costs nothing.
     fn maybe_persist(&self) {
         {
             let mut last = self.last.lock();
             match *last {
-                Some(at) if at.elapsed() < self.interval => return,
+                Some(at) if at.elapsed() < METRICS_INTERVAL => return,
                 _ => *last = Some(Instant::now()),
             }
         }
@@ -154,8 +112,8 @@ fn snapshot_json(metrics: &MetricsRegistry) -> Vec<u8> {
 pub struct ServeServer {
     listener: TcpListener,
     batcher: Arc<Batcher>,
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     metrics: Arc<MetricsRegistry>,
-    io: IoMode,
     idle_timeout: Duration,
     persist: Option<Arc<MetricsPersist>>,
 }
@@ -169,11 +127,6 @@ impl ServeServer {
         cfg: ServeConfig,
         metrics: Arc<MetricsRegistry>,
     ) -> Result<Self, A4nnError> {
-        if cfg.io == IoMode::Reactor && !cfg!(target_os = "linux") {
-            return Err(A4nnError::Config(
-                "--io reactor requires Linux (epoll); use --io threads".into(),
-            ));
-        }
         let listener = TcpListener::bind(addr)
             .map_err(|e| A4nnError::Net(format!("binding serve listener on {addr}: {e}")))?;
         let batcher = Arc::new(Batcher::start(repo, cfg.batcher, Arc::clone(&metrics))?);
@@ -181,7 +134,6 @@ impl ServeServer {
             Arc::new(MetricsPersist {
                 metrics: Arc::clone(&metrics),
                 path,
-                interval: cfg.metrics_interval,
                 last: Mutex::new(None),
             })
         });
@@ -189,7 +141,6 @@ impl ServeServer {
             listener,
             batcher,
             metrics,
-            io: cfg.io,
             idle_timeout: cfg.idle_timeout,
             persist,
         })
@@ -202,27 +153,82 @@ impl ServeServer {
             .map_err(|e| A4nnError::Net(format!("reading serve listener address: {e}")))
     }
 
-    /// The I/O layer this server runs on.
-    pub fn io_mode(&self) -> IoMode {
-        self.io
-    }
-
-    /// Accept and serve connections through the configured I/O layer.
+    /// Accept and serve connections through the platform's I/O layer.
     /// `sessions == 0` serves forever; otherwise the server exits after
     /// that many connections have been accepted *and* finished. A
     /// connection that ends abnormally (dropped socket, bad frame, idle
     /// deadline) is logged and counted, never fatal to the server.
     pub fn run(&self, sessions: usize) -> Result<(), A4nnError> {
-        let result = match self.io {
-            IoMode::Threads => self.run_threads(sessions),
-            IoMode::Reactor => self.run_reactor(sessions),
-        };
+        #[cfg(target_os = "linux")]
+        let result = self.run_reactor(sessions);
+        #[cfg(not(target_os = "linux"))]
+        let result = self.run_threads(sessions);
         if let Some(persist) = &self.persist {
             persist.persist_now();
         }
         result
     }
 
+    /// The epoll event loop (Linux).
+    #[cfg(target_os = "linux")]
+    fn run_reactor(&self, sessions: usize) -> Result<(), A4nnError> {
+        use a4nn_net::reactor::{Reactor, ReactorConfig};
+        let mut reactor = Reactor::new(ReactorConfig {
+            idle_timeout: self.idle_timeout,
+            metrics: Some(Arc::clone(&self.metrics)),
+        })?;
+        let mut handler = ServeHandler {
+            batcher: Arc::clone(&self.batcher),
+            metrics: Arc::clone(&self.metrics),
+            reactor: reactor.handle(),
+            sessions: std::collections::HashMap::new(),
+            persist: self.persist.clone(),
+        };
+        reactor.run(&self.listener, &mut handler, sessions)
+    }
+
+    /// Bind and serve on a background thread — the in-process server the
+    /// tests drive.
+    pub fn spawn(
+        addr: &str,
+        repo: ModelRepo,
+        cfg: ServeConfig,
+        metrics: Arc<MetricsRegistry>,
+        sessions: usize,
+    ) -> Result<ServeHandle, A4nnError> {
+        let server = ServeServer::bind(addr, repo, cfg, metrics)?;
+        let addr = server.local_addr()?;
+        let join = std::thread::spawn(move || server.run(sessions));
+        Ok(ServeHandle { addr, join })
+    }
+}
+
+/// Handle to a [`ServeServer::spawn`]ed background server.
+pub struct ServeHandle {
+    addr: SocketAddr,
+    join: std::thread::JoinHandle<Result<(), A4nnError>>,
+}
+
+impl ServeHandle {
+    /// The server's listening address.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Wait for the server to finish its session budget.
+    pub fn join(self) -> Result<(), A4nnError> {
+        self.join
+            .join()
+            .map_err(|_| A4nnError::Internal("serve server thread panicked".into()))?
+    }
+}
+
+// ---------------------------------------------------------------------
+// Thread-per-connection path (platforms without epoll)
+// ---------------------------------------------------------------------
+
+#[cfg(not(target_os = "linux"))]
+impl ServeServer {
     /// The portable thread-per-connection accept loop.
     fn run_threads(&self, sessions: usize) -> Result<(), A4nnError> {
         let mut accepted = 0usize;
@@ -262,77 +268,13 @@ impl ServeServer {
         }
         Ok(())
     }
-
-    /// The epoll event loop (Linux).
-    #[cfg(target_os = "linux")]
-    fn run_reactor(&self, sessions: usize) -> Result<(), A4nnError> {
-        use a4nn_net::reactor::{Reactor, ReactorConfig};
-        let mut reactor = Reactor::new(ReactorConfig {
-            idle_timeout: self.idle_timeout,
-            metrics: Some(Arc::clone(&self.metrics)),
-        })?;
-        let mut handler = ServeHandler {
-            batcher: Arc::clone(&self.batcher),
-            metrics: Arc::clone(&self.metrics),
-            reactor: reactor.handle(),
-            sessions: std::collections::HashMap::new(),
-            persist: self.persist.clone(),
-        };
-        reactor.run(&self.listener, &mut handler, sessions)
-    }
-
-    /// Unreachable off Linux: `bind` already refused the mode.
-    #[cfg(not(target_os = "linux"))]
-    fn run_reactor(&self, _sessions: usize) -> Result<(), A4nnError> {
-        Err(A4nnError::Config(
-            "--io reactor requires Linux (epoll); use --io threads".into(),
-        ))
-    }
-
-    /// Bind and serve on a background thread — the in-process server the
-    /// tests and the bench sweep drive.
-    pub fn spawn(
-        addr: &str,
-        repo: ModelRepo,
-        cfg: ServeConfig,
-        metrics: Arc<MetricsRegistry>,
-        sessions: usize,
-    ) -> Result<ServeHandle, A4nnError> {
-        let server = ServeServer::bind(addr, repo, cfg, metrics)?;
-        let addr = server.local_addr()?;
-        let join = std::thread::spawn(move || server.run(sessions));
-        Ok(ServeHandle { addr, join })
-    }
 }
-
-/// Handle to a [`ServeServer::spawn`]ed background server.
-pub struct ServeHandle {
-    addr: SocketAddr,
-    join: std::thread::JoinHandle<Result<(), A4nnError>>,
-}
-
-impl ServeHandle {
-    /// The server's listening address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Wait for the server to finish its session budget.
-    pub fn join(self) -> Result<(), A4nnError> {
-        self.join
-            .join()
-            .map_err(|_| A4nnError::Internal("serve server thread panicked".into()))?
-    }
-}
-
-// ---------------------------------------------------------------------
-// Threaded connection path
-// ---------------------------------------------------------------------
 
 /// Drive one client session over `stream` (thread-per-connection mode).
 /// The idle deadline is enforced as a socket read timeout: a client
 /// that stalls mid-frame or goes silent is disconnected, matching the
 /// reactor's deadline semantics.
+#[cfg(not(target_os = "linux"))]
 fn serve_connection(
     stream: TcpStream,
     batcher: &Batcher,
@@ -416,6 +358,7 @@ fn serve_connection(
 #[cfg(target_os = "linux")]
 mod reactor_handler {
     use super::*;
+    use crate::batcher::Classification;
     use a4nn_metrics::names;
     use a4nn_net::reactor::{CloseReason, FrameHandler, HandlerAction, ReactorHandle, Token};
     use a4nn_net::{encode, WriteQueue};
@@ -427,9 +370,9 @@ mod reactor_handler {
     /// bounds hostile peers' memory.
     const PIPELINE_CAP: usize = 256;
 
-    /// Per-connection protocol state: the same state machine the
-    /// threaded path walks implicitly, made explicit because the
-    /// reactor cannot block between states.
+    /// Per-connection protocol state: handshake, then one request in
+    /// flight at a time, made explicit because the reactor cannot block
+    /// between states.
     pub(super) struct Session {
         /// Hello/Welcome exchanged.
         greeted: bool,
@@ -470,7 +413,7 @@ mod reactor_handler {
             let reactor = self.reactor.clone();
             let metrics = Arc::clone(&self.metrics);
             let t0 = Instant::now();
-            let sink = ReplySink::Callback(Box::new(move |c| {
+            let reply = move |c: Classification| {
                 metrics.observe_duration(names::SERVE_LATENCY_US, t0.elapsed().as_secs_f64());
                 let response = ServeResponse::Classified {
                     model_id: c.model_id,
@@ -484,10 +427,10 @@ mod reactor_handler {
                     // deadline since no reply ever lands.
                     Err(e) => eprintln!("a4nn serve: encoding classify response: {e}"),
                 }
-            }));
+            };
             match self
                 .batcher
-                .submit_sink(model_id, channels, height, width, pixels, sink)
+                .submit_sink(model_id, channels, height, width, pixels, reply)
             {
                 Ok(()) => {
                     if let Some(s) = self.sessions.get_mut(&token) {
@@ -584,7 +527,7 @@ mod reactor_handler {
             };
             if !session.greeted {
                 // Handshake: refuse foreign protocol revisions
-                // explicitly, exactly like the threaded path.
+                // explicitly, exactly like the worker server does.
                 return match request {
                     ServeRequest::Hello { version } if version == PROTOCOL_VERSION => {
                         session.greeted = true;

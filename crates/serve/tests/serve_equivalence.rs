@@ -10,8 +10,8 @@ use a4nn_core::prelude::*;
 use a4nn_net::{read_message, write_message, PROTOCOL_VERSION};
 use a4nn_nn::{Tensor4, Workspace};
 use a4nn_serve::{
-    Batcher, BatcherConfig, IoMode, ModelRepo, ServeClient, ServeConfig, ServeRequest,
-    ServeResponse, ServeServer,
+    Batcher, BatcherConfig, ModelRepo, ServeClient, ServeConfig, ServeRequest, ServeResponse,
+    ServeServer,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,22 +82,10 @@ fn direct_logits(
     row
 }
 
-/// Both connection layers carry the same batcher, so the property holds
-/// on each: every `--io` mode this platform has is driven against a live
-/// server and diffed against direct evaluation.
+/// Concurrent clients drive a live server on this platform's connection
+/// layer, and every answer is diffed against direct evaluation.
 #[test]
 fn micro_batched_responses_match_single_request_eval_bitwise() {
-    let modes: &[IoMode] = if cfg!(target_os = "linux") {
-        &[IoMode::Threads, IoMode::Reactor]
-    } else {
-        &[IoMode::Threads]
-    };
-    for &io in modes {
-        micro_batched_responses_match_direct_eval(io);
-    }
-}
-
-fn micro_batched_responses_match_direct_eval(io: IoMode) {
     const CLIENTS: usize = 4;
     const REQUESTS: usize = 24;
 
@@ -110,7 +98,6 @@ fn micro_batched_responses_match_direct_eval(io: IoMode) {
             workers: 2,
             ..BatcherConfig::default()
         },
-        io,
         ..ServeConfig::default()
     };
     let metrics = Arc::new(MetricsRegistry::new());

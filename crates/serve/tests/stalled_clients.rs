@@ -1,7 +1,7 @@
-//! How connections end. In both I/O modes a client that stalls
-//! mid-frame is disconnected at the idle deadline, and while it stalls
-//! it never blocks service to healthy connections; on the reactor a
-//! Goodbye closes the connection at once, not at that deadline.
+//! How connections end. A client that stalls mid-frame is disconnected
+//! at the idle deadline, and while it stalls it never blocks service to
+//! healthy connections; on the reactor a Goodbye closes the connection
+//! at once, not at that deadline.
 //!
 //! The stalled client sends *half* a frame and then goes silent — the
 //! worst case for a server, because the connection is mid-parse: a
@@ -12,9 +12,7 @@ use a4nn_core::prelude::*;
 #[cfg(target_os = "linux")]
 use a4nn_metrics::names;
 use a4nn_net::encode;
-use a4nn_serve::{
-    BatcherConfig, IoMode, ModelRepo, ServeClient, ServeConfig, ServeRequest, ServeServer,
-};
+use a4nn_serve::{BatcherConfig, ModelRepo, ServeClient, ServeConfig, ServeRequest, ServeServer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
@@ -51,13 +49,13 @@ fn repo() -> ModelRepo {
 /// Stall a connection with half a frame on the wire; serve a healthy
 /// client meanwhile; require the healthy answer promptly and the
 /// stalled socket closed at the deadline.
-fn stalled_client_is_reaped_without_blocking_others(io: IoMode) {
+#[test]
+fn stalled_client_is_reaped_without_blocking_others() {
     const IDLE: Duration = Duration::from_millis(400);
     let serving = repo();
     let metrics = Arc::new(MetricsRegistry::new());
     let cfg = ServeConfig {
         batcher: BatcherConfig::default(),
-        io,
         idle_timeout: IDLE,
         ..ServeConfig::default()
     };
@@ -91,9 +89,8 @@ fn stalled_client_is_reaped_without_blocking_others(io: IoMode) {
     let healthy_elapsed = healthy_started.elapsed();
     assert!(
         healthy_elapsed < IDLE,
-        "--io {}: the healthy client waited {healthy_elapsed:?} — it was \
-         blocked behind the stalled one",
-        io.as_str()
+        "the healthy client waited {healthy_elapsed:?} — it was blocked \
+         behind the stalled one"
     );
     client.goodbye().expect("clean goodbye");
 
@@ -108,32 +105,15 @@ fn stalled_client_is_reaped_without_blocking_others(io: IoMode) {
     let n = stalled
         .read(&mut probe)
         .expect("the server closes the socket rather than leaving it hanging");
-    assert_eq!(
-        n,
-        0,
-        "--io {}: expected EOF on the stalled socket, got {n} byte(s)",
-        io.as_str()
-    );
+    assert_eq!(n, 0, "expected EOF on the stalled socket, got {n} byte(s)");
     let reaped_after = reap_started.elapsed();
     assert!(
         reaped_after < Duration::from_secs(20),
-        "--io {}: the stalled connection outlived the idle deadline by {reaped_after:?}",
-        io.as_str()
+        "the stalled connection outlived the idle deadline by {reaped_after:?}"
     );
 
     // Both sessions count against the budget, so the server exits.
     handle.join().expect("server drains its session budget");
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn reactor_reaps_stalled_clients_without_blocking_others() {
-    stalled_client_is_reaped_without_blocking_others(IoMode::Reactor);
-}
-
-#[test]
-fn threads_reap_stalled_clients_without_blocking_others() {
-    stalled_client_is_reaped_without_blocking_others(IoMode::Threads);
 }
 
 /// A Goodbye asks for close-after-flush with nothing queued to flush.
@@ -148,7 +128,6 @@ fn reactor_closes_on_goodbye_without_waiting_for_the_idle_deadline() {
     const SESSIONS: usize = 8;
     let metrics = Arc::new(MetricsRegistry::new());
     let cfg = ServeConfig {
-        io: IoMode::Reactor,
         idle_timeout: Duration::from_secs(30),
         ..ServeConfig::default()
     };

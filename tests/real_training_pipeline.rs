@@ -144,8 +144,11 @@ fn checkpointed_workflow_records_every_epoch_state() {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let mut net = store.get(0, 2).unwrap().restore(&mut rng);
-    let (images, labels) = test.as_tensor();
-    let acc = net.evaluate(&images, labels);
+    let acc = net.evaluate_dataset(
+        &test,
+        a4nn_nn::graph::DEFAULT_EVAL_CHUNK,
+        &mut a4nn_nn::Workspace::new(),
+    );
     assert!((0.0..=100.0).contains(&f64::from(acc)));
 }
 

@@ -118,7 +118,6 @@ fn run_mode(
                 &FaultTolerance::default(),
                 SocketOptions {
                     heartbeat_deadline: Duration::from_secs(2),
-                    ..SocketOptions::default()
                 },
             )?;
             let result = workflow.run(&factory, options(Orchestration::External(&transport)));

@@ -34,15 +34,8 @@ fn socket_run(
         .map(|&gpus| WorkerServer::spawn("127.0.0.1:0", gpus, 1).unwrap())
         .collect();
     let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
-    let transport = SocketTransport::connect(
-        &addrs,
-        config,
-        ft,
-        SocketOptions {
-            heartbeat_deadline,
-            ..SocketOptions::default()
-        },
-    )?;
+    let transport =
+        SocketTransport::connect(&addrs, config, ft, SocketOptions { heartbeat_deadline })?;
     let factory = SurrogateFactory::new(config, SurrogateParams::for_beam(config.beam));
     let result = A4nnWorkflow::new(config.clone()).run(
         &factory,
@@ -321,7 +314,6 @@ fn heartbeat_deadline_detects_a_stalled_worker() {
         &ft,
         SocketOptions {
             heartbeat_deadline: Duration::from_millis(250),
-            ..SocketOptions::default()
         },
     )
     .unwrap();

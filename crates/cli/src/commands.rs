@@ -142,7 +142,7 @@ fn workflow_config(parsed: &Parsed, engine: bool) -> Result<WorkflowConfig, Comm
 /// objective (legacy records fall back to the `(neg_fitness, flops)`
 /// pair), sorted by FLOPs for a stable, cheap-to-expensive reading.
 fn print_objective_front(analyzer: &Analyzer<'_>) -> Result<(), CommandError> {
-    let mut front = analyzer.pareto_front_objectives()?;
+    let mut front = analyzer.pareto_front()?;
     front.sort_by(|a, b| a.flops.total_cmp(&b.flops));
     for r in front {
         let cells: Vec<String> = r
@@ -395,7 +395,7 @@ fn run_stats(parsed: &Parsed) -> Result<(), CommandError> {
             println!(
                 "objectives   : {} ({} model(s) on the front)",
                 r.objective_labels().join(","),
-                analyzer.pareto_front_objectives()?.len()
+                analyzer.pareto_front()?.len()
             );
         }
     }

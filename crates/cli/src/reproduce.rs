@@ -189,10 +189,10 @@ fn paper(id: &str, beam: BeamIntensity) -> f64 {
 }
 
 /// A run's Pareto front, most accurate first (ties keep commons order).
-fn front_by_fitness(out: &RunOutput) -> Vec<&ModelRecord> {
-    let mut front = Analyzer::new(&out.commons).pareto_front();
+fn front_by_fitness(out: &RunOutput) -> Result<Vec<&ModelRecord>, A4nnError> {
+    let mut front = Analyzer::new(&out.commons).pareto_front()?;
     front.sort_by(|a, b| fitness_cmp(b.final_fitness, a.final_fitness));
-    front
+    Ok(front)
 }
 
 /// Figure 2: scan medium-beam models until one's prediction of its
@@ -234,11 +234,11 @@ fn paper_defaults(runs: &mut Runs, r: &mut Report, beam: BeamIntensity) -> Resul
     let analyzer = Analyzer::new(&one.commons);
 
     // Figure 6: (MFLOPs, accuracy) per Pareto-front point.
-    let front = |out: &RunOutput| -> Vec<(f64, f64)> {
-        let front = Analyzer::new(&out.commons).pareto_front();
-        front.iter().map(|m| (m.flops, m.final_fitness)).collect()
+    let front = |out: &RunOutput| -> Result<Vec<(f64, f64)>, A4nnError> {
+        let front = Analyzer::new(&out.commons).pareto_front()?;
+        Ok(front.iter().map(|m| (m.flops, m.final_fitness)).collect())
     };
-    let (a4nn, standalone) = (front(&one), front(&base));
+    let (a4nn, standalone) = (front(&one)?, front(&base)?);
     // Standalone points that some A4NN point matches on both axes.
     let covered = |s: &&(f64, f64)| a4nn.iter().any(|a| a.0 <= s.0 && a.1 >= s.1);
     let dominated = standalone.iter().filter(covered).count() as f64;
@@ -331,7 +331,7 @@ fn table3(runs: &mut Runs, r: &mut Report, beam: BeamIntensity) -> Result<(), A4
         let accuracy = (1..=epochs as u32).map(|e| trainer.train_epoch(e).val_acc);
         accuracy.fold(0.0, f64::max)
     };
-    let candidates = front_by_fitness(&search);
+    let candidates = front_by_fitness(&search)?;
     let a4nn = candidates
         .iter()
         .take(2)
@@ -349,7 +349,7 @@ fn table3(runs: &mut Runs, r: &mut Report, beam: BeamIntensity) -> Result<(), A4
 /// Figures 3 and 10: the most accurate low-beam Pareto model.
 fn fig10(runs: &mut Runs, r: &mut Report) -> Result<(), A4nnError> {
     let out = runs.a4nn(BeamIntensity::Low, 1)?;
-    let front = front_by_fitness(&out);
+    let front = front_by_fitness(&out)?;
     let empty = || A4nnError::Internal("fig10: empty Pareto front".into());
     let model = front.first().ok_or_else(empty)?;
     let values = [
@@ -464,7 +464,7 @@ fn ablation_nas_drivers(
                 "cheapest_near_best_mflops",
                 near_best.map(|m| m.flops).fold(NAN, f64::min),
             ),
-            ("pareto_size", analyzer.pareto_front().len() as f64),
+            ("pareto_size", analyzer.pareto_front()?.len() as f64),
             ("epochs", out.total_epochs() as f64),
             ("saved_pct", out.epochs_saved_pct()),
             ("hours", out.wall_time_s() / 3600.0),

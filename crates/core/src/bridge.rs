@@ -56,8 +56,7 @@ pub fn netspec_from_arch(arch: &ArchSpec) -> NetSpec {
 mod tests {
     use super::*;
     use a4nn_genome::{Genome, SearchSpace};
-    use a4nn_nn::Network;
-    use a4nn_nn::Tensor4;
+    use a4nn_nn::{Network, Tensor4, Workspace};
     use rand::SeedableRng;
 
     fn space() -> SearchSpace {
@@ -73,7 +72,7 @@ mod tests {
             let spec = netspec_from_arch(&s.decode(&genome));
             let mut net = Network::new(&spec, &mut rng);
             let x = Tensor4::zeros(2, 1, 16, 16);
-            let logits = net.forward(&x, true);
+            let logits = net.forward_ws(&x, true, &mut Workspace::new());
             assert_eq!((logits.rows, logits.cols), (2, 2));
         }
     }

@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn restored_checkpoint_reproduces_outputs() {
-        use a4nn_nn::Tensor4;
+        use a4nn_nn::{Tensor4, Workspace};
         let s = state(9, 4);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
         let mut original = s.restore(&mut rng);
@@ -219,9 +219,10 @@ mod tests {
         store.put(1, 4, s);
         let mut restored = store.get(1, 4).unwrap().restore(&mut rng);
         let x = Tensor4::zeros(1, 1, 8, 8);
+        let mut ws = Workspace::new();
         assert_eq!(
-            original.forward(&x, false).data(),
-            restored.forward(&x, false).data()
+            original.forward_ws(&x, false, &mut ws).data(),
+            restored.forward_ws(&x, false, &mut ws).data()
         );
     }
 }

@@ -107,30 +107,21 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Pareto-optimal records for maximized fitness and minimized FLOPs
-    /// (the models plotted in Figure 6).
-    pub fn pareto_front(&self) -> Vec<&'a ModelRecord> {
-        let rs = &self.commons.records;
-        rs.iter()
-            .filter(|a| {
-                !rs.iter().any(|b| {
-                    (b.final_fitness >= a.final_fitness && b.flops <= a.flops)
-                        && (b.final_fitness > a.final_fitness || b.flops < a.flops)
-                })
-            })
-            .collect()
-    }
-
     /// Pareto-optimal records over each record's *full* objective vector
-    /// (N-dimensional). Legacy records report the reconstructed
-    /// `(−final_fitness, flops)` pair, so on pre-registry commons this
-    /// agrees with [`pareto_front`](Self::pareto_front).
+    /// (N-dimensional): the models plotted in Figure 6. Legacy records
+    /// report the reconstructed `(−final_fitness, flops)` pair, so on
+    /// pre-registry commons this is the maximized-fitness,
+    /// minimized-FLOPs front.
+    ///
+    /// A record with a NaN objective (a failed training) is on no front.
+    /// Dropping it cannot change which other records are: NaN ranks worst
+    /// in its coordinate, so it never dominates a finite vector.
     ///
     /// A commons mixing objective dimensions (e.g. merged from runs with
     /// different `--objectives` sets) is a foreign-data condition and
     /// returns a typed [`A4nnError::Config`] instead of panicking inside
     /// the dominance comparison.
-    pub fn pareto_front_objectives(&self) -> Result<Vec<&'a ModelRecord>, A4nnError> {
+    pub fn pareto_front(&self) -> Result<Vec<&'a ModelRecord>, A4nnError> {
         let rs = &self.commons.records;
         let vectors: Vec<Objectives> = rs
             .iter()
@@ -148,10 +139,15 @@ impl<'a> Analyzer<'a> {
                 )));
             }
         }
+        let ranked: Vec<(&'a ModelRecord, Objectives)> = rs
+            .iter()
+            .zip(vectors)
+            .filter(|(_, v)| !v.has_nan())
+            .collect();
         let mut front = Vec::new();
-        for (i, a) in vectors.iter().enumerate() {
+        for (i, (record, a)) in ranked.iter().enumerate() {
             let mut dominated = false;
-            for (j, b) in vectors.iter().enumerate() {
+            for (j, (_, b)) in ranked.iter().enumerate() {
                 if i == j {
                     continue;
                 }
@@ -166,7 +162,7 @@ impl<'a> Analyzer<'a> {
                 }
             }
             if !dominated {
-                front.push(&rs[i]);
+                front.push(*record);
             }
         }
         Ok(front)
@@ -307,7 +303,12 @@ mod tests {
     fn pareto_front_max_fitness_min_flops() {
         let c = commons();
         let a = Analyzer::new(&c);
-        let ids: Vec<u64> = a.pareto_front().iter().map(|r| r.model_id).collect();
+        let ids: Vec<u64> = a
+            .pareto_front()
+            .unwrap()
+            .iter()
+            .map(|r| r.model_id)
+            .collect();
         // (85,300) (90,400) (95,600) (99,900) are non-dominated;
         // (80,800) is dominated by (95,600).
         assert_eq!(ids, vec![0, 1, 2, 3]);
@@ -317,14 +318,31 @@ mod tests {
     fn objective_front_agrees_with_legacy_front_on_untagged_records() {
         let c = commons();
         let a = Analyzer::new(&c);
-        let legacy: Vec<u64> = a.pareto_front().iter().map(|r| r.model_id).collect();
+        // The ids the maximized-fitness, minimized-FLOPs front picks.
+        let legacy: Vec<u64> = vec![0, 1, 2, 3];
         let nd: Vec<u64> = a
-            .pareto_front_objectives()
+            .pareto_front()
             .unwrap()
             .iter()
             .map(|r| r.model_id)
             .collect();
         assert_eq!(legacy, nd);
+    }
+
+    #[test]
+    fn nan_fitness_record_is_never_on_the_front() {
+        // The failed training has the lowest FLOPs in the commons, so
+        // ranking its NaN fitness worst would still leave it undominated.
+        let mut records = commons().records;
+        records.push(record(5, f64::NAN, 100.0, None));
+        let c = DataCommons::new(records);
+        let ids: Vec<u64> = Analyzer::new(&c)
+            .pareto_front()
+            .unwrap()
+            .iter()
+            .map(|r| r.model_id)
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -339,7 +357,7 @@ mod tests {
         b.objective_values = vec![-90.0, 400.0, 4096.0];
         let c = DataCommons::new(vec![a, b]);
         let front: Vec<u64> = Analyzer::new(&c)
-            .pareto_front_objectives()
+            .pareto_front()
             .unwrap()
             .iter()
             .map(|r| r.model_id)
@@ -353,7 +371,7 @@ mod tests {
         tagged.objective_names = vec!["neg_fitness".into(), "flops".into(), "macs".into()];
         tagged.objective_values = vec![-90.0, 400.0, 1e8];
         let c = DataCommons::new(vec![record(0, 85.0, 300.0, None), tagged]);
-        let err = Analyzer::new(&c).pareto_front_objectives().unwrap_err();
+        let err = Analyzer::new(&c).pareto_front().unwrap_err();
         assert_eq!(err.exit_code(), 3);
         assert!(err.to_string().contains("mixes objective dimensions"));
     }
@@ -389,7 +407,7 @@ mod tests {
         assert_eq!(a.total_epochs(), 0);
         assert_eq!(a.early_termination_rate(), 0.0);
         assert!(a.mean_termination_epoch().is_none());
-        assert!(a.pareto_front().is_empty());
+        assert!(a.pareto_front().unwrap().is_empty());
         assert!(a.best_by_fitness().is_none());
         assert!(a.flops_fitness_correlation().is_none());
         assert!(a.mean_prediction_error().is_none());

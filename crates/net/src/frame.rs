@@ -162,26 +162,10 @@ impl FrameDecoder {
     /// (header + payload) when the header is complete, `Ok(None)` when
     /// more header bytes are needed.
     fn frame_len(&self) -> Result<Option<usize>, NetError> {
-        if self.buf.len() < HEADER_LEN {
+        let Some(header) = self.buf.first_chunk() else {
             return Ok(None);
-        }
-        let mut magic = [0u8; 4];
-        magic.copy_from_slice(&self.buf[..4]);
-        if magic != MAGIC {
-            return Err(NetError::BadMagic(magic));
-        }
-        let version = u16::from_be_bytes([self.buf[4], self.buf[5]]);
-        if version != PROTOCOL_VERSION {
-            return Err(NetError::VersionMismatch {
-                ours: PROTOCOL_VERSION,
-                theirs: version,
-            });
-        }
-        let len = u32::from_be_bytes([self.buf[6], self.buf[7], self.buf[8], self.buf[9]]);
-        if len > MAX_PAYLOAD {
-            return Err(NetError::FrameTooLarge { len });
-        }
-        Ok(Some(HEADER_LEN + len as usize))
+        };
+        Ok(Some(HEADER_LEN + payload_len(header)?))
     }
 
     /// Pop the next complete message; `Ok(None)` means more bytes are
@@ -228,6 +212,28 @@ impl FrameDecoder {
     }
 }
 
+/// Validate a frame header's magic, version and length field, and
+/// return the payload length it announces.
+fn payload_len(header: &[u8; HEADER_LEN]) -> Result<usize, NetError> {
+    let [m0, m1, m2, m3, v0, v1, l0, l1, l2, l3] = *header;
+    let magic = [m0, m1, m2, m3];
+    if magic != MAGIC {
+        return Err(NetError::BadMagic(magic));
+    }
+    let version = u16::from_be_bytes([v0, v1]);
+    if version != PROTOCOL_VERSION {
+        return Err(NetError::VersionMismatch {
+            ours: PROTOCOL_VERSION,
+            theirs: version,
+        });
+    }
+    let len = u32::from_be_bytes([l0, l1, l2, l3]);
+    if len > MAX_PAYLOAD {
+        return Err(NetError::FrameTooLarge { len });
+    }
+    Ok(len as usize)
+}
+
 /// Write one message as a frame to a blocking stream.
 pub fn write_message<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), NetError> {
     let frame = encode(msg)?;
@@ -255,29 +261,13 @@ pub fn read_message<R: Read, T: Deserialize>(r: &mut R) -> Result<Option<T>, Net
             Err(e) => return Err(e.into()),
         }
     }
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(&header[..4]);
-    if magic != MAGIC {
-        return Err(NetError::BadMagic(magic));
-    }
-    let version = u16::from_be_bytes([header[4], header[5]]);
-    if version != PROTOCOL_VERSION {
-        return Err(NetError::VersionMismatch {
-            ours: PROTOCOL_VERSION,
-            theirs: version,
-        });
-    }
-    let len = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
-    if len > MAX_PAYLOAD {
-        return Err(NetError::FrameTooLarge { len });
-    }
+    let len = payload_len(&header)?;
     // The length header is untrusted until the payload actually arrives:
     // grow the buffer one bounded chunk at a time instead of
     // preallocating `len` bytes up front, so a hostile or corrupt peer
     // that announces MAX_PAYLOAD but sends nothing cannot force a 64 MiB
     // allocation per frame. This codec fronts public serve connections,
     // not just trusted workers.
-    let len = len as usize;
     let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
     while payload.len() < len {
         let old = payload.len();

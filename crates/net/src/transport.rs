@@ -26,10 +26,10 @@ use a4nn_core::{
 use a4nn_error::A4nnError;
 use a4nn_genome::Genome;
 use a4nn_sched::GpuPool;
-use crossbeam::channel;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -124,7 +124,7 @@ impl Router {
 #[derive(Default)]
 struct ConnState {
     alive: bool,
-    pending: HashMap<u64, channel::Sender<Option<(TrainingOutcome, ModelCost)>>>,
+    pending: HashMap<u64, SyncSender<Option<(TrainingOutcome, ModelCost)>>>,
 }
 
 struct Connection {
@@ -316,7 +316,7 @@ impl SocketTransport {
         genome: &Genome,
     ) -> Option<(TrainingOutcome, ModelCost)> {
         let conn = &self.connections[conn_idx];
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = sync_channel(1);
         {
             let mut st = conn.state.lock();
             if !st.alive {

@@ -55,24 +55,9 @@ impl Dataset {
         self.labels.push(label);
     }
 
-    /// Materialize the samples at `indices` as a batch tensor plus labels.
-    pub fn gather(&self, indices: &[usize]) -> (Tensor4, Vec<usize>) {
-        let stride = self.sample_stride();
-        let mut batch = Tensor4::zeros(indices.len(), self.channels, self.height, self.width);
-        let mut labels = Vec::with_capacity(indices.len());
-        for (b, &i) in indices.iter().enumerate() {
-            batch
-                .sample_mut(b)
-                .copy_from_slice(&self.images[i * stride..(i + 1) * stride]);
-            labels.push(self.labels[i]);
-        }
-        (batch, labels)
-    }
-
     /// Gather the samples at `indices` into caller-owned buffers,
-    /// reshaping `batch` in place — the zero-allocation counterpart of
-    /// [`gather`](Self::gather) once `batch`/`labels` capacities have
-    /// warmed up.
+    /// reshaping `batch` in place; allocation-free once `batch`/`labels`
+    /// capacities have warmed up.
     pub fn gather_into(&self, indices: &[usize], batch: &mut Tensor4, labels: &mut Vec<usize>) {
         let stride = self.sample_stride();
         batch.reset(indices.len(), self.channels, self.height, self.width);
@@ -100,16 +85,9 @@ impl Dataset {
             .copy_from_slice(&self.images[start * stride..end * stride]);
     }
 
-    /// Materialize the whole dataset as one tensor (for evaluation).
-    pub fn as_tensor(&self) -> (Tensor4, &[usize]) {
-        let all: Vec<usize> = (0..self.len()).collect();
-        let (t, _) = self.gather(&all);
-        (t, &self.labels)
-    }
-
     /// Split off the last `fraction` of samples into a second dataset
     /// (e.g. `0.2` for the paper's 80/20 train/test split). The split is
-    /// positional; shuffle first if ordering is meaningful.
+    /// positional.
     pub fn split(mut self, fraction: f64) -> (Dataset, Dataset) {
         assert!((0.0..=1.0).contains(&fraction), "fraction in [0,1]");
         let n_tail = (self.len() as f64 * fraction).round() as usize;
@@ -123,15 +101,6 @@ impl Dataset {
             labels: self.labels.split_off(n_head),
         };
         (self, tail)
-    }
-
-    /// Shuffle sample order in place.
-    pub fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.shuffle(rng);
-        let (t, labels) = self.gather(&order);
-        self.images = t.data().to_vec();
-        self.labels = labels;
     }
 
     /// Iterator over shuffled minibatches for one epoch.
@@ -186,20 +155,6 @@ impl BatchIter<'_> {
     }
 }
 
-impl Iterator for BatchIter<'_> {
-    type Item = (Tensor4, Vec<usize>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cursor >= self.order.len() {
-            return None;
-        }
-        let end = (self.cursor + self.batch_size).min(self.order.len());
-        let batch = self.dataset.gather(&self.order[self.cursor..end]);
-        self.cursor = end;
-        Some(batch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,7 +171,8 @@ mod tests {
     #[test]
     fn push_and_gather_roundtrip() {
         let d = dataset(5);
-        let (batch, labels) = d.gather(&[3, 1]);
+        let (mut batch, mut labels) = (Tensor4::zeros(0, 0, 0, 0), Vec::new());
+        d.gather_into(&[3, 1], &mut batch, &mut labels);
         assert_eq!(batch.shape(), (2, 1, 2, 2));
         assert_eq!(batch.sample(0), &[3.0; 4]);
         assert_eq!(batch.sample(1), &[1.0; 4]);
@@ -229,7 +185,9 @@ mod tests {
         assert_eq!(train.len(), 8);
         assert_eq!(test.len(), 2);
         // Tail samples preserved in order.
-        assert_eq!(test.gather(&[0]).0.sample(0), &[8.0; 4]);
+        let mut batch = Tensor4::zeros(0, 0, 0, 0);
+        test.copy_range_into(0, 1, &mut batch);
+        assert_eq!(batch.sample(0), &[8.0; 4]);
     }
 
     #[test]
@@ -245,7 +203,9 @@ mod tests {
         let d = dataset(10);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let mut seen = Vec::new();
-        for (batch, labels) in d.shuffled_batches(3, &mut rng) {
+        let mut batches = d.shuffled_batches(3, &mut rng);
+        let (mut batch, mut labels) = (Tensor4::zeros(0, 0, 0, 0), Vec::new());
+        while batches.next_into(&mut batch, &mut labels) {
             assert!(batch.n <= 3);
             assert_eq!(batch.n, labels.len());
             for b in 0..batch.n {
@@ -257,30 +217,22 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_deterministic_per_seed() {
-        let mut a = dataset(16);
-        let mut b = dataset(16);
-        a.shuffle(&mut rand::rngs::StdRng::seed_from_u64(9));
-        b.shuffle(&mut rand::rngs::StdRng::seed_from_u64(9));
-        assert_eq!(a.labels, b.labels);
-        assert_eq!(a.images, b.images);
-    }
-
-    #[test]
     fn class_counts_balanced() {
         let d = dataset(10);
         assert_eq!(d.class_counts(), vec![5, 5]);
     }
 
     #[test]
-    fn gather_into_matches_gather() {
+    fn gather_into_reshapes_reused_buffers() {
         let d = dataset(6);
-        let (want_t, want_l) = d.gather(&[4, 0, 2]);
         let mut batch = Tensor4::zeros(0, 0, 0, 0);
         let mut labels = Vec::new();
         d.gather_into(&[4, 0, 2], &mut batch, &mut labels);
-        assert_eq!(batch, want_t);
-        assert_eq!(labels, want_l);
+        assert_eq!(batch.shape(), (3, 1, 2, 2));
+        assert_eq!(batch.sample(0), &[4.0; 4]);
+        assert_eq!(batch.sample(1), &[0.0; 4]);
+        assert_eq!(batch.sample(2), &[2.0; 4]);
+        assert_eq!(labels, vec![0, 0, 0]);
         // Reuse with a different batch size: shape follows the indices.
         d.gather_into(&[1], &mut batch, &mut labels);
         assert_eq!(batch.shape(), (1, 1, 2, 2));
@@ -288,18 +240,21 @@ mod tests {
     }
 
     #[test]
-    fn next_into_matches_iterator() {
+    fn batches_are_deterministic_per_seed() {
         let d = dataset(10);
-        let a = d.shuffled_batches(3, &mut rand::rngs::StdRng::seed_from_u64(4));
+        let mut a = d.shuffled_batches(3, &mut rand::rngs::StdRng::seed_from_u64(4));
         let mut b = d.shuffled_batches(3, &mut rand::rngs::StdRng::seed_from_u64(4));
-        let mut batch = Tensor4::zeros(0, 0, 0, 0);
-        let mut labels = Vec::new();
-        for (want_t, want_l) in a {
-            assert!(b.next_into(&mut batch, &mut labels));
-            assert_eq!(batch, want_t);
-            assert_eq!(labels, want_l);
+        let (mut batch_a, mut labels_a) = (Tensor4::zeros(0, 0, 0, 0), Vec::new());
+        let (mut batch_b, mut labels_b) = (Tensor4::zeros(0, 0, 0, 0), Vec::new());
+        let mut batches = 0;
+        while a.next_into(&mut batch_a, &mut labels_a) {
+            assert!(b.next_into(&mut batch_b, &mut labels_b));
+            assert_eq!(batch_a, batch_b);
+            assert_eq!(labels_a, labels_b);
+            batches += 1;
         }
-        assert!(!b.next_into(&mut batch, &mut labels));
+        assert!(!b.next_into(&mut batch_b, &mut labels_b));
+        assert_eq!(batches, 4);
     }
 
     #[test]

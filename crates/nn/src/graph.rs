@@ -320,15 +320,9 @@ impl Network {
         &self.spec
     }
 
-    /// Forward pass returning classifier logits. Convenience wrapper over
-    /// [`forward_ws`](Self::forward_ws) with a throwaway workspace.
-    pub fn forward(&mut self, x: &Tensor4, training: bool) -> Tensor2 {
-        self.forward_ws(x, training, &mut Workspace::default())
-    }
-
-    /// Forward pass drawing every intermediate activation from `ws`. The
-    /// returned logits borrow pool storage; recycle them with
-    /// [`Workspace::give2`] when done.
+    /// Forward pass returning classifier logits, drawing every
+    /// intermediate activation from `ws`. The returned logits borrow pool
+    /// storage; recycle them with [`Workspace::give2`] when done.
     pub fn forward_ws(&mut self, x: &Tensor4, training: bool, ws: &mut Workspace) -> Tensor2 {
         let pooled = self.features_ws(x, training, ws);
         let logits = self.classifier.forward_ws(&pooled, training, ws);
@@ -350,13 +344,8 @@ impl Network {
         pooled
     }
 
-    /// Backward pass from logits gradient. Convenience wrapper over
-    /// [`backward_ws`](Self::backward_ws) with a throwaway workspace.
-    pub fn backward(&mut self, dlogits: &Tensor2) {
-        self.backward_ws(dlogits, &mut Workspace::default());
-    }
-
-    /// Backward pass drawing every intermediate gradient from `ws`.
+    /// Backward pass from the logits gradient, drawing every
+    /// intermediate gradient from `ws`.
     pub fn backward_ws(&mut self, dlogits: &Tensor2, ws: &mut Workspace) {
         let g = self.classifier.backward_ws(dlogits, ws);
         self.backward_features_ws(g, ws);
@@ -375,7 +364,7 @@ impl Network {
         ws.give4(g4);
     }
 
-    /// [`forward`](Self::forward) with the classifier on the sequential
+    /// [`forward_ws`](Self::forward_ws) with the classifier on the sequential
     /// reference loops: the oracle of the whole-network check in
     /// `tests/dense_equivalence.rs`, which is its only caller.
     #[doc(hidden)]
@@ -384,7 +373,7 @@ impl Network {
         reference::dense_forward(&mut self.classifier, &pooled)
     }
 
-    /// [`backward`](Self::backward) counterpart of
+    /// [`backward_ws`](Self::backward_ws) counterpart of
     /// [`forward_reference_dense`](Self::forward_reference_dense).
     #[doc(hidden)]
     pub fn backward_reference_dense(&mut self, dlogits: &Tensor2) {
@@ -488,7 +477,7 @@ fn count_correct(logits: &Tensor2, labels: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::cross_entropy;
+    use crate::loss::cross_entropy_ws;
     use crate::optim::Sgd;
     use rand::SeedableRng;
 
@@ -517,7 +506,7 @@ mod tests {
     fn forward_shapes() {
         let mut net = Network::new(&tiny_spec(), &mut rng(1));
         let x = Tensor4::zeros(3, 1, 8, 8);
-        let logits = net.forward(&x, true);
+        let logits = net.forward_ws(&x, true, &mut Workspace::new());
         assert_eq!(logits.rows, 3);
         assert_eq!(logits.cols, 2);
     }
@@ -544,7 +533,10 @@ mod tests {
         let mut a = Network::new(&tiny_spec(), &mut rng(5));
         let mut b = Network::new(&tiny_spec(), &mut rng(5));
         let x = Tensor4::zeros(1, 1, 8, 8);
-        assert_eq!(a.forward(&x, false).data(), b.forward(&x, false).data());
+        let mut ws = Workspace::new();
+        let ya = a.forward_ws(&x, false, &mut ws);
+        let yb = b.forward_ws(&x, false, &mut ws);
+        assert_eq!(ya.data(), yb.data());
     }
 
     #[test]
@@ -563,15 +555,17 @@ mod tests {
                 .collect();
             ds.push(&pixels, label);
         }
-        let (images, labels) = ds.as_tensor();
+        let mut images = Tensor4::zeros(0, 0, 0, 0);
+        ds.copy_range_into(0, ds.len(), &mut images);
         let mut net = Network::new(&tiny_spec(), &mut r);
         let mut opt = Sgd::new(0.05, 0.9, 0.0);
+        let mut ws = Workspace::new();
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..30 {
-            let logits = net.forward(&images, true);
-            let out = cross_entropy(&logits, labels);
-            net.backward(&out.dlogits);
+            let logits = net.forward_ws(&images, true, &mut ws);
+            let out = cross_entropy_ws(&logits, &ds.labels, &mut ws);
+            net.backward_ws(&out.dlogits, &mut ws);
             opt.step(&mut net);
             first_loss.get_or_insert(out.loss);
             last_loss = out.loss;
@@ -628,9 +622,10 @@ mod tests {
             num_classes: 2,
         };
         let mut net = Network::new(&spec, &mut rng(10));
+        let mut ws = Workspace::new();
         let x = Tensor4::zeros(2, 1, 8, 8);
-        let logits = net.forward(&x, true);
-        let out = cross_entropy(&logits, &[0, 1]);
-        net.backward(&out.dlogits); // must not panic
+        let logits = net.forward_ws(&x, true, &mut ws);
+        let out = cross_entropy_ws(&logits, &[0, 1], &mut ws);
+        net.backward_ws(&out.dlogits, &mut ws); // must not panic
     }
 }

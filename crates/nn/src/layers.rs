@@ -1,9 +1,10 @@
 //! Neural-network layers with hand-derived backward passes.
 //!
-//! Every layer caches what its backward pass needs during `forward`,
-//! exposes its parameters through [`visit_params`](Conv2d::visit_params)
-//! so the optimizer stays layer-agnostic, and reports exact forward FLOPs
-//! for the NAS's second objective.
+//! Every layer has one forward and one backward entry point, caches what
+//! its backward pass needs during the forward pass, exposes its
+//! parameters through [`visit_params`](Conv2d::visit_params) so the
+//! optimizer stays layer-agnostic, and reports exact forward FLOPs for
+//! the NAS's second objective.
 
 use crate::gemm;
 use crate::im2col::{self, ConvGeometry};
@@ -60,13 +61,6 @@ impl Conv2d {
             bgrad: vec![0.0; c_out],
             cached_input: None,
         }
-    }
-
-    /// Forward pass; caches the input for backward. Convenience wrapper
-    /// over a training-mode [`forward_ws`](Self::forward_ws) with a
-    /// throwaway workspace.
-    pub fn forward(&mut self, x: &Tensor4) -> Tensor4 {
-        self.forward_ws(x, true, &mut Workspace::default())
     }
 
     /// Forward pass drawing all scratch (output tensor, im2col panel,
@@ -129,15 +123,9 @@ impl Conv2d {
         out
     }
 
-    /// Backward pass: consumes `grad_out`, accumulates weight/bias grads,
-    /// returns the gradient with respect to the input. Convenience wrapper
-    /// over [`backward_ws`](Self::backward_ws) with a throwaway workspace.
-    pub fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        self.backward_ws(grad_out, &mut Workspace::default())
-    }
-
-    /// Backward pass drawing all scratch from `ws`; the input cache taken
-    /// during forward is recycled back into the pool.
+    /// Backward pass: accumulates weight/bias grads and returns the
+    /// gradient with respect to the input, drawing all scratch from `ws`;
+    /// the input cache taken during forward is recycled back into the pool.
     ///
     /// im2col + blocked GEMM. Per-sample partial gradients are computed
     /// on scoped threads (samples in contiguous blocks) and reduced in
@@ -357,15 +345,9 @@ impl BatchNorm2d {
         }
     }
 
-    /// Forward pass. `training` selects batch statistics (and updates the
-    /// running averages) versus running statistics. Convenience wrapper
-    /// over [`forward_ws`](Self::forward_ws) with a throwaway workspace.
-    pub fn forward(&mut self, x: &Tensor4, training: bool) -> Tensor4 {
-        self.forward_ws(x, training, &mut Workspace::default())
-    }
-
     /// Forward pass drawing the output, `x̂` cache and per-channel stat
-    /// buffers from `ws`.
+    /// buffers from `ws`. `training` selects batch statistics (and
+    /// updates the running averages) versus running statistics.
     pub fn forward_ws(&mut self, x: &Tensor4, training: bool, ws: &mut Workspace) -> Tensor4 {
         assert_eq!(x.c, self.channels, "batchnorm channel mismatch");
         let (n, c, h, w) = x.shape();
@@ -435,12 +417,6 @@ impl BatchNorm2d {
             }
         }
         out
-    }
-
-    /// Backward through the training-mode normalization. Convenience
-    /// wrapper over [`backward_owned`](Self::backward_owned).
-    pub fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        self.backward_owned(grad_out.clone(), &mut Workspace::default())
     }
 
     /// Backward through the training-mode normalization, writing the input
@@ -519,12 +495,6 @@ impl Relu {
         Relu::default()
     }
 
-    /// Forward pass; records the activation mask. Clones the input — the
-    /// graph hot path uses [`forward_owned`](Self::forward_owned) instead.
-    pub fn forward(&mut self, x: &Tensor4) -> Tensor4 {
-        self.forward_owned(x.clone())
-    }
-
     /// In-place forward over an owned tensor: rectifies `x` directly and
     /// records the activation mask, with no copy. The mask capacity
     /// persists across calls, so steady state allocates nothing.
@@ -542,14 +512,8 @@ impl Relu {
         x
     }
 
-    /// Backward: zero gradients where the forward input was ≤ 0. Clones
-    /// the gradient — the graph hot path uses
-    /// [`backward_owned`](Self::backward_owned) instead.
-    pub fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        self.backward_owned(grad_out.clone())
-    }
-
-    /// In-place backward over an owned gradient tensor.
+    /// Backward: zero gradients where the forward input was not `> 0.0`,
+    /// in place over an owned gradient tensor.
     pub fn backward_owned(&mut self, mut grad_out: Tensor4) -> Tensor4 {
         assert_eq!(grad_out.len(), self.mask.len(), "relu backward shape");
         for (v, &on) in grad_out.data_mut().iter_mut().zip(&self.mask) {
@@ -561,91 +525,6 @@ impl Relu {
     /// Forward FLOPs for one sample with `c` channels at `h × w`.
     pub fn flops(&self, c: usize, h: usize, w: usize) -> f64 {
         (c * h * w) as f64
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dropout
-// ---------------------------------------------------------------------------
-
-/// Inverted dropout: during training each activation is zeroed with
-/// probability `p` and survivors are scaled by `1/(1−p)`, so inference is
-/// a plain pass-through. The layer owns its RNG (seeded at construction)
-/// to keep training reproducible.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Dropout {
-    /// Drop probability in `[0, 1)`.
-    pub p: f32,
-    seed: u64,
-    #[serde(skip)]
-    draws: u64,
-    #[serde(skip)]
-    mask: Vec<bool>,
-}
-
-impl Dropout {
-    /// New dropout layer.
-    pub fn new(p: f32, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "drop probability must be in [0, 1)"
-        );
-        Dropout {
-            p,
-            seed,
-            draws: 0,
-            mask: Vec::new(),
-        }
-    }
-
-    /// Forward pass. In training mode a fresh mask is drawn; in inference
-    /// the input passes through unchanged. Clones the input — owners use
-    /// [`forward_owned`](Self::forward_owned) instead.
-    pub fn forward(&mut self, x: &Tensor4, training: bool) -> Tensor4 {
-        self.forward_owned(x.clone(), training)
-    }
-
-    /// In-place forward over an owned tensor: masks and rescales `x`
-    /// directly, with no copy.
-    pub fn forward_owned(&mut self, mut x: Tensor4, training: bool) -> Tensor4 {
-        if !training || self.p == 0.0 {
-            self.mask.clear();
-            return x;
-        }
-        use rand::{Rng, SeedableRng};
-        // A fresh, deterministic stream per forward call.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(
-            self.seed.wrapping_add(self.draws.wrapping_mul(0x9E37_79B9)),
-        );
-        self.draws += 1;
-        let keep_scale = 1.0 / (1.0 - self.p);
-        // Every slot is overwritten below; `resize` only fixes the length.
-        self.mask.resize(x.len(), false);
-        for (v, keep) in x.data_mut().iter_mut().zip(&mut self.mask) {
-            *keep = !rng.gen_bool(f64::from(self.p));
-            *v = if *keep { *v * keep_scale } else { 0.0 };
-        }
-        x
-    }
-
-    /// Backward: route gradients through the surviving units with the same
-    /// scale. Must follow a training-mode forward; after an inference
-    /// forward the gradient passes through unchanged.
-    pub fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        self.backward_owned(grad_out.clone())
-    }
-
-    /// In-place backward over an owned gradient tensor.
-    pub fn backward_owned(&mut self, mut grad_out: Tensor4) -> Tensor4 {
-        if self.mask.is_empty() {
-            return grad_out;
-        }
-        assert_eq!(grad_out.len(), self.mask.len(), "dropout backward shape");
-        let keep_scale = 1.0 / (1.0 - self.p);
-        for (v, &keep) in grad_out.data_mut().iter_mut().zip(&self.mask) {
-            *v = if keep { *v * keep_scale } else { 0.0 };
-        }
-        grad_out
     }
 }
 
@@ -668,14 +547,9 @@ impl MaxPool2d {
         MaxPool2d::default()
     }
 
-    /// Forward pass; records argmax indices for routing gradients.
-    /// Convenience wrapper over [`forward_ws`](Self::forward_ws).
-    pub fn forward(&mut self, x: &Tensor4) -> Tensor4 {
-        self.forward_ws(x, &mut Workspace::default())
-    }
-
-    /// Forward pass drawing the output from `ws`. The argmax index buffer
-    /// persists in the layer, so steady state allocates nothing.
+    /// Forward pass drawing the output from `ws`; records argmax indices
+    /// for routing gradients. The argmax index buffer persists in the
+    /// layer, so steady state allocates nothing.
     pub fn forward_ws(&mut self, x: &Tensor4, ws: &mut Workspace) -> Tensor4 {
         let (n, c, h, w) = x.shape();
         let (oh, ow) = ((h / 2).max(1), (w / 2).max(1));
@@ -715,14 +589,9 @@ impl MaxPool2d {
         out
     }
 
-    /// Backward: route each gradient to its argmax location. Convenience
-    /// wrapper over [`backward_ws`](Self::backward_ws).
-    pub fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        self.backward_ws(grad_out, &mut Workspace::default())
-    }
-
-    /// Backward drawing the (zero-seeded — most positions receive no
-    /// gradient) input-gradient tensor from `ws`.
+    /// Backward: route each gradient to its argmax location, drawing the
+    /// (zero-seeded — most positions receive no gradient) input-gradient
+    /// tensor from `ws`.
     pub fn backward_ws(&mut self, grad_out: &Tensor4, ws: &mut Workspace) -> Tensor4 {
         let (n, c, h, w) = self.in_shape;
         let mut grad_in = ws.t4_zeroed(n, c, h, w);
@@ -755,12 +624,6 @@ impl GlobalAvgPool {
         GlobalAvgPool::default()
     }
 
-    /// Forward pass. Convenience wrapper over
-    /// [`forward_ws`](Self::forward_ws).
-    pub fn forward(&mut self, x: &Tensor4) -> Tensor2 {
-        self.forward_ws(x, &mut Workspace::default())
-    }
-
     /// Forward pass drawing the pooled matrix from `ws`.
     pub fn forward_ws(&mut self, x: &Tensor4, ws: &mut Workspace) -> Tensor2 {
         let (n, c, h, w) = x.shape();
@@ -779,13 +642,8 @@ impl GlobalAvgPool {
         out
     }
 
-    /// Backward: spread each channel gradient uniformly over `h × w`.
-    /// Convenience wrapper over [`backward_ws`](Self::backward_ws).
-    pub fn backward(&mut self, grad_out: &Tensor2) -> Tensor4 {
-        self.backward_ws(grad_out, &mut Workspace::default())
-    }
-
-    /// Backward drawing the input-gradient tensor from `ws`.
+    /// Backward: spread each channel gradient uniformly over `h × w`,
+    /// drawing the input-gradient tensor from `ws`.
     pub fn backward_ws(&mut self, grad_out: &Tensor2, ws: &mut Workspace) -> Tensor4 {
         let (n, c, h, w) = self.in_shape;
         let scale = 1.0 / (h * w) as f32;
@@ -844,13 +702,6 @@ impl Dense {
         }
     }
 
-    /// Forward pass; caches the input. Convenience wrapper over a
-    /// training-mode [`forward_ws`](Self::forward_ws) with a throwaway
-    /// workspace.
-    pub fn forward(&mut self, x: &Tensor2) -> Tensor2 {
-        self.forward_ws(x, true, &mut Workspace::default())
-    }
-
     /// Forward pass drawing the output, the `Wᵀ` panel and the input
     /// cache from `ws`. The input is cached for backward only when
     /// `training`.
@@ -893,12 +744,6 @@ impl Dense {
             self.cached_input = Some(ws.t2_copy(x));
         }
         out
-    }
-
-    /// Backward pass. Convenience wrapper over
-    /// [`backward_ws`](Self::backward_ws) with a throwaway workspace.
-    pub fn backward(&mut self, grad_out: &Tensor2) -> Tensor2 {
-        self.backward_ws(grad_out, &mut Workspace::default())
     }
 
     /// Backward pass drawing all scratch from `ws`; the input cache is
@@ -1001,16 +846,17 @@ mod tests {
             t.data_mut().copy_from_slice(&vals);
             t
         };
+        let mut ws = Workspace::new();
         // Analytic gradient of L wrt one weight.
-        let out = conv.forward(&x);
+        let out = conv.forward_ws(&x, true, &mut ws);
         let grad_out = out; // dL/dout = out for L = Σout²/2
-        let _ = conv.backward(&grad_out);
+        let _ = conv.backward_ws(&grad_out, &mut ws);
         let analytic = conv.wgrad[7];
         // Numeric.
         let h = 1e-3f32;
         let loss_with = |conv: &mut Conv2d, delta: f32| {
             conv.weight[7] += delta;
-            let o = conv.forward(&x);
+            let o = conv.forward_ws(&x, true, &mut Workspace::new());
             conv.weight[7] -= delta;
             conv.cached_input = None;
             o.data().iter().map(|&v| v * v * 0.5).sum::<f32>()
@@ -1037,7 +883,7 @@ mod tests {
         conv.weight[4] = 1.0; // center tap
         conv.bias[0] = 0.0;
         let x = Tensor4::from_vec(1, 1, 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let y = conv.forward(&x);
+        let y = conv.forward_ws(&x, true, &mut Workspace::new());
         assert_eq!(y.data(), x.data());
     }
 
@@ -1045,10 +891,11 @@ mod tests {
     fn conv_input_gradient_shape_and_padding() {
         let mut r = rng(3);
         let mut conv = Conv2d::new(1, 2, 3, &mut r);
+        let mut ws = Workspace::new();
         let x = Tensor4::zeros(1, 1, 4, 4);
-        let y = conv.forward(&x);
+        let y = conv.forward_ws(&x, true, &mut ws);
         assert_eq!(y.shape(), (1, 2, 4, 4));
-        let gi = conv.backward(&Tensor4::zeros(1, 2, 4, 4));
+        let gi = conv.backward_ws(&Tensor4::zeros(1, 2, 4, 4), &mut ws);
         assert_eq!(gi.shape(), (1, 1, 4, 4));
     }
 
@@ -1079,7 +926,7 @@ mod tests {
         for v in x.data_mut() {
             *v = r.gen_range(-5.0..5.0);
         }
-        let y = bn.forward(&x, true);
+        let y = bn.forward_ws(&x, true, &mut Workspace::new());
         // Per-channel mean ≈ 0, var ≈ 1.
         let (n, c, h, w) = y.shape();
         for ci in 0..c {
@@ -1109,10 +956,11 @@ mod tests {
         for v in x.data_mut() {
             *v = r.gen_range(-1.0..1.0);
         }
-        let _ = bn.forward(&x, true);
+        let mut ws = Workspace::new();
+        let _ = bn.forward_ws(&x, true, &mut ws);
         let mut g = Tensor4::zeros(2, 1, 2, 2);
         g.data_mut().iter_mut().for_each(|v| *v = 3.0);
-        let gi = bn.backward(&g);
+        let gi = bn.backward_owned(g, &mut ws);
         assert!(gi.data().iter().all(|v| v.abs() < 1e-4), "{:?}", gi.data());
     }
 
@@ -1122,7 +970,7 @@ mod tests {
         bn.running_mean[0] = 2.0;
         bn.running_var[0] = 4.0;
         let x = Tensor4::from_vec(1, 1, 1, 2, vec![2.0, 4.0]);
-        let y = bn.forward(&x, false);
+        let y = bn.forward_ws(&x, false, &mut Workspace::new());
         assert!((y.data()[0] - 0.0).abs() < 1e-4);
         assert!((y.data()[1] - 1.0).abs() < 1e-2);
     }
@@ -1131,10 +979,10 @@ mod tests {
     fn relu_masks_forward_and_backward() {
         let mut relu = Relu::new();
         let x = Tensor4::from_vec(1, 1, 1, 4, vec![-1.0, 2.0, -3.0, 4.0]);
-        let y = relu.forward(&x);
+        let y = relu.forward_owned(x);
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
         let g = Tensor4::from_vec(1, 1, 1, 4, vec![1.0, 1.0, 1.0, 1.0]);
-        let gi = relu.backward(&g);
+        let gi = relu.backward_owned(g);
         assert_eq!(gi.data(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -1195,45 +1043,6 @@ mod tests {
     }
 
     #[test]
-    fn dropout_zip_loops_equal_the_push_form_on_edge_values() {
-        use rand::{Rng, SeedableRng};
-        let (p, seed) = (0.4f32, 17u64);
-        let input = relu_edge_values();
-        let mut d = Dropout::new(p, seed);
-        // Unequal lengths back to back: the mask shrinks, then grows.
-        for (draw, len) in [input.len(), 7, input.len()].into_iter().enumerate() {
-            let x = &input[..len];
-            let mut rng = rand::rngs::StdRng::seed_from_u64(
-                seed.wrapping_add((draw as u64).wrapping_mul(0x9E37_79B9)),
-            );
-            let keep_scale = 1.0 / (1.0 - p);
-            let mut want = x.to_vec();
-            let mut want_mask = Vec::new();
-            for v in &mut want {
-                let keep = !rng.gen_bool(f64::from(p));
-                want_mask.push(keep);
-                *v = if keep { *v * keep_scale } else { 0.0 };
-            }
-            let mut want_grad = x.to_vec();
-            want_grad.reverse();
-            let grad = want_grad.clone();
-            for (v, &keep) in want_grad.iter_mut().zip(&want_mask) {
-                *v = if keep { *v * keep_scale } else { 0.0 };
-            }
-
-            let got = d.forward_owned(row_tensor(x), true);
-            assert_eq!(bits(got.data()), bits(&want), "forward, draw {draw}");
-            assert_eq!(d.mask, want_mask, "mask, draw {draw}");
-            let got_grad = d.backward_owned(row_tensor(&grad));
-            assert_eq!(
-                bits(got_grad.data()),
-                bits(&want_grad),
-                "backward, draw {draw}"
-            );
-        }
-    }
-
-    #[test]
     fn batchnorm_interleaved_sums_equal_one_channel_at_a_time() {
         // 19 channels: two full BN_LANES groups and a ragged rest.
         let (n, c, h, w) = (3, 2 * BN_LANES + 3, 3, 5);
@@ -1244,14 +1053,15 @@ mod tests {
             *v = r.gen_range(-3.0f32..3.0);
         }
         let mut bn = BatchNorm2d::new(c);
-        let _ = bn.forward(&x, true);
+        let mut ws = Workspace::new();
+        let _ = bn.forward_ws(&x, true, &mut ws);
         let xhat = bn
             .cache
             .as_ref()
             .expect("training forward caches")
             .xhat
             .clone();
-        let _ = bn.backward(&g);
+        let _ = bn.backward_owned(g.clone(), &mut ws);
 
         // The four reductions, one channel at a time in (n, h, w) order.
         let hw = h * w;
@@ -1311,11 +1121,12 @@ mod tests {
                 13.0, 14.0, 15.0, 16.0,
             ],
         );
-        let y = pool.forward(&x);
+        let mut ws = Workspace::new();
+        let y = pool.forward_ws(&x, &mut ws);
         assert_eq!(y.shape(), (1, 1, 2, 2));
         assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
         let g = Tensor4::from_vec(1, 1, 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let gi = pool.backward(&g);
+        let gi = pool.backward_ws(&g, &mut ws);
         assert_eq!(gi.get(0, 0, 1, 1), 1.0);
         assert_eq!(gi.get(0, 0, 1, 3), 2.0);
         assert_eq!(gi.get(0, 0, 3, 1), 3.0);
@@ -1326,10 +1137,11 @@ mod tests {
     #[test]
     fn maxpool_handles_odd_sizes() {
         let mut pool = MaxPool2d::new();
+        let mut ws = Workspace::new();
         let x = Tensor4::zeros(1, 1, 5, 5);
-        let y = pool.forward(&x);
+        let y = pool.forward_ws(&x, &mut ws);
         assert_eq!(y.shape(), (1, 1, 2, 2));
-        let gi = pool.backward(&Tensor4::zeros(1, 1, 2, 2));
+        let gi = pool.backward_ws(&Tensor4::zeros(1, 1, 2, 2), &mut ws);
         assert_eq!(gi.shape(), (1, 1, 5, 5));
     }
 
@@ -1337,10 +1149,11 @@ mod tests {
     fn gap_averages_and_spreads() {
         let mut gap = GlobalAvgPool::new();
         let x = Tensor4::from_vec(1, 2, 1, 2, vec![1.0, 3.0, 10.0, 30.0]);
-        let y = gap.forward(&x);
+        let mut ws = Workspace::new();
+        let y = gap.forward_ws(&x, &mut ws);
         assert_eq!(y.row(0), &[2.0, 20.0]);
         let g = Tensor2::from_vec(1, 2, vec![4.0, 8.0]);
-        let gi = gap.backward(&g);
+        let gi = gap.backward_ws(&g, &mut ws);
         assert_eq!(gi.data(), &[2.0, 2.0, 4.0, 4.0]);
     }
 
@@ -1351,7 +1164,7 @@ mod tests {
         dense.weight = vec![1.0, 2.0, 3.0, 4.0];
         dense.bias = vec![0.5, -0.5];
         let x = Tensor2::from_vec(1, 2, vec![1.0, 1.0]);
-        let y = dense.forward(&x);
+        let y = dense.forward_ws(&x, true, &mut Workspace::new());
         assert_eq!(y.row(0), &[3.5, 6.5]);
     }
 
@@ -1360,13 +1173,14 @@ mod tests {
         let mut r = rng(7);
         let mut dense = Dense::new(3, 2, &mut r);
         let x = Tensor2::from_vec(2, 3, vec![0.5, -1.0, 2.0, 1.5, 0.0, -0.5]);
-        let out = dense.forward(&x);
-        let _ = dense.backward(&out);
+        let mut ws = Workspace::new();
+        let out = dense.forward_ws(&x, true, &mut ws);
+        let _ = dense.backward_ws(&out, &mut ws);
         let analytic = dense.wgrad[1];
         let h = 1e-3f32;
         let loss = |d: &mut Dense, delta: f32| {
             d.weight[1] += delta;
-            let o = d.forward(&x);
+            let o = d.forward_ws(&x, true, &mut Workspace::new());
             d.weight[1] -= delta;
             d.cached_input = None;
             o.data().iter().map(|&v| v * v * 0.5).sum::<f32>()
@@ -1394,58 +1208,6 @@ mod tests {
         let _ = dense.forward_ws(&x, true, &mut ws);
         let _ = dense.forward_ws(&x, false, &mut ws);
         assert!(dense.cached_input.is_none());
-    }
-
-    #[test]
-    fn dropout_inference_is_identity() {
-        let mut d = Dropout::new(0.5, 1);
-        let x = Tensor4::from_vec(1, 1, 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(d.forward(&x, false), x);
-        // Backward after inference is pass-through.
-        let g = Tensor4::from_vec(1, 1, 2, 2, vec![1.0; 4]);
-        assert_eq!(d.backward(&g), g);
-    }
-
-    #[test]
-    fn dropout_training_zeroes_and_scales() {
-        let mut d = Dropout::new(0.5, 2);
-        let x = Tensor4::from_vec(1, 1, 8, 8, vec![1.0; 64]);
-        let y = d.forward(&x, true);
-        let zeros = y.data().iter().filter(|&&v| v == 0.0).count();
-        let twos = y.data().iter().filter(|&&v| (v - 2.0).abs() < 1e-6).count();
-        assert_eq!(zeros + twos, 64, "values are 0 or scaled by 1/(1-p)");
-        assert!(
-            zeros > 10 && zeros < 54,
-            "roughly half dropped, got {zeros}"
-        );
-        // Backward gradient flows only through survivors.
-        let g = Tensor4::from_vec(1, 1, 8, 8, vec![1.0; 64]);
-        let gi = d.backward(&g);
-        for (gv, yv) in gi.data().iter().zip(y.data()) {
-            if *yv == 0.0 {
-                assert_eq!(*gv, 0.0);
-            } else {
-                assert!((*gv - 2.0).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    fn dropout_preserves_expectation() {
-        let mut d = Dropout::new(0.3, 3);
-        let x = Tensor4::from_vec(1, 1, 64, 64, vec![1.0; 4096]);
-        let y = d.forward(&x, true);
-        let mean: f32 = y.data().iter().sum::<f32>() / 4096.0;
-        assert!(
-            (mean - 1.0).abs() < 0.1,
-            "inverted dropout keeps E[x], got {mean}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "drop probability")]
-    fn dropout_p_one_rejected() {
-        let _ = Dropout::new(1.0, 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use super::{Conv2d, Dense};
 use crate::tensor::{Tensor2, Tensor4};
 
-/// [`Conv2d::forward`] as a direct loop nest, one sample at a time.
+/// [`Conv2d::forward_ws`] as a direct loop nest, one sample at a time.
 pub fn conv2d_forward(conv: &mut Conv2d, x: &Tensor4) -> Tensor4 {
     assert_eq!(x.c, conv.c_in, "conv input channel mismatch");
     let (n, _, h, w) = x.shape();
@@ -58,7 +58,7 @@ pub fn conv2d_forward(conv: &mut Conv2d, x: &Tensor4) -> Tensor4 {
     out
 }
 
-/// [`Conv2d::backward`] as a direct loop nest with per-sample partials
+/// [`Conv2d::backward_ws`] as a direct loop nest with per-sample partials
 /// reduced in sample order.
 pub fn conv2d_backward(conv: &mut Conv2d, grad_out: &Tensor4) -> Tensor4 {
     let Some(x) = conv.cached_input.take() else {
@@ -123,7 +123,7 @@ pub fn conv2d_backward(conv: &mut Conv2d, grad_out: &Tensor4) -> Tensor4 {
     grad_in
 }
 
-/// [`Dense::forward`] as one strictly sequential dot per output element.
+/// [`Dense::forward_ws`] as one strictly sequential dot per output element.
 pub fn dense_forward(dense: &mut Dense, x: &Tensor2) -> Tensor2 {
     assert_eq!(x.cols, dense.d_in, "dense input width mismatch");
     let mut out = Tensor2::zeros(x.rows, dense.d_out);
@@ -143,7 +143,7 @@ pub fn dense_forward(dense: &mut Dense, x: &Tensor2) -> Tensor2 {
     out
 }
 
-/// [`Dense::backward`] as plain loops: skips zero output-gradients and
+/// [`Dense::backward_ws`] as plain loops: skips zero output-gradients and
 /// accumulates directly into the persistent gradient buffers.
 pub fn dense_backward(dense: &mut Dense, grad_out: &Tensor2) -> Tensor2 {
     assert_eq!(grad_out.cols, dense.d_out);

@@ -38,31 +38,17 @@ pub mod workspace;
 
 pub use data::{BatchIter, Dataset};
 pub use graph::{NetSpec, Network, PhaseNetSpec};
-pub use loss::{cross_entropy, cross_entropy_ws, CrossEntropyOutput};
+pub use loss::{cross_entropy_ws, CrossEntropyOutput};
 pub use optim::Sgd;
 pub use serialize::ModelState;
 pub use tensor::{Tensor2, Tensor4};
 pub use workspace::Workspace;
 
 /// Train `net` for one epoch over `train` and return `(mean loss,
-/// train accuracy %)`. Convenience wrapper over [`train_epoch_ws`] with
-/// a throwaway workspace; persistent callers (the trainers) hold their
-/// own [`Workspace`] so steady-state epochs allocate nothing.
-pub fn train_epoch(
-    net: &mut Network,
-    opt: &mut Sgd,
-    train: &Dataset,
-    batch_size: usize,
-    rng: &mut impl rand::Rng,
-) -> (f32, f32) {
-    train_epoch_ws(net, opt, train, batch_size, rng, &mut Workspace::default())
-}
-
-/// [`train_epoch`] with all per-batch buffers — the gathered batch, every
-/// activation and gradient, loss scratch — drawn from `ws`. After the
-/// first batch warms the pool, the loop performs zero heap allocations
-/// per batch (pinned by `tests/alloc_regression.rs`); results are bitwise
-/// identical to the allocating path.
+/// train accuracy %)`, drawing all per-batch buffers — the gathered
+/// batch, every activation and gradient, loss scratch — from `ws`.
+/// After the first batch warms the pool, the loop performs zero heap
+/// allocations per batch (pinned by `tests/alloc_regression.rs`).
 pub fn train_epoch_ws(
     net: &mut Network,
     opt: &mut Sgd,

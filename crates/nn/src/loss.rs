@@ -3,7 +3,7 @@
 use crate::tensor::Tensor2;
 use crate::workspace::Workspace;
 
-/// Output of [`cross_entropy`].
+/// Output of [`cross_entropy_ws`].
 #[derive(Debug, Clone)]
 pub struct CrossEntropyOutput {
     /// Mean loss over the batch.
@@ -16,15 +16,9 @@ pub struct CrossEntropyOutput {
     pub correct: usize,
 }
 
-/// Numerically stable softmax cross-entropy with integer class labels.
-/// Convenience wrapper over [`cross_entropy_ws`] with a throwaway
-/// workspace.
-pub fn cross_entropy(logits: &Tensor2, labels: &[usize]) -> CrossEntropyOutput {
-    cross_entropy_ws(logits, labels, &mut Workspace::default())
-}
-
-/// [`cross_entropy`] drawing `probs` and `dlogits` from `ws`; recycle
-/// them with [`Workspace::give2`] when done. Every element of both
+/// Numerically stable softmax cross-entropy with integer class labels,
+/// drawing `probs` and `dlogits` from `ws`; recycle them with
+/// [`Workspace::give2`] when done. Every element of both
 /// matrices is overwritten, so scratch reuse cannot change results.
 pub fn cross_entropy_ws(
     logits: &Tensor2,
@@ -79,7 +73,7 @@ mod tests {
     #[test]
     fn uniform_logits_give_ln_k_loss() {
         let logits = Tensor2::zeros(4, 3);
-        let out = cross_entropy(&logits, &[0, 1, 2, 0]);
+        let out = cross_entropy_ws(&logits, &[0, 1, 2, 0], &mut Workspace::new());
         assert!((out.loss - 3.0f32.ln()).abs() < 1e-5);
         // Uniform probabilities.
         for r in 0..4 {
@@ -92,7 +86,7 @@ mod tests {
     #[test]
     fn confident_correct_prediction_has_low_loss() {
         let logits = Tensor2::from_vec(1, 2, vec![10.0, -10.0]);
-        let out = cross_entropy(&logits, &[0]);
+        let out = cross_entropy_ws(&logits, &[0], &mut Workspace::new());
         assert!(out.loss < 1e-4);
         assert_eq!(out.correct, 1);
     }
@@ -100,7 +94,7 @@ mod tests {
     #[test]
     fn confident_wrong_prediction_has_high_loss() {
         let logits = Tensor2::from_vec(1, 2, vec![10.0, -10.0]);
-        let out = cross_entropy(&logits, &[1]);
+        let out = cross_entropy_ws(&logits, &[1], &mut Workspace::new());
         assert!(out.loss > 5.0);
         assert_eq!(out.correct, 0);
     }
@@ -108,7 +102,7 @@ mod tests {
     #[test]
     fn gradient_rows_sum_to_zero() {
         let logits = Tensor2::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
-        let out = cross_entropy(&logits, &[2, 0]);
+        let out = cross_entropy_ws(&logits, &[2, 0], &mut Workspace::new());
         for r in 0..2 {
             let s: f32 = out.dlogits.row(r).iter().sum();
             assert!(s.abs() < 1e-6, "row {r} sums to {s}");
@@ -119,15 +113,16 @@ mod tests {
     fn gradient_matches_finite_difference() {
         let base = vec![0.3f32, -0.7, 1.2];
         let labels = [1usize];
-        let out = cross_entropy(&Tensor2::from_vec(1, 3, base.clone()), &labels);
+        let mut ws = Workspace::new();
+        let out = cross_entropy_ws(&Tensor2::from_vec(1, 3, base.clone()), &labels, &mut ws);
         let h = 1e-3f32;
         for i in 0..3 {
             let mut plus = base.clone();
             let mut minus = base.clone();
             plus[i] += h;
             minus[i] -= h;
-            let lp = cross_entropy(&Tensor2::from_vec(1, 3, plus), &labels).loss;
-            let lm = cross_entropy(&Tensor2::from_vec(1, 3, minus), &labels).loss;
+            let lp = cross_entropy_ws(&Tensor2::from_vec(1, 3, plus), &labels, &mut ws).loss;
+            let lm = cross_entropy_ws(&Tensor2::from_vec(1, 3, minus), &labels, &mut ws).loss;
             let numeric = (lp - lm) / (2.0 * h);
             assert!(
                 (numeric - out.dlogits.get(0, i)).abs() < 1e-3,
@@ -140,7 +135,7 @@ mod tests {
     #[test]
     fn extreme_logits_do_not_overflow() {
         let logits = Tensor2::from_vec(1, 2, vec![1e4, -1e4]);
-        let out = cross_entropy(&logits, &[0]);
+        let out = cross_entropy_ws(&logits, &[0], &mut Workspace::new());
         assert!(out.loss.is_finite());
         assert!(out.dlogits.data().iter().all(|v| v.is_finite()));
     }
@@ -149,6 +144,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_label_panics() {
         let logits = Tensor2::zeros(1, 2);
-        let _ = cross_entropy(&logits, &[5]);
+        let _ = cross_entropy_ws(&logits, &[5], &mut Workspace::new());
     }
 }

@@ -58,8 +58,9 @@ impl Sgd {
 mod tests {
     use super::*;
     use crate::graph::{NetSpec, Network, PhaseNetSpec};
-    use crate::loss::cross_entropy;
+    use crate::loss::cross_entropy_ws;
     use crate::tensor::Tensor4;
+    use crate::workspace::Workspace;
     use rand::SeedableRng;
 
     fn net(seed: u64) -> Network {
@@ -79,9 +80,10 @@ mod tests {
 
     fn one_step(net: &mut Network, opt: &mut Sgd) {
         let x = Tensor4::from_vec(2, 1, 4, 4, (0..32).map(|i| i as f32 / 31.0).collect());
-        let logits = net.forward(&x, true);
-        let out = cross_entropy(&logits, &[0, 1]);
-        net.backward(&out.dlogits);
+        let mut ws = Workspace::new();
+        let logits = net.forward_ws(&x, true, &mut ws);
+        let out = cross_entropy_ws(&logits, &[0, 1], &mut ws);
+        net.backward_ws(&out.dlogits, &mut ws);
         opt.step(net);
     }
 

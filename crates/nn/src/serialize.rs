@@ -138,6 +138,7 @@ mod tests {
     use super::*;
     use crate::graph::PhaseNetSpec;
     use crate::tensor::Tensor4;
+    use crate::workspace::Workspace;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -165,9 +166,10 @@ mod tests {
         assert_eq!(state.epoch, 7);
         let mut restored = state.restore(&mut rng(999)); // different seed on purpose
         let x = Tensor4::from_vec(1, 1, 6, 6, (0..36).map(|i| i as f32 / 36.0).collect());
+        let mut ws = Workspace::new();
         assert_eq!(
-            net.forward(&x, false).data(),
-            restored.forward(&x, false).data()
+            net.forward_ws(&x, false, &mut ws).data(),
+            restored.forward_ws(&x, false, &mut ws).data()
         );
     }
 

@@ -38,7 +38,7 @@
 //! is only used where the consumer provably writes every element before
 //! reading it (im2col panels, full-overwrite layer outputs). The FP
 //! arithmetic itself never changes — same kernels, same operand order —
-//! so outputs are bitwise identical to the allocating path.
+//! so outputs are bitwise identical whether a buffer is fresh or reused.
 
 use crate::tensor::{Tensor2, Tensor4};
 

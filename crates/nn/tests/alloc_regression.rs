@@ -9,7 +9,7 @@
 //! allocates stack bookkeeping; single-thread is also the configuration
 //! the search-throughput bench measures.
 
-use a4nn_nn::{gemm, Dataset, NetSpec, Network, PhaseNetSpec, Sgd, Workspace};
+use a4nn_nn::{gemm, Dataset, NetSpec, Network, PhaseNetSpec, Sgd, Tensor4, Workspace};
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -129,7 +129,8 @@ fn steady_state_training_batch_allocates_nothing() {
 
     // Eval-mode forward, the serve path: one pass at a new batch shape
     // warms the pool, the next must not touch the allocator at all.
-    let (images, _) = ds.gather(&[0, 1, 2, 3, 4]);
+    let mut images = Tensor4::zeros(0, 0, 0, 0);
+    ds.copy_range_into(0, 5, &mut images);
     let warm = net.forward_ws(&images, false, &mut ws);
     ws.give2(warm);
     let before = allocation_count();

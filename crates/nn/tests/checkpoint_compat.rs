@@ -15,7 +15,7 @@
 //! [`fixture_state`]; the slice-based codec must write and read it
 //! byte for byte.
 
-use a4nn_nn::{ModelState, NetSpec, Network, PhaseNetSpec, Tensor4};
+use a4nn_nn::{ModelState, NetSpec, Network, PhaseNetSpec, Tensor4, Workspace};
 use rand::SeedableRng;
 
 const FIXTURE: &str = include_str!("fixtures/network_with_impl_keys.json");
@@ -80,8 +80,9 @@ fn checkpoint_with_impl_keys_loads_and_evaluates_bitwise_equal() {
     fresh.rebuild_buffers();
 
     let x = probe_input();
-    let from_old = loaded.forward(&x, false);
-    let from_fresh = fresh.forward(&x, false);
+    let mut ws = Workspace::new();
+    let from_old = loaded.forward_ws(&x, false, &mut ws);
+    let from_fresh = fresh.forward_ws(&x, false, &mut ws);
     assert_eq!(bits(from_old.data()), bits(from_fresh.data()));
     assert_eq!(
         bits(from_old.data()),

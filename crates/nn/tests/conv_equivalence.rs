@@ -6,7 +6,7 @@
 use a4nn_nn::gemm;
 use a4nn_nn::im2col::{conv_backward, conv_forward, ConvGeometry};
 use a4nn_nn::layers::{reference, Conv2d};
-use a4nn_nn::Tensor4;
+use a4nn_nn::{Tensor4, Workspace};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -170,13 +170,14 @@ proptest! {
         let mut twin = conv.clone();
 
         let x = Tensor4::from_vec(n, c_in, h, w, fill_random(&mut rng, n * c_in * h * w));
+        let mut ws = Workspace::new();
         let out_naive = reference::conv2d_forward(&mut conv, &x);
-        let out_gemm = twin.forward(&x);
+        let out_gemm = twin.forward_ws(&x, true, &mut ws);
         assert_all_close(out_gemm.data(), out_naive.data(), "layer forward");
 
         let grad = Tensor4::from_vec(n, c_out, h, w, fill_random(&mut rng, n * c_out * h * w));
         let gin_naive = reference::conv2d_backward(&mut conv, &grad);
-        let gin_gemm = twin.backward(&grad);
+        let gin_gemm = twin.backward_ws(&grad, &mut ws);
         assert_all_close(gin_gemm.data(), gin_naive.data(), "layer input grad");
 
         let mut naive_grads: Vec<Vec<f32>> = Vec::new();
@@ -209,7 +210,7 @@ fn paper_shape_agrees_and_is_budget_invariant() {
             assert!(gemm::threads_for(x.n, 8 * 9 * 128 * 128) > 1);
         }
         let mut fast = conv.clone();
-        outs.push(fast.forward(&x));
+        outs.push(fast.forward_ws(&x, true, &mut Workspace::new()));
     }
     gemm::set_thread_budget(prev);
     assert_all_close(outs[0].data(), want.data(), "paper-shape forward");

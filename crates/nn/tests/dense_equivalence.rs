@@ -38,8 +38,9 @@ fn check_pair(rows: usize, d_in: usize, d_out: usize, seed: u64, sparse_grad: bo
     let mut twin = naive.clone();
 
     let x = Tensor2::from_vec(rows, d_in, fill_random(&mut rng, rows * d_in));
+    let mut ws = Workspace::new();
     let out_naive = reference::dense_forward(&mut naive, &x);
-    let out_gemm = twin.forward(&x);
+    let out_gemm = twin.forward_ws(&x, true, &mut ws);
     assert_bits_eq(out_gemm.data(), out_naive.data(), "forward");
 
     // Exercise the naive path's `go == 0.0` skip: ReLU-style gradients
@@ -54,7 +55,7 @@ fn check_pair(rows: usize, d_in: usize, d_out: usize, seed: u64, sparse_grad: bo
     }
     let grad = Tensor2::from_vec(rows, d_out, gvals);
     let gin_naive = reference::dense_backward(&mut naive, &grad);
-    let gin_gemm = twin.backward(&grad);
+    let gin_gemm = twin.backward_ws(&grad, &mut ws);
     assert_bits_eq(gin_gemm.data(), gin_naive.data(), "input grad");
 
     let mut naive_grads: Vec<Vec<f32>> = Vec::new();
@@ -126,8 +127,9 @@ fn dense_thread_budget_invariance() {
                 assert_eq!(split, splits, "{rows}x{d_in}x{d_out} at budget 2");
             }
             let mut d = proto.clone();
-            let out = d.forward(&x);
-            let gin = d.backward(&grad);
+            let mut ws = Workspace::new();
+            let out = d.forward_ws(&x, true, &mut ws);
+            let gin = d.backward_ws(&grad, &mut ws);
             let mut grads = Vec::new();
             d.visit_params(&mut |_, g| grads.push(g.to_vec()));
             outs.push((out, gin, grads));
@@ -159,14 +161,14 @@ fn workspace_reuse_is_bitwise_transparent() {
     for step in 0..4 {
         let x = Tensor2::from_vec(9, 30, fill_random(&mut rng, 9 * 30));
         let grad = Tensor2::from_vec(9, 19, fill_random(&mut rng, 9 * 19));
-        let out_fresh = fresh.forward(&x);
+        let out_fresh = fresh.forward_ws(&x, true, &mut Workspace::new());
         let out_warm = warm.forward_ws(&x, true, &mut ws);
         assert_bits_eq(
             out_warm.data(),
             out_fresh.data(),
             &format!("step {step} forward"),
         );
-        let gin_fresh = fresh.backward(&grad);
+        let gin_fresh = fresh.backward_ws(&grad, &mut Workspace::new());
         let gin_warm = warm.backward_ws(&grad, &mut ws);
         assert_bits_eq(
             gin_warm.data(),
@@ -214,13 +216,14 @@ fn network_level_dense_backends_agree_bitwise() {
     let x = Tensor4::from_vec(5, 1, 8, 8, fill_random(&mut rng, 5 * 8 * 8));
     let labels = [0usize, 1, 2, 0, 1];
     let logits_naive = naive.forward_reference_dense(&x, true);
-    let logits_gemm = twin.forward(&x, true);
+    let mut ws = Workspace::new();
+    let logits_gemm = twin.forward_ws(&x, true, &mut ws);
     assert_bits_eq(logits_gemm.data(), logits_naive.data(), "network logits");
 
-    let out_naive = a4nn_nn::cross_entropy(&logits_naive, &labels);
-    let out_gemm = a4nn_nn::cross_entropy(&logits_gemm, &labels);
+    let out_naive = a4nn_nn::cross_entropy_ws(&logits_naive, &labels, &mut ws);
+    let out_gemm = a4nn_nn::cross_entropy_ws(&logits_gemm, &labels, &mut ws);
     naive.backward_reference_dense(&out_naive.dlogits);
-    twin.backward(&out_gemm.dlogits);
+    twin.backward_ws(&out_gemm.dlogits, &mut ws);
 
     let mut naive_grads: Vec<Vec<f32>> = Vec::new();
     naive.visit_params(&mut |_, g| naive_grads.push(g.to_vec()));

@@ -3,7 +3,7 @@
 //! including the clamped zero, remainder chunks and the empty set, and a
 //! warm workspace must make a repeat evaluation allocation-free.
 
-use a4nn_nn::{Dataset, NetSpec, Network, PhaseNetSpec, Workspace};
+use a4nn_nn::{Dataset, NetSpec, Network, PhaseNetSpec, Tensor4, Workspace};
 use rand::{Rng, SeedableRng};
 
 fn spec(classes: usize) -> NetSpec {
@@ -36,7 +36,9 @@ fn dataset(n: usize, classes: usize, seed: u64) -> Dataset {
 /// The oracle, independent of `evaluate_dataset`: one eval-mode forward
 /// over the whole set, argmax per row, correct rows counted.
 fn whole_set_accuracy(net: &mut Network, ds: &Dataset) -> f32 {
-    let (images, labels) = ds.as_tensor();
+    let mut images = Tensor4::zeros(0, 0, 0, 0);
+    ds.copy_range_into(0, ds.len(), &mut images);
+    let labels = &ds.labels;
     let logits = net.forward_ws(&images, false, &mut Workspace::new());
     let correct = labels
         .iter()

@@ -1,7 +1,7 @@
 //! Property-based tests of the training substrate.
 
 use a4nn_nn::layers::{Conv2d, Dense};
-use a4nn_nn::{cross_entropy, Tensor2, Tensor4};
+use a4nn_nn::{cross_entropy_ws, Tensor2, Tensor4, Workspace};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -28,9 +28,10 @@ proptest! {
         for i in 0..combined.len() {
             combined.data_mut()[i] = alpha * x.data()[i] + beta * y.data()[i];
         }
-        let out_combined = conv.forward(&combined);
-        let out_x = conv.forward(&x);
-        let out_y = conv.forward(&y);
+        let mut ws = Workspace::new();
+        let out_combined = conv.forward_ws(&combined, true, &mut ws);
+        let out_x = conv.forward_ws(&x, true, &mut ws);
+        let out_y = conv.forward_ws(&y, true, &mut ws);
         for i in 0..out_combined.len() {
             let expect = alpha * out_x.data()[i] + beta * out_y.data()[i];
             prop_assert!(
@@ -54,9 +55,10 @@ proptest! {
             1, 5,
             xv.iter().zip(&yv).map(|(a, b)| (a + b) / 2.0).collect(),
         );
-        let fx = dense.forward(&x);
-        let fy = dense.forward(&y);
-        let fmid = dense.forward(&mid);
+        let mut ws = Workspace::new();
+        let fx = dense.forward_ws(&x, true, &mut ws);
+        let fy = dense.forward_ws(&y, true, &mut ws);
+        let fmid = dense.forward_ws(&mid, true, &mut ws);
         for i in 0..3 {
             let expect = (fx.data()[i] + fy.data()[i]) / 2.0;
             prop_assert!((fmid.data()[i] - expect).abs() < 1e-4);
@@ -71,7 +73,7 @@ proptest! {
         label in 0usize..3,
     ) {
         let t = Tensor2::from_vec(2, 3, logits);
-        let out = cross_entropy(&t, &[label, (label + 1) % 3]);
+        let out = cross_entropy_ws(&t, &[label, (label + 1) % 3], &mut Workspace::new());
         prop_assert!(out.loss >= 0.0);
         prop_assert!(out.loss.is_finite());
         for r in 0..2 {

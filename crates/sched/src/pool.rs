@@ -12,7 +12,6 @@
 //! retry loop and the socket transport's dead-worker requeue both do.
 
 use a4nn_error::A4nnError;
-use crossbeam::channel;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -94,28 +93,22 @@ impl GpuPool {
         F: FnOnce(usize) -> T + Send,
     {
         let n = jobs.len();
-        let (job_tx, job_rx) = channel::unbounded::<(usize, F)>();
-        for (i, job) in jobs.into_iter().enumerate() {
-            job_tx
-                .send((i, job))
-                .map_err(|_| A4nnError::Internal("job queue closed before dispatch".into()))?;
-        }
-        drop(job_tx);
-
+        let queue = Mutex::new(jobs.into_iter().enumerate());
         let results: Mutex<Vec<JobSlot<T>>> = Mutex::new((0..n).map(|_| None).collect());
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.workers);
             for worker in 0..self.workers {
-                let job_rx = job_rx.clone();
-                let results = &results;
-                handles.push(scope.spawn(move || {
-                    while let Ok((i, job)) = job_rx.recv() {
-                        let t0 = Instant::now();
-                        let out = catch_unwind(AssertUnwindSafe(|| job(worker))).ok();
-                        let seconds = t0.elapsed().as_secs_f64();
-                        results.lock()[i] = Some((out, JobReport { worker, seconds }));
-                    }
+                let (queue, results) = (&queue, &results);
+                handles.push(scope.spawn(move || loop {
+                    // Its own statement, so the guard drops before the
+                    // job runs and the other workers can take theirs.
+                    let next = queue.lock().next();
+                    let Some((i, job)) = next else { break };
+                    let t0 = Instant::now();
+                    let out = catch_unwind(AssertUnwindSafe(|| job(worker))).ok();
+                    let seconds = t0.elapsed().as_secs_f64();
+                    results.lock()[i] = Some((out, JobReport { worker, seconds }));
                 }));
             }
             join_workers(handles)

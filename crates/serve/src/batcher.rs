@@ -26,9 +26,9 @@ use crate::protocol::ModelInfo;
 use a4nn_error::A4nnError;
 use a4nn_metrics::{names, MetricsRegistry};
 use a4nn_nn::{Network, Workspace};
-use crossbeam::channel::{bounded, Receiver};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -162,7 +162,7 @@ impl Batcher {
         width: usize,
         pixels: Vec<f32>,
     ) -> Result<Receiver<Classification>, A4nnError> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         self.submit_sink(model_id, channels, height, width, pixels, move |c| {
             // A receiver that hung up (dead connection) is not an error.
             let _ = tx.send(c);

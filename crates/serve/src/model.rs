@@ -72,7 +72,7 @@ impl ModelRepo {
         // `objective_vector`, so pre-registry runs serve the same menu
         // they always did. A commons mixing objective dimensions is
         // surfaced as the typed config error instead of a panic.
-        for record in analyzer.pareto_front_objectives()? {
+        for record in analyzer.pareto_front()? {
             if record.failed() || record.final_fitness.is_nan() {
                 continue;
             }

@@ -7,6 +7,7 @@
 
 use a4nn_nn::layers::Dense;
 use a4nn_nn::tensor::Tensor2;
+use a4nn_nn::Workspace;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -77,6 +78,8 @@ pub struct Autoencoder {
     dec2: Dense,
     relu_e: Relu2,
     relu_d: Relu2,
+    /// Scratch for the dense layers; a clone starts with an empty pool.
+    ws: Workspace,
 }
 
 impl Autoencoder {
@@ -89,6 +92,7 @@ impl Autoencoder {
             dec2: Dense::new(config.hidden_dim, config.input_dim, rng),
             relu_e: Relu2::default(),
             relu_d: Relu2::default(),
+            ws: Workspace::new(),
             config,
         }
     }
@@ -101,20 +105,32 @@ impl Autoencoder {
     /// Encode a batch of flattened images into latent codes (inference:
     /// no caches kept for backward).
     pub fn encode(&mut self, x: &Tensor2) -> Tensor2 {
-        let h = self.relu_e.forward(&self.enc1.forward(x));
-        self.enc2.forward(&h)
+        self.latent(x, false)
     }
 
-    /// Full forward pass returning the reconstruction.
-    pub fn forward(&mut self, x: &Tensor2) -> Tensor2 {
-        let z = self.encode(x);
-        let h = self.relu_d.forward(&self.dec1.forward(&z));
-        self.dec2.forward(&h)
+    /// `enc1 → ReLU → enc2`; `training` keeps the caches backward needs.
+    fn latent(&mut self, x: &Tensor2, training: bool) -> Tensor2 {
+        let a = self.enc1.forward_ws(x, training, &mut self.ws);
+        let h = self.relu_e.forward(&a);
+        self.ws.give2(a);
+        self.enc2.forward_ws(&h, training, &mut self.ws)
+    }
+
+    /// Full forward pass returning the reconstruction; `training` keeps
+    /// the caches a following [`train_batch`](Self::train_batch) step
+    /// needs.
+    pub fn forward(&mut self, x: &Tensor2, training: bool) -> Tensor2 {
+        let z = self.latent(x, training);
+        let a = self.dec1.forward_ws(&z, training, &mut self.ws);
+        self.ws.give2(z);
+        let h = self.relu_d.forward(&a);
+        self.ws.give2(a);
+        self.dec2.forward_ws(&h, training, &mut self.ws)
     }
 
     /// One SGD step on a batch: returns the MSE reconstruction loss.
     pub fn train_batch(&mut self, x: &Tensor2) -> f32 {
-        let recon = self.forward(x);
+        let recon = self.forward(x, true);
         let n = recon.len().max(1) as f32;
         let mut loss = 0.0f32;
         let mut grad = Tensor2::zeros(recon.rows, recon.cols);
@@ -125,12 +141,15 @@ impl Autoencoder {
         }
         loss /= n;
         // Backward through dec2 → ReLU → dec1 → enc2 → ReLU → enc1.
-        let g = self.dec2.backward(&grad);
+        let ws = &mut self.ws;
+        let g = self.dec2.backward_ws(&grad, ws);
         let g = self.relu_d.backward(&g);
-        let g = self.dec1.backward(&g);
-        let g = self.enc2.backward(&g);
+        let g = self.dec1.backward_ws(&g, ws);
+        let g = self.enc2.backward_ws(&g, ws);
         let g = self.relu_e.backward(&g);
-        let _ = self.enc1.backward(&g);
+        let g = self.enc1.backward_ws(&g, ws);
+        ws.give2(g);
+        ws.give2(recon);
         let lr = self.config.lr;
         for layer in [
             &mut self.enc1,
@@ -150,7 +169,7 @@ impl Autoencoder {
 
     /// Mean reconstruction error on a batch (no training).
     pub fn reconstruction_error(&mut self, x: &Tensor2) -> f32 {
-        let recon = self.forward(x);
+        let recon = self.forward(x, false);
         let n = recon.len().max(1) as f32;
         recon
             .data()
@@ -192,7 +211,7 @@ mod tests {
         let x = toy_batch(5, 64, 2);
         let z = ae.encode(&x);
         assert_eq!((z.rows, z.cols), (5, 4));
-        let recon = ae.forward(&x);
+        let recon = ae.forward(&x, false);
         assert_eq!((recon.rows, recon.cols), (5, 64));
     }
 

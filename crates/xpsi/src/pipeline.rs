@@ -3,7 +3,7 @@
 
 use crate::autoencoder::{Autoencoder, AutoencoderConfig};
 use crate::knn::KnnClassifier;
-use a4nn_nn::tensor::Tensor2;
+use a4nn_nn::tensor::{Tensor2, Tensor4};
 use a4nn_nn::Dataset;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -80,8 +80,10 @@ impl XpsiFramework {
         let mut ae = Autoencoder::new(ae_config, &mut rng);
 
         // Unsupervised feature learning.
+        let (mut batch, mut labels) = (Tensor4::zeros(0, 0, 0, 0), Vec::new());
         for _ in 0..self.config.epochs {
-            for (batch, _) in train.shuffled_batches(self.config.batch_size, &mut rng) {
+            let mut batches = train.shuffled_batches(self.config.batch_size, &mut rng);
+            while batches.next_into(&mut batch, &mut labels) {
                 let flat = Tensor2::from_vec(batch.n, dim, batch.data().to_vec());
                 let _ = ae.train_batch(&flat);
             }

@@ -70,7 +70,7 @@ fn main() -> Result<(), A4nnError> {
         100.0 * analyzer.early_termination_rate()
     );
     println!("\nPareto front (validation accuracy vs MFLOPs):");
-    let mut front = analyzer.pareto_front();
+    let mut front = analyzer.pareto_front()?;
     front.sort_by(|a, b| a.flops.partial_cmp(&b.flops).unwrap());
     for model in front {
         println!(

@@ -57,7 +57,7 @@ fn drivers_emit_interchangeable_commons() {
     assert_eq!(loaded, out.commons);
     let analyzer = Analyzer::new(&loaded);
     assert!(analyzer.best_by_fitness().is_some());
-    assert!(!analyzer.pareto_front().is_empty());
+    assert!(!analyzer.pareto_front().unwrap().is_empty());
     // Shape census covers every record.
     let total: usize = shape_census(&loaded).iter().map(|(_, n, _)| n).sum();
     assert_eq!(total, loaded.len());

@@ -28,7 +28,7 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let mut net = a4nn_nn::Network::new(&spec, &mut rng);
         let x = a4nn_nn::Tensor4::zeros(1, 1, 8, 8);
-        let logits = net.forward(&x, false);
+        let logits = net.forward_ws(&x, false, &mut a4nn_nn::Workspace::new());
         prop_assert_eq!((logits.rows, logits.cols), (1, 2));
     }
 

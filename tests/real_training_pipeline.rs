@@ -155,7 +155,7 @@ fn checkpointed_workflow_records_every_epoch_state() {
 #[test]
 fn decoded_networks_checkpoint_and_restore() {
     // §2.2.2: model state written each epoch must reload exactly.
-    use a4nn_nn::{ModelState, Network, Tensor4};
+    use a4nn_nn::{ModelState, Network, Tensor4, Workspace};
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(8);
     let space = SearchSpace::paper_defaults();
@@ -167,8 +167,9 @@ fn decoded_networks_checkpoint_and_restore() {
     let restored = ModelState::from_bytes(&bytes).unwrap();
     let mut net2 = restored.restore(&mut rng);
     let x = Tensor4::zeros(2, 1, 16, 16);
+    let mut ws = Workspace::new();
     assert_eq!(
-        net.forward(&x, false).data(),
-        net2.forward(&x, false).data()
+        net.forward_ws(&x, false, &mut ws).data(),
+        net2.forward_ws(&x, false, &mut ws).data()
     );
 }

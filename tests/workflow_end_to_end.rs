@@ -115,7 +115,7 @@ fn multi_gpu_speedup_is_near_linear_with_identical_search() {
 fn pareto_front_is_mutually_non_dominated() {
     let out = run(BeamIntensity::Medium, true, 2, 7);
     let analyzer = Analyzer::new(&out.commons);
-    let front = analyzer.pareto_front();
+    let front = analyzer.pareto_front().unwrap();
     assert!(!front.is_empty());
     for a in &front {
         for b in &front {

@@ -10,7 +10,6 @@
 //! identical record trails. The default value injects
 //! nothing and leaves every happy-path byte unchanged.
 
-use a4nn_bus::SubscriberStats;
 use a4nn_faults::FaultPlan;
 use a4nn_lineage::ModelRecord;
 use a4nn_sched::RetryPolicy;
@@ -47,9 +46,6 @@ pub struct FaultStats {
     pub models_recovered: u64,
     /// Total retries consumed across all models.
     pub retries: u64,
-    /// Delivery counters of the injected lagging subscriber, when the
-    /// plan attached one (bus mode only).
-    pub laggard: Option<SubscriberStats>,
 }
 
 impl FaultStats {

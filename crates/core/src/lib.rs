@@ -11,8 +11,9 @@
 //!   model state and record trails;
 //! - the **evaluation pipeline** ([`pipeline`]): the one generation loop
 //!   every driver trains through, generic over a pluggable
-//!   [`Transport`] (in-process [`DirectTransport`] or the `a4nn-bus`
-//!   event bus via [`BusTransport`]) with fault tolerance always on;
+//!   [`Transport`] (in-process [`DirectTransport`], or [`BusTransport`],
+//!   whose trainers reach an engine service over an `a4nn-bus` topic)
+//!   with fault tolerance always on;
 //! - the **lineage tracker / data commons** (`a4nn-lineage`);
 //! - the **resource manager** (`a4nn-sched`): FIFO dynamic scheduling of
 //!   models onto virtual GPUs within each generation;

@@ -18,8 +18,9 @@
 //! - [`DirectTransport`] — jobs on the sched thread pool, each driving
 //!   its own engine instance inline ([`InlineEngine`]);
 //! - [`BusTransport`] — Direct plus a topic: the same jobs, whose link
-//!   publishes per-epoch fitness on the `a4nn-bus` event bus (§2.2's
-//!   in-situ task coupling) and blocks on the engine service's verdicts;
+//!   publishes per-epoch fitness on an `a4nn-bus` topic (§2.2's in-situ
+//!   task coupling) and blocks on the verdicts of an engine service
+//!   thread that hosts one [`InlineEngine`] per model;
 //! - `a4nn-net`'s socket transport — the same function with an inline
 //!   engine on a worker process.
 //!
@@ -36,7 +37,7 @@
 //! they flow through retries into `Terminated::Failed` records. An
 //! [`A4nnError`] is reserved for the machinery itself breaking: a bus
 //! that closed mid-run, a trainer factory that panicked, a poisoned pool,
-//! a crashed service thread.
+//! a crashed engine service thread.
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::WorkflowConfig;
@@ -46,13 +47,15 @@ use crate::trainer::{EpochResult, TrainerFactory};
 use crate::training::{
     train_with_engine_fallible, AttemptProgress, EngineLink, InlineEngine, TrainingOutcome,
 };
-use a4nn_bus::{EpochCompleted, Event, Policy, Subscription, Topic, TrainingFailed};
+use a4nn_bus::{Policy, Subscription, Topic};
 use a4nn_error::A4nnError;
+use a4nn_faults::FaultPlan;
 use a4nn_genome::{Genome, SearchSpace};
 use a4nn_lineage::{EngineParamsRecord, ModelRecord};
 use a4nn_metrics::{MetricsRegistry, MetricsSnapshot};
-use a4nn_penguin::{ParametricCurve, Verdict};
+use a4nn_penguin::{EngineConfig, ParametricCurve, Verdict};
 use a4nn_sched::{schedule_fifo_retry, GpuPool, RetryPolicy, RetryTask, ScheduleResult};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Per-transport dispatch counters for one run, read from the metrics
@@ -400,37 +403,50 @@ impl Transport for DirectTransport {
 
 /// Bus coupling: Direct plus a topic. Trainers run exactly as in
 /// [`DirectTransport`] — one job per genome on the sched thread pool,
-/// each through [`train_resilient_direct`] — but their engine is a bus
-/// link: per-epoch fitness goes out on the topic and the engine
-/// service's verdicts come back on it, the same synchronous hand-off as
-/// Algorithm 1, routed through communicators. When `cfg.engine` is set,
-/// the engine service must already be subscribed.
-pub struct BusTransport<'t> {
-    topic: &'t Topic<Event>,
-}
+/// each through [`train_resilient_direct`] — but their engine is a
+/// `BusLink`: per-epoch fitness goes out on the generation's topic and
+/// the engine service's verdicts come back on it, the same synchronous
+/// hand-off as Algorithm 1, routed through communicators.
+///
+/// Each generation owns a fresh topic and, when `cfg.engine` is set, a
+/// scoped service thread running `serve_engines`. The topic closes
+/// once the generation's jobs return, on the error path too, so the
+/// service always drains and joins.
+pub struct BusTransport;
 
-impl<'t> BusTransport<'t> {
-    /// Couple the pipeline to `topic`.
-    pub fn new(topic: &'t Topic<Event>) -> Self {
-        BusTransport { topic }
-    }
-}
-
-impl Transport for BusTransport<'_> {
+impl Transport for BusTransport {
     fn run_generation(
         &self,
         pipeline: &EvalPipeline<'_>,
         genomes: &[Genome],
-        generation: usize,
+        _generation: usize,
         base_id: u64,
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError> {
-        train_generation(pipeline, genomes, base_id, |model_id| BusLink {
-            topic: self.topic,
-            model_id,
-            generation,
-            engine_enabled: pipeline.cfg.engine.is_some(),
-            verdicts: None,
-            stats: (0.0, 0),
+        let topic: Topic<Event> = Topic::new("a4nn");
+        let (engine, plan) = (pipeline.cfg.engine.as_ref(), &pipeline.ft.plan);
+        std::thread::scope(|scope| {
+            let topic = &topic;
+            let service = engine.map(|config| {
+                // Subscribed before any trainer publishes, so no epoch
+                // is missed; trainers block once the inbox is full.
+                let inbox = topic.subscribe_filtered(
+                    Policy::Block {
+                        capacity: ENGINE_INBOX_CAPACITY,
+                    },
+                    |event| matches!(event, Event::Epoch { .. }),
+                );
+                scope.spawn(move || serve_engines(topic, &inbox, config, plan))
+            });
+            let outcomes = train_generation(pipeline, genomes, base_id, |model_id| {
+                BusLink::new(topic, model_id, engine.is_some())
+            });
+            topic.close();
+            if service.is_some_and(|service| service.join().is_err()) {
+                return Err(A4nnError::Internal(
+                    "prediction engine service panicked".into(),
+                ));
+            }
+            outcomes
         })
     }
 
@@ -521,13 +537,13 @@ fn train_generation<L: EngineLink>(
 
 /// Train one model with retries — the one retry loop of every
 /// transport. Each attempt runs under `catch_unwind` with a fresh
-/// trainer (deterministic replay of the same stochastic stream) and
-/// tells `engine` when it dies, injected fault or organic panic alike;
-/// a model that exhausts its budget returns a `failed` outcome carrying
-/// the final attempt's partial trail instead of poisoning the
-/// generation. `factory.make` runs outside the attempt: a factory that
-/// panics is broken machinery, not a trainer crash. `Err` only when the
-/// engine link broke (a closed bus).
+/// trainer (deterministic replay of the same stochastic stream), and
+/// `engine` starts afresh at each attempt's epoch 1. A model that
+/// exhausts its budget returns a `failed` outcome carrying the final
+/// attempt's partial trail instead of poisoning the generation.
+/// `factory.make` runs outside the attempt: a factory that panics is
+/// broken machinery, not a trainer crash. `Err` only when the engine
+/// link broke (a closed bus).
 ///
 /// Public because the `a4nn-net` worker runs exactly this function for
 /// each job it receives — remote training is the same deterministic
@@ -567,9 +583,7 @@ pub fn train_resilient_direct(
             outcome.failed_attempt_seconds = failed_attempt_seconds;
             return Ok((outcome, cost));
         }
-        let will_retry = attempt < max_attempts;
-        engine.attempt_died(attempt, progress.epochs.len() as u32, will_retry)?;
-        if will_retry {
+        if attempt < max_attempts {
             failed_attempt_seconds.push(progress.train_seconds);
             attempt += 1;
             continue;
@@ -593,97 +607,120 @@ pub fn train_resilient_direct(
     }
 }
 
-/// The engine across the bus: each epoch is published as
-/// [`EpochCompleted`] and the trainer blocks on the engine service's
-/// [`EngineVerdict`](Event::EngineVerdict) for it. A `retired` verdict
-/// (the engine crashed for this model) — or a verdict stream that dies
-/// outright — degrades the rest of the attempt to run-to-completion
-/// training instead of deadlocking. A dead attempt is announced as
-/// [`TrainingFailed`] so the engine service discards its partial state
-/// ahead of any retry's epochs.
+/// Queue depth of the engine service's inbox; trainers block (the
+/// `Block` policy) once this many epochs are waiting, which is the
+/// backpressure path the paper's in-situ coupling implies.
+const ENGINE_INBOX_CAPACITY: usize = 1024;
+
+/// What flows on a Bus generation's topic: a trainer's epoch out to the
+/// engine service, and the service's answer back.
+#[derive(Clone)]
+enum Event {
+    /// Model `model_id` finished `epoch` with `result`.
+    Epoch {
+        model_id: u64,
+        epoch: u32,
+        result: EpochResult,
+    },
+    /// The engine's verdict on the model's latest epoch, with its
+    /// `(engine_seconds, engine_interactions)` after it.
+    Verdict {
+        model_id: u64,
+        verdict: Verdict,
+        stats: (f64, u64),
+    },
+}
+
+/// The Bus transport's engine service: one [`InlineEngine`] per model id,
+/// answering every epoch with that engine's verdict and stats until the
+/// topic closes. It is the Direct transport's engine, crash handling and
+/// retry reset included, only on another thread.
+fn serve_engines(
+    topic: &Topic<Event>,
+    inbox: &Subscription<Event>,
+    config: &EngineConfig,
+    plan: &FaultPlan,
+) {
+    let mut engines = HashMap::new();
+    while let Ok(Event::Epoch {
+        model_id,
+        epoch,
+        result,
+    }) = inbox.recv()
+    {
+        let engine = engines
+            .entry(model_id)
+            .or_insert_with(|| InlineEngine::new(Some(config), Some((plan, model_id))));
+        // An inline engine never errs; a crashed one answers the default.
+        let verdict = engine.observe(epoch, &result).unwrap_or_default();
+        let stats = engine.stats();
+        let reply = Event::Verdict {
+            model_id,
+            verdict,
+            stats,
+        };
+        if topic.publish(reply).is_err() {
+            break; // closed mid-drain; no trainer is waiting
+        }
+    }
+}
+
+/// The engine across the bus: each epoch is published on the topic and,
+/// when the run has an engine, the trainer blocks on the service's
+/// verdict for it. A topic that closes under the link is an
+/// [`A4nnError::BusClosed`].
 struct BusLink<'t> {
     topic: &'t Topic<Event>,
     model_id: u64,
-    generation: usize,
-    engine_enabled: bool,
     verdicts: Option<Subscription<Event>>,
     stats: (f64, u64),
+}
+
+impl<'t> BusLink<'t> {
+    /// A link for `model_id`, subscribed to its verdicts when an engine
+    /// service answers on `topic`. Capacity 1 suffices: the hand-off is
+    /// strictly request/reply.
+    fn new(topic: &'t Topic<Event>, model_id: u64, engine: bool) -> Self {
+        let verdicts = engine.then(|| {
+            topic.subscribe_filtered(
+                Policy::Block { capacity: 1 },
+                move |event| matches!(event, Event::Verdict { model_id: m, .. } if *m == model_id),
+            )
+        });
+        BusLink {
+            topic,
+            model_id,
+            verdicts,
+            stats: (0.0, 0),
+        }
+    }
 }
 
 impl EngineLink for BusLink<'_> {
     fn observe(&mut self, epoch: u32, result: &EpochResult) -> Result<Verdict, A4nnError> {
         let model_id = self.model_id;
-        if epoch == 1 {
-            // A fresh attempt: subscribe to this model's verdicts before
-            // its first publish, so no reply can be missed. Capacity 1
-            // suffices: the hand-off is strictly request/reply.
-            self.stats = (0.0, 0);
-            self.verdicts = self.engine_enabled.then(|| {
-                self.topic.subscribe_filtered(
-                    Policy::Block { capacity: 1 },
-                    move |event| matches!(event, Event::EngineVerdict(v) if v.model_id == model_id),
-                )
-            });
-        }
+        let closed = || A4nnError::BusClosed(format!("epoch {epoch} of model {model_id}"));
         self.topic
-            .publish(Event::EpochCompleted(EpochCompleted {
+            .publish(Event::Epoch {
                 model_id,
-                generation: self.generation,
                 epoch,
-                train_acc: result.train_acc,
-                val_acc: result.val_acc,
-                duration_s: result.duration_s,
-            }))
-            .map_err(|_| {
-                A4nnError::BusClosed(format!("publishing epoch {epoch} of model {model_id}"))
-            })?;
-        let Some(stream) = self.verdicts.take() else {
+                result: *result,
+            })
+            .map_err(|_| closed())?;
+        let Some(verdicts) = &self.verdicts else {
             return Ok(Verdict::default());
         };
-        match stream.recv() {
-            Ok(Event::EngineVerdict(v)) => {
-                self.stats = (v.engine_seconds, v.engine_interactions);
-                if v.retired {
-                    // Keep the frozen stats; no more verdicts will come.
-                    return Ok(Verdict::default());
-                }
-                self.verdicts = Some(stream);
-                Ok(Verdict {
-                    prediction: v.prediction,
-                    converged: v.converged,
-                })
+        match verdicts.recv() {
+            Ok(Event::Verdict { verdict, stats, .. }) => {
+                self.stats = stats;
+                Ok(verdict)
             }
-            // The engine service itself died: degrade to
-            // run-to-completion instead of deadlocking.
-            _ => Ok(Verdict::default()),
+            _ => Err(closed()),
         }
     }
 
     fn stats(&self) -> (f64, u64) {
         self.stats
-    }
-
-    fn attempt_died(
-        &mut self,
-        attempt: u32,
-        epoch_reached: u32,
-        will_retry: bool,
-    ) -> Result<(), A4nnError> {
-        self.topic
-            .publish(Event::TrainingFailed(TrainingFailed {
-                model_id: self.model_id,
-                generation: self.generation,
-                epoch_reached,
-                attempt,
-                will_retry,
-            }))
-            .map_err(|_| {
-                A4nnError::BusClosed(format!(
-                    "announcing failed attempt {attempt} of model {}",
-                    self.model_id
-                ))
-            })?;
-        Ok(())
     }
 }
 
@@ -737,19 +774,7 @@ mod tests {
         let genomes: Vec<_> = (0..4).map(|_| space.random_genome(&mut rng)).collect();
 
         let direct = pipeline.run(&DirectTransport, &genomes, 0, 0).unwrap();
-
-        let topic: Topic<Event> = Topic::new("a4nn");
-        let engine = cfg
-            .engine
-            .clone()
-            .map(|e| a4nn_bus::PredictionEngineService::spawn(&topic, e));
-        let bus = pipeline
-            .run(&BusTransport::new(&topic), &genomes, 0, 0)
-            .unwrap();
-        topic.close();
-        if let Some(service) = engine {
-            service.join().unwrap();
-        }
+        let bus = pipeline.run(&BusTransport, &genomes, 0, 0).unwrap();
 
         assert_eq!(direct.records, bus.records);
         assert_eq!(direct.schedule.assignments, bus.schedule.assignments);
@@ -828,9 +853,7 @@ mod tests {
 
     #[test]
     fn direct_reports_a_panic_outside_the_attempts_as_internal_error() {
-        let topic: Topic<Event> = Topic::new("a4nn");
-        let bus = BusTransport::new(&topic);
-        for transport in [&DirectTransport as &dyn Transport, &bus] {
+        for transport in [&DirectTransport as &dyn Transport, &BusTransport] {
             let factory = ProbeFactory {
                 poisoned: Some(4),
                 ..ProbeFactory::default()
@@ -849,16 +872,81 @@ mod tests {
         let cfg = WorkflowConfig::a4nn(BeamIntensity::Medium, 1, 3);
         let space = cfg.search_space();
         let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
-        let ft = FaultTolerance::default();
-        let pipeline = EvalPipeline::new(&cfg, &space, &factory, None, &ft);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let genomes = vec![space.random_genome(&mut rng)];
+        let genome = space.random_genome(&mut rand::rngs::StdRng::seed_from_u64(3));
         let topic: Topic<Event> = Topic::new("a4nn");
         topic.close();
-        let err = pipeline
-            .run(&BusTransport::new(&topic), &genomes, 0, 0)
-            .unwrap_err();
+        let mut link = BusLink::new(&topic, 0, true);
+        let ft = FaultTolerance::default();
+        let err =
+            train_resilient_direct(&cfg, &factory, &genome, 0, None, &ft, &mut link).unwrap_err();
         assert!(matches!(err, A4nnError::BusClosed(_)), "got {err}");
+    }
+
+    /// The engine service answers bus links exactly as standalone
+    /// [`InlineEngine`]s answer the same inputs: model 7 through an
+    /// injected crash at epoch 3, an epoch trained on after it, and a
+    /// retry whose epoch 1 starts a fresh engine; model 8, beside it,
+    /// unharmed.
+    #[test]
+    fn engine_service_answers_like_an_inline_engine() {
+        let config = EngineConfig::paper_defaults();
+        let plan = FaultPlan::new(vec![a4nn_faults::FaultEvent::EngineDrop {
+            model: 7,
+            epoch: 3,
+        }]);
+        let topic: Topic<Event> = Topic::new("a4nn");
+        let inbox = topic.subscribe_filtered(Policy::Unbounded, |event| {
+            matches!(event, Event::Epoch { .. })
+        });
+        let mut links: HashMap<u64, _> = HashMap::from([7, 8].map(|model| {
+            let reference = InlineEngine::new(Some(&config), Some((&plan, model)));
+            (model, (BusLink::new(&topic, model, true), reference))
+        }));
+        let inputs = [
+            (7, 1, 40.0),
+            (8, 1, 40.0),
+            (7, 2, 55.0),
+            (8, 2, 55.0),
+            (7, 3, 63.0), // model 7's engine crashes
+            (8, 3, 63.0),
+            (7, 4, 68.0),
+            (8, 4, 68.0),
+            (7, 1, 41.0), // model 7's retry
+            (7, 2, 56.0),
+        ];
+        let mut answers = Vec::new();
+        std::thread::scope(|scope| {
+            let service = scope.spawn(|| serve_engines(&topic, &inbox, &config, &plan));
+            for (model, epoch, val_acc) in inputs {
+                let (link, reference) = links.get_mut(&model).unwrap();
+                let result = EpochResult {
+                    train_acc: val_acc + 1.0,
+                    val_acc,
+                    duration_s: 2.0,
+                };
+                let verdict = link.observe(epoch, &result).unwrap();
+                assert_eq!(verdict, reference.observe(epoch, &result).unwrap());
+                // Seconds are wall time; the interaction count is exact.
+                assert_eq!(link.stats().1, reference.stats().1);
+                answers.push((model, verdict.prediction.is_some(), link.stats()));
+            }
+            topic.close();
+            service.join().unwrap();
+        });
+        let trail = |model: u64| -> Vec<(bool, (f64, u64))> {
+            let of_model = answers.iter().filter(|a| a.0 == model);
+            of_model
+                .map(|&(_, predicted, stats)| (predicted, stats))
+                .collect()
+        };
+        let (seven, eight) = (trail(7), trail(8));
+        let interactions = |t: &[(bool, (f64, u64))]| t.iter().map(|a| a.1 .1).collect::<Vec<_>>();
+        assert_eq!(interactions(&seven), [1, 2, 2, 2, 1, 2]);
+        assert_eq!(interactions(&eight), [1, 2, 3, 4]);
+        assert!(seven.iter().all(|a| !a.0), "model 7 never reaches a fit");
+        assert!(eight[2].0 && eight[3].0, "model 8 predicts from epoch 3");
+        // Model 7's stats freeze at the crash, seconds included.
+        assert_eq!((seven[2].1, seven[3].1), (seven[1].1, seven[1].1));
     }
 
     #[test]

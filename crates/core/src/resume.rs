@@ -180,6 +180,16 @@ impl SearchSnapshot {
                 manifest.config_hash, expected
             )));
         }
+        // Only the bare name `save` writes: `Path::join` with an absolute
+        // or `..` path would leave the run directory.
+        if !is_state_file_name(&manifest.state_file) {
+            return Err(A4nnError::Checkpoint(format!(
+                "{} names state file {:?}; expected search_state_g<NNNN>.json in the run \
+                 directory",
+                manifest_path.display(),
+                manifest.state_file
+            )));
+        }
         let state_path = dir.join(&manifest.state_file);
         let bytes = std::fs::read(&state_path)
             .map_err(|e| A4nnError::Checkpoint(format!("reading {}: {e}", state_path.display())))?;
@@ -200,6 +210,13 @@ impl SearchSnapshot {
         }
         Ok(state)
     }
+}
+
+/// Whether `name` is a bare `search_state_g<digits>.json` file name.
+fn is_state_file_name(name: &str) -> bool {
+    name.strip_prefix("search_state_g")
+        .and_then(|rest| rest.strip_suffix(".json"))
+        .is_some_and(|digits| !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()))
 }
 
 /// A cancellation hook consulted after each generation boundary commits:

@@ -81,32 +81,21 @@ pub struct AttemptProgress {
 /// Algorithm 1's per-epoch hand-off between a trainer and the prediction
 /// engine, wherever the engine runs: [`InlineEngine`] in the trainer's own
 /// thread (Direct and socket transports) or a link to the engine service
-/// behind a bus topic (`pipeline`'s Bus transport). The training and
-/// retry loops see only this seam, so every transport records the same
-/// trails. Every attempt starts at epoch 1, and a link starts the
-/// attempt's engine state afresh there.
+/// behind a bus topic (`pipeline`'s Bus transport), which hosts the same
+/// [`InlineEngine`] per model. The training and retry loops see only this
+/// seam, so every transport records the same trails. Every attempt
+/// starts at epoch 1, and a link starts the attempt's engine state afresh
+/// there.
 pub trait EngineLink {
     /// Hand epoch `epoch`'s measurements to the engine and return its
-    /// verdict. A link whose engine is gone (disabled, crashed, retired)
-    /// answers [`Verdict::default`]. `Err` only when the link's own
-    /// machinery broke (a closed bus).
+    /// verdict. A link whose engine is gone (disabled or crashed) answers
+    /// [`Verdict::default`]. `Err` only when the link's own machinery
+    /// broke (a closed bus).
     fn observe(&mut self, epoch: u32, result: &EpochResult) -> Result<Verdict, A4nnError>;
 
     /// `(engine_seconds, engine_interactions)` of the current attempt —
     /// frozen at the crash point if the engine died under it.
     fn stats(&self) -> (f64, u64);
-
-    /// The current attempt died after `epoch_reached` completed epochs;
-    /// `will_retry` says whether another attempt follows. A link with no
-    /// one to tell ignores it.
-    fn attempt_died(
-        &mut self,
-        _attempt: u32,
-        _epoch_reached: u32,
-        _will_retry: bool,
-    ) -> Result<(), A4nnError> {
-        Ok(())
-    }
 }
 
 /// The prediction engine running inline in the trainer's thread.
@@ -114,7 +103,8 @@ pub trait EngineLink {
 /// An engine crash — injected through the fault plan's `EngineDrop`
 /// sites, or organic — is caught here: the engine stops answering with
 /// its stats frozen at the crash and the rest of the attempt trains to
-/// completion, the same protocol the bus engine service follows.
+/// completion. This is the one crash protocol: the Bus transport's
+/// engine service hosts one of these per model.
 pub struct InlineEngine<'a> {
     config: Option<&'a EngineConfig>,
     faults: Option<(&'a FaultPlan, u64)>,

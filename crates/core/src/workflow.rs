@@ -15,7 +15,6 @@ use crate::pipeline::{
 };
 use crate::resume::{config_hash, RunControl, SearchSnapshot, SNAPSHOT_VERSION};
 use crate::trainer::TrainerFactory;
-use a4nn_bus::{EngineFaultHook, Event, Policy, PredictionEngineService, Topic};
 use a4nn_error::A4nnError;
 use a4nn_genome::{Genome, SearchSpace};
 use a4nn_lineage::{DataCommons, ModelRecord};
@@ -32,9 +31,9 @@ pub enum Orchestration<'a> {
     /// seed path).
     #[default]
     Direct,
-    /// The a4nn-bus event bus: trainers publish per-epoch fitness and
-    /// the prediction engine answers as a subscribed service thread
-    /// (§2.2's in-situ task coupling).
+    /// An `a4nn-bus` topic per generation: trainers publish per-epoch
+    /// fitness and the prediction engine answers as a subscribed service
+    /// thread (§2.2's in-situ task coupling).
     Bus,
     /// A transport constructed outside this crate — `a4nn-net`'s
     /// `SocketTransport`, which shards each generation's jobs across
@@ -98,9 +97,8 @@ pub struct RunOutput {
     /// retries, round-trip and queue-wait wall times, read from
     /// [`metrics`](Self::metrics) — both halves of a resumed run.
     pub transport_stats: TransportStats,
-    /// Failure accounting: retries consumed, models failed/recovered,
-    /// and the injected laggard's delivery counters. Quiet (all zero)
-    /// on a fault-free run.
+    /// Failure accounting: retries consumed and models failed/recovered.
+    /// Quiet (all zero) on a fault-free run.
     pub fault_stats: FaultStats,
     /// The structured metrics registry's final state: counters and
     /// histograms accumulated across the whole run (both halves, when
@@ -187,66 +185,11 @@ impl A4nnWorkflow {
         let pipeline = EvalPipeline::new(&self.config, &self.space, factory, checkpoints, &ft);
         let transport: &dyn Transport = match orchestration {
             Orchestration::Direct => &DirectTransport,
+            Orchestration::Bus => &BusTransport,
             Orchestration::External(transport) => transport,
-            Orchestration::Bus => return self.run_on_bus(&pipeline, &control, resume),
         };
         let totals = self.run_loop(&pipeline, transport, &control, resume)?;
         Ok(totals.into_run_output(&pipeline, transport.name()))
-    }
-
-    /// The bus-orchestrated run: spawn the engine service on a fresh
-    /// topic, drive the loop through a [`BusTransport`], then drain the
-    /// service. The commons is the pipeline's records, as on every
-    /// transport.
-    fn run_on_bus(
-        &self,
-        pipeline: &EvalPipeline<'_>,
-        control: &RunControl<'_>,
-        resume: Option<SearchSnapshot>,
-    ) -> Result<RunOutput, A4nnError> {
-        let ft = pipeline.fault_tolerance();
-        let topic: Topic<Event> = Topic::new("a4nn");
-        let engine_service = self.config.engine.clone().map(|engine| {
-            // Injected engine crashes ride in through the service's
-            // fault hook, driven by the same deterministic plan the
-            // direct path consults inline.
-            let hook: Option<EngineFaultHook> = ft.plan.has_engine_faults().then(|| {
-                let plan = ft.plan.clone();
-                Box::new(move |model: u64, epoch: u32| plan.engine_dropped(model, epoch))
-                    as EngineFaultHook
-            });
-            PredictionEngineService::spawn_hooked(&topic, engine, hook)
-        });
-        // The plan's lagging subscriber: a slow, lossy consumer that
-        // exercises backpressure isolation without being able to perturb
-        // the run's results.
-        let laggard = ft.plan.subscriber_lag().map(|(capacity, delay_millis)| {
-            let inbox = topic.subscribe(Policy::DropOldest { capacity });
-            std::thread::spawn(move || {
-                while inbox.recv().is_ok() {
-                    std::thread::sleep(std::time::Duration::from_millis(delay_millis));
-                }
-                inbox.stats()
-            })
-        });
-        let transport = BusTransport::new(&topic);
-        let loop_result = self.run_loop(pipeline, &transport, control, resume);
-        // Always close and drain the service — even when the loop failed
-        // — so no thread is left blocked; then surface the loop's error
-        // ahead of the join error.
-        topic.close();
-        let engine_join = engine_service.map(|service| service.join()).transpose();
-        let totals = loop_result?;
-        engine_join?;
-        let mut out = totals.into_run_output(pipeline, transport.name());
-        out.fault_stats.laggard =
-            match laggard {
-                Some(handle) => Some(handle.join().map_err(|_| {
-                    A4nnError::Internal("laggard subscriber thread panicked".into())
-                })?),
-                None => None,
-            };
-        Ok(out)
     }
 
     /// The NSGA-Net generational loop, training each generation batch

@@ -1,10 +1,10 @@
 //! # a4nn-faults — deterministic fault-injection plans
 //!
 //! Test support for the A4NN fault-tolerance layer: a [`FaultPlan`] is a
-//! seeded, deterministic schedule of faults that both orchestration
-//! modes (`Direct` and `Bus`) accept and replay identically, so the
-//! chaos suite can assert that the two coupling mechanisms survive the
-//! same faults with byte-identical surviving-model commons.
+//! seeded, deterministic schedule of faults that every transport
+//! (`Direct`, `Bus` and socket) accepts and replays identically, so the
+//! chaos suite can assert that the coupling mechanisms survive the same
+//! faults with byte-identical surviving-model commons.
 //!
 //! Fault classes ([`FaultEvent`]):
 //!
@@ -17,9 +17,6 @@
 //! - [`EngineDrop`](FaultEvent::EngineDrop) — the prediction engine
 //!   crashes for one model from a given epoch on; training degrades to
 //!   run-to-completion (standalone semantics) instead of deadlocking;
-//! - [`SubscriberLag`](FaultEvent::SubscriberLag) — a slow lossy
-//!   bus subscriber rides along (bus mode only); isolation demands it
-//!   never perturbs results;
 //! - [`WorkerDrop`](FaultEvent::WorkerDrop) — a remote worker drops its
 //!   coordinator connection mid-job (socket mode only); the coordinator
 //!   must requeue the job elsewhere with identical results;
@@ -69,16 +66,6 @@ pub enum FaultEvent {
         model: u64,
         /// 1-based epoch from which the engine is gone.
         epoch: u32,
-    },
-    /// A slow, lossy subscriber (DropOldest with `capacity`, consuming
-    /// one event per `delay_millis`) is attached to the bus for the whole
-    /// run. Direct mode has no bus and ignores it; results must be
-    /// identical either way.
-    SubscriberLag {
-        /// Queue capacity of the laggard's subscription.
-        capacity: usize,
-        /// Real milliseconds the laggard sleeps per consumed event.
-        delay_millis: u64,
     },
     /// The worker process training `model` drops its coordinator
     /// connection when training reaches `epoch`, for the first `drops`
@@ -131,8 +118,6 @@ pub struct ChaosSpec {
     pub stall_rate: f64,
     /// Probability that a model gets an `EngineDrop` fault.
     pub engine_drop_rate: f64,
-    /// Whether to attach a `SubscriberLag` fault.
-    pub subscriber_lag: bool,
 }
 
 impl Default for ChaosSpec {
@@ -144,7 +129,6 @@ impl Default for ChaosSpec {
             max_failures: 2,
             stall_rate: 0.15,
             engine_drop_rate: 0.1,
-            subscriber_lag: true,
         }
     }
 }
@@ -197,12 +181,6 @@ impl FaultPlan {
                 });
             }
         }
-        if spec.subscriber_lag {
-            events.push(FaultEvent::SubscriberLag {
-                capacity: rng.gen_range(1..=4usize),
-                delay_millis: 1,
-            });
-        }
         FaultPlan { events }
     }
 
@@ -235,25 +213,6 @@ impl FaultPlan {
         self.events.iter().any(|e| {
             matches!(e, FaultEvent::EngineDrop { model: m, epoch: ep }
                 if *m == model && epoch >= *ep)
-        })
-    }
-
-    /// Whether the plan schedules any engine crash at all.
-    pub fn has_engine_faults(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::EngineDrop { .. }))
-    }
-
-    /// The laggard-subscriber fault, if scheduled: `(capacity,
-    /// delay_millis)`.
-    pub fn subscriber_lag(&self) -> Option<(usize, u64)> {
-        self.events.iter().find_map(|e| match e {
-            FaultEvent::SubscriberLag {
-                capacity,
-                delay_millis,
-            } => Some((*capacity, *delay_millis)),
-            _ => None,
         })
     }
 
@@ -295,31 +254,6 @@ impl FaultPlan {
             })
             .sum()
     }
-
-    /// Whether the plan schedules any worker-side (connection/heartbeat)
-    /// fault at all.
-    pub fn has_worker_faults(&self) -> bool {
-        self.events.iter().any(|e| {
-            matches!(
-                e,
-                FaultEvent::WorkerDrop { .. } | FaultEvent::WorkerStall { .. }
-            )
-        })
-    }
-
-    /// Highest dispatch attempt any single `WorkerDrop` site can kill —
-    /// the coordinator needs strictly more dispatch attempts than this
-    /// (plus a live worker) to guarantee the job completes somewhere.
-    pub fn max_worker_drops(&self) -> u32 {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::WorkerDrop { drops, .. } => Some(*drops),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -333,7 +267,6 @@ mod tests {
         assert!(!p.panic_due(0, 1, 1));
         assert_eq!(p.stall_millis(0, 1), 0);
         assert!(!p.engine_dropped(0, 25));
-        assert!(p.subscriber_lag().is_none());
         assert_eq!(p.max_failures(), 0);
     }
 
@@ -359,7 +292,6 @@ mod tests {
         assert!(p.engine_dropped(1, 4));
         assert!(p.engine_dropped(1, 25));
         assert!(!p.engine_dropped(2, 4));
-        assert!(p.has_engine_faults());
     }
 
     #[test]
@@ -416,7 +348,6 @@ mod tests {
                     assert!(*model < 32);
                     assert!((1..=6).contains(epoch));
                 }
-                FaultEvent::SubscriberLag { capacity, .. } => assert!(*capacity >= 1),
                 FaultEvent::WorkerDrop { .. } | FaultEvent::WorkerStall { .. } => {
                     panic!("seeded plans never schedule worker-side faults")
                 }
@@ -436,8 +367,6 @@ mod tests {
         assert!(!p.worker_drop_due(4, 3, 3));
         assert!(!p.worker_drop_due(4, 2, 1));
         assert!(!p.worker_drop_due(5, 3, 1));
-        assert!(p.has_worker_faults());
-        assert_eq!(p.max_worker_drops(), 2);
         // Worker faults are invisible to the in-process injection sites.
         assert!(!p.panic_due(4, 3, 1));
         assert_eq!(p.stall_millis(4, 3), 0);
@@ -460,8 +389,6 @@ mod tests {
         ]);
         assert_eq!(p.worker_stall_millis(1, 2), 100);
         assert_eq!(p.worker_stall_millis(1, 3), 0);
-        assert!(p.has_worker_faults());
-        assert_eq!(p.max_worker_drops(), 0);
     }
 
     #[test]

@@ -111,10 +111,6 @@ impl Router {
         self.slots.lock()[i].alive = false;
         self.changed.notify_all();
     }
-
-    fn any_alive(&self) -> bool {
-        self.slots.lock().iter().any(|s| s.alive)
-    }
 }
 
 /// Reply routing for one connection. `alive` lives under the same lock
@@ -293,11 +289,6 @@ impl SocketTransport {
     /// removed, only marked dead).
     pub fn worker_count(&self) -> usize {
         self.connections.len()
-    }
-
-    /// Whether at least one worker connection is still live.
-    pub fn any_alive(&self) -> bool {
-        self.router.any_alive()
     }
 
     /// Total advertised job slots across all workers.

@@ -151,18 +151,4 @@ impl ModelRepo {
         let nets = self.models.into_iter().map(|m| m.net).collect();
         (infos, default_idx, nets)
     }
-
-    /// Resolve a client's model pick to an index into [`models`](Self::models).
-    pub fn resolve(&self, model_id: Option<u64>) -> Result<usize, A4nnError> {
-        match model_id {
-            None => Ok(self.default_idx),
-            Some(id) => self
-                .models
-                .iter()
-                .position(|m| m.info.model_id == id)
-                .ok_or_else(|| {
-                    A4nnError::Config(format!("model {id} is not on the served Pareto front"))
-                }),
-        }
-    }
 }

@@ -37,16 +37,6 @@ impl Default for XfelConfig {
     }
 }
 
-impl XfelConfig {
-    /// A slightly larger detector for the examples.
-    pub fn with_detector(detector: usize) -> Self {
-        XfelConfig {
-            detector,
-            ..Default::default()
-        }
-    }
-}
-
 /// Generate `n_per_class` images per conformation at the given beam
 /// intensity. Classes alternate (A, B, A, B, …) so positional splits stay
 /// balanced; every image gets an independent orientation and noise stream

@@ -477,6 +477,28 @@ fn survivors_outside_the_records_are_refused_with_exit_5() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A manifest whose `state_file` leaves the run directory — here by
+/// absolute path, to a valid state file of the same configuration — is
+/// refused: a resume reads only its own run directory.
+#[test]
+fn state_file_outside_the_run_directory_is_refused_with_exit_5() {
+    let config = micro_config(2023);
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_snapshot");
+    let foreign = fixture.join("search_state_g0001.json");
+    let foreign = serde_json::to_string(&foreign.to_str().unwrap()).unwrap();
+    let manifest = std::fs::read_to_string(fixture.join("resume_manifest.json"))
+        .unwrap()
+        .replace("\"search_state_g0001.json\"", &foreign);
+    let dir = tmp_dir("foreign-state");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("resume_manifest.json"), manifest).unwrap();
+
+    let err = SearchSnapshot::load(&dir, &config).unwrap_err();
+    assert!(matches!(err, A4nnError::Checkpoint(_)), "got {err}");
+    assert_eq!(err.exit_code(), 5);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A boundary-1 snapshot of `micro_config(2023)` written before the
 /// snapshot stopped storing the archive, the duplicate filter and the id
 /// counter: those keys are ignored, the state is rebuilt from the

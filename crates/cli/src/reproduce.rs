@@ -4,7 +4,10 @@
 //!
 //! The sections share one memoised set of surrogate searches, keyed by
 //! driver and configuration fingerprint, so each distinct search runs
-//! once: 38 in all. Every number becomes a row of `DIR/reproduction.json`
+//! once: 15 in all. The engine ablations run no search of their own: they
+//! replay the engine over every complete curve of each beam's standalone
+//! search, which also gives the truth at `e_pred` for every model the
+//! engine stops. Every number becomes a row of `DIR/reproduction.json`
 //! beside the paper's value (`null` where the paper gives none). Every
 //! shape statement becomes a claim: a predicate over the rows, listed with
 //! the result it gave when it was recorded. The command exits 3 naming
@@ -20,9 +23,10 @@ use crate::commands::CommandError;
 use a4nn_core::prelude::*;
 use a4nn_core::{config_hash, AgingEvolutionWorkflow, RandomSearchWorkflow};
 use a4nn_lineage::{feature_fitness_correlations, fitness_cmp, shape_census, success_contrast};
-use a4nn_penguin::ParametricCurve;
+use a4nn_nn::Dataset;
+use a4nn_penguin::{replay, ParametricCurve};
 use a4nn_sched::{schedule_generations, Task, TaskOrdering};
-use a4nn_xfel::generate_split;
+use a4nn_xfel::{generate_dataset, generate_split};
 use rand::{rngs::StdRng, SeedableRng};
 use serde_json::Value;
 use std::collections::HashMap;
@@ -59,35 +63,39 @@ const PAPER: &[(&str, [f64; 3])] = &[
 
 /// Every claim: its id, the result it gave when it was recorded, and the
 /// shape it states. `holds` computes each from the rows. The curve-family
-/// ablation has none: §6 leaves that question open.
+/// ablation claims nothing across families (§6 leaves that question open);
+/// the `audit` claims read its paper-default cell.
 const CLAIMS: &str = "
-fig2.terminates_mid_training       true  a medium-beam model stops between C_min and e_pred
-fig6.best_acc_matches.low          true  the A4NN front's best accuracy >= the standalone front's
-fig6.best_acc_matches.medium       true  the A4NN front's best accuracy >= the standalone front's
-fig6.best_acc_matches.high         true  the A4NN front's best accuracy >= the standalone front's
-fig6.weak_dominance.low            false an A4NN front point weakly dominates each standalone one
-fig6.weak_dominance.medium         false an A4NN front point weakly dominates each standalone one
-fig6.weak_dominance.high           false an A4NN front point weakly dominates each standalone one
-fig7.all_save                      true  every beam saves more than 0 epochs
-fig7.low_least_medium_most         true  low beam saves the fewest epochs and medium the most
-fig7.gpu_invariant                 true  4-GPU epochs equal 1-GPU epochs on every beam
-fig7.standalone_2500               true  standalone NSGA-Net trains exactly 2,500 epochs
-fig8.mean_et_falls                 true  mean e_t falls from low to medium to high beam
-fig8.medium_most_terminated        true  medium beam terminates the largest share early
-fig9.low_saves_fewest_hours        true  low beam saves the fewest wall hours
-fig9.speedup_sublinear             true  the 1->4 GPU speedup lies strictly within (1, 4)
-overhead.negligible                true  engine time per interaction < 1% of the mean epoch
-table3.a4nn_ge_xpsi                true  A4NN accuracy >= XPSI accuracy on every beam
-table3.gap_largest_on_low          true  A4NN's lead over XPSI is largest on low beam
-table3.a4nn_monotone               true  A4NN accuracy is non-decreasing in beam
-table3.xpsi_monotone               false XPSI accuracy is non-decreasing in beam
-ablation.engine_params.r_tradeoff  true  for each N, a larger r trains fewer epochs at larger MAE
-ablation.flops_accuracy.weak       true  |r(FLOPs, accuracy)| < 0.3 for both modes on every beam
-ablation.structure.weak            true  |r(feature, fitness)| < 0.3 for every feature and beam
-ablation.scheduler.lpt_le_fifo     true  LPT's makespan <= FIFO's at 1, 2, 4 and 8 GPUs
-ablation.scheduler.idle_tail_grows true  FIFO's idle tail is non-decreasing in the GPU count
-ablation.nas_drivers.all_save      true  every driver saves epochs on every beam
-ablation.nas_drivers.nsga_cheapest true  NSGA-Net's cheapest near-best model beats both others'
+fig2.terminates_mid_training        true  a medium-beam model stops between C_min and e_pred
+fig6.best_acc_matches.low           true  the A4NN front's best accuracy >= the standalone front's
+fig6.best_acc_matches.medium        true  the A4NN front's best accuracy >= the standalone front's
+fig6.best_acc_matches.high          true  the A4NN front's best accuracy >= the standalone front's
+fig6.weak_dominance.low             false an A4NN front point weakly dominates each standalone one
+fig6.weak_dominance.medium          false an A4NN front point weakly dominates each standalone one
+fig6.weak_dominance.high            false an A4NN front point weakly dominates each standalone one
+fig7.all_save                       true  every beam saves more than 0 epochs
+fig7.low_least_medium_most          true  low beam saves the fewest epochs and medium the most
+fig7.gpu_invariant                  true  4-GPU epochs equal 1-GPU epochs on every beam
+fig7.standalone_2500                true  standalone NSGA-Net trains exactly 2,500 epochs
+fig8.mean_et_falls                  true  mean e_t falls from low to medium to high beam
+fig8.medium_most_terminated         true  medium beam terminates the largest share early
+fig9.low_saves_fewest_hours         true  low beam saves the fewest wall hours
+fig9.speedup_sublinear              true  the 1->4 GPU speedup lies strictly within (1, 4)
+overhead.negligible                 true  engine time per interaction < 1% of the mean epoch
+table3.a4nn_ge_xpsi                 true  A4NN accuracy >= XPSI accuracy on every beam
+table3.gap_largest_on_low           true  A4NN's lead over XPSI is largest on low beam
+table3.a4nn_monotone                false A4NN accuracy is non-decreasing in beam
+table3.xpsi_monotone                true  XPSI accuracy is non-decreasing in beam
+audit.engine_beats_last_seen.low    true  the engine's stops predict e_pred's accuracy better than last-seen
+audit.engine_beats_last_seen.medium true  the engine's stops predict e_pred's accuracy better than last-seen
+audit.engine_beats_last_seen.high   true  the engine's stops predict e_pred's accuracy better than last-seen
+ablation.engine_params.r_tradeoff   true  for each N, a larger r trains fewer epochs at larger MAE
+ablation.flops_accuracy.weak        true  |r(FLOPs, accuracy)| < 0.3 for both modes on every beam
+ablation.structure.weak             true  |r(feature, fitness)| < 0.3 for every feature and beam
+ablation.scheduler.lpt_le_fifo      true  LPT's makespan <= FIFO's at 1, 2, 4 and 8 GPUs
+ablation.scheduler.idle_tail_grows  true  FIFO's idle tail is non-decreasing in the GPU count
+ablation.nas_drivers.all_save       true  every driver saves epochs on every beam
+ablation.nas_drivers.nsga_cheapest  true  NSGA-Net's cheapest near-best model beats both others'
 ";
 
 /// The NAS policy driving a search.
@@ -132,15 +140,6 @@ impl Runs {
 
     fn standalone(&mut self, beam: BeamIntensity) -> Run {
         self.run(Driver::NsgaNet, WorkflowConfig::standalone(beam, SEED))
-    }
-
-    /// A4NN on one GPU with its engine configuration edited.
-    fn tuned(&mut self, beam: BeamIntensity, edit: impl FnOnce(&mut EngineConfig)) -> Run {
-        let mut config = WorkflowConfig::a4nn(beam, 1, SEED);
-        if let Some(engine) = config.engine.as_mut() {
-            edit(engine);
-        }
-        self.run(Driver::NsgaNet, config)
     }
 }
 
@@ -204,14 +203,14 @@ fn fig2(r: &mut Report) -> Result<(), A4nnError> {
     let genome = config.search_space().random_genome(&mut rng);
     let engine = EngineConfig::paper_defaults();
     let converges = |model_id: u64| {
-        let mut predictor = PredictionEngine::new(engine.clone());
         let mut trainer = factory.make(&genome, model_id, SEED);
-        let (epoch, predicted) = (1..=engine.e_pred).find_map(|e| {
-            predictor.observe(e, trainer.train_epoch(e).val_acc);
-            predictor.step().map(|p| (e, p))
-        })?;
+        let curve: Vec<_> = (1..=engine.e_pred)
+            .map(|e| (e, trainer.train_epoch(e).val_acc))
+            .collect();
+        let run = replay(&engine, &curve);
+        let (epoch, predicted) = (run.epochs(), run.converged?);
         let mid_training = (9..=15).contains(&epoch);
-        mid_training.then_some([model_id as f64, f64::from(epoch), predicted])
+        mid_training.then_some([model_id as f64, epoch as f64, predicted])
     };
     let no_model = || A4nnError::Internal("fig2: no model of 200 stops at epochs 9-15".into());
     let [model_id, epoch, predicted] = (0..200).find_map(converges).ok_or_else(no_model)?;
@@ -311,12 +310,17 @@ fn paper_defaults(runs: &mut Runs, r: &mut Report, beam: BeamIntensity) -> Resul
     Ok(())
 }
 
-/// Table 3: XPSI trained for real on the synthetic diffraction data,
-/// against the better of A4NN's two most accurate Pareto models trained
-/// for real on the same data. A4NN's hours are the `fig9` rows.
+/// Table 3: XPSI against the better of A4NN's two most accurate Pareto
+/// models, both trained for real on the synthetic diffraction data and
+/// scored once on a held-out test set. A4NN picks its model and epoch on
+/// the validation split, then retrains that model with the test set as
+/// its validation set. A4NN's hours are the `fig9` rows.
 fn table3(runs: &mut Runs, r: &mut Report, beam: BeamIntensity) -> Result<(), A4nnError> {
     let epochs = 12;
-    let (train, test) = generate_split(&XfelConfig::default(), beam, 300, SEED);
+    let xfel = XfelConfig::default();
+    let (train, val) = generate_split(&xfel, beam, 300, SEED);
+    // 1 000 images of the same two conformations, under a new image seed.
+    let test = Arc::new(generate_dataset(&xfel, beam, 500, SEED + 1));
     let config = a4nn_xpsi::XpsiConfig {
         epochs,
         seed: SEED,
@@ -324,22 +328,40 @@ fn table3(runs: &mut Runs, r: &mut Report, beam: BeamIntensity) -> Result<(), A4
     };
     let xpsi = a4nn_xpsi::XpsiFramework::new(config).run(&train, &test);
     let search = runs.a4nn(beam, 1)?;
-    let (hyper, space) = (TrainingHyperparams::default(), search.config.search_space());
-    let factory = RealTrainerFactory::new(space, Arc::new(train), Arc::new(test), hyper);
-    let best_epoch = |m: &&ModelRecord| {
+    let train = Arc::new(train);
+    // Each epoch's `(train_acc, val_acc)` of `m` through `epoch`, validated on `val`.
+    let trail = |val: &Arc<Dataset>, m: &ModelRecord, epoch: usize| {
+        let (space, hyper) = (search.config.search_space(), TrainingHyperparams::default());
+        let factory = RealTrainerFactory::new(space, Arc::clone(&train), Arc::clone(val), hyper);
         let mut trainer = factory.make(&m.genome, m.model_id, SEED);
-        let accuracy = (1..=epochs as u32).map(|e| trainer.train_epoch(e).val_acc);
-        accuracy.fold(0.0, f64::max)
+        (1..=epoch as u32)
+            .map(|e| trainer.train_epoch(e))
+            .map(|r| (r.train_acc, r.val_acc))
+            .collect::<Vec<_>>()
     };
-    let candidates = front_by_fitness(&search)?;
-    let a4nn = candidates
+    let (val, front) = (Arc::new(val), front_by_fitness(&search)?);
+    let trails: Vec<_> = front
         .iter()
         .take(2)
-        .map(best_epoch)
-        .fold(0.0, f64::max);
+        .map(|m| trail(&val, m, epochs))
+        .collect();
+    // The first highest validation reading, as (val_acc, candidate, epoch).
+    let readings = trails.iter().enumerate().flat_map(|(i, trail)| {
+        let epochs = trail.iter().enumerate();
+        epochs.map(move |(e, &(_, acc))| (acc, i, e + 1))
+    });
+    let first_max = |best: (f64, _, _), x: (f64, _, _)| if x.0 > best.0 { x } else { best };
+    let empty = || A4nnError::Internal("table3: empty Pareto front".into());
+    let (_, i, epoch) = readings.reduce(first_max).ok_or_else(empty)?;
+    let tested = trail(&test, front[i], epoch);
+    let train_acc = |t: &[(f64, f64)]| t.iter().map(|r| r.0.to_bits()).collect::<Vec<_>>();
+    if train_acc(&tested) != train_acc(&trails[i][..epoch]) {
+        let msg = format!("table3: model {} trained differently", front[i].model_id);
+        return Err(A4nnError::Internal(msg));
+    }
     let values = [
         ("xpsi_s", xpsi.wall_seconds),
-        ("a4nn_acc", a4nn),
+        ("a4nn_acc", tested[epoch - 1].1),
         ("xpsi_acc", xpsi.accuracy),
     ];
     r.rows(beam, "table3", &values);
@@ -362,15 +384,38 @@ fn fig10(runs: &mut Runs, r: &mut Report) -> Result<(), A4nnError> {
     Ok(())
 }
 
-/// Epochs, savings, early terminations and prediction error of one
-/// engine configuration.
-fn engine_rows(r: &mut Report, beam: BeamIntensity, prefix: &str, out: &RunOutput) {
-    let analyzer = Analyzer::new(&out.commons);
+/// One engine configuration replayed over every complete curve of a
+/// standalone search: epochs, savings, early terminations and, over the
+/// stopped curves, the stop gap |prediction − accuracy at the stop|
+/// (`pred_mae`), the error against the accuracy at `e_pred` (`true_mae`),
+/// and that of the accuracy at the stop (`last_seen_mae`).
+fn replay_rows(
+    r: &mut Report,
+    beam: BeamIntensity,
+    prefix: &str,
+    models: &[ModelRecord],
+    engine: &EngineConfig,
+) {
+    let (mut epochs, mut budget, mut errors) = (0, 0, Vec::new());
+    for m in models {
+        let curve = m.learning_curve();
+        let run = replay(engine, &curve);
+        (epochs, budget) = (epochs + run.epochs(), budget + curve.len());
+        let truth = curve.iter().find(|(e, _)| *e == engine.e_pred);
+        if let (Some(predicted), Some(&(_, truth))) = (run.converged, truth) {
+            let seen = curve[run.epochs() - 1].1;
+            errors.push([predicted - seen, predicted - truth, seen - truth].map(f64::abs));
+        }
+    }
+    let mae = |i: usize| errors.iter().map(|e| e[i]).sum::<f64>() / errors.len() as f64;
+    let stopped = errors.len() as f64 / models.len() as f64;
     let values = [
-        ("epochs", out.total_epochs() as f64),
-        ("saved_pct", out.epochs_saved_pct()),
-        ("terminated_pct", 100.0 * analyzer.early_termination_rate()),
-        ("pred_mae", analyzer.mean_prediction_error().unwrap_or(NAN)),
+        ("epochs", epochs as f64),
+        ("saved_pct", 100.0 * (1.0 - epochs as f64 / budget as f64)),
+        ("terminated_pct", 100.0 * stopped),
+        ("pred_mae", mae(0)),
+        ("true_mae", mae(1)),
+        ("last_seen_mae", mae(2)),
     ];
     r.rows(beam, prefix, &values);
 }
@@ -382,14 +427,14 @@ fn ablation_functions(
     r: &mut Report,
     beam: BeamIntensity,
 ) -> Result<(), A4nnError> {
+    let base = runs.standalone(beam)?;
     for family in CurveFamily::ALL {
-        let out = runs.tuned(beam, |engine| engine.family = family)?;
-        engine_rows(
-            r,
-            beam,
-            &format!("ablation.functions.{}", family.name()),
-            &out,
-        );
+        let engine = EngineConfig {
+            family,
+            ..EngineConfig::paper_defaults()
+        };
+        let prefix = format!("ablation.functions.{}", family.name());
+        replay_rows(r, beam, &prefix, &base.commons.records, &engine);
     }
     Ok(())
 }
@@ -398,18 +443,16 @@ fn ablation_functions(
 /// swept on medium beam.
 fn ablation_engine_params(runs: &mut Runs, r: &mut Report) -> Result<(), A4nnError> {
     let beam = BeamIntensity::Medium;
-    for n in [2, 3, 5] {
+    let base = runs.standalone(beam)?;
+    for n_converge in [2, 3, 5] {
         for tolerance in [0.1, 0.5, 1.0] {
-            let out = runs.tuned(beam, |engine| {
-                engine.n_converge = n;
-                engine.r = tolerance;
-            })?;
-            engine_rows(
-                r,
-                beam,
-                &format!("ablation.engine_params.n{n}_r{tolerance:.1}"),
-                &out,
-            );
+            let engine = EngineConfig {
+                n_converge,
+                r: tolerance,
+                ..EngineConfig::paper_defaults()
+            };
+            let prefix = format!("ablation.engine_params.n{n_converge}_r{tolerance:.1}");
+            replay_rows(r, beam, &prefix, &base.commons.records, &engine);
         }
     }
     Ok(())
@@ -506,6 +549,10 @@ fn holds(r: &Report, id: &str) -> Option<bool> {
         let mut rows = r.rows.iter().filter(|row| row.id.starts_with(prefix));
         rows.all(|row| row.measured.abs() < 0.3)
     };
+    let beats = |i: usize| {
+        let cell = |name: &str| b(&format!("ablation.functions.exp-base.{name}"))[i];
+        cell("true_mae") < cell("last_seen_mae")
+    };
     let sched = |gpus: u32, name: &str| b(&format!("ablation.scheduler.gpus{gpus}.{name}"))[1];
     let drivers = |name: &str| DRIVERS.map(|(_, d)| b(&format!("ablation.nas_drivers.{d}.{name}")));
     let cost = drivers("cheapest_near_best_mflops");
@@ -533,6 +580,9 @@ fn holds(r: &Report, id: &str) -> Option<bool> {
         "table3.gap_largest_on_low" => gap[0] > gap[1] && gap[0] > gap[2],
         "table3.a4nn_monotone" => rising(a4nn),
         "table3.xpsi_monotone" => rising(xpsi),
+        "audit.engine_beats_last_seen.low" => beats(0),
+        "audit.engine_beats_last_seen.medium" => beats(1),
+        "audit.engine_beats_last_seen.high" => beats(2),
         "ablation.engine_params.r_tradeoff" => [2, 3, 5]
             .into_iter()
             .all(|n| traded(n, [0.1, 0.5]) && traded(n, [0.5, 1.0])),
@@ -684,7 +734,7 @@ mod tests {
     #[test]
     fn every_listed_claim_has_a_predicate() {
         let claims = claims(&Report::default()).unwrap();
-        assert_eq!(claims.len(), 27);
+        assert_eq!(claims.len(), 30);
         assert_eq!(claims.iter().filter(|c| !c.expected).count(), 4);
     }
 

@@ -204,13 +204,13 @@ impl<'a> Analyzer<'a> {
         Some(cov / (vx.sqrt() * vy.sqrt()))
     }
 
-    /// Mean absolute prediction error over early-terminated models.
-    pub fn mean_prediction_error(&self) -> Option<f64> {
+    /// Mean [stop gap](ModelRecord::stop_gap) over early-terminated models.
+    pub fn mean_stop_gap(&self) -> Option<f64> {
         let errs: Vec<f64> = self
             .commons
             .records
             .iter()
-            .filter_map(ModelRecord::prediction_error)
+            .filter_map(ModelRecord::stop_gap)
             .collect();
         if errs.is_empty() {
             None
@@ -410,15 +410,15 @@ mod tests {
         assert!(a.pareto_front().unwrap().is_empty());
         assert!(a.best_by_fitness().is_none());
         assert!(a.flops_fitness_correlation().is_none());
-        assert!(a.mean_prediction_error().is_none());
+        assert!(a.mean_stop_gap().is_none());
     }
 
     #[test]
-    fn prediction_error_mean() {
+    fn stop_gap_mean() {
         let c = commons();
         let a = Analyzer::new(&c);
         // Early records have predicted == final_fitness, measured val_acc
-        // = fitness − 1 ⇒ error 1.0 each.
-        assert!((a.mean_prediction_error().unwrap() - 1.0).abs() < 1e-9);
+        // = fitness − 1 ⇒ gap 1.0 each.
+        assert!((a.mean_stop_gap().unwrap() - 1.0).abs() < 1e-9);
     }
 }

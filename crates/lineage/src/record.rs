@@ -162,9 +162,10 @@ impl ModelRecord {
         self.epochs.iter().map(|e| (e.epoch, e.val_acc)).collect()
     }
 
-    /// Prediction error |predicted − last measured fitness|, when a
-    /// prediction exists.
-    pub fn prediction_error(&self) -> Option<f64> {
+    /// The stop gap |predicted − `val_acc` at the stop epoch|, when a
+    /// prediction exists: the distance from the last value seen, not the
+    /// error against the fitness the model would have reached.
+    pub fn stop_gap(&self) -> Option<f64> {
         let predicted = self.predicted_fitness?;
         let measured = self.epochs.last()?.val_acc;
         Some((predicted - measured).abs())
@@ -262,12 +263,12 @@ mod tests {
     }
 
     #[test]
-    fn prediction_error_is_absolute_gap() {
+    fn stop_gap_is_absolute_gap() {
         let r = sample_record(4, true, 10);
         // predicted 90, last measured 58 ⇒ 32.
-        assert_eq!(r.prediction_error(), Some(32.0));
+        assert_eq!(r.stop_gap(), Some(32.0));
         let none = sample_record(5, false, 10);
-        assert_eq!(none.prediction_error(), None);
+        assert_eq!(none.stop_gap(), None);
     }
 
     #[test]

@@ -4,34 +4,18 @@
 //! The analyzer first checks that the most recent `N` predictions are valid
 //! fitness values (the engine uses validation accuracy, so predictions must
 //! lie in `[0, 100]`); any out-of-bounds prediction vetoes convergence.
-//! It then checks stability under a configurable [`ConvergenceRule`] with
-//! tolerance `r` (the paper uses `N = 3`, `r = 0.5`).
+//! It then checks stability: the window's range `max − min` must not
+//! exceed the tolerance `r` (the paper uses `N = 3`, `r = 0.5`).
 
 use serde::{Deserialize, Serialize};
-
-/// How the spread of the last `N` predictions is compared against the
-/// tolerance `r`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ConvergenceRule {
-    /// `max − min ≤ r` over the window — the strictest reading of
-    /// "predictions within a variance threshold" and our default.
-    #[default]
-    Range,
-    /// Sample variance of the window `≤ r`.
-    Variance,
-    /// Sample standard deviation of the window `≤ r`.
-    StdDev,
-}
 
 /// Stateless convergence test over a prediction history.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PredictionAnalyzer {
     /// Number of trailing predictions that must agree (`N`, paper: 3).
     pub window: usize,
-    /// Allowed spread `r` (paper: 0.5).
+    /// Allowed range `max − min` of the window, `r` (paper: 0.5).
     pub tolerance: f64,
-    /// Spread measure.
-    pub rule: ConvergenceRule,
     /// Inclusive fitness bounds; validation accuracy ⇒ `[0, 100]`.
     pub bounds: (f64, f64),
 }
@@ -41,7 +25,6 @@ impl Default for PredictionAnalyzer {
         PredictionAnalyzer {
             window: 3,
             tolerance: 0.5,
-            rule: ConvergenceRule::Range,
             bounds: (0.0, 100.0),
         }
     }
@@ -49,7 +32,7 @@ impl Default for PredictionAnalyzer {
 
 impl PredictionAnalyzer {
     /// Create an analyzer with the paper's settings (`N = 3`, `r = 0.5`,
-    /// bounds `[0, 100]`, range rule).
+    /// bounds `[0, 100]`).
     pub fn paper_defaults() -> Self {
         Self::default()
     }
@@ -72,36 +55,11 @@ impl PredictionAnalyzer {
         if !tail.iter().all(|p| p.is_some_and(|v| self.in_bounds(v))) {
             return false;
         }
-        self.spread_ok(tail)
+        let values = || tail.iter().flatten().copied();
+        let max = values().fold(f64::NEG_INFINITY, f64::max);
+        let min = values().fold(f64::INFINITY, f64::min);
+        max - min <= self.tolerance
     }
-
-    /// Spread test over a window whose entries are all `Some`.
-    fn spread_ok(&self, tail: &[Option<f64>]) -> bool {
-        let values = || tail.iter().flatten();
-        match self.rule {
-            ConvergenceRule::Range => {
-                let max = values().copied().fold(f64::NEG_INFINITY, f64::max);
-                let min = values().copied().fold(f64::INFINITY, f64::min);
-                max - min <= self.tolerance
-            }
-            ConvergenceRule::Variance => sample_variance(tail) <= self.tolerance,
-            ConvergenceRule::StdDev => sample_variance(tail).sqrt() <= self.tolerance,
-        }
-    }
-}
-
-/// Sample variance of a window whose entries are all `Some`.
-fn sample_variance(tail: &[Option<f64>]) -> f64 {
-    let n = tail.len() as f64;
-    if n < 2.0 {
-        return 0.0;
-    }
-    let mean = tail.iter().flatten().sum::<f64>() / n;
-    tail.iter()
-        .flatten()
-        .map(|v| (v - mean) * (v - mean))
-        .sum::<f64>()
-        / (n - 1.0)
 }
 
 #[cfg(test)]
@@ -157,28 +115,6 @@ mod tests {
         let a = PredictionAnalyzer::paper_defaults();
         // Early garbage followed by a stable tail converges.
         assert!(a.converged(&some(&[10.0, 200.0, 95.0, 95.1, 95.2])));
-    }
-
-    #[test]
-    fn variance_rule() {
-        let a = PredictionAnalyzer {
-            rule: ConvergenceRule::Variance,
-            tolerance: 0.05,
-            ..Default::default()
-        };
-        assert!(a.converged(&some(&[95.0, 95.1, 95.2])));
-        assert!(!a.converged(&some(&[94.0, 95.0, 96.0])));
-    }
-
-    #[test]
-    fn stddev_rule() {
-        let a = PredictionAnalyzer {
-            rule: ConvergenceRule::StdDev,
-            tolerance: 0.2,
-            ..Default::default()
-        };
-        assert!(a.converged(&some(&[95.0, 95.1, 95.2])));
-        assert!(!a.converged(&some(&[94.0, 95.0, 96.0])));
     }
 
     #[test]

@@ -49,7 +49,6 @@ impl EngineConfig {
             window: self.n_converge,
             tolerance: self.r,
             bounds: self.bounds,
-            ..Default::default()
         }
     }
 }
@@ -57,32 +56,6 @@ impl EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self::paper_defaults()
-    }
-}
-
-/// Result of a completed engine run over one network's training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum PredictionOutcome {
-    /// Predictions converged at `epoch`; `fitness` is the engine's final
-    /// prediction `P[-1]`, which the NAS treats as the network's fitness.
-    Converged { epoch: u32, fitness: f64 },
-    /// Training ran to the epoch budget; `fitness` is the last *measured*
-    /// validation fitness `h_e` (Algorithm 1, line 20).
-    Exhausted { fitness: f64 },
-}
-
-impl PredictionOutcome {
-    /// The fitness value the NAS should use for selection.
-    pub fn fitness(&self) -> f64 {
-        match self {
-            PredictionOutcome::Converged { fitness, .. } => *fitness,
-            PredictionOutcome::Exhausted { fitness } => *fitness,
-        }
-    }
-
-    /// Whether training was terminated early.
-    pub fn converged(&self) -> bool {
-        matches!(self, PredictionOutcome::Converged { .. })
     }
 }
 
@@ -222,34 +195,40 @@ impl PredictionEngine {
     pub fn stats(&self) -> EngineStats {
         self.stats
     }
+}
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
+/// The engine's verdicts over one recorded learning curve, as [`replay`]
+/// returns them.
+#[derive(Debug, Clone)]
+pub struct Replay {
+    /// The converged prediction `P[-1]`, when the engine stopped the curve.
+    pub converged: Option<f64>,
+    /// The prediction history `P`: one entry per curve point consumed.
+    pub predictions: Vec<Option<f64>>,
+}
+
+impl Replay {
+    /// Curve points consumed: through the stop, or the whole curve.
+    pub fn epochs(&self) -> usize {
+        self.predictions.len()
     }
+}
 
-    /// Drive a complete training loop (Algorithm 1) over a closure that
-    /// trains one epoch and returns the measured validation fitness.
-    ///
-    /// `train_epoch(e)` is called for `e = 1..=max_epochs`; the loop breaks
-    /// as soon as the analyzer converges.
-    pub fn run_training_loop<F>(&mut self, max_epochs: u32, mut train_epoch: F) -> PredictionOutcome
-    where
-        F: FnMut(u32) -> f64,
-    {
-        let mut last_measured = f64::NAN;
-        for e in 1..=max_epochs {
-            last_measured = train_epoch(e);
-            if let Some(p) = self.interact(e, last_measured).converged {
-                return PredictionOutcome::Converged {
-                    epoch: e,
-                    fitness: p,
-                };
-            }
-        }
-        PredictionOutcome::Exhausted {
-            fitness: last_measured,
-        }
+/// Drive the engine over a recorded learning curve `[(epoch, fitness)]`
+/// as a trainer coupled to it would: one
+/// [`interact`](PredictionEngine::interact) per point, until the analyzer
+/// converges or the curve ends. The engine is a pure function of the
+/// curve, so replaying a model's recorded trail gives its live verdicts
+/// bit for bit, and replaying a complete curve also knows the truth at
+/// `e_pred` for a model the engine would have stopped.
+pub fn replay(config: &EngineConfig, curve: &[(u32, f64)]) -> Replay {
+    let mut engine = PredictionEngine::new(config.clone());
+    let converged = curve
+        .iter()
+        .find_map(|&(epoch, fitness)| engine.interact(epoch, fitness).converged);
+    Replay {
+        converged,
+        predictions: engine.predictions,
     }
 }
 
@@ -257,59 +236,44 @@ impl PredictionEngine {
 mod tests {
     use super::*;
 
+    /// Epochs `1..=epochs` of `f` as a recorded curve.
+    fn points(epochs: u32, f: impl Fn(u32) -> f64) -> Vec<(u32, f64)> {
+        (1..=epochs).map(|e| (e, f(e))).collect()
+    }
+
     fn curve(a: f64, rho: f64, scale: f64) -> impl Fn(u32) -> f64 {
         move |e: u32| a - scale * rho.powi(e as i32)
     }
 
+    fn paper_replay(epochs: u32, f: impl Fn(u32) -> f64) -> Replay {
+        replay(&EngineConfig::paper_defaults(), &points(epochs, f))
+    }
+
     #[test]
     fn well_behaved_curve_terminates_early() {
-        let mut engine = PredictionEngine::new(EngineConfig::paper_defaults());
-        let f = curve(96.0, 0.65, 55.0);
-        let outcome = engine.run_training_loop(25, &f);
-        match outcome {
-            PredictionOutcome::Converged { epoch, fitness } => {
-                assert!(epoch < 25, "should save epochs, got {epoch}");
-                assert!((fitness - 96.0).abs() < 1.5, "fitness {fitness}");
-            }
-            PredictionOutcome::Exhausted { .. } => panic!("should converge"),
-        }
+        let run = paper_replay(25, curve(96.0, 0.65, 55.0));
+        let fitness = run.converged.expect("should converge");
+        let epochs = run.epochs();
+        assert!(epochs < 25, "should save epochs, got {epochs}");
+        assert!((fitness - 96.0).abs() < 1.5, "fitness {fitness}");
     }
 
     #[test]
     fn prediction_matches_final_training_within_tolerance() {
-        let mut engine = PredictionEngine::new(EngineConfig::paper_defaults());
         let f = curve(92.0, 0.7, 40.0);
-        let outcome = engine.run_training_loop(25, &f);
-        let full = f(25);
-        assert!((outcome.fitness() - full).abs() < 2.0);
+        let run = paper_replay(25, &f);
+        // Algorithm 1 falls back to the last measured fitness.
+        let fitness = run.converged.unwrap_or(f(run.epochs() as u32));
+        assert!((fitness - f(25)).abs() < 2.0);
     }
 
     #[test]
     fn erratic_curve_trains_to_budget() {
         // A convex, accelerating curve keeps dragging the fitted asymptote
         // upward, so the prediction window never stabilizes within r.
-        let f = |e: u32| 0.15 * f64::from(e) * f64::from(e);
-        let mut engine = PredictionEngine::new(EngineConfig::paper_defaults());
-        let outcome = engine.run_training_loop(25, &f);
-        assert!(!outcome.converged());
-        match outcome {
-            PredictionOutcome::Exhausted { fitness } => {
-                // h_e of the final epoch.
-                assert!((fitness - f(25)).abs() < 1e-9);
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn exhausted_returns_last_measured_fitness() {
-        let mut engine = PredictionEngine::new(EngineConfig::paper_defaults());
-        // Linearly increasing fitness: predictions keep moving up, so the
-        // analyzer should not converge within 10 epochs with tight r.
-        let outcome = engine.run_training_loop(10, |e| f64::from(e) * 3.0);
-        if let PredictionOutcome::Exhausted { fitness } = outcome {
-            assert!((fitness - 30.0).abs() < 1e-9);
-        }
+        let run = paper_replay(25, |e| 0.15 * f64::from(e) * f64::from(e));
+        assert_eq!(run.converged, None);
+        assert_eq!(run.epochs(), 25);
     }
 
     #[test]
@@ -327,30 +291,22 @@ mod tests {
 
     #[test]
     fn earliest_possible_termination_epoch_is_cmin_plus_n_minus_1() {
-        let cfg = EngineConfig::paper_defaults();
-        let mut engine = PredictionEngine::new(cfg);
         // Perfectly flat-converging curve terminates as early as possible.
-        let f = curve(95.0, 0.2, 60.0);
-        let outcome = engine.run_training_loop(25, &f);
-        match outcome {
-            PredictionOutcome::Converged { epoch, .. } => {
-                assert!(epoch >= 5, "needs C_min + N − 1 = 5 epochs, got {epoch}");
-                assert!(epoch <= 8, "fast curve should stop quickly, got {epoch}");
-            }
-            _ => panic!("must converge"),
-        }
+        let run = paper_replay(25, curve(95.0, 0.2, 60.0));
+        assert!(run.converged.is_some(), "must converge");
+        let epoch = run.epochs();
+        assert!(epoch >= 5, "needs C_min + N − 1 = 5 epochs, got {epoch}");
+        assert!(epoch <= 8, "fast curve should stop quickly, got {epoch}");
     }
 
     #[test]
     fn stats_count_interactions() {
         let mut engine = PredictionEngine::new(EngineConfig::paper_defaults());
         let f = curve(96.0, 0.65, 55.0);
-        let outcome = engine.run_training_loop(25, &f);
+        let epochs = (1..=25)
+            .find(|&e| engine.interact(e, f(e)).converged.is_some())
+            .unwrap_or(25);
         let stats = engine.stats();
-        let epochs = match outcome {
-            PredictionOutcome::Converged { epoch, .. } => epoch,
-            _ => 25,
-        };
         assert_eq!(stats.interactions, u64::from(epochs));
         assert!(stats.fits >= 3);
         assert!(stats.total_seconds >= 0.0);
@@ -360,15 +316,10 @@ mod tests {
     fn fig2_style_trace_converges_midtraining() {
         // Reproduce the Figure 2 situation: prediction of fitness@25
         // converging around epoch ~12 for a moderately fast learner.
-        let mut engine = PredictionEngine::new(EngineConfig::paper_defaults());
         let f = |e: u32| 90.0 - 52.0 * 0.8f64.powi(e as i32);
-        let outcome = engine.run_training_loop(25, &f);
-        match outcome {
-            PredictionOutcome::Converged { epoch, fitness } => {
-                assert!((6..=18).contains(&epoch), "epoch {epoch}");
-                assert!((fitness - f(25)).abs() < 2.0);
-            }
-            _ => panic!("fig2-style curve must converge"),
-        }
+        let run = paper_replay(25, f);
+        let fitness = run.converged.expect("fig2-style curve must converge");
+        assert!((6..=18).contains(&run.epochs()), "epoch {}", run.epochs());
+        assert!((fitness - f(25)).abs() < 2.0);
     }
 }

@@ -45,7 +45,7 @@ pub mod curve;
 pub mod engine;
 pub mod fit;
 
-pub use analyzer::{ConvergenceRule, PredictionAnalyzer};
+pub use analyzer::PredictionAnalyzer;
 pub use curve::{CurveFamily, ParametricCurve};
-pub use engine::{EngineConfig, EngineStats, PredictionEngine, PredictionOutcome, Verdict};
+pub use engine::{replay, EngineConfig, EngineStats, PredictionEngine, Replay, Verdict};
 pub use fit::{fit_curve, FitConfig, FitError, FitResult};

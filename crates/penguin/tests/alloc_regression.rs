@@ -7,7 +7,7 @@
 //! global allocator for this test binary only (one test per binary, so
 //! the counter sees nothing but the calls under measurement).
 
-use a4nn_penguin::{fit_curve, ConvergenceRule, CurveFamily, FitConfig, PredictionAnalyzer};
+use a4nn_penguin::{fit_curve, CurveFamily, FitConfig, PredictionAnalyzer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -87,26 +87,17 @@ fn fits_allocate_per_call_and_convergence_tests_not_at_all() {
          a per-point allocation crept back in"
     );
 
-    // The analyzer: every rule, converging and not, once warmed.
+    // The analyzer, converging and not, once warmed.
     let histories: [&[Option<f64>]; 3] = [
         &[None, Some(90.0), Some(95.0), Some(95.2), Some(95.4)],
         &[Some(95.0), Some(104.0), Some(95.1)],
         &[Some(94.0), None, Some(95.0), Some(96.0)],
     ];
-    for rule in [
-        ConvergenceRule::Range,
-        ConvergenceRule::Variance,
-        ConvergenceRule::StdDev,
-    ] {
-        let analyzer = PredictionAnalyzer {
-            rule,
-            ..PredictionAnalyzer::paper_defaults()
-        };
-        for preds in histories {
-            let warm = analyzer.converged(preds);
-            let (n, again) = allocations(|| analyzer.converged(preds));
-            assert_eq!(warm, again);
-            assert_eq!(n, 0, "{rule:?} convergence test allocated {n} times");
-        }
+    let analyzer = PredictionAnalyzer::paper_defaults();
+    for preds in histories {
+        let warm = analyzer.converged(preds);
+        let (n, again) = allocations(|| analyzer.converged(preds));
+        assert_eq!(warm, again);
+        assert_eq!(n, 0, "convergence test allocated {n} times");
     }
 }

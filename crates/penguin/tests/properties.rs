@@ -1,8 +1,7 @@
 //! Property-based tests of the prediction engine.
 
 use a4nn_penguin::{
-    fit_curve, ConvergenceRule, CurveFamily, EngineConfig, FitConfig, ParametricCurve,
-    PredictionAnalyzer, PredictionEngine, PredictionOutcome,
+    fit_curve, replay, CurveFamily, EngineConfig, FitConfig, ParametricCurve, PredictionAnalyzer,
 };
 use proptest::prelude::*;
 
@@ -27,8 +26,8 @@ fn valid_params(family: CurveFamily, unit: &[f64]) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The engine never trains past the budget and its final fitness is
-    /// finite for any bounded curve.
+    /// The engine never trains past the budget, and its converged
+    /// prediction is in bounds for any bounded curve.
     #[test]
     fn engine_respects_budget(
         a in 55.0f64..99.0,
@@ -36,20 +35,16 @@ proptest! {
         scale in 5.0f64..60.0,
         budget in 1u32..40,
     ) {
-        let mut engine = PredictionEngine::new(EngineConfig::paper_defaults());
-        let mut calls = 0u32;
-        let outcome = engine.run_training_loop(budget, |e| {
-            calls += 1;
-            (a - scale * rho.powi(e as i32)).clamp(0.0, 100.0)
-        });
-        prop_assert!(calls <= budget);
-        if budget > 0 {
-            prop_assert!(outcome.fitness().is_finite());
-        }
-        if let PredictionOutcome::Converged { epoch, fitness } = outcome {
-            prop_assert!(epoch <= budget);
+        let curve: Vec<(u32, f64)> = (1..=budget)
+            .map(|e| (e, (a - scale * rho.powi(e as i32)).clamp(0.0, 100.0)))
+            .collect();
+        let run = replay(&EngineConfig::paper_defaults(), &curve);
+        prop_assert!(run.epochs() <= budget as usize);
+        if let Some(fitness) = run.converged {
             // Converged predictions respect the analyzer's bounds.
             prop_assert!((0.0..=100.0).contains(&fitness));
+        } else {
+            prop_assert_eq!(run.epochs(), curve.len());
         }
     }
 
@@ -93,15 +88,13 @@ proptest! {
         }
     }
 
-    /// Analyzer: all three rules agree on constant windows and all reject
+    /// Analyzer: the range rule accepts constant windows and rejects
     /// out-of-bounds windows.
     #[test]
     fn rules_agree_on_extremes(v in 0.0f64..100.0, oob in 100.01f64..1e4) {
-        for rule in [ConvergenceRule::Range, ConvergenceRule::Variance, ConvergenceRule::StdDev] {
-            let a = PredictionAnalyzer { rule, ..PredictionAnalyzer::paper_defaults() };
-            prop_assert!(a.converged(&[Some(v), Some(v), Some(v)]));
-            prop_assert!(!a.converged(&[Some(oob), Some(oob), Some(oob)]));
-        }
+        let a = PredictionAnalyzer::paper_defaults();
+        prop_assert!(a.converged(&[Some(v), Some(v), Some(v)]));
+        prop_assert!(!a.converged(&[Some(oob), Some(oob), Some(oob)]));
     }
 
     /// One function, two entry points: `eval_grad`'s values are `eval`'s

@@ -61,8 +61,8 @@ fn main() -> Result<(), A4nnError> {
         analyzer.flops_fitness_correlation().unwrap_or(f64::NAN)
     );
     println!(
-        "  mean |prediction error|     : {:.2} accuracy points",
-        analyzer.mean_prediction_error().unwrap_or(f64::NAN)
+        "  mean stop gap               : {:.2} accuracy points",
+        analyzer.mean_stop_gap().unwrap_or(f64::NAN)
     );
 
     // Inspect one record trail end to end.

@@ -10,25 +10,20 @@
 //! cargo run --release --example prediction_engine
 //! ```
 
-use a4nn_penguin::{
-    CurveFamily, EngineConfig, ParametricCurve, PredictionEngine, PredictionOutcome,
-};
+use a4nn_penguin::{replay, CurveFamily, EngineConfig, ParametricCurve};
 
 fn demo(name: &str, config: EngineConfig, curve: impl Fn(u32) -> f64) {
-    let mut engine = PredictionEngine::new(config);
-    let outcome = engine.run_training_loop(25, &curve);
-    match outcome {
-        PredictionOutcome::Converged { epoch, fitness } => {
-            let truth = curve(25);
-            println!(
-                "  {name:<22} terminated at epoch {epoch:>2}: predicted {fitness:6.2}% \
-                 (true fitness@25 = {truth:6.2}%, error {:4.2})",
-                (fitness - truth).abs()
-            );
-        }
-        PredictionOutcome::Exhausted { fitness } => {
-            println!("  {name:<22} trained all 25 epochs (final fitness {fitness:6.2}%)");
-        }
+    let points: Vec<(u32, f64)> = (1..=25).map(|e| (e, curve(e))).collect();
+    let run = replay(&config, &points);
+    let truth = curve(25);
+    match run.converged {
+        Some(fitness) => println!(
+            "  {name:<22} terminated at epoch {:>2}: predicted {fitness:6.2}% \
+             (true fitness@25 = {truth:6.2}%, error {:4.2})",
+            run.epochs(),
+            (fitness - truth).abs()
+        ),
+        None => println!("  {name:<22} trained all 25 epochs (final fitness {truth:6.2}%)"),
     }
 }
 

@@ -2,7 +2,7 @@
 
 use a4nn_genome::{Genome, PhaseGenome, SearchSpace};
 use a4nn_nsga::Objectives;
-use a4nn_penguin::{ConvergenceRule, PredictionAnalyzer};
+use a4nn_penguin::PredictionAnalyzer;
 use a4nn_sched::{schedule_fifo, Task, TaskOrdering};
 use proptest::prelude::*;
 
@@ -111,10 +111,8 @@ proptest! {
     fn analyzer_bounds_and_constants(
         value in 0.0f64..100.0,
         garbage in 100.0001f64..1e6,
-        rule_idx in 0usize..3,
     ) {
-        let rule = [ConvergenceRule::Range, ConvergenceRule::Variance, ConvergenceRule::StdDev][rule_idx];
-        let analyzer = PredictionAnalyzer { rule, ..PredictionAnalyzer::paper_defaults() };
+        let analyzer = PredictionAnalyzer::paper_defaults();
         let stable = vec![Some(value); 3];
         prop_assert!(analyzer.converged(&stable));
         let poisoned = vec![Some(value), Some(garbage), Some(value)];

@@ -20,8 +20,8 @@
 
 use crate::args::Parsed;
 use crate::commands::CommandError;
+use a4nn_core::config_hash;
 use a4nn_core::prelude::*;
-use a4nn_core::{config_hash, AgingEvolutionWorkflow, RandomSearchWorkflow};
 use a4nn_lineage::{feature_fitness_correlations, fitness_cmp, shape_census, success_contrast};
 use a4nn_nn::Dataset;
 use a4nn_penguin::{replay, ParametricCurve};
@@ -98,18 +98,11 @@ ablation.nas_drivers.all_save       true  every driver saves epochs on every bea
 ablation.nas_drivers.nsga_cheapest  true  NSGA-Net's cheapest near-best model beats both others'
 ";
 
-/// The NAS policy driving a search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Driver {
-    NsgaNet,
-    AgingEvolution,
-    RandomSearch,
-}
-
+/// The §6 NAS drivers with their row labels.
 const DRIVERS: [(Driver, &str); 3] = [
-    (Driver::NsgaNet, "nsga_net"),
-    (Driver::AgingEvolution, "aging_evolution"),
-    (Driver::RandomSearch, "random_search"),
+    (Driver::Nsga2, "nsga_net"),
+    (Driver::AgingEvolution { sample_size: 5 }, "aging_evolution"),
+    (Driver::Random, "random_search"),
 ];
 
 type Run = Result<Rc<RunOutput>, A4nnError>;
@@ -125,21 +118,21 @@ impl Runs {
             return Ok(Rc::clone(out));
         }
         let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-        let out = Rc::new(match driver {
-            Driver::NsgaNet => A4nnWorkflow::new(config).run(&factory, RunOptions::default())?,
-            Driver::AgingEvolution => AgingEvolutionWorkflow::new(config, 5).run(&factory, None)?,
-            Driver::RandomSearch => RandomSearchWorkflow::new(config).run(&factory, None)?,
-        });
+        let options = RunOptions {
+            driver,
+            ..RunOptions::default()
+        };
+        let out = Rc::new(A4nnWorkflow::new(config).run(&factory, options)?);
         self.0.insert(key, Rc::clone(&out));
         Ok(out)
     }
 
     fn a4nn(&mut self, beam: BeamIntensity, gpus: usize) -> Run {
-        self.run(Driver::NsgaNet, WorkflowConfig::a4nn(beam, gpus, SEED))
+        self.run(Driver::Nsga2, WorkflowConfig::a4nn(beam, gpus, SEED))
     }
 
     fn standalone(&mut self, beam: BeamIntensity) -> Run {
-        self.run(Driver::NsgaNet, WorkflowConfig::standalone(beam, SEED))
+        self.run(Driver::Nsga2, WorkflowConfig::standalone(beam, SEED))
     }
 }
 
@@ -750,11 +743,11 @@ mod tests {
         let low = WorkflowConfig::a4nn(BeamIntensity::Low, 1, SEED);
         let config = WorkflowConfig { nas, ..low };
         let mut runs = Runs::default();
-        let first = runs.run(Driver::NsgaNet, config.clone()).unwrap();
-        let second = runs.run(Driver::NsgaNet, config.clone()).unwrap();
+        let first = runs.run(Driver::Nsga2, config.clone()).unwrap();
+        let second = runs.run(Driver::Nsga2, config.clone()).unwrap();
         assert!(Rc::ptr_eq(&first, &second));
         assert_eq!(runs.0.len(), 1);
-        runs.run(Driver::RandomSearch, config).unwrap();
+        runs.run(Driver::Random, config).unwrap();
         assert_eq!(runs.0.len(), 2, "another driver is another search");
     }
 

@@ -6,11 +6,12 @@
 //!   macro search space (`a4nn-genome`);
 //! - the **parametric prediction engine** (`a4nn-penguin`), attached in
 //!   situ to every network's training loop (Algorithm 1, [`training`]);
-//! - the **workflow orchestrator** ([`workflow`]) moving fitness histories
-//!   to the engine and predictions back to the NAS, while checkpointing
-//!   model state and record trails;
-//! - the **evaluation pipeline** ([`pipeline`]): the one generation loop
-//!   every driver trains through, generic over a pluggable
+//! - the **workflow orchestrator** ([`workflow`]): one generation loop
+//!   for every NAS [`Driver`] (NSGA-Net, aging evolution, random search),
+//!   moving fitness histories to the engine and predictions back to the
+//!   NAS, while checkpointing model state and record trails;
+//! - the **evaluation pipeline** ([`pipeline`]): how that loop trains
+//!   each generation, generic over a pluggable
 //!   [`Transport`] (in-process [`DirectTransport`], or [`BusTransport`],
 //!   whose trainers reach an engine service over an `a4nn-bus` topic)
 //!   with fault tolerance always on;
@@ -50,7 +51,6 @@
 pub mod bridge;
 pub mod checkpoint;
 pub mod config;
-pub mod drivers;
 pub mod fault;
 pub mod objectives;
 pub mod pipeline;
@@ -65,7 +65,6 @@ pub use a4nn_error::A4nnError;
 pub use bridge::netspec_from_arch;
 pub use checkpoint::CheckpointStore;
 pub use config::{NasSettings, WorkflowConfig};
-pub use drivers::{AgingEvolutionWorkflow, RandomSearchWorkflow};
 pub use fault::{FaultStats, FaultTolerance};
 pub use objectives::{ModelCost, ObjectiveKind, ObjectiveSet};
 pub use pipeline::{
@@ -79,16 +78,16 @@ pub use trainer::{EpochResult, Trainer, TrainerFactory};
 pub use training::{
     train_with_engine_fallible, AttemptProgress, EngineLink, InlineEngine, TrainingOutcome,
 };
-pub use workflow::{A4nnWorkflow, Orchestration, RunOptions, RunOutput};
+pub use workflow::{A4nnWorkflow, Driver, Orchestration, RunOptions, RunOutput};
 
 /// Convenience re-exports, including the satellite crates' key types.
 pub mod prelude {
     pub use crate::{
-        netspec_from_arch, A4nnError, A4nnWorkflow, CheckpointStore, EpochResult, EvalPipeline,
-        FaultStats, FaultTolerance, ModelCost, NasSettings, ObjectiveKind, ObjectiveSet,
-        Orchestration, RealTrainerFactory, RunControl, RunOptions, RunOutput, SearchSnapshot,
-        SurrogateFactory, SurrogateParams, Trainer, TrainerFactory, TrainingHyperparams,
-        TrainingOutcome, Transport, TransportStats, WorkflowConfig,
+        netspec_from_arch, A4nnError, A4nnWorkflow, CheckpointStore, Driver, EpochResult,
+        EvalPipeline, FaultStats, FaultTolerance, ModelCost, NasSettings, ObjectiveKind,
+        ObjectiveSet, Orchestration, RealTrainerFactory, RunControl, RunOptions, RunOutput,
+        SearchSnapshot, SurrogateFactory, SurrogateParams, Trainer, TrainerFactory,
+        TrainingHyperparams, TrainingOutcome, Transport, TransportStats, WorkflowConfig,
     };
     pub use a4nn_faults::{ChaosSpec, FaultEvent, FaultPlan};
     pub use a4nn_genome::{Genome, SearchSpace};

@@ -30,11 +30,17 @@
 //! the duplicate-architecture filter and the next model id are not
 //! stored: resume rebuilds the archive from the records exactly as a
 //! live run builds it after each generation, and the filter and the id
-//! follow from the archive. Because each model trains independently and
+//! follow from the archive. Under the other drivers the survivors are
+//! the newest `population` model ids, so aging evolution's queue needs
+//! no state of its own either: its genomes and fitness are read back
+//! from the records. The snapshot names its driver, and resuming it under
+//! another one is stale, like resuming under another objective set.
+//! Because each model trains independently and
 //! every stochastic stream is keyed on `(seed, model_id)`, no state
 //! outside this struct crosses a generation boundary.
 
 use crate::config::WorkflowConfig;
+use crate::workflow::Driver;
 use a4nn_error::A4nnError;
 use a4nn_lineage::{write_atomic, ModelRecord};
 use a4nn_metrics::MetricsSnapshot;
@@ -91,6 +97,10 @@ pub struct SearchSnapshot {
     /// objective dimension alone).
     #[serde(default)]
     pub objective_names: Vec<String>,
+    /// The NAS driver that searched the records. Snapshots written before
+    /// drivers shared the loop carry none and load as NSGA-II.
+    #[serde(default)]
+    pub driver: Driver,
     /// Generations fully completed (the next one to run).
     pub generations_done: usize,
     /// Raw xoshiro256** state words of the search RNG, captured after
@@ -273,6 +283,7 @@ mod tests {
             version: SNAPSHOT_VERSION,
             config_hash: config_hash(cfg).unwrap(),
             objective_names: cfg.objectives.names(),
+            driver: Driver::default(),
             generations_done,
             rng_state: [1, 2, 3, 4],
             parents: vec![0, 2],

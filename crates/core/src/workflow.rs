@@ -1,11 +1,15 @@
-//! The workflow orchestrator: NSGA-Net's generational loop with the
-//! prediction engine in situ, FIFO multi-GPU scheduling per generation,
-//! and full lineage recording.
+//! The workflow orchestrator: one generational loop for every NAS
+//! [`Driver`] — NSGA-Net by default, aging evolution or random search
+//! on request — with the prediction engine in situ, FIFO multi-GPU
+//! scheduling per generation, and full lineage recording.
 //!
-//! The loop breeds through `a4nn-nsga`'s generation step (`breed`, then
-//! `environmental_selection`) but drives evaluation itself so a whole
-//! generation can be trained concurrently across the virtual GPUs —
-//! exactly the Ray-style resource management of §2.5.
+//! The driver only proposes each generation's genomes and picks its
+//! survivors: NSGA-Net breeds through `a4nn-nsga`'s generation step
+//! (`breed`, then `environmental_selection`). Evaluation, transports,
+//! fault tolerance, boundary snapshots and resume are the loop's own, so
+//! a whole generation trains concurrently across the virtual GPUs —
+//! exactly the Ray-style resource management of §2.5 — whichever driver
+//! proposed it.
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::WorkflowConfig;
@@ -17,11 +21,35 @@ use crate::resume::{config_hash, RunControl, SearchSnapshot, SNAPSHOT_VERSION};
 use crate::trainer::TrainerFactory;
 use a4nn_error::A4nnError;
 use a4nn_genome::{Genome, SearchSpace};
-use a4nn_lineage::{DataCommons, ModelRecord};
+use a4nn_lineage::{fitness_cmp, DataCommons, ModelRecord};
 use a4nn_metrics::MetricsSnapshot;
 use a4nn_nsga::{breed, environmental_selection, Individual, Objectives};
 use a4nn_sched::{GenerationSchedule, ScheduleResult};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use serde::{Deserialize, Serialize};
+
+/// The NAS policy that proposes every generation after the first and
+/// picks its survivors. Generation 0 is `population` random genomes
+/// under every driver; later generations propose `offspring` genomes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Driver {
+    /// NSGA-Net: NSGA-II's `breed` and elitist (μ+λ) environmental
+    /// selection over the run's objective set.
+    #[default]
+    Nsga2,
+    /// Regularized (aging) evolution, Real et al. 2019: the survivors are
+    /// the newest `population` models (the aging queue), and each child
+    /// mutates the fittest of `sample_size` uniform picks from them.
+    /// Single-objective on validation fitness, the original algorithm's
+    /// form.
+    AgingEvolution {
+        /// Tournament sample size `S`, at least 1 (Real et al. use ~25 at
+        /// population 100).
+        sample_size: usize,
+    },
+    /// Pure random search: every generation is a fresh random batch.
+    Random,
+}
 
 /// How a run couples trainers, prediction engine, and lineage. Every
 /// mode produces identical record trails per seed.
@@ -52,11 +80,13 @@ impl std::fmt::Debug for Orchestration<'_> {
 }
 
 /// Everything [`A4nnWorkflow::run`] can be told beyond the trainer
-/// factory. The default is the plain search: no checkpoints, direct
-/// orchestration, the default retry budget with no injected faults, no
-/// snapshots, a fresh start.
+/// factory. The default is the plain NSGA-Net search: no checkpoints,
+/// direct orchestration, the default retry budget with no injected
+/// faults, no snapshots, a fresh start.
 #[derive(Default)]
 pub struct RunOptions<'a> {
+    /// The NAS policy proposing genomes and picking survivors.
+    pub driver: Driver,
     /// Checkpoint every model's per-epoch state here when the trainer
     /// supports it (§2.2.2's "model can be loaded and re-evaluated from
     /// any point").
@@ -158,54 +188,59 @@ impl A4nnWorkflow {
         A4nnWorkflow { config, space }
     }
 
-    /// The search space in use.
-    pub fn space(&self) -> &SearchSpace {
-        &self.space
-    }
-
     /// Run the complete search using trainers from `factory`.
     ///
     /// Trainer crashes are *not* errors — they flow through the retry
     /// budget into `Terminated::Failed` records; `Err` means the run
     /// itself could not continue (closed bus, crashed service, poisoned
-    /// pool, lost workers, a stale snapshot) or was interrupted at a
-    /// generation boundary by `options.control`.
+    /// pool, lost workers, a stale snapshot), was misconfigured (an aging
+    /// evolution sample of 0), or was interrupted at a generation boundary
+    /// by `options.control`.
     pub fn run(
         &self,
         factory: &dyn TrainerFactory,
         options: RunOptions<'_>,
     ) -> Result<RunOutput, A4nnError> {
         let RunOptions {
+            driver,
             checkpoints,
             orchestration,
             fault_tolerance: ft,
             control,
             resume,
         } = options;
+        if driver == (Driver::AgingEvolution { sample_size: 0 }) {
+            return Err(A4nnError::Config(
+                "aging evolution needs a sample size of at least 1".into(),
+            ));
+        }
         let pipeline = EvalPipeline::new(&self.config, &self.space, factory, checkpoints, &ft);
         let transport: &dyn Transport = match orchestration {
             Orchestration::Direct => &DirectTransport,
             Orchestration::Bus => &BusTransport,
             Orchestration::External(transport) => transport,
         };
-        let totals = self.run_loop(&pipeline, transport, &control, resume)?;
+        let totals = self.run_loop(driver, &pipeline, transport, &control, resume)?;
         Ok(totals.into_run_output(&pipeline, transport.name()))
     }
 
-    /// The NSGA-Net generational loop, training each generation batch
-    /// through the pipeline on `transport`.
+    /// The generational loop: `driver` proposes each generation, the
+    /// pipeline trains it on `transport`, and `driver` picks the
+    /// survivors.
     ///
-    /// With a `resume` snapshot, the loop reconstructs every piece of
-    /// state the snapshot's boundary committed — RNG stream, survivors,
-    /// cursor, records, metrics — rebuilds the archive (and with it the
-    /// next model id and the duplicate filter) from the records, and
-    /// continues from the next generation; the remaining trajectory is
-    /// bit-exact because nothing outside the snapshot crosses a boundary.
+    /// With a `resume` snapshot of the same driver, the loop reconstructs
+    /// every piece of state the snapshot's boundary committed — RNG
+    /// stream, survivors, cursor, records, metrics — rebuilds the archive
+    /// (and with it the next model id and the duplicate filter) from the
+    /// records, and continues from the next generation; the remaining
+    /// trajectory is bit-exact because nothing outside the snapshot
+    /// crosses a boundary.
     /// With a `control.snapshot_dir`, the state is committed
     /// (manifest-last) after every generation, then the cancel hook may
     /// stop the run.
     fn run_loop(
         &self,
+        driver: Driver,
         pipeline: &EvalPipeline<'_>,
         transport: &dyn Transport,
         control: &RunControl<'_>,
@@ -237,6 +272,12 @@ impl A4nnWorkflow {
                             snap.config_hash, expected
                         )));
                     }
+                }
+                if snap.driver != driver {
+                    return Err(A4nnError::Checkpoint(format!(
+                        "stale snapshot: state was searched by {:?} but this run drives {:?}",
+                        snap.driver, driver
+                    )));
                 }
                 if snap.generations_done == 0 || snap.generations_done > cfg.nas.generations {
                     return Err(A4nnError::Checkpoint(format!(
@@ -312,19 +353,37 @@ impl A4nnWorkflow {
         }
 
         for generation in start_generation..cfg.nas.generations {
-            let genomes: Vec<Genome> = if generation == 0 {
-                (0..cfg.nas.population)
+            let records = &totals.records;
+            let genomes: Vec<Genome> = match driver {
+                _ if generation == 0 => (0..cfg.nas.population)
                     .map(|_| self.space.random_genome(&mut rng))
-                    .collect()
-            } else {
-                breed(
+                    .collect(),
+                Driver::Nsga2 => breed(
                     &archive,
                     &parents,
                     cfg.nas.offspring,
                     &mut rng,
                     Genome::to_compact_string,
                     |a, b, r| self.space.vary(a, b, r),
-                )
+                ),
+                // Tournament: the best of S uniform picks from the queue,
+                // the last drawn winning a tie.
+                Driver::AgingEvolution { sample_size } => (0..cfg.nas.offspring)
+                    .map(|_| {
+                        let fittest = (0..sample_size.min(parents.len()))
+                            .map(|_| parents[rng.gen_range(0..parents.len())])
+                            .max_by(|&a, &b| {
+                                fitness_cmp(records[a].final_fitness, records[b].final_fitness)
+                            })?;
+                        let mut child = records[fittest].genome.clone();
+                        self.space.mutate(&mut child, &mut rng);
+                        Some(child)
+                    })
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| A4nnError::Internal("empty aging-evolution queue".into()))?,
+                Driver::Random => (0..cfg.nas.offspring)
+                    .map(|_| self.space.random_genome(&mut rng))
+                    .collect(),
             };
 
             // Train the whole generation on the configured transport.
@@ -333,14 +392,16 @@ impl A4nnWorkflow {
             archive.extend(batch.records.iter().map(individual));
             totals.absorb(batch);
 
-            // Elitist environmental selection (μ+λ).
-            if generation == 0 {
-                parents = (base_id..archive.len()).collect();
-            } else {
-                let mut pool = parents.clone();
-                pool.extend(base_id..archive.len());
-                parents = environmental_selection(&archive, &pool, cfg.nas.population);
-            }
+            // NSGA-II keeps the elitist (μ+λ) selection; every other
+            // driver keeps the newest `population` models.
+            parents = match driver {
+                Driver::Nsga2 if generation > 0 => {
+                    let mut pool = parents;
+                    pool.extend(base_id..archive.len());
+                    environmental_selection(&archive, &pool, cfg.nas.population)
+                }
+                _ => (archive.len().saturating_sub(cfg.nas.population)..archive.len()).collect(),
+            };
 
             // Generation boundary: commit the full search state
             // (state file first, manifest last — see resume.rs), then
@@ -351,6 +412,7 @@ impl A4nnWorkflow {
                     version: SNAPSHOT_VERSION,
                     config_hash: cfg_hash.unwrap_or_default(),
                     objective_names: cfg.objectives.names(),
+                    driver,
                     generations_done: generation + 1,
                     rng_state: rng.state(),
                     parents: parents.clone(),
@@ -390,10 +452,9 @@ fn individual(record: &ModelRecord) -> Individual<Genome> {
     }
 }
 
-/// What a search accumulates generation by generation, whichever driver
-/// proposes the genomes: record trails, cluster schedules, and engine
-/// overhead.
-pub(crate) struct SearchTotals {
+/// What a search accumulates generation by generation: record trails,
+/// cluster schedules, and engine overhead.
+struct SearchTotals {
     records: Vec<ModelRecord>,
     schedules: Vec<ScheduleResult>,
     engine_seconds: f64,
@@ -402,7 +463,7 @@ pub(crate) struct SearchTotals {
 
 impl SearchTotals {
     /// Empty totals sized for `cfg`'s evaluation budget.
-    pub(crate) fn with_capacity(cfg: &WorkflowConfig) -> Self {
+    fn with_capacity(cfg: &WorkflowConfig) -> Self {
         SearchTotals {
             records: Vec::with_capacity(cfg.nas.total_models()),
             schedules: Vec::with_capacity(cfg.nas.generations),
@@ -412,7 +473,7 @@ impl SearchTotals {
     }
 
     /// Fold one evaluated generation in.
-    pub(crate) fn absorb(&mut self, batch: BatchResult) {
+    fn absorb(&mut self, batch: BatchResult) {
         for (outcome, _) in &batch.outcomes {
             self.engine_seconds += outcome.engine_seconds;
             self.engine_interactions += outcome.engine_interactions;
@@ -423,7 +484,7 @@ impl SearchTotals {
 
     /// Close the run: wrap the totals with the pipeline's dispatch
     /// counters (under `transport`'s name) and metrics snapshot.
-    pub(crate) fn into_run_output(self, pipeline: &EvalPipeline<'_>, transport: &str) -> RunOutput {
+    fn into_run_output(self, pipeline: &EvalPipeline<'_>, transport: &str) -> RunOutput {
         RunOutput {
             fault_stats: FaultStats::from_records(&self.records),
             commons: DataCommons::new(self.records),
@@ -464,12 +525,33 @@ mod tests {
         }
     }
 
-    fn run(engine: bool, gpus: usize, seed: u64) -> RunOutput {
-        let config = small_config(engine, gpus, seed);
+    /// The §6 drivers' search shape: 8 + 8×4 models on 2 GPUs.
+    fn eight_by_five(seed: u64) -> WorkflowConfig {
+        WorkflowConfig {
+            nas: NasSettings {
+                population: 8,
+                offspring: 8,
+                generations: 5,
+                ..NasSettings::paper_defaults()
+            },
+            ..small_config(true, 2, seed)
+        }
+    }
+
+    const AGING: Driver = Driver::AgingEvolution { sample_size: 3 };
+    const DRIVERS: [Driver; 3] = [Driver::Nsga2, AGING, Driver::Random];
+
+    fn run_with(driver: Driver, config: WorkflowConfig) -> RunOutput {
         let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-        A4nnWorkflow::new(config)
-            .run(&factory, RunOptions::default())
-            .unwrap()
+        let options = RunOptions {
+            driver,
+            ..RunOptions::default()
+        };
+        A4nnWorkflow::new(config).run(&factory, options).unwrap()
+    }
+
+    fn run(engine: bool, gpus: usize, seed: u64) -> RunOutput {
+        run_with(Driver::Nsga2, small_config(engine, gpus, seed))
     }
 
     fn bus() -> RunOptions<'static> {
@@ -507,13 +589,15 @@ mod tests {
 
     #[test]
     fn evaluates_expected_model_count() {
-        let out = run(true, 2, 1);
-        assert_eq!(out.commons.len(), 6 + 6 * 3);
-        // Model ids sequential.
-        for (k, r) in out.commons.records.iter().enumerate() {
-            assert_eq!(r.model_id as usize, k);
+        for driver in DRIVERS {
+            let out = run_with(driver, small_config(true, 2, 1));
+            assert_eq!(out.commons.len(), 6 + 6 * 3, "{driver:?}");
+            // Model ids sequential.
+            for (k, r) in out.commons.records.iter().enumerate() {
+                assert_eq!(r.model_id as usize, k);
+            }
+            assert_eq!(out.schedule.generations.len(), 4);
         }
-        assert_eq!(out.schedule.generations.len(), 4);
     }
 
     #[test]
@@ -550,12 +634,20 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run(true, 2, 5);
-        let b = run(true, 2, 5);
-        assert_eq!(a.commons, b.commons);
-        assert_eq!(a.total_epochs(), b.total_epochs());
-        let c = run(true, 2, 6);
-        assert_ne!(a.commons, c.commons);
+        let mut searches: Vec<DataCommons> = Vec::new();
+        for driver in DRIVERS {
+            let a = run_with(driver, small_config(true, 2, 5));
+            let b = run_with(driver, small_config(true, 2, 5));
+            assert_eq!(a.commons, b.commons, "{driver:?}");
+            assert_eq!(a.total_epochs(), b.total_epochs());
+            let c = run_with(driver, small_config(true, 2, 6));
+            assert_ne!(a.commons, c.commons, "{driver:?}");
+            assert!(
+                !searches.contains(&a.commons),
+                "different drivers, different searches"
+            );
+            searches.push(a.commons);
+        }
     }
 
     #[test]
@@ -574,15 +666,78 @@ mod tests {
 
     #[test]
     fn standalone_records_have_no_engine_or_predictions() {
-        let out = run(false, 1, 8);
-        for r in &out.commons.records {
-            assert!(r.engine.is_none());
-            assert!(r.predicted_fitness.is_none());
-            assert!(!r.terminated_early());
-            assert_eq!(r.epochs_trained(), 25);
+        for driver in DRIVERS {
+            let out = run_with(driver, small_config(false, 1, 8));
+            for r in &out.commons.records {
+                assert!(r.engine.is_none());
+                assert!(r.predicted_fitness.is_none());
+                assert!(!r.terminated_early());
+                assert_eq!(r.epochs_trained(), 25);
+            }
+            assert_eq!(
+                out.total_epochs(),
+                25 * 24,
+                "{driver:?} trains its full budget"
+            );
+            assert_eq!(out.engine_interactions, 0);
+            assert_eq!(out.engine_seconds, 0.0);
         }
-        assert_eq!(out.engine_interactions, 0);
-        assert_eq!(out.engine_seconds, 0.0);
+    }
+
+    #[test]
+    fn aging_evolution_without_a_sample_is_a_config_error() {
+        let config = small_config(true, 1, 8);
+        let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
+        let options = RunOptions {
+            driver: Driver::AgingEvolution { sample_size: 0 },
+            ..RunOptions::default()
+        };
+        let err = A4nnWorkflow::new(config)
+            .run(&factory, options)
+            .unwrap_err();
+        assert!(matches!(err, A4nnError::Config(_)), "got {err}");
+        assert_eq!(err.exit_code(), 3);
+    }
+
+    #[test]
+    fn aging_evolution_evaluates_full_budget_and_improves() {
+        let cfg = eight_by_five(4);
+        let out = run_with(AGING, cfg.clone());
+        assert_eq!(out.commons.len(), cfg.nas.total_models());
+        // Mean fitness of late generations should not be worse than the
+        // random initial generation (selection pressure works).
+        let mean_of = |gen: usize| {
+            let rs: Vec<f64> = out
+                .commons
+                .records
+                .iter()
+                .filter(|r| r.generation == gen)
+                .map(|r| r.final_fitness)
+                .collect();
+            rs.iter().sum::<f64>() / rs.len() as f64
+        };
+        assert!(
+            mean_of(4) + 8.0 > mean_of(0),
+            "late-generation fitness collapsed: {} vs {}",
+            mean_of(4),
+            mean_of(0)
+        );
+    }
+
+    #[test]
+    fn nsga_beats_or_matches_random_search_on_pareto_quality() {
+        // The multi-objective search should dominate random search on the
+        // FLOPs-efficiency axis at comparable accuracy.
+        let cfg = eight_by_five(7);
+        let nsga = run_with(Driver::Nsga2, cfg.clone());
+        let random = run_with(Driver::Random, cfg);
+        let best = |out: &RunOutput| {
+            Analyzer::new(&out.commons)
+                .best_by_fitness()
+                .unwrap()
+                .final_fitness
+        };
+        assert!(best(&nsga) >= best(&random) - 3.0);
     }
 
     #[test]

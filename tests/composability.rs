@@ -1,9 +1,11 @@
 //! Composability integration tests: the same engine/trainer/scheduler
-//! stack under alternative NAS drivers.
+//! stack and the same generation loop under alternative NAS drivers.
 
 use a4nn::prelude::*;
-use a4nn_core::{AgingEvolutionWorkflow, RandomSearchWorkflow, SurrogateFactory, SurrogateParams};
-use a4nn_lineage::{shape_census, Analyzer, CurveShape};
+use a4nn_core::{SurrogateFactory, SurrogateParams};
+use a4nn_lineage::{epochs_csv, models_csv, shape_census, Analyzer, CurveShape};
+use a4nn_net::{SocketOptions, SocketTransport, WorkerHandle, WorkerServer};
+use std::time::Duration;
 
 fn config(seed: u64) -> WorkflowConfig {
     WorkflowConfig {
@@ -21,36 +23,40 @@ fn config(seed: u64) -> WorkflowConfig {
     }
 }
 
+const AGING: Driver = Driver::AgingEvolution { sample_size: 3 };
+
+/// `driver`'s search of `cfg` on `orchestration`.
+fn run(cfg: &WorkflowConfig, driver: Driver, orchestration: Orchestration) -> RunOutput {
+    let factory = SurrogateFactory::new(cfg, SurrogateParams::for_beam(cfg.beam));
+    let options = RunOptions {
+        driver,
+        orchestration,
+        ..RunOptions::default()
+    };
+    A4nnWorkflow::new(cfg.clone())
+        .run(&factory, options)
+        .unwrap()
+}
+
 #[test]
 fn all_three_drivers_share_the_engines_savings() {
     let cfg = config(21);
-    let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
     let budget = (cfg.nas.epochs as u64) * cfg.nas.total_models() as u64;
-    let nsga = A4nnWorkflow::new(cfg.clone())
-        .run(&factory, RunOptions::default())
-        .unwrap();
-    let aging = AgingEvolutionWorkflow::new(cfg.clone(), 3)
-        .run(&factory, None)
-        .unwrap();
-    let random = RandomSearchWorkflow::new(cfg).run(&factory, None).unwrap();
-    for (name, out) in [("nsga", &nsga), ("aging", &aging), ("random", &random)] {
+    for driver in [Driver::Nsga2, AGING, Driver::Random] {
+        let out = run(&cfg, driver, Orchestration::Direct);
         assert!(
             out.total_epochs() < budget,
-            "{name}: engine saved nothing ({} epochs)",
+            "{driver:?}: engine saved nothing ({} epochs)",
             out.total_epochs()
         );
-        assert_eq!(out.commons.len(), 32, "{name}: wrong budget");
+        assert_eq!(out.commons.len(), 32, "{driver:?}: wrong budget");
     }
 }
 
 #[test]
 fn drivers_emit_interchangeable_commons() {
     // A commons from any driver round-trips and analyzes identically.
-    let cfg = config(22);
-    let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
-    let out = AgingEvolutionWorkflow::new(cfg, 3)
-        .run(&factory, None)
-        .unwrap();
+    let out = run(&config(22), AGING, Orchestration::Direct);
     let dir = std::env::temp_dir().join(format!("a4nn-compos-{}", std::process::id()));
     out.commons.save_dir(&dir).unwrap();
     let loaded = a4nn_lineage::DataCommons::load_dir(&dir).unwrap();
@@ -62,6 +68,38 @@ fn drivers_emit_interchangeable_commons() {
     let total: usize = shape_census(&loaded).iter().map(|(_, n, _)| n).sum();
     assert_eq!(total, loaded.len());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Aging evolution and random search train through the same loop and
+/// transports as NSGA-Net, so their exports over the bus and over a
+/// two-worker socket fleet equal the in-process run byte for byte.
+#[test]
+fn every_driver_is_transport_invariant() {
+    let cfg = config(24);
+    let csvs = |out: &RunOutput| (models_csv(&out.commons), epochs_csv(&out.commons));
+    for driver in [AGING, Driver::Random] {
+        let direct = csvs(&run(&cfg, driver, Orchestration::Direct));
+        assert_eq!(
+            direct,
+            csvs(&run(&cfg, driver, Orchestration::Bus)),
+            "{driver:?}: bus"
+        );
+        let workers: Vec<WorkerHandle> = (0..2)
+            .map(|_| WorkerServer::spawn("127.0.0.1:0", 1, 1).unwrap())
+            .collect();
+        let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
+        let options = SocketOptions {
+            heartbeat_deadline: Duration::from_secs(2),
+        };
+        let transport =
+            SocketTransport::connect(&addrs, &cfg, &FaultTolerance::default(), options).unwrap();
+        let socket = csvs(&run(&cfg, driver, Orchestration::External(&transport)));
+        drop(transport);
+        for w in workers {
+            let _ = w.join();
+        }
+        assert_eq!(direct, socket, "{driver:?}: socket");
+    }
 }
 
 #[test]

@@ -110,6 +110,44 @@ fn zero_fault_pipeline_matches_golden_files_bus() {
     check_golden("epochs_seed2023.csv", &epochs_csv(&out.commons));
 }
 
+/// Aging evolution (sample 3) and random search at medium beam, seed
+/// 2023, 2 GPUs, 8 + 8×4 models. Their golden files were written by the
+/// separate generation loop these drivers had before they moved onto
+/// NSGA-Net's, so they pin that the move changed no byte.
+#[test]
+fn every_driver_matches_its_parent_golden() {
+    let config = WorkflowConfig {
+        nas: NasSettings {
+            population: 8,
+            offspring: 8,
+            generations: 5,
+            ..NasSettings::paper_defaults()
+        },
+        engine: Some(EngineConfig::paper_defaults()),
+        gpus: 2,
+        beam: BeamIntensity::Medium,
+        seed: 2023,
+        objectives: a4nn_core::ObjectiveSet::default(),
+    };
+    let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
+    for (driver, name) in [
+        (Driver::AgingEvolution { sample_size: 3 }, "aging"),
+        (Driver::Random, "random"),
+    ] {
+        let options = RunOptions {
+            driver,
+            ..RunOptions::default()
+        };
+        let out = A4nnWorkflow::new(config.clone())
+            .run(&factory, options)
+            .unwrap();
+        check_golden(
+            &format!("models_{name}_seed2023.csv"),
+            &models_csv(&out.commons),
+        );
+    }
+}
+
 #[test]
 fn row_format_survives_a_failed_model() {
     // A terminally failed model must still export a well-formed row:

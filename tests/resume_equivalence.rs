@@ -3,7 +3,8 @@
 //! reproduces the uninterrupted run byte for byte.
 //!
 //! For seeds 2023 (the paper's) and 7, under all three orchestrations
-//! (direct, bus, socket), the harness:
+//! (direct, bus, socket), and for aging evolution at seed 2023 over
+//! direct and socket, the harness:
 //!
 //! 1. runs the search once, uninterrupted, to capture the golden
 //!    `models.csv` / `epochs.csv` bytes and the deterministic metric
@@ -19,7 +20,8 @@
 //! iterations and still rebuild identical outputs from restored state.
 //!
 //! The stale-snapshot path is pinned too: resuming under a different
-//! configuration is a `Checkpoint` error (exit 5) naming both hashes.
+//! configuration is a `Checkpoint` error (exit 5) naming both hashes, and
+//! so is resuming under a different driver.
 
 use a4nn_core::prelude::*;
 use a4nn_core::{SurrogateFactory, SurrogateParams};
@@ -87,11 +89,23 @@ impl Mode {
     }
 }
 
-/// Run the search in `mode` under `control`, optionally resuming from
-/// `snapshot`. Socket mode spawns a fresh two-worker fleet per call —
-/// resume must not depend on transport-side state surviving the kill.
+/// Run the NSGA-II search in `mode` under `control`, optionally resuming
+/// from `snapshot`.
 fn run_mode(
     config: &WorkflowConfig,
+    mode: Mode,
+    control: RunControl<'_>,
+    snapshot: Option<SearchSnapshot>,
+) -> Result<RunOutput, A4nnError> {
+    run_driver(config, Driver::Nsga2, mode, control, snapshot)
+}
+
+/// Run `driver`'s search in `mode` under `control`, optionally resuming
+/// from `snapshot`. Socket mode spawns a fresh two-worker fleet per call
+/// — resume must not depend on transport-side state surviving the kill.
+fn run_driver(
+    config: &WorkflowConfig,
+    driver: Driver,
     mode: Mode,
     control: RunControl<'_>,
     snapshot: Option<SearchSnapshot>,
@@ -99,6 +113,7 @@ fn run_mode(
     let factory = SurrogateFactory::new(config, SurrogateParams::for_beam(config.beam));
     let workflow = A4nnWorkflow::new(config.clone());
     let options = |orchestration| RunOptions {
+        driver,
         orchestration,
         control,
         resume: snapshot,
@@ -130,22 +145,24 @@ fn run_mode(
     }
 }
 
-/// Interrupt at every boundary, resume, and diff against gold.
-fn assert_resume_equivalent(mode: Mode, seed: u64) {
+/// Interrupt `driver`'s search at every boundary, resume, and diff
+/// against gold.
+fn assert_resume_equivalent(driver: Driver, mode: Mode, seed: u64) {
     let config = micro_config(seed);
-    let golden = run_mode(&config, mode, RunControl::default(), None)
+    let golden = run_driver(&config, driver, mode, RunControl::default(), None)
         .unwrap_or_else(|e| panic!("{} seed {seed}: golden run failed: {e}", mode.label()));
     let golden_csvs = csvs(&golden);
+    let driver_tag = format!("{driver:?}").replace(|c: char| !c.is_alphanumeric(), "");
 
     for boundary in 1..=config.nas.generations {
-        let dir = tmp_dir(&format!("{}-{seed}-b{boundary}", mode.label()));
+        let dir = tmp_dir(&format!("{}-{driver_tag}-{seed}-b{boundary}", mode.label()));
         std::fs::remove_dir_all(&dir).ok();
 
         // Phase 1: run with a cancel hook that "kills" the process at
         // this boundary. The snapshot commits *before* the hook fires.
         let cancel = move |done: usize| done == boundary;
         let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-        let err = match run_mode(&config, mode, control, None) {
+        let err = match run_driver(&config, driver, mode, control, None) {
             Err(e) => e,
             Ok(_) => panic!(
                 "{} seed {seed}: cancel at boundary {boundary} must interrupt the run",
@@ -168,13 +185,19 @@ fn assert_resume_equivalent(mode: Mode, seed: u64) {
             )
         });
         assert_eq!(snap.generations_done, boundary);
-        let resumed = run_mode(&config, mode, RunControl::snapshot_into(&dir), Some(snap))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "{} seed {seed} boundary {boundary}: resume failed: {e}",
-                    mode.label()
-                )
-            });
+        let resumed = run_driver(
+            &config,
+            driver,
+            mode,
+            RunControl::snapshot_into(&dir),
+            Some(snap),
+        )
+        .unwrap_or_else(|e| {
+            panic!(
+                "{} seed {seed} boundary {boundary}: resume failed: {e}",
+                mode.label()
+            )
+        });
 
         assert_eq!(
             golden_csvs,
@@ -203,22 +226,64 @@ fn assert_resume_equivalent(mode: Mode, seed: u64) {
 #[test]
 fn direct_resume_is_bit_exact_across_all_boundaries() {
     for seed in [2023u64, 7] {
-        assert_resume_equivalent(Mode::Direct, seed);
+        assert_resume_equivalent(Driver::Nsga2, Mode::Direct, seed);
     }
 }
 
 #[test]
 fn bus_resume_is_bit_exact_across_all_boundaries() {
     for seed in [2023u64, 7] {
-        assert_resume_equivalent(Mode::Bus, seed);
+        assert_resume_equivalent(Driver::Nsga2, Mode::Bus, seed);
     }
 }
 
 #[test]
 fn socket_resume_is_bit_exact_across_all_boundaries() {
     for seed in [2023u64, 7] {
-        assert_resume_equivalent(Mode::Socket, seed);
+        assert_resume_equivalent(Driver::Nsga2, Mode::Socket, seed);
     }
+}
+
+/// Aging evolution's survivors are its queue, rebuilt from the records on
+/// resume: every boundary resumes to the uninterrupted run.
+const AGING: Driver = Driver::AgingEvolution { sample_size: 3 };
+
+#[test]
+fn aging_evolution_resume_is_equivalent_direct() {
+    assert_resume_equivalent(AGING, Mode::Direct, 2023);
+}
+
+#[test]
+fn aging_evolution_resume_is_equivalent_socket() {
+    assert_resume_equivalent(AGING, Mode::Socket, 2023);
+}
+
+/// A snapshot searched by aging evolution cannot continue as NSGA-II:
+/// the run refuses it as stale, `Checkpoint` class, exit 5.
+#[test]
+fn resuming_under_a_different_driver_is_refused_with_exit_5() {
+    let config = micro_config(2023);
+    let dir = tmp_dir("stale-driver");
+    std::fs::remove_dir_all(&dir).ok();
+    let cancel = |done: usize| done == 1;
+    let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
+    let err = run_driver(&config, AGING, Mode::Direct, control, None).unwrap_err();
+    assert_eq!(err.exit_code(), 10);
+
+    let snap = SearchSnapshot::load(&dir, &config).unwrap();
+    assert_eq!(snap.driver, AGING);
+    let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
+    let options = RunOptions {
+        resume: Some(snap),
+        ..RunOptions::default()
+    };
+    let err = A4nnWorkflow::new(config.clone())
+        .run(&factory, options)
+        .unwrap_err();
+    assert!(matches!(err, A4nnError::Checkpoint(_)), "got {err}");
+    assert_eq!(err.exit_code(), 5);
+    assert!(err.to_string().contains("stale snapshot"), "got {err}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Cross-transport resume: a snapshot committed under one transport

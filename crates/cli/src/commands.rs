@@ -184,9 +184,11 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     }
 
     // Resume + snapshot wiring. The run directory (--out, or the
-    // --resume dir when --out is absent) receives a full search-state
-    // snapshot at every generation boundary, so a killed process can
-    // continue bit-for-bit with `--resume <dir>` and identical flags.
+    // --resume dir when --out is absent) receives each generation's
+    // records (the commons) and a search-state snapshot at every
+    // generation boundary, so a killed process leaves a readable commons
+    // and can continue bit-for-bit with `--resume <dir>` and identical
+    // flags.
     let resume_dir = parsed.get("--resume").map(PathBuf::from);
     if resume_dir.is_some() && parsed.flag("--real") {
         return Err(CommandError::Invalid(
@@ -334,10 +336,10 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     println!("Pareto front ({}):", config.objectives);
     print_objective_front(&analyzer)?;
     if let Some(dir) = &out_dir {
-        output.commons.save_dir(dir)?;
-        // Written beside the commons files, not through save_dir, so
-        // run bookkeeping can never perturb the golden commons bytes
-        // the equivalence suite pins. All of it goes through
+        // Every generation boundary already committed its records to
+        // the commons in `dir`. The run bookkeeping is written beside
+        // it, never into it, so it can never perturb the golden commons
+        // bytes the equivalence suite pins. All of it goes through
         // write_atomic: a kill during export must not leave a
         // half-written file next to a committed commons.
         a4nn_lineage::write_atomic(

@@ -290,8 +290,8 @@ fn stats_reads_a_run_directory_offline() {
 
 #[test]
 fn search_errors_still_print_and_exit_nonzero() {
-    // A search that completes but cannot persist its commons: the error
-    // travels run -> save_dir -> A4nnError::Io -> exit code 4.
+    // A search that cannot persist its commons: the error travels from
+    // the first boundary's commit -> A4nnError::Io -> exit code 4.
     let file = std::env::temp_dir().join(format!("a4nn-exit-codes-out-{}", std::process::id()));
     std::fs::write(&file, b"occupied").unwrap();
     let out = format!("{}/commons", file.display());

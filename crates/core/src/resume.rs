@@ -6,18 +6,39 @@
 //!
 //! ## Crash-consistency protocol (manifest-last)
 //!
-//! A snapshot is two files in the run directory, committed in order:
+//! The run directory is also the run's data commons, and every record
+//! trail is written to it once, by the boundary that produced it. A
+//! boundary commits in this order:
 //!
-//! 1. `search_state_g<NNNN>.json` — the full state after generation
-//!    `NNNN` completed, written via `write_atomic` under a *new* name;
-//! 2. `resume_manifest.json` — version, config hash, and the state
-//!    file's name, written via `write_atomic` *last*.
+//! 1. the generation's `model_<id>.json` files, then the commons'
+//!    `manifest.json` listing every record so far
+//!    ([`a4nn_lineage::append_dir`]);
+//! 2. `search_state_g<NNNN>.json` — the state after generation `NNNN`
+//!    completed, naming the committed records by count (`models`)
+//!    instead of holding them, written via `write_atomic` under a *new*
+//!    name;
+//! 3. `resume_manifest.json` — version, config hash, and the state
+//!    file's name, written via `write_atomic` *last*;
+//! 4. the prune of superseded state files.
 //!
-//! The manifest is the single commit point. A crash anywhere before
-//! step 2's rename leaves the previous manifest intact and pointing at
-//! the previous (still present) state file, so a loader always sees a
-//! consistent boundary — at worst one generation older than the crash.
-//! Stale state files are pruned only *after* the manifest commits.
+//! The resume manifest is the single commit point. A crash anywhere
+//! before step 3's rename leaves the previous manifest intact and
+//! pointing at the previous (still present) state file, whose records
+//! (ids `0..models`) are all on disk, so a loader always sees a
+//! consistent boundary — at worst one generation older than the crash —
+//! and the commons' own manifest always lists a loadable prefix. A run
+//! that resumes rewrites its loaded records into its snapshot directory
+//! once at its first boundary (that directory need not be the one it
+//! resumed from), with identical bytes.
+//!
+//! [`SearchSnapshot::load`] fills `records` from the commons beside the
+//! state file. A state file written before the records moved out still
+//! holds them inline under a `records` key; `load` reads that key
+//! instead, so those snapshots resume unchanged. [`SNAPSHOT_VERSION`]
+//! stays 1 for that reason, and because an older binary needs no bump
+//! to refuse the new shape: its state struct requires the `records`
+//! key, so it rejects a state file without one as a `Checkpoint` error
+//! (exit 5) before resuming anything.
 //!
 //! ## What makes the continuation bit-exact
 //!
@@ -42,7 +63,7 @@
 use crate::config::WorkflowConfig;
 use crate::workflow::Driver;
 use a4nn_error::A4nnError;
-use a4nn_lineage::{write_atomic, ModelRecord};
+use a4nn_lineage::{read_models, write_atomic, ModelRecord};
 use a4nn_metrics::MetricsSnapshot;
 use a4nn_sched::ScheduleResult;
 use serde::{Deserialize, Serialize};
@@ -109,8 +130,15 @@ pub struct SearchSnapshot {
     /// Indices into `records` of the current survivor population.
     pub parents: Vec<usize>,
     /// Completed record trails, in evaluation order: record `i` is model
-    /// `i`.
+    /// `i`. Not part of the state file: [`load`](Self::load) reads them
+    /// from the commons beside it, and the boundary writer leaves this
+    /// empty because it has just committed them there.
+    #[serde(skip)]
     pub records: Vec<ModelRecord>,
+    /// How many records the commons held when this boundary committed:
+    /// models `0..models`.
+    #[serde(default)]
+    pub models: usize,
     /// Per-generation cluster schedules.
     pub schedules: Vec<ScheduleResult>,
     /// Accumulated prediction-engine overhead (measured wall seconds).
@@ -127,8 +155,10 @@ impl SearchSnapshot {
         format!("search_state_g{:04}.json", self.generations_done)
     }
 
-    /// Commit this snapshot into `dir` under the manifest-last protocol
-    /// described in the module docs, then prune superseded state files.
+    /// Commit this snapshot's state file and resume manifest into `dir`
+    /// (steps 2–4 of the protocol in the module docs), then prune
+    /// superseded state files. The records are not written: the
+    /// commons in `dir` must already hold models `0..models`.
     pub fn save(&self, dir: &Path) -> Result<(), A4nnError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| A4nnError::io(format!("creating run dir {}", dir.display()), e))?;
@@ -163,6 +193,10 @@ impl SearchSnapshot {
     /// `cfg`: schema version and config hash must both match, otherwise
     /// the snapshot is stale and resuming would silently diverge — that
     /// is an [`A4nnError::Checkpoint`] naming both fingerprints.
+    ///
+    /// The records come from the commons in `dir` (models `0..models`),
+    /// or from the state file's inline `records` key when it has one. A
+    /// missing or unreadable record file is a `Checkpoint` error too.
     pub fn load(dir: &Path, cfg: &WorkflowConfig) -> Result<SearchSnapshot, A4nnError> {
         let manifest_path = dir.join(MANIFEST_FILE);
         let bytes = std::fs::read(&manifest_path).map_err(|e| {
@@ -203,8 +237,12 @@ impl SearchSnapshot {
         let state_path = dir.join(&manifest.state_file);
         let bytes = std::fs::read(&state_path)
             .map_err(|e| A4nnError::Checkpoint(format!("reading {}: {e}", state_path.display())))?;
-        let state: SearchSnapshot = serde_json::from_slice(&bytes)
-            .map_err(|e| A4nnError::Checkpoint(format!("parsing {}: {e}", state_path.display())))?;
+        let parse_error = |e: &dyn std::fmt::Display| {
+            A4nnError::Checkpoint(format!("parsing {}: {e}", state_path.display()))
+        };
+        let value: serde_json::Value =
+            serde_json::from_slice(&bytes).map_err(|e| parse_error(&e))?;
+        let mut state = SearchSnapshot::from_value(&value).map_err(|e| parse_error(&e))?;
         if state.generations_done != manifest.generations_done
             || state.config_hash != manifest.config_hash
         {
@@ -218,6 +256,16 @@ impl SearchSnapshot {
                 state.config_hash
             )));
         }
+        state.records = match value.get("records") {
+            Some(inline) => Vec::from_value(inline).map_err(|e| parse_error(&e))?,
+            None => read_models(dir, 0..state.models as u64).map_err(|e| {
+                A4nnError::Checkpoint(format!(
+                    "{} names {} committed model(s), but the commons beside it does not \
+                     hold them: {e}",
+                    manifest.state_file, state.models
+                ))
+            })?,
+        };
         Ok(state)
     }
 }
@@ -240,8 +288,9 @@ pub type CancelHook<'a> = dyn Fn(usize) -> bool + Sync + 'a;
 /// drives.
 #[derive(Default)]
 pub struct RunControl<'a> {
-    /// Directory boundary snapshots commit into; `None` disables
-    /// snapshotting entirely (the zero-overhead default).
+    /// Directory every boundary commits its records (the run's data
+    /// commons) and its snapshot into; `None` disables snapshotting
+    /// entirely (the zero-overhead default).
     pub snapshot_dir: Option<PathBuf>,
     /// Consulted with the number of completed generations after each
     /// boundary snapshot commits; `true` interrupts the search.
@@ -288,6 +337,7 @@ mod tests {
             rng_state: [1, 2, 3, 4],
             parents: vec![0, 2],
             records: Vec::new(),
+            models: 0,
             schedules: Vec::new(),
             engine_seconds: 0.25,
             engine_interactions: 7,

@@ -21,7 +21,7 @@ use crate::resume::{config_hash, RunControl, SearchSnapshot, SNAPSHOT_VERSION};
 use crate::trainer::TrainerFactory;
 use a4nn_error::A4nnError;
 use a4nn_genome::{Genome, SearchSpace};
-use a4nn_lineage::{fitness_cmp, DataCommons, ModelRecord};
+use a4nn_lineage::{append_dir, fitness_cmp, DataCommons, ModelRecord};
 use a4nn_metrics::MetricsSnapshot;
 use a4nn_nsga::{breed, environmental_selection, Individual, Objectives};
 use a4nn_sched::{GenerationSchedule, ScheduleResult};
@@ -99,8 +99,9 @@ pub struct RunOptions<'a> {
     /// The default reproduces the fault-free run byte for byte in every
     /// coupling mode.
     pub fault_tolerance: FaultTolerance,
-    /// Commit a full search-state snapshot at every generation boundary
-    /// into `control.snapshot_dir`, and optionally stop at a boundary via
+    /// Commit each generation's records (the run's commons) and a
+    /// search-state snapshot at every generation boundary into
+    /// `control.snapshot_dir`, and optionally stop at a boundary via
     /// `control.cancel` (surfaced as [`A4nnError::Interrupted`]).
     pub control: RunControl<'a>,
     /// Continue a prior run from the snapshot a previous process
@@ -235,7 +236,8 @@ impl A4nnWorkflow {
     /// records, and continues from the next generation; the remaining
     /// trajectory is bit-exact because nothing outside the snapshot
     /// crosses a boundary.
-    /// With a `control.snapshot_dir`, the state is committed
+    /// With a `control.snapshot_dir`, each generation's records are
+    /// appended to the commons there and the state is committed
     /// (manifest-last) after every generation, then the cancel hook may
     /// stop the run.
     fn run_loop(
@@ -258,6 +260,10 @@ impl A4nnWorkflow {
         let mut archive: Vec<Individual<Genome>>;
         let mut parents: Vec<usize>;
         let start_generation;
+        // Records already in `control.snapshot_dir`'s commons. A resumed
+        // run starts from none too: the directory it snapshots into
+        // need not be the one it resumed from.
+        let mut committed = 0;
 
         match resume {
             Some(snap) => {
@@ -403,11 +409,14 @@ impl A4nnWorkflow {
                 _ => (archive.len().saturating_sub(cfg.nas.population)..archive.len()).collect(),
             };
 
-            // Generation boundary: commit the full search state
-            // (state file first, manifest last — see resume.rs), then
-            // honor a cancellation request. A kill at any instant
-            // leaves either the previous committed pair or this one.
+            // Generation boundary: commit the new records to the
+            // commons, then the state naming them, then the resume
+            // manifest (see resume.rs), then honor a cancellation
+            // request. A kill at any instant leaves either the previous
+            // committed boundary or this one.
             if let Some(dir) = &control.snapshot_dir {
+                append_dir(dir, &totals.records, committed)?;
+                committed = totals.records.len();
                 let snap = SearchSnapshot {
                     version: SNAPSHOT_VERSION,
                     config_hash: cfg_hash.unwrap_or_default(),
@@ -416,7 +425,8 @@ impl A4nnWorkflow {
                     generations_done: generation + 1,
                     rng_state: rng.state(),
                     parents: parents.clone(),
-                    records: totals.records.clone(),
+                    records: Vec::new(),
+                    models: committed,
                     schedules: totals.schedules.clone(),
                     engine_seconds: totals.engine_seconds,
                     engine_interactions: totals.engine_interactions,
@@ -434,6 +444,13 @@ impl A4nnWorkflow {
                         cfg.nas.generations
                     )));
                 }
+            }
+        }
+        // A resume whose snapshot was already the last boundary runs no
+        // generation, but its records still belong in the commons.
+        if let Some(dir) = &control.snapshot_dir {
+            if committed < totals.records.len() {
+                append_dir(dir, &totals.records, committed)?;
             }
         }
 

@@ -66,50 +66,70 @@ impl DataCommons {
     }
 
     /// Write the commons to `dir`: `manifest.json` plus
-    /// `model_<id>.json` per record.
-    ///
-    /// Every file is written atomically (tmp + rename), and the manifest
-    /// is written last: a crash anywhere in the middle leaves the previous
-    /// manifest intact, so [`load_dir`](Self::load_dir) still sees a
-    /// consistent (if older) snapshot.
+    /// `model_<id>.json` per record — [`append_dir`] from the first
+    /// record.
     pub fn save_dir(&self, dir: &Path) -> Result<(), A4nnError> {
-        fs::create_dir_all(dir)
-            .map_err(|e| A4nnError::io(format!("creating commons dir {}", dir.display()), e))?;
-        for record in &self.records {
-            let path = dir.join(format!("model_{:05}.json", record.model_id));
-            let json = serde_json::to_vec_pretty(record).map_err(|e| {
-                A4nnError::Internal(format!("serializing record {}: {e}", record.model_id))
-            })?;
-            write_atomic(&path, &json)?;
-        }
-        let manifest = Manifest {
-            model_count: self.records.len(),
-            model_ids: self.records.iter().map(|r| r.model_id).collect(),
-        };
-        let json = serde_json::to_vec_pretty(&manifest)
-            .map_err(|e| A4nnError::Internal(format!("serializing manifest: {e}")))?;
-        write_atomic(&dir.join("manifest.json"), &json)?;
-        Ok(())
+        append_dir(dir, &self.records, 0)
     }
 
-    /// Load a commons previously written by [`save_dir`](Self::save_dir).
+    /// Load a commons previously written by [`save_dir`](Self::save_dir)
+    /// or [`append_dir`]: the records its manifest lists.
     pub fn load_dir(dir: &Path) -> Result<Self, A4nnError> {
         let manifest_path = dir.join("manifest.json");
         let bytes = fs::read(&manifest_path)
             .map_err(|e| A4nnError::io(format!("reading {}", manifest_path.display()), e))?;
         let manifest: Manifest = serde_json::from_slice(&bytes)
             .map_err(|e| A4nnError::io(format!("parsing {}", manifest_path.display()), e.into()))?;
-        let mut records = Vec::with_capacity(manifest.model_count);
-        for id in manifest.model_ids {
-            let path = dir.join(format!("model_{id:05}.json"));
+        Ok(DataCommons::new(read_models(dir, manifest.model_ids)?))
+    }
+}
+
+/// The file one record trail lives in.
+fn model_path(dir: &Path, model_id: u64) -> PathBuf {
+    dir.join(format!("model_{model_id:05}.json"))
+}
+
+/// Commit `records[from..]` to the commons in `dir`, then a manifest
+/// listing every one of `records`.
+///
+/// A search appends each generation as its boundary commits, so every
+/// record is written once. Every file is written atomically (tmp +
+/// rename), and the manifest is written last: a crash anywhere in the
+/// middle leaves the previous manifest intact, so
+/// [`DataCommons::load_dir`] still sees a consistent (if older) prefix.
+pub fn append_dir(dir: &Path, records: &[ModelRecord], from: usize) -> Result<(), A4nnError> {
+    fs::create_dir_all(dir)
+        .map_err(|e| A4nnError::io(format!("creating commons dir {}", dir.display()), e))?;
+    for record in records.get(from..).unwrap_or_default() {
+        let json = serde_json::to_vec_pretty(record).map_err(|e| {
+            A4nnError::Internal(format!("serializing record {}: {e}", record.model_id))
+        })?;
+        write_atomic(&model_path(dir, record.model_id), &json)?;
+    }
+    let manifest = Manifest {
+        model_count: records.len(),
+        model_ids: records.iter().map(|r| r.model_id).collect(),
+    };
+    let json = serde_json::to_vec_pretty(&manifest)
+        .map_err(|e| A4nnError::Internal(format!("serializing manifest: {e}")))?;
+    write_atomic(&dir.join("manifest.json"), &json)
+}
+
+/// Read the record trail of every model in `ids` from the commons in
+/// `dir`, in that order, whatever its manifest lists.
+pub fn read_models(
+    dir: &Path,
+    ids: impl IntoIterator<Item = u64>,
+) -> Result<Vec<ModelRecord>, A4nnError> {
+    ids.into_iter()
+        .map(|id| {
+            let path = model_path(dir, id);
             let bytes = fs::read(&path)
                 .map_err(|e| A4nnError::io(format!("reading {}", path.display()), e))?;
-            let record: ModelRecord = serde_json::from_slice(&bytes)
-                .map_err(|e| A4nnError::io(format!("parsing {}", path.display()), e.into()))?;
-            records.push(record);
-        }
-        Ok(DataCommons::new(records))
-    }
+            serde_json::from_slice(&bytes)
+                .map_err(|e| A4nnError::io(format!("parsing {}", path.display()), e.into()))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -166,6 +186,32 @@ mod tests {
         let loaded = DataCommons::load_dir(&dir).unwrap();
         assert_eq!(commons, loaded);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn appending_generation_by_generation_writes_the_bytes_of_one_save() {
+        let whole = std::env::temp_dir().join(format!("a4nn-commons-whole-{}", std::process::id()));
+        let parts = std::env::temp_dir().join(format!("a4nn-commons-parts-{}", std::process::id()));
+        let records: Vec<_> = (0..5).map(record).collect();
+        DataCommons::new(records.clone()).save_dir(&whole).unwrap();
+        append_dir(&parts, &records[..2], 0).unwrap();
+        assert_eq!(DataCommons::load_dir(&parts).unwrap().len(), 2);
+        append_dir(&parts, &records, 2).unwrap();
+        for entry in std::fs::read_dir(&whole).unwrap().flatten() {
+            let name = entry.file_name();
+            assert_eq!(
+                std::fs::read(entry.path()).unwrap(),
+                std::fs::read(parts.join(&name)).unwrap(),
+                "{name:?}"
+            );
+        }
+        assert_eq!(read_models(&parts, 0..5).unwrap(), records);
+        assert!(
+            read_models(&parts, 0..6).is_err(),
+            "model 5 was never written"
+        );
+        std::fs::remove_dir_all(&whole).ok();
+        std::fs::remove_dir_all(&parts).ok();
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod record;
 pub mod structure;
 
 pub use analyzer::Analyzer;
-pub use commons::{write_atomic, DataCommons};
+pub use commons::{append_dir, read_models, write_atomic, DataCommons};
 pub use curves::{classify_curve, classify_record, shape_census, CurveShape};
 pub use export::{epochs_csv, models_csv, retries_csv};
 pub use record::{fitness_cmp, EngineParamsRecord, EpochRecord, ModelRecord, Terminated};

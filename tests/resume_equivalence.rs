@@ -12,8 +12,10 @@
 //! 2. for every boundary `b` in `1..=generations`, runs again with a
 //!    cancel hook that stops at `b` (the in-process analogue of SIGKILL
 //!    — the snapshot is already committed when the hook fires), asserts
-//!    the interruption surfaces as exit code 10, then resumes from the
-//!    snapshot directory and diffs the merged output against gold.
+//!    the interruption surfaces as exit code 10 and that the directory
+//!    already holds the golden run's committed records as a loadable
+//!    commons (and no second copy in the state file), then resumes from
+//!    the snapshot directory and diffs the merged output against gold.
 //!
 //! Boundary `generations` is deliberately included: resuming a search
 //! whose last generation already committed must run zero loop
@@ -25,7 +27,7 @@
 
 use a4nn_core::prelude::*;
 use a4nn_core::{SurrogateFactory, SurrogateParams};
-use a4nn_lineage::{epochs_csv, models_csv, retries_csv};
+use a4nn_lineage::{epochs_csv, models_csv, retries_csv, DataCommons};
 use a4nn_metrics::names;
 use a4nn_net::{SocketOptions, SocketTransport, WorkerHandle, WorkerServer};
 use std::path::PathBuf;
@@ -173,6 +175,30 @@ fn assert_resume_equivalent(driver: Driver, mode: Mode, seed: u64) {
             err.exit_code(),
             10,
             "{} seed {seed} boundary {boundary}: interruption is exit 10: {err}",
+            mode.label()
+        );
+
+        // The killed run directory is already a committed commons: the
+        // golden run's first `n_b` records, stored once, outside the
+        // state file.
+        let n_b = config.nas.population + (boundary - 1) * config.nas.offspring;
+        let on_disk = DataCommons::load_dir(&dir).unwrap_or_else(|e| {
+            panic!(
+                "{} seed {seed} boundary {boundary}: the killed run's commons loads: {e}",
+                mode.label()
+            )
+        });
+        assert_eq!(
+            on_disk.records,
+            golden.commons.records[..n_b],
+            "{} seed {seed} boundary {boundary}: the commons holds the committed records",
+            mode.label()
+        );
+        let state =
+            std::fs::read_to_string(dir.join(format!("search_state_g{boundary:04}.json"))).unwrap();
+        assert!(
+            !state.contains("\"records\""),
+            "{} seed {seed} boundary {boundary}: the state file holds no second copy",
             mode.label()
         );
 
@@ -581,4 +607,97 @@ fn snapshot_written_with_archive_seen_and_next_id_still_resumes() {
     let resumed = run_mode(&config, Mode::Direct, RunControl::default(), Some(snap)).unwrap();
     assert_eq!(csvs(&golden), csvs(&resumed));
     assert_eq!(golden.commons, resumed.commons);
+}
+
+/// Interrupt a direct search of `config` at `boundary`, committing into
+/// `dir`.
+fn interrupt_at(config: &WorkflowConfig, boundary: usize, dir: &std::path::Path) {
+    std::fs::remove_dir_all(dir).ok();
+    let cancel = move |done: usize| done == boundary;
+    let control = RunControl::snapshot_into(dir).with_cancel(&cancel);
+    let err = run_mode(config, Mode::Direct, control, None).unwrap_err();
+    assert_eq!(err.exit_code(), 10, "{err}");
+}
+
+/// A commons damaged under a committed snapshot — a record file deleted,
+/// torn, or holding another model — is refused as a `Checkpoint` error
+/// (exit 5), by the loader or by the resume's id check, never a panic.
+#[test]
+fn damaged_committed_model_file_is_refused_with_exit_5() {
+    let config = micro_config(2023);
+    for tag in ["deleted", "torn", "another-id"] {
+        let dir = tmp_dir(&format!("damaged-{tag}"));
+        interrupt_at(&config, 1, &dir);
+        let model_1 = dir.join("model_00001.json");
+        match tag {
+            "deleted" => std::fs::remove_file(&model_1).unwrap(),
+            "torn" => std::fs::write(&model_1, b"{ torn").unwrap(),
+            _ => std::fs::copy(dir.join("model_00002.json"), &model_1)
+                .map(drop)
+                .unwrap(),
+        }
+        let err = match SearchSnapshot::load(&dir, &config) {
+            Err(e) => e,
+            Ok(snap) => run_mode(&config, Mode::Direct, RunControl::default(), Some(snap))
+                .expect_err("a damaged commons must not resume"),
+        };
+        assert!(matches!(err, A4nnError::Checkpoint(_)), "{tag}: got {err}");
+        assert_eq!(err.exit_code(), 5, "{tag}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A run resumed into a directory other than the one it was interrupted
+/// in writes the whole commons there, the loaded records included — also
+/// when the snapshot was the last boundary and no generation runs.
+#[test]
+fn resume_into_another_directory_commits_the_whole_commons() {
+    let config = micro_config(2023);
+    let golden = run_mode(&config, Mode::Direct, RunControl::default(), None).unwrap();
+    let gold_dir = tmp_dir("elsewhere-gold");
+    std::fs::remove_dir_all(&gold_dir).ok();
+    golden.commons.save_dir(&gold_dir).unwrap();
+    let commons_files = |dir: &std::path::Path| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n == "manifest.json" || (n.starts_with("model_") && n.ends_with(".json")))
+            .collect();
+        names.sort();
+        names
+    };
+    for (boundary, tag) in [(1, "b"), (config.nas.generations, "c")] {
+        let from = tmp_dir(&format!("elsewhere-a{boundary}"));
+        let into = tmp_dir(&format!("elsewhere-{tag}"));
+        interrupt_at(&config, boundary, &from);
+        std::fs::remove_dir_all(&into).ok();
+        let snap = SearchSnapshot::load(&from, &config).unwrap();
+        let resumed = run_mode(
+            &config,
+            Mode::Direct,
+            RunControl::snapshot_into(&into),
+            Some(snap),
+        )
+        .unwrap();
+        assert_eq!(golden.commons, resumed.commons);
+
+        let names = commons_files(&gold_dir);
+        assert_eq!(names.len(), golden.commons.len() + 1);
+        assert_eq!(
+            names,
+            commons_files(&into),
+            "resumed from boundary {boundary}"
+        );
+        for name in &names {
+            assert_eq!(
+                std::fs::read(gold_dir.join(name)).unwrap(),
+                std::fs::read(into.join(name)).unwrap(),
+                "resumed from boundary {boundary}: {name} differs"
+            );
+        }
+        std::fs::remove_dir_all(&from).ok();
+        std::fs::remove_dir_all(&into).ok();
+    }
+    std::fs::remove_dir_all(&gold_dir).ok();
 }

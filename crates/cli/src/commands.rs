@@ -468,12 +468,16 @@ fn run_serve(parsed: &Parsed) -> Result<(), CommandError> {
         .get("--listen")
         .ok_or_else(|| CommandError::Invalid("--listen <addr> is required".into()))?;
     let sessions = parsed.get_parse("--sessions", 0usize, "usize")?;
+    let ws_limit_bytes = parsed
+        .get_parse("--ws-limit-mb", 8usize, "usize")?
+        .checked_mul(1024 * 1024)
+        .ok_or_else(|| CommandError::Invalid("--ws-limit-mb is too large".into()))?;
     let cfg = a4nn_serve::ServeConfig {
         batcher: a4nn_serve::BatcherConfig {
             max_batch: parsed.get_parse("--batch", 8usize, "usize")?,
             queue_cap: parsed.get_parse("--queue", 64usize, "usize")?,
             workers: parsed.get_parse("--batch-workers", 1usize, "usize")?,
-            ws_limit_bytes: parsed.get_parse("--ws-limit-mb", 8usize, "usize")? * 1024 * 1024,
+            ws_limit_bytes,
         },
         idle_timeout: Duration::from_millis(parsed.get_parse("--idle-ms", 30_000u64, "u64")?),
         metrics_out: parsed.get("--metrics-out").map(PathBuf::from),

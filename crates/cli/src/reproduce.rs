@@ -457,8 +457,7 @@ fn ablation_scheduler(runs: &mut Runs, r: &mut Report) -> Result<(), A4nnError> 
     let out = runs.a4nn(BeamIntensity::Medium, 1)?;
     let mut generations: Vec<Vec<Task>> = vec![Vec::new(); out.config.nas.generations];
     for m in &out.commons.records {
-        let (id, duration) = (m.model_id, m.wall_time_s);
-        generations[m.generation].push(Task { id, duration });
+        generations[m.generation].push(Task::once(m.model_id, m.wall_time_s));
     }
     for gpus in [1usize, 2, 4, 8] {
         let fifo = schedule_generations(gpus, &generations, TaskOrdering::Fifo);

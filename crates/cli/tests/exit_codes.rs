@@ -53,6 +53,17 @@ fn invalid_values_are_three() {
         3,
         "unknown parametric function"
     );
+    for zero in ["--gpus 0", "--population 0", "--generations 0"] {
+        assert_eq!(code(&format!("search --epochs 2 {zero}")), 3, "{zero}");
+    }
+    assert_eq!(
+        code(
+            "serve --commons /nonexistent/a4nn-commons --listen 127.0.0.1:0 \
+             --ws-limit-mb 18446744073709551615"
+        ),
+        3,
+        "a workspace cap whose byte count overflows"
+    );
 }
 
 #[test]

@@ -54,7 +54,7 @@ use a4nn_genome::{Genome, SearchSpace};
 use a4nn_lineage::{EngineParamsRecord, ModelRecord};
 use a4nn_metrics::{MetricsRegistry, MetricsSnapshot};
 use a4nn_penguin::{EngineConfig, ParametricCurve, Verdict};
-use a4nn_sched::{schedule_fifo_retry, GpuPool, RetryPolicy, RetryTask, ScheduleResult};
+use a4nn_sched::{schedule, GpuPool, RetryPolicy, ScheduleResult, Task, TaskOrdering};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -77,10 +77,12 @@ pub struct TransportStats {
     /// Worst-case round trip in wall seconds.
     pub round_trip_max_s: f64,
     /// Mean wall seconds a job waited for a free execution slot before
-    /// dispatch (zero for in-process transports, which hand jobs
-    /// straight to the thread pool).
+    /// dispatch: on the socket transport, from the job becoming ready
+    /// (the generation's start, or the loss of the worker holding it) to
+    /// its dispatch; zero for the in-process transports, which hand jobs
+    /// straight to the thread pool.
     pub queue_wait_mean_s: f64,
-    /// Worst-case queue wait in wall seconds.
+    /// Worst-case queue wait in wall seconds, measured as the mean is.
     pub queue_wait_max_s: f64,
 }
 
@@ -220,24 +222,9 @@ impl<'a> EvalPipeline<'a> {
         self.cfg
     }
 
-    /// The search space genomes decode under.
-    pub fn space(&self) -> &SearchSpace {
-        self.space
-    }
-
-    /// The trainer factory.
-    pub fn factory(&self) -> &dyn TrainerFactory {
-        self.factory
-    }
-
     /// The per-epoch checkpoint sink, when one is attached.
     pub fn checkpoints(&self) -> Option<&CheckpointStore> {
         self.checkpoints
-    }
-
-    /// The retry policy and fault plan in force.
-    pub fn fault_tolerance(&self) -> &FaultTolerance {
-        self.ft
     }
 
     /// Record one completed job in the metrics registry: its
@@ -455,21 +442,19 @@ impl Transport for BusTransport {
     }
 }
 
-/// The generation's discrete-event schedule, retry-aware: every attempt
-/// — failed ones included — is charged to the virtual GPUs via
-/// `schedule_fifo_retry`, with the policy's backoff between attempts.
-/// When no model needed a retry this is exactly the seed's
-/// `schedule_fifo` (bitwise happy-path identity).
+/// The generation's FIFO discrete-event schedule, retry-aware: every
+/// attempt — failed ones included — is charged to the virtual GPUs,
+/// with the policy's backoff between attempts.
 fn generation_schedule(
     gpus: usize,
     base_id: u64,
     outcomes: &[(TrainingOutcome, ModelCost)],
     policy: &RetryPolicy,
 ) -> ScheduleResult {
-    let tasks: Vec<RetryTask> = outcomes
+    let tasks: Vec<Task> = outcomes
         .iter()
         .enumerate()
-        .map(|(k, (outcome, _))| RetryTask {
+        .map(|(k, (outcome, _))| Task {
             id: base_id + k as u64,
             attempt_durations: outcome
                 .failed_attempt_seconds
@@ -479,7 +464,7 @@ fn generation_schedule(
                 .collect(),
         })
         .collect();
-    schedule_fifo_retry(gpus, &tasks, policy)
+    schedule(gpus, &tasks, TaskOrdering::Fifo, policy)
 }
 
 /// Train every genome of a generation as one job on the pool, each
@@ -950,8 +935,8 @@ mod tests {
     }
 
     #[test]
-    fn clean_outcomes_schedule_exactly_like_the_seed() {
-        use a4nn_sched::{schedule_fifo, Task, TaskOrdering};
+    fn clean_outcomes_schedule_one_attempt_each() {
+        use a4nn_sched::Assignment;
         let outcome = |s: f64| TrainingOutcome {
             epochs: Vec::new(),
             final_fitness: 0.0,
@@ -968,19 +953,14 @@ mod tests {
             (outcome(30.0), ModelCost::from_flops(1.0)),
             (outcome(10.0), ModelCost::from_flops(1.0)),
         ];
-        let tasks = vec![
-            Task {
-                id: 5,
-                duration: 30.0,
-            },
-            Task {
-                id: 6,
-                duration: 10.0,
-            },
-        ];
-        let plain = schedule_fifo(2, &tasks, TaskOrdering::Fifo);
         let routed = generation_schedule(2, 5, &outcomes, &RetryPolicy::default());
-        assert_eq!(plain.assignments, routed.assignments);
+        let placed = |task_id, gpu, end| Assignment {
+            task_id,
+            gpu,
+            start: 0.0,
+            end,
+        };
+        assert_eq!(routed.assignments, [placed(5, 0, 30.0), placed(6, 1, 10.0)]);
     }
 
     #[test]

@@ -182,9 +182,6 @@ pub struct A4nnWorkflow {
 impl A4nnWorkflow {
     /// Build a workflow from its configuration.
     pub fn new(config: WorkflowConfig) -> Self {
-        assert!(config.gpus > 0, "need at least one GPU");
-        assert!(config.nas.population > 0, "population must be positive");
-        assert!(config.nas.generations > 0, "need at least one generation");
         let space = config.search_space();
         A4nnWorkflow { config, space }
     }
@@ -194,9 +191,9 @@ impl A4nnWorkflow {
     /// Trainer crashes are *not* errors — they flow through the retry
     /// budget into `Terminated::Failed` records; `Err` means the run
     /// itself could not continue (closed bus, crashed service, poisoned
-    /// pool, lost workers, a stale snapshot), was misconfigured (an aging
-    /// evolution sample of 0), or was interrupted at a generation boundary
-    /// by `options.control`.
+    /// pool, lost workers, a stale snapshot), was misconfigured (zero
+    /// GPUs, population or generations, an aging evolution sample of 0),
+    /// or was interrupted at a generation boundary by `options.control`.
     pub fn run(
         &self,
         factory: &dyn TrainerFactory,
@@ -210,10 +207,25 @@ impl A4nnWorkflow {
             control,
             resume,
         } = options;
-        if driver == (Driver::AgingEvolution { sample_size: 0 }) {
-            return Err(A4nnError::Config(
-                "aging evolution needs a sample size of at least 1".into(),
-            ));
+        let nas = &self.config.nas;
+        for (zero, what) in [
+            (self.config.gpus == 0, "a search needs at least one GPU"),
+            (
+                nas.population == 0,
+                "a search needs a population of at least 1",
+            ),
+            (
+                nas.generations == 0,
+                "a search needs at least one generation",
+            ),
+            (
+                driver == (Driver::AgingEvolution { sample_size: 0 }),
+                "aging evolution needs a sample size of at least 1",
+            ),
+        ] {
+            if zero {
+                return Err(A4nnError::Config(what.into()));
+            }
         }
         let pipeline = EvalPipeline::new(&self.config, &self.space, factory, checkpoints, &ft);
         let transport: &dyn Transport = match orchestration {

@@ -1,7 +1,7 @@
 //! # a4nn-metrics — structured run metrics
 //!
 //! The operability layer every transport of the evaluation pipeline
-//! feeds: monotonic [`Counter`]s and mergeable fixed-bucket
+//! feeds: monotonic [`Counter`]s and fixed-bucket
 //! [`Histogram`]s behind a thread-safe [`MetricsRegistry`], with a
 //! serializable [`MetricsSnapshot`] for atomic persistence beside the
 //! commons CSVs and a CSV/JSON export consumed by the `a4nn stats`
@@ -10,8 +10,8 @@
 //! Design constraints, in order:
 //!
 //! - **Exactness.** Counters and histogram totals are `u64` with
-//!   saturating arithmetic, never floats, so merging is associative and
-//!   commutative *exactly* (pinned by the property suite) and a
+//!   saturating arithmetic, never floats, so a histogram is independent
+//!   of observation order (pinned by the property suite) and a
 //!   snapshot/restore round trip is the identity.
 //! - **Crash-consistency.** A registry restores from its own snapshot,
 //!   which is what lets an interrupted search resume its metrics
@@ -52,11 +52,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0
     }
-
-    /// Fold another counter in (saturating).
-    pub fn merge(&mut self, other: &Counter) {
-        self.add(other.0);
-    }
 }
 
 /// Default histogram bucket bounds: exponentially spaced microseconds
@@ -70,8 +65,8 @@ pub fn default_time_bounds_us() -> Vec<u64> {
 ///
 /// Bucket `i` counts samples `<= bounds[i]` (and greater than
 /// `bounds[i-1]`); one implicit overflow bucket catches the rest. All
-/// totals are saturating `u64`, so merging histograms with identical
-/// bounds is exact, associative, and commutative.
+/// totals are saturating `u64`, so the histogram of a sample multiset is
+/// exact and independent of observation order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Histogram {
     /// Ascending inclusive upper bounds, one per explicit bucket.
@@ -169,30 +164,6 @@ impl Histogram {
     pub fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
-
-    /// Fold `other` into `self`. Exact (saturating integer adds and
-    /// min/max folds), so the operation is associative and commutative.
-    /// Fails when the bucket bounds differ — merging histograms of
-    /// different shapes would silently misbin.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), A4nnError> {
-        if self.bounds != other.bounds {
-            return Err(A4nnError::Config(format!(
-                "cannot merge histograms with different bounds ({} vs {} buckets)",
-                self.bounds.len(),
-                other.bounds.len()
-            )));
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a = a.saturating_add(*b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        Ok(())
-    }
 }
 
 /// A point-in-time copy of a registry: plain serializable data, ordered
@@ -214,22 +185,6 @@ impl MetricsSnapshot {
     /// One histogram, when present.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// Fold another snapshot in: counters add, histograms merge.
-    pub fn merge(&mut self, other: &MetricsSnapshot) -> Result<(), A4nnError> {
-        for (name, c) in &other.counters {
-            self.counters.entry(name.clone()).or_default().merge(c);
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge(h)?,
-                None => {
-                    self.histograms.insert(name.clone(), h.clone());
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Deterministic JSON encoding (pretty, ordered maps).
@@ -447,13 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_rejects_mismatched_bounds() {
-        let mut a = Histogram::new(vec![1, 2]).unwrap();
-        let b = Histogram::new(vec![1, 3]).unwrap();
-        assert!(a.merge(&b).is_err());
-    }
-
-    #[test]
     fn registry_snapshot_roundtrip() {
         let reg = MetricsRegistry::new();
         reg.add(names::EPOCHS_TRAINED, 42);
@@ -490,22 +438,5 @@ mod tests {
         assert_eq!(lines.next(), Some("epochs_trained,counter,7,,,,"));
         assert_eq!(lines.next(), Some("round_trip_us,histogram,1,3,3,3,3.000"));
         assert_eq!(lines.next(), None);
-    }
-
-    #[test]
-    fn snapshot_merge_adds_counters_and_histograms() {
-        let a = MetricsRegistry::new();
-        a.add("x", 1);
-        a.observe("h", 10);
-        let b = MetricsRegistry::new();
-        b.add("x", 2);
-        b.add("y", 4);
-        b.observe("h", 20);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot()).unwrap();
-        assert_eq!(merged.counter("x"), 3);
-        assert_eq!(merged.counter("y"), 4);
-        assert_eq!(merged.histogram("h").unwrap().count(), 2);
-        assert_eq!(merged.histogram("h").unwrap().sum(), 30);
     }
 }

@@ -14,9 +14,9 @@
 //!   [`a4nn_core::train_resilient_direct`], and heartbeats its liveness.
 //! - [`transport`] — the coordinator ([`SocketTransport`]): an
 //!   implementation of the transport trait that shards each generation across
-//!   workers weighted by their advertised GPU counts, detects dead
-//!   workers by heartbeat deadline, and requeues their in-flight jobs
-//!   through the scheduler's existing retry machinery.
+//!   workers weighted by their advertised GPU counts from one dispatch
+//!   loop, detects dead workers by heartbeat deadline, and requeues
+//!   their in-flight jobs on that loop's ready queue.
 //! - [`reactor`] (Linux) — the event-driven I/O layer: an epoll event
 //!   loop over hand-written syscall bindings ([`sys`]) that multiplexes
 //!   every connection through one thread, driving nonblocking state

@@ -2,16 +2,19 @@
 //! [`Transport`] that shards each generation's
 //! trainer jobs across connected worker processes.
 //!
-//! Sharding is GPU-weighted: each connection advertises a job capacity
-//! in its `Welcome`, and the router always dispatches to the live
-//! connection with the lowest relative load (`in_flight / gpus`). Dead
-//! workers are detected by the heartbeat deadline — the reader thread's
-//! socket read timeout — and their in-flight jobs are *requeued*: each
-//! genome is one [`GpuPool::run_batch`] job whose body loops over
-//! dispatch attempts, so a job whose connection died routes its next
-//! attempt to a surviving worker. Only when every worker is gone (or a
-//! job has been dispatched to every worker and lost each time) does the
-//! run abort with a `Net`-class [`A4nnError`].
+//! The coordinator runs no jobs itself. One dispatch loop, on the
+//! calling thread, owns every connection's slot accounting: it sends
+//! each ready job to the live connection with a free slot and the
+//! lowest relative load (`in_flight / gpus`, lowest index on ties), and
+//! one reader thread per connection forwards that worker's answers —
+//! and finally its loss — to the loop as events on one channel. Dead
+//! workers are detected by the heartbeat deadline (the reader's socket
+//! read timeout); the loop then *requeues* their in-flight jobs onto the
+//! ready queue with the next dispatch attempt. Only when every worker is
+//! gone does the run abort with a `Net`-class [`A4nnError`]. A job waits
+//! in the ready queue from the generation's start, or from the loss of
+//! its connection, until its dispatch: that wait is the transport's
+//! queue wait.
 //!
 //! Failure taxonomy, unchanged from the in-process transports: a trainer
 //! panic *on* a worker is handled by the worker's own retry loop and
@@ -25,12 +28,11 @@ use a4nn_core::{
 };
 use a4nn_error::A4nnError;
 use a4nn_genome::Genome;
-use a4nn_sched::GpuPool;
-use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
+use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// TCP connect timeout per worker address.
@@ -53,87 +55,47 @@ impl Default for SocketOptions {
     }
 }
 
-/// Per-connection scheduling state, guarded by the router lock.
-#[derive(Debug)]
-struct Slot {
-    gpus: usize,
-    in_flight: usize,
-    alive: bool,
-}
-
-/// The GPU-weighted dispatcher over all connections.
-struct Router {
-    slots: Mutex<Vec<Slot>>,
-    changed: Condvar,
-}
-
-impl Router {
-    fn new(slots: Vec<Slot>) -> Self {
-        Router {
-            slots: Mutex::new(slots),
-            changed: Condvar::new(),
-        }
-    }
-
-    /// Reserve a job slot on the least-loaded live connection, blocking
-    /// while all live connections are saturated. `None` when no live
-    /// connection remains — the zero-workers abort signal.
-    fn acquire(&self) -> Option<usize> {
-        let mut slots = self.slots.lock();
-        loop {
-            if !slots.iter().any(|s| s.alive) {
-                return None;
-            }
-            let best = slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.alive && s.in_flight < s.gpus)
-                // Lowest relative load; cross-multiplied to stay in
-                // integers (a/g_a < b/g_b ⇔ a·g_b < b·g_a).
-                .min_by(|(_, a), (_, b)| (a.in_flight * b.gpus).cmp(&(b.in_flight * a.gpus)))
-                .map(|(i, _)| i);
-            if let Some(i) = best {
-                slots[i].in_flight += 1;
-                return Some(i);
-            }
-            self.changed.wait(&mut slots);
-        }
-    }
-
-    fn release(&self, i: usize) {
-        let mut slots = self.slots.lock();
-        slots[i].in_flight = slots[i].in_flight.saturating_sub(1);
-        drop(slots);
-        self.changed.notify_all();
-    }
-
-    fn mark_dead(&self, i: usize) {
-        self.slots.lock()[i].alive = false;
-        self.changed.notify_all();
-    }
-}
-
-/// Reply routing for one connection. `alive` lives under the same lock
-/// as the pending map so registration and the reader's terminal drain
-/// cannot race: either a sender registers before the drain (and is
-/// drained), or it observes `alive == false` and bails.
-#[derive(Default)]
-struct ConnState {
-    alive: bool,
-    pending: HashMap<u64, SyncSender<Option<(TrainingOutcome, ModelCost)>>>,
+/// What a connection's reader thread forwards to the dispatch loop.
+enum Event {
+    /// `Done(conn, model_id, ..)`: connection `conn` answered a job.
+    Done(usize, u64, TrainingOutcome, ModelCost),
+    /// Connection `conn` closed, missed its heartbeat deadline or broke
+    /// the protocol; its reader has exited.
+    Lost(usize),
 }
 
 struct Connection {
     gpus: usize,
-    writer: Mutex<TcpStream>,
-    state: Arc<Mutex<ConnState>>,
-    reader: Option<std::thread::JoinHandle<()>>,
+    /// Written only by the dispatch loop (and by `Drop`), through
+    /// `&TcpStream`.
+    stream: TcpStream,
+    reader: Option<JoinHandle<()>>,
+}
+
+/// The dispatch loop's state that outlives a generation.
+struct Dispatch {
+    events: Receiver<Event>,
+    /// Jobs in flight per connection; `None` once the connection is
+    /// retired. A retired connection is never dispatched to again, and
+    /// its late answers and loss are ignored.
+    in_flight: Vec<Option<usize>>,
+}
+
+/// One job of the generation being dispatched.
+struct Job {
+    /// Dispatches so far: the wire's `dispatch_attempt` of the latest.
+    attempt: u32,
+    /// When the job last became ready: the generation's start, or the
+    /// loss of the connection that held it.
+    ready_at: Instant,
+    /// `(connection, sent at, queue wait in seconds)` while in flight.
+    flight: Option<(usize, Instant, f64)>,
 }
 
 /// A connected, handshaken coordinator transport.
 pub struct SocketTransport {
     connections: Vec<Connection>,
-    router: Arc<Router>,
+    dispatch: Mutex<Dispatch>,
 }
 
 impl SocketTransport {
@@ -184,32 +146,22 @@ impl SocketTransport {
             .map_err(|e| A4nnError::Net(format!("greeting worker {addr}: {e}")))?;
             let gpus = match read_message::<_, Message>(&mut reader) {
                 Ok(Some(Message::Welcome { version, gpus })) if version == PROTOCOL_VERSION => {
-                    if gpus == 0 {
-                        return Err(A4nnError::Net(format!(
-                            "worker {addr} advertised zero GPUs"
-                        )));
-                    }
-                    gpus
+                    (gpus > 0)
+                        .then_some(gpus)
+                        .ok_or_else(|| format!("worker {addr} advertised zero GPUs"))
                 }
-                Ok(Some(Message::Welcome { version, .. })) => {
-                    return Err(A4nnError::Net(format!(
-                        "worker {addr} speaks protocol v{version}, we speak v{PROTOCOL_VERSION}"
-                    )))
-                }
+                Ok(Some(Message::Welcome { version, .. })) => Err(format!(
+                    "worker {addr} speaks protocol v{version}, we speak v{PROTOCOL_VERSION}"
+                )),
                 Ok(Some(Message::Reject { reason })) => {
-                    return Err(A4nnError::Net(format!("worker {addr} refused: {reason}")))
+                    Err(format!("worker {addr} refused: {reason}"))
                 }
-                Ok(other) => {
-                    return Err(A4nnError::Net(format!(
-                        "worker {addr} answered the handshake with {other:?}"
-                    )))
-                }
-                Err(e) => {
-                    return Err(A4nnError::Net(format!(
-                        "handshake with worker {addr} failed: {e}"
-                    )))
-                }
-            };
+                Ok(other) => Err(format!(
+                    "worker {addr} answered the handshake with {other:?}"
+                )),
+                Err(e) => Err(format!("handshake with worker {addr} failed: {e}")),
+            }
+            .map_err(A4nnError::Net)?;
             write_message(
                 &mut &stream,
                 &Message::RunSetup {
@@ -223,70 +175,46 @@ impl SocketTransport {
             accepted.push((gpus, stream, reader));
         }
 
-        let router = Arc::new(Router::new(
-            accepted
-                .iter()
-                .map(|(gpus, _, _)| Slot {
-                    gpus: *gpus,
-                    in_flight: 0,
-                    alive: true,
-                })
-                .collect(),
-        ));
-        let connections = accepted
+        let (events_tx, events) = channel();
+        let connections: Vec<Connection> = accepted
             .into_iter()
             .enumerate()
-            .map(|(i, (gpus, stream, mut reader))| {
-                let state = Arc::new(Mutex::new(ConnState {
-                    alive: true,
-                    pending: HashMap::new(),
-                }));
-                let reader_state = Arc::clone(&state);
-                let reader_router = Arc::clone(&router);
-                let handle = std::thread::spawn(move || {
-                    loop {
-                        match read_message::<_, Message>(&mut reader) {
-                            Ok(Some(Message::Heartbeat)) => {}
-                            Ok(Some(Message::JobDone {
-                                model_id,
-                                cost,
-                                outcome,
-                            })) => {
-                                let sender = reader_state.lock().pending.remove(&model_id);
-                                if let Some(tx) = sender {
-                                    let _ = tx.send(Some((outcome, cost)));
-                                }
-                            }
-                            // Clean close, heartbeat-deadline timeout,
-                            // truncated/corrupt frame, protocol breach:
-                            // all mean this worker is unusable.
-                            _ => break,
-                        }
+            .map(|(conn, (gpus, stream, mut reader))| {
+                let events = events_tx.clone();
+                let reader = std::thread::spawn(move || loop {
+                    let event = match read_message::<_, Message>(&mut reader) {
+                        Ok(Some(Message::Heartbeat)) => continue,
+                        Ok(Some(Message::JobDone {
+                            model_id,
+                            cost,
+                            outcome,
+                        })) => Event::Done(conn, model_id, outcome, cost),
+                        // Clean close, heartbeat-deadline timeout,
+                        // truncated/corrupt frame, protocol breach: all
+                        // mean this worker is unusable.
+                        _ => Event::Lost(conn),
+                    };
+                    let lost = matches!(event, Event::Lost(_));
+                    if events.send(event).is_err() || lost {
+                        break;
                     }
-                    let mut st = reader_state.lock();
-                    st.alive = false;
-                    for (_, tx) in st.pending.drain() {
-                        let _ = tx.send(None);
-                    }
-                    drop(st);
-                    reader_router.mark_dead(i);
                 });
                 Connection {
                     gpus,
-                    writer: Mutex::new(stream),
-                    state,
-                    reader: Some(handle),
+                    stream,
+                    reader: Some(reader),
                 }
             })
             .collect();
+        let in_flight = vec![Some(0); connections.len()];
         Ok(SocketTransport {
             connections,
-            router,
+            dispatch: Mutex::new(Dispatch { events, in_flight }),
         })
     }
 
     /// Connected workers (dead ones included — connections are never
-    /// removed, only marked dead).
+    /// removed, only retired).
     pub fn worker_count(&self) -> usize {
         self.connections.len()
     }
@@ -296,45 +224,124 @@ impl SocketTransport {
         self.connections.iter().map(|c| c.gpus).sum()
     }
 
-    /// Dispatch one job to connection `conn_idx`; `None` when the
-    /// connection dies at any point before the outcome arrives.
-    fn dispatch(
+    /// Retire connection `conn`. Severing the stream tells the worker
+    /// the session is over and unblocks the connection's reader.
+    fn retire(&self, in_flight: &mut [Option<usize>], conn: usize) {
+        in_flight[conn] = None;
+        let _ = self.connections[conn].stream.shutdown(Shutdown::Both);
+    }
+
+    /// The dispatch loop for one generation: send every ready job a free
+    /// slot will take, then wait for the next answer or loss.
+    fn dispatch_generation(
         &self,
-        conn_idx: usize,
-        model_id: u64,
+        dispatch: &mut Dispatch,
+        pipeline: &EvalPipeline<'_>,
+        genomes: &[Genome],
         generation: usize,
-        dispatch_attempt: u32,
-        genome: &Genome,
-    ) -> Option<(TrainingOutcome, ModelCost)> {
-        let conn = &self.connections[conn_idx];
-        let (tx, rx) = sync_channel(1);
-        {
-            let mut st = conn.state.lock();
-            if !st.alive {
-                return None;
+        base_id: u64,
+    ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError> {
+        let start = Instant::now();
+        let mut jobs: Vec<Job> = genomes
+            .iter()
+            .map(|_| Job {
+                attempt: 0,
+                ready_at: start,
+                flight: None,
+            })
+            .collect();
+        let mut ready: VecDeque<usize> = (0..jobs.len()).collect();
+        let mut results: Vec<_> = jobs.iter().map(|_| None).collect();
+        let mut pending = jobs.len();
+        while pending > 0 {
+            while let Some(&k) = ready.front() {
+                // The live connection with a free slot and the lowest
+                // relative load, cross-multiplied to stay in integers
+                // (a/g_a < b/g_b ⇔ a·g_b < b·g_a); `min_by` keeps the
+                // lowest index on ties.
+                let least_loaded = (dispatch.in_flight.iter().zip(&self.connections))
+                    .enumerate()
+                    .filter_map(|(i, (load, c))| {
+                        load.filter(|&l| l < c.gpus).map(|l| (i, l, c.gpus))
+                    })
+                    .min_by(|a, b| (a.1 * b.2).cmp(&(b.1 * a.2)));
+                let Some((conn, load, _)) = least_loaded else {
+                    if dispatch.in_flight.iter().all(Option::is_none) {
+                        return Err(A4nnError::Net(format!(
+                            "no live workers remain to train model {} \
+                             (all {} worker connection(s) lost)",
+                            base_id + k as u64,
+                            self.connections.len()
+                        )));
+                    }
+                    break;
+                };
+                ready.pop_front();
+                dispatch.in_flight[conn] = Some(load + 1);
+                let job = &mut jobs[k];
+                job.attempt += 1;
+                let sent = Instant::now();
+                job.flight = Some((conn, sent, (sent - job.ready_at).as_secs_f64()));
+                let message = Message::Job {
+                    model_id: base_id + k as u64,
+                    generation,
+                    dispatch_attempt: job.attempt,
+                    genome: genomes[k].clone(),
+                };
+                if write_message(&mut &self.connections[conn].stream, &message).is_err() {
+                    self.retire(&mut dispatch.in_flight, conn);
+                    requeue(conn, &mut jobs, &mut ready);
+                }
             }
-            st.pending.insert(model_id, tx);
+            // Some job is in flight on a live connection here (a ready
+            // job waits only while every live slot is taken), and that
+            // connection's reader answers or reports its loss within the
+            // heartbeat deadline, so this receive returns.
+            match dispatch.events.recv() {
+                Ok(Event::Done(conn, model_id, outcome, cost)) => {
+                    // Only the connection holding the job may answer it:
+                    // a retired connection's late answer is dropped.
+                    let k = model_id.checked_sub(base_id).map(usize::try_from);
+                    let Some(Ok(k)) = k else { continue };
+                    let Some(job) = jobs.get_mut(k) else { continue };
+                    let Some((_, sent, queue_wait_s)) = job.flight.filter(|f| f.0 == conn) else {
+                        continue;
+                    };
+                    job.flight = None;
+                    dispatch.in_flight[conn] = dispatch.in_flight[conn].map(|l| l - 1);
+                    let retries =
+                        u64::from(outcome.attempts.saturating_sub(1)) + u64::from(job.attempt - 1);
+                    pipeline.record_job(sent.elapsed().as_secs_f64(), queue_wait_s, retries);
+                    results[k] = Some((outcome, cost));
+                    pending -= 1;
+                }
+                Ok(Event::Lost(conn)) => {
+                    if dispatch.in_flight[conn].is_some() {
+                        self.retire(&mut dispatch.in_flight, conn);
+                        requeue(conn, &mut jobs, &mut ready);
+                    }
+                }
+                // Every reader reports its loss before it exits, and
+                // losing them all empties the fleet above first.
+                Err(_) => {
+                    return Err(A4nnError::Internal(
+                        "every worker reader exited with jobs in flight".into(),
+                    ))
+                }
+            }
         }
-        let write_ok = write_message(
-            &mut *conn.writer.lock(),
-            &Message::Job {
-                model_id,
-                generation,
-                dispatch_attempt,
-                genome: genome.clone(),
-            },
-        )
-        .is_ok();
-        if !write_ok {
-            conn.state.lock().pending.remove(&model_id);
-            return None;
-        }
-        // The reader thread either routes the outcome here or — on
-        // death, which the heartbeat deadline bounds — drains the
-        // pending map with `None`, so this recv always returns.
-        match rx.recv() {
-            Ok(Some(pair)) => Some(pair),
-            _ => None,
+        Ok(results.into_iter().flatten().collect())
+    }
+}
+
+/// Put every job connection `conn` held back on the ready queue.
+fn requeue(conn: usize, jobs: &mut [Job], ready: &mut VecDeque<usize>) {
+    let now = Instant::now();
+    for (k, job) in jobs.iter_mut().enumerate() {
+        if job.flight.is_some_and(|f| f.0 == conn) {
+            job.flight = None;
+            job.ready_at = now;
+            ready.push_back(k);
         }
     }
 }
@@ -354,66 +361,17 @@ impl Transport for SocketTransport {
                     .into(),
             ));
         }
-        // A job loses at most one attempt per worker (a failed attempt
-        // retires its connection), so with n workers n + 1 dispatch
-        // attempts suffice (past that, acquire() returns None anyway).
-        let max_dispatches = self.connections.len() as u32 + 1;
-        let jobs: Vec<_> = genomes
-            .iter()
-            .enumerate()
-            .map(|(k, genome)| {
-                let model_id = base_id + k as u64;
-                move |_worker: usize| -> Result<(TrainingOutcome, ModelCost), A4nnError> {
-                    for attempt in 1..=max_dispatches {
-                        let queued = Instant::now();
-                        let conn_idx = self.router.acquire().ok_or_else(|| {
-                            A4nnError::Net(format!(
-                                "no live workers remain to train model {model_id} \
-                                 (all {} worker connection(s) lost)",
-                                self.connections.len()
-                            ))
-                        })?;
-                        let queue_wait_s = queued.elapsed().as_secs_f64();
-                        let dispatched = Instant::now();
-                        let result = self.dispatch(conn_idx, model_id, generation, attempt, genome);
-                        if result.is_none() {
-                            // The connection died before the outcome
-                            // landed. Retire it before freeing the slot:
-                            // the reader thread drains this job before it
-                            // marks the router, and the next attempt must
-                            // not race back onto the dead connection.
-                            self.router.mark_dead(conn_idx);
-                        }
-                        self.router.release(conn_idx);
-                        if let Some((outcome, cost)) = result {
-                            pipeline.record_job(
-                                dispatched.elapsed().as_secs_f64(),
-                                queue_wait_s,
-                                u64::from(outcome.attempts.saturating_sub(1) + attempt - 1),
-                            );
-                            return Ok((outcome, cost));
-                        }
-                    }
-                    Err(A4nnError::Net(format!(
-                        "model {model_id} was dispatched {max_dispatches} time(s) and every \
-                         worker holding it died"
-                    )))
-                }
-            })
-            .collect();
-        let (outputs, _) = GpuPool::new(self.total_gpus().max(1)).run_batch(jobs)?;
-        outputs
-            .into_iter()
-            .enumerate()
-            .map(|(k, output)| {
-                output.ok_or_else(|| {
-                    A4nnError::Internal(format!(
-                        "dispatch job for model {} panicked outside its attempts",
-                        base_id + k as u64
-                    ))
-                })?
-            })
-            .collect()
+        let mut dispatch = self.dispatch.lock();
+        let result =
+            self.dispatch_generation(&mut dispatch, pipeline, genomes, generation, base_id);
+        if result.is_err() {
+            // Nothing answers a failed generation: retire every
+            // connection so a later run cannot pick up a stale answer.
+            for conn in 0..self.connections.len() {
+                self.retire(&mut dispatch.in_flight, conn);
+            }
+        }
+        result
     }
 
     fn name(&self) -> &'static str {
@@ -423,13 +381,14 @@ impl Transport for SocketTransport {
 
 impl Drop for SocketTransport {
     fn drop(&mut self) {
-        for conn in &self.connections {
-            if conn.state.lock().alive {
-                let _ = write_message(&mut *conn.writer.lock(), &Message::Shutdown);
+        let in_flight = &self.dispatch.get_mut().in_flight;
+        for (conn, load) in self.connections.iter().zip(in_flight) {
+            if load.is_some() {
+                let _ = write_message(&mut &conn.stream, &Message::Shutdown);
             }
             // Severing the stream unblocks the reader thread's socket
             // read so the joins below cannot hang.
-            let _ = conn.writer.lock().shutdown(Shutdown::Both);
+            let _ = conn.stream.shutdown(Shutdown::Both);
         }
         for conn in &mut self.connections {
             if let Some(handle) = conn.reader.take() {

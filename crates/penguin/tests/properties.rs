@@ -151,3 +151,112 @@ proptest! {
         prop_assert!((pa - pb).abs() < 0.05, "{pa} vs {pb}");
     }
 }
+
+/// The invariants every replay keeps, whatever the curve's shape, in
+/// `family`: it does not panic; every prediction and the converged value
+/// are finite; the engine stops no earlier than its first full window
+/// allows (the first fit needs `max(C_min, n_params)` points, then `N`
+/// predictions must agree); a converged value lies inside `bounds`; and
+/// a second replay gives the same verdicts bit for bit.
+fn replay_invariants(family: CurveFamily, curve: &[(u32, f64)]) -> Result<(), TestCaseError> {
+    let config = EngineConfig {
+        family,
+        ..EngineConfig::paper_defaults()
+    };
+    let run = replay(&config, curve);
+    let name = family.name();
+    for p in run.predictions.iter().flatten() {
+        prop_assert!(p.is_finite(), "{}: non-finite prediction {}", name, p);
+    }
+    if let Some(fitness) = run.converged {
+        let earliest = config.c_min.max(family.n_params()) + config.n_converge - 1;
+        prop_assert!(
+            run.epochs() >= earliest,
+            "{}: stopped at {}",
+            name,
+            run.epochs()
+        );
+        let (lo, hi) = config.bounds;
+        prop_assert!(
+            (lo..=hi).contains(&fitness),
+            "{}: converged to {}",
+            name,
+            fitness
+        );
+    }
+    // `f64`'s `Debug` round-trips, so equal text is equal bits.
+    let again = replay(&config, curve);
+    prop_assert_eq!(
+        format!("{run:?}"),
+        format!("{again:?}"),
+        "{}: not deterministic",
+        name
+    );
+    Ok(())
+}
+
+/// A saturating curve over epochs `1..=epochs`, clamped to `[0, 100]`.
+fn saturating(epochs: u32, a: f64, rho: f64, scale: f64) -> Vec<(u32, f64)> {
+    (1..=epochs)
+        .map(|e| (e, (a - scale * rho.powi(e as i32)).clamp(0.0, 100.0)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Quantised accuracy: a validation set of `n_val` images only
+    /// yields multiples of `100 / n_val`, so small sets give staircase
+    /// curves with flat runs. The engine can lock onto a flat run and
+    /// stop on a stale value (ROADMAP item 4); only the invariants are
+    /// pinned here.
+    #[test]
+    fn quantised_accuracy_keeps_the_replay_invariants(
+        family in 0usize..CurveFamily::ALL.len(),
+        n_val in 5u32..200,
+        a in 40.0f64..99.0,
+        rho in 0.3f64..0.95,
+        scale in 5.0f64..60.0,
+        epochs in 1u32..=25,
+    ) {
+        let step = 100.0 / f64::from(n_val);
+        let curve: Vec<(u32, f64)> = saturating(epochs, a, rho, scale)
+            .into_iter()
+            .map(|(e, v)| (e, (v / step).round() * step))
+            .collect();
+        replay_invariants(CurveFamily::ALL[family], &curve)?;
+    }
+
+    /// A plateau plus noise: a network that stopped learning, measured
+    /// on a noisy validation set. Fits to such curves are poorly
+    /// conditioned and their extrapolations can wander (ROADMAP item 4).
+    #[test]
+    fn noisy_plateaus_keep_the_replay_invariants(
+        family in 0usize..CurveFamily::ALL.len(),
+        level in 5.0f64..99.0,
+        noise in 0.0f64..3.0,
+        seed in any::<u64>(),
+        epochs in 1u32..=25,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let curve: Vec<(u32, f64)> = (1..=epochs)
+            .map(|e| (e, (level + noise * rng.gen_range(-1.0..=1.0)).clamp(0.0, 100.0)))
+            .collect();
+        replay_invariants(CurveFamily::ALL[family], &curve)?;
+    }
+
+    /// Curves that end near 100: the extrapolation to `e_pred` can
+    /// overshoot the ceiling, which the analyzer's bounds veto, so such
+    /// a model may train to the end instead of stopping (ROADMAP item 4).
+    #[test]
+    fn near_ceiling_curves_keep_the_replay_invariants(
+        family in 0usize..CurveFamily::ALL.len(),
+        a in 98.0f64..102.0,
+        rho in 0.3f64..0.95,
+        scale in 5.0f64..80.0,
+        epochs in 1u32..=25,
+    ) {
+        replay_invariants(CurveFamily::ALL[family], &saturating(epochs, a, rho, scale))?;
+    }
+}

@@ -4,14 +4,29 @@
 use crate::retry::RetryPolicy;
 use serde::{Deserialize, Serialize};
 
-/// One unit of schedulable work: training one network to (possibly early)
-/// termination.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// One unit of schedulable work — training one network to (possibly
+/// early) termination — whose attempts may fail: attempt `k` (1-based)
+/// runs for `attempt_durations[k-1]` simulated seconds; every attempt
+/// before the last is a failure that occupies its GPU for the full
+/// duration and is then requeued after the policy's backoff (in
+/// simulated time). Whether the final attempt succeeds is the caller's
+/// business — the simulator only replays the durations.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Task {
     /// Caller-assigned id (the model id in A4NN).
     pub id: u64,
-    /// Total duration in seconds.
-    pub duration: f64,
+    /// Duration of each attempt, in order. Must be non-empty.
+    pub attempt_durations: Vec<f64>,
+}
+
+impl Task {
+    /// A task that runs once, for `duration` seconds.
+    pub fn once(id: u64, duration: f64) -> Self {
+        Task {
+            id,
+            attempt_durations: vec![duration],
+        }
+    }
 }
 
 /// How tasks are ordered before list scheduling.
@@ -72,81 +87,20 @@ impl ScheduleResult {
 
 /// Schedule one generation of `tasks` on `n_gpus` GPUs.
 ///
-/// FIFO dynamic scheduling: tasks are taken in order and each goes to the
-/// GPU that frees up first (ties broken by lowest index, matching a single
-/// ready queue drained by idle workers).
-pub fn schedule_fifo(n_gpus: usize, tasks: &[Task], ordering: TaskOrdering) -> ScheduleResult {
-    assert!(n_gpus > 0, "need at least one GPU");
-    let mut order: Vec<usize> = (0..tasks.len()).collect();
-    if ordering == TaskOrdering::Lpt {
-        // total_cmp: durations are asserted non-negative below, so this
-        // matches partial_cmp on every valid input.
-        order.sort_by(|&a, &b| tasks[b].duration.total_cmp(&tasks[a].duration));
-    }
-    let mut free_at = vec![0.0f64; n_gpus];
-    let mut busy = vec![0.0f64; n_gpus];
-    let mut assignments = Vec::with_capacity(tasks.len());
-    for &ti in &order {
-        let task = tasks[ti];
-        assert!(
-            task.duration >= 0.0,
-            "negative duration for task {}",
-            task.id
-        );
-        // Earliest-free GPU, lowest index on ties (`n_gpus > 0` is
-        // asserted above, so the minimum exists).
-        let gpu = (0..n_gpus)
-            .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]).then(a.cmp(&b)))
-            .unwrap_or(0);
-        let start = free_at[gpu];
-        let end = start + task.duration;
-        free_at[gpu] = end;
-        busy[gpu] += task.duration;
-        assignments.push(Assignment {
-            task_id: task.id,
-            gpu,
-            start,
-            end,
-        });
-    }
-    let makespan = free_at.iter().cloned().fold(0.0, f64::max);
-    ScheduleResult {
-        n_gpus,
-        assignments,
-        makespan,
-        gpu_busy: busy,
-    }
-}
-
-/// One unit of work whose attempts may fail: attempt `k` (1-based) runs
-/// for `attempt_durations[k-1]` simulated seconds; every attempt before
-/// the last is a failure that occupies its GPU for the full duration and
-/// is then requeued after the policy's backoff (in simulated time).
-/// Whether the final attempt succeeds is the caller's business — the
-/// simulator only replays the durations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RetryTask {
-    /// Caller-assigned id (the model id in A4NN).
-    pub id: u64,
-    /// Duration of each attempt, in order. Must be non-empty.
-    pub attempt_durations: Vec<f64>,
-}
-
-/// Schedule one generation of retry-capable `tasks` on `n_gpus` GPUs.
-///
-/// FIFO dynamic scheduling with requeue-on-failure: the ready queue is
-/// drained in order by whichever GPU frees up first (lowest index on
-/// ties); a failed attempt goes to the back of the queue, eligible again
-/// `policy.backoff_s(attempt)` simulated seconds after it failed. The
-/// returned [`ScheduleResult`] carries one [`Assignment`] per *attempt*
-/// (a task's final attempt is its last assignment), and `gpu_busy`
-/// includes the GPU time wasted on failed attempts.
-///
-/// With every task single-attempt this reduces exactly to
-/// [`schedule_fifo`] under FIFO ordering.
-pub fn schedule_fifo_retry(
+/// List scheduling with requeue-on-failure: the ready queue starts in
+/// `ordering` — submission order for FIFO, a stable sort by total
+/// duration, longest first, for LPT — and is drained in order by
+/// whichever GPU frees up first (lowest index on ties, matching a single
+/// ready queue drained by idle workers). A failed attempt goes to the
+/// back of the queue, eligible again `policy.backoff_s(attempt)`
+/// simulated seconds after it failed. The returned [`ScheduleResult`]
+/// carries one [`Assignment`] per *attempt* (a task's final attempt is
+/// its last assignment), and `gpu_busy` includes the GPU time wasted on
+/// failed attempts.
+pub fn schedule(
     n_gpus: usize,
-    tasks: &[RetryTask],
+    tasks: &[Task],
+    ordering: TaskOrdering,
     policy: &RetryPolicy,
 ) -> ScheduleResult {
     assert!(n_gpus > 0, "need at least one GPU");
@@ -176,6 +130,13 @@ pub fn schedule_fifo_retry(
             }
         })
         .collect();
+    if ordering == TaskOrdering::Lpt {
+        // A stable sort: equal total durations keep submission order.
+        let total = |r: &Ready| tasks[r.task].attempt_durations.iter().sum::<f64>();
+        queue
+            .make_contiguous()
+            .sort_by(|a, b| total(b).total_cmp(&total(a)));
+    }
     let mut free_at = vec![0.0f64; n_gpus];
     let mut busy = vec![0.0f64; n_gpus];
     let total_attempts: usize = tasks.iter().map(|t| t.attempt_durations.len()).sum();
@@ -273,7 +234,8 @@ impl GenerationSchedule {
     }
 }
 
-/// Schedule a sequence of generations with barriers between them.
+/// [`schedule`] a sequence of generations with barriers between them;
+/// failed attempts requeue after [`RetryPolicy::default`]'s backoff.
 pub fn schedule_generations(
     n_gpus: usize,
     generations: &[Vec<Task>],
@@ -282,7 +244,7 @@ pub fn schedule_generations(
     GenerationSchedule {
         generations: generations
             .iter()
-            .map(|tasks| schedule_fifo(n_gpus, tasks, ordering))
+            .map(|tasks| schedule(n_gpus, tasks, ordering, &RetryPolicy::default()))
             .collect(),
     }
 }
@@ -295,16 +257,17 @@ mod tests {
         durations
             .iter()
             .enumerate()
-            .map(|(i, &d)| Task {
-                id: i as u64,
-                duration: d,
-            })
+            .map(|(i, &d)| Task::once(i as u64, d))
             .collect()
+    }
+
+    fn fifo(n_gpus: usize, tasks: &[Task]) -> ScheduleResult {
+        schedule(n_gpus, tasks, TaskOrdering::Fifo, &RetryPolicy::default())
     }
 
     #[test]
     fn single_gpu_serializes_tasks() {
-        let r = schedule_fifo(1, &tasks(&[3.0, 2.0, 5.0]), TaskOrdering::Fifo);
+        let r = fifo(1, &tasks(&[3.0, 2.0, 5.0]));
         assert_eq!(r.makespan, 10.0);
         assert!((r.utilization() - 1.0).abs() < 1e-12);
         assert_eq!(r.assignments[1].start, 3.0);
@@ -314,7 +277,7 @@ mod tests {
     #[test]
     fn fifo_takes_earliest_free_gpu() {
         // GPUs: g0 gets 4.0, g1 gets 1.0; third task should land on g1 at t=1.
-        let r = schedule_fifo(2, &tasks(&[4.0, 1.0, 2.0]), TaskOrdering::Fifo);
+        let r = fifo(2, &tasks(&[4.0, 1.0, 2.0]));
         let third = r.assignments[2];
         assert_eq!(third.gpu, 1);
         assert_eq!(third.start, 1.0);
@@ -323,11 +286,7 @@ mod tests {
 
     #[test]
     fn no_gpu_runs_two_tasks_at_once() {
-        let r = schedule_fifo(
-            3,
-            &tasks(&[2.0, 3.0, 1.0, 4.0, 2.5, 0.5, 3.5]),
-            TaskOrdering::Fifo,
-        );
+        let r = fifo(3, &tasks(&[2.0, 3.0, 1.0, 4.0, 2.5, 0.5, 3.5]));
         for a in &r.assignments {
             for b in &r.assignments {
                 if a.task_id != b.task_id && a.gpu == b.gpu {
@@ -344,7 +303,7 @@ mod tests {
     #[test]
     fn every_task_is_assigned_exactly_once() {
         let t = tasks(&[1.0; 17]);
-        let r = schedule_fifo(4, &t, TaskOrdering::Fifo);
+        let r = fifo(4, &t);
         let mut ids: Vec<u64> = r.assignments.iter().map(|a| a.task_id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..17).collect::<Vec<u64>>());
@@ -353,8 +312,8 @@ mod tests {
     #[test]
     fn equal_tasks_scale_nearly_linearly() {
         let t = tasks(&[5.0; 100]);
-        let one = schedule_fifo(1, &t, TaskOrdering::Fifo);
-        let four = schedule_fifo(4, &t, TaskOrdering::Fifo);
+        let one = fifo(1, &t);
+        let four = fifo(4, &t);
         assert_eq!(one.makespan, 500.0);
         assert_eq!(four.makespan, 125.0);
     }
@@ -362,7 +321,7 @@ mod tests {
     #[test]
     fn idle_tail_appears_when_generation_not_divisible() {
         // 5 equal tasks on 4 GPUs: one GPU does 2, three do 1 then idle.
-        let r = schedule_fifo(4, &tasks(&[10.0; 5]), TaskOrdering::Fifo);
+        let r = fifo(4, &tasks(&[10.0; 5]));
         assert_eq!(r.makespan, 20.0);
         assert_eq!(r.idle_tail(), 30.0); // 3 GPUs idle for 10s each
         assert!(r.utilization() < 0.7);
@@ -373,9 +332,21 @@ mod tests {
         // LPT is not universally better per instance, but on tail-heavy
         // submission orders (big jobs last) it wins clearly.
         let t = tasks(&[1.0, 1.0, 1.0, 2.0, 3.0, 7.0, 8.0, 9.0]);
-        let fifo = schedule_fifo(3, &t, TaskOrdering::Fifo);
-        let lpt = schedule_fifo(3, &t, TaskOrdering::Lpt);
+        let fifo = fifo(3, &t);
+        let lpt = schedule(3, &t, TaskOrdering::Lpt, &RetryPolicy::default());
         assert!(lpt.makespan < fifo.makespan);
+    }
+
+    #[test]
+    fn lpt_starts_longest_first_and_keeps_ties_in_submission_order() {
+        let r = schedule(
+            1,
+            &tasks(&[1.0, 3.0, 2.0, 3.0]),
+            TaskOrdering::Lpt,
+            &RetryPolicy::default(),
+        );
+        let order: Vec<u64> = r.assignments.iter().map(|a| a.task_id).collect();
+        assert_eq!(order, [1, 3, 2, 0]);
     }
 
     #[test]
@@ -398,21 +369,21 @@ mod tests {
 
     #[test]
     fn zero_duration_tasks_are_legal() {
-        let r = schedule_fifo(2, &tasks(&[0.0, 0.0, 1.0]), TaskOrdering::Fifo);
+        let r = fifo(2, &tasks(&[0.0, 0.0, 1.0]));
         assert_eq!(r.makespan, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "at least one GPU")]
     fn zero_gpus_panics() {
-        let _ = schedule_fifo(0, &tasks(&[1.0]), TaskOrdering::Fifo);
+        let _ = fifo(0, &tasks(&[1.0]));
     }
 
     #[test]
     fn failed_attempts_occupy_the_gpu_and_requeue_after_backoff() {
         // One task, first attempt fails after 2 s, retry takes 3 s; the
         // backoff between the attempts keeps the GPU idle.
-        let t = vec![RetryTask {
+        let t = vec![Task {
             id: 7,
             attempt_durations: vec![2.0, 3.0],
         }];
@@ -421,7 +392,7 @@ mod tests {
             backoff_base_s: 1.5,
             backoff_factor: 2.0,
         };
-        let r = schedule_fifo_retry(1, &t, &policy);
+        let r = schedule(1, &t, TaskOrdering::Fifo, &policy);
         assert_eq!(r.assignments.len(), 2);
         assert_eq!(r.assignments[0].end, 2.0);
         // Retry eligible at 2.0 + 1.5.
@@ -434,11 +405,11 @@ mod tests {
     fn other_tasks_fill_in_during_a_backoff() {
         // Task 0 fails fast; task 1 runs while task 0 backs off.
         let t = vec![
-            RetryTask {
+            Task {
                 id: 0,
                 attempt_durations: vec![1.0, 1.0],
             },
-            RetryTask {
+            Task {
                 id: 1,
                 attempt_durations: vec![4.0],
             },
@@ -448,7 +419,7 @@ mod tests {
             backoff_base_s: 0.5,
             backoff_factor: 2.0,
         };
-        let r = schedule_fifo_retry(1, &t, &policy);
+        let r = schedule(1, &t, TaskOrdering::Fifo, &policy);
         // Dispatch order: task 0 attempt 1, task 1, task 0 attempt 2.
         assert_eq!(r.assignments[1].task_id, 1);
         assert_eq!(r.assignments[1].start, 1.0);
@@ -459,16 +430,16 @@ mod tests {
     #[test]
     fn final_attempt_is_last_assignment_per_task() {
         let t = vec![
-            RetryTask {
+            Task {
                 id: 0,
                 attempt_durations: vec![2.0, 2.0, 2.0],
             },
-            RetryTask {
+            Task {
                 id: 1,
                 attempt_durations: vec![3.0],
             },
         ];
-        let r = schedule_fifo_retry(2, &t, &RetryPolicy::default());
+        let r = fifo(2, &t);
         let finals: Vec<&Assignment> = t
             .iter()
             .map(|task| {
@@ -490,11 +461,11 @@ mod tests {
 
     #[test]
     fn retry_busy_time_includes_wasted_attempts() {
-        let t = vec![RetryTask {
+        let t = vec![Task {
             id: 0,
             attempt_durations: vec![5.0, 5.0],
         }];
-        let r = schedule_fifo_retry(2, &t, &RetryPolicy::default());
+        let r = fifo(2, &t);
         assert_eq!(r.gpu_busy.iter().sum::<f64>(), 10.0);
     }
 }

@@ -8,13 +8,16 @@
 //!
 //! - [`des`] — a **discrete-event simulator** of the GPU cluster that
 //!   replays per-task durations (produced by the trainer's cost model)
-//!   under FIFO scheduling and reports makespans, per-GPU busy time, and
+//!   under FIFO scheduling, with failed attempts requeued after the
+//!   retry backoff, and reports makespans, per-GPU busy time, and
 //!   the per-generation idle tail. All the paper's wall-time figures are
 //!   regenerated on this simulator.
 //! - [`pool`] — a **real thread-pool executor** with the same FIFO
-//!   semantics, mapping virtual GPUs onto worker threads: the one job
-//!   runner of every transport. It runs each job once; retries and the
-//!   socket transport's dead-worker requeue are loops inside the jobs.
+//!   semantics, mapping virtual GPUs onto worker threads: the job runner
+//!   of the in-process transports. It runs each job once; a trainer
+//!   retry is a loop inside the job. The socket coordinator runs no
+//!   jobs itself: it dispatches from one loop that also requeues a lost
+//!   worker's jobs.
 //! - LPT ordering lives in [`des`] as an ablation: longest-processing-
 //!   time-first reduces the idle tail FIFO leaves behind.
 
@@ -25,8 +28,8 @@ pub mod pool;
 pub mod retry;
 
 pub use des::{
-    schedule_fifo, schedule_fifo_retry, schedule_generations, Assignment, GenerationSchedule,
-    RetryTask, ScheduleResult, Task, TaskOrdering,
+    schedule, schedule_generations, Assignment, GenerationSchedule, ScheduleResult, Task,
+    TaskOrdering,
 };
 pub use pool::{intra_op_threads, GpuPool, JobReport};
 pub use retry::RetryPolicy;

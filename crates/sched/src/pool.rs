@@ -8,8 +8,10 @@
 //!
 //! Jobs run under [`std::panic::catch_unwind`]: a panicking job yields a
 //! `None` output instead of poisoning the batch. The pool never retries:
-//! a job that wants another attempt loops inside itself — the trainers'
-//! retry loop and the socket transport's dead-worker requeue both do.
+//! a job that wants another attempt loops inside itself, as the
+//! trainers' retry loop does. The socket coordinator does not run on the
+//! pool: it dispatches from one loop that also requeues a lost worker's
+//! jobs.
 
 use a4nn_error::A4nnError;
 use parking_lot::Mutex;
@@ -68,11 +70,6 @@ impl GpuPool {
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "need at least one worker");
         GpuPool { workers }
-    }
-
-    /// Number of virtual GPUs.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Run every job once, FIFO, across the pool. Returns the job

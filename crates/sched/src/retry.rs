@@ -33,14 +33,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries: every job gets exactly one attempt.
-    pub fn no_retry() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// A policy allowing `retries` retries (so `retries + 1` attempts).
     pub fn with_retries(retries: u32) -> Self {
         RetryPolicy {
@@ -73,8 +65,7 @@ mod tests {
     }
 
     #[test]
-    fn no_retry_allows_one_attempt() {
-        assert_eq!(RetryPolicy::no_retry().max_attempts, 1);
+    fn with_retries_counts_the_first_attempt() {
         assert_eq!(RetryPolicy::with_retries(0).max_attempts, 1);
         assert_eq!(RetryPolicy::with_retries(2).max_attempts, 3);
     }

@@ -1,15 +1,12 @@
-//! Property tests for the retry-aware discrete-event schedule
-//! ([`schedule_fifo_retry`]), which charges every trainer attempt —
-//! failed ones included — to the simulated GPUs, under arbitrary failure
-//! patterns:
+//! Property tests for the discrete-event schedule ([`schedule`]), which
+//! charges every trainer attempt — failed ones included — to the
+//! simulated GPUs, under arbitrary failure patterns:
 //!
 //! - the DES conserves time, GPU by GPU, over every attempt;
 //! - each task's attempts are strictly ordered and respect the policy's
-//!   exponential backoff;
-//! - with every task single-attempt it is [`schedule_fifo`] under FIFO
-//!   ordering, bit for bit.
+//!   exponential backoff.
 
-use a4nn_sched::{schedule_fifo, schedule_fifo_retry, RetryPolicy, RetryTask, Task, TaskOrdering};
+use a4nn_sched::{schedule, RetryPolicy, Task, TaskOrdering};
 use proptest::prelude::*;
 
 proptest! {
@@ -26,13 +23,13 @@ proptest! {
         ),
         n_gpus in 1usize..=4,
     ) {
-        let tasks: Vec<RetryTask> = durations
+        let tasks: Vec<Task> = durations
             .iter()
             .enumerate()
-            .map(|(i, d)| RetryTask { id: i as u64, attempt_durations: d.clone() })
+            .map(|(i, d)| Task { id: i as u64, attempt_durations: d.clone() })
             .collect();
         let policy = RetryPolicy { max_attempts: 3, backoff_base_s: 0.5, backoff_factor: 2.0 };
-        let result = schedule_fifo_retry(n_gpus, &tasks, &policy);
+        let result = schedule(n_gpus, &tasks, TaskOrdering::Fifo, &policy);
 
         let total_attempts: usize = durations.iter().map(Vec::len).sum();
         prop_assert_eq!(result.assignments.len(), total_attempts);
@@ -58,36 +55,6 @@ proptest! {
         }
     }
 
-    /// Single-attempt tasks reduce exactly to the plain FIFO schedule:
-    /// the same assignments, and `makespan` and `gpu_busy` equal to the
-    /// bit, so a generation without retries schedules as it always did.
-    #[test]
-    fn single_attempt_retry_schedule_is_fifo_bit_for_bit(
-        durations in proptest::collection::vec(0.0f64..50.0, 0..=12),
-        n_gpus in 1usize..=5,
-    ) {
-        let plain: Vec<Task> = durations
-            .iter()
-            .enumerate()
-            .map(|(i, &duration)| Task { id: i as u64, duration })
-            .collect();
-        let single: Vec<RetryTask> = durations
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| RetryTask { id: i as u64, attempt_durations: vec![d] })
-            .collect();
-        let fifo = schedule_fifo(n_gpus, &plain, TaskOrdering::Fifo);
-        let retry = schedule_fifo_retry(n_gpus, &single, &RetryPolicy::default());
-        prop_assert_eq!(&fifo.assignments, &retry.assignments);
-        for (a, b) in fifo.assignments.iter().zip(&retry.assignments) {
-            prop_assert_eq!(a.start.to_bits(), b.start.to_bits());
-            prop_assert_eq!(a.end.to_bits(), b.end.to_bits());
-        }
-        prop_assert_eq!(fifo.makespan.to_bits(), retry.makespan.to_bits());
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&fifo.gpu_busy), bits(&retry.gpu_busy));
-    }
-
     /// Simulated retries respect exponential backoff: attempt `k + 1`
     /// never starts before `fail time + backoff_s(k)`.
     #[test]
@@ -96,9 +63,9 @@ proptest! {
         duration in 5.0f64..20.0,
     ) {
         let attempts = (0..=n_failures).map(|_| duration).collect::<Vec<_>>();
-        let tasks = vec![RetryTask { id: 0, attempt_durations: attempts }];
+        let tasks = vec![Task { id: 0, attempt_durations: attempts }];
         let policy = RetryPolicy { max_attempts: 3, backoff_base_s: 2.0, backoff_factor: 3.0 };
-        let result = schedule_fifo_retry(1, &tasks, &policy);
+        let result = schedule(1, &tasks, TaskOrdering::Fifo, &policy);
         for (k, w) in result.assignments.windows(2).enumerate() {
             let gap = w[1].start - w[0].end;
             prop_assert!(

@@ -3,7 +3,7 @@
 use a4nn_genome::{Genome, PhaseGenome, SearchSpace};
 use a4nn_nsga::Objectives;
 use a4nn_penguin::PredictionAnalyzer;
-use a4nn_sched::{schedule_fifo, Task, TaskOrdering};
+use a4nn_sched::{schedule, RetryPolicy, Task, TaskOrdering};
 use proptest::prelude::*;
 
 fn arb_genome() -> impl Strategy<Value = Genome> {
@@ -64,9 +64,9 @@ proptest! {
         let tasks: Vec<Task> = durations
             .iter()
             .enumerate()
-            .map(|(i, &d)| Task { id: i as u64, duration: d })
+            .map(|(i, &d)| Task::once(i as u64, d))
             .collect();
-        let result = schedule_fifo(gpus, &tasks, TaskOrdering::Fifo);
+        let result = schedule(gpus, &tasks, TaskOrdering::Fifo, &RetryPolicy::default());
         let total: f64 = durations.iter().sum();
         let busy: f64 = result.gpu_busy.iter().sum();
         prop_assert!((busy - total).abs() < 1e-9);
@@ -93,10 +93,10 @@ proptest! {
         let tasks: Vec<Task> = durations
             .iter()
             .enumerate()
-            .map(|(i, &d)| Task { id: i as u64, duration: d })
+            .map(|(i, &d)| Task::once(i as u64, d))
             .collect();
-        let fifo = schedule_fifo(gpus, &tasks, TaskOrdering::Fifo);
-        let lpt = schedule_fifo(gpus, &tasks, TaskOrdering::Lpt);
+        let fifo = schedule(gpus, &tasks, TaskOrdering::Fifo, &RetryPolicy::default());
+        let lpt = schedule(gpus, &tasks, TaskOrdering::Lpt, &RetryPolicy::default());
         let lower = (durations.iter().sum::<f64>() / gpus as f64)
             .max(durations.iter().cloned().fold(0.0, f64::max));
         prop_assert!(lpt.makespan + 1e-9 >= lower);

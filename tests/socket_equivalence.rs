@@ -12,7 +12,10 @@
 //!   trainer-retry exhaustion exports `status == failed`.
 //! - Losing *every* worker never hangs the coordinator: the heartbeat
 //!   deadline detects the loss and the run exits with the `Net` error
-//!   class (exit code 9).
+//!   class (exit code 9), and a later run on the same transport fails
+//!   the same way at once.
+//! - Jobs beyond the fleet's slots wait in the coordinator's ready
+//!   queue, and the transport counters measure that wait.
 
 use a4nn_core::prelude::*;
 use a4nn_core::{SurrogateFactory, SurrogateParams};
@@ -20,6 +23,34 @@ use a4nn_faults::FaultEvent;
 use a4nn_lineage::{epochs_csv, models_csv};
 use a4nn_net::{SocketOptions, SocketTransport, WorkerHandle, WorkerServer};
 use std::time::{Duration, Instant};
+
+/// Spawn in-process workers, one session each, advertising `worker_gpus`;
+/// returns their handles and addresses.
+fn spawn_fleet(worker_gpus: &[usize]) -> (Vec<WorkerHandle>, Vec<String>) {
+    let workers: Vec<WorkerHandle> = worker_gpus
+        .iter()
+        .map(|&gpus| WorkerServer::spawn("127.0.0.1:0", gpus, 1).unwrap())
+        .collect();
+    let addrs = workers.iter().map(|w| w.addr().to_string()).collect();
+    (workers, addrs)
+}
+
+/// One search orchestrated over `transport`.
+fn search_over(
+    config: &WorkflowConfig,
+    ft: &FaultTolerance,
+    transport: &SocketTransport,
+) -> Result<RunOutput, A4nnError> {
+    let factory = SurrogateFactory::new(config, SurrogateParams::for_beam(config.beam));
+    A4nnWorkflow::new(config.clone()).run(
+        &factory,
+        RunOptions {
+            orchestration: Orchestration::External(transport),
+            fault_tolerance: ft.clone(),
+            ..RunOptions::default()
+        },
+    )
+}
 
 /// Spawn in-process workers, run a socket-orchestrated search against
 /// them, and tear the fleet down.
@@ -29,22 +60,10 @@ fn socket_run(
     worker_gpus: &[usize],
     heartbeat_deadline: Duration,
 ) -> Result<RunOutput, A4nnError> {
-    let workers: Vec<WorkerHandle> = worker_gpus
-        .iter()
-        .map(|&gpus| WorkerServer::spawn("127.0.0.1:0", gpus, 1).unwrap())
-        .collect();
-    let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
+    let (workers, addrs) = spawn_fleet(worker_gpus);
     let transport =
         SocketTransport::connect(&addrs, config, ft, SocketOptions { heartbeat_deadline })?;
-    let factory = SurrogateFactory::new(config, SurrogateParams::for_beam(config.beam));
-    let result = A4nnWorkflow::new(config.clone()).run(
-        &factory,
-        RunOptions {
-            orchestration: Orchestration::External(&transport),
-            fault_tolerance: ft.clone(),
-            ..RunOptions::default()
-        },
-    );
+    let result = search_over(config, ft, &transport);
     drop(transport); // closes every session so the sessions=1 servers exit
     for w in workers {
         let _ = w.join();
@@ -300,13 +319,10 @@ fn heartbeat_deadline_detects_a_stalled_worker() {
     }]);
     let ft = FaultTolerance::new(RetryPolicy::with_retries(0), plan);
 
-    // Inlined fleet setup: the elapsed time must cover only the
+    // Not `socket_run`: the elapsed time must cover only the
     // coordinator's abort, not the teardown join that waits out the
     // stalled worker's sleep.
-    let workers: Vec<WorkerHandle> = (0..2)
-        .map(|_| WorkerServer::spawn("127.0.0.1:0", 1, 1).unwrap())
-        .collect();
-    let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
+    let (_workers, addrs) = spawn_fleet(&[1, 1]);
     let started = Instant::now();
     let transport = SocketTransport::connect(
         &addrs,
@@ -317,15 +333,7 @@ fn heartbeat_deadline_detects_a_stalled_worker() {
         },
     )
     .unwrap();
-    let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-    let err = match A4nnWorkflow::new(config.clone()).run(
-        &factory,
-        RunOptions {
-            orchestration: Orchestration::External(&transport),
-            fault_tolerance: ft.clone(),
-            ..RunOptions::default()
-        },
-    ) {
+    let err = match search_over(&config, &ft, &transport) {
         Err(e) => e,
         Ok(_) => panic!("a stall that follows the job everywhere exhausts the fleet"),
     };
@@ -377,4 +385,76 @@ fn trainer_retries_count_on_the_socket_transport_as_on_direct() {
         );
     }
     assert_eq!(socket.transport_stats.retries, 3);
+}
+
+/// With more jobs per generation than worker slots, jobs wait in the
+/// coordinator's ready queue for a free slot, and the transport counters
+/// measure that wait: it is nonzero and, on average, no longer than the
+/// whole run.
+#[test]
+fn queue_wait_is_measured_when_jobs_outnumber_worker_slots() {
+    let config = micro_config(2023);
+    let ft = FaultTolerance::new(RetryPolicy::with_retries(0), FaultPlan::none());
+    let started = Instant::now();
+    // One slot for the 4 jobs of each generation.
+    let out = socket_run(&config, &ft, &[1], Duration::from_secs(2))
+        .expect("a single-slot fleet trains every job in turn");
+    let wall_s = started.elapsed().as_secs_f64();
+    let stats = &out.transport_stats;
+    assert!(
+        stats.queue_wait_max_s > 0.0,
+        "jobs behind a busy slot must show a queue wait: {stats:?}"
+    );
+    assert!(
+        stats.queue_wait_mean_s <= wall_s,
+        "mean queue wait {} s exceeds the run's {wall_s} s",
+        stats.queue_wait_mean_s
+    );
+}
+
+/// A run that failed with the `Net` class leaves its transport retired:
+/// a second run on it fails `Net` at once instead of waiting on a dead
+/// fleet or collecting an answer the first run left behind.
+#[test]
+fn a_failed_run_leaves_its_transport_failing_fast() {
+    let config = micro_config(2023);
+    let plan = FaultPlan::new(vec![FaultEvent::WorkerDrop {
+        model: 0,
+        epoch: 1,
+        drops: 99,
+    }]);
+    let ft = FaultTolerance::new(RetryPolicy::with_retries(0), plan);
+    let deadline = Duration::from_millis(500);
+    let (workers, addrs) = spawn_fleet(&[1, 1]);
+    let transport = SocketTransport::connect(
+        &addrs,
+        &config,
+        &ft,
+        SocketOptions {
+            heartbeat_deadline: deadline,
+        },
+    )
+    .unwrap();
+    let run = || match search_over(&config, &ft, &transport) {
+        Err(e) => e,
+        Ok(_) => panic!("a fleet that always drops model 0 cannot finish"),
+    };
+    let first = run();
+    assert_eq!(first.exit_code(), 9, "worker loss is Net-class: {first}");
+    let started = Instant::now();
+    let second = run();
+    let elapsed = started.elapsed();
+    assert_eq!(
+        second.exit_code(),
+        9,
+        "a retired fleet is Net-class: {second}"
+    );
+    assert!(
+        elapsed < deadline,
+        "the second run must fail without waiting on the fleet ({elapsed:?})"
+    );
+    drop(transport);
+    for w in workers {
+        let _ = w.join();
+    }
 }

@@ -4,10 +4,9 @@
 //! prediction engine in situ, over memory instead of the filesystem
 //! (§2.2, built on Wilkins/LowFive in the reference implementation).
 //! This crate is the communicator that coupling rides on: a typed MPMC
-//! [`Topic`] over bounded per-subscriber queues with selectable
-//! backpressure ([`Policy`]: lossless blocking, lossy drop-oldest with
-//! exact drop accounting, or unbounded), per-subscriber delivery/lag
-//! counters, and graceful close-and-drain shutdown.
+//! [`Topic`] over per-subscriber queues with selectable backpressure
+//! ([`Policy`]: bounded and blocking, or unbounded; both lossless) and
+//! graceful close-and-drain shutdown.
 //!
 //! The crate knows nothing of A4NN's events. `a4nn-core`'s Bus transport
 //! defines its own two-message vocabulary on a `Topic` and hosts the
@@ -17,6 +16,4 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod topic;
 
-pub use topic::{
-    Policy, PublishError, RecvError, SubscriberStats, Subscription, Topic, TryRecvError,
-};
+pub use topic::{Policy, PublishError, RecvError, Subscription, Topic, TryRecvError};

@@ -10,9 +10,8 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Backpressure behaviour of one subscription's queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,13 +19,6 @@ pub enum Policy {
     /// Bounded queue; publishers block while it is full (lossless,
     /// propagates backpressure upstream).
     Block {
-        /// Maximum queued events.
-        capacity: usize,
-    },
-    /// Bounded queue; a publish into a full queue evicts the oldest
-    /// undelivered event and counts it in
-    /// [`SubscriberStats::dropped`] (lossy, publisher never blocks).
-    DropOldest {
         /// Maximum queued events.
         capacity: usize,
     },
@@ -69,20 +61,6 @@ pub enum TryRecvError {
     Closed,
 }
 
-/// Counters exposed by [`Subscription::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SubscriberStats {
-    /// Events that passed the filter and entered the queue (including
-    /// ones later evicted by `DropOldest`).
-    pub enqueued: u64,
-    /// Events the subscriber consumed.
-    pub delivered: u64,
-    /// Events evicted by the `DropOldest` policy.
-    pub dropped: u64,
-    /// Events currently waiting in the queue.
-    pub lag: u64,
-}
-
 type Filter<T> = Box<dyn Fn(&T) -> bool + Send + Sync>;
 
 struct SubQueue<T> {
@@ -91,9 +69,6 @@ struct SubQueue<T> {
     writable: Condvar,
     policy: Policy,
     filter: Option<Filter<T>>,
-    enqueued: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
     detached: AtomicBool,
 }
 
@@ -101,7 +76,6 @@ struct TopicCore<T> {
     name: String,
     subscribers: Mutex<Vec<Arc<SubQueue<T>>>>,
     closed: AtomicBool,
-    published: AtomicU64,
 }
 
 /// A named, typed event stream with fan-out to every subscription.
@@ -121,7 +95,6 @@ impl<T> std::fmt::Debug for Topic<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Topic")
             .field("name", &self.core.name)
-            .field("published", &self.core.published.load(Ordering::SeqCst))
             .field("closed", &self.core.closed.load(Ordering::SeqCst))
             .finish()
     }
@@ -135,24 +108,8 @@ impl<T: Clone> Topic<T> {
                 name: name.into(),
                 subscribers: Mutex::new(Vec::new()),
                 closed: AtomicBool::new(false),
-                published: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// The topic's name.
-    pub fn name(&self) -> &str {
-        &self.core.name
-    }
-
-    /// Events published so far.
-    pub fn published(&self) -> u64 {
-        self.core.published.load(Ordering::SeqCst)
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.core.closed.load(Ordering::SeqCst)
     }
 
     /// Subscribe with `policy`; receives every subsequent event.
@@ -171,7 +128,7 @@ impl<T: Clone> Topic<T> {
     }
 
     fn attach(&self, policy: Policy, filter: Option<Filter<T>>) -> Subscription<T> {
-        if let Policy::Block { capacity } | Policy::DropOldest { capacity } = policy {
+        if let Policy::Block { capacity } = policy {
             assert!(capacity > 0, "bounded queue needs capacity > 0");
         }
         let sub = Arc::new(SubQueue {
@@ -180,9 +137,6 @@ impl<T: Clone> Topic<T> {
             writable: Condvar::new(),
             policy,
             filter,
-            enqueued: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
             detached: AtomicBool::new(false),
         });
         self.core.subscribers.lock().push(sub.clone());
@@ -196,7 +150,7 @@ impl<T: Clone> Topic<T> {
     /// number of queues it entered. Blocks while any `Block`-policy
     /// queue is full.
     pub fn publish(&self, event: T) -> Result<usize, PublishError> {
-        if self.is_closed() {
+        if self.core.closed.load(Ordering::SeqCst) {
             return Err(PublishError);
         }
         // Snapshot the subscriber list so delivery does not hold the
@@ -217,7 +171,7 @@ impl<T: Clone> Topic<T> {
                 Policy::Block { capacity } => {
                     while queue.len() >= capacity
                         && !sub.detached.load(Ordering::SeqCst)
-                        && !self.is_closed()
+                        && !self.core.closed.load(Ordering::SeqCst)
                     {
                         sub.writable.wait(&mut queue);
                     }
@@ -225,20 +179,12 @@ impl<T: Clone> Topic<T> {
                         continue;
                     }
                 }
-                Policy::DropOldest { capacity } => {
-                    if queue.len() >= capacity {
-                        queue.pop_front();
-                        sub.dropped.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
                 Policy::Unbounded => {}
             }
             queue.push_back(event.clone());
-            sub.enqueued.fetch_add(1, Ordering::SeqCst);
             receivers += 1;
             sub.readable.notify_one();
         }
-        self.core.published.fetch_add(1, Ordering::SeqCst);
         Ok(receivers)
     }
 
@@ -268,7 +214,6 @@ impl<T> Subscription<T> {
         let mut queue = self.sub.queue.lock();
         loop {
             if let Some(event) = queue.pop_front() {
-                self.sub.delivered.fetch_add(1, Ordering::SeqCst);
                 self.sub.writable.notify_one();
                 return Ok(event);
             }
@@ -283,7 +228,6 @@ impl<T> Subscription<T> {
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut queue = self.sub.queue.lock();
         if let Some(event) = queue.pop_front() {
-            self.sub.delivered.fetch_add(1, Ordering::SeqCst);
             self.sub.writable.notify_one();
             return Ok(event);
         }
@@ -291,50 +235,6 @@ impl<T> Subscription<T> {
             Err(TryRecvError::Closed)
         } else {
             Err(TryRecvError::Empty)
-        }
-    }
-
-    /// [`recv`](Self::recv) with an upper bound on the wait.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, TryRecvError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut queue = self.sub.queue.lock();
-        loop {
-            if let Some(event) = queue.pop_front() {
-                self.sub.delivered.fetch_add(1, Ordering::SeqCst);
-                self.sub.writable.notify_one();
-                return Ok(event);
-            }
-            if self.topic.closed.load(Ordering::SeqCst) {
-                return Err(TryRecvError::Closed);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(TryRecvError::Empty);
-            }
-            let timed_out = self.sub.readable.wait_for(&mut queue, deadline - now);
-            if timed_out && queue.is_empty() {
-                return Err(TryRecvError::Empty);
-            }
-        }
-    }
-
-    /// Blocking iterator over events until close-and-drain.
-    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        std::iter::from_fn(move || self.recv().ok())
-    }
-
-    /// Current queue depth (events published but not yet consumed).
-    pub fn lag(&self) -> usize {
-        self.sub.queue.lock().len()
-    }
-
-    /// Delivery counters for this subscription.
-    pub fn stats(&self) -> SubscriberStats {
-        SubscriberStats {
-            enqueued: self.sub.enqueued.load(Ordering::SeqCst),
-            delivered: self.sub.delivered.load(Ordering::SeqCst),
-            dropped: self.sub.dropped.load(Ordering::SeqCst),
-            lag: self.lag() as u64,
         }
     }
 }
@@ -351,6 +251,13 @@ impl<T> Drop for Subscription<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
+
+    /// Every event left in `sub` once its topic has closed.
+    fn drain<T>(sub: &Subscription<T>) -> Vec<T> {
+        std::iter::from_fn(|| sub.recv().ok()).collect()
+    }
 
     #[test]
     fn fan_out_reaches_every_subscriber() {
@@ -361,9 +268,8 @@ mod tests {
             assert_eq!(topic.publish(i).unwrap(), 2);
         }
         topic.close();
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(topic.published(), 5);
+        assert_eq!(drain(&a), vec![0, 1, 2, 3, 4]);
+        assert_eq!(drain(&b), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -371,45 +277,33 @@ mod tests {
         let topic: Topic<u32> = Topic::new("t");
         let odd = topic.subscribe_filtered(Policy::Unbounded, |v| v % 2 == 1);
         for i in 0..6 {
-            topic.publish(i).unwrap();
+            assert_eq!(topic.publish(i).unwrap(), (i % 2) as usize);
         }
         topic.close();
-        assert_eq!(odd.iter().collect::<Vec<_>>(), vec![1, 3, 5]);
-        let stats = odd.stats();
-        assert_eq!(stats.enqueued, 3);
-        assert_eq!(stats.delivered, 3);
-        assert_eq!(stats.dropped, 0);
-    }
-
-    #[test]
-    fn drop_oldest_evicts_and_accounts_exactly() {
-        let topic: Topic<u32> = Topic::new("t");
-        let sub = topic.subscribe(Policy::DropOldest { capacity: 3 });
-        for i in 0..10 {
-            topic.publish(i).unwrap();
-        }
-        topic.close();
-        assert_eq!(sub.iter().collect::<Vec<_>>(), vec![7, 8, 9]);
-        let stats = sub.stats();
-        assert_eq!(stats.enqueued, 10);
-        assert_eq!(stats.dropped, 7);
-        assert_eq!(stats.delivered, 3);
-        assert_eq!(stats.enqueued, stats.delivered + stats.dropped + stats.lag);
+        assert_eq!(drain(&odd), vec![1, 3, 5]);
     }
 
     #[test]
     fn block_policy_applies_backpressure() {
         let topic: Topic<u32> = Topic::new("t");
         let sub = topic.subscribe(Policy::Block { capacity: 2 });
+        let published = Arc::new(AtomicUsize::new(0));
+        let counter = published.clone();
         let publisher = std::thread::spawn(move || {
             for i in 0..50 {
                 topic.publish(i).unwrap();
+                counter.fetch_add(1, Ordering::SeqCst);
             }
         });
         let mut seen = Vec::new();
         while seen.len() < 50 {
             seen.push(sub.recv().unwrap());
-            assert!(sub.lag() <= 2, "queue exceeded its bound");
+            // A publish returns only once its event is queued, so at most
+            // `capacity` returned publishes are still unconsumed.
+            assert!(
+                published.load(Ordering::SeqCst) <= seen.len() + 2,
+                "queue exceeded its bound"
+            );
         }
         publisher.join().unwrap();
         assert_eq!(seen, (0..50).collect::<Vec<_>>());
@@ -442,15 +336,12 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_returns_empty_then_event() {
+    fn try_recv_reports_empty_then_event_then_closed() {
         let topic: Topic<u32> = Topic::new("t");
         let sub = topic.subscribe(Policy::Unbounded);
-        assert_eq!(
-            sub.recv_timeout(Duration::from_millis(10)),
-            Err(TryRecvError::Empty)
-        );
+        assert_eq!(sub.try_recv(), Err(TryRecvError::Empty));
         topic.publish(9).unwrap();
-        assert_eq!(sub.recv_timeout(Duration::from_millis(10)), Ok(9));
+        assert_eq!(sub.try_recv(), Ok(9));
         assert_eq!(sub.try_recv(), Err(TryRecvError::Empty));
         topic.close();
         assert_eq!(sub.try_recv(), Err(TryRecvError::Closed));

@@ -58,7 +58,8 @@ search/baseline options (paper Table 2 defaults):
                              boundary by n ms (CI kill-window knob;
                              wall-clock only, never results)
   --real                     train for real on the CPU substrate
-  --images <n>               images per class for --real / xpsi / dataset [100]
+  --images <n>               images per class for --real / xpsi (at
+                             least 2) / dataset       [100]
 
 engine options (search only; paper Table 1 defaults):
   --function <name>          exp-base|pow3|log3|vap3|weibull4|janoschek3
@@ -79,7 +80,7 @@ serve options:
                              writes one yet, so each model is an
                              untrained rebuild of its genome, shown
                              beside the fitness its search trained to
-                             (ROADMAP.md item 4)
+                             (ROADMAP.md item 6(d))
   --listen <addr>            bind address (required), e.g. 0.0.0.0:7463
   --batch <n>                max requests per micro-batch     [8]
   --queue <n>                admission queue capacity; requests beyond

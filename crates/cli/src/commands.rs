@@ -27,13 +27,9 @@ pub enum CommandError {
 }
 
 impl CommandError {
-    /// Process exit code for this error, mirroring the workspace-wide
-    /// convention documented in `a4nn-error`: 2 = argument parsing,
-    /// 3 = invalid value, 4 = I/O, and workflow errors carry their own
-    /// class-specific codes (5 checkpoint — including a stale `--resume`
-    /// snapshot, 6 bus, 7 trainer, 8 internal, 9 network,
-    /// 10 interrupted at a generation boundary, 11 serve admission
-    /// queue saturated).
+    /// Process exit code for this error: 2 = argument parsing, 3 = invalid
+    /// value, 4 = I/O, and a workflow error's class-specific code from the
+    /// table on [`A4nnError::exit_code`] (7 is retired).
     pub fn exit_code(&self) -> i32 {
         match self {
             CommandError::Args(_) => 2,
@@ -91,6 +87,21 @@ fn beam_of(parsed: &Parsed) -> Result<BeamIntensity, CommandError> {
             "unknown beam {other:?} (expected low|medium|high)"
         ))),
     }
+}
+
+/// Images per class when `--images` is absent.
+const DEFAULT_IMAGES: usize = 100;
+
+/// `--images`, refused below `min`: training passes 2, since fewer images
+/// per class leave a half of the 80/20 split empty.
+fn images_of(parsed: &Parsed, min: usize) -> Result<usize, CommandError> {
+    let images = parsed.get_parse("--images", DEFAULT_IMAGES, "usize")?;
+    if images < min {
+        return Err(CommandError::Invalid(format!(
+            "--images {images}: training needs at least {min} images per class"
+        )));
+    }
+    Ok(images)
 }
 
 fn family_of(name: &str) -> Result<CurveFamily, CommandError> {
@@ -164,14 +175,6 @@ fn print_objective_front(analyzer: &Analyzer<'_>) -> Result<(), CommandError> {
 fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     let config = workflow_config(parsed, engine)?;
     let mode = parsed.get("--orchestration").unwrap_or("direct");
-    if !matches!(mode, "direct" | "bus" | "socket") {
-        return Err(ArgError::BadValue {
-            flag: "--orchestration".into(),
-            value: mode.into(),
-            expected: "orchestration (direct|bus|socket)",
-        }
-        .into());
-    }
     let retries = parsed.get_parse("--max-retries", 2u32, "u32")?;
     let tolerance = FaultTolerance::new(RetryPolicy::with_retries(retries), FaultPlan::none());
     let workflow = A4nnWorkflow::new(config.clone());
@@ -237,46 +240,52 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     if boundary_delay_ms > 0 {
         control = control.with_cancel(&pacing);
     }
-    let transport = if mode == "socket" {
-        let workers: Vec<String> = parsed
-            .get("--workers")
-            .ok_or_else(|| {
-                CommandError::Invalid(
-                    "--orchestration socket requires --workers <addr,...> \
-                     (e.g. --workers 10.0.0.2:7070,10.0.0.3:7070)"
-                        .into(),
-                )
-            })?
-            .split(',')
-            .map(str::trim)
-            .filter(|a| !a.is_empty())
-            .map(String::from)
-            .collect();
-        let heartbeat_ms = parsed.get_parse("--heartbeat-ms", 2000u64, "u64")?;
-        let transport = SocketTransport::connect(
-            &workers,
-            &config,
-            &tolerance,
-            SocketOptions {
-                heartbeat_deadline: std::time::Duration::from_millis(heartbeat_ms.max(1)),
-            },
-        )?;
-        println!(
-            "sharding across {} worker(s), {} advertised GPU slot(s)",
-            transport.worker_count(),
-            transport.total_gpus()
-        );
-        Some(transport)
-    } else {
-        None
-    };
-    let orchestration = match &transport {
-        Some(transport) => Orchestration::External(transport),
-        None if mode == "bus" => Orchestration::Bus,
-        None => Orchestration::Direct,
+    let socket;
+    let transport: &dyn Transport = match mode {
+        "direct" => &DirectTransport,
+        "bus" => &BusTransport,
+        "socket" => {
+            let workers: Vec<String> = parsed
+                .get("--workers")
+                .ok_or_else(|| {
+                    CommandError::Invalid(
+                        "--orchestration socket requires --workers <addr,...> \
+                         (e.g. --workers 10.0.0.2:7070,10.0.0.3:7070)"
+                            .into(),
+                    )
+                })?
+                .split(',')
+                .map(str::trim)
+                .filter(|a| !a.is_empty())
+                .map(String::from)
+                .collect();
+            let heartbeat_ms = parsed.get_parse("--heartbeat-ms", 2000u64, "u64")?;
+            socket = SocketTransport::connect(
+                &workers,
+                &config,
+                &tolerance,
+                SocketOptions {
+                    heartbeat_deadline: std::time::Duration::from_millis(heartbeat_ms.max(1)),
+                },
+            )?;
+            println!(
+                "sharding across {} worker(s), {} advertised GPU slot(s)",
+                socket.worker_count(),
+                socket.total_gpus()
+            );
+            &socket
+        }
+        _ => {
+            return Err(ArgError::BadValue {
+                flag: "--orchestration".into(),
+                value: mode.into(),
+                expected: "orchestration (direct|bus|socket)",
+            }
+            .into())
+        }
     };
     let factory: Box<dyn TrainerFactory> = if parsed.flag("--real") {
-        let images = parsed.get_parse("--images", 100usize, "usize")?;
+        let images = images_of(parsed, 2)?;
         let (train, test) =
             generate_split(&XfelConfig::default(), config.beam, images, config.seed);
         println!(
@@ -299,7 +308,7 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     let output = workflow.run(
         factory.as_ref(),
         RunOptions {
-            orchestration,
+            transport,
             fault_tolerance: tolerance,
             control,
             resume: snapshot,
@@ -527,8 +536,7 @@ fn run_serve(parsed: &Parsed) -> Result<(), CommandError> {
 fn run_xpsi(parsed: &Parsed) -> Result<(), CommandError> {
     let beam = beam_of(parsed)?;
     let seed = parsed.get_parse("--seed", 2023u64, "u64")?;
-    let images = parsed.get_parse("--images", 100usize, "usize")?;
-    let (train, test) = generate_split(&XfelConfig::default(), beam, images, seed);
+    let (train, test) = generate_split(&XfelConfig::default(), beam, images_of(parsed, 2)?, seed);
     let result = a4nn_xpsi::XpsiFramework::new(a4nn_xpsi::XpsiConfig {
         seed,
         ..Default::default()
@@ -549,8 +557,8 @@ fn run_xpsi(parsed: &Parsed) -> Result<(), CommandError> {
 fn run_dataset(parsed: &Parsed) -> Result<(), CommandError> {
     let beam = beam_of(parsed)?;
     let seed = parsed.get_parse("--seed", 2023u64, "u64")?;
-    let images = parsed.get_parse("--images", 100usize, "usize")?;
-    let dataset = a4nn_xfel::generate_dataset(&XfelConfig::default(), beam, images, seed);
+    let dataset =
+        a4nn_xfel::generate_dataset(&XfelConfig::default(), beam, images_of(parsed, 0)?, seed);
     println!(
         "generated {} diffraction images ({}x{}, classes {:?})",
         dataset.len(),

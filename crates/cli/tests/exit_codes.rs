@@ -56,6 +56,20 @@ fn invalid_values_are_three() {
     for zero in ["--gpus 0", "--population 0", "--generations 0"] {
         assert_eq!(code(&format!("search --epochs 2 {zero}")), 3, "{zero}");
     }
+    // Fewer than 2 images per class leaves a split half empty.
+    for images in ["--images 0", "--images 1"] {
+        for command in [
+            "search --real --population 2 --offspring 2 --generations 1 --epochs 1",
+            "baseline --real --population 2 --offspring 2 --generations 1 --epochs 1",
+            "xpsi",
+        ] {
+            assert_eq!(
+                code(&format!("{command} {images}")),
+                3,
+                "{command} {images}"
+            );
+        }
+    }
     assert_eq!(
         code(
             "serve --commons /nonexistent/a4nn-commons --listen 127.0.0.1:0 \
@@ -127,7 +141,7 @@ fn readme_exit_code_table_matches_the_code() {
     use a4nn_error::A4nnError;
 
     // The canonical table: every row the README must carry, verbatim.
-    let classes: [(i32, &str); 11] = [
+    let classes: [(i32, &str); 10] = [
         (0, "success"),
         (2, "argument parsing"),
         (
@@ -140,7 +154,6 @@ fn readme_exit_code_table_matches_the_code() {
             "checkpoint encode/decode (including a stale `--resume` snapshot)",
         ),
         (6, "event bus closed mid-run"),
-        (7, "trainer retry budget exhausted"),
         (8, "internal invariant violated"),
         (
             9,
@@ -157,14 +170,6 @@ fn readme_exit_code_table_matches_the_code() {
     assert_eq!(CommandError::Io(std::io::Error::other("x")).exit_code(), 4);
     assert_eq!(wf(A4nnError::Checkpoint("x".into())), 5);
     assert_eq!(wf(A4nnError::BusClosed("x".into())), 6);
-    assert_eq!(
-        wf(A4nnError::TrainerCrash {
-            model_id: 0,
-            attempts: 1,
-            message: "x".into(),
-        }),
-        7
-    );
     assert_eq!(wf(A4nnError::Internal("x".into())), 8);
     assert_eq!(wf(A4nnError::Net("x".into())), 9);
     assert_eq!(wf(A4nnError::Interrupted("x".into())), 10);

@@ -78,14 +78,14 @@ pub use trainer::{EpochResult, Trainer, TrainerFactory};
 pub use training::{
     train_with_engine_fallible, AttemptProgress, EngineLink, InlineEngine, TrainingOutcome,
 };
-pub use workflow::{A4nnWorkflow, Driver, Orchestration, RunOptions, RunOutput};
+pub use workflow::{A4nnWorkflow, Driver, RunOptions, RunOutput};
 
 /// Convenience re-exports, including the satellite crates' key types.
 pub mod prelude {
     pub use crate::{
-        netspec_from_arch, A4nnError, A4nnWorkflow, CheckpointStore, Driver, EpochResult,
-        EvalPipeline, FaultStats, FaultTolerance, ModelCost, NasSettings, ObjectiveKind,
-        ObjectiveSet, Orchestration, RealTrainerFactory, RunControl, RunOptions, RunOutput,
+        netspec_from_arch, A4nnError, A4nnWorkflow, BusTransport, CheckpointStore, DirectTransport,
+        Driver, EpochResult, EvalPipeline, FaultStats, FaultTolerance, ModelCost, NasSettings,
+        ObjectiveKind, ObjectiveSet, RealTrainerFactory, RunControl, RunOptions, RunOutput,
         SearchSnapshot, SurrogateFactory, SurrogateParams, Trainer, TrainerFactory,
         TrainingHyperparams, TrainingOutcome, Transport, TransportStats, WorkflowConfig,
     };

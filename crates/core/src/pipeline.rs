@@ -379,7 +379,7 @@ impl Transport for DirectTransport {
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError> {
         let (engine, plan) = (pipeline.cfg.engine.as_ref(), &pipeline.ft.plan);
         train_generation(pipeline, genomes, base_id, |model_id| {
-            InlineEngine::new(engine, Some((plan, model_id)))
+            InlineEngine::new(engine, plan, model_id)
         })
     }
 
@@ -555,7 +555,7 @@ pub fn train_resilient_direct(
                 engine,
                 cfg.nas.epochs,
                 checkpoints.map(|store| (store, model_id)),
-                Some((&ft.plan, model_id, attempt)),
+                (&ft.plan, model_id, attempt),
                 &mut progress,
             )
         }));
@@ -635,7 +635,7 @@ fn serve_engines(
     {
         let engine = engines
             .entry(model_id)
-            .or_insert_with(|| InlineEngine::new(Some(config), Some((plan, model_id))));
+            .or_insert_with(|| InlineEngine::new(Some(config), plan, model_id));
         // An inline engine never errs; a crashed one answers the default.
         let verdict = engine.observe(epoch, &result).unwrap_or_default();
         let stats = engine.stats();
@@ -884,7 +884,7 @@ mod tests {
             matches!(event, Event::Epoch { .. })
         });
         let mut links: HashMap<u64, _> = HashMap::from([7, 8].map(|model| {
-            let reference = InlineEngine::new(Some(&config), Some((&plan, model)));
+            let reference = InlineEngine::new(Some(&config), &plan, model);
             (model, (BusLink::new(&topic, model, true), reference))
         }));
         let inputs = [

@@ -107,19 +107,21 @@ pub trait EngineLink {
 /// engine service hosts one of these per model.
 pub struct InlineEngine<'a> {
     config: Option<&'a EngineConfig>,
-    faults: Option<(&'a FaultPlan, u64)>,
+    plan: &'a FaultPlan,
+    model_id: u64,
     engine: Option<PredictionEngine>,
     crashed: bool,
 }
 
 impl<'a> InlineEngine<'a> {
     /// An engine built from `config` (`None` is the standalone NAS: no
-    /// engine, always the full epoch budget). `faults = Some((plan,
-    /// model_id))` arms the plan's engine-crash sites for that model.
-    pub fn new(config: Option<&'a EngineConfig>, faults: Option<(&'a FaultPlan, u64)>) -> Self {
+    /// engine, always the full epoch budget). `plan`'s engine-crash sites
+    /// for `model_id` are armed.
+    pub fn new(config: Option<&'a EngineConfig>, plan: &'a FaultPlan, model_id: u64) -> Self {
         InlineEngine {
             config,
-            faults,
+            plan,
+            model_id,
             engine: None,
             crashed: false,
         }
@@ -135,9 +137,7 @@ impl EngineLink for InlineEngine<'_> {
         let Some(engine) = self.engine.as_mut().filter(|_| !self.crashed) else {
             return Ok(Verdict::default());
         };
-        let crash = self
-            .faults
-            .is_some_and(|(plan, model_id)| plan.engine_dropped(model_id, epoch));
+        let crash = self.plan.engine_dropped(self.model_id, epoch);
         let interaction = catch_unwind(AssertUnwindSafe(|| {
             assert!(!crash, "injected engine fault");
             engine.interact(epoch, result.val_acc)
@@ -161,9 +161,9 @@ impl EngineLink for InlineEngine<'_> {
 /// `checkpoints = Some((store, model_id))` writes the trainer's per-epoch
 /// state into the store (§2.2.2); trainers that cannot snapshot (the
 /// surrogate) simply contribute nothing.
-/// `faults = Some((plan, model_id, attempt))` arms the plan's trainer
-/// injection sites for this model/attempt; `None` (or an empty plan)
-/// runs the plain loop. An injected trainer fault panics out of this
+/// `faults = (plan, model_id, attempt)` arms the plan's trainer
+/// injection sites for this model/attempt; an empty plan runs the plain
+/// loop. An injected trainer fault panics out of this
 /// function after `progress` has been updated, so the caller's
 /// `catch_unwind` still sees the partial trail. `Err` only when the
 /// engine link broke.
@@ -172,22 +172,21 @@ pub fn train_with_engine_fallible(
     engine: &mut dyn EngineLink,
     max_epochs: u32,
     checkpoints: Option<(&CheckpointStore, u64)>,
-    faults: Option<(&FaultPlan, u64, u32)>,
+    faults: (&FaultPlan, u64, u32),
     progress: &mut AttemptProgress,
 ) -> Result<TrainingOutcome, A4nnError> {
     let mut final_fitness = 0.0;
     let mut predicted_fitness = None;
     let mut terminated_early = false;
 
+    let (plan, model_id, attempt) = faults;
     for e in 1..=max_epochs {
-        if let Some((plan, model_id, attempt)) = faults {
-            let stall = plan.stall_millis(model_id, e);
-            if stall > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(stall));
-            }
-            if plan.panic_due(model_id, e, attempt) {
-                panic!("injected trainer fault: model {model_id} epoch {e} attempt {attempt}");
-            }
+        let stall = plan.stall_millis(model_id, e);
+        if stall > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(stall));
+        }
+        if plan.panic_due(model_id, e, attempt) {
+            panic!("injected trainer fault: model {model_id} epoch {e} attempt {attempt}");
         }
         let result = trainer.train_epoch(e);
         if let Some((store, model_id)) = checkpoints {
@@ -241,12 +240,13 @@ mod tests {
         engine: Option<&EngineConfig>,
         max_epochs: u32,
     ) -> TrainingOutcome {
+        let plan = FaultPlan::none();
         train_with_engine_fallible(
             trainer,
-            &mut InlineEngine::new(engine, None),
+            &mut InlineEngine::new(engine, &plan, 0),
             max_epochs,
             None,
-            None,
+            (&plan, 0, 1),
             &mut AttemptProgress::default(),
         )
         .unwrap()

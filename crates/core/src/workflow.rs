@@ -14,9 +14,7 @@
 use crate::checkpoint::CheckpointStore;
 use crate::config::WorkflowConfig;
 use crate::fault::{FaultStats, FaultTolerance};
-use crate::pipeline::{
-    BatchResult, BusTransport, DirectTransport, EvalPipeline, Transport, TransportStats,
-};
+use crate::pipeline::{BatchResult, DirectTransport, EvalPipeline, Transport, TransportStats};
 use crate::resume::{config_hash, RunControl, SearchSnapshot, SNAPSHOT_VERSION};
 use crate::trainer::TrainerFactory;
 use a4nn_error::A4nnError;
@@ -51,39 +49,10 @@ pub enum Driver {
     Random,
 }
 
-/// How a run couples trainers, prediction engine, and lineage. Every
-/// mode produces identical record trails per seed.
-#[derive(Clone, Copy, Default)]
-pub enum Orchestration<'a> {
-    /// In-process calls: trainers drive their own engine instance (the
-    /// seed path).
-    #[default]
-    Direct,
-    /// An `a4nn-bus` topic per generation: trainers publish per-epoch
-    /// fitness and the prediction engine answers as a subscribed service
-    /// thread (§2.2's in-situ task coupling).
-    Bus,
-    /// A transport constructed outside this crate — `a4nn-net`'s
-    /// `SocketTransport`, which shards each generation's jobs across
-    /// connected worker processes.
-    External(&'a dyn Transport),
-}
-
-impl std::fmt::Debug for Orchestration<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Orchestration::Direct => f.write_str("Direct"),
-            Orchestration::Bus => f.write_str("Bus"),
-            Orchestration::External(transport) => write!(f, "External({})", transport.name()),
-        }
-    }
-}
-
 /// Everything [`A4nnWorkflow::run`] can be told beyond the trainer
 /// factory. The default is the plain NSGA-Net search: no checkpoints,
-/// direct orchestration, the default retry budget with no injected
+/// the direct transport, the default retry budget with no injected
 /// faults, no snapshots, a fresh start.
-#[derive(Default)]
 pub struct RunOptions<'a> {
     /// The NAS policy proposing genomes and picking survivors.
     pub driver: Driver,
@@ -91,8 +60,13 @@ pub struct RunOptions<'a> {
     /// supports it (§2.2.2's "model can be loaded and re-evaluated from
     /// any point").
     pub checkpoints: Option<&'a CheckpointStore>,
-    /// The coupling mode.
-    pub orchestration: Orchestration<'a>,
+    /// How trainers, prediction engine and lineage are coupled:
+    /// [`DirectTransport`] (in-process calls, the default),
+    /// [`BusTransport`](crate::BusTransport) (an `a4nn-bus` topic per
+    /// generation, §2.2's in-situ task coupling) or one built outside this
+    /// crate, such as `a4nn-net`'s `SocketTransport`. Every transport
+    /// produces identical record trails per seed.
+    pub transport: &'a dyn Transport,
     /// Panicked trainer attempts retry per the policy, injected faults
     /// replay deterministically from the plan, and models exhausting
     /// their budget survive the search as `Terminated::Failed` records.
@@ -109,6 +83,19 @@ pub struct RunOptions<'a> {
     /// reproduces the uninterrupted run's commons byte for byte on every
     /// transport.
     pub resume: Option<SearchSnapshot>,
+}
+
+impl Default for RunOptions<'_> {
+    fn default() -> Self {
+        RunOptions {
+            driver: Driver::default(),
+            checkpoints: None,
+            transport: &DirectTransport,
+            fault_tolerance: FaultTolerance::default(),
+            control: RunControl::default(),
+            resume: None,
+        }
+    }
 }
 
 /// Everything a workflow run produces.
@@ -202,7 +189,7 @@ impl A4nnWorkflow {
         let RunOptions {
             driver,
             checkpoints,
-            orchestration,
+            transport,
             fault_tolerance: ft,
             control,
             resume,
@@ -228,11 +215,6 @@ impl A4nnWorkflow {
             }
         }
         let pipeline = EvalPipeline::new(&self.config, &self.space, factory, checkpoints, &ft);
-        let transport: &dyn Transport = match orchestration {
-            Orchestration::Direct => &DirectTransport,
-            Orchestration::Bus => &BusTransport,
-            Orchestration::External(transport) => transport,
-        };
         let totals = self.run_loop(driver, &pipeline, transport, &control, resume)?;
         Ok(totals.into_run_output(&pipeline, transport.name()))
     }
@@ -533,6 +515,7 @@ impl SearchTotals {
 mod tests {
     use super::*;
     use crate::config::NasSettings;
+    use crate::pipeline::BusTransport;
     use crate::surrogate::{SurrogateFactory, SurrogateParams};
     use a4nn_lineage::Analyzer;
     use a4nn_penguin::EngineConfig;
@@ -585,7 +568,7 @@ mod tests {
 
     fn bus() -> RunOptions<'static> {
         RunOptions {
-            orchestration: Orchestration::Bus,
+            transport: &BusTransport,
             ..RunOptions::default()
         }
     }

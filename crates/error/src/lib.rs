@@ -2,14 +2,14 @@
 //!
 //! One typed error enum, [`A4nnError`], shared by every layer of the
 //! workflow: the evaluation pipeline, the scheduler pool, the lineage
-//! writers, the bus service layer, and the CLI. Fallible operations
+//! writers, the Bus transport, and the CLI. Fallible operations
 //! return `Result<_, A4nnError>` instead of panicking, and the CLI maps
 //! each variant onto a distinct process exit code so scripted callers
 //! (the paper's driver scripts, CI) can dispatch on failure class
 //! without parsing stderr.
 //!
 //! The enum is deliberately coarse: variants distinguish *what kind of
-//! subsystem failed* (I/O, checkpoint store, bus, trainer, config), not
+//! subsystem failed* (I/O, checkpoint store, bus, network, config), not
 //! every individual failure site — the human-readable context string
 //! carries the specifics.
 
@@ -41,16 +41,6 @@ pub enum A4nnError {
     Checkpoint(String),
     /// The event bus closed while a producer or service still needed it.
     BusClosed(String),
-    /// A trainer crashed past its retry budget in a context where the
-    /// crash cannot be absorbed as a `Terminated::Failed` record.
-    TrainerCrash {
-        /// The model whose trainer crashed.
-        model_id: u64,
-        /// Attempts consumed before giving up.
-        attempts: u32,
-        /// The crash message, when one was recoverable.
-        message: String,
-    },
     /// The requested configuration is invalid or inconsistent.
     Config(String),
     /// An internal invariant broke (a worker thread died, a service
@@ -94,18 +84,19 @@ impl A4nnError {
     /// | 4 | I/O failure |
     /// | 5 | checkpoint failure |
     /// | 6 | bus closed |
-    /// | 7 | trainer crash past retries |
     /// | 8 | internal invariant broken |
     /// | 9 | network failure (worker lost, bad frame, handshake refused) |
     /// | 10 | interrupted at a generation boundary (resumable) |
     /// | 11 | admission queue saturated (back off and retry) |
+    ///
+    /// Code 7 is retired: a trainer that exhausts its retry budget is not
+    /// an error but a `Terminated::Failed` record.
     pub fn exit_code(&self) -> i32 {
         match self {
             A4nnError::Config(_) => 3,
             A4nnError::Io { .. } => 4,
             A4nnError::Checkpoint(_) => 5,
             A4nnError::BusClosed(_) => 6,
-            A4nnError::TrainerCrash { .. } => 7,
             A4nnError::Internal(_) => 8,
             A4nnError::Net(_) => 9,
             A4nnError::Interrupted(_) => 10,
@@ -120,14 +111,6 @@ impl fmt::Display for A4nnError {
             A4nnError::Io { context, source } => write!(f, "{context}: {source}"),
             A4nnError::Checkpoint(msg) => write!(f, "checkpoint failure: {msg}"),
             A4nnError::BusClosed(msg) => write!(f, "bus closed: {msg}"),
-            A4nnError::TrainerCrash {
-                model_id,
-                attempts,
-                message,
-            } => write!(
-                f,
-                "trainer for model {model_id} crashed after {attempts} attempt(s): {message}"
-            ),
             A4nnError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             A4nnError::Internal(msg) => write!(f, "internal error: {msg}"),
             A4nnError::Net(msg) => write!(f, "network failure: {msg}"),
@@ -166,18 +149,13 @@ mod tests {
             A4nnError::io("ctx", io::Error::other("x")),
             A4nnError::Checkpoint("c".into()),
             A4nnError::BusClosed("b".into()),
-            A4nnError::TrainerCrash {
-                model_id: 1,
-                attempts: 3,
-                message: "m".into(),
-            },
             A4nnError::Internal("i".into()),
             A4nnError::Net("n".into()),
             A4nnError::Interrupted("stopped at generation 2".into()),
             A4nnError::Saturated("admission queue full".into()),
         ];
         let codes: Vec<i32> = errors.iter().map(A4nnError::exit_code).collect();
-        assert_eq!(codes, vec![3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        assert_eq!(codes, vec![3, 4, 5, 6, 8, 9, 10, 11]);
         for c in codes {
             assert!(c != 0 && c != 1 && c != 2, "reserved code reused: {c}");
         }
@@ -192,15 +170,6 @@ mod tests {
         let s = e.to_string();
         assert!(s.starts_with("writing commons to ./out: "));
         assert!(!s.contains('\n'), "diagnostics must be one line: {s:?}");
-        let crash = A4nnError::TrainerCrash {
-            model_id: 7,
-            attempts: 3,
-            message: "injected".into(),
-        };
-        assert_eq!(
-            crash.to_string(),
-            "trainer for model 7 crashed after 3 attempt(s): injected"
-        );
         assert_eq!(
             A4nnError::Net("worker 127.0.0.1:7001 missed 3 heartbeats".into()).to_string(),
             "network failure: worker 127.0.0.1:7001 missed 3 heartbeats"

@@ -85,15 +85,6 @@ pub struct ArchSpec {
 }
 
 impl ArchSpec {
-    /// Total number of conv blocks that will be instantiated (stems +
-    /// active nodes + degenerate default blocks).
-    pub fn conv_blocks(&self) -> usize {
-        self.phases
-            .iter()
-            .map(|p| 1 + p.active_nodes().max(1))
-            .sum()
-    }
-
     /// One-line summary, e.g.
     /// `"3 phases | nodes 3/4/2 | edges 4/5/1 | skip 101"`.
     pub fn summary(&self) -> String {
@@ -285,8 +276,6 @@ mod tests {
         assert_eq!(arch.phases[2].in_channels, 16);
         assert_eq!(arch.phases[2].out_channels, 32);
         assert_eq!(arch.num_classes, 2);
-        // Degenerate third phase still counts one conv block + stem.
-        assert_eq!(arch.conv_blocks(), (1 + 2) + (1 + 3) + (1 + 1));
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl SearchSpace {
         self.channels.len()
     }
 
-    /// Total genome bits.
-    pub fn genome_bits(&self) -> usize {
-        self.phases() * PhaseGenome::bits_for(self.nodes_per_phase)
-    }
-
     /// Sample a random genome.
     pub fn random_genome<R: Rng + ?Sized>(&self, rng: &mut R) -> Genome {
         let phases = (0..self.phases())
@@ -178,7 +173,6 @@ mod tests {
     fn paper_space_shape() {
         let s = SearchSpace::paper_defaults();
         assert_eq!(s.phases(), 3);
-        assert_eq!(s.genome_bits(), 21);
     }
 
     #[test]

@@ -86,17 +86,6 @@ impl<'a> Analyzer<'a> {
             .collect()
     }
 
-    /// Histogram of `e_t` over `[1, max_epoch]` (index 0 = epoch 1).
-    pub fn termination_histogram(&self, max_epoch: u32) -> Vec<usize> {
-        let mut hist = vec![0usize; max_epoch as usize];
-        for e in self.termination_epochs() {
-            if (1..=max_epoch).contains(&e) {
-                hist[(e - 1) as usize] += 1;
-            }
-        }
-        hist
-    }
-
     /// Mean termination epoch of early-terminated models, if any.
     pub fn mean_termination_epoch(&self) -> Option<f64> {
         let es = self.termination_epochs();
@@ -294,9 +283,6 @@ mod tests {
         es.sort_unstable();
         assert_eq!(es, vec![8, 10, 14]);
         assert!((a.mean_termination_epoch().unwrap() - 32.0 / 3.0).abs() < 1e-9);
-        let hist = a.termination_histogram(25);
-        assert_eq!(hist.iter().sum::<usize>(), 3);
-        assert_eq!(hist[7], 1); // epoch 8
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! it (so a coordinator with a shorter deadline declares the worker
 //! dead), and `WorkerDrop` severs the connection outright, exercising
 //! the coordinator's requeue path.
+//!
+//! A session runs at most its advertised `gpus` jobs at once: a `Job`
+//! beyond that ends the session with [`NetError::Protocol`], so a peer
+//! cannot make the worker spawn threads without limit.
 
 use crate::frame::{read_message, write_message, NetError, PROTOCOL_VERSION};
 use crate::protocol::Message;
@@ -22,7 +26,7 @@ use a4nn_core::{
 use a4nn_error::A4nnError;
 use parking_lot::Mutex;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// A bound worker server, ready to serve coordinator sessions.
@@ -158,6 +162,8 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
     let ft = FaultTolerance::new(retry, plan);
 
     let done = AtomicBool::new(false);
+    // Jobs accepted and not yet answered; capped at `gpus`.
+    let in_flight = AtomicUsize::new(0);
     // `WorkerStall` faults push this forward to silence the heartbeat.
     let mute_until = Mutex::new(Instant::now());
     let interval = Duration::from_millis(heartbeat_interval_ms.max(1));
@@ -188,6 +194,12 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
                     dispatch_attempt,
                     genome,
                 })) => {
+                    if in_flight.load(Ordering::SeqCst) >= gpus {
+                        break Err(NetError::Protocol(format!(
+                            "job {model_id} exceeds the {gpus} advertised GPU(s)"
+                        )));
+                    }
+                    in_flight.fetch_add(1, Ordering::SeqCst);
                     let mut i = 0;
                     while i < jobs.len() {
                         if jobs[i].is_finished() {
@@ -202,6 +214,7 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
                     let writer = &writer;
                     let mute_until = &mute_until;
                     let done = &done;
+                    let in_flight = &in_flight;
                     jobs.push(scope.spawn(move || {
                         let epochs = config.nas.epochs;
                         let stall_ms: u64 = (1..=epochs)
@@ -224,7 +237,7 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
                             return;
                         }
                         let mut engine =
-                            InlineEngine::new(config.engine.as_ref(), Some((&ft.plan, model_id)));
+                            InlineEngine::new(config.engine.as_ref(), &ft.plan, model_id);
                         let Ok((outcome, cost)) = train_resilient_direct(
                             config,
                             factory,
@@ -236,6 +249,9 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
                         ) else {
                             unreachable!("an inline engine link never errs")
                         };
+                        // Free the slot before answering: the coordinator
+                        // may send the next job as soon as it reads this.
+                        in_flight.fetch_sub(1, Ordering::SeqCst);
                         let _ = write_message(
                             &mut *writer.lock(),
                             &Message::JobDone {

@@ -7,12 +7,15 @@
 //! - [`gemm_nt`] — `C += A·Bᵀ` (the weight-gradient lowering, where both
 //!   operands share the long output-pixel axis).
 //!
+//! Both run on the calling thread: a convolution already splits its batch
+//! over samples, one GEMM per sample. [`gemm_nn_seq`], `Dense`'s and
+//! XPSI's kernel, is the one that splits the *rows* of `C` onto scoped
+//! threads — each element is still produced by exactly one thread.
+//!
 //! The kernels are deterministic by construction: every output element is
 //! accumulated in a fixed order that does not depend on blocking factors
 //! landing mid-row or on how many threads run, so results are bitwise
-//! reproducible across machines and thread budgets. Parallelism splits the
-//! *rows* of `C` onto scoped threads — each element is still produced by
-//! exactly one thread.
+//! reproducible across machines and thread budgets.
 //!
 //! The thread budget is a process-wide knob ([`set_thread_budget`]) that
 //! whoever owns the process's workers sets from their count — `a4nn
@@ -27,8 +30,8 @@
 //! Whether a layer *uses* its budget is [`threads_for`]'s decision: a
 //! scoped spawn and join costs tens of microseconds, so an op opens a
 //! scope only when every thread gets at least `MIN_MACS_PER_THREAD`
-//! multiply-adds. The kernels here are mechanism — they split as many
-//! ways as the caller asks, capped by the budget and the row count.
+//! multiply-adds. [`gemm_nn_seq`] is mechanism — it splits as many ways as
+//! the caller asks, capped by the budget and the row count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -78,9 +81,9 @@ pub fn threads_for(items: usize, macs_per_item: usize) -> usize {
     resolved_threads(items.min(paid_for))
 }
 
-/// Threads a kernel splits its `rows` over: what the caller asked for,
-/// capped by the budget and the row count. A serial ask is answered before
-/// anything is read — that is every per-sample GEMM of a convolution.
+/// Threads [`gemm_nn_seq`] splits its `rows` over: what the caller asked
+/// for, capped by the budget and the row count. A serial ask is answered
+/// before anything is read.
 fn split_over(threads: usize, rows: usize) -> usize {
     if threads <= 1 {
         1
@@ -123,36 +126,17 @@ const KC: usize = 256;
 /// Column block: a `KC×NC` B panel stays resident in L2.
 const NC: usize = 1024;
 
-/// `C[m×n] += A[m×k] · B[k×n]`, all row-major. Splits the rows of `C`
-/// across up to `threads` scoped threads (capped by the global budget).
-pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], threads: usize) {
+/// `C[m×n] += A[m×k] · B[k×n]`, all row-major, on the calling thread.
+/// Dispatches to the widest ISA the host supports; both compilations run
+/// the identical sequence of f32 operations, so the choice is bitwise
+/// invisible.
+pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), m * k, "gemm_nn: A shape mismatch");
     assert_eq!(b.len(), k * n, "gemm_nn: B shape mismatch");
     assert_eq!(c.len(), m * n, "gemm_nn: C shape mismatch");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let t = split_over(threads, m);
-    if t <= 1 {
-        gemm_nn_serial(m, n, k, a, b, c);
-        return;
-    }
-    // Contiguous row blocks: thread i owns rows [i·rows_per, …) of C and
-    // the matching rows of A. Accumulation order per element is identical
-    // to the serial kernel, so the split is invisible in the output.
-    let rows_per = m.div_ceil(t);
-    std::thread::scope(|s| {
-        for (ti, c_chunk) in c.chunks_mut(rows_per * n).enumerate() {
-            let mh = c_chunk.len() / n;
-            let a_chunk = &a[ti * rows_per * k..ti * rows_per * k + mh * k];
-            s.spawn(move || gemm_nn_serial(mh, n, k, a_chunk, b, c_chunk));
-        }
-    });
-}
-
-/// Single-threaded blocked `C += A·B`: dispatches to the widest ISA the
-/// host supports (see [`avx2_available`] for why this is bitwise-safe).
-fn gemm_nn_serial(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2 presence was verified at runtime above.
@@ -301,10 +285,10 @@ pub fn gemm_nn_seq(
 }
 
 /// Single-threaded blocked sequential-accumulation GEMM. Identical
-/// blocking to [`gemm_nn_serial`]; only the tile epilogue differs (the
+/// blocking to [`gemm_nn`]; only the tile epilogue differs (the
 /// accumulator is *loaded from* and *stored to* `C`, so chaining the `KC`
 /// panels extends one strict sequential sum per element). ISA dispatch
-/// mirrors [`gemm_nn_serial`] and is bitwise-invisible for the same
+/// mirrors [`gemm_nn`] and is bitwise-invisible for the same
 /// reason.
 fn gemm_nn_seq_serial(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
@@ -420,30 +404,15 @@ fn micro_panel_nn_seq(
 /// `C[m×n] += A[m×k] · Bᵀ` where `B` is `n×k` row-major: every output is
 /// a dot product of an A row with a B row. Used for the weight gradient,
 /// where the shared axis (output pixels) is long and both operands are
-/// row-major along it.
-pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], threads: usize) {
+/// row-major along it. Runs on the calling thread, ISA dispatch as in
+/// [`gemm_nn`].
+pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), m * k, "gemm_nt: A shape mismatch");
     assert_eq!(b.len(), n * k, "gemm_nt: B shape mismatch");
     assert_eq!(c.len(), m * n, "gemm_nt: C shape mismatch");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let t = split_over(threads, m);
-    if t <= 1 {
-        gemm_nt_serial(m, n, k, a, b, c);
-        return;
-    }
-    let rows_per = m.div_ceil(t);
-    std::thread::scope(|s| {
-        for (ti, c_chunk) in c.chunks_mut(rows_per * n).enumerate() {
-            let mh = c_chunk.len() / n;
-            let a_chunk = &a[ti * rows_per * k..ti * rows_per * k + mh * k];
-            s.spawn(move || gemm_nt_serial(mh, n, k, a_chunk, b, c_chunk));
-        }
-    });
-}
-
-fn gemm_nt_serial(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2 presence was verified at runtime above.
@@ -640,7 +609,7 @@ mod tests {
             let a = pseudo(m * k, 1);
             let b = pseudo(k * n, 2);
             let mut c = vec![0.0f32; m * n];
-            gemm_nn(m, n, k, &a, &b, &mut c, 1);
+            gemm_nn(m, n, k, &a, &b, &mut c);
             let want = reference_nn(m, n, k, &a, &b);
             for (got, want) in c.iter().zip(&want) {
                 assert!(
@@ -661,7 +630,7 @@ mod tests {
         transpose(n, k, &bt, &mut b);
         let want = reference_nn(m, n, k, &a, &b);
         let mut c = vec![0.0f32; m * n];
-        gemm_nt(m, n, k, &a, &bt, &mut c, 1);
+        gemm_nt(m, n, k, &a, &bt, &mut c);
         for (got, want) in c.iter().zip(&want) {
             assert!((got - want).abs() < 1e-4, "{got} vs {want}");
         }
@@ -714,7 +683,7 @@ mod tests {
             let mut want = seed.clone();
             gemm_nt_oracle(m, n, k, &a, &bt, &mut want);
             let mut got = seed;
-            gemm_nt(m, n, k, &a, &bt, &mut got, 1);
+            gemm_nt(m, n, k, &a, &bt, &mut got);
             assert_eq!(
                 bits(&want),
                 bits(&got),
@@ -724,53 +693,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_split_is_bitwise_identical_to_serial() {
-        let (m, n, k) = (37, 129, 65);
-        let a = pseudo(m * k, 5);
-        let b = pseudo(k * n, 6);
-        let mut serial = vec![0.0f32; m * n];
-        gemm_nn_serial(m, n, k, &a, &b, &mut serial);
-        for threads in [2, 3, 4, 8] {
-            let mut par = vec![0.0f32; m * n];
-            gemm_nn(m, n, k, &a, &b, &mut par, threads);
-            assert_eq!(serial, par, "thread count {threads} changed the result");
-        }
-        let bt = {
-            let mut t = vec![0.0f32; k * n];
-            transpose(k, n, &b, &mut t);
-            t
-        };
-        let mut nt_serial = vec![0.0f32; m * n];
-        gemm_nt_serial(m, n, k, &a, &bt, &mut nt_serial);
-        for threads in [2, 5] {
-            let mut par = vec![0.0f32; m * n];
-            gemm_nt(m, n, k, &a, &bt, &mut par, threads);
-            assert_eq!(nt_serial, par);
-        }
-        // A row split moves which rows pair up in a register tile.
-        for (m, n, k) in nt_ragged_shapes() {
-            let a = pseudo(m * k, 7);
-            let bt = pseudo(n * k, 8);
-            let mut serial = vec![0.0f32; m * n];
-            gemm_nt_serial(m, n, k, &a, &bt, &mut serial);
-            for threads in [2, 3] {
-                let mut par = vec![0.0f32; m * n];
-                gemm_nt(m, n, k, &a, &bt, &mut par, threads);
-                assert_eq!(
-                    bits(&serial),
-                    bits(&par),
-                    "gemm_nt ({m},{n},{k}) x{threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn gemm_accumulates_into_existing_c() {
         let a = [1.0f32, 2.0];
         let b = [3.0f32, 4.0];
         let mut c = [10.0f32];
-        gemm_nn(1, 1, 2, &a, &b, &mut c, 1);
+        gemm_nn(1, 1, 2, &a, &b, &mut c);
         assert_eq!(c[0], 10.0 + 3.0 + 8.0);
     }
 
@@ -843,7 +770,7 @@ mod tests {
         let seed = pseudo(m * n, 23);
 
         let mut dispatched = seed.clone();
-        gemm_nn_serial(m, n, k, &a, &b, &mut dispatched);
+        gemm_nn(m, n, k, &a, &b, &mut dispatched);
         let mut generic = seed.clone();
         gemm_nn_serial_generic(m, n, k, &a, &b, &mut generic);
         assert_eq!(dispatched, generic, "gemm_nn ISA paths diverged");
@@ -860,7 +787,7 @@ mod tests {
             t
         };
         let mut dispatched = vec![0.0f32; m * n];
-        gemm_nt_serial(m, n, k, &a, &bt, &mut dispatched);
+        gemm_nt(m, n, k, &a, &bt, &mut dispatched);
         let mut generic = vec![0.0f32; m * n];
         gemm_nt_serial_generic(m, n, k, &a, &bt, &mut generic);
         assert_eq!(dispatched, generic, "gemm_nt ISA paths diverged");
@@ -868,7 +795,7 @@ mod tests {
             let a = pseudo(m * k, 24);
             let bt = pseudo(n * k, 25);
             let mut dispatched = vec![0.0f32; m * n];
-            gemm_nt_serial(m, n, k, &a, &bt, &mut dispatched);
+            gemm_nt(m, n, k, &a, &bt, &mut dispatched);
             let mut generic = vec![0.0f32; m * n];
             gemm_nt_serial_generic(m, n, k, &a, &bt, &mut generic);
             assert_eq!(

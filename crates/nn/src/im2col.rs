@@ -353,7 +353,7 @@ pub fn conv_forward_sample(
     for (co, orow) in out_s.chunks_mut(p).enumerate() {
         orow.fill(bias[co]);
     }
-    gemm::gemm_nn(c_out, p, kp, weight, col_buf, out_s, 1);
+    gemm::gemm_nn(c_out, p, kp, weight, col_buf, out_s);
 }
 
 /// Lowered backward for one sample. Accumulates the weight/bias gradients
@@ -389,10 +389,10 @@ pub fn conv_backward_sample(
         bg[co] += lanes;
     }
     // Weight gradient: wg[c_out×K] += g_s · colᵀ.
-    gemm::gemm_nt(c_out, kp, p, g_s, col_buf, wg, 1);
+    gemm::gemm_nt(c_out, kp, p, g_s, col_buf, wg);
     // Input gradient: gcol[K×P] = Wᵀ · g_s, scattered back by col2im.
     gcol_buf.fill(0.0);
-    gemm::gemm_nn(kp, p, c_out, wt, g_s, gcol_buf, 1);
+    gemm::gemm_nn(kp, p, c_out, wt, g_s, gcol_buf);
     col2im(gcol_buf, g, gin_s);
 }
 

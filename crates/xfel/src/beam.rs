@@ -23,19 +23,11 @@ impl BeamIntensity {
         BeamIntensity::High,
     ];
 
-    /// Nominal flux in photons/μm²/pulse (§3.1).
-    pub fn photons_per_um2(&self) -> f64 {
-        match self {
-            BeamIntensity::Low => 1e14,
-            BeamIntensity::Medium => 1e15,
-            BeamIntensity::High => 1e16,
-        }
-    }
-
     /// Mean photon count landing on the detector per image. The absolute
     /// scale is a calibration choice; the decade ratios between levels
-    /// mirror the nominal fluxes, which is what controls relative Poisson
-    /// noise (`SNR ∝ √photons`).
+    /// mirror the nominal fluxes (1e14/1e15/1e16 photons/μm²/pulse,
+    /// §3.1), which is what controls relative Poisson noise
+    /// (`SNR ∝ √photons`).
     pub fn photon_budget(&self) -> f64 {
         match self {
             BeamIntensity::Low => 2.0e3,
@@ -63,13 +55,6 @@ impl std::fmt::Display for BeamIntensity {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fluxes_match_the_paper() {
-        assert_eq!(BeamIntensity::Low.photons_per_um2(), 1e14);
-        assert_eq!(BeamIntensity::Medium.photons_per_um2(), 1e15);
-        assert_eq!(BeamIntensity::High.photons_per_um2(), 1e16);
-    }
 
     #[test]
     fn budgets_scale_by_decades() {

@@ -110,27 +110,6 @@ fn sample_poisson<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> f64 {
     dist.sample(rng)
 }
 
-/// Zero out the detector pixels within `radius` pixels of the beam
-/// center — the beamstop every real XFEL detector carries to block the
-/// direct beam (whose intensity would otherwise saturate the detector).
-/// A radius of 0 disables the mask.
-pub fn apply_beamstop(intensity: &mut [f64], detector: usize, radius: f64) {
-    if radius <= 0.0 {
-        return;
-    }
-    let half = (detector as f64 - 1.0) / 2.0;
-    let r2 = radius * radius;
-    for py in 0..detector {
-        for px in 0..detector {
-            let dy = py as f64 - half;
-            let dx = px as f64 - half;
-            if dy * dy + dx * dx <= r2 {
-                intensity[py * detector + px] = 0.0;
-            }
-        }
-    }
-}
-
 /// Pearson correlation between two images — used to quantify the
 /// signal-to-noise relationship in tests and benches.
 pub fn correlation(a: &[f32], b: &[f32]) -> f64 {
@@ -264,32 +243,6 @@ mod tests {
             );
         }
         assert_eq!(sample_poisson(0.0, &mut r), 0.0);
-    }
-
-    #[test]
-    fn beamstop_blanks_the_center_only() {
-        let p = pair();
-        let det = 17;
-        let mut img = diffraction_intensity(&p.conf_a, &Rotation::identity(), det, 0.1);
-        let center_before = img[(det / 2) * det + det / 2];
-        assert!(center_before > 0.0);
-        apply_beamstop(&mut img, det, 2.0);
-        // Center and its 4-neighborhood are blanked.
-        assert_eq!(img[(det / 2) * det + det / 2], 0.0);
-        assert_eq!(img[(det / 2) * det + det / 2 + 1], 0.0);
-        // Corners untouched.
-        assert!(img[0] >= 0.0);
-        let blanked = img.iter().filter(|&&v| v == 0.0).count();
-        assert!((5..=21).contains(&blanked), "blanked {blanked} pixels");
-    }
-
-    #[test]
-    fn zero_radius_beamstop_is_noop() {
-        let p = pair();
-        let mut img = diffraction_intensity(&p.conf_a, &Rotation::identity(), 9, 0.1);
-        let before = img.clone();
-        apply_beamstop(&mut img, 9, 0.0);
-        assert_eq!(img, before);
     }
 
     #[test]

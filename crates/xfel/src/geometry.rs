@@ -63,17 +63,6 @@ impl Rotation {
         ]
     }
 
-    /// Compose rotations: `(self ∘ other)(p) = self(other(p))`.
-    pub fn compose(&self, other: &Rotation) -> Rotation {
-        let mut out = [[0.0; 3]; 3];
-        for (i, row) in out.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = (0..3).map(|k| self.0[i][k] * other.0[k][j]).sum();
-            }
-        }
-        Rotation(out)
-    }
-
     /// Matrix determinant (≈ +1 for proper rotations).
     pub fn determinant(&self) -> f64 {
         let m = &self.0;
@@ -150,19 +139,6 @@ mod tests {
         for _ in 0..32 {
             let r = random_rotation(&mut rng);
             assert!((len(r.apply(p)) - len(p)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn composition_matches_sequential_application() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let a = random_rotation(&mut rng);
-        let b = random_rotation(&mut rng);
-        let p = [0.5, -1.5, 2.5];
-        let composed = a.compose(&b).apply(p);
-        let sequential = a.apply(b.apply(p));
-        for i in 0..3 {
-            assert!((composed[i] - sequential[i]).abs() < 1e-10);
         }
     }
 

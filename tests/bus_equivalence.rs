@@ -11,7 +11,7 @@ use a4nn_core::prelude::*;
 use a4nn_lineage::{epochs_csv, models_csv};
 
 /// A paper-shaped run: Table 2 NAS settings, Table 1 engine settings.
-fn run(seed: u64, engine: bool, orchestration: Orchestration) -> RunOutput {
+fn run(seed: u64, engine: bool, transport: &dyn Transport) -> RunOutput {
     let config = WorkflowConfig {
         nas: NasSettings::paper_defaults(),
         engine: engine.then(EngineConfig::paper_defaults),
@@ -25,7 +25,7 @@ fn run(seed: u64, engine: bool, orchestration: Orchestration) -> RunOutput {
         .run(
             &factory,
             RunOptions {
-                orchestration,
+                transport,
                 ..RunOptions::default()
             },
         )
@@ -35,8 +35,8 @@ fn run(seed: u64, engine: bool, orchestration: Orchestration) -> RunOutput {
 #[test]
 fn bus_and_direct_csv_exports_are_byte_identical_across_seeds() {
     for seed in [2023u64, 7u64] {
-        let direct = run(seed, true, Orchestration::Direct);
-        let bus = run(seed, true, Orchestration::Bus);
+        let direct = run(seed, true, &DirectTransport);
+        let bus = run(seed, true, &BusTransport);
         assert_eq!(
             models_csv(&direct.commons),
             models_csv(&bus.commons),
@@ -62,8 +62,8 @@ fn bus_and_direct_csv_exports_are_byte_identical_across_seeds() {
 
 #[test]
 fn bus_standalone_matches_direct_standalone() {
-    let direct = run(11, false, Orchestration::Direct);
-    let bus = run(11, false, Orchestration::Bus);
+    let direct = run(11, false, &DirectTransport);
+    let bus = run(11, false, &BusTransport);
     assert_eq!(models_csv(&direct.commons), models_csv(&bus.commons));
     assert_eq!(epochs_csv(&direct.commons), epochs_csv(&bus.commons));
 }
@@ -75,8 +75,8 @@ fn bus_standalone_matches_direct_standalone() {
 fn direct_and_bus_report_the_same_counters() {
     use a4nn_metrics::names;
     for seed in [2023u64, 7u64] {
-        let direct = run(seed, true, Orchestration::Direct);
-        let bus = run(seed, true, Orchestration::Bus);
+        let direct = run(seed, true, &DirectTransport);
+        let bus = run(seed, true, &BusTransport);
         for name in [
             names::JOBS_DISPATCHED,
             names::RETRIES,

@@ -25,12 +25,12 @@ fn config(seed: u64) -> WorkflowConfig {
 
 const AGING: Driver = Driver::AgingEvolution { sample_size: 3 };
 
-/// `driver`'s search of `cfg` on `orchestration`.
-fn run(cfg: &WorkflowConfig, driver: Driver, orchestration: Orchestration) -> RunOutput {
+/// `driver`'s search of `cfg` on `transport`.
+fn run(cfg: &WorkflowConfig, driver: Driver, transport: &dyn Transport) -> RunOutput {
     let factory = SurrogateFactory::new(cfg, SurrogateParams::for_beam(cfg.beam));
     let options = RunOptions {
         driver,
-        orchestration,
+        transport,
         ..RunOptions::default()
     };
     A4nnWorkflow::new(cfg.clone())
@@ -43,7 +43,7 @@ fn all_three_drivers_share_the_engines_savings() {
     let cfg = config(21);
     let budget = (cfg.nas.epochs as u64) * cfg.nas.total_models() as u64;
     for driver in [Driver::Nsga2, AGING, Driver::Random] {
-        let out = run(&cfg, driver, Orchestration::Direct);
+        let out = run(&cfg, driver, &DirectTransport);
         assert!(
             out.total_epochs() < budget,
             "{driver:?}: engine saved nothing ({} epochs)",
@@ -56,7 +56,7 @@ fn all_three_drivers_share_the_engines_savings() {
 #[test]
 fn drivers_emit_interchangeable_commons() {
     // A commons from any driver round-trips and analyzes identically.
-    let out = run(&config(22), AGING, Orchestration::Direct);
+    let out = run(&config(22), AGING, &DirectTransport);
     let dir = std::env::temp_dir().join(format!("a4nn-compos-{}", std::process::id()));
     out.commons.save_dir(&dir).unwrap();
     let loaded = a4nn_lineage::DataCommons::load_dir(&dir).unwrap();
@@ -78,10 +78,10 @@ fn every_driver_is_transport_invariant() {
     let cfg = config(24);
     let csvs = |out: &RunOutput| (models_csv(&out.commons), epochs_csv(&out.commons));
     for driver in [AGING, Driver::Random] {
-        let direct = csvs(&run(&cfg, driver, Orchestration::Direct));
+        let direct = csvs(&run(&cfg, driver, &DirectTransport));
         assert_eq!(
             direct,
-            csvs(&run(&cfg, driver, Orchestration::Bus)),
+            csvs(&run(&cfg, driver, &BusTransport)),
             "{driver:?}: bus"
         );
         let workers: Vec<WorkerHandle> = (0..2)
@@ -93,7 +93,7 @@ fn every_driver_is_transport_invariant() {
         };
         let transport =
             SocketTransport::connect(&addrs, &cfg, &FaultTolerance::default(), options).unwrap();
-        let socket = csvs(&run(&cfg, driver, Orchestration::External(&transport)));
+        let socket = csvs(&run(&cfg, driver, &transport));
         drop(transport);
         for w in workers {
             let _ = w.join();

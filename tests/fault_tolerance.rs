@@ -44,23 +44,23 @@ fn config(seed: u64, engine: bool) -> WorkflowConfig {
     }
 }
 
-fn run(seed: u64, engine: bool, orchestration: Orchestration, ft: &FaultTolerance) -> RunOutput {
+fn run(seed: u64, engine: bool, transport: &dyn Transport, ft: &FaultTolerance) -> RunOutput {
     let cfg = config(seed, engine);
     let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
-    run_with(cfg, &factory, orchestration, ft)
+    run_with(cfg, &factory, transport, ft)
 }
 
 fn run_with(
     cfg: WorkflowConfig,
     factory: &dyn TrainerFactory,
-    orchestration: Orchestration,
+    transport: &dyn Transport,
     ft: &FaultTolerance,
 ) -> RunOutput {
     A4nnWorkflow::new(cfg)
         .run(
             factory,
             RunOptions {
-                orchestration,
+                transport,
                 fault_tolerance: ft.clone(),
                 ..RunOptions::default()
             },
@@ -102,12 +102,12 @@ fn assert_equivalent(direct: &RunOutput, bus: &RunOutput, label: &str) {
 
 #[test]
 fn zero_fault_plan_reproduces_the_fault_free_run_byte_for_byte() {
-    for orchestration in [Orchestration::Direct, Orchestration::Bus] {
-        let plain = run(2023, true, orchestration, &FaultTolerance::default());
+    for transport in [&DirectTransport as &dyn Transport, &BusTransport] {
+        let plain = run(2023, true, transport, &FaultTolerance::default());
         let armed = run(
             2023,
             true,
-            orchestration,
+            transport,
             &FaultTolerance::new(RetryPolicy::with_retries(5), FaultPlan::none()),
         );
         assert_eq!(plain.commons, armed.commons);
@@ -140,14 +140,9 @@ fn recoverable_panics_retry_to_the_same_results() {
         },
     ]);
     let ft = FaultTolerance::new(RetryPolicy::with_retries(2), plan);
-    let clean = run(
-        2023,
-        true,
-        Orchestration::Direct,
-        &FaultTolerance::default(),
-    );
-    let direct = run(2023, true, Orchestration::Direct, &ft);
-    let bus = run(2023, true, Orchestration::Bus, &ft);
+    let clean = run(2023, true, &DirectTransport, &FaultTolerance::default());
+    let direct = run(2023, true, &DirectTransport, &ft);
+    let bus = run(2023, true, &BusTransport, &ft);
     assert_equivalent(&direct, &bus, "recoverable panics");
 
     // Recovered models replay deterministically, so the epoch trails —
@@ -178,8 +173,8 @@ fn exhausted_retries_surface_failed_records_with_partial_trails() {
         failures: 99,
     }]);
     let ft = FaultTolerance::new(RetryPolicy::with_retries(1), plan);
-    let direct = run(2023, true, Orchestration::Direct, &ft);
-    let bus = run(2023, true, Orchestration::Bus, &ft);
+    let direct = run(2023, true, &DirectTransport, &ft);
+    let bus = run(2023, true, &BusTransport, &ft);
     assert_equivalent(&direct, &bus, "exhausted retries");
 
     let failed = &direct.commons.records[4];
@@ -208,8 +203,8 @@ fn exhausted_retries_surface_failed_records_with_partial_trails() {
 fn engine_crash_degrades_to_run_to_completion_without_deadlock() {
     let plan = FaultPlan::new(vec![FaultEvent::EngineDrop { model: 3, epoch: 4 }]);
     let ft = FaultTolerance::new(RetryPolicy::default(), plan);
-    let direct = run(2023, true, Orchestration::Direct, &ft);
-    let bus = run(2023, true, Orchestration::Bus, &ft);
+    let direct = run(2023, true, &DirectTransport, &ft);
+    let bus = run(2023, true, &BusTransport, &ft);
     assert_equivalent(&direct, &bus, "engine drop");
 
     let degraded = &direct.commons.records[3];
@@ -249,14 +244,9 @@ fn stalls_change_no_recorded_byte() {
         },
     ]);
     let ft = FaultTolerance::new(RetryPolicy::default(), plan);
-    let clean = run(
-        2023,
-        true,
-        Orchestration::Direct,
-        &FaultTolerance::default(),
-    );
-    let direct = run(2023, true, Orchestration::Direct, &ft);
-    let bus = run(2023, true, Orchestration::Bus, &ft);
+    let clean = run(2023, true, &DirectTransport, &FaultTolerance::default());
+    let direct = run(2023, true, &DirectTransport, &ft);
+    let bus = run(2023, true, &BusTransport, &ft);
     assert_equivalent(&direct, &bus, "stalls");
     assert_eq!(clean.commons, direct.commons, "stalls are wall-clock only");
     assert_eq!(
@@ -281,8 +271,8 @@ fn seeded_chaos_plans_keep_both_modes_equivalent() {
         // Two retries: plans drawing `failures == 3` produce terminal
         // failures, smaller draws recover — both paths exercised.
         let ft = FaultTolerance::new(RetryPolicy::with_retries(2), plan.clone());
-        let direct = run(seed, true, Orchestration::Direct, &ft);
-        let bus = run(seed, true, Orchestration::Bus, &ft);
+        let direct = run(seed, true, &DirectTransport, &ft);
+        let bus = run(seed, true, &BusTransport, &ft);
         assert_equivalent(&direct, &bus, &format!("chaos seed {seed}"));
 
         // Exact retry accounting: a record's extra attempts must be
@@ -339,8 +329,8 @@ fn standalone_runs_survive_trainer_faults_identically() {
         },
     ]);
     let ft = FaultTolerance::new(RetryPolicy::with_retries(1), plan);
-    let direct = run(31, false, Orchestration::Direct, &ft);
-    let bus = run(31, false, Orchestration::Bus, &ft);
+    let direct = run(31, false, &DirectTransport, &ft);
+    let bus = run(31, false, &BusTransport, &ft);
     assert_equivalent(&direct, &bus, "standalone faults");
     assert_eq!(direct.commons.records[0].attempts, 2);
     assert_ne!(direct.commons.records[0].termination, Terminated::Failed);
@@ -394,27 +384,22 @@ impl TrainerFactory for Model3Panics {
 /// attempts) whose model 3 panics organically in its first `panicking`
 /// trainers.
 fn organic_panic_runs(panicking: u32) -> (RunOutput, RunOutput) {
-    let run_on = |orchestration| {
+    let run_on = |transport: &dyn Transport| {
         let cfg = config(2023, true);
         let factory = Model3Panics {
             surrogate: SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam)),
             panicking: AtomicU32::new(panicking),
         };
-        run_with(cfg, &factory, orchestration, &FaultTolerance::default())
+        run_with(cfg, &factory, transport, &FaultTolerance::default())
     };
-    (run_on(Orchestration::Direct), run_on(Orchestration::Bus))
+    (run_on(&DirectTransport), run_on(&BusTransport))
 }
 
 #[test]
 fn organic_panic_in_one_attempt_retries_identically_on_both_transports() {
     let (direct, bus) = organic_panic_runs(1);
     assert_equivalent(&direct, &bus, "organic panic, first attempt");
-    let clean = run(
-        2023,
-        true,
-        Orchestration::Direct,
-        &FaultTolerance::default(),
-    );
+    let clean = run(2023, true, &DirectTransport, &FaultTolerance::default());
     // The retry replays from epoch 1: the dead attempt leaves no epoch
     // behind on either transport.
     assert_eq!(epochs_csv(&clean.commons), epochs_csv(&bus.commons));
@@ -448,12 +433,13 @@ fn retries_csv_matches_the_faulted_golden_file() {
     };
     let ft = FaultTolerance::new(RetryPolicy::with_retries(2), FaultPlan::seeded(7, &spec));
     let golden = include_str!("golden/retries_faulted.csv");
-    for orchestration in [Orchestration::Direct, Orchestration::Bus] {
-        let out = run(7, true, orchestration, &ft);
+    for transport in [&DirectTransport as &dyn Transport, &BusTransport] {
+        let out = run(7, true, transport, &ft);
         assert_eq!(
             retries_csv(&out.commons.records),
             golden,
-            "{orchestration:?}"
+            "{}",
+            transport.name()
         );
     }
 }

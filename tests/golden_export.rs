@@ -80,7 +80,7 @@ fn paper_configuration_exports_match_golden_files() {
 /// The unified [`EvalPipeline`] with a zero-fault plan must be invisible:
 /// a resilient run that injects nothing and retries nothing is
 /// byte-identical to the plain `run()` that produced the golden files.
-fn zero_fault_run(orchestration: Orchestration) -> RunOutput {
+fn zero_fault_run(transport: &dyn Transport) -> RunOutput {
     let config = WorkflowConfig::a4nn(BeamIntensity::Medium, 4, 2023);
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
     let ft = FaultTolerance::new(RetryPolicy::with_retries(0), FaultPlan::none());
@@ -88,7 +88,7 @@ fn zero_fault_run(orchestration: Orchestration) -> RunOutput {
         .run(
             &factory,
             RunOptions {
-                orchestration,
+                transport,
                 fault_tolerance: ft.clone(),
                 ..RunOptions::default()
             },
@@ -98,14 +98,14 @@ fn zero_fault_run(orchestration: Orchestration) -> RunOutput {
 
 #[test]
 fn zero_fault_pipeline_matches_golden_files_direct() {
-    let out = zero_fault_run(Orchestration::Direct);
+    let out = zero_fault_run(&DirectTransport);
     check_golden("models_seed2023.csv", &models_csv(&out.commons));
     check_golden("epochs_seed2023.csv", &epochs_csv(&out.commons));
 }
 
 #[test]
 fn zero_fault_pipeline_matches_golden_files_bus() {
-    let out = zero_fault_run(Orchestration::Bus);
+    let out = zero_fault_run(&BusTransport);
     check_golden("models_seed2023.csv", &models_csv(&out.commons));
     check_golden("epochs_seed2023.csv", &epochs_csv(&out.commons));
 }

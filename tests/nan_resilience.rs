@@ -72,7 +72,7 @@ fn config(seed: u64) -> WorkflowConfig {
     }
 }
 
-fn run(orchestration: Orchestration) -> RunOutput {
+fn run(transport: &dyn Transport) -> RunOutput {
     let cfg = config(2023);
     let factory = DivergingFactory {
         inner: SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam)),
@@ -81,7 +81,7 @@ fn run(orchestration: Orchestration) -> RunOutput {
         .run(
             &factory,
             RunOptions {
-                orchestration,
+                transport,
                 ..RunOptions::default()
             },
         )
@@ -90,20 +90,22 @@ fn run(orchestration: Orchestration) -> RunOutput {
 
 #[test]
 fn nan_fitness_models_survive_to_models_csv_as_failed() {
-    for orchestration in [Orchestration::Direct, Orchestration::Bus] {
-        let out = run(orchestration);
+    for transport in [&DirectTransport as &dyn Transport, &BusTransport] {
+        let out = run(transport);
         assert_eq!(out.commons.len(), 6 + 6 * 2);
 
         for &id in POISONED {
             let r = out.commons.get(id).expect("poisoned model recorded");
             assert!(
                 r.final_fitness.is_nan(),
-                "model {id} kept its NaN fitness ({orchestration:?})"
+                "model {id} kept its NaN fitness ({})",
+                transport.name()
             );
             assert_eq!(
                 r.termination,
                 Terminated::Failed,
-                "NaN fitness classifies as failed ({orchestration:?})"
+                "NaN fitness classifies as failed ({})",
+                transport.name()
             );
             assert!(r.failed());
         }
@@ -117,7 +119,8 @@ fn nan_fitness_models_survive_to_models_csv_as_failed() {
             .unwrap();
         assert!(
             best.final_fitness.is_finite(),
-            "a NaN model won selection ({orchestration:?})"
+            "a NaN model won selection ({})",
+            transport.name()
         );
 
         // The CSV rows survive with an explicit failed status.
@@ -135,8 +138,8 @@ fn nan_fitness_models_survive_to_models_csv_as_failed() {
 
 #[test]
 fn direct_and_bus_agree_on_nan_handling() {
-    let direct = run(Orchestration::Direct);
-    let bus = run(Orchestration::Bus);
+    let direct = run(&DirectTransport);
+    let bus = run(&BusTransport);
     // NaN != NaN, so compare the rendered CSVs (NaN prints stably).
     assert_eq!(
         models_csv(&direct.commons),
@@ -151,7 +154,7 @@ fn direct_and_bus_agree_on_nan_handling() {
 
 #[test]
 fn interrupted_commons_save_leaves_prior_snapshot_loadable() {
-    let out = run(Orchestration::Direct);
+    let out = run(&DirectTransport);
     let dir = std::env::temp_dir().join(format!("a4nn-nan-commons-{}", std::process::id()));
     out.commons.save_dir(&dir).unwrap();
 

@@ -114,16 +114,16 @@ fn run_driver(
 ) -> Result<RunOutput, A4nnError> {
     let factory = SurrogateFactory::new(config, SurrogateParams::for_beam(config.beam));
     let workflow = A4nnWorkflow::new(config.clone());
-    let options = |orchestration| RunOptions {
+    let options = |transport| RunOptions {
         driver,
-        orchestration,
+        transport,
         control,
         resume: snapshot,
         ..RunOptions::default()
     };
     match mode {
-        Mode::Direct => workflow.run(&factory, options(Orchestration::Direct)),
-        Mode::Bus => workflow.run(&factory, options(Orchestration::Bus)),
+        Mode::Direct => workflow.run(&factory, options(&DirectTransport as &dyn Transport)),
+        Mode::Bus => workflow.run(&factory, options(&BusTransport)),
         Mode::Socket => {
             let workers: Vec<WorkerHandle> = (0..2)
                 .map(|_| WorkerServer::spawn("127.0.0.1:0", 1, 1).unwrap())
@@ -137,7 +137,7 @@ fn run_driver(
                     heartbeat_deadline: Duration::from_secs(2),
                 },
             )?;
-            let result = workflow.run(&factory, options(Orchestration::External(&transport)));
+            let result = workflow.run(&factory, options(&transport));
             drop(transport);
             for w in workers {
                 let _ = w.join();

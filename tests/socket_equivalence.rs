@@ -45,7 +45,7 @@ fn search_over(
     A4nnWorkflow::new(config.clone()).run(
         &factory,
         RunOptions {
-            orchestration: Orchestration::External(transport),
+            transport,
             fault_tolerance: ft.clone(),
             ..RunOptions::default()
         },
@@ -112,7 +112,7 @@ fn micro_config(seed: u64) -> WorkflowConfig {
 
 /// A hardware-aware 3-objective search is transport-invariant too:
 /// `neg_fitness,flops,peak_ws_bytes` produces byte-identical commons
-/// under direct, bus, and socket orchestration, and the export carries
+/// on the direct, bus, and socket transports, and the export carries
 /// the named objective columns. The peak-workspace objective is read
 /// from the training substrate itself, so this is the test that proves
 /// hardware measurement doesn't leak placement into the search.
@@ -129,7 +129,7 @@ fn three_objective_search_is_transport_invariant() {
             .run(
                 &factory,
                 RunOptions {
-                    orchestration: Orchestration::Bus,
+                    transport: &BusTransport,
                     fault_tolerance: ft.clone(),
                     ..RunOptions::default()
                 },
@@ -165,7 +165,7 @@ fn paper_configuration_is_transport_invariant() {
                 .run(
                     &factory,
                     RunOptions {
-                        orchestration: Orchestration::Bus,
+                        transport: &BusTransport,
                         fault_tolerance: ft.clone(),
                         ..RunOptions::default()
                     },

@@ -1,13 +1,18 @@
 //! Cache-blocked, register-tiled `f32` GEMM kernels for the conv hot path.
 //!
-//! Two variants cover everything the im2col-lowered convolution needs:
+//! Two variants cover everything the lowered convolution needs:
 //!
-//! - [`gemm_nn`] — `C += A·B` with both operands row-major (forward and
-//!   the input-gradient lowering),
+//! - [`gemm_nn`] — `C += A·B` with both operands row-major (the
+//!   input-gradient lowering),
 //! - [`gemm_nt`] — `C += A·Bᵀ` (the weight-gradient lowering, where both
-//!   operands share the long output-pixel axis).
+//!   operands share the long output-pixel axis),
 //!
-//! Both run on the calling thread: a convolution already splits its batch
+//! each also with `B` read from a convolution's zero-framed input instead
+//! of a written-out patch matrix (`Planes`): `gemm_nn_planes` (the
+//! forward) and `gemm_nt_planes` (the weight gradient). Every output
+//! element gets the same products and sums in the same order either way.
+//!
+//! All run on the calling thread: a convolution already splits its batch
 //! over samples, one GEMM per sample. [`gemm_nn_seq`], `Dense`'s and
 //! XPSI's kernel, is the one that splits the *rows* of `C` onto scoped
 //! threads — each element is still produced by exactly one thread.
@@ -117,8 +122,18 @@ fn as_chunk<const N: usize>(s: &[f32]) -> &[f32; N] {
     }
 }
 
+/// The `N` elements of `s` from `start` on, as an array: a fixed-width
+/// window at a run-time offset.
+#[inline(always)]
+pub(crate) fn array_at<T, const N: usize>(s: &[T], start: usize) -> &[T; N] {
+    match s[start..].first_chunk() {
+        Some(window) => window,
+        None => panic!("window {start}..{start}+{N} leaves a slice of {}", s.len()),
+    }
+}
+
 /// Rows per register tile.
-const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Columns per register tile (two AVX2 lanes worth of `f32`).
 const NR: usize = 16;
 /// K-panel depth: a `KC×NR` B panel stays resident in L1.
@@ -126,13 +141,230 @@ const KC: usize = 256;
 /// Column block: a `KC×NC` B panel stays resident in L2.
 const NC: usize = 1024;
 
+/// A GEMM operand read in place from image planes instead of from a
+/// row-major matrix: row `p` starts at `starts[p]`, and column `j` is
+/// pixel `(j / width, j % width)` of an image whose rows lie `stride`
+/// elements apart. A convolution's zero-framed input is its patch matrix
+/// in this form — one row per tap, one column per output pixel — without
+/// the matrix ever being written out.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Planes<'a> {
+    /// The image planes.
+    pub(crate) data: &'a [f32],
+    /// Where each row starts in `data`.
+    pub(crate) starts: &'a [usize],
+    /// Pixels per image row.
+    pub(crate) width: usize,
+    /// Distance between image rows in `data`.
+    pub(crate) stride: usize,
+}
+
+/// Where the elements of a GEMM's right operand lie in its slice:
+/// element `(p, j)` at `start(p) + col(j)`.
+trait Layout: Copy {
+    /// Start of row `p`.
+    fn start(self, p: usize) -> usize;
+    /// Offset of column `j` from the start of a row.
+    fn col(self, j: usize) -> usize;
+}
+
+/// A row-major matrix with this many columns.
+#[derive(Clone, Copy)]
+struct RowMajor(usize);
+
+impl Layout for RowMajor {
+    #[inline(always)]
+    fn start(self, p: usize) -> usize {
+        p * self.0
+    }
+
+    #[inline(always)]
+    fn col(self, j: usize) -> usize {
+        j
+    }
+}
+
+/// [`Planes`] without the data.
+#[derive(Clone, Copy)]
+struct Framed<'a> {
+    starts: &'a [usize],
+    width: usize,
+    stride: usize,
+}
+
+impl Layout for Framed<'_> {
+    #[inline(always)]
+    fn start(self, p: usize) -> usize {
+        self.starts[p]
+    }
+
+    #[inline(always)]
+    fn col(self, j: usize) -> usize {
+        j / self.width * self.stride + j % self.width
+    }
+}
+
+/// A strip of `B` gathered into a panel: rows `p0..` and columns
+/// `j0..j0 + NR`, `NR` elements a row.
+#[derive(Clone, Copy)]
+struct Packed {
+    p0: usize,
+    j0: usize,
+}
+
+impl Layout for Packed {
+    #[inline(always)]
+    fn start(self, p: usize) -> usize {
+        (p - self.p0) * NR
+    }
+
+    #[inline(always)]
+    fn col(self, j: usize) -> usize {
+        j - self.j0
+    }
+}
+
+/// A GEMM's right operand: its elements and where they lie.
+#[derive(Clone, Copy)]
+struct Operand<'a, L> {
+    data: &'a [f32],
+    layout: L,
+}
+
+impl<'a> Operand<'a, RowMajor> {
+    fn row_major(data: &'a [f32], cols: usize) -> Self {
+        Operand {
+            data,
+            layout: RowMajor(cols),
+        }
+    }
+}
+
+impl<'a> From<Planes<'a>> for Operand<'a, Framed<'a>> {
+    fn from(p: Planes<'a>) -> Self {
+        assert!(
+            p.width > 0 && p.width <= p.stride,
+            "planes: width {} does not fit stride {}",
+            p.width,
+            p.stride
+        );
+        Operand {
+            data: p.data,
+            layout: Framed {
+                starts: p.starts,
+                width: p.width,
+                stride: p.stride,
+            },
+        }
+    }
+}
+
+impl<L: Layout> Operand<'_, L> {
+    /// Rows `pb..pb + pw` of the `u`-column strip at `j`, copied into
+    /// `panel`, `NR` elements a row.
+    #[inline(always)]
+    fn gather_strip<'p, const Q: usize>(
+        &self,
+        pb: usize,
+        pw: usize,
+        j: usize,
+        u: usize,
+        panel: &'p mut [f32; KC * NR],
+    ) -> Operand<'p, Packed> {
+        let rows = (pb..pb + pw).zip(panel.as_chunks_mut::<NR>().0);
+        if u == NR {
+            let mut runs = [0usize; NR];
+            for (q, at) in runs.iter_mut().take(NR / Q).enumerate() {
+                *at = self.col(j + q * Q);
+            }
+            let span = runs[NR / Q - 1] + Q;
+            for (p, prow) in rows {
+                let strip = &self.data[self.start(p)..][..span];
+                for (seg, &at) in prow.as_chunks_mut::<Q>().0.iter_mut().zip(&runs) {
+                    *seg = *array_at(strip, at);
+                }
+            }
+        } else {
+            let mut cols = [0usize; NR];
+            for (jj, at) in cols.iter_mut().take(u).enumerate() {
+                *at = self.col(j + jj);
+            }
+            for (p, prow) in rows {
+                let row = &self.data[self.start(p)..];
+                for (v, &at) in prow.iter_mut().zip(&cols[..u]) {
+                    *v = row[at];
+                }
+            }
+        }
+        Operand {
+            data: panel,
+            layout: Packed { p0: pb, j0: j },
+        }
+    }
+
+    #[inline(always)]
+    fn start(&self, p: usize) -> usize {
+        self.layout.start(p)
+    }
+
+    #[inline(always)]
+    fn col(&self, j: usize) -> usize {
+        self.layout.col(j)
+    }
+}
+
+/// The widest run of columns — at most `max`, and `NR`, [`LANES`], 4 or
+/// 1 — that starts at a multiple of itself and never straddles two image
+/// rows of `width`.
+fn run_width(width: usize, max: usize) -> usize {
+    [NR, LANES, 4]
+        .into_iter()
+        .find(|&q| q <= max && width.is_multiple_of(q))
+        .unwrap_or(1)
+}
+
 /// `C[m×n] += A[m×k] · B[k×n]`, all row-major, on the calling thread.
 /// Dispatches to the widest ISA the host supports; both compilations run
 /// the identical sequence of f32 operations, so the choice is bitwise
 /// invisible.
 pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm_nn: A shape mismatch");
     assert_eq!(b.len(), k * n, "gemm_nn: B shape mismatch");
+    gemm_nn_in::<_, NR>(m, n, k, a, Operand::row_major(b, n), c)
+}
+
+/// [`gemm_nn`] with `B` read in place from image planes: every element of
+/// `C` gets the products and sums `gemm_nn` gives it on the matrix the
+/// planes stand for, in the same order.
+pub(crate) fn gemm_nn_planes(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: Planes<'_>,
+    c: &mut [f32],
+) {
+    assert_eq!(b.starts.len(), k, "gemm_nn_planes: B row count mismatch");
+    let b = Operand::from(b);
+    match run_width(b.layout.width, NR) {
+        NR => gemm_nn_in::<_, NR>(m, n, k, a, b, c),
+        LANES => gemm_nn_in::<_, LANES>(m, n, k, a, b, c),
+        4 => gemm_nn_in::<_, 4>(m, n, k, a, b, c),
+        _ => gemm_nn_in::<_, 1>(m, n, k, a, b, c),
+    }
+}
+
+/// The one body behind [`gemm_nn`] and [`gemm_nn_planes`]: `B`'s full
+/// `NR`-column segments are read as runs of `Q` contiguous columns, in
+/// place or, for runs narrower than [`LANES`], from a gathered strip.
+fn gemm_nn_in<L: Layout, const Q: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: Operand<'_, L>,
+    c: &mut [f32],
+) {
+    assert_eq!(a.len(), m * k, "gemm_nn: A shape mismatch");
     assert_eq!(c.len(), m * n, "gemm_nn: C shape mismatch");
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -140,33 +372,66 @@ pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2 presence was verified at runtime above.
-        unsafe { gemm_nn_serial_avx2(m, n, k, a, b, c) };
+        unsafe { gemm_nn_serial_avx2::<L, Q>(m, n, k, a, b, c) };
         return;
     }
-    gemm_nn_serial_generic(m, n, k, a, b, c)
+    gemm_nn_serial_generic::<L, Q>(m, n, k, a, b, c)
 }
 
 /// The generic kernel body recompiled with AVX2 codegen enabled; the
 /// `#[inline(always)]` bodies inline here and re-vectorize 8-wide.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gemm_nn_serial_avx2(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_nn_serial_generic(m, n, k, a, b, c)
+unsafe fn gemm_nn_serial_avx2<L: Layout, const Q: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: Operand<'_, L>,
+    c: &mut [f32],
+) {
+    gemm_nn_serial_generic::<L, Q>(m, n, k, a, b, c)
 }
 
 #[inline(always)]
-fn gemm_nn_serial_generic(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+fn gemm_nn_serial_generic<L: Layout, const Q: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: Operand<'_, L>,
+    c: &mut [f32],
+) {
+    // Runs narrower than a vector cost every tile a load and an insert
+    // each: those strips are gathered once into a panel the row tiles
+    // share.
+    let mut panel = [0.0f32; KC * NR];
     let mut jb = 0;
     while jb < n {
         let jw = NC.min(n - jb);
         let mut pb = 0;
         while pb < k {
             let pw = KC.min(k - pb);
-            let mut ib = 0;
-            while ib < m {
-                let mh = MR.min(m - ib);
-                micro_panel_nn(ib, mh, jb, jw, pb, pw, n, k, a, b, c);
-                ib += mh;
+            if Q < LANES {
+                let mut j = jb;
+                while j < jb + jw {
+                    let u = NR.min(jb + jw - j);
+                    let strip = b.gather_strip::<Q>(pb, pw, j, u, &mut panel);
+                    let mut ib = 0;
+                    while ib < m {
+                        let mh = MR.min(m - ib);
+                        micro_panel_nn::<Packed, NR>(ib, mh, j, u, pb, pw, n, k, a, strip, c);
+                        ib += mh;
+                    }
+                    j += u;
+                }
+            } else {
+                let mut ib = 0;
+                while ib < m {
+                    let mh = MR.min(m - ib);
+                    micro_panel_nn::<L, Q>(ib, mh, jb, jw, pb, pw, n, k, a, b, c);
+                    ib += mh;
+                }
             }
             pb += pw;
         }
@@ -179,7 +444,7 @@ fn gemm_nn_serial_generic(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c:
 /// accumulators the compiler keeps in vector registers.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // hot-loop tile coordinates; a struct would obscure the blocking
-fn micro_panel_nn(
+fn micro_panel_nn<L: Layout, const Q: usize>(
     ib: usize,
     mh: usize,
     jb: usize,
@@ -189,7 +454,7 @@ fn micro_panel_nn(
     n: usize,
     k: usize,
     a: &[f32],
-    b: &[f32],
+    b: Operand<'_, L>,
     c: &mut [f32],
 ) {
     let jend = jb + jw;
@@ -197,14 +462,29 @@ fn micro_panel_nn(
     while j < jend {
         let u = NR.min(jend - j);
         if u == NR && mh == MR {
-            // Fast path: full MR×NR tile with array-typed slices so the
-            // bounds checks hoist and the inner loops vectorize.
+            // Fast path: full MR×NR tile. Each B row segment is read as
+            // `NR / Q` array-typed runs at offsets fixed for the strip,
+            // so the bounds checks hoist and the inner loops vectorize.
+            let mut runs = [0usize; NR];
+            for (q, at) in runs.iter_mut().take(NR / Q).enumerate() {
+                *at = b.col(j + q * Q);
+            }
+            // Each row's strip is sliced once: the runs' own bounds checks
+            // then compare loop-invariant values and leave the loop.
+            let span = runs[NR / Q - 1] + Q;
+            let arows: [&[f32]; MR] =
+                std::array::from_fn(|r| &a[(ib + r) * k + pb..(ib + r) * k + pb + pw]);
             let mut acc = [[0.0f32; NR]; MR];
             let mut ar = [0.0f32; MR];
-            for p in pb..pb + pw {
-                let brow: &[f32; NR] = as_chunk(&b[p * n + j..p * n + j + NR]);
-                for (r, v) in ar.iter_mut().enumerate() {
-                    *v = a[(ib + r) * k + p];
+            for p in 0..pw {
+                let row = b.start(pb + p);
+                let strip = &b.data[row..row + span];
+                let mut brow = [0.0f32; NR];
+                for (seg, &at) in brow.as_chunks_mut::<Q>().0.iter_mut().zip(&runs) {
+                    *seg = *array_at(strip, at);
+                }
+                for (v, arow) in ar.iter_mut().zip(&arows) {
+                    *v = arow[p];
                 }
                 for r in 0..MR {
                     let arp = ar[r];
@@ -220,14 +500,19 @@ fn micro_panel_nn(
                 }
             }
         } else {
-            // Remainder path: ragged tile edges, same accumulation order.
+            // Remainder path: ragged tile edges, same accumulation order,
+            // B read one element at a time.
+            let mut cols = [0usize; NR];
+            for (jj, at) in cols.iter_mut().take(u).enumerate() {
+                *at = b.col(j + jj);
+            }
             let mut acc = [[0.0f32; NR]; MR];
             for p in pb..pb + pw {
-                let brow = &b[p * n + j..p * n + j + u];
+                let row = b.start(p);
                 for r in 0..mh {
                     let arp = a[(ib + r) * k + p];
                     for jj in 0..u {
-                        acc[r][jj] += arp * brow[jj];
+                        acc[r][jj] += arp * b.data[row + cols[jj]];
                     }
                 }
             }
@@ -407,8 +692,140 @@ fn micro_panel_nn_seq(
 /// row-major along it. Runs on the calling thread, ISA dispatch as in
 /// [`gemm_nn`].
 pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm_nt: A shape mismatch");
     assert_eq!(b.len(), n * k, "gemm_nt: B shape mismatch");
+    gemm_nt_in(m, n, k, a, RowMajor(k), b, &mut [], c)
+}
+
+/// Scratch [`gemm_nt_planes`] gathers `B` rows of `k` pixels into.
+pub(crate) fn nt_panel_len(k: usize) -> usize {
+    LANES * k
+}
+
+/// [`gemm_nt`] with `B`'s `n` rows of `k` pixels read from image planes:
+/// each group of four rows is gathered into `panel` (at least
+/// [`nt_panel_len`]`(k)` elements of scratch) and every row of `A` is
+/// multiplied by it there.
+/// Every element of `C` is the [`dot_lanes`] sum `gemm_nt` gives it on the
+/// matrix the planes stand for.
+pub(crate) fn gemm_nt_planes(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: Planes<'_>,
+    panel: &mut [f32],
+    c: &mut [f32],
+) {
+    assert_eq!(b.starts.len(), n, "gemm_nt_planes: B row count mismatch");
+    let b = Operand::from(b);
+    gemm_nt_in(m, n, k, a, b.layout, b.data, panel, c)
+}
+
+/// Rows of [`gemm_nt`]'s `B` as contiguous slices.
+trait NtRows: Layout {
+    /// Whether the caller passes a panel to gather `B` rows into.
+    const PANEL: bool;
+
+    /// Row `j` of `B` as runs: `(start, run, gap)`, runs of `run`
+    /// elements `gap` apart from `start` on.
+    fn runs(self, j: usize, k: usize) -> (usize, usize, usize);
+
+    /// Rows `j..j + rows` of `B`, `k` elements each: read in place, or
+    /// gathered into `panel`.
+    fn rows<'a>(
+        self,
+        data: &'a [f32],
+        j: usize,
+        rows: usize,
+        k: usize,
+        panel: &'a mut [f32],
+    ) -> &'a [f32];
+}
+
+impl NtRows for RowMajor {
+    const PANEL: bool = false;
+
+    #[inline(always)]
+    fn runs(self, j: usize, k: usize) -> (usize, usize, usize) {
+        (j * k, k, k)
+    }
+
+    #[inline(always)]
+    fn rows<'a>(
+        self,
+        data: &'a [f32],
+        j: usize,
+        rows: usize,
+        k: usize,
+        _: &'a mut [f32],
+    ) -> &'a [f32] {
+        &data[j * k..(j + rows) * k]
+    }
+}
+
+impl NtRows for Framed<'_> {
+    const PANEL: bool = true;
+
+    #[inline(always)]
+    fn runs(self, j: usize, _: usize) -> (usize, usize, usize) {
+        (self.starts[j], self.width, self.stride)
+    }
+
+    #[inline(always)]
+    fn rows<'a>(
+        self,
+        data: &'a [f32],
+        j: usize,
+        rows: usize,
+        k: usize,
+        panel: &'a mut [f32],
+    ) -> &'a [f32] {
+        let panel = &mut panel[..rows * k];
+        let starts = &self.starts[j..j + rows];
+        match run_width(self.width, NR) {
+            NR => self.gather::<NR>(data, starts, panel),
+            LANES => self.gather::<LANES>(data, starts, panel),
+            4 => self.gather::<4>(data, starts, panel),
+            _ => self.gather::<1>(data, starts, panel),
+        }
+        panel
+    }
+}
+
+impl Framed<'_> {
+    /// Copy the rows starting at `starts` into `dst`, one after another,
+    /// one image row at a time in runs of `Q`.
+    #[inline(always)]
+    fn gather<const Q: usize>(self, data: &[f32], starts: &[usize], dst: &mut [f32]) {
+        let k = dst.len() / starts.len().max(1);
+        for (&start, drow) in starts.iter().zip(dst.chunks_exact_mut(k)) {
+            for (y, dseg) in drow.chunks_exact_mut(self.width).enumerate() {
+                let src = &data[start + y * self.stride..][..self.width];
+                for (d, s) in dseg
+                    .as_chunks_mut::<Q>()
+                    .0
+                    .iter_mut()
+                    .zip(src.as_chunks::<Q>().0)
+                {
+                    *d = *s;
+                }
+            }
+        }
+    }
+}
+
+#[allow(clippy::too_many_arguments)] // B's layout, data and panel travel together to the kernel
+fn gemm_nt_in<L: NtRows>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    layout: L,
+    b: &[f32],
+    panel: &mut [f32],
+    c: &mut [f32],
+) {
+    assert_eq!(a.len(), m * k, "gemm_nt: A shape mismatch");
     assert_eq!(c.len(), m * n, "gemm_nt: C shape mismatch");
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -416,16 +833,126 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2 presence was verified at runtime above.
-        unsafe { gemm_nt_serial_avx2(m, n, k, a, b, c) };
+        unsafe { gemm_nt_serial_avx2(m, n, k, a, layout, b, panel, c) };
         return;
     }
-    gemm_nt_serial_generic(m, n, k, a, b, c)
+    gemm_nt_serial_generic(m, n, k, a, layout, b, panel, c)
 }
 
+/// The AVX2 copy of [`gemm_nt_serial_generic`], except that short,
+/// tail-free rows read from image planes go to [`gemm_nt_across`]. Both
+/// give every element its [`dot_lanes`] sum, so the choice is bitwise
+/// invisible.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gemm_nt_serial_avx2(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_nt_serial_generic(m, n, k, a, b, c)
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_nt_serial_avx2<L: NtRows>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    layout: L,
+    b: &[f32],
+    panel: &mut [f32],
+    c: &mut [f32],
+) {
+    if L::PANEL && k <= ACROSS_MAX_K && k.is_multiple_of(LANES) {
+        return gemm_nt_across(n, k, a, layout, b, panel, c);
+    }
+    gemm_nt_serial_generic(m, n, k, a, layout, b, panel, c)
+}
+
+/// Longest `B` row [`gemm_nt_across`] takes: up to here a 2×4 tile spends
+/// more on its eight horizontal reductions than on its products, and
+/// beyond it the pixel-major gather costs more than the reductions.
+#[cfg(target_arch = "x86_64")]
+const ACROSS_MAX_K: usize = 32;
+
+/// [`gemm_nt_serial_generic`] for short rows without a scalar tail, on
+/// AVX2: eight `B` rows at a time are gathered pixel-major into `panel`,
+/// so each pixel's eight values lie along the vector lanes, and every row
+/// of `A` meets them through [`dot_lanes_across`]. A function of its own:
+/// inlined into the GEMM body, the vectorizer leaves it scalar.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn gemm_nt_across<L: NtRows>(
+    n: usize,
+    k: usize,
+    a: &[f32],
+    layout: L,
+    b: &[f32],
+    panel: &mut [f32],
+    c: &mut [f32],
+) {
+    let panel = &mut panel[..LANES * k];
+    for j in (0..n).step_by(LANES) {
+        let rows = LANES.min(n - j);
+        if rows < LANES {
+            panel.fill(0.0);
+        }
+        for s in 0..rows {
+            let (start, run, gap) = layout.runs(j + s, k);
+            for (t0, src) in (0..k).step_by(run).zip(b[start..].chunks(gap)) {
+                for (t, v) in (t0..t0 + run).zip(&src[..run]) {
+                    panel[t * LANES + s] = *v;
+                }
+            }
+        }
+        let (pixels, _) = panel.as_chunks::<LANES>();
+        let (groups, _) = pixels.as_chunks::<LANES>();
+        for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+            let out = dot_lanes_across(arow, groups);
+            for (cv, o) in crow[j..j + rows].iter_mut().zip(out) {
+                *cv += o;
+            }
+        }
+    }
+}
+
+/// Eight [`dot_lanes`] sums at once, `x` against the eight rows laid along
+/// the lanes of `groups` (eight pixels a group): accumulator `l` is a
+/// vector over the eight outputs summing the products at pixels
+/// `≡ l (mod 8)` in ascending order, and [`reduce_lanes`]' tree runs
+/// across the accumulators — every output's own sum, with no horizontal
+/// reduction. Named accumulators and whole-vector steps keep the
+/// vectorizer on the output axis; a loop nest over `[l][s]` is vectorized
+/// along the pixels instead, with a transpose per step.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn dot_lanes_across(x: &[f32], groups: &[[[f32; LANES]; LANES]]) -> [f32; LANES] {
+    #[inline(always)]
+    fn add(a: [f32; LANES], b: [f32; LANES]) -> [f32; LANES] {
+        let mut out = [0.0f32; LANES];
+        for s in 0..LANES {
+            out[s] = a[s] + b[s];
+        }
+        out
+    }
+    #[inline(always)]
+    fn mul_add(acc: [f32; LANES], x: f32, y: &[f32; LANES]) -> [f32; LANES] {
+        let mut out = [0.0f32; LANES];
+        for s in 0..LANES {
+            out[s] = acc[s] + x * y[s];
+        }
+        out
+    }
+    let (xc, _) = x.as_chunks::<LANES>();
+    let z = [0.0f32; LANES];
+    let [mut l0, mut l1, mut l2, mut l3, mut l4, mut l5, mut l6, mut l7] = [z; LANES];
+    for (xs, ys) in xc.iter().zip(groups) {
+        l0 = mul_add(l0, xs[0], &ys[0]);
+        l1 = mul_add(l1, xs[1], &ys[1]);
+        l2 = mul_add(l2, xs[2], &ys[2]);
+        l3 = mul_add(l3, xs[3], &ys[3]);
+        l4 = mul_add(l4, xs[4], &ys[4]);
+        l5 = mul_add(l5, xs[5], &ys[5]);
+        l6 = mul_add(l6, xs[6], &ys[6]);
+        l7 = mul_add(l7, xs[7], &ys[7]);
+    }
+    let even = add(add(l0, l4), add(l2, l6));
+    let odd = add(add(l1, l5), add(l3, l7));
+    add(add(even, odd), z)
 }
 
 /// A rows per [`gemm_nt`] register tile.
@@ -438,39 +965,60 @@ const LANES: usize = 8;
 /// `NT_MR×NT_NR` outputs per tile, [`dot_lanes`] for the ragged right and
 /// bottom edges. Every element — tiled or not — is one [`dot_lanes`] sum,
 /// so where the tile boundaries fall (and therefore how the rows of `C`
-/// were split over threads) cannot change a bit of the output.
+/// were split over threads) cannot change a bit of the output. Each group
+/// of `NT_NR` B rows is fetched once and met by every pair of A rows.
 #[inline(always)]
-fn gemm_nt_serial_generic(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+#[allow(clippy::too_many_arguments)]
+fn gemm_nt_serial_generic<L: NtRows>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    layout: L,
+    b: &[f32],
+    panel: &mut [f32],
+    c: &mut [f32],
+) {
     let m_tiled = m - m % NT_MR;
-    let n_tiled = n - n % NT_NR;
-    for (ablock, cblock) in a[..m_tiled * k]
-        .chunks_exact(NT_MR * k)
-        .zip(c[..m_tiled * n].chunks_exact_mut(NT_MR * n))
-    {
-        let (a0, a1) = ablock.split_at(k);
-        let (c0, c1) = cblock.split_at_mut(n);
-        for (j, bblock) in b[..n_tiled * k].chunks_exact(NT_NR * k).enumerate() {
-            let (b0, rest) = bblock.split_at(k);
-            let (b1, rest) = rest.split_at(k);
-            let (b2, b3) = rest.split_at(k);
+    for j in (0..n).step_by(NT_NR) {
+        let rows = NT_NR.min(n - j);
+        let quad = layout.rows(b, j, rows, k, panel);
+        // A tile with a tail loop in it no longer keeps its accumulators
+        // in registers (measured 10× slower): rows with a scalar tail,
+        // like a last group of fewer than `NT_NR`, go one `dot_lanes` at a
+        // time.
+        if rows < NT_NR || !k.is_multiple_of(LANES) {
+            for (i, arow) in a.chunks_exact(k).enumerate() {
+                for (s, brow) in quad.chunks_exact(k).enumerate() {
+                    c[i * n + j + s] += dot_lanes(arow, brow);
+                }
+            }
+            continue;
+        }
+        let (b0, rest) = quad.split_at(k);
+        let (b1, rest) = rest.split_at(k);
+        let (b2, b3) = rest.split_at(k);
+        for (ablock, cblock) in a[..m_tiled * k]
+            .chunks_exact(NT_MR * k)
+            .zip(c.chunks_exact_mut(NT_MR * n))
+        {
+            let (a0, a1) = ablock.split_at(k);
             let tile = dot_lanes_tile([a0, a1], [b0, b1, b2, b3]);
-            for (crow, trow) in [&mut *c0, &mut *c1].into_iter().zip(&tile) {
-                for (cv, tv) in crow[j * NT_NR..(j + 1) * NT_NR].iter_mut().zip(trow) {
+            let (c0, c1) = cblock.split_at_mut(n);
+            for (crow, trow) in [&mut c0[j..j + NT_NR], &mut c1[j..j + NT_NR]]
+                .into_iter()
+                .zip(&tile)
+            {
+                for (cv, tv) in crow.iter_mut().zip(trow) {
                     *cv += tv;
                 }
             }
         }
-        for j in n_tiled..n {
-            let brow = &b[j * k..(j + 1) * k];
-            c0[j] += dot_lanes(a0, brow);
-            c1[j] += dot_lanes(a1, brow);
-        }
-    }
-    for i in m_tiled..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            *cv += dot_lanes(arow, &b[j * k..(j + 1) * k]);
+        for i in m_tiled..m {
+            let arow = &a[i * k..(i + 1) * k];
+            for (s, brow) in [b0, b1, b2, b3].into_iter().enumerate() {
+                c[i * n + j + s] += dot_lanes(arow, brow);
+            }
         }
     }
 }
@@ -505,20 +1053,20 @@ fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
     reduce_lanes(&lanes, tail)
 }
 
-/// `NT_MR×NT_NR` [`dot_lanes`] results at once: `out[r][s] =
-/// dot_lanes(x[r], y[s])`, bit for bit. Each output keeps its own
-/// eight-lane accumulator and its own tail, advanced in the same order as
-/// [`dot_lanes`] advances them; the tile only shares the *loads* — six
+/// `NT_MR×NT_NR` [`dot_lanes`] results at once for rows whose length is a
+/// multiple of [`LANES`]: `out[r][s] = dot_lanes(x[r], y[s])`, bit for
+/// bit. Each output keeps its own eight-lane accumulator, advanced in the
+/// same order as [`dot_lanes`] advances it; the tile only shares the *loads* — six
 /// row chunks feed eight multiply-adds, where eight separate dot products
 /// load sixteen — and defers the eight horizontal reductions to the end.
 #[inline(always)]
 fn dot_lanes_tile(x: [&[f32]; NT_MR], y: [&[f32]; NT_NR]) -> [[f32; NT_NR]; NT_MR] {
-    let (x0, xt0) = x[0].as_chunks::<LANES>();
-    let (x1, xt1) = x[1].as_chunks::<LANES>();
-    let (y0, yt0) = y[0].as_chunks::<LANES>();
-    let (y1, yt1) = y[1].as_chunks::<LANES>();
-    let (y2, yt2) = y[2].as_chunks::<LANES>();
-    let (y3, yt3) = y[3].as_chunks::<LANES>();
+    let (x0, _) = x[0].as_chunks::<LANES>();
+    let (x1, _) = x[1].as_chunks::<LANES>();
+    let (y0, _) = y[0].as_chunks::<LANES>();
+    let (y1, _) = y[1].as_chunks::<LANES>();
+    let (y2, _) = y[2].as_chunks::<LANES>();
+    let (y3, _) = y[3].as_chunks::<LANES>();
     let mut lanes = [[[0.0f32; LANES]; NT_NR]; NT_MR];
     // One zipped walk, not six indexed ones: indexing the chunk slices
     // spills the accumulators to the stack (measured 10× slower).
@@ -532,15 +1080,10 @@ fn dot_lanes_tile(x: [&[f32]; NT_MR], y: [&[f32]; NT_NR]) -> [[f32; NT_NR]; NT_M
             }
         }
     }
-    let (xt, yt) = ([xt0, xt1], [yt0, yt1, yt2, yt3]);
     let mut out = [[0.0f32; NT_NR]; NT_MR];
     for r in 0..NT_MR {
         for s in 0..NT_NR {
-            let mut tail = 0.0f32;
-            for (xv, yv) in xt[r].iter().zip(yt[s]) {
-                tail += xv * yv;
-            }
-            out[r][s] = reduce_lanes(&lanes[r][s], tail);
+            out[r][s] = reduce_lanes(&lanes[r][s], 0.0);
         }
     }
     out
@@ -772,7 +1315,7 @@ mod tests {
         let mut dispatched = seed.clone();
         gemm_nn(m, n, k, &a, &b, &mut dispatched);
         let mut generic = seed.clone();
-        gemm_nn_serial_generic(m, n, k, &a, &b, &mut generic);
+        gemm_nn_serial_generic::<_, LANES>(m, n, k, &a, Operand::row_major(&b, n), &mut generic);
         assert_eq!(dispatched, generic, "gemm_nn ISA paths diverged");
 
         let mut dispatched = seed.clone();
@@ -789,7 +1332,7 @@ mod tests {
         let mut dispatched = vec![0.0f32; m * n];
         gemm_nt(m, n, k, &a, &bt, &mut dispatched);
         let mut generic = vec![0.0f32; m * n];
-        gemm_nt_serial_generic(m, n, k, &a, &bt, &mut generic);
+        gemm_nt_serial_generic(m, n, k, &a, RowMajor(k), &bt, &mut [], &mut generic);
         assert_eq!(dispatched, generic, "gemm_nt ISA paths diverged");
         for (m, n, k) in nt_ragged_shapes() {
             let a = pseudo(m * k, 24);
@@ -797,12 +1340,77 @@ mod tests {
             let mut dispatched = vec![0.0f32; m * n];
             gemm_nt(m, n, k, &a, &bt, &mut dispatched);
             let mut generic = vec![0.0f32; m * n];
-            gemm_nt_serial_generic(m, n, k, &a, &bt, &mut generic);
+            gemm_nt_serial_generic(m, n, k, &a, RowMajor(k), &bt, &mut [], &mut generic);
             assert_eq!(
                 bits(&dispatched),
                 bits(&generic),
                 "gemm_nt ISA paths diverged at ({m},{n},{k})"
             );
+        }
+    }
+
+    /// Image planes of `rows × width` pixels, `stride` apart, behind `n`
+    /// operand rows starting at scattered offsets, and the row-major
+    /// matrix they stand for.
+    fn planes_and_matrix(
+        n: usize,
+        rows: usize,
+        width: usize,
+        seed: u32,
+    ) -> (Vec<f32>, Vec<usize>, usize, Vec<f32>) {
+        let stride = width + 3;
+        let starts: Vec<usize> = (0..n).map(|p| (p * 7) % 5 + p * stride).collect();
+        let data = pseudo(starts[n - 1] + rows * stride, seed);
+        let matrix = starts
+            .iter()
+            .flat_map(|&s| (0..rows * width).map(move |j| s + j / width * stride + j % width))
+            .map(|at| data[at])
+            .collect();
+        (data, starts, stride, matrix)
+    }
+
+    /// Both planes kernels, at every run width (16, 8, 4 and 1 pixels)
+    /// and ragged shapes on every side, give what the plain kernels give
+    /// on the matrix the planes stand for, bit for bit.
+    #[test]
+    fn planes_kernels_equal_the_matrix_kernels() {
+        for width in [16, 8, 4, 12, 5, 1] {
+            for rows in [1, 2, 3] {
+                for (m, p) in [(1, 1), (4, 9), (5, 7), (8, 72), (3, 13)] {
+                    let pixels = rows * width;
+                    let (data, starts, stride, matrix) = planes_and_matrix(p, rows, width, 41);
+                    let planes = Planes {
+                        data: &data,
+                        starts: &starts,
+                        width,
+                        stride,
+                    };
+                    let a = pseudo(m * p, 42);
+                    let seed = pseudo(m * pixels, 43);
+                    let mut want = seed.clone();
+                    gemm_nn(m, pixels, p, &a, &matrix, &mut want);
+                    let mut got = seed;
+                    gemm_nn_planes(m, pixels, p, &a, planes, &mut got);
+                    assert_eq!(
+                        bits(&want),
+                        bits(&got),
+                        "gemm_nn_planes at width {width}, ({m},{pixels},{p})"
+                    );
+
+                    let g = pseudo(m * pixels, 44);
+                    let seed = pseudo(m * p, 45);
+                    let mut want = seed.clone();
+                    gemm_nt(m, p, pixels, &g, &matrix, &mut want);
+                    let mut got = seed;
+                    let mut panel = vec![f32::NAN; nt_panel_len(pixels)];
+                    gemm_nt_planes(m, p, pixels, &g, planes, &mut panel, &mut got);
+                    assert_eq!(
+                        bits(&want),
+                        bits(&got),
+                        "gemm_nt_planes at width {width}, ({m},{p},{pixels})"
+                    );
+                }
+            }
         }
     }
 

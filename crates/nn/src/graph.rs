@@ -109,10 +109,22 @@ impl ConvBnRelu {
         self.relu.forward_owned(b)
     }
 
-    fn backward_ws(&mut self, grad: Tensor4, ws: &mut Workspace) -> Tensor4 {
+    /// Backward through the block; the gradient with respect to its input
+    /// only when `input_grad`.
+    fn backward_ws(
+        &mut self,
+        grad: Tensor4,
+        input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor4> {
         let g = self.relu.backward_owned(grad);
         let g = self.bn.backward_owned(g, ws);
-        let gin = self.conv.backward_ws(&g, ws);
+        let gin = if input_grad {
+            Some(self.conv.backward_ws(&g, ws))
+        } else {
+            self.conv.backward_params_ws(&g, ws);
+            None
+        };
         ws.give4(g);
         gin
     }
@@ -214,7 +226,14 @@ impl PhaseBlock {
         pooled
     }
 
-    fn backward_ws(&mut self, grad: &Tensor4, ws: &mut Workspace) -> Tensor4 {
+    /// Backward through the phase; the gradient with respect to its input
+    /// only when `input_grad`.
+    fn backward_ws(
+        &mut self,
+        grad: &Tensor4,
+        input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Option<Tensor4> {
         let Some(cache) = self.cache.take() else {
             panic!("phase backward before forward")
         };
@@ -235,7 +254,9 @@ impl PhaseBlock {
         ws.give4(grad);
         for i in (0..self.nodes.len()).rev() {
             let ng = std::mem::replace(&mut node_grads[i], empty_t4());
-            let gin = self.nodes[i].backward_ws(ng, ws);
+            let Some(gin) = self.nodes[i].backward_ws(ng, true, ws) else {
+                unreachable!("a node asked for its input gradient")
+            };
             if self.spec.node_inputs[i].is_empty() {
                 stem_grad.add_assign(&gin);
             } else {
@@ -249,7 +270,7 @@ impl PhaseBlock {
             ws.give4(t);
         }
         self.node_grads = node_grads;
-        self.stem.backward_ws(stem_grad, ws)
+        self.stem.backward_ws(stem_grad, input_grad, ws)
     }
 
     fn visit_params(&mut self, f: ParamVisitor<'_>) {
@@ -352,16 +373,20 @@ impl Network {
     }
 
     /// Backward through everything before the classifier, from the
-    /// gradient with respect to the pooled features.
+    /// gradient with respect to the pooled features. Nothing asks for the
+    /// gradient with respect to the images, so the first phase's stem
+    /// computes none.
     fn backward_features_ws(&mut self, g: Tensor2, ws: &mut Workspace) {
         let mut g4 = self.gap.backward_ws(&g, ws);
         ws.give2(g);
-        for phase in self.phases.iter_mut().rev() {
-            let next = phase.backward_ws(&g4, ws);
+        for (i, phase) in self.phases.iter_mut().enumerate().rev() {
+            let next = phase.backward_ws(&g4, i > 0, ws);
             ws.give4(g4);
-            g4 = next;
+            match next {
+                Some(next) => g4 = next,
+                None => return,
+            }
         }
-        ws.give4(g4);
     }
 
     /// [`forward_ws`](Self::forward_ws) with the classifier on the sequential

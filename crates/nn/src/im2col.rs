@@ -1,23 +1,35 @@
-//! im2col/col2im lowering: convolution as matrix multiplication.
+//! Convolution lowering: convolution as matrix multiplication.
 //!
-//! [`im2col`] unrolls every receptive field of an input plane stack into a
-//! column of a `(c_in·k·k) × (out_h·out_w)` patch matrix, so that
+//! A convolution is a GEMM against the `(c_in·k·k) × (out_h·out_w)` patch
+//! matrix of its input: row `(ci, ky, kx)` holds, for every output pixel,
+//! the input pixel that tap reads, or zero where the tap falls in the
+//! padding. Rows are ordered `(ci, ky, kx)`, the order the naive kernel
+//! walks. `Conv2d` (stride 1, `same` padding) never writes that matrix out:
 //!
-//! - forward is `W[c_out×K] · col[K×P]` ([`conv_forward`]),
-//! - the weight gradient is `g[c_out×P] · colᵀ`,
-//! - the input gradient is `Wᵀ[K×c_out] · g[c_out×P]` scattered back
-//!   through [`col2im`] ([`conv_backward`]),
+//! - `frame` copies each sample once into zero-framed planes, `p` zeros
+//!   between rows and `p` zero rows between planes — `(h+p)×(w+p)` per
+//!   plane, the zeros shared by neighbours. Every patch-matrix row is then
+//!   the input plane as seen from one tap: a `w`-wide window per output
+//!   row, starting at the tap's offset in the frame (`TapTable`).
+//! - Forward is `W[c_out×K] · patches` (`conv_forward_framed`) and the
+//!   weight gradient `g[c_out×P] · patchesᵀ` (`conv_param_grads`), on
+//!   `gemm::gemm_nn_planes` and `gemm::gemm_nt_planes`. Those read the
+//!   patch matrix from the frame: `gemm_nn_planes` each register tile's
+//!   row segments in place, `gemm_nt_planes` four rows at a time gathered
+//!   into a panel of scratch that every row of `g` then meets.
+//! - The input gradient is `Wᵀ[K×c_out] · g[c_out×P]` scattered back onto
+//!   the input (`conv_input_grad`), computed a block of input channels
+//!   at a time so the block's rows stay in cache.
 //!
-//! all running on the blocked GEMM kernels in [`crate::gemm`]. The
-//! geometry is general (any stride/padding) even though the `Conv2d`
-//! layer only uses stride 1 with `same` padding — the equivalence
-//! proptests sweep the full space.
-//!
-//! Patch rows are ordered `(ci, ky, kx)` — the same order the naive
-//! kernel walks — so the lowered forward accumulates products in the
-//! identical sequence and agrees with the naive path to rounding.
+//! Each GEMM reads the same values as it would from the written-out
+//! matrix and performs the same operations in the same order, so the
+//! result is bit for bit what [`im2col`] + `gemm` + [`col2im`] give.
+//! Those, with [`conv_forward`] and [`conv_backward`], write the matrix out
+//! for any stride and padding: they are the oracle the layer is tested
+//! against (`tests/conv_lowering.rs`, `tests/conv_equivalence.rs`), and
+//! nothing trains or serves through them.
 
-use crate::gemm;
+use crate::gemm::{self, array_at, Planes, MR};
 use crate::tensor::Tensor4;
 
 /// Shape parameters of one convolution.
@@ -70,11 +82,34 @@ impl ConvGeometry {
         self.out_h() * self.out_w()
     }
 
-    /// Stride 1 with `same` padding under an odd kernel: the output plane
-    /// has the input's shape and tap `kx` reads `kx − pad` columns to the
-    /// right. What the fixed-width [`im2col`]/[`col2im`] bodies assume.
-    fn is_unit_stride_same(&self) -> bool {
-        self.stride == 1 && self.kernel == 2 * self.pad + 1
+    /// Distance between the rows of a framed plane: the input's width and
+    /// `pad` zeros, which are one row's right padding and the next row's
+    /// left padding at once.
+    fn frame_stride(&self) -> usize {
+        self.w + self.pad
+    }
+
+    /// Elements of one framed plane: the input's rows and `pad` zero rows,
+    /// which are this plane's bottom padding and the next plane's top
+    /// padding at once.
+    fn frame_plane(&self) -> usize {
+        (self.h + self.pad) * self.frame_stride()
+    }
+
+    /// Zeros before the first plane: its top padding and the left padding
+    /// of its first row.
+    fn frame_lead(&self) -> usize {
+        self.pad * self.frame_stride() + self.pad
+    }
+
+    /// Elements of one framed sample.
+    pub(crate) fn framed(&self) -> usize {
+        self.frame_lead() + self.c_in * self.frame_plane()
+    }
+
+    /// Where input pixel `(ci, y, x)` lies in a framed sample.
+    pub(crate) fn frame_at(&self, ci: usize, y: usize, x: usize) -> usize {
+        self.frame_lead() + ci * self.frame_plane() + y * self.frame_stride() + x
     }
 
     fn validate(&self) {
@@ -90,8 +125,276 @@ impl ConvGeometry {
     }
 }
 
+/// Copy one sample (`c_in·h·w` contiguous) into `dst` framed by its zero
+/// padding: `pad` zero rows and `pad` zeros, then per channel the input's
+/// rows, each followed by `pad` zeros, and `pad` zero rows
+/// ([`ConvGeometry::frame_at`]). A row's trailing zeros are the next row's
+/// leading ones, and a plane's trailing rows the next plane's leading
+/// ones, so every pixel a tap reads off the image is a zero. Writes every
+/// element of `dst`.
+pub(crate) fn frame(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
+    assert_eq!(src.len(), g.c_in * g.h * g.w, "frame: src shape mismatch");
+    assert_eq!(dst.len(), g.framed(), "frame: dst shape mismatch");
+    let stride = g.frame_stride();
+    let (lead, planes) = dst.split_at_mut(g.frame_lead());
+    lead.fill(0.0);
+    for (plane, fplane) in src
+        .chunks_exact(g.h * g.w)
+        .zip(planes.chunks_exact_mut(g.frame_plane()))
+    {
+        let (body, bottom) = fplane.split_at_mut(g.h * stride);
+        bottom.fill(0.0);
+        for (row, frow) in plane.chunks_exact(g.w).zip(body.chunks_exact_mut(stride)) {
+            let (mid, right) = frow.split_at_mut(g.w);
+            mid.copy_from_slice(row);
+            right.fill(0.0);
+        }
+    }
+}
+
+/// Where each patch-matrix row starts in a framed sample: tap
+/// `(ci, ky, kx)` reads output pixel `(oy, ox)` at
+/// `ci·plane + (oy + ky)·stride + ox + kx`. Built for one geometry and
+/// kept until another arrives, so a layer's steady state allocates
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TapTable {
+    built_for: Option<ConvGeometry>,
+    starts: Vec<usize>,
+}
+
+impl TapTable {
+    /// The row starts for `g`'s frame.
+    pub(crate) fn starts(&mut self, g: &ConvGeometry) -> &[usize] {
+        if self.built_for != Some(*g) {
+            let (stride, plane) = (g.frame_stride(), g.frame_plane());
+            self.starts.clear();
+            for ci in 0..g.c_in {
+                for ky in 0..g.kernel {
+                    for kx in 0..g.kernel {
+                        self.starts.push(ci * plane + ky * stride + kx);
+                    }
+                }
+            }
+            self.built_for = Some(*g);
+        }
+        &self.starts
+    }
+}
+
+/// A framed sample as the patch matrix it stands for.
+fn patches<'a>(frame_s: &'a [f32], taps: &'a [usize], g: &ConvGeometry) -> Planes<'a> {
+    assert_eq!(frame_s.len(), g.framed(), "conv frame shape mismatch");
+    Planes {
+        data: frame_s,
+        starts: taps,
+        width: g.w,
+        stride: g.frame_stride(),
+    }
+}
+
+/// Forward for one framed sample: `out_s[c_out×P] = bias ⊕ W·patches`.
+pub(crate) fn conv_forward_framed(
+    frame_s: &[f32],
+    taps: &[usize],
+    weight: &[f32],
+    bias: &[f32],
+    g: &ConvGeometry,
+    out_s: &mut [f32],
+) {
+    let (kp, p) = (g.patch(), g.pixels());
+    let c_out = bias.len();
+    assert_eq!(weight.len(), c_out * kp, "conv weight shape mismatch");
+    assert_eq!(out_s.len(), c_out * p, "conv output shape mismatch");
+    for (co, orow) in out_s.chunks_mut(p).enumerate() {
+        orow.fill(bias[co]);
+    }
+    gemm::gemm_nn_planes(c_out, p, kp, weight, patches(frame_s, taps, g), out_s);
+}
+
+/// Parameter gradients of one framed sample: accumulates
+/// `bg += rowsums(g_s)` and `wg[c_out×K] += g_s · patchesᵀ`. `panel` is
+/// scratch of at least [`gemm::nt_panel_len`]`(P)`.
+pub(crate) fn conv_param_grads(
+    frame_s: &[f32],
+    taps: &[usize],
+    g_s: &[f32],
+    g: &ConvGeometry,
+    panel: &mut [f32],
+    wg: &mut [f32],
+    bg: &mut [f32],
+) {
+    let (kp, p) = (g.patch(), g.pixels());
+    let c_out = bg.len();
+    assert_eq!(g_s.len(), c_out * p, "conv grad-out shape mismatch");
+    for (co, grow) in g_s.chunks(p).enumerate() {
+        let mut sum = 0.0f32;
+        for v in grow {
+            sum += v;
+        }
+        bg[co] += sum;
+    }
+    gemm::gemm_nt_planes(c_out, kp, p, g_s, patches(frame_s, taps, g), panel, wg);
+}
+
+/// Scratch one sample's backward needs, one buffer serving both lowered
+/// GEMMs in turn: [`conv_param_grads`]'s panel, then, when the input
+/// gradient is wanted, [`conv_input_grad`]'s channel block.
+pub(crate) fn backward_scratch(g: &ConvGeometry, input_grad: bool) -> usize {
+    let block = match input_grad {
+        true => grad_block_channels(g) * g.kernel * g.kernel * g.pixels(),
+        false => 0,
+    };
+    block.max(gemm::nt_panel_len(g.pixels()))
+}
+
+/// Bytes of patch-matrix rows one [`conv_input_grad`] block aims for, well
+/// inside an L1 data cache (one step of [`MR`] channels may exceed it).
+const GRAD_BLOCK_BYTES: usize = 16 << 10;
+
+/// Input channels per [`conv_input_grad`] block: a multiple of [`MR`], so
+/// the block's `k²`-row channels make whole GEMM register tiles, and as
+/// many as keep the block's rows within `GRAD_BLOCK_BYTES`.
+fn grad_block_channels(g: &ConvGeometry) -> usize {
+    let step_bytes = MR * g.kernel * g.kernel * g.pixels() * std::mem::size_of::<f32>();
+    (MR * (GRAD_BLOCK_BYTES / step_bytes.max(1)).max(1)).min(g.c_in)
+}
+
+/// Input gradient of one sample, written into `gin_s` (every element):
+/// `Wᵀ·g_s` for [`grad_block_channels`] input channels at a time into
+/// `block`, each block scattered back before the next. `wt` is the
+/// transposed weight (`K×c_out`); `block` is scratch of at least
+/// `grad_block_channels(g)·k²·P`.
+///
+/// Per element this is the patch-matrix path's arithmetic: the GEMM
+/// accumulates onto zeros (`0.0 + Σ`), and the scatter adds the taps onto
+/// `0.0` in ascending `(ky, kx)`.
+pub(crate) fn conv_input_grad(
+    g_s: &[f32],
+    wt: &[f32],
+    g: &ConvGeometry,
+    block: &mut [f32],
+    gin_s: &mut [f32],
+) {
+    let (kk, p) = (g.kernel * g.kernel, g.pixels());
+    let c_out = g_s.len() / p;
+    let cb = grad_block_channels(g);
+    assert_eq!(
+        wt.len(),
+        g.patch() * c_out,
+        "conv transposed-weight shape mismatch"
+    );
+    assert_eq!(
+        gin_s.len(),
+        g.c_in * g.h * g.w,
+        "conv grad-in shape mismatch"
+    );
+    for (wt_rows, gin_block) in wt
+        .chunks(cb * kk * c_out)
+        .zip(gin_s.chunks_mut(cb * g.h * g.w))
+    {
+        let rows = wt_rows.len() / c_out;
+        let cols_mat = &mut block[..rows * p];
+        cols_mat.fill(0.0);
+        gemm::gemm_nn(rows, p, c_out, wt_rows, g_s, cols_mat);
+        let block_g = ConvGeometry::same(rows / kk, g.h, g.w, g.kernel);
+        match g.w {
+            16 => scatter_rows::<16>(cols_mat, &block_g, gin_block),
+            8 => scatter_rows::<8>(cols_mat, &block_g, gin_block),
+            4 => scatter_rows::<4>(cols_mat, &block_g, gin_block),
+            _ => scatter_any(cols_mat, &block_g, gin_block),
+        }
+    }
+}
+
+/// The stride-1 `same` scatter for a compile-time input width: each input
+/// row is accumulated in registers from `0.0` and stored once.
+///
+/// Input element `x` of a row takes, from tap `(ky, kx)`, the patch
+/// matrix element `x − (kx − pad)` of that tap's segment — when that lies
+/// inside the segment. Reading the `W`-wide window that starts
+/// `kx − pad` before the segment and adding only the lanes that map
+/// inside it performs exactly the additions [`col2im`] performs onto a
+/// zeroed buffer, in the same ascending `(ky, kx)` order per element, so
+/// the sums are bit-identical. (The window's masked-out lanes belong to a
+/// neighbouring segment or row; they are read, never added.)
+fn scatter_rows<const W: usize>(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
+    let (k, pad, h) = (g.kernel, g.pad, g.h);
+    let cols = h * W;
+    // Lane mask of tap `kx`: the window `kx − pad` left of the set row.
+    let lane_masks = [[0u32; W], [!0u32; W], [0u32; W]];
+    let lane_masks = lane_masks.as_flattened();
+    for (ci, plane) in dst.chunks_exact_mut(cols).enumerate() {
+        let (rows, _) = plane.as_chunks_mut::<W>();
+        for (yy, drow) in rows.iter_mut().enumerate() {
+            let mut acc = [0.0f32; W];
+            // Tap row `ky` reaches this input row from output row
+            // `yy + pad − ky`.
+            for ky in 0..k.min(yy + pad + 1) {
+                let oy = yy + pad - ky;
+                if oy >= h {
+                    continue;
+                }
+                let seg_base = (ci * k + ky) * k * cols + oy * W;
+                for kx in 0..k {
+                    // A tap a full width off either side touches no lane.
+                    if kx + W <= pad || kx >= pad + W {
+                        continue;
+                    }
+                    let under_tap: &[u32; W] = array_at(lane_masks, W + pad - kx);
+                    let window: &[f32; W] = array_at(cols_mat, seg_base + kx * cols + pad - kx);
+                    // `if under_tap { a + v } else { a }` as a bitwise
+                    // blend, which stays a vector operation where the
+                    // `if` compiles to one branch per lane. It must not
+                    // be an added zero: `−0.0 + 0.0` is `+0.0`.
+                    for ((a, v), &m) in acc.iter_mut().zip(window).zip(under_tap) {
+                        let sum = *a + v;
+                        *a = f32::from_bits((sum.to_bits() & m) | (a.to_bits() & !m));
+                    }
+                }
+            }
+            *drow = acc;
+        }
+    }
+}
+
+/// [`scatter_rows`] for any input width: each input row starts at `0.0`
+/// and takes, tap by tap in ascending `(ky, kx)`, the slice of the tap's
+/// segment that lands inside it.
+fn scatter_any(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
+    let (k, pad, h, w) = (g.kernel, g.pad, g.h, g.w);
+    let cols = h * w;
+    for (ci, plane) in dst.chunks_exact_mut(cols).enumerate() {
+        for (yy, drow) in plane.chunks_exact_mut(w).enumerate() {
+            drow.fill(0.0);
+            for ky in 0..k.min(yy + pad + 1) {
+                let oy = yy + pad - ky;
+                if oy >= h {
+                    continue;
+                }
+                let seg_base = (ci * k + ky) * k * cols + oy * w;
+                for kx in 0..k {
+                    // Input column `x` takes segment element `x + pad − kx`.
+                    let lo = kx.saturating_sub(pad);
+                    let hi = (w + kx).saturating_sub(pad).min(w);
+                    if lo >= hi {
+                        continue;
+                    }
+                    let seg = seg_base + kx * cols + lo + pad - kx;
+                    for (dv, sv) in drow[lo..hi].iter_mut().zip(&cols_mat[seg..seg + hi - lo]) {
+                        *dv += sv;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Unroll one sample (`c_in·h·w` contiguous) into the patch matrix
-/// `dst[(c_in·k·k) × (out_h·out_w)]`, zero-filling out-of-bounds taps.
+/// `dst[(c_in·k·k) × (out_h·out_w)]`, zero-filling out-of-bounds taps:
+/// per output row, zero-fill the taps that fall off the input and copy
+/// (stride 1) or gather (strided) the rest.
+#[doc(hidden)]
 pub fn im2col(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
     g.validate();
     assert_eq!(src.len(), g.c_in * g.h * g.w, "im2col: src shape mismatch");
@@ -100,20 +403,6 @@ pub fn im2col(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
         g.patch() * g.pixels(),
         "im2col: dst shape mismatch"
     );
-    if g.is_unit_stride_same() {
-        match g.w {
-            16 => return im2col_same::<16>(src, g, dst),
-            8 => return im2col_same::<8>(src, g, dst),
-            4 => return im2col_same::<4>(src, g, dst),
-            _ => {}
-        }
-    }
-    im2col_general(src, g, dst);
-}
-
-/// [`im2col`] for any geometry: per output row, zero-fill the taps that
-/// fall off the input and copy (stride 1) or gather (strided) the rest.
-fn im2col_general(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
     let (k, s, pad, h, w) = (g.kernel, g.stride, g.pad, g.h, g.w);
     let (oh, ow) = (g.out_h(), g.out_w());
     let cols = oh * ow;
@@ -165,7 +454,9 @@ fn im2col_general(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
 }
 
 /// Scatter-add the patch matrix back onto an input-shaped buffer: the
-/// adjoint of [`im2col`]. `dst` accumulates (caller zeroes it).
+/// adjoint of [`im2col`]. `dst` accumulates (caller zeroes it), and every
+/// input element receives its taps in ascending `(ky, kx)` order.
+#[doc(hidden)]
 pub fn col2im(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
     g.validate();
     assert_eq!(dst.len(), g.c_in * g.h * g.w, "col2im: dst shape mismatch");
@@ -174,20 +465,6 @@ pub fn col2im(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
         g.patch() * g.pixels(),
         "col2im: src shape mismatch"
     );
-    if g.is_unit_stride_same() {
-        match g.w {
-            16 => return col2im_same::<16>(cols_mat, g, dst),
-            8 => return col2im_same::<8>(cols_mat, g, dst),
-            4 => return col2im_same::<4>(cols_mat, g, dst),
-            _ => {}
-        }
-    }
-    col2im_general(cols_mat, g, dst);
-}
-
-/// [`col2im`] for any geometry. Every input element receives its taps in
-/// ascending `(ky, kx)` order — the order [`col2im_same`] must keep.
-fn col2im_general(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
     let (k, s, pad, h, w) = (g.kernel, g.stride, g.pad, g.h, g.w);
     let (oh, ow) = (g.out_h(), g.out_w());
     let cols = oh * ow;
@@ -232,112 +509,8 @@ fn col2im_general(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
     }
 }
 
-/// [`im2col`] for stride 1, `same` padding and a compile-time input
-/// width, so every row segment moves as whole vectors instead of a
-/// `fill` + `copy_from_slice` + `fill` call triple.
-///
-/// Each source row is framed by `W` zeros on either side; the segment tap
-/// `kx` contributes for that row is then the `W`-wide window `kx − pad`
-/// columns right of the row's start, zero padding included. Rows above
-/// and below the input are all-zero frames, which yields the vertical
-/// padding from the same loop. Pure data movement: bit-identical to
-/// [`im2col_general`] by construction.
-fn im2col_same<const W: usize>(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
-    let (k, pad, h) = (g.kernel, g.pad, g.h);
-    let cols = h * W;
-    let mut framed = [[0.0f32; W]; 3];
-    for (ci, plane) in src.chunks_exact(cols).enumerate() {
-        let (rows, _) = plane.as_chunks::<W>();
-        // `yp` is the source row index plus `pad`, so it starts at zero.
-        for yp in 0..h + 2 * pad {
-            framed[1] = match yp.checked_sub(pad).and_then(|yy| rows.get(yy)) {
-                Some(row) => *row,
-                None => [0.0; W],
-            };
-            let frame = framed.as_flattened();
-            // Output row `oy` reads source row `oy + ky − pad`.
-            for ky in 0..k.min(yp + 1) {
-                let oy = yp - ky;
-                if oy >= h {
-                    continue;
-                }
-                let seg_base = (ci * k + ky) * k * cols + oy * W;
-                for kx in 0..k {
-                    // Windows a full width off either side are all zero.
-                    let start = (W + kx).saturating_sub(pad).min(2 * W);
-                    let window: &[f32; W] = array_at(frame, start);
-                    let seg = seg_base + kx * cols;
-                    dst[seg..seg + W].copy_from_slice(window);
-                }
-            }
-        }
-    }
-}
-
-/// [`col2im`] for stride 1, `same` padding and a compile-time input
-/// width: each input row is accumulated in registers and stored once.
-///
-/// Input element `x` of a row takes, from tap `(ky, kx)`, the patch
-/// matrix element `x − (kx − pad)` of that tap's segment — when that lies
-/// inside the segment. Reading the `W`-wide window that starts
-/// `kx − pad` before the segment and adding only the lanes that map
-/// inside it performs exactly the additions [`col2im_general`] performs,
-/// in the same ascending `(ky, kx)` order per element, so the sums are
-/// bit-identical. (The window's masked-out lanes belong to a
-/// neighbouring segment or row; they are read, never added.)
-fn col2im_same<const W: usize>(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
-    let (k, pad, h) = (g.kernel, g.pad, g.h);
-    let cols = h * W;
-    // Lane mask of tap `kx`: the window `kx − pad` left of the set row.
-    let lane_masks = [[0u32; W], [!0u32; W], [0u32; W]];
-    let lane_masks = lane_masks.as_flattened();
-    for (ci, plane) in dst.chunks_exact_mut(cols).enumerate() {
-        let (rows, _) = plane.as_chunks_mut::<W>();
-        for (yy, drow) in rows.iter_mut().enumerate() {
-            let mut acc = *drow;
-            // Tap row `ky` reaches this input row from output row
-            // `yy + pad − ky`.
-            for ky in 0..k.min(yy + pad + 1) {
-                let oy = yy + pad - ky;
-                if oy >= h {
-                    continue;
-                }
-                let seg_base = (ci * k + ky) * k * cols + oy * W;
-                for kx in 0..k {
-                    // A tap a full width off either side touches no lane.
-                    if kx + W <= pad || kx >= pad + W {
-                        continue;
-                    }
-                    let under_tap: &[u32; W] = array_at(lane_masks, W + pad - kx);
-                    let window: &[f32; W] = array_at(cols_mat, seg_base + kx * cols + pad - kx);
-                    // `if under_tap { a + v } else { a }` as a bitwise
-                    // blend, which stays a vector operation where the
-                    // `if` compiles to one branch per lane.
-                    for ((a, v), &m) in acc.iter_mut().zip(window).zip(under_tap) {
-                        let sum = *a + v;
-                        *a = f32::from_bits((sum.to_bits() & m) | (a.to_bits() & !m));
-                    }
-                }
-            }
-            *drow = acc;
-        }
-    }
-}
-
-/// The `N` elements of `s` from `start` on, as an array: a fixed-width
-/// window at a run-time offset.
-#[inline(always)]
-fn array_at<T, const N: usize>(s: &[T], start: usize) -> &[T; N] {
-    match s[start..].first_chunk() {
-        Some(window) => window,
-        None => panic!("window {start}..{start}+{N} leaves a slice of {}", s.len()),
-    }
-}
-
-/// Lowered forward for one sample: `out_s[c_out×P] = bias ⊕ W·col(x_s)`.
-/// `col_buf` is a caller-owned scratch of length `patch·pixels` so the
-/// per-batch driver can reuse one allocation per thread.
-pub fn conv_forward_sample(
+/// Oracle forward for one sample: `out_s[c_out×P] = bias ⊕ W·col(x_s)`.
+fn conv_forward_sample(
     x_s: &[f32],
     weight: &[f32],
     bias: &[f32],
@@ -356,11 +529,11 @@ pub fn conv_forward_sample(
     gemm::gemm_nn(c_out, p, kp, weight, col_buf, out_s);
 }
 
-/// Lowered backward for one sample. Accumulates the weight/bias gradients
-/// into `wg`/`bg` and writes the input gradient into `gin_s`. `wt` is the
-/// pre-transposed weight (`K×c_out`); `col_buf`/`gcol_buf` are scratch.
+/// Oracle backward for one sample. Accumulates the weight/bias gradients
+/// into `wg`/`bg` and the input gradient into `gin_s`. `wt` is the
+/// transposed weight (`K×c_out`); `col_buf`/`gcol_buf` are scratch.
 #[allow(clippy::too_many_arguments)]
-pub fn conv_backward_sample(
+fn conv_backward_sample(
     x_s: &[f32],
     g_s: &[f32],
     wt: &[f32],
@@ -382,11 +555,11 @@ pub fn conv_backward_sample(
     im2col(x_s, g, col_buf);
     // Bias gradient: row sums of g_s.
     for (co, grow) in g_s.chunks(p).enumerate() {
-        let mut lanes = 0.0f32;
+        let mut sum = 0.0f32;
         for v in grow {
-            lanes += v;
+            sum += v;
         }
-        bg[co] += lanes;
+        bg[co] += sum;
     }
     // Weight gradient: wg[c_out×K] += g_s · colᵀ.
     gemm::gemm_nt(c_out, kp, p, g_s, col_buf, wg);
@@ -396,9 +569,9 @@ pub fn conv_backward_sample(
     col2im(gcol_buf, g, gin_s);
 }
 
-/// Batched lowered forward over a whole tensor (serial driver; the layer
-/// runs its own thread-budgeted version). Used directly by tests to sweep
-/// arbitrary stride/padding geometries.
+/// Batched oracle forward over a whole tensor, for any stride and
+/// padding: im2col and [`gemm::gemm_nn`], one sample at a time.
+#[doc(hidden)]
 pub fn conv_forward(x: &Tensor4, weight: &[f32], bias: &[f32], g: &ConvGeometry) -> Tensor4 {
     assert_eq!(x.c, g.c_in, "conv input channel mismatch");
     let c_out = bias.len();
@@ -417,9 +590,10 @@ pub fn conv_forward(x: &Tensor4, weight: &[f32], bias: &[f32], g: &ConvGeometry)
     out
 }
 
-/// Batched lowered backward (serial driver): returns
-/// `(grad_in, weight_grad, bias_grad)` with gradients summed over the
-/// batch in sample order.
+/// Batched oracle backward: returns `(grad_in, weight_grad, bias_grad)`,
+/// each sample's gradients summed on their own and then added in sample
+/// order, by im2col, [`gemm::gemm_nt`], [`gemm::gemm_nn`] and [`col2im`].
+#[doc(hidden)]
 pub fn conv_backward(
     x: &Tensor4,
     grad_out: &Tensor4,
@@ -437,11 +611,13 @@ pub fn conv_backward(
     let mut wt = vec![0.0f32; kp * c_out];
     gemm::transpose(c_out, kp, weight, &mut wt);
     let mut grad_in = Tensor4::zeros(x.n, g.c_in, g.h, g.w);
-    let mut wg = vec![0.0f32; weight.len()];
-    let mut bg = vec![0.0f32; c_out];
+    let mut wg_total = vec![0.0f32; weight.len()];
+    let mut bg_total = vec![0.0f32; c_out];
     let mut col_buf = vec![0.0f32; kp * g.pixels()];
     let mut gcol_buf = vec![0.0f32; kp * g.pixels()];
     for ni in 0..x.n {
+        let mut wg = vec![0.0f32; weight.len()];
+        let mut bg = vec![0.0f32; c_out];
         conv_backward_sample(
             x.sample(ni),
             grad_out.sample(ni),
@@ -453,14 +629,19 @@ pub fn conv_backward(
             &mut wg,
             &mut bg,
         );
+        for (acc, v) in wg_total.iter_mut().zip(&wg) {
+            *acc += v;
+        }
+        for (acc, v) in bg_total.iter_mut().zip(&bg) {
+            *acc += v;
+        }
     }
-    (grad_in, wg, bg)
+    (grad_in, wg_total, bg_total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits;
 
     #[test]
     fn geometry_shapes() {
@@ -592,48 +773,6 @@ mod tests {
         col2im(&col, &g, &mut back);
         let want_back: Vec<f32> = src.iter().map(|v| v * 15.0).collect();
         assert_eq!(back, want_back);
-    }
-
-    /// Every geometry the fixed-width bodies take — including kernels
-    /// wider than the image, and (at width 4) padding wider than the
-    /// image — against the general loop, bit for bit.
-    #[test]
-    fn fixed_width_bodies_equal_the_general_loop() {
-        let shapes = [(4, 4), (8, 8), (16, 16), (5, 8), (3, 16)];
-        for c_in in 1..=3 {
-            for (h, w) in shapes {
-                for kernel in [1, 3, 5, 7, 9, 11] {
-                    let g = ConvGeometry::same(c_in, h, w, kernel);
-                    assert!(g.is_unit_stride_same());
-                    let nx = c_in * h * w;
-                    let ny = g.patch() * g.pixels();
-                    let x: Vec<f32> = (0..nx)
-                        .map(|i| ((i * 37 + 11) % 101) as f32 - 50.5)
-                        .collect();
-                    let y: Vec<f32> = (0..ny)
-                        .map(|i| ((i * 53 + 3) % 89) as f32 * 0.37 - 16.0)
-                        .collect();
-
-                    // Stale contents must be overwritten, zeros included.
-                    let mut want = vec![7.0f32; ny];
-                    im2col_general(&x, &g, &mut want);
-                    let mut got = vec![-7.0f32; ny];
-                    im2col(&x, &g, &mut got);
-                    assert_eq!(bits(&want), bits(&got), "im2col {g:?}");
-
-                    // col2im accumulates onto whatever is there: -0.0 is
-                    // the one start value an added +0.0 would disturb.
-                    let seed: Vec<f32> = (0..nx)
-                        .map(|i| if i % 3 == 0 { -0.0 } else { i as f32 * 0.25 })
-                        .collect();
-                    let mut want = seed.clone();
-                    col2im_general(&y, &g, &mut want);
-                    let mut got = seed;
-                    col2im(&y, &g, &mut got);
-                    assert_eq!(bits(&want), bits(&got), "col2im {g:?}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the NAS's second objective.
 
 use crate::gemm;
-use crate::im2col::{self, ConvGeometry};
+use crate::im2col::{self, ConvGeometry, TapTable};
 use crate::init::{he_normal, xavier_normal};
 use crate::tensor::{Tensor2, Tensor4};
 use crate::workspace::Workspace;
@@ -42,7 +42,11 @@ pub struct Conv2d {
     #[serde(skip)]
     bgrad: Vec<f32>,
     #[serde(skip)]
-    cached_input: Option<Tensor4>,
+    taps: TapTable,
+    /// A training forward's input framed by its zero padding, one sample a
+    /// row ([`im2col::frame`]): what backward reads the patch matrix from.
+    #[serde(skip)]
+    cached_frames: Option<Tensor2>,
 }
 
 impl Conv2d {
@@ -59,93 +63,129 @@ impl Conv2d {
             bias: vec![0.0; c_out],
             wgrad: vec![0.0; c_out * c_in * kernel * kernel],
             bgrad: vec![0.0; c_out],
-            cached_input: None,
+            taps: TapTable::default(),
+            cached_frames: None,
         }
     }
 
-    /// Forward pass drawing all scratch (output tensor, im2col panel,
-    /// input cache) from `ws` instead of the allocator. The input is
-    /// cached for backward only when `training`.
+    /// Forward pass drawing all scratch (output tensor, framed input) from
+    /// `ws` instead of the allocator. The framed input is kept for backward
+    /// only when `training`.
     ///
-    /// im2col + blocked GEMM: each sample's receptive fields are
-    /// unrolled and multiplied against the weight matrix. When the batch
-    /// is enough work to pay for it ([`gemm::threads_for`]) samples are
-    /// distributed in contiguous blocks over scoped threads; every output
-    /// element is produced by exactly one thread, so results are
-    /// identical for any thread count.
+    /// Each sample is framed by its zero padding, and the weight matrix is
+    /// multiplied by the patch matrix read in place from the frame
+    /// ([`im2col`] module docs). When the batch is enough work to pay for
+    /// it ([`gemm::threads_for`]) samples are distributed in contiguous
+    /// blocks over scoped threads; every output element is produced by
+    /// exactly one thread, so results are identical for any thread count.
     pub fn forward_ws(&mut self, x: &Tensor4, training: bool, ws: &mut Workspace) -> Tensor4 {
         assert_eq!(x.c, self.c_in, "conv input channel mismatch");
         let (n, _, h, w) = x.shape();
         let g = ConvGeometry::same(self.c_in, h, w, self.kernel);
-        // conv_forward_sample seeds every output row with the bias before
-        // the GEMM accumulates, so stale scratch contents never leak.
+        // Framing writes every element and the forward seeds every output
+        // row with the bias before the GEMM accumulates, so stale scratch
+        // contents never leak.
+        let mut frames = ws.t2_scratch(n, g.framed());
         let mut out = ws.t4_scratch(n, self.c_out, h, w);
-        let sample_out = self.c_out * h * w;
-        let weight = &self.weight;
-        let bias = &self.bias;
+        let (sample_in, sample_frame, sample_out) =
+            (self.c_in * h * w, g.framed(), self.c_out * h * w);
+        let (weight, bias, taps) = (&self.weight, &self.bias, self.taps.starts(&g));
+        let lower = |xs: &[f32], frames: &mut [f32], outs: &mut [f32]| {
+            for ((x_s, frame_s), out_s) in xs
+                .chunks(sample_in)
+                .zip(frames.chunks_mut(sample_frame))
+                .zip(outs.chunks_mut(sample_out))
+            {
+                im2col::frame(x_s, &g, frame_s);
+                im2col::conv_forward_framed(frame_s, taps, weight, bias, &g, out_s);
+            }
+        };
         let threads = gemm::threads_for(n, self.c_out * g.patch() * g.pixels());
         if threads <= 1 {
-            // im2col overwrites the whole panel per sample.
-            let mut col = ws.take_scratch(g.patch() * g.pixels());
-            for (ni, out_s) in out.data_mut().chunks_mut(sample_out).enumerate() {
-                im2col::conv_forward_sample(x.sample(ni), weight, bias, &g, &mut col, out_s);
-            }
-            ws.give(col);
+            lower(x.data(), frames.data_mut(), out.data_mut());
         } else {
             let per = n.div_ceil(threads);
             std::thread::scope(|s| {
-                for (gi, out_chunk) in out.data_mut().chunks_mut(per * sample_out).enumerate() {
-                    s.spawn(move || {
-                        let mut col = vec![0.0f32; g.patch() * g.pixels()];
-                        for (si, out_s) in out_chunk.chunks_mut(sample_out).enumerate() {
-                            let ni = gi * per + si;
-                            im2col::conv_forward_sample(
-                                x.sample(ni),
-                                weight,
-                                bias,
-                                &g,
-                                &mut col,
-                                out_s,
-                            );
-                        }
-                    });
+                for ((xs, frames), outs) in x
+                    .data()
+                    .chunks(per * sample_in)
+                    .zip(frames.data_mut().chunks_mut(per * sample_frame))
+                    .zip(out.data_mut().chunks_mut(per * sample_out))
+                {
+                    s.spawn(move || lower(xs, frames, outs));
                 }
             });
         }
         // Recycle a cache left by a training forward that never ran
         // backward, so the pool gets its buffer back.
-        if let Some(old) = self.cached_input.take() {
-            ws.give4(old);
+        if let Some(old) = self.cached_frames.take() {
+            ws.give2(old);
         }
         if training {
-            self.cached_input = Some(ws.t4_copy(x));
+            self.cached_frames = Some(frames);
+        } else {
+            ws.give2(frames);
         }
         out
     }
 
     /// Backward pass: accumulates weight/bias grads and returns the
     /// gradient with respect to the input, drawing all scratch from `ws`;
-    /// the input cache taken during forward is recycled back into the pool.
+    /// the framed input kept by forward is recycled back into the pool.
     ///
-    /// im2col + blocked GEMM. Per-sample partial gradients are computed
-    /// on scoped threads (samples in contiguous blocks) and reduced in
-    /// sample order, so results do not depend on the thread budget.
+    /// Per-sample partial gradients are computed on scoped threads
+    /// (samples in contiguous blocks) and reduced in sample order, so
+    /// results do not depend on the thread budget.
     pub fn backward_ws(&mut self, grad_out: &Tensor4, ws: &mut Workspace) -> Tensor4 {
-        let Some(x) = self.cached_input.take() else {
+        let (n, _, h, w) = grad_out.shape();
+        // The scatter writes every element.
+        let mut grad_in = ws.t4_scratch(n, self.c_in, h, w);
+        self.backward(grad_out, Some(&mut grad_in), ws);
+        grad_in
+    }
+
+    /// [`backward_ws`](Self::backward_ws) for a layer whose input needs no
+    /// gradient — a network's first convolution, whose input is the
+    /// images: only the weight and bias gradients are accumulated.
+    pub(crate) fn backward_params_ws(&mut self, grad_out: &Tensor4, ws: &mut Workspace) {
+        self.backward(grad_out, None, ws);
+    }
+
+    fn backward(&mut self, grad_out: &Tensor4, grad_in: Option<&mut Tensor4>, ws: &mut Workspace) {
+        let Some(frames) = self.cached_frames.take() else {
             panic!("backward called before forward")
         };
-        let (n, _, h, w) = x.shape();
-        assert_eq!(grad_out.shape(), (n, self.c_out, h, w));
+        let (n, _, h, w) = grad_out.shape();
         let g = ConvGeometry::same(self.c_in, h, w, self.kernel);
+        assert_eq!(
+            (frames.rows, frames.cols),
+            (n, g.framed()),
+            "conv grad-out shape does not match the forward input"
+        );
+        assert_eq!(grad_out.c, self.c_out, "conv grad-out channel mismatch");
         let (kp, c_out) = (g.patch(), self.c_out);
+        // The input gradient's GEMM runs on the transposed weight;
         // transpose overwrites every element, so scratch contents are fine.
-        let mut wt_buf = ws.take_scratch(kp * c_out);
-        gemm::transpose(c_out, kp, &self.weight, &mut wt_buf);
-        let wt = &wt_buf;
-        let wlen = self.weight.len();
-        let sample_in = self.c_in * h * w;
-        // col2im accumulates, so the input gradient must start zeroed.
-        let mut grad_in = ws.t4_zeroed(n, self.c_in, h, w);
+        let wt = grad_in.is_some().then(|| {
+            let mut wt = ws.take_scratch(kp * c_out);
+            gemm::transpose(c_out, kp, &self.weight, &mut wt);
+            wt
+        });
+        let scratch_len = im2col::backward_scratch(&g, wt.is_some());
+        let (wlen, sample_in) = (self.weight.len(), self.c_in * h * w);
+        let taps = self.taps.starts(&g);
+        let (frames_ref, wt_ref) = (&frames, &wt);
+        let sample = |ni: usize,
+                      gin_s: Option<&mut [f32]>,
+                      scratch: &mut [f32],
+                      wg: &mut [f32],
+                      bg: &mut [f32]| {
+            let g_s = grad_out.sample(ni);
+            im2col::conv_param_grads(frames_ref.row(ni), taps, g_s, &g, scratch, wg, bg);
+            if let (Some(gin_s), Some(wt)) = (gin_s, wt_ref) {
+                im2col::conv_input_grad(g_s, wt, &g, scratch, gin_s);
+            }
+        };
         // Two GEMMs per sample: the input gradient and the weight gradient.
         let threads = gemm::threads_for(n, 2 * c_out * kp * g.pixels());
         if threads <= 1 {
@@ -154,24 +194,15 @@ impl Conv2d {
             // identical FP order to collecting them first (each partial is
             // an independent zero-seeded sum, and the reduction still runs
             // in ascending sample order), with no per-sample allocation.
-            let mut col = ws.take_scratch(kp * g.pixels());
-            let mut gcol = ws.take_scratch(kp * g.pixels());
+            let mut scratch = ws.take_scratch(scratch_len);
             let mut wg = ws.take_scratch(wlen);
             let mut bg = ws.take_scratch(c_out);
-            for (ni, gin_s) in grad_in.data_mut().chunks_mut(sample_in).enumerate() {
+            let mut grad_in = grad_in;
+            for ni in 0..n {
                 wg.fill(0.0);
                 bg.fill(0.0);
-                im2col::conv_backward_sample(
-                    x.sample(ni),
-                    grad_out.sample(ni),
-                    wt,
-                    &g,
-                    &mut col,
-                    &mut gcol,
-                    gin_s,
-                    &mut wg,
-                    &mut bg,
-                );
+                let gin_s = grad_in.as_deref_mut().map(|t| t.sample_mut(ni));
+                sample(ni, gin_s, &mut scratch, &mut wg, &mut bg);
                 for (acc, v) in self.wgrad.iter_mut().zip(&wg) {
                     *acc += v;
                 }
@@ -179,8 +210,7 @@ impl Conv2d {
                     *acc += v;
                 }
             }
-            ws.give(col);
-            ws.give(gcol);
+            ws.give(scratch);
             ws.give(wg);
             ws.give(bg);
         } else {
@@ -189,29 +219,23 @@ impl Conv2d {
             // samples were distributed over threads.
             let mut partials: Vec<(Vec<f32>, Vec<f32>)> = Vec::with_capacity(n);
             let per = n.div_ceil(threads);
-            let x = &x;
+            let gin_groups: Vec<Option<&mut [f32]>> = match grad_in {
+                Some(t) => t.data_mut().chunks_mut(per * sample_in).map(Some).collect(),
+                None => (0..n.div_ceil(per)).map(|_| None).collect(),
+            };
+            let sample = &sample;
             std::thread::scope(|s| {
                 let mut handles = Vec::new();
-                for (gi, gin_chunk) in grad_in.data_mut().chunks_mut(per * sample_in).enumerate() {
+                for (gi, gin_group) in gin_groups.into_iter().enumerate() {
                     handles.push(s.spawn(move || {
-                        let mut col = vec![0.0f32; kp * g.pixels()];
-                        let mut gcol = vec![0.0f32; kp * g.pixels()];
+                        let mut scratch = vec![0.0f32; scratch_len];
+                        let mut gin_samples = gin_group.map(|c| c.chunks_mut(sample_in));
                         let mut group = Vec::new();
-                        for (si, gin_s) in gin_chunk.chunks_mut(sample_in).enumerate() {
-                            let ni = gi * per + si;
+                        for ni in gi * per..n.min((gi + 1) * per) {
                             let mut wg = vec![0.0f32; wlen];
                             let mut bg = vec![0.0f32; c_out];
-                            im2col::conv_backward_sample(
-                                x.sample(ni),
-                                grad_out.sample(ni),
-                                wt,
-                                &g,
-                                &mut col,
-                                &mut gcol,
-                                gin_s,
-                                &mut wg,
-                                &mut bg,
-                            );
+                            let gin_s = gin_samples.as_mut().and_then(Iterator::next);
+                            sample(ni, gin_s, &mut scratch, &mut wg, &mut bg);
                             group.push((wg, bg));
                         }
                         group
@@ -233,9 +257,10 @@ impl Conv2d {
                 }
             }
         }
-        ws.give(wt_buf);
-        ws.give4(x);
-        grad_in
+        if let Some(wt) = wt {
+            ws.give(wt);
+        }
+        ws.give2(frames);
     }
 
     /// Visit `(weight, grad)` pairs.
@@ -248,7 +273,8 @@ impl Conv2d {
     pub fn rebuild_buffers(&mut self) {
         self.wgrad = vec![0.0; self.weight.len()];
         self.bgrad = vec![0.0; self.bias.len()];
-        self.cached_input = None;
+        self.taps = TapTable::default();
+        self.cached_frames = None;
     }
 
     /// Forward FLOPs for one sample at `h × w`.
@@ -858,7 +884,7 @@ mod tests {
             conv.weight[7] += delta;
             let o = conv.forward_ws(&x, true, &mut Workspace::new());
             conv.weight[7] -= delta;
-            conv.cached_input = None;
+            conv.cached_frames = None;
             o.data().iter().map(|&v| v * v * 0.5).sum::<f32>()
         };
         let numeric = (loss_with(&mut conv, h) - loss_with(&mut conv, -h)) / (2.0 * h);
@@ -906,16 +932,16 @@ mod tests {
         let mut ws = Workspace::new();
         let x = Tensor4::zeros(2, 1, 4, 4);
         let eval = conv.forward_ws(&x, false, &mut ws);
-        assert!(conv.cached_input.is_none(), "eval forward kept its input");
+        assert!(conv.cached_frames.is_none(), "eval forward kept its input");
         let train = conv.forward_ws(&x, true, &mut ws);
-        assert!(conv.cached_input.is_some());
+        assert!(conv.cached_frames.is_some());
         assert_eq!(bits(eval.data()), bits(train.data()));
         let gi = conv.backward_ws(&Tensor4::zeros(2, 2, 4, 4), &mut ws);
         assert_eq!(gi.shape(), x.shape());
         // An eval forward also hands back a cache that never met a backward.
         let _ = conv.forward_ws(&x, true, &mut ws);
         let _ = conv.forward_ws(&x, false, &mut ws);
-        assert!(conv.cached_input.is_none());
+        assert!(conv.cached_frames.is_none());
     }
 
     #[test]

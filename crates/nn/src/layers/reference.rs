@@ -1,5 +1,5 @@
 //! Straight-line reference kernels for [`Conv2d`] and [`Dense`]: the
-//! direct loop nests the production kernels (im2col + blocked GEMM,
+//! direct loop nests the production kernels (framed-input GEMMs,
 //! `gemm_nn_seq`) are differentially tested against. Nothing trains or
 //! serves through these; `tests/conv_equivalence.rs` and
 //! `tests/dense_equivalence.rs` are the only callers.
@@ -10,6 +10,7 @@
 //! clone side by side and compare every output and gradient.
 
 use super::{Conv2d, Dense};
+use crate::im2col::{frame, ConvGeometry};
 use crate::tensor::{Tensor2, Tensor4};
 
 /// [`Conv2d::forward_ws`] as a direct loop nest, one sample at a time.
@@ -54,25 +55,46 @@ pub fn conv2d_forward(conv: &mut Conv2d, x: &Tensor4) -> Tensor4 {
             }
         }
     }
-    conv.cached_input = Some(x.clone());
+    // The layer keeps its input framed by the zero padding; the reference
+    // keeps the same, so either backward can follow either forward.
+    let g = ConvGeometry::same(c_in, h, w, k);
+    let mut frames = Tensor2::zeros(n, g.framed());
+    for ni in 0..n {
+        frame(
+            x.sample(ni),
+            &g,
+            &mut frames.data_mut()[ni * g.framed()..(ni + 1) * g.framed()],
+        );
+    }
+    conv.cached_frames = Some(frames);
     out
 }
 
 /// [`Conv2d::backward_ws`] as a direct loop nest with per-sample partials
 /// reduced in sample order.
 pub fn conv2d_backward(conv: &mut Conv2d, grad_out: &Tensor4) -> Tensor4 {
-    let Some(x) = conv.cached_input.take() else {
+    let Some(frames) = conv.cached_frames.take() else {
         panic!("backward called before forward")
     };
-    let (n, _, h, w) = x.shape();
     let k = conv.kernel;
     let pad = k / 2;
-    assert_eq!(grad_out.shape(), (n, conv.c_out, h, w));
+    let (n, c_in, h, w) = (grad_out.n, conv.c_in, grad_out.h, grad_out.w);
+    let g = ConvGeometry::same(c_in, h, w, k);
+    assert_eq!((frames.rows, frames.cols), (n, g.framed()));
+    let mut x = Tensor4::zeros(n, c_in, h, w);
+    for ni in 0..n {
+        for ci in 0..c_in {
+            for y in 0..h {
+                for xo in 0..w {
+                    x.set(ni, ci, y, xo, frames.row(ni)[g.frame_at(ci, y, xo)]);
+                }
+            }
+        }
+    }
 
     // Each sample's gradients are summed on their own and then added to
     // the layer's buffers, in sample order — the reduction order the
     // production kernel reproduces.
-    let c_in = conv.c_in;
     let c_out = conv.c_out;
     let weight = &conv.weight;
     let mut grad_in = Tensor4::zeros(n, c_in, h, w);

@@ -6,7 +6,6 @@ use a4nn_core::{RealTrainerFactory, SurrogateFactory, SurrogateParams, TrainingH
 use a4nn_genome::viz::{render_ascii, render_dot};
 use a4nn_lineage::{Analyzer, DataCommons};
 use a4nn_net::{SocketOptions, SocketTransport, WorkerServer};
-use a4nn_penguin::ParametricCurve;
 use a4nn_xfel::generate_split;
 use std::fmt;
 use std::path::PathBuf;

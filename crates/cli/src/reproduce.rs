@@ -24,7 +24,7 @@ use a4nn_core::config_hash;
 use a4nn_core::prelude::*;
 use a4nn_lineage::{feature_fitness_correlations, fitness_cmp, shape_census, success_contrast};
 use a4nn_nn::Dataset;
-use a4nn_penguin::{replay, ParametricCurve};
+use a4nn_penguin::replay;
 use a4nn_sched::{schedule_generations, Task, TaskOrdering};
 use a4nn_xfel::{generate_dataset, generate_split};
 use rand::{rngs::StdRng, SeedableRng};

@@ -7,10 +7,11 @@
 //!
 //! [`CheckpointStore`] is the thread-safe sink the workflow writes into:
 //! in memory during the run, with an on-disk binary layout
-//! (`model_<id>_epoch_<e>.a4nn`) for persistence. Trainers opt in by
-//! implementing [`Trainer::snapshot`](crate::trainer::Trainer::snapshot) —
-//! the real CPU trainer captures its network; the surrogate has no weights
-//! and returns `None`.
+//! (`model_<id>_epoch_<e>.a4nn`) for persistence. The real CPU trainer
+//! puts its network's state at the end of every epoch when its factory
+//! was built with
+//! [`RealTrainerFactory::with_checkpoints`](crate::RealTrainerFactory::with_checkpoints);
+//! the surrogate has no weights to store.
 
 use a4nn_error::A4nnError;
 use a4nn_nn::ModelState;

@@ -9,7 +9,7 @@
 //! - the **workflow orchestrator** ([`workflow`]): one generation loop
 //!   for every NAS [`Driver`] (NSGA-Net, aging evolution, random search),
 //!   moving fitness histories to the engine and predictions back to the
-//!   NAS, while checkpointing model state and record trails;
+//!   NAS, while recording every model's trail;
 //! - the **evaluation pipeline** ([`pipeline`]): how that loop trains
 //!   each generation, generic over a pluggable
 //!   [`Transport`] (in-process [`DirectTransport`], or [`BusTransport`],
@@ -20,10 +20,12 @@
 //!   models onto virtual GPUs within each generation;
 //! - two **trainers** behind one [`trainer::Trainer`] abstraction: a real
 //!   CPU trainer over the `a4nn-nn` substrate and XFEL datasets
-//!   ([`real`]), and a calibrated **surrogate trainer** ([`surrogate`])
-//!   standing in for the paper's GPU fleet (see DESIGN.md §3 for the
-//!   substitution argument) so the paper-scale experiments (100 models ×
-//!   25 epochs × 3 beams × 2 modes) run in seconds.
+//!   ([`real`]), which checkpoints every epoch's model state into a
+//!   [`CheckpointStore`] when given one, and a calibrated **surrogate
+//!   trainer** ([`surrogate`]) standing in for the paper's GPU fleet (see
+//!   DESIGN.md §3 for the substitution argument) so the paper-scale
+//!   experiments (100 models × 25 epochs × 3 beams × 2 modes) run in
+//!   seconds.
 //!
 //! ## Running a search
 //!
@@ -68,16 +70,13 @@ pub use config::{NasSettings, WorkflowConfig};
 pub use fault::{FaultStats, FaultTolerance};
 pub use objectives::{ModelCost, ObjectiveKind, ObjectiveSet};
 pub use pipeline::{
-    train_resilient_direct, BatchResult, BusTransport, DirectTransport, EvalPipeline, Transport,
-    TransportStats,
+    BatchResult, BusTransport, DirectTransport, EvalPipeline, Transport, TransportStats,
 };
 pub use real::{RealTrainerFactory, TrainingHyperparams};
 pub use resume::{config_hash, RunControl, SearchSnapshot, SNAPSHOT_VERSION};
 pub use surrogate::{SurrogateFactory, SurrogateParams};
 pub use trainer::{EpochResult, Trainer, TrainerFactory};
-pub use training::{
-    train_with_engine_fallible, AttemptProgress, EngineLink, InlineEngine, TrainingOutcome,
-};
+pub use training::{train_model, EngineLink, InlineEngine, TrainingOutcome};
 pub use workflow::{A4nnWorkflow, Driver, RunOptions, RunOutput};
 
 /// Convenience re-exports, including the satellite crates' key types.

@@ -10,8 +10,7 @@
 //! record trails.
 //!
 //! Every transport trains a model the same way: one job per genome,
-//! running the one retry loop [`train_resilient_direct`] around the one
-//! Algorithm-1 loop (`training::train_with_engine_fallible`). What a
+//! running [`train_model`] — Algorithm 1 inside its retry loop. What a
 //! transport chooses is only where the job runs and how its trainer
 //! reaches the prediction engine — the [`EngineLink`]:
 //!
@@ -39,24 +38,20 @@
 //! that closed mid-run, a trainer factory that panicked, a poisoned pool,
 //! a crashed engine service thread.
 
-use crate::checkpoint::CheckpointStore;
 use crate::config::WorkflowConfig;
 use crate::fault::FaultTolerance;
 use crate::objectives::ModelCost;
 use crate::trainer::{EpochResult, TrainerFactory};
-use crate::training::{
-    train_with_engine_fallible, AttemptProgress, EngineLink, InlineEngine, TrainingOutcome,
-};
+use crate::training::{train_model, EngineLink, InlineEngine, TrainingOutcome};
 use a4nn_bus::{Policy, Subscription, Topic};
 use a4nn_error::A4nnError;
 use a4nn_faults::FaultPlan;
 use a4nn_genome::{Genome, SearchSpace};
 use a4nn_lineage::{EngineParamsRecord, ModelRecord};
 use a4nn_metrics::{MetricsRegistry, MetricsSnapshot};
-use a4nn_penguin::{EngineConfig, ParametricCurve, Verdict};
+use a4nn_penguin::{EngineConfig, Verdict};
 use a4nn_sched::{schedule, GpuPool, RetryPolicy, ScheduleResult, Task, TaskOrdering};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Per-transport dispatch counters for one run, read from the metrics
 /// registry — so they cover both halves of a resumed run. All times are
@@ -178,7 +173,6 @@ pub struct EvalPipeline<'a> {
     cfg: &'a WorkflowConfig,
     space: &'a SearchSpace,
     factory: &'a dyn TrainerFactory,
-    checkpoints: Option<&'a CheckpointStore>,
     ft: &'a FaultTolerance,
     registry: MetricsRegistry,
 }
@@ -191,14 +185,12 @@ impl<'a> EvalPipeline<'a> {
         cfg: &'a WorkflowConfig,
         space: &'a SearchSpace,
         factory: &'a dyn TrainerFactory,
-        checkpoints: Option<&'a CheckpointStore>,
         ft: &'a FaultTolerance,
     ) -> Self {
         EvalPipeline {
             cfg,
             space,
             factory,
-            checkpoints,
             ft,
             registry: MetricsRegistry::new(),
         }
@@ -220,11 +212,6 @@ impl<'a> EvalPipeline<'a> {
     /// The run configuration.
     pub fn config(&self) -> &WorkflowConfig {
         self.cfg
-    }
-
-    /// The per-epoch checkpoint sink, when one is attached.
-    pub fn checkpoints(&self) -> Option<&CheckpointStore> {
-        self.checkpoints
     }
 
     /// Record one completed job in the metrics registry: its
@@ -390,7 +377,7 @@ impl Transport for DirectTransport {
 
 /// Bus coupling: Direct plus a topic. Trainers run exactly as in
 /// [`DirectTransport`] — one job per genome on the sched thread pool,
-/// each through [`train_resilient_direct`] — but their engine is a
+/// each through [`train_model`] — but their engine is a
 /// `BusLink`: per-epoch fitness goes out on the generation's topic and
 /// the engine service's verdicts come back on it, the same synchronous
 /// hand-off as Algorithm 1, routed through communicators.
@@ -468,7 +455,7 @@ fn generation_schedule(
 }
 
 /// Train every genome of a generation as one job on the pool, each
-/// through [`train_resilient_direct`] with the engine link `link_for`
+/// through [`train_model`] with the engine link `link_for`
 /// builds for its model id — the whole of a generation on the
 /// in-process transports, which differ only in that link.
 fn train_generation<L: EngineLink>(
@@ -484,12 +471,11 @@ fn train_generation<L: EngineLink>(
         .map(|(k, genome)| {
             let model_id = base_id + k as u64;
             move |_worker: usize| {
-                train_resilient_direct(
+                train_model(
                     pipeline.cfg,
                     pipeline.factory,
                     genome,
                     model_id,
-                    pipeline.checkpoints,
                     pipeline.ft,
                     &mut link_for(model_id),
                 )
@@ -518,78 +504,6 @@ fn train_generation<L: EngineLink>(
             Ok((outcome, cost))
         })
         .collect()
-}
-
-/// Train one model with retries — the one retry loop of every
-/// transport. Each attempt runs under `catch_unwind` with a fresh
-/// trainer (deterministic replay of the same stochastic stream), and
-/// `engine` starts afresh at each attempt's epoch 1. A model that
-/// exhausts its budget returns a `failed` outcome carrying the final
-/// attempt's partial trail instead of poisoning the generation.
-/// `factory.make` runs outside the attempt: a factory that panics is
-/// broken machinery, not a trainer crash. `Err` only when the engine
-/// link broke (a closed bus).
-///
-/// Public because the `a4nn-net` worker runs exactly this function for
-/// each job it receives — remote training is the same deterministic
-/// computation, just dispatched over TCP, which is what makes the
-/// socket transport byte-identical to the in-process ones.
-pub fn train_resilient_direct(
-    cfg: &WorkflowConfig,
-    factory: &dyn TrainerFactory,
-    genome: &Genome,
-    model_id: u64,
-    checkpoints: Option<&CheckpointStore>,
-    ft: &FaultTolerance,
-    engine: &mut dyn EngineLink,
-) -> Result<(TrainingOutcome, ModelCost), A4nnError> {
-    let max_attempts = ft.retry.max_attempts.max(1);
-    let mut failed_attempt_seconds = Vec::new();
-    let mut attempt = 1u32;
-    loop {
-        let mut trainer = factory.make(genome, model_id, cfg.seed);
-        let mut progress = AttemptProgress::default();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            train_with_engine_fallible(
-                trainer.as_mut(),
-                engine,
-                cfg.nas.epochs,
-                checkpoints.map(|store| (store, model_id)),
-                (&ft.plan, model_id, attempt),
-                &mut progress,
-            )
-        }));
-        // Read after training (or after the attempt's panic unwound):
-        // the workspace peak is a high-water mark over the epochs run.
-        let cost = trainer.cost();
-        if let Ok(outcome) = result {
-            let mut outcome = outcome?;
-            outcome.attempts = attempt;
-            outcome.failed_attempt_seconds = failed_attempt_seconds;
-            return Ok((outcome, cost));
-        }
-        if attempt < max_attempts {
-            failed_attempt_seconds.push(progress.train_seconds);
-            attempt += 1;
-            continue;
-        }
-        // Retry budget exhausted: surface the partial trail as a
-        // Terminated::Failed record with fitness 0, which NSGA-II
-        // treats as dominated.
-        let outcome = TrainingOutcome {
-            epochs: progress.epochs,
-            final_fitness: 0.0,
-            predicted_fitness: None,
-            terminated_early: false,
-            failed: true,
-            attempts: attempt,
-            failed_attempt_seconds,
-            train_seconds: progress.train_seconds,
-            engine_seconds: 0.0,
-            engine_interactions: 0,
-        };
-        return Ok((outcome, cost));
-    }
 }
 
 /// Queue depth of the engine service's inbox; trainers block (the
@@ -725,7 +639,7 @@ mod tests {
         let space = cfg.search_space();
         let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
         let ft = FaultTolerance::default();
-        let pipeline = EvalPipeline::new(&cfg, &space, &factory, None, &ft);
+        let pipeline = EvalPipeline::new(&cfg, &space, &factory, &ft);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let genomes: Vec<_> = (0..5).map(|_| space.random_genome(&mut rng)).collect();
         let batch = pipeline.run(&DirectTransport, &genomes, 3, 10).unwrap();
@@ -754,7 +668,7 @@ mod tests {
         let space = cfg.search_space();
         let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
         let ft = FaultTolerance::default();
-        let pipeline = EvalPipeline::new(&cfg, &space, &factory, None, &ft);
+        let pipeline = EvalPipeline::new(&cfg, &space, &factory, &ft);
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let genomes: Vec<_> = (0..4).map(|_| space.random_genome(&mut rng)).collect();
 
@@ -795,8 +709,8 @@ mod tests {
             }
         }
 
-        fn flops(&self) -> f64 {
-            1.0
+        fn cost(&self) -> ModelCost {
+            ModelCost::from_flops(1.0)
         }
     }
 
@@ -819,7 +733,7 @@ mod tests {
         cfg.nas.epochs = 3;
         let space = cfg.search_space();
         let ft = FaultTolerance::default();
-        let pipeline = EvalPipeline::new(&cfg, &space, factory, None, &ft);
+        let pipeline = EvalPipeline::new(&cfg, &space, factory, &ft);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let genomes: Vec<_> = (0..6).map(|_| space.random_genome(&mut rng)).collect();
         pipeline.run(transport, &genomes, 0, 0)
@@ -862,8 +776,7 @@ mod tests {
         topic.close();
         let mut link = BusLink::new(&topic, 0, true);
         let ft = FaultTolerance::default();
-        let err =
-            train_resilient_direct(&cfg, &factory, &genome, 0, None, &ft, &mut link).unwrap_err();
+        let err = train_model(&cfg, &factory, &genome, 0, &ft, &mut link).unwrap_err();
         assert!(matches!(err, A4nnError::BusClosed(_)), "got {err}");
     }
 
@@ -976,7 +889,7 @@ mod tests {
                 failures: 1,
             }]),
         );
-        let pipeline = EvalPipeline::new(&cfg, &space, &factory, None, &ft);
+        let pipeline = EvalPipeline::new(&cfg, &space, &factory, &ft);
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let genomes: Vec<_> = (0..3).map(|_| space.random_genome(&mut rng)).collect();
         pipeline.run(&DirectTransport, &genomes, 0, 10).unwrap();

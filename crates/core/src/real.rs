@@ -1,12 +1,15 @@
 //! The real trainer: genome → network → SGD training on an XFEL dataset
-//! using the `a4nn-nn` CPU substrate, with measured wall times.
+//! using the `a4nn-nn` CPU substrate, with measured wall times and, when
+//! the factory is given a [`CheckpointStore`], per-epoch model states
+//! (§2.2.2).
 
 use crate::bridge::netspec_from_arch;
+use crate::checkpoint::CheckpointStore;
 use crate::objectives::ModelCost;
 use crate::trainer::{EpochResult, Trainer, TrainerFactory};
 use a4nn_genome::{estimate_macs, estimate_params_bytes, Genome, SearchSpace};
 use a4nn_nn::graph::DEFAULT_EVAL_CHUNK;
-use a4nn_nn::{train_epoch_ws, Dataset, Network, Sgd, Workspace};
+use a4nn_nn::{train_epoch_ws, Dataset, ModelState, Network, Sgd, Workspace};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -50,10 +53,15 @@ pub struct RealTrainer {
     /// Scratch arena shared across this trainer's epochs: after the first
     /// batch, steady-state training and evaluation allocate nothing.
     ws: Workspace,
+    /// Where each epoch's state goes, under this model's id.
+    checkpoints: Option<(Arc<CheckpointStore>, u64)>,
 }
 
 impl Trainer for RealTrainer {
-    fn train_epoch(&mut self, _epoch: u32) -> EpochResult {
+    /// Train and validate one epoch, then put the network's state into
+    /// the checkpoint store, if any. A retried model's states overwrite
+    /// those its failed attempt put.
+    fn train_epoch(&mut self, epoch: u32) -> EpochResult {
         let t0 = Instant::now();
         let (_, train_acc) = train_epoch_ws(
             &mut self.net,
@@ -66,15 +74,15 @@ impl Trainer for RealTrainer {
         let val_acc = self
             .net
             .evaluate_dataset(&self.val, DEFAULT_EVAL_CHUNK, &mut self.ws);
-        EpochResult {
+        let result = EpochResult {
             train_acc: f64::from(train_acc),
             val_acc: f64::from(val_acc),
             duration_s: t0.elapsed().as_secs_f64(),
+        };
+        if let Some((store, model_id)) = &self.checkpoints {
+            store.put(*model_id, epoch, ModelState::capture(&mut self.net, epoch));
         }
-    }
-
-    fn flops(&self) -> f64 {
-        self.static_cost.flops
+        result
     }
 
     fn cost(&self) -> ModelCost {
@@ -85,10 +93,6 @@ impl Trainer for RealTrainer {
             ..self.static_cost
         }
     }
-
-    fn snapshot(&mut self, epoch: u32) -> Option<a4nn_nn::ModelState> {
-        Some(a4nn_nn::ModelState::capture(&mut self.net, epoch))
-    }
 }
 
 /// Factory building [`RealTrainer`]s over shared datasets.
@@ -97,6 +101,7 @@ pub struct RealTrainerFactory {
     train: Arc<Dataset>,
     val: Arc<Dataset>,
     hyper: TrainingHyperparams,
+    checkpoints: Option<Arc<CheckpointStore>>,
 }
 
 impl RealTrainerFactory {
@@ -113,6 +118,16 @@ impl RealTrainerFactory {
             train,
             val,
             hyper,
+            checkpoints: None,
+        }
+    }
+
+    /// Hand `store` to every trainer this factory makes: each puts its
+    /// network's state after every epoch it trains.
+    pub fn with_checkpoints(self, store: Arc<CheckpointStore>) -> Self {
+        RealTrainerFactory {
+            checkpoints: Some(store),
+            ..self
         }
     }
 }
@@ -140,6 +155,7 @@ impl TrainerFactory for RealTrainerFactory {
             static_cost,
             rng,
             ws: Workspace::new(),
+            checkpoints: self.checkpoints.clone().map(|store| (store, model_id)),
         })
     }
 }
@@ -183,8 +199,8 @@ mod tests {
             "train accuracy after 4 epochs: {}",
             last.train_acc
         );
-        assert!(t.flops() > 0.0);
         let cost = t.cost();
+        assert!(cost.flops > 0.0);
         assert!(cost.params_bytes > 0.0);
         assert!(cost.macs > 0.0);
         assert!(
@@ -196,21 +212,23 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
     fn snapshots_capture_training_progress() {
-        let f = factory();
+        let store = Arc::new(CheckpointStore::new());
+        let f = factory().with_checkpoints(store.clone());
         let mut t = f.make(&genome(5), 2, 9);
-        let s0 = t.snapshot(0).expect("real trainer snapshots");
         let _ = t.train_epoch(1);
-        let s1 = t.snapshot(1).expect("real trainer snapshots");
-        assert_eq!(s0.epoch, 0);
+        let _ = t.train_epoch(2);
+        assert_eq!(store.epochs_for(2), [1, 2]);
+        let (s1, s2) = (store.get(2, 1).unwrap(), store.get(2, 2).unwrap());
         assert_eq!(s1.epoch, 1);
-        assert_ne!(s0.params, s1.params, "training must change the weights");
+        assert_eq!(s2.epoch, 2);
+        assert_ne!(s1.params, s2.params, "training must change the weights");
     }
 
     #[test]
     fn trainers_for_same_model_are_deterministic_in_structure() {
         let f = factory();
-        let a = f.make(&genome(3), 1, 9).flops();
-        let b = f.make(&genome(3), 1, 9).flops();
+        let a = f.make(&genome(3), 1, 9).cost().flops;
+        let b = f.make(&genome(3), 1, 9).cost().flops;
         assert_eq!(a, b);
     }
 

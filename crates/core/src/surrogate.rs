@@ -183,10 +183,6 @@ impl Trainer for SurrogateTrainer {
         }
     }
 
-    fn flops(&self) -> f64 {
-        self.cost.flops
-    }
-
     fn cost(&self) -> ModelCost {
         self.cost
     }
@@ -397,7 +393,7 @@ mod tests {
             ..space
         };
         let dense = dense_space.random_genome(&mut rng);
-        assert!(f.make(&dense, 0, 0).flops() > f.make(&sparse, 1, 0).flops());
+        assert!(f.make(&dense, 0, 0).cost().flops > f.make(&sparse, 1, 0).cost().flops);
     }
 
     #[test]

@@ -25,24 +25,10 @@ pub trait Trainer: Send {
     /// Train epoch `epoch` (1-based) and return its measurements.
     fn train_epoch(&mut self, epoch: u32) -> EpochResult;
 
-    /// Forward FLOPs of the network (the NAS's second objective).
-    fn flops(&self) -> f64;
-
-    /// Full hardware-cost vector for the objective registry. Read
-    /// *after* training: `peak_ws_bytes` is a lifetime high-water mark.
-    /// The default carries only FLOPs, which suffices for the legacy
-    /// `(neg_fitness, flops)` pair; trainers backing hardware-aware
-    /// objectives override it.
-    fn cost(&self) -> ModelCost {
-        ModelCost::from_flops(self.flops())
-    }
-
-    /// Capture the trainable state after `epoch` for checkpointing
-    /// (§2.2.2). Trainers without materialized weights (the surrogate)
-    /// return `None`, which is the default.
-    fn snapshot(&mut self, _epoch: u32) -> Option<a4nn_nn::ModelState> {
-        None
-    }
+    /// The network's hardware-cost vector for the objective registry;
+    /// its `flops` are the NAS's second objective. Read *after*
+    /// training: `peak_ws_bytes` is a lifetime high-water mark.
+    fn cost(&self) -> ModelCost;
 }
 
 /// Creates trainers for genomes. Shared across worker threads, hence

@@ -6,11 +6,17 @@
 //! prediction history `P`, and checks convergence. On convergence the loop
 //! breaks and `P[-1]` becomes the network's fitness; otherwise training
 //! runs to the epoch budget and the last measured `h_e` is used.
+//!
+//! [`train_model`] is that loop and its retries in one function, which
+//! every transport runs for every model.
 
-use crate::checkpoint::CheckpointStore;
-use crate::trainer::{EpochResult, Trainer};
+use crate::config::WorkflowConfig;
+use crate::fault::FaultTolerance;
+use crate::objectives::ModelCost;
+use crate::trainer::{EpochResult, TrainerFactory};
 use a4nn_error::A4nnError;
 use a4nn_faults::FaultPlan;
+use a4nn_genome::Genome;
 use a4nn_lineage::{EpochRecord, Terminated};
 use a4nn_penguin::{EngineConfig, PredictionEngine, Verdict};
 use serde::{Deserialize, Serialize};
@@ -67,23 +73,12 @@ impl TrainingOutcome {
     }
 }
 
-/// Mutable progress of one training attempt, owned by the caller so a
-/// caught panic leaves the partial epoch trail and its accumulated
-/// simulated seconds behind for the retry/failure bookkeeping.
-#[derive(Debug, Default)]
-pub struct AttemptProgress {
-    /// Epoch records completed before the attempt ended (or died).
-    pub epochs: Vec<EpochRecord>,
-    /// Simulated seconds accumulated by those epochs.
-    pub train_seconds: f64,
-}
-
 /// Algorithm 1's per-epoch hand-off between a trainer and the prediction
 /// engine, wherever the engine runs: [`InlineEngine`] in the trainer's own
 /// thread (Direct and socket transports) or a link to the engine service
 /// behind a bus topic (`pipeline`'s Bus transport), which hosts the same
-/// [`InlineEngine`] per model. The training and retry loops see only this
-/// seam, so every transport records the same trails. Every attempt
+/// [`InlineEngine`] per model. [`train_model`] sees only this seam, so
+/// every transport records the same trails. Every attempt
 /// starts at epoch 1, and a link starts the attempt's engine state afresh
 /// there.
 pub trait EngineLink {
@@ -154,108 +149,154 @@ impl EngineLink for InlineEngine<'_> {
     }
 }
 
-/// One fallible attempt of Algorithm 1 over `trainer` for at most
-/// `max_epochs` epochs, coupled to the prediction engine through
-/// `engine`.
+/// Train one model: Algorithm 1 over at most `cfg.nas.epochs` epochs,
+/// coupled to the prediction engine through `engine`, with retries — the
+/// one training function of every transport.
 ///
-/// `checkpoints = Some((store, model_id))` writes the trainer's per-epoch
-/// state into the store (§2.2.2); trainers that cannot snapshot (the
-/// surrogate) simply contribute nothing.
-/// `faults = (plan, model_id, attempt)` arms the plan's trainer
-/// injection sites for this model/attempt; an empty plan runs the plain
-/// loop. An injected trainer fault panics out of this
-/// function after `progress` has been updated, so the caller's
-/// `catch_unwind` still sees the partial trail. `Err` only when the
-/// engine link broke.
-pub fn train_with_engine_fallible(
-    trainer: &mut dyn Trainer,
+/// Each attempt runs under `catch_unwind` with a fresh trainer
+/// (deterministic replay of the same stochastic stream), and `engine`
+/// starts afresh at each attempt's epoch 1. `ft.plan`'s trainer
+/// injection sites are armed for `(model_id, epoch, attempt)`; an empty
+/// plan runs the plain loop. A model that exhausts `ft.retry`'s budget
+/// returns a `failed` outcome carrying the final attempt's partial trail
+/// instead of poisoning the generation. `factory.make` runs outside the
+/// attempt: a factory that panics is broken machinery, not a trainer
+/// crash. The returned cost is read after the last attempt, whether it
+/// finished or panicked. `Err` only when the engine link broke (a closed
+/// bus); that is returned, not retried.
+///
+/// The `a4nn-net` worker runs exactly this function for each job it
+/// receives — remote training is the same deterministic computation,
+/// just dispatched over TCP, which is what makes the socket transport
+/// byte-identical to the in-process ones.
+pub fn train_model(
+    cfg: &WorkflowConfig,
+    factory: &dyn TrainerFactory,
+    genome: &Genome,
+    model_id: u64,
+    ft: &FaultTolerance,
     engine: &mut dyn EngineLink,
-    max_epochs: u32,
-    checkpoints: Option<(&CheckpointStore, u64)>,
-    faults: (&FaultPlan, u64, u32),
-    progress: &mut AttemptProgress,
-) -> Result<TrainingOutcome, A4nnError> {
-    let mut final_fitness = 0.0;
-    let mut predicted_fitness = None;
-    let mut terminated_early = false;
-
-    let (plan, model_id, attempt) = faults;
-    for e in 1..=max_epochs {
-        let stall = plan.stall_millis(model_id, e);
-        if stall > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(stall));
-        }
-        if plan.panic_due(model_id, e, attempt) {
-            panic!("injected trainer fault: model {model_id} epoch {e} attempt {attempt}");
-        }
-        let result = trainer.train_epoch(e);
-        if let Some((store, model_id)) = checkpoints {
-            if let Some(state) = trainer.snapshot(e) {
-                store.put(model_id, e, state);
+) -> Result<(TrainingOutcome, ModelCost), A4nnError> {
+    let plan = &ft.plan;
+    let max_attempts = ft.retry.max_attempts.max(1);
+    let mut failed_attempt_seconds = Vec::new();
+    let mut attempt = 1u32;
+    loop {
+        let mut trainer = factory.make(genome, model_id, cfg.seed);
+        // Outside the unwind boundary, so a panicking attempt leaves its
+        // partial trail and simulated seconds behind.
+        let mut epochs = Vec::new();
+        let mut train_seconds = 0.0;
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let mut final_fitness = 0.0;
+            let mut predicted_fitness = None;
+            for e in 1..=cfg.nas.epochs {
+                let stall = plan.stall_millis(model_id, e);
+                if stall > 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(stall));
+                }
+                if plan.panic_due(model_id, e, attempt) {
+                    panic!("injected trainer fault: model {model_id} epoch {e} attempt {attempt}");
+                }
+                let result = trainer.train_epoch(e);
+                train_seconds += result.duration_s;
+                final_fitness = result.val_acc;
+                let verdict = engine.observe(e, &result)?;
+                epochs.push(EpochRecord {
+                    epoch: e,
+                    train_acc: result.train_acc,
+                    val_acc: result.val_acc,
+                    duration_s: result.duration_s,
+                    prediction: verdict.prediction,
+                });
+                if let Some(p) = verdict.converged {
+                    final_fitness = p;
+                    predicted_fitness = Some(p);
+                    break;
+                }
             }
-        }
-        progress.train_seconds += result.duration_s;
-        final_fitness = result.val_acc;
-        let verdict = engine.observe(e, &result)?;
-        progress.epochs.push(EpochRecord {
-            epoch: e,
-            train_acc: result.train_acc,
-            val_acc: result.val_acc,
-            duration_s: result.duration_s,
-            prediction: verdict.prediction,
-        });
-        if let Some(p) = verdict.converged {
-            final_fitness = p;
-            predicted_fitness = Some(p);
-            terminated_early = true;
-            break;
-        }
+            Ok::<_, A4nnError>((final_fitness, predicted_fitness))
+        }));
+        // Read after training (or after the attempt's panic unwound):
+        // the workspace peak is a high-water mark over the epochs run.
+        let cost = trainer.cost();
+        let outcome = match result {
+            Ok(result) => {
+                let (final_fitness, predicted_fitness) = result?;
+                let (engine_seconds, engine_interactions) = engine.stats();
+                TrainingOutcome {
+                    epochs,
+                    final_fitness,
+                    predicted_fitness,
+                    terminated_early: predicted_fitness.is_some(),
+                    // A training that produced a NaN fitness (diverged
+                    // loss, bad engine extrapolation) is a failure: the
+                    // record keeps the NaN so the selection layer can
+                    // exercise its NaN-worst ordering, but the trail
+                    // reports `Terminated::Failed`.
+                    failed: final_fitness.is_nan(),
+                    attempts: attempt,
+                    failed_attempt_seconds,
+                    train_seconds,
+                    engine_seconds,
+                    engine_interactions,
+                }
+            }
+            Err(_) if attempt < max_attempts => {
+                failed_attempt_seconds.push(train_seconds);
+                attempt += 1;
+                continue;
+            }
+            // Retry budget exhausted: surface the partial trail as a
+            // Terminated::Failed record with fitness 0, which NSGA-II
+            // treats as dominated.
+            Err(_) => TrainingOutcome {
+                epochs,
+                final_fitness: 0.0,
+                predicted_fitness: None,
+                terminated_early: false,
+                failed: true,
+                attempts: attempt,
+                failed_attempt_seconds,
+                train_seconds,
+                engine_seconds: 0.0,
+                engine_interactions: 0,
+            },
+        };
+        return Ok((outcome, cost));
     }
-    let (engine_seconds, engine_interactions) = engine.stats();
-    Ok(TrainingOutcome {
-        epochs: std::mem::take(&mut progress.epochs),
-        final_fitness,
-        predicted_fitness,
-        terminated_early,
-        // A training that produced a NaN fitness (diverged loss, bad
-        // engine extrapolation) is a failure: the record keeps the NaN
-        // so the selection layer can exercise its NaN-worst ordering,
-        // but the trail reports `Terminated::Failed`.
-        failed: final_fitness.is_nan(),
-        attempts: 1,
-        failed_attempt_seconds: Vec::new(),
-        train_seconds: progress.train_seconds,
-        engine_seconds,
-        engine_interactions,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trainer::Trainer;
+    use rand::SeedableRng;
+    use std::sync::Arc;
 
     /// Algorithm 1 with the inline engine and no faults.
     fn train_inline(
-        trainer: &mut dyn Trainer,
+        factory: &CurveTrainer,
         engine: Option<&EngineConfig>,
         max_epochs: u32,
     ) -> TrainingOutcome {
-        let plan = FaultPlan::none();
-        train_with_engine_fallible(
-            trainer,
-            &mut InlineEngine::new(engine, &plan, 0),
-            max_epochs,
-            None,
-            (&plan, 0, 1),
-            &mut AttemptProgress::default(),
-        )
-        .unwrap()
+        let mut cfg = WorkflowConfig::a4nn(a4nn_xfel::BeamIntensity::Medium, 1, 0);
+        cfg.nas.epochs = max_epochs;
+        let genome = cfg
+            .search_space()
+            .random_genome(&mut rand::rngs::StdRng::seed_from_u64(0));
+        let ft = FaultTolerance::none();
+        let mut link = InlineEngine::new(engine, &ft.plan, 0);
+        train_model(&cfg, factory, &genome, 0, &ft, &mut link)
+            .unwrap()
+            .0
     }
 
-    /// A trainer replaying a fixed learning curve.
+    /// A trainer replaying a fixed learning curve, and the factory of its
+    /// copies.
+    #[derive(Clone)]
     struct CurveTrainer {
-        curve: Box<dyn Fn(u32) -> f64 + Send>,
-        flops: f64,
+        curve: Arc<dyn Fn(u32) -> f64 + Send + Sync>,
     }
 
     impl Trainer for CurveTrainer {
@@ -267,22 +308,27 @@ mod tests {
                 duration_s: 10.0,
             }
         }
-        fn flops(&self) -> f64 {
-            self.flops
+        fn cost(&self) -> ModelCost {
+            ModelCost::from_flops(100.0)
+        }
+    }
+
+    impl TrainerFactory for CurveTrainer {
+        fn make(&self, _: &Genome, _: u64, _: u64) -> Box<dyn Trainer> {
+            Box::new(self.clone())
         }
     }
 
     fn saturating(a: f64, rho: f64, scale: f64) -> CurveTrainer {
         CurveTrainer {
-            curve: Box::new(move |e| a - scale * rho.powi(e as i32)),
-            flops: 100.0,
+            curve: Arc::new(move |e| a - scale * rho.powi(e as i32)),
         }
     }
 
     #[test]
     fn engine_terminates_well_behaved_curve_early() {
-        let mut t = saturating(95.0, 0.65, 50.0);
-        let out = train_inline(&mut t, Some(&EngineConfig::paper_defaults()), 25);
+        let t = saturating(95.0, 0.65, 50.0);
+        let out = train_inline(&t, Some(&EngineConfig::paper_defaults()), 25);
         assert!(out.terminated_early);
         assert!(out.epochs_trained() < 25);
         assert!((out.final_fitness - 95.0).abs() < 1.5);
@@ -293,8 +339,8 @@ mod tests {
 
     #[test]
     fn standalone_trains_full_budget() {
-        let mut t = saturating(95.0, 0.65, 50.0);
-        let out = train_inline(&mut t, None, 25);
+        let t = saturating(95.0, 0.65, 50.0);
+        let out = train_inline(&t, None, 25);
         assert!(!out.terminated_early);
         assert_eq!(out.epochs_trained(), 25);
         assert!(out.predicted_fitness.is_none());
@@ -306,19 +352,18 @@ mod tests {
 
     #[test]
     fn non_converging_curve_exhausts_budget_with_engine() {
-        let mut t = CurveTrainer {
-            curve: Box::new(|e| 0.14 * f64::from(e) * f64::from(e)),
-            flops: 1.0,
+        let t = CurveTrainer {
+            curve: Arc::new(|e| 0.14 * f64::from(e) * f64::from(e)),
         };
-        let out = train_inline(&mut t, Some(&EngineConfig::paper_defaults()), 25);
+        let out = train_inline(&t, Some(&EngineConfig::paper_defaults()), 25);
         assert!(!out.terminated_early);
         assert_eq!(out.epochs_trained(), 25);
     }
 
     #[test]
     fn epoch_records_carry_predictions_once_available() {
-        let mut t = saturating(92.0, 0.7, 45.0);
-        let out = train_inline(&mut t, Some(&EngineConfig::paper_defaults()), 25);
+        let t = saturating(92.0, 0.7, 45.0);
+        let out = train_inline(&t, Some(&EngineConfig::paper_defaults()), 25);
         // Before C_min = 3 points: no predictions.
         assert!(out.epochs[0].prediction.is_none());
         assert!(out.epochs[1].prediction.is_none());
@@ -328,8 +373,8 @@ mod tests {
 
     #[test]
     fn zero_epoch_budget_is_degenerate_but_safe() {
-        let mut t = saturating(95.0, 0.65, 50.0);
-        let out = train_inline(&mut t, Some(&EngineConfig::paper_defaults()), 0);
+        let t = saturating(95.0, 0.65, 50.0);
+        let out = train_inline(&t, Some(&EngineConfig::paper_defaults()), 0);
         assert_eq!(out.epochs_trained(), 0);
         assert!(!out.terminated_early);
         assert_eq!(out.final_fitness, 0.0);

@@ -11,7 +11,6 @@
 //! exactly the Ray-style resource management of §2.5 — whichever driver
 //! proposed it.
 
-use crate::checkpoint::CheckpointStore;
 use crate::config::WorkflowConfig;
 use crate::fault::{FaultStats, FaultTolerance};
 use crate::pipeline::{BatchResult, DirectTransport, EvalPipeline, Transport, TransportStats};
@@ -50,16 +49,12 @@ pub enum Driver {
 }
 
 /// Everything [`A4nnWorkflow::run`] can be told beyond the trainer
-/// factory. The default is the plain NSGA-Net search: no checkpoints,
-/// the direct transport, the default retry budget with no injected
+/// factory. The default is the plain NSGA-Net search: the direct
+/// transport, the default retry budget with no injected
 /// faults, no snapshots, a fresh start.
 pub struct RunOptions<'a> {
     /// The NAS policy proposing genomes and picking survivors.
     pub driver: Driver,
-    /// Checkpoint every model's per-epoch state here when the trainer
-    /// supports it (§2.2.2's "model can be loaded and re-evaluated from
-    /// any point").
-    pub checkpoints: Option<&'a CheckpointStore>,
     /// How trainers, prediction engine and lineage are coupled:
     /// [`DirectTransport`] (in-process calls, the default),
     /// [`BusTransport`](crate::BusTransport) (an `a4nn-bus` topic per
@@ -89,7 +84,6 @@ impl Default for RunOptions<'_> {
     fn default() -> Self {
         RunOptions {
             driver: Driver::default(),
-            checkpoints: None,
             transport: &DirectTransport,
             fault_tolerance: FaultTolerance::default(),
             control: RunControl::default(),
@@ -188,7 +182,6 @@ impl A4nnWorkflow {
     ) -> Result<RunOutput, A4nnError> {
         let RunOptions {
             driver,
-            checkpoints,
             transport,
             fault_tolerance: ft,
             control,
@@ -214,7 +207,7 @@ impl A4nnWorkflow {
                 return Err(A4nnError::Config(what.into()));
             }
         }
-        let pipeline = EvalPipeline::new(&self.config, &self.space, factory, checkpoints, &ft);
+        let pipeline = EvalPipeline::new(&self.config, &self.space, factory, &ft);
         let totals = self.run_loop(driver, &pipeline, transport, &control, resume)?;
         Ok(totals.into_run_output(&pipeline, transport.name()))
     }

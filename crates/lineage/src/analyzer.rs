@@ -171,26 +171,9 @@ impl<'a> Analyzer<'a> {
     /// correlation. Returns `None` for degenerate inputs.
     pub fn flops_fitness_correlation(&self) -> Option<f64> {
         let rs = &self.commons.records;
-        if rs.len() < 2 {
-            return None;
-        }
-        let n = rs.len() as f64;
-        let mx = rs.iter().map(|r| r.flops).sum::<f64>() / n;
-        let my = rs.iter().map(|r| r.final_fitness).sum::<f64>() / n;
-        let mut cov = 0.0;
-        let mut vx = 0.0;
-        let mut vy = 0.0;
-        for r in rs {
-            let dx = r.flops - mx;
-            let dy = r.final_fitness - my;
-            cov += dx * dy;
-            vx += dx * dx;
-            vy += dy * dy;
-        }
-        if vx <= 0.0 || vy <= 0.0 {
-            return None;
-        }
-        Some(cov / (vx.sqrt() * vy.sqrt()))
+        let flops: Vec<f64> = rs.iter().map(|r| r.flops).collect();
+        let fitness: Vec<f64> = rs.iter().map(|r| r.final_fitness).collect();
+        crate::structure::pearson(&flops, &fitness)
     }
 
     /// Mean [stop gap](ModelRecord::stop_gap) over early-terminated models.

@@ -98,7 +98,8 @@ impl StructuralFeatures {
     }
 }
 
-/// Pearson correlation of each structural feature against final fitness.
+/// Pearson correlation of each structural feature against final fitness
+/// (0 where it is undefined).
 pub fn feature_fitness_correlations(commons: &DataCommons) -> Vec<(&'static str, f64)> {
     let rows: Vec<(Vec<(&'static str, f64)>, f64)> = commons
         .records
@@ -120,7 +121,7 @@ pub fn feature_fitness_correlations(commons: &DataCommons) -> Vec<(&'static str,
         .map(|(fi, name)| {
             let xs: Vec<f64> = rows.iter().map(|(f, _)| f[fi].1).collect();
             let ys: Vec<f64> = rows.iter().map(|(_, y)| *y).collect();
-            (name, pearson(&xs, &ys))
+            (name, pearson(&xs, &ys).unwrap_or(0.0))
         })
         .collect()
 }
@@ -182,7 +183,12 @@ impl StructuralMeans {
     }
 }
 
-fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+/// Pearson correlation of `xs` against `ys`; `None` for fewer than two
+/// points or a constant series.
+pub(crate) fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
+    if xs.len() < 2 {
+        return None;
+    }
     let n = xs.len() as f64;
     let mx = xs.iter().sum::<f64>() / n;
     let my = ys.iter().sum::<f64>() / n;
@@ -195,9 +201,9 @@ fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
         vy += (y - my) * (y - my);
     }
     if vx <= 0.0 || vy <= 0.0 {
-        0.0
+        None
     } else {
-        cov / (vx.sqrt() * vy.sqrt())
+        Some(cov / (vx.sqrt() * vy.sqrt()))
     }
 }
 

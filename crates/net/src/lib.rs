@@ -11,7 +11,7 @@
 //! - [`worker`] — the worker process ([`WorkerServer`]): accepts a
 //!   coordinator session, rebuilds the deterministic surrogate trainer
 //!   from the shipped [`RunSetup`](Message::RunSetup), trains jobs with
-//!   [`a4nn_core::train_resilient_direct`], and heartbeats its liveness.
+//!   [`a4nn_core::train_model`], and heartbeats its liveness.
 //! - [`transport`] — the coordinator ([`SocketTransport`]): an
 //!   implementation of the transport trait that shards each generation across
 //!   workers weighted by their advertised GPU counts from one dispatch

@@ -100,13 +100,8 @@ pub trait FrameHandler {
     fn on_frame(&mut self, token: Token, payload: &[u8], out: &mut WriteQueue) -> HandlerAction;
 
     /// An asynchronous completion posted through
-    /// [`ReactorHandle::complete`] reached the reactor thread. The
-    /// default enqueues the bytes verbatim.
-    fn on_complete(&mut self, token: Token, frame: Vec<u8>, out: &mut WriteQueue) -> HandlerAction {
-        let _ = token;
-        out.enqueue(&frame);
-        HandlerAction::Continue
-    }
+    /// [`ReactorHandle::complete`] reached the reactor thread.
+    fn on_complete(&mut self, token: Token, frame: Vec<u8>, out: &mut WriteQueue) -> HandlerAction;
 
     /// The connection is gone; drop any per-connection state.
     fn on_close(&mut self, token: Token, reason: &CloseReason);
@@ -120,17 +115,8 @@ pub struct ReactorConfig {
     /// hit the same deadline.
     pub idle_timeout: Duration,
     /// Sink for reactor metrics (wakeups, ready events, connection
-    /// counts, accept→first-byte latency), when observability is wanted.
-    pub metrics: Option<Arc<MetricsRegistry>>,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            idle_timeout: Duration::from_secs(30),
-            metrics: None,
-        }
-    }
+    /// counts, accept→first-byte latency).
+    pub metrics: Arc<MetricsRegistry>,
 }
 
 struct HandleInner {
@@ -220,18 +206,6 @@ impl Reactor {
         self.handle.clone()
     }
 
-    fn observe(&self, name: &str, value: u64) {
-        if let Some(m) = &self.cfg.metrics {
-            m.observe(name, value);
-        }
-    }
-
-    fn count(&self, name: &str, n: u64) {
-        if let Some(m) = &self.cfg.metrics {
-            m.add(name, n);
-        }
-    }
-
     /// Accept and multiplex connections until the session budget is
     /// served (`sessions == 0` serves forever). Counting matches the
     /// threaded accept loop: a session is one accepted connection, and
@@ -274,8 +248,10 @@ impl Reactor {
                 Ok(n) => n,
                 Err(e) => break Err(A4nnError::Net(format!("epoll_wait failed: {e}"))),
             };
-            self.count(names::REACTOR_WAKEUPS, 1);
-            self.observe(names::REACTOR_READY_EVENTS, n as u64);
+            self.cfg.metrics.add(names::REACTOR_WAKEUPS, 1);
+            self.cfg
+                .metrics
+                .observe(names::REACTOR_READY_EVENTS, n as u64);
 
             for ev in events.iter().take(n) {
                 let token = ev.data;
@@ -302,7 +278,7 @@ impl Reactor {
                             Err(e) => return Err(e),
                         }
                         if conns.len() > live_peak_exported {
-                            self.count(
+                            self.cfg.metrics.add(
                                 names::REACTOR_CONNS_LIVE_PEAK,
                                 (conns.len() - live_peak_exported) as u64,
                             );
@@ -343,7 +319,7 @@ impl Reactor {
                 .map(|(t, _)| *t)
                 .collect();
             for t in expired {
-                self.count(names::REACTOR_IDLE_CLOSED, 1);
+                self.cfg.metrics.add(names::REACTOR_IDLE_CLOSED, 1);
                 self.close_conn(handler, &mut conns, Token(t), CloseReason::IdleDeadline);
             }
         };
@@ -402,7 +378,7 @@ impl Reactor {
                         continue;
                     }
                     conns.insert(token.0, conn);
-                    self.count(names::REACTOR_CONNS_OPENED, 1);
+                    self.cfg.metrics.add(names::REACTOR_CONNS_OPENED, 1);
                     *accepted += 1;
                     if sessions != 0 && *accepted >= sessions {
                         return Ok(false);
@@ -471,12 +447,10 @@ impl Reactor {
                     conn.last_progress = Instant::now();
                     if !conn.seen_first_byte {
                         conn.seen_first_byte = true;
-                        if let Some(m) = &self.cfg.metrics {
-                            m.observe_duration(
-                                names::REACTOR_ACCEPT_FIRST_BYTE_US,
-                                conn.accepted_at.elapsed().as_secs_f64(),
-                            );
-                        }
+                        self.cfg.metrics.observe_duration(
+                            names::REACTOR_ACCEPT_FIRST_BYTE_US,
+                            conn.accepted_at.elapsed().as_secs_f64(),
+                        );
                     }
                     conn.decoder.push(&read_buf[..got]);
                     // Drain every complete frame before reading more, so
@@ -566,7 +540,7 @@ impl Reactor {
     ) {
         if let Some(conn) = conns.remove(&token.0) {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
-            self.count(names::REACTOR_CONNS_CLOSED, 1);
+            self.cfg.metrics.add(names::REACTOR_CONNS_CLOSED, 1);
             if let CloseReason::Protocol(e) = &reason {
                 eprintln!("a4nn reactor: connection ended abnormally: {e}");
             }

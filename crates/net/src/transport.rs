@@ -354,13 +354,6 @@ impl Transport for SocketTransport {
         generation: usize,
         base_id: u64,
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError> {
-        if pipeline.checkpoints().is_some() {
-            return Err(A4nnError::Config(
-                "the socket transport cannot stream checkpoints back from workers; \
-                 run checkpointed searches on the direct or bus transport"
-                    .into(),
-            ));
-        }
         let mut dispatch = self.dispatch.lock();
         let result =
             self.dispatch_generation(&mut dispatch, pipeline, genomes, generation, base_id);

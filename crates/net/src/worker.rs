@@ -5,7 +5,7 @@
 //! [`RunSetup`](crate::Message::RunSetup), then a stream of jobs. The
 //! worker reconstructs the surrogate trainer factory from the shipped
 //! configuration, so every job it trains is the *same* deterministic
-//! computation [`a4nn_core::train_resilient_direct`] would run in
+//! computation [`a4nn_core::train_model`] would run in
 //! process — remote placement cannot perturb results by construction.
 //!
 //! A heartbeat thread signs the worker's liveness every
@@ -20,9 +20,7 @@
 
 use crate::frame::{read_message, write_message, NetError, PROTOCOL_VERSION};
 use crate::protocol::Message;
-use a4nn_core::{
-    train_resilient_direct, FaultTolerance, InlineEngine, SurrogateFactory, SurrogateParams,
-};
+use a4nn_core::{train_model, FaultTolerance, InlineEngine, SurrogateFactory, SurrogateParams};
 use a4nn_error::A4nnError;
 use parking_lot::Mutex;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -238,15 +236,9 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
                         }
                         let mut engine =
                             InlineEngine::new(config.engine.as_ref(), &ft.plan, model_id);
-                        let Ok((outcome, cost)) = train_resilient_direct(
-                            config,
-                            factory,
-                            &genome,
-                            model_id,
-                            None,
-                            ft,
-                            &mut engine,
-                        ) else {
+                        let Ok((outcome, cost)) =
+                            train_model(config, factory, &genome, model_id, ft, &mut engine)
+                        else {
                             unreachable!("an inline engine link never errs")
                         };
                         // Free the slot before answering: the coordinator

@@ -11,38 +11,13 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A parametric learning-curve family `F(x; θ)`.
+/// The built-in parametric learning-curve families `F(x; θ)`.
 ///
 /// `x` is the (1-based) training epoch; `F` is the fitness (validation
-/// accuracy in percent in the A4NN use case). Implementors provide the
+/// accuracy in percent in the A4NN use case). Each family provides the
 /// function value alone, and the values together with the partial
 /// derivatives with respect to each parameter over a whole curve, which
 /// is what the Levenberg–Marquardt fitter consumes.
-pub trait ParametricCurve {
-    /// Human-readable name (e.g. `"exp-base"` for `a − b^(c−x)`).
-    fn name(&self) -> &'static str;
-    /// Number of free parameters `θ`.
-    fn n_params(&self) -> usize;
-    /// Evaluate `F(x; θ)`.
-    fn eval(&self, params: &[f64], x: f64) -> f64;
-    /// Evaluate `F` and its partial derivatives `∂F/∂θ_i` at every `x`
-    /// in one pass: `vals[j] = F(xs[j]; θ)`, bit for bit what
-    /// [`eval`](Self::eval) returns, and row `j` of the row-major
-    /// Jacobian `jac` (`xs.len() × n_params`) holds the derivatives at
-    /// `xs[j]`. Terms shared by the value and the derivatives are
-    /// computed once.
-    fn eval_grad(&self, params: &[f64], xs: &[f64], vals: &mut [f64], jac: &mut [f64]);
-    /// Data-driven initial guesses. `xs`/`ys` are the observed partial
-    /// learning curve. Returns one or more starting points; the fitter
-    /// tries each and keeps the best fit.
-    fn initial_guesses(&self, xs: &[f64], ys: &[f64]) -> Vec<Vec<f64>>;
-    /// Whether a parameter vector is inside the family's valid domain
-    /// (e.g. a positive base for `b^(c−x)`). Invalid vectors are rejected
-    /// during fitting.
-    fn params_valid(&self, params: &[f64]) -> bool;
-}
-
-/// Enumeration of the built-in curve families.
 ///
 /// `ExpBase` is the function used throughout the paper's evaluation
 /// (Table 1). The others exist for the parametric-function ablation.
@@ -75,19 +50,9 @@ impl CurveFamily {
         CurveFamily::Weibull4,
         CurveFamily::Janoschek3,
     ];
-}
 
-#[inline]
-fn curve_stats(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
-    debug_assert_eq!(xs.len(), ys.len());
-    let y_first = *ys.first().unwrap_or(&0.0);
-    let y_last = *ys.last().unwrap_or(&1.0);
-    let y_max = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    (y_first, y_last, y_max)
-}
-
-impl ParametricCurve for CurveFamily {
-    fn name(&self) -> &'static str {
+    /// Human-readable name (e.g. `"exp-base"` for `a − b^(c−x)`).
+    pub fn name(&self) -> &'static str {
         match self {
             CurveFamily::ExpBase => "exp-base",
             CurveFamily::Pow3 => "pow3",
@@ -98,14 +63,16 @@ impl ParametricCurve for CurveFamily {
         }
     }
 
-    fn n_params(&self) -> usize {
+    /// Number of free parameters `θ`.
+    pub fn n_params(&self) -> usize {
         match self {
             CurveFamily::Weibull4 => 4,
             _ => 3,
         }
     }
 
-    fn eval(&self, p: &[f64], x: f64) -> f64 {
+    /// Evaluate `F(x; θ)`.
+    pub fn eval(&self, p: &[f64], x: f64) -> f64 {
         match self {
             // a − b^(c−x), b > 0. Written via exp/ln for numerical control.
             CurveFamily::ExpBase => p[0] - (p[1].ln() * (p[2] - x)).exp(),
@@ -117,7 +84,13 @@ impl ParametricCurve for CurveFamily {
         }
     }
 
-    fn eval_grad(&self, p: &[f64], xs: &[f64], vals: &mut [f64], jac: &mut [f64]) {
+    /// Evaluate `F` and its partial derivatives `∂F/∂θ_i` at every `x`
+    /// in one pass: `vals[j] = F(xs[j]; θ)`, bit for bit what
+    /// [`eval`](Self::eval) returns, and row `j` of the row-major
+    /// Jacobian `jac` (`xs.len() × n_params`) holds the derivatives at
+    /// `xs[j]`. Terms shared by the value and the derivatives are
+    /// computed once.
+    pub fn eval_grad(&self, p: &[f64], xs: &[f64], vals: &mut [f64], jac: &mut [f64]) {
         debug_assert_eq!(vals.len(), xs.len());
         debug_assert_eq!(jac.len(), xs.len() * self.n_params());
         let rows = xs
@@ -192,7 +165,10 @@ impl ParametricCurve for CurveFamily {
         }
     }
 
-    fn initial_guesses(&self, xs: &[f64], ys: &[f64]) -> Vec<Vec<f64>> {
+    /// Data-driven initial guesses. `xs`/`ys` are the observed partial
+    /// learning curve. Returns one or more starting points; the fitter
+    /// tries each and keeps the best fit.
+    pub fn initial_guesses(&self, xs: &[f64], ys: &[f64]) -> Vec<Vec<f64>> {
         let (y_first, y_last, y_max) = curve_stats(xs, ys);
         let asymptote = (y_max + 2.0).min(100.0).max(y_last);
         let gap = (asymptote - y_first).max(1.0);
@@ -227,7 +203,10 @@ impl ParametricCurve for CurveFamily {
         }
     }
 
-    fn params_valid(&self, p: &[f64]) -> bool {
+    /// Whether a parameter vector is inside the family's valid domain
+    /// (e.g. a positive base for `b^(c−x)`). Invalid vectors are rejected
+    /// during fitting.
+    pub fn params_valid(&self, p: &[f64]) -> bool {
         if p.iter().any(|v| !v.is_finite()) {
             return false;
         }
@@ -242,6 +221,15 @@ impl ParametricCurve for CurveFamily {
             CurveFamily::Janoschek3 => p[2] > 0.0,
         }
     }
+}
+
+#[inline]
+fn curve_stats(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
+    debug_assert_eq!(xs.len(), ys.len());
+    let y_first = *ys.first().unwrap_or(&0.0);
+    let y_last = *ys.last().unwrap_or(&1.0);
+    let y_max = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    (y_first, y_last, y_max)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! `pred_eng(e_pred, F, C_min, r)` interface.
 
 use crate::analyzer::PredictionAnalyzer;
-use crate::curve::{CurveFamily, ParametricCurve};
+use crate::curve::CurveFamily;
 use crate::fit::{fit_curve, FitConfig};
 use serde::{Deserialize, Serialize};
 

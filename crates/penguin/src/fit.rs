@@ -10,12 +10,12 @@
 //!
 //! Every observation weighs the same (plain least squares). Each trial
 //! step evaluates the curve's values and Jacobian in one pass
-//! ([`ParametricCurve::eval_grad`]); an accepted step keeps both, so the
+//! ([`CurveFamily::eval_grad`]); an accepted step keeps both, so the
 //! next iteration builds `JᵀJ` and `Jᵀr` without evaluating the curve
 //! again. A fit allocates its buffers once and reuses them across starts
 //! and iterations.
 
-use crate::curve::ParametricCurve;
+use crate::curve::CurveFamily;
 
 /// Configuration for the Levenberg–Marquardt fitter.
 #[derive(Debug, Clone)]
@@ -180,7 +180,7 @@ impl Scratch {
 /// parameters in `s.params`. Returns their SSE and the iterations used,
 /// or `None` if the descent left the valid parameter domain.
 fn lm_from_start(
-    curve: &dyn ParametricCurve,
+    curve: &CurveFamily,
     xs: &[f64],
     ys: &[f64],
     start: &[f64],
@@ -277,7 +277,7 @@ fn lm_from_start(
 /// point diverges (e.g. a constant-zero curve from a network that never
 /// learns can still be fitted, but NaN-laden data cannot).
 pub fn fit_curve(
-    curve: &dyn ParametricCurve,
+    curve: &CurveFamily,
     xs: &[f64],
     ys: &[f64],
     cfg: &FitConfig,
@@ -314,7 +314,6 @@ pub fn fit_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::curve::CurveFamily;
 
     fn synth(a: f64, b: f64, c: f64, n: usize) -> (Vec<f64>, Vec<f64>) {
         let xs: Vec<f64> = (1..=n).map(|e| e as f64).collect();

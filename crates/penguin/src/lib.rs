@@ -46,6 +46,6 @@ pub mod engine;
 pub mod fit;
 
 pub use analyzer::PredictionAnalyzer;
-pub use curve::{CurveFamily, ParametricCurve};
+pub use curve::CurveFamily;
 pub use engine::{replay, EngineConfig, EngineStats, PredictionEngine, Replay, Verdict};
 pub use fit::{fit_curve, FitConfig, FitError, FitResult};

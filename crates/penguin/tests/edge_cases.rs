@@ -7,9 +7,7 @@
 //! interaction is treated as an engine crash and degrades the whole
 //! model to run-to-completion training.
 
-use a4nn_penguin::{
-    fit_curve, CurveFamily, EngineConfig, FitConfig, FitError, ParametricCurve, PredictionEngine,
-};
+use a4nn_penguin::{fit_curve, CurveFamily, EngineConfig, FitConfig, FitError, PredictionEngine};
 
 fn epochs(n: usize) -> Vec<f64> {
     (1..=n).map(|e| e as f64).collect()

@@ -19,7 +19,7 @@
 //! prediction's bits (`-` when there is none), and `=bits` of the
 //! converged value on the epoch that stops training.
 
-use a4nn_penguin::{fit_curve, CurveFamily, EngineConfig, FitConfig, ParametricCurve};
+use a4nn_penguin::{fit_curve, CurveFamily, EngineConfig, FitConfig};
 use a4nn_penguin::{PredictionEngine, Verdict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,8 +1,6 @@
 //! Property-based tests of the prediction engine.
 
-use a4nn_penguin::{
-    fit_curve, replay, CurveFamily, EngineConfig, FitConfig, ParametricCurve, PredictionAnalyzer,
-};
+use a4nn_penguin::{fit_curve, replay, CurveFamily, EngineConfig, FitConfig, PredictionAnalyzer};
 use proptest::prelude::*;
 
 /// Valid parameters of `family` mapped from `unit`'s draws in `[0, 1)`,

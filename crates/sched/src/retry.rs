@@ -1,7 +1,7 @@
 //! Per-job retry policy shared by the trainers' attempt loop and the
 //! discrete-event simulator.
 //!
-//! The attempt loop (`a4nn_core`'s `train_resilient_direct`) bounds a
+//! The attempt loop (`a4nn_core`'s `train_model`) bounds a
 //! model's attempts by `max_attempts` and retries inline. The DES charges
 //! each failed attempt to its GPU and requeues the job onto the FIFO
 //! ready queue after the exponential backoff, in simulated time.

@@ -175,7 +175,7 @@ impl ServeServer {
         use a4nn_net::reactor::{Reactor, ReactorConfig};
         let mut reactor = Reactor::new(ReactorConfig {
             idle_timeout: self.idle_timeout,
-            metrics: Some(Arc::clone(&self.metrics)),
+            metrics: Arc::clone(&self.metrics),
         })?;
         let mut handler = ServeHandler {
             batcher: Arc::clone(&self.batcher),

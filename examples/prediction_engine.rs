@@ -10,7 +10,7 @@
 //! cargo run --release --example prediction_engine
 //! ```
 
-use a4nn_penguin::{replay, CurveFamily, EngineConfig, ParametricCurve};
+use a4nn_penguin::{replay, CurveFamily, EngineConfig};
 
 fn demo(name: &str, config: EngineConfig, curve: impl Fn(u32) -> f64) {
     let points: Vec<(u32, f64)> = (1..=25).map(|e| (e, curve(e))).collect();

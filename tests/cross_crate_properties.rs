@@ -140,7 +140,7 @@ proptest! {
         rho in 0.3f64..0.95,
         noise_seed in any::<u64>(),
     ) {
-        use a4nn_penguin::{fit_curve, CurveFamily, FitConfig, ParametricCurve};
+        use a4nn_penguin::{fit_curve, CurveFamily, FitConfig};
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(noise_seed);
         let xs: Vec<f64> = (1..=12).map(f64::from).collect();

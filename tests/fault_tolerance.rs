@@ -355,10 +355,6 @@ impl Trainer for PanicsAtEpoch2 {
         self.0.train_epoch(epoch)
     }
 
-    fn flops(&self) -> f64 {
-        self.0.flops()
-    }
-
     fn cost(&self) -> ModelCost {
         self.0.cost()
     }

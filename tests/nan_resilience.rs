@@ -35,8 +35,8 @@ impl Trainer for DivergingTrainer {
             duration_s: 1.0,
         }
     }
-    fn flops(&self) -> f64 {
-        self.flops
+    fn cost(&self) -> ModelCost {
+        ModelCost::from_flops(self.flops)
     }
 }
 
@@ -45,7 +45,7 @@ impl TrainerFactory for DivergingFactory {
         let inner = self.inner.make(genome, model_id, seed);
         if POISONED.contains(&model_id) {
             Box::new(DivergingTrainer {
-                flops: inner.flops(),
+                flops: inner.cost().flops,
             })
         } else {
             inner

@@ -3,7 +3,7 @@
 //! plus the XPSI baseline on the same data.
 
 use a4nn::prelude::*;
-use a4nn_core::{RealTrainerFactory, TrainingHyperparams};
+use a4nn_core::{CheckpointStore, RealTrainerFactory, TrainingHyperparams};
 use a4nn_lineage::Analyzer;
 use a4nn_xfel::generate_split;
 use a4nn_xpsi::{XpsiConfig, XpsiFramework};
@@ -102,7 +102,6 @@ fn xpsi_baseline_beats_chance_and_tracks_beam_quality() {
 fn checkpointed_workflow_records_every_epoch_state() {
     // §2.2.2: run a tiny real search with a checkpoint store attached and
     // re-evaluate a mid-training model from its stored state.
-    use a4nn_core::CheckpointStore;
     let (train, test) = generate_split(&XfelConfig::default(), BeamIntensity::High, 30, 4);
     let config = WorkflowConfig {
         nas: NasSettings {
@@ -118,21 +117,16 @@ fn checkpointed_workflow_records_every_epoch_state() {
         seed: 31,
         objectives: a4nn_core::ObjectiveSet::default(),
     };
+    let store = Arc::new(CheckpointStore::new());
     let factory = RealTrainerFactory::new(
         config.search_space(),
         Arc::new(train),
         Arc::new(test.clone()),
         TrainingHyperparams::default(),
-    );
-    let store = CheckpointStore::new();
+    )
+    .with_checkpoints(store.clone());
     let out = A4nnWorkflow::new(config)
-        .run(
-            &factory,
-            RunOptions {
-                checkpoints: Some(&store),
-                ..RunOptions::default()
-            },
-        )
+        .run(&factory, RunOptions::default())
         .unwrap();
     // 4 models x 3 epochs, all checkpointed.
     assert_eq!(out.commons.len(), 4);
@@ -150,6 +144,62 @@ fn checkpointed_workflow_records_every_epoch_state() {
         &mut a4nn_nn::Workspace::new(),
     );
     assert!((0.0..=100.0).contains(&f64::from(acc)));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
+fn a_retried_model_checkpoints_the_fault_free_states() {
+    // Model 0's first attempt puts epoch 1, then panics before epoch 2;
+    // the retry trains epochs 1-3 again. The store must end holding the
+    // states a fault-free run holds, bit for bit.
+    use a4nn_core::{train_model, InlineEngine};
+    use rand::SeedableRng;
+    let (train, val) = generate_split(&XfelConfig::default(), BeamIntensity::High, 30, 4);
+    let (train, val) = (Arc::new(train), Arc::new(val));
+    let config = WorkflowConfig {
+        nas: NasSettings {
+            epochs: 3,
+            ..NasSettings::paper_defaults()
+        },
+        engine: None,
+        gpus: 1,
+        beam: BeamIntensity::High,
+        seed: 31,
+        objectives: a4nn_core::ObjectiveSet::default(),
+    };
+    let genome = config
+        .search_space()
+        .random_genome(&mut rand::rngs::StdRng::seed_from_u64(6));
+    let checkpointed = |plan: FaultPlan| {
+        let store = Arc::new(CheckpointStore::new());
+        let factory = RealTrainerFactory::new(
+            config.search_space(),
+            train.clone(),
+            val.clone(),
+            TrainingHyperparams::default(),
+        )
+        .with_checkpoints(store.clone());
+        let ft = FaultTolerance::new(RetryPolicy::with_retries(1), plan);
+        let mut engine = InlineEngine::new(None, &ft.plan, 0);
+        let (outcome, _) = train_model(&config, &factory, &genome, 0, &ft, &mut engine).unwrap();
+        (outcome.attempts, store)
+    };
+    let (clean_attempts, clean) = checkpointed(FaultPlan::none());
+    let (retried_attempts, retried) = checkpointed(FaultPlan::new(vec![FaultEvent::PanicAt {
+        model: 0,
+        epoch: 2,
+        failures: 1,
+    }]));
+    assert_eq!((clean_attempts, retried_attempts), (1, 2));
+    assert_eq!(retried.epochs_for(0), [1, 2, 3]);
+    assert_eq!(retried.len(), 3);
+    for epoch in 1..=3 {
+        let bytes = |store: &CheckpointStore| store.get(0, epoch).unwrap().to_bytes();
+        assert!(
+            bytes(&retried) == bytes(&clean),
+            "epoch {epoch}: the retried state differs from the fault-free one"
+        );
+    }
 }
 
 #[test]

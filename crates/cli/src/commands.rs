@@ -1,61 +1,62 @@
 //! Subcommand implementations: thin compositions of the library crates.
+//!
+//! Each command starts from the library's default for what it configures
+//! and overrides only the flags that were given. The defaults no library
+//! owns are the constants below.
 
-use crate::args::{ArgError, Command, Parsed, USAGE};
+use crate::args::{usage, ArgError, Command, Parsed};
 use a4nn_core::prelude::*;
 use a4nn_core::{RealTrainerFactory, SurrogateFactory, SurrogateParams, TrainingHyperparams};
 use a4nn_genome::viz::{render_ascii, render_dot};
 use a4nn_lineage::{Analyzer, DataCommons};
 use a4nn_net::{SocketOptions, SocketTransport, WorkerServer};
+use a4nn_serve::ServeConfig;
 use a4nn_xfel::generate_split;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// `--beam` when absent.
+const DEFAULT_BEAM: BeamIntensity = BeamIntensity::Medium;
+/// `--seed` when absent: the seed of the paper's runs.
+const DEFAULT_SEED: u64 = 2023;
+/// `--gpus` when absent, for `search`, `baseline` and `worker`.
+const DEFAULT_GPUS: usize = 1;
+/// `--sessions` when absent, for `worker` and `serve`: serve forever.
+const DEFAULT_SESSIONS: usize = 0;
+/// Images per class when `--images` is absent.
+const DEFAULT_IMAGES: usize = 100;
+
 /// Errors surfaced to the user by the subcommands.
 #[derive(Debug)]
 pub enum CommandError {
-    /// Argument-level problem discovered during dispatch.
+    /// A flag's value did not parse.
     Args(ArgError),
-    /// A value outside its domain (e.g. unknown beam name).
-    Invalid(String),
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// The workflow machinery failed (see [`A4nnError`]).
+    /// Everything else, an invalid value (`A4nnError::Config`) included.
     Workflow(A4nnError),
 }
 
 impl CommandError {
-    /// Process exit code for this error: 2 = argument parsing, 3 = invalid
-    /// value, 4 = I/O, and a workflow error's class-specific code from the
-    /// table on [`A4nnError::exit_code`] (7 is retired).
+    /// Process exit code: 2 for an argument error, otherwise the code of
+    /// the workflow error's class from the table on
+    /// [`A4nnError::exit_code`].
     pub fn exit_code(&self) -> i32 {
         match self {
             CommandError::Args(_) => 2,
-            CommandError::Invalid(_) => 3,
-            CommandError::Io(_) => 4,
             CommandError::Workflow(e) => e.exit_code(),
         }
     }
 }
 
 impl fmt::Display for CommandError {
-    fmt_impl!();
-}
-
-macro_rules! fmt_impl {
-    () => {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                CommandError::Args(e) => write!(f, "{e}"),
-                CommandError::Invalid(msg) => write!(f, "{msg}"),
-                CommandError::Io(e) => write!(f, "io: {e}"),
-                CommandError::Workflow(e) => write!(f, "{e}"),
-            }
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CommandError::Args(e) => e.fmt(f),
+            CommandError::Workflow(e) => e.fmt(f),
         }
-    };
+    }
 }
-use fmt_impl;
 
 impl std::error::Error for CommandError {}
 
@@ -65,69 +66,82 @@ impl From<ArgError> for CommandError {
     }
 }
 
-impl From<std::io::Error> for CommandError {
-    fn from(e: std::io::Error) -> Self {
-        CommandError::Io(e)
-    }
-}
-
 impl From<A4nnError> for CommandError {
     fn from(e: A4nnError) -> Self {
         CommandError::Workflow(e)
     }
 }
 
-fn beam_of(parsed: &Parsed) -> Result<BeamIntensity, CommandError> {
-    match parsed.get("--beam").unwrap_or("medium") {
-        "low" => Ok(BeamIntensity::Low),
-        "medium" => Ok(BeamIntensity::Medium),
-        "high" => Ok(BeamIntensity::High),
-        other => Err(CommandError::Invalid(format!(
-            "unknown beam {other:?} (expected low|medium|high)"
-        ))),
-    }
+/// The value of a flag the command cannot run without.
+pub(crate) fn required<'a>(parsed: &'a Parsed, flag: &str) -> Result<&'a str, A4nnError> {
+    parsed
+        .get(flag)
+        .ok_or_else(|| A4nnError::Config(format!("{flag} is required")))
 }
 
-/// Images per class when `--images` is absent.
-const DEFAULT_IMAGES: usize = 100;
+fn beam_of(parsed: &Parsed) -> Result<BeamIntensity, A4nnError> {
+    let Some(name) = parsed.get("--beam") else {
+        return Ok(DEFAULT_BEAM);
+    };
+    BeamIntensity::ALL
+        .into_iter()
+        .find(|beam| beam.label() == name)
+        .ok_or_else(|| {
+            A4nnError::Config(format!("unknown beam {name:?} (expected low|medium|high)"))
+        })
+}
+
+fn seed_of(parsed: &Parsed) -> Result<u64, ArgError> {
+    Ok(parsed.value("--seed")?.unwrap_or(DEFAULT_SEED))
+}
+
+fn gpus_of(parsed: &Parsed) -> Result<usize, ArgError> {
+    Ok(parsed.value("--gpus")?.unwrap_or(DEFAULT_GPUS))
+}
+
+fn sessions_of(parsed: &Parsed) -> Result<usize, ArgError> {
+    Ok(parsed.value("--sessions")?.unwrap_or(DEFAULT_SESSIONS))
+}
 
 /// `--images`, refused below `min`: training passes 2, since fewer images
 /// per class leave a half of the 80/20 split empty.
 fn images_of(parsed: &Parsed, min: usize) -> Result<usize, CommandError> {
-    let images = parsed.get_parse("--images", DEFAULT_IMAGES, "usize")?;
+    let images = parsed.value("--images")?.unwrap_or(DEFAULT_IMAGES);
     if images < min {
-        return Err(CommandError::Invalid(format!(
+        return Err(A4nnError::Config(format!(
             "--images {images}: training needs at least {min} images per class"
-        )));
+        ))
+        .into());
     }
     Ok(images)
 }
 
-fn family_of(name: &str) -> Result<CurveFamily, CommandError> {
+fn family_of(name: &str) -> Result<CurveFamily, A4nnError> {
     CurveFamily::ALL
         .into_iter()
         .find(|f| f.name() == name)
-        .ok_or_else(|| CommandError::Invalid(format!("unknown parametric function {name:?}")))
+        .ok_or_else(|| A4nnError::Config(format!("unknown parametric function {name:?}")))
 }
 
+/// The paper's Tables 1 and 2 with the given flags applied; the engine's
+/// `e_pred` follows `--epochs` unless `--e-pred` is given.
 fn workflow_config(parsed: &Parsed, engine: bool) -> Result<WorkflowConfig, CommandError> {
-    let beam = beam_of(parsed)?;
-    let seed = parsed.get_parse("--seed", 2023u64, "u64")?;
-    let nas = NasSettings {
-        population: parsed.get_parse("--population", 10usize, "usize")?,
-        offspring: parsed.get_parse("--offspring", 10usize, "usize")?,
-        generations: parsed.get_parse("--generations", 10usize, "usize")?,
-        epochs: parsed.get_parse("--epochs", 25u32, "u32")?,
-        ..NasSettings::paper_defaults()
-    };
+    let mut nas = NasSettings::paper_defaults();
+    parsed.set("--population", &mut nas.population)?;
+    parsed.set("--offspring", &mut nas.offspring)?;
+    parsed.set("--generations", &mut nas.generations)?;
+    parsed.set("--epochs", &mut nas.epochs)?;
     let engine = if engine {
-        let mut cfg = EngineConfig::paper_defaults();
+        let mut cfg = EngineConfig {
+            e_pred: nas.epochs,
+            ..EngineConfig::paper_defaults()
+        };
         if let Some(name) = parsed.get("--function") {
             cfg.family = family_of(name)?;
         }
-        cfg.e_pred = parsed.get_parse("--e-pred", nas.epochs, "u32")?;
-        cfg.n_converge = parsed.get_parse("--n-converge", 3usize, "usize")?;
-        cfg.r = parsed.get_parse("--r", 0.5f64, "f64")?;
+        parsed.set("--e-pred", &mut cfg.e_pred)?;
+        parsed.set("--n-converge", &mut cfg.n_converge)?;
+        parsed.set("--r", &mut cfg.r)?;
         Some(cfg)
     } else {
         None
@@ -141,11 +155,60 @@ fn workflow_config(parsed: &Parsed, engine: bool) -> Result<WorkflowConfig, Comm
     Ok(WorkflowConfig {
         nas,
         engine,
-        gpus: parsed.get_parse("--gpus", 1usize, "usize")?,
-        beam,
-        seed,
+        gpus: gpus_of(parsed)?,
+        beam: beam_of(parsed)?,
+        seed: seed_of(parsed)?,
         objectives,
     })
+}
+
+/// [`RetryPolicy::default`], or `--max-retries` retries when given.
+fn fault_tolerance(parsed: &Parsed) -> Result<FaultTolerance, ArgError> {
+    let policy = parsed
+        .value("--max-retries")?
+        .map_or_else(RetryPolicy::default, RetryPolicy::with_retries);
+    Ok(FaultTolerance::new(policy, FaultPlan::none()))
+}
+
+/// [`SocketOptions::default`] with `--heartbeat-ms` applied.
+fn socket_options(parsed: &Parsed) -> Result<SocketOptions, ArgError> {
+    let mut options = SocketOptions::default();
+    if let Some(ms) = parsed.value::<u64>("--heartbeat-ms")? {
+        options.heartbeat_deadline = Duration::from_millis(ms.max(1));
+    }
+    Ok(options)
+}
+
+/// `--orchestration`'s in-process transport, or `None` for `socket`.
+fn local_transport(parsed: &Parsed) -> Result<Option<&'static dyn Transport>, ArgError> {
+    match parsed.get("--orchestration") {
+        None | Some("direct") => Ok(Some(&DirectTransport)),
+        Some("bus") => Ok(Some(&BusTransport)),
+        Some("socket") => Ok(None),
+        Some(other) => Err(ArgError::BadValue {
+            flag: "--orchestration".into(),
+            value: other.into(),
+            expected: "orchestration (direct|bus|socket)",
+        }),
+    }
+}
+
+/// [`ServeConfig::default`] with `serve`'s flags applied.
+fn serve_config(parsed: &Parsed) -> Result<ServeConfig, CommandError> {
+    let mut cfg = ServeConfig::default();
+    parsed.set("--batch", &mut cfg.batcher.max_batch)?;
+    parsed.set("--queue", &mut cfg.batcher.queue_cap)?;
+    parsed.set("--batch-workers", &mut cfg.batcher.workers)?;
+    if let Some(mb) = parsed.value::<usize>("--ws-limit-mb")? {
+        cfg.batcher.ws_limit_bytes = mb
+            .checked_mul(1024 * 1024)
+            .ok_or_else(|| A4nnError::Config("--ws-limit-mb is too large".into()))?;
+    }
+    if let Some(ms) = parsed.value("--idle-ms")? {
+        cfg.idle_timeout = Duration::from_millis(ms);
+    }
+    cfg.metrics_out = parsed.get("--metrics-out").map(PathBuf::from);
+    Ok(cfg)
 }
 
 /// Print one Pareto front, one `name=value` cell per configured
@@ -173,16 +236,16 @@ fn print_objective_front(analyzer: &Analyzer<'_>) -> Result<(), CommandError> {
 
 fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     let config = workflow_config(parsed, engine)?;
-    let mode = parsed.get("--orchestration").unwrap_or("direct");
-    let retries = parsed.get_parse("--max-retries", 2u32, "u32")?;
-    let tolerance = FaultTolerance::new(RetryPolicy::with_retries(retries), FaultPlan::none());
+    let local = local_transport(parsed)?;
+    let tolerance = fault_tolerance(parsed)?;
     let workflow = A4nnWorkflow::new(config.clone());
-    if mode == "socket" && parsed.flag("--real") {
-        return Err(CommandError::Invalid(
+    if local.is_none() && parsed.flag("--real") {
+        return Err(A4nnError::Config(
             "--real is not available over --orchestration socket; workers train the \
              deterministic surrogate rebuilt from the shipped configuration"
                 .into(),
-        ));
+        )
+        .into());
     }
 
     // Resume + snapshot wiring. The run directory (--out, or the
@@ -193,11 +256,12 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     // flags.
     let resume_dir = parsed.get("--resume").map(PathBuf::from);
     if resume_dir.is_some() && parsed.flag("--real") {
-        return Err(CommandError::Invalid(
+        return Err(A4nnError::Config(
             "--resume is not available with --real: the training dataset is not part \
              of the snapshot's configuration fingerprint"
                 .into(),
-        ));
+        )
+        .into());
     }
     let out_dir = parsed
         .get("--out")
@@ -228,7 +292,7 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
         .unwrap_or(0);
     let pacing = move |_done: usize| {
         if boundary_delay_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(boundary_delay_ms));
+            std::thread::sleep(Duration::from_millis(boundary_delay_ms));
         }
         false
     };
@@ -240,47 +304,23 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
         control = control.with_cancel(&pacing);
     }
     let socket;
-    let transport: &dyn Transport = match mode {
-        "direct" => &DirectTransport,
-        "bus" => &BusTransport,
-        "socket" => {
-            let workers: Vec<String> = parsed
-                .get("--workers")
-                .ok_or_else(|| {
-                    CommandError::Invalid(
-                        "--orchestration socket requires --workers <addr,...> \
-                         (e.g. --workers 10.0.0.2:7070,10.0.0.3:7070)"
-                            .into(),
-                    )
-                })?
+    let transport: &dyn Transport = match local {
+        Some(transport) => transport,
+        None => {
+            let workers: Vec<String> = required(parsed, "--workers")?
                 .split(',')
                 .map(str::trim)
                 .filter(|a| !a.is_empty())
                 .map(String::from)
                 .collect();
-            let heartbeat_ms = parsed.get_parse("--heartbeat-ms", 2000u64, "u64")?;
-            socket = SocketTransport::connect(
-                &workers,
-                &config,
-                &tolerance,
-                SocketOptions {
-                    heartbeat_deadline: std::time::Duration::from_millis(heartbeat_ms.max(1)),
-                },
-            )?;
+            socket =
+                SocketTransport::connect(&workers, &config, &tolerance, socket_options(parsed)?)?;
             println!(
                 "sharding across {} worker(s), {} advertised GPU slot(s)",
                 socket.worker_count(),
                 socket.total_gpus()
             );
             &socket
-        }
-        _ => {
-            return Err(ArgError::BadValue {
-                flag: "--orchestration".into(),
-                value: mode.into(),
-                expected: "orchestration (direct|bus|socket)",
-            }
-            .into())
         }
     };
     let factory: Box<dyn TrainerFactory> = if parsed.flag("--real") {
@@ -366,14 +406,10 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
 }
 
 /// `a4nn stats`: summarize a run directory offline — the artifacts a
-/// search committed (`metrics.json`, `retries.csv`, the resume
-/// manifest, and the commons), without running anything.
+/// search committed (`metrics.json`, the resume manifest, and the
+/// commons, retries included), without running anything.
 fn run_stats(parsed: &Parsed) -> Result<(), CommandError> {
-    let dir = PathBuf::from(
-        parsed
-            .get("--run")
-            .ok_or_else(|| CommandError::Invalid("--run <dir> is required".into()))?,
-    );
+    let dir = PathBuf::from(required(parsed, "--run")?);
     let mut found_any = false;
 
     let manifest_path = dir.join("resume_manifest.json");
@@ -381,10 +417,7 @@ fn run_stats(parsed: &Parsed) -> Result<(), CommandError> {
         found_any = true;
         let manifest: a4nn_core::resume::ResumeManifest =
             serde_json::from_slice(&bytes).map_err(|e| {
-                CommandError::Workflow(A4nnError::Checkpoint(format!(
-                    "parsing {}: {e}",
-                    manifest_path.display()
-                )))
+                A4nnError::Checkpoint(format!("parsing {}: {e}", manifest_path.display()))
             })?;
         println!(
             "resume state : generation boundary {} committed (config {:016x}, {})",
@@ -408,6 +441,11 @@ fn run_stats(parsed: &Parsed) -> Result<(), CommandError> {
                 analyzer.pareto_front()?.len()
             );
         }
+        let faults = FaultStats::from_records(&commons.records);
+        println!(
+            "retries      : {} retries consumed; {} model(s) recovered, {} failed terminally",
+            faults.retries, faults.models_recovered, faults.models_failed
+        );
     }
 
     if let Ok(bytes) = std::fs::read(dir.join("metrics.json")) {
@@ -419,42 +457,19 @@ fn run_stats(parsed: &Parsed) -> Result<(), CommandError> {
         }
     }
 
-    if let Ok(retries) = std::fs::read_to_string(dir.join("retries.csv")) {
-        found_any = true;
-        let entries = retries.lines().skip(1).filter(|l| !l.is_empty()).count();
-        let retried = retries
-            .lines()
-            .skip(1)
-            .filter(|l| l.split(',').nth(2).is_some_and(|a| a != "1"))
-            .count();
-        let failed = retries
-            .lines()
-            .skip(1)
-            .filter(|l| l.ends_with("true"))
-            .count();
-        println!(
-            "retries      : {entries} model(s) tracked, {retried} needed retries, \
-             {failed} failed terminally"
-        );
-    }
-
     if !found_any {
-        return Err(CommandError::Invalid(format!(
-            "{} holds no run artifacts (no resume manifest, commons, metrics.json, \
-             or retries.csv)",
+        return Err(A4nnError::Config(format!(
+            "{} holds no run artifacts (no resume manifest, commons or metrics.json)",
             dir.display()
-        )));
+        ))
+        .into());
     }
     Ok(())
 }
 
 fn run_worker(parsed: &Parsed) -> Result<(), CommandError> {
-    let listen = parsed
-        .get("--listen")
-        .ok_or_else(|| CommandError::Invalid("--listen <addr> is required".into()))?;
-    let gpus = parsed.get_parse("--gpus", 1usize, "usize")?;
-    let sessions = parsed.get_parse("--sessions", 0usize, "usize")?;
-    let server = WorkerServer::bind(listen, gpus)?;
+    let (gpus, sessions) = (gpus_of(parsed)?, sessions_of(parsed)?);
+    let server = WorkerServer::bind(required(parsed, "--listen")?, gpus)?;
     println!(
         "a4nn worker listening on {} ({gpus} GPU slot(s), {})",
         server.local_addr()?,
@@ -469,28 +484,10 @@ fn run_worker(parsed: &Parsed) -> Result<(), CommandError> {
 }
 
 fn run_serve(parsed: &Parsed) -> Result<(), CommandError> {
-    let commons = parsed
-        .get("--commons")
-        .ok_or_else(|| CommandError::Invalid("--commons <dir> is required".into()))?;
-    let listen = parsed
-        .get("--listen")
-        .ok_or_else(|| CommandError::Invalid("--listen <addr> is required".into()))?;
-    let sessions = parsed.get_parse("--sessions", 0usize, "usize")?;
-    let ws_limit_bytes = parsed
-        .get_parse("--ws-limit-mb", 8usize, "usize")?
-        .checked_mul(1024 * 1024)
-        .ok_or_else(|| CommandError::Invalid("--ws-limit-mb is too large".into()))?;
-    let cfg = a4nn_serve::ServeConfig {
-        batcher: a4nn_serve::BatcherConfig {
-            max_batch: parsed.get_parse("--batch", 8usize, "usize")?,
-            queue_cap: parsed.get_parse("--queue", 64usize, "usize")?,
-            workers: parsed.get_parse("--batch-workers", 1usize, "usize")?,
-            ws_limit_bytes,
-        },
-        idle_timeout: Duration::from_millis(parsed.get_parse("--idle-ms", 30_000u64, "u64")?),
-        metrics_out: parsed.get("--metrics-out").map(PathBuf::from),
-    };
-    let repo = a4nn_serve::ModelRepo::load(&PathBuf::from(commons))?;
+    let cfg = serve_config(parsed)?;
+    let sessions = sessions_of(parsed)?;
+    let listen = required(parsed, "--listen")?;
+    let repo = a4nn_serve::ModelRepo::load(&PathBuf::from(required(parsed, "--commons")?))?;
     let menu = repo.infos();
     // Batch workers share the cores the way search's virtual GPUs do.
     a4nn_nn::gemm::set_thread_budget(a4nn_sched::intra_op_threads(cfg.batcher.workers));
@@ -533,8 +530,7 @@ fn run_serve(parsed: &Parsed) -> Result<(), CommandError> {
 }
 
 fn run_xpsi(parsed: &Parsed) -> Result<(), CommandError> {
-    let beam = beam_of(parsed)?;
-    let seed = parsed.get_parse("--seed", 2023u64, "u64")?;
+    let (beam, seed) = (beam_of(parsed)?, seed_of(parsed)?);
     let (train, test) = generate_split(&XfelConfig::default(), beam, images_of(parsed, 2)?, seed);
     let result = a4nn_xpsi::XpsiFramework::new(a4nn_xpsi::XpsiConfig {
         seed,
@@ -554,8 +550,7 @@ fn run_xpsi(parsed: &Parsed) -> Result<(), CommandError> {
 }
 
 fn run_dataset(parsed: &Parsed) -> Result<(), CommandError> {
-    let beam = beam_of(parsed)?;
-    let seed = parsed.get_parse("--seed", 2023u64, "u64")?;
+    let (beam, seed) = (beam_of(parsed)?, seed_of(parsed)?);
     let dataset =
         a4nn_xfel::generate_dataset(&XfelConfig::default(), beam, images_of(parsed, 0)?, seed);
     println!(
@@ -568,18 +563,16 @@ fn run_dataset(parsed: &Parsed) -> Result<(), CommandError> {
     if let Some(out) = parsed.get("--out") {
         let path = PathBuf::from(out);
         let bytes = serde_json::to_vec(&dataset)
-            .map_err(|e| CommandError::Invalid(format!("serializing dataset: {e}")))?;
-        std::fs::write(&path, bytes)?;
+            .map_err(|e| A4nnError::Config(format!("serializing dataset: {e}")))?;
+        a4nn_lineage::write_atomic(&path, &bytes)?;
         println!("dataset written to {}", path.display());
     }
     Ok(())
 }
 
 fn load_commons(parsed: &Parsed) -> Result<DataCommons, CommandError> {
-    let dir = parsed
-        .get("--commons")
-        .ok_or_else(|| CommandError::Invalid("--commons <dir> is required".into()))?;
-    Ok(DataCommons::load_dir(&PathBuf::from(dir))?)
+    let dir = PathBuf::from(required(parsed, "--commons")?);
+    Ok(DataCommons::load_dir(&dir)?)
 }
 
 fn run_analyze(parsed: &Parsed) -> Result<(), CommandError> {
@@ -622,14 +615,14 @@ fn run_viz(parsed: &Parsed) -> Result<(), CommandError> {
         Some(raw) => {
             let id: u64 = raw
                 .parse()
-                .map_err(|_| CommandError::Invalid(format!("--model {raw:?} is not a valid id")))?;
+                .map_err(|_| A4nnError::Config(format!("--model {raw:?} is not a valid id")))?;
             commons
                 .get(id)
-                .ok_or_else(|| CommandError::Invalid(format!("model {id} not in commons")))?
+                .ok_or_else(|| A4nnError::Config(format!("model {id} not in commons")))?
         }
         None => analyzer
             .best_by_fitness()
-            .ok_or_else(|| CommandError::Invalid("commons is empty".into()))?,
+            .ok_or_else(|| A4nnError::Config("commons is empty".into()))?,
     };
     let space = SearchSpace::paper_defaults();
     let arch = space.decode(&record.genome);
@@ -651,11 +644,12 @@ fn run_viz(parsed: &Parsed) -> Result<(), CommandError> {
 fn run_export(parsed: &Parsed) -> Result<(), CommandError> {
     let commons = load_commons(parsed)?;
     let out = PathBuf::from(parsed.get("--out").unwrap_or("."));
-    std::fs::create_dir_all(&out)?;
+    std::fs::create_dir_all(&out)
+        .map_err(|e| A4nnError::io(format!("creating {}", out.display()), e))?;
     let models = out.join("models.csv");
     let epochs = out.join("epochs.csv");
-    std::fs::write(&models, a4nn_lineage::models_csv(&commons))?;
-    std::fs::write(&epochs, a4nn_lineage::epochs_csv(&commons))?;
+    a4nn_lineage::write_atomic(&models, a4nn_lineage::models_csv(&commons).as_bytes())?;
+    a4nn_lineage::write_atomic(&epochs, a4nn_lineage::epochs_csv(&commons).as_bytes())?;
     println!(
         "wrote {} ({} rows) and {} ({} rows)",
         models.display(),
@@ -674,7 +668,7 @@ fn run_export(parsed: &Parsed) -> Result<(), CommandError> {
 pub fn run_command(parsed: &Parsed) -> Result<(), CommandError> {
     match parsed.command {
         Command::Help => {
-            println!("{USAGE}");
+            print!("{}", usage());
             Ok(())
         }
         Command::Search => run_search(parsed, true),
@@ -694,7 +688,7 @@ pub fn run_command(parsed: &Parsed) -> Result<(), CommandError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::Parsed;
+    use crate::args::{Flag, Parsed, COMMANDS, FLAGS};
 
     fn parsed(s: &str) -> Parsed {
         let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
@@ -715,6 +709,103 @@ mod tests {
         assert_eq!(engine.family.name(), "pow3");
         // e_pred defaults to the epoch budget.
         assert_eq!(engine.e_pred, 10);
+    }
+
+    /// Everything `p`'s command resolves from its flags before it runs.
+    fn resolved(p: &Parsed) -> String {
+        match p.command {
+            Command::Search | Command::Baseline => format!(
+                "{:?} {:?} {:?} {:?} {}",
+                workflow_config(p, p.command == Command::Search).unwrap(),
+                fault_tolerance(p).unwrap(),
+                socket_options(p).unwrap(),
+                local_transport(p).unwrap().map(|t| t.name()),
+                images_of(p, 0).unwrap(),
+            ),
+            Command::Xpsi | Command::Dataset => format!(
+                "{} {} {}",
+                beam_of(p).unwrap(),
+                seed_of(p).unwrap(),
+                images_of(p, 0).unwrap()
+            ),
+            Command::Worker => format!("{} {}", gpus_of(p).unwrap(), sessions_of(p).unwrap()),
+            Command::Serve => format!("{:?} {}", serve_config(p).unwrap(), sessions_of(p).unwrap()),
+            other => panic!("{} shows no default", other.name()),
+        }
+    }
+
+    /// `(flag, v)` for each of `command`'s help lines ending in `[v]`.
+    fn shown_defaults(command: Command) -> Vec<(&'static str, &'static str)> {
+        FLAGS
+            .iter()
+            .filter(|Flag(.., commands)| commands.contains(&command))
+            .filter_map(|Flag(flag, _, help, _)| {
+                let (_, shown) = help.strip_suffix(']')?.rsplit_once('[')?;
+                Some((*flag, shown))
+            })
+            .collect()
+    }
+
+    /// `v` itself, or for `[--epochs]` the value that flag has: the one
+    /// `given`, else the default its own help shows.
+    fn value_of(shown: &[(&str, &str)], given: &[(&str, String)], v: &str) -> String {
+        if !v.starts_with("--") {
+            return v.to_string();
+        }
+        match given.iter().find(|(flag, _)| *flag == v) {
+            Some((_, value)) => value.clone(),
+            None => value_of(shown, given, shown.iter().find(|(f, _)| *f == v).unwrap().1),
+        }
+    }
+
+    /// A valid value of the same flag other than `v`.
+    fn another(v: &str) -> String {
+        if let Ok(n) = v.parse::<u64>() {
+            return (n + 1).to_string();
+        }
+        if let Ok(x) = v.parse::<f64>() {
+            return (x + 1.0).to_string();
+        }
+        match v {
+            "medium" => "low",
+            "direct" => "bus",
+            "exp-base" => "pow3",
+            "neg_fitness,flops" => "neg_fitness,macs",
+            other => panic!("no other value for [{other}]"),
+        }
+        .to_string()
+    }
+
+    /// A help line's trailing `[v]` is what its command resolves without
+    /// the flag: `<command>` alone and `<command> <flag> v` agree, and
+    /// another value changes what it resolves. Checked once with the
+    /// command's other flags absent and once with each at another value,
+    /// so a default that follows another flag must say so.
+    #[test]
+    fn usage_defaults_are_what_the_code_resolves() {
+        let mut checked = 0;
+        for (command, ..) in COMMANDS {
+            let shown = shown_defaults(*command);
+            for moved in [false, true] {
+                for &(flag, v) in &shown {
+                    let given: Vec<(&str, String)> = shown
+                        .iter()
+                        .filter(|&&(other, _)| moved && other != flag)
+                        .map(|&(other, w)| (other, another(&value_of(&shown, &[], w))))
+                        .collect();
+                    let base = given.iter().fold(command.name().to_string(), |s, (f, w)| {
+                        format!("{s} {f} {w}")
+                    });
+                    let v = value_of(&shown, &given, v);
+                    let alone = resolved(&parsed(&base));
+                    let with = |value: &str| resolved(&parsed(&format!("{base} {flag} {value}")));
+                    assert_eq!(alone, with(&v), "{base}: {flag} shows [{v}]");
+                    assert_ne!(alone, with(&another(&v)), "{base}: {flag} is not read");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 80, "only {checked} defaults checked");
     }
 
     #[test]

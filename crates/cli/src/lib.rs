@@ -33,16 +33,15 @@ pub use commands::{run_command, CommandError};
 /// Entry point shared by the binary and the integration tests: parse and
 /// dispatch, returning a process exit code.
 ///
-/// Exit codes: 0 success, 2 argument parsing, then one code per error
-/// class via [`CommandError::exit_code`] (3 invalid value, 4 I/O,
-/// 5 checkpoint, 6 bus, 7 trainer, 8 internal, 9 network). Every failure
-/// prints a single-line `error: ...` diagnostic to stderr.
+/// Exit codes: 0 success, 2 argument parsing, otherwise the code of the
+/// error's class from the table on [`a4nn_error::A4nnError::exit_code`].
+/// Every failure prints a single-line `error: ...` diagnostic to stderr.
 pub fn run(argv: &[String]) -> i32 {
     let parsed = match args::Parsed::parse(argv) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{}", args::USAGE);
+            eprint!("{}", args::usage());
             return 2;
         }
     };

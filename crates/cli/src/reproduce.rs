@@ -19,7 +19,7 @@
 //! `a4nn viz [--dot] --model <fig10.model_id>` renders Figure 10.
 
 use crate::args::Parsed;
-use crate::commands::CommandError;
+use crate::commands::{required, CommandError};
 use a4nn_core::config_hash;
 use a4nn_core::prelude::*;
 use a4nn_lineage::{feature_fitness_correlations, fitness_cmp, shape_census, success_contrast};
@@ -625,9 +625,10 @@ fn check_claims(claims: &[Claim]) -> Result<(), CommandError> {
         return Ok(());
     }
     let (n, ids) = (moved.len(), moved.join(", "));
-    Err(CommandError::Invalid(format!(
+    Err(A4nnError::Config(format!(
         "{n} claim(s) differ from their recorded result: {ids}"
-    )))
+    ))
+    .into())
 }
 
 /// A JSON object from `(key, value)` pairs, in order.
@@ -639,8 +640,7 @@ fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
 /// `DIR/reproduction.json` and `DIR/runs/`, print one JSON line per row
 /// and per claim, and fail (exit 3) if a claim moved.
 pub(crate) fn run_reproduce(parsed: &Parsed) -> Result<(), CommandError> {
-    let missing = || CommandError::Invalid("--out <dir> is required".into());
-    let out = PathBuf::from(parsed.get("--out").ok_or_else(missing)?);
+    let out = PathBuf::from(required(parsed, "--out")?);
     let (mut runs, mut r) = (Runs::default(), Report::default());
     fig2(&mut r)?;
     for beam in BeamIntensity::ALL {

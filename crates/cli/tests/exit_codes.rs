@@ -43,6 +43,24 @@ fn retired_flags_are_unknown() {
     }
 }
 
+/// Each command takes only its own flags: another command's flag is
+/// refused before anything runs.
+#[test]
+fn commands_refuse_flags_they_do_not_take() {
+    for cmdline in [
+        "xpsi --objectives bogus",
+        "xpsi --gpus 9",
+        "worker --listen 127.0.0.1:0 --real",
+        "reproduce --out X --seed 7",
+        "serve --commons X --listen 127.0.0.1:0 --population 3",
+        "baseline --r 1",
+        "analyze --commons X --beam low",
+        "help --seed 7",
+    ] {
+        assert_eq!(code(cmdline), 2, "{cmdline}");
+    }
+}
+
 #[test]
 fn invalid_values_are_three() {
     assert_eq!(code("dataset --beam ultraviolet"), 3, "unknown beam");
@@ -55,6 +73,22 @@ fn invalid_values_are_three() {
     );
     for zero in ["--gpus 0", "--population 0", "--generations 0"] {
         assert_eq!(code(&format!("search --epochs 2 {zero}")), 3, "{zero}");
+    }
+    // The engine and the epoch budget refuse values that make no search.
+    for nonsense in [
+        "--epochs 0",
+        "--n-converge 0",
+        "--r -1",
+        "--r nan",
+        "--e-pred 0",
+    ] {
+        assert_eq!(
+            code(&format!(
+                "search --population 2 --offspring 2 --generations 1 --epochs 4 {nonsense}"
+            )),
+            3,
+            "{nonsense}"
+        );
     }
     // Fewer than 2 images per class leaves a split half empty.
     for images in ["--images 0", "--images 1"] {
@@ -166,8 +200,8 @@ fn readme_exit_code_table_matches_the_code() {
     // The canonical codes ARE the implementation's mapping.
     let wf = |e: A4nnError| CommandError::Workflow(e).exit_code();
     assert_eq!(CommandError::Args(ArgError::MissingCommand).exit_code(), 2);
-    assert_eq!(CommandError::Invalid("x".into()).exit_code(), 3);
-    assert_eq!(CommandError::Io(std::io::Error::other("x")).exit_code(), 4);
+    assert_eq!(wf(A4nnError::Config("x".into())), 3);
+    assert_eq!(wf(A4nnError::io("x", std::io::Error::other("x"))), 4);
     assert_eq!(wf(A4nnError::Checkpoint("x".into())), 5);
     assert_eq!(wf(A4nnError::BusClosed("x".into())), 6);
     assert_eq!(wf(A4nnError::Internal("x".into())), 8);

@@ -173,7 +173,9 @@ impl A4nnWorkflow {
     /// budget into `Terminated::Failed` records; `Err` means the run
     /// itself could not continue (closed bus, crashed service, poisoned
     /// pool, lost workers, a stale snapshot), was misconfigured (zero
-    /// GPUs, population or generations, an aging evolution sample of 0),
+    /// GPUs, population, generations or epochs, an aging evolution sample
+    /// of 0, an engine whose `n_converge` or `e_pred` is 0 or whose `r` is
+    /// negative or not finite),
     /// or was interrupted at a generation boundary by `options.control`.
     pub fn run(
         &self,
@@ -188,7 +190,8 @@ impl A4nnWorkflow {
             resume,
         } = options;
         let nas = &self.config.nas;
-        for (zero, what) in [
+        let engine = self.config.engine.as_ref();
+        for (refused, what) in [
             (self.config.gpus == 0, "a search needs at least one GPU"),
             (
                 nas.population == 0,
@@ -198,12 +201,25 @@ impl A4nnWorkflow {
                 nas.generations == 0,
                 "a search needs at least one generation",
             ),
+            (nas.epochs == 0, "a search needs at least one epoch"),
             (
                 driver == (Driver::AgingEvolution { sample_size: 0 }),
                 "aging evolution needs a sample size of at least 1",
             ),
+            (
+                engine.is_some_and(|e| e.n_converge == 0),
+                "the engine needs a convergence window N of at least 1",
+            ),
+            (
+                engine.is_some_and(|e| !(e.r.is_finite() && e.r >= 0.0)),
+                "the engine's tolerance r must be finite and at least 0",
+            ),
+            (
+                engine.is_some_and(|e| e.e_pred == 0),
+                "the engine needs an e_pred of at least 1",
+            ),
         ] {
-            if zero {
+            if refused {
                 return Err(A4nnError::Config(what.into()));
             }
         }

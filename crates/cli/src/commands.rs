@@ -296,13 +296,6 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
         }
         false
     };
-    let mut control = RunControl::default();
-    if let Some(dir) = &out_dir {
-        control.snapshot_dir = Some(dir.clone());
-    }
-    if boundary_delay_ms > 0 {
-        control = control.with_cancel(&pacing);
-    }
     let socket;
     let transport: &dyn Transport = match local {
         Some(transport) => transport,
@@ -349,7 +342,8 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
         RunOptions {
             transport,
             fault_tolerance: tolerance,
-            control,
+            snapshot_dir: out_dir.clone(),
+            cancel: (boundary_delay_ms > 0).then_some(&pacing as &CancelHook),
             resume: snapshot,
             ..RunOptions::default()
         },

@@ -641,6 +641,10 @@ fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
 /// and per claim, and fail (exit 3) if a claim moved.
 pub(crate) fn run_reproduce(parsed: &Parsed) -> Result<(), CommandError> {
     let out = PathBuf::from(required(parsed, "--out")?);
+    // Made before the first search, so an unwritable --out fails at once.
+    let runs_dir = out.join("runs");
+    std::fs::create_dir_all(&runs_dir)
+        .map_err(|e| A4nnError::io(format!("creating {}", runs_dir.display()), e))?;
     let (mut runs, mut r) = (Runs::default(), Report::default());
     fig2(&mut r)?;
     for beam in BeamIntensity::ALL {
@@ -648,7 +652,7 @@ pub(crate) fn run_reproduce(parsed: &Parsed) -> Result<(), CommandError> {
         table3(&mut runs, &mut r, beam)?;
         ablation_functions(&mut runs, &mut r, beam)?;
         ablation_nas_drivers(&mut runs, &mut r, beam)?;
-        let dir = |mode: &str| out.join(format!("runs/{mode}-{}", beam.label()));
+        let dir = |mode: &str| runs_dir.join(format!("{mode}-{}", beam.label()));
         runs.a4nn(beam, 1)?.commons.save_dir(&dir("a4nn"))?;
         runs.standalone(beam)?
             .commons

@@ -132,6 +132,22 @@ fn io_failures_are_four() {
     std::fs::remove_file(&file).ok();
 }
 
+/// `reproduce` makes its output directory before the first search, so an
+/// `--out` below a regular file fails at once, naming `runs` rather than
+/// the first search's commons.
+#[test]
+fn reproduce_into_an_unwritable_out_fails_before_searching() {
+    use a4nn_cli::{run_command, Parsed};
+    let file = std::env::temp_dir().join(format!("a4nn-exit-codes-repro-{}", std::process::id()));
+    std::fs::write(&file, b"occupied").unwrap();
+    let argv = ["reproduce", "--out", &format!("{}/x", file.display())].map(String::from);
+    let err = run_command(&Parsed::parse(&argv).unwrap()).unwrap_err();
+    assert_eq!(err.exit_code(), 4, "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("runs") && !msg.contains("a4nn-low"), "{msg}");
+    std::fs::remove_file(&file).ok();
+}
+
 #[test]
 fn net_failures_are_nine() {
     // Nothing listens on port 1, so the coordinator fails while

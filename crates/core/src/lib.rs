@@ -73,18 +73,18 @@ pub use pipeline::{
     BatchResult, BusTransport, DirectTransport, EvalPipeline, Transport, TransportStats,
 };
 pub use real::{RealTrainerFactory, TrainingHyperparams};
-pub use resume::{config_hash, RunControl, SearchSnapshot, SNAPSHOT_VERSION};
+pub use resume::{config_hash, SearchSnapshot, SNAPSHOT_VERSION};
 pub use surrogate::{SurrogateFactory, SurrogateParams};
 pub use trainer::{EpochResult, Trainer, TrainerFactory};
 pub use training::{train_model, EngineLink, InlineEngine, TrainingOutcome};
-pub use workflow::{A4nnWorkflow, Driver, RunOptions, RunOutput};
+pub use workflow::{A4nnWorkflow, CancelHook, Driver, RunOptions, RunOutput};
 
 /// Convenience re-exports, including the satellite crates' key types.
 pub mod prelude {
     pub use crate::{
-        netspec_from_arch, A4nnError, A4nnWorkflow, BusTransport, CheckpointStore, DirectTransport,
-        Driver, EpochResult, EvalPipeline, FaultStats, FaultTolerance, ModelCost, NasSettings,
-        ObjectiveKind, ObjectiveSet, RealTrainerFactory, RunControl, RunOptions, RunOutput,
+        netspec_from_arch, A4nnError, A4nnWorkflow, BusTransport, CancelHook, CheckpointStore,
+        DirectTransport, Driver, EpochResult, EvalPipeline, FaultStats, FaultTolerance, ModelCost,
+        NasSettings, ObjectiveKind, ObjectiveSet, RealTrainerFactory, RunOptions, RunOutput,
         SearchSnapshot, SurrogateFactory, SurrogateParams, Trainer, TrainerFactory,
         TrainingHyperparams, TrainingOutcome, Transport, TransportStats, WorkflowConfig,
     };

@@ -251,23 +251,6 @@ impl ObjectiveSet {
     pub fn values(&self, outcome: &TrainingOutcome, cost: &ModelCost) -> Vec<f64> {
         self.kinds.iter().map(|k| k.value(outcome, cost)).collect()
     }
-
-    /// Check that `names` (objective names loaded from a snapshot)
-    /// matches this configuration; `what` names the source for the
-    /// error message. A mismatch is a stale snapshot —
-    /// [`A4nnError::Checkpoint`], CLI exit 5.
-    pub fn check_snapshot_names(&self, names: &[String], what: &str) -> Result<(), A4nnError> {
-        let ours = self.names();
-        if names != ours.as_slice() {
-            return Err(A4nnError::Checkpoint(format!(
-                "stale snapshot: {what} was searched with objectives ({}), \
-                 this run is configured for ({})",
-                names.join(","),
-                ours.join(",")
-            )));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -342,15 +325,6 @@ mod tests {
         assert_eq!(json, r#"["neg_fitness","flops","peak_ws_bytes"]"#);
         let back: ObjectiveSet = serde_json::from_str(&json).unwrap();
         assert_eq!(back, set);
-    }
-
-    #[test]
-    fn snapshot_name_mismatch_is_a_checkpoint_error() {
-        let set = ObjectiveSet::default();
-        let foreign = vec!["neg_fitness".to_string(), "macs".to_string()];
-        let err = set.check_snapshot_names(&foreign, "run-dir").unwrap_err();
-        assert_eq!(err.exit_code(), 5, "stale snapshot must exit 5");
-        assert!(set.check_snapshot_names(&set.names(), "run-dir").is_ok());
     }
 
     #[test]

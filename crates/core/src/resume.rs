@@ -1,8 +1,11 @@
-//! Full search-state persistence: everything [`A4nnWorkflow::run_loop`]
-//! accumulates, snapshotted at each generation boundary so a killed
-//! search continues bit-for-bit from the last committed boundary.
+//! Full search-state persistence. [`SearchSnapshot`] is the state the
+//! generational loop of [`A4nnWorkflow`] runs on: a fresh search starts
+//! from `SearchSnapshot::fresh`, a resumed one from a loaded snapshot
+//! that passes `SearchSnapshot::check_resumes`, and the loop saves it in
+//! place at each generation boundary, so a killed search continues
+//! bit-for-bit from the last committed boundary.
 //!
-//! [`A4nnWorkflow::run_loop`]: crate::workflow::A4nnWorkflow
+//! [`A4nnWorkflow`]: crate::workflow::A4nnWorkflow
 //!
 //! ## Crash-consistency protocol (manifest-last)
 //!
@@ -49,16 +52,17 @@
 //! count), schedules, engine counters, and the metrics snapshot restore
 //! everything the remaining generations append to. The NSGA-II archive,
 //! the duplicate-architecture filter and the next model id are not
-//! stored: resume rebuilds the archive from the records exactly as a
-//! live run builds it after each generation, and the filter and the id
-//! follow from the archive. Under the other drivers the survivors are
-//! the newest `population` model ids, so aging evolution's queue needs
-//! no state of its own either: its genomes and fitness are read back
-//! from the records. The snapshot names its driver, and resuming it under
-//! another one is stale, like resuming under another objective set.
-//! Because each model trains independently and
-//! every stochastic stream is keyed on `(seed, model_id)`, no state
-//! outside this struct crosses a generation boundary.
+//! stored: the loop rebuilds the archive from the records when it starts
+//! (none on a fresh run) exactly as it extends it after each generation,
+//! and the filter and the id follow from the archive. Under the other
+//! drivers the survivors are the newest `population` model ids, so aging
+//! evolution's queue needs no state of its own either: its genomes and
+//! fitness are read back from the records. The snapshot names its driver, and resuming it under
+//! another one is stale; another objective set is another configuration,
+//! so its fingerprint already refuses it. Because each model trains
+//! independently and every stochastic stream is keyed on
+//! `(seed, model_id)`, no state outside this struct crosses a generation
+//! boundary.
 
 use crate::config::WorkflowConfig;
 use crate::workflow::Driver;
@@ -66,8 +70,10 @@ use a4nn_error::A4nnError;
 use a4nn_lineage::{read_models, write_atomic, ModelRecord};
 use a4nn_metrics::MetricsSnapshot;
 use a4nn_sched::ScheduleResult;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Schema version of [`SearchSnapshot`]; bump on any breaking change so
 /// old snapshots fail loudly instead of resuming wrongly. Dropping a
@@ -105,19 +111,14 @@ pub struct ResumeManifest {
     pub state_file: String,
 }
 
-/// Everything the generational loop owns at a generation boundary.
+/// The generational loop's state: everything it owns at a generation
+/// boundary.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SearchSnapshot {
     /// Snapshot schema version ([`SNAPSHOT_VERSION`]).
     pub version: u32,
     /// [`config_hash`] of the run's configuration.
     pub config_hash: u64,
-    /// Names of the objective set the records' vectors were measured
-    /// under, in objective order. Empty on snapshots written before the
-    /// objective registry existed (those are validated by the records'
-    /// objective dimension alone).
-    #[serde(default)]
-    pub objective_names: Vec<String>,
     /// The NAS driver that searched the records. Snapshots written before
     /// drivers shared the loop carry none and load as NSGA-II.
     #[serde(default)]
@@ -130,9 +131,9 @@ pub struct SearchSnapshot {
     /// Indices into `records` of the current survivor population.
     pub parents: Vec<usize>,
     /// Completed record trails, in evaluation order: record `i` is model
-    /// `i`. Not part of the state file: [`load`](Self::load) reads them
-    /// from the commons beside it, and the boundary writer leaves this
-    /// empty because it has just committed them there.
+    /// `i`. Not part of the state file: each boundary commits them to the
+    /// commons beside it first, and [`load`](Self::load) reads them back
+    /// from there.
     #[serde(skip)]
     pub records: Vec<ModelRecord>,
     /// How many records the commons held when this boundary committed:
@@ -150,6 +151,89 @@ pub struct SearchSnapshot {
 }
 
 impl SearchSnapshot {
+    /// The state of `cfg`'s search under `driver` before its first
+    /// generation: no records, and the RNG seeded from `cfg.seed`.
+    pub(crate) fn fresh(cfg: &WorkflowConfig, driver: Driver) -> Result<SearchSnapshot, A4nnError> {
+        Ok(SearchSnapshot {
+            version: SNAPSHOT_VERSION,
+            config_hash: config_hash(cfg)?,
+            driver,
+            generations_done: 0,
+            rng_state: StdRng::seed_from_u64(cfg.seed).state(),
+            parents: Vec::new(),
+            records: Vec::with_capacity(cfg.nas.total_models()),
+            models: 0,
+            schedules: Vec::with_capacity(cfg.nas.generations),
+            engine_seconds: 0.0,
+            engine_interactions: 0,
+            metrics: MetricsSnapshot::default(),
+        })
+    }
+
+    /// Refuse this snapshot unless it continues `cfg`'s search under
+    /// `driver`: the same schema version, config fingerprint and driver,
+    /// a cursor inside the run, records numbered `0..n` that the
+    /// survivors index into, and objective vectors of the configured
+    /// dimension. Every refusal is an [`A4nnError::Checkpoint`] (exit 5).
+    pub(crate) fn check_resumes(
+        &self,
+        cfg: &WorkflowConfig,
+        driver: Driver,
+    ) -> Result<(), A4nnError> {
+        check_fingerprint(self.version, self.config_hash, cfg)?;
+        if self.driver != driver {
+            return Err(A4nnError::Checkpoint(format!(
+                "stale snapshot: state was searched by {:?} but this run drives {:?}",
+                self.driver, driver
+            )));
+        }
+        if self.generations_done == 0 || self.generations_done > cfg.nas.generations {
+            return Err(A4nnError::Checkpoint(format!(
+                "snapshot claims {} completed generation(s) of a {}-generation run",
+                self.generations_done, cfg.nas.generations
+            )));
+        }
+        // The archive is rebuilt from the records by position, so their
+        // ids must be that position, and the survivors must index into
+        // them.
+        if let Some((k, record)) = self
+            .records
+            .iter()
+            .enumerate()
+            .find(|(k, r)| r.model_id != *k as u64)
+        {
+            return Err(A4nnError::Checkpoint(format!(
+                "corrupt snapshot: record {k} holds model {} (ids must run 0..{})",
+                record.model_id,
+                self.records.len()
+            )));
+        }
+        if self.parents.is_empty() || self.parents.iter().any(|&i| i >= self.records.len()) {
+            return Err(A4nnError::Checkpoint(format!(
+                "corrupt snapshot: survivors {:?} do not index its {} record(s)",
+                self.parents,
+                self.records.len()
+            )));
+        }
+        // The records come from model files, not from the state file the
+        // fingerprint vouches for.
+        if let Some(record) = self
+            .records
+            .iter()
+            .find(|r| r.objective_vector().len() != cfg.objectives.len())
+        {
+            return Err(A4nnError::Checkpoint(format!(
+                "stale snapshot: model {} carries {} objective value(s) but this run is \
+                 configured for {} ({})",
+                record.model_id,
+                record.objective_vector().len(),
+                cfg.objectives.len(),
+                cfg.objectives
+            )));
+        }
+        Ok(())
+    }
+
     /// Name of this snapshot's state file.
     fn state_file_name(&self) -> String {
         format!("search_state_g{:04}.json", self.generations_done)
@@ -192,7 +276,8 @@ impl SearchSnapshot {
     /// Load the committed snapshot from `dir` and verify it belongs to
     /// `cfg`: schema version and config hash must both match, otherwise
     /// the snapshot is stale and resuming would silently diverge — that
-    /// is an [`A4nnError::Checkpoint`] naming both fingerprints.
+    /// is an [`A4nnError::Checkpoint`] naming both fingerprints. The run
+    /// that resumes it makes the remaining checks.
     ///
     /// The records come from the commons in `dir` (models `0..models`),
     /// or from the state file's inline `records` key when it has one. A
@@ -209,21 +294,7 @@ impl SearchSnapshot {
         let manifest: ResumeManifest = serde_json::from_slice(&bytes).map_err(|e| {
             A4nnError::Checkpoint(format!("parsing {}: {e}", manifest_path.display()))
         })?;
-        if manifest.version != SNAPSHOT_VERSION {
-            return Err(A4nnError::Checkpoint(format!(
-                "snapshot schema version {} does not match this binary's version {}",
-                manifest.version, SNAPSHOT_VERSION
-            )));
-        }
-        let expected = config_hash(cfg)?;
-        if manifest.config_hash != expected {
-            return Err(A4nnError::Checkpoint(format!(
-                "stale snapshot: run directory was produced by config {:016x} but the \
-                 requested configuration hashes to {:016x}; rerun with the original flags \
-                 or start a fresh run directory",
-                manifest.config_hash, expected
-            )));
-        }
+        check_fingerprint(manifest.version, manifest.config_hash, cfg)?;
         // Only the bare name `save` writes: `Path::join` with an absolute
         // or `..` path would leave the run directory.
         if !is_state_file_name(&manifest.state_file) {
@@ -270,6 +341,27 @@ impl SearchSnapshot {
     }
 }
 
+/// Refuse a snapshot of another schema `version` or of a configuration
+/// other than `cfg` (by its [`config_hash`]): resuming it would silently
+/// diverge.
+fn check_fingerprint(version: u32, hash: u64, cfg: &WorkflowConfig) -> Result<(), A4nnError> {
+    if version != SNAPSHOT_VERSION {
+        return Err(A4nnError::Checkpoint(format!(
+            "snapshot schema version {version} does not match this binary's version \
+             {SNAPSHOT_VERSION}"
+        )));
+    }
+    let expected = config_hash(cfg)?;
+    if hash != expected {
+        return Err(A4nnError::Checkpoint(format!(
+            "stale snapshot: run directory was produced by config {hash:016x} but the \
+             requested configuration hashes to {expected:016x}; rerun with the original \
+             flags or start a fresh run directory"
+        )));
+    }
+    Ok(())
+}
+
 /// Whether `name` is a bare `search_state_g<digits>.json` file name.
 fn is_state_file_name(name: &str) -> bool {
     name.strip_prefix("search_state_g")
@@ -277,61 +369,16 @@ fn is_state_file_name(name: &str) -> bool {
         .is_some_and(|digits| !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()))
 }
 
-/// A cancellation hook consulted after each generation boundary commits:
-/// return `true` to stop the search there (it exits as
-/// [`A4nnError::Interrupted`], resumable from the committed snapshot).
-pub type CancelHook<'a> = dyn Fn(usize) -> bool + Sync + 'a;
-
-/// How a run interacts with the resume machinery: where (and whether) to
-/// commit boundary snapshots, and an optional cancellation hook — the
-/// in-process analogue of SIGKILL that the crash-determinism harness
-/// drives.
-#[derive(Default)]
-pub struct RunControl<'a> {
-    /// Directory every boundary commits its records (the run's data
-    /// commons) and its snapshot into; `None` disables snapshotting
-    /// entirely (the zero-overhead default).
-    pub snapshot_dir: Option<PathBuf>,
-    /// Consulted with the number of completed generations after each
-    /// boundary snapshot commits; `true` interrupts the search.
-    pub cancel: Option<&'a CancelHook<'a>>,
-}
-
-impl std::fmt::Debug for RunControl<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunControl")
-            .field("snapshot_dir", &self.snapshot_dir)
-            .field("cancel", &self.cancel.map(|_| "<hook>"))
-            .finish()
-    }
-}
-
-impl<'a> RunControl<'a> {
-    /// Snapshot every generation boundary into `dir`, no cancel hook.
-    pub fn snapshot_into(dir: impl Into<PathBuf>) -> Self {
-        RunControl {
-            snapshot_dir: Some(dir.into()),
-            cancel: None,
-        }
-    }
-
-    /// Attach a cancellation hook.
-    pub fn with_cancel(mut self, hook: &'a CancelHook<'a>) -> Self {
-        self.cancel = Some(hook);
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use a4nn_xfel::BeamIntensity;
+    use std::path::PathBuf;
 
     fn snapshot(cfg: &WorkflowConfig, generations_done: usize) -> SearchSnapshot {
         SearchSnapshot {
             version: SNAPSHOT_VERSION,
             config_hash: config_hash(cfg).unwrap(),
-            objective_names: cfg.objectives.names(),
             driver: Driver::default(),
             generations_done,
             rng_state: [1, 2, 3, 4],

@@ -10,20 +10,27 @@
 //! a whole generation trains concurrently across the virtual GPUs —
 //! exactly the Ray-style resource management of §2.5 — whichever driver
 //! proposed it.
+//!
+//! The loop keeps its whole state in one [`SearchSnapshot`]: a fresh
+//! search starts from an empty one at generation 0, a resumed search
+//! from the snapshot it loaded, and both then run the same code, which
+//! appends to the snapshot each generation and saves it in place at
+//! each boundary.
 
 use crate::config::WorkflowConfig;
 use crate::fault::{FaultStats, FaultTolerance};
-use crate::pipeline::{BatchResult, DirectTransport, EvalPipeline, Transport, TransportStats};
-use crate::resume::{config_hash, RunControl, SearchSnapshot, SNAPSHOT_VERSION};
+use crate::pipeline::{DirectTransport, EvalPipeline, Transport, TransportStats};
+use crate::resume::SearchSnapshot;
 use crate::trainer::TrainerFactory;
 use a4nn_error::A4nnError;
 use a4nn_genome::{Genome, SearchSpace};
 use a4nn_lineage::{append_dir, fitness_cmp, DataCommons, ModelRecord};
 use a4nn_metrics::MetricsSnapshot;
 use a4nn_nsga::{breed, environmental_selection, Individual, Objectives};
-use a4nn_sched::{GenerationSchedule, ScheduleResult};
-use rand::{Rng, SeedableRng};
+use a4nn_sched::GenerationSchedule;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::path::{Path, PathBuf};
 
 /// The NAS policy that proposes every generation after the first and
 /// picks its survivors. Generation 0 is `population` random genomes
@@ -48,6 +55,9 @@ pub enum Driver {
     Random,
 }
 
+/// A cancellation hook: see [`RunOptions::cancel`].
+pub type CancelHook<'a> = dyn Fn(usize) -> bool + Sync + 'a;
+
 /// Everything [`A4nnWorkflow::run`] can be told beyond the trainer
 /// factory. The default is the plain NSGA-Net search: the direct
 /// transport, the default retry budget with no injected
@@ -68,11 +78,15 @@ pub struct RunOptions<'a> {
     /// The default reproduces the fault-free run byte for byte in every
     /// coupling mode.
     pub fault_tolerance: FaultTolerance,
-    /// Commit each generation's records (the run's commons) and a
-    /// search-state snapshot at every generation boundary into
-    /// `control.snapshot_dir`, and optionally stop at a boundary via
-    /// `control.cancel` (surfaced as [`A4nnError::Interrupted`]).
-    pub control: RunControl<'a>,
+    /// Directory every generation boundary commits its records (the
+    /// run's data commons) and its search-state snapshot into; `None`
+    /// takes no snapshots.
+    pub snapshot_dir: Option<PathBuf>,
+    /// Consulted with the number of completed generations after each
+    /// boundary commits; `true` stops the search there as
+    /// [`A4nnError::Interrupted`], resumable from the committed snapshot
+    /// — the in-process analogue of SIGKILL.
+    pub cancel: Option<&'a CancelHook<'a>>,
     /// Continue a prior run from the snapshot a previous process
     /// committed before it was interrupted or killed. A resumed run
     /// reproduces the uninterrupted run's commons byte for byte on every
@@ -86,7 +100,8 @@ impl Default for RunOptions<'_> {
             driver: Driver::default(),
             transport: &DirectTransport,
             fault_tolerance: FaultTolerance::default(),
-            control: RunControl::default(),
+            snapshot_dir: None,
+            cancel: None,
             resume: None,
         }
     }
@@ -176,7 +191,7 @@ impl A4nnWorkflow {
     /// GPUs, population, generations or epochs, an aging evolution sample
     /// of 0, an engine whose `n_converge` or `e_pred` is 0 or whose `r` is
     /// negative or not finite),
-    /// or was interrupted at a generation boundary by `options.control`.
+    /// or was interrupted at a generation boundary by `options.cancel`.
     pub fn run(
         &self,
         factory: &dyn TrainerFactory,
@@ -186,7 +201,8 @@ impl A4nnWorkflow {
             driver,
             transport,
             fault_tolerance: ft,
-            control,
+            snapshot_dir,
+            cancel,
             resume,
         } = options;
         let nas = &self.config.nas;
@@ -224,152 +240,79 @@ impl A4nnWorkflow {
             }
         }
         let pipeline = EvalPipeline::new(&self.config, &self.space, factory, &ft);
-        let totals = self.run_loop(driver, &pipeline, transport, &control, resume)?;
-        Ok(totals.into_run_output(&pipeline, transport.name()))
+        let state = self.run_loop(
+            driver,
+            &pipeline,
+            transport,
+            snapshot_dir.as_deref(),
+            cancel,
+            resume,
+        )?;
+        Ok(RunOutput {
+            fault_stats: FaultStats::from_records(&state.records),
+            commons: DataCommons::new(state.records),
+            schedule: GenerationSchedule {
+                generations: state.schedules,
+            },
+            config: self.config.clone(),
+            engine_seconds: state.engine_seconds,
+            engine_interactions: state.engine_interactions,
+            transport_stats: pipeline.transport_stats(transport.name()),
+            metrics: state.metrics,
+        })
     }
 
     /// The generational loop: `driver` proposes each generation, the
     /// pipeline trains it on `transport`, and `driver` picks the
-    /// survivors.
+    /// survivors. Its whole state is one [`SearchSnapshot`], returned at
+    /// the end.
     ///
-    /// With a `resume` snapshot of the same driver, the loop reconstructs
-    /// every piece of state the snapshot's boundary committed — RNG
-    /// stream, survivors, cursor, records, metrics — rebuilds the archive
-    /// (and with it the next model id and the duplicate filter) from the
-    /// records, and continues from the next generation; the remaining
-    /// trajectory is bit-exact because nothing outside the snapshot
-    /// crosses a boundary.
-    /// With a `control.snapshot_dir`, each generation's records are
-    /// appended to the commons there and the state is committed
-    /// (manifest-last) after every generation, then the cancel hook may
-    /// stop the run.
+    /// A fresh run starts from [`SearchSnapshot::fresh`]; a resumed one
+    /// from its `resume` snapshot, once that passes
+    /// [`SearchSnapshot::check_resumes`]. Either way the loop restores
+    /// the state's metrics and RNG words, rebuilds the archive (and with
+    /// it the next model id and the duplicate filter) from its records,
+    /// and runs the generations after its cursor; a resumed trajectory is
+    /// bit-exact because nothing outside the snapshot crosses a boundary.
+    /// With a `snapshot_dir`, each generation's records are appended to
+    /// the commons there and the state is saved (manifest-last) after
+    /// every generation, then the cancel hook may stop the run.
     fn run_loop(
         &self,
         driver: Driver,
         pipeline: &EvalPipeline<'_>,
         transport: &dyn Transport,
-        control: &RunControl<'_>,
+        snapshot_dir: Option<&Path>,
+        cancel: Option<&CancelHook<'_>>,
         resume: Option<SearchSnapshot>,
-    ) -> Result<SearchTotals, A4nnError> {
+    ) -> Result<SearchSnapshot, A4nnError> {
         let cfg = &self.config;
-        let cfg_hash = if control.snapshot_dir.is_some() || resume.is_some() {
-            Some(config_hash(cfg)?)
-        } else {
-            None
-        };
-
-        let mut rng;
-        let mut totals: SearchTotals;
-        let mut archive: Vec<Individual<Genome>>;
-        let mut parents: Vec<usize>;
-        let start_generation;
-        // Records already in `control.snapshot_dir`'s commons. A resumed
-        // run starts from none too: the directory it snapshots into
-        // need not be the one it resumed from.
-        let mut committed = 0;
-
-        match resume {
+        let mut state = match resume {
             Some(snap) => {
-                // `SearchSnapshot::load` verifies version and config
-                // hash; re-check here so directly constructed snapshots
-                // cannot silently resume a different search.
-                if let Some(expected) = cfg_hash {
-                    if snap.config_hash != expected {
-                        return Err(A4nnError::Checkpoint(format!(
-                            "stale snapshot: state was produced by config {:016x} but this \
-                             run's configuration hashes to {:016x}",
-                            snap.config_hash, expected
-                        )));
-                    }
-                }
-                if snap.driver != driver {
-                    return Err(A4nnError::Checkpoint(format!(
-                        "stale snapshot: state was searched by {:?} but this run drives {:?}",
-                        snap.driver, driver
-                    )));
-                }
-                if snap.generations_done == 0 || snap.generations_done > cfg.nas.generations {
-                    return Err(A4nnError::Checkpoint(format!(
-                        "snapshot claims {} completed generation(s) of a {}-generation run",
-                        snap.generations_done, cfg.nas.generations
-                    )));
-                }
-                // A snapshot from a run searched under different
-                // objectives is stale — its records live in a different
-                // objective space. Pre-registry snapshots carry no names
-                // (serde default: empty) and are validated by dimension
-                // alone.
-                if !snap.objective_names.is_empty() {
-                    cfg.objectives
-                        .check_snapshot_names(&snap.objective_names, "the snapshot")?;
-                }
-                if let Some(record) = snap
-                    .records
-                    .iter()
-                    .find(|r| r.objective_vector().len() != cfg.objectives.len())
-                {
-                    return Err(A4nnError::Checkpoint(format!(
-                        "stale snapshot: model {} carries {} objective value(s) but this run \
-                         is configured for {} ({})",
-                        record.model_id,
-                        record.objective_vector().len(),
-                        cfg.objectives.len(),
-                        cfg.objectives
-                    )));
-                }
-                // The archive is rebuilt from the records by position, so
-                // their ids must be that position, and the survivors must
-                // index into them.
-                if let Some((k, record)) = snap
-                    .records
-                    .iter()
-                    .enumerate()
-                    .find(|(k, r)| r.model_id != *k as u64)
-                {
-                    return Err(A4nnError::Checkpoint(format!(
-                        "corrupt snapshot: record {k} holds model {} (ids must run 0..{})",
-                        record.model_id,
-                        snap.records.len()
-                    )));
-                }
-                if snap.parents.is_empty() || snap.parents.iter().any(|&i| i >= snap.records.len())
-                {
-                    return Err(A4nnError::Checkpoint(format!(
-                        "corrupt snapshot: survivors {:?} do not index its {} record(s)",
-                        snap.parents,
-                        snap.records.len()
-                    )));
-                }
-                pipeline.restore_metrics(snap.metrics);
-                rng = rand::rngs::StdRng::from_state(snap.rng_state);
-                archive = snap.records.iter().map(individual).collect();
-                totals = SearchTotals {
-                    records: snap.records,
-                    schedules: snap.schedules,
-                    engine_seconds: snap.engine_seconds,
-                    engine_interactions: snap.engine_interactions,
-                };
-                parents = snap.parents;
-                start_generation = snap.generations_done;
+                snap.check_resumes(cfg, driver)?;
+                snap
             }
-            None => {
-                rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-                totals = SearchTotals::with_capacity(cfg);
-                archive = Vec::with_capacity(cfg.nas.total_models());
-                parents = Vec::new();
-                start_generation = 0;
-            }
-        }
+            None => SearchSnapshot::fresh(cfg, driver)?,
+        };
+        pipeline.restore_metrics(state.metrics.clone());
+        let mut rng = rand::rngs::StdRng::from_state(state.rng_state);
+        let mut archive: Vec<Individual<Genome>> = Vec::with_capacity(cfg.nas.total_models());
+        archive.extend(state.records.iter().map(individual));
+        // Records already in `snapshot_dir`'s commons: none, on a resumed
+        // run too, because the directory it snapshots into need not be
+        // the one it resumed from.
+        state.models = 0;
 
-        for generation in start_generation..cfg.nas.generations {
-            let records = &totals.records;
+        for generation in state.generations_done..cfg.nas.generations {
+            let records = &state.records;
+            let parents = &state.parents;
             let genomes: Vec<Genome> = match driver {
                 _ if generation == 0 => (0..cfg.nas.population)
                     .map(|_| self.space.random_genome(&mut rng))
                     .collect(),
                 Driver::Nsga2 => breed(
                     &archive,
-                    &parents,
+                    parents,
                     cfg.nas.offspring,
                     &mut rng,
                     Genome::to_compact_string,
@@ -399,65 +342,56 @@ impl A4nnWorkflow {
             let base_id = archive.len();
             let batch = pipeline.run(transport, &genomes, generation, base_id as u64)?;
             archive.extend(batch.records.iter().map(individual));
-            totals.absorb(batch);
+            for (outcome, _) in &batch.outcomes {
+                state.engine_seconds += outcome.engine_seconds;
+                state.engine_interactions += outcome.engine_interactions;
+            }
+            state.records.extend(batch.records);
+            state.schedules.push(batch.schedule);
 
             // NSGA-II keeps the elitist (μ+λ) selection; every other
             // driver keeps the newest `population` models.
-            parents = match driver {
+            state.parents = match driver {
                 Driver::Nsga2 if generation > 0 => {
-                    let mut pool = parents;
+                    let mut pool = std::mem::take(&mut state.parents);
                     pool.extend(base_id..archive.len());
                     environmental_selection(&archive, &pool, cfg.nas.population)
                 }
                 _ => (archive.len().saturating_sub(cfg.nas.population)..archive.len()).collect(),
             };
+            state.generations_done = generation + 1;
+            state.rng_state = rng.state();
+            state.metrics = pipeline.metrics_registry().snapshot();
 
             // Generation boundary: commit the new records to the
             // commons, then the state naming them, then the resume
             // manifest (see resume.rs), then honor a cancellation
             // request. A kill at any instant leaves either the previous
             // committed boundary or this one.
-            if let Some(dir) = &control.snapshot_dir {
-                append_dir(dir, &totals.records, committed)?;
-                committed = totals.records.len();
-                let snap = SearchSnapshot {
-                    version: SNAPSHOT_VERSION,
-                    config_hash: cfg_hash.unwrap_or_default(),
-                    objective_names: cfg.objectives.names(),
-                    driver,
-                    generations_done: generation + 1,
-                    rng_state: rng.state(),
-                    parents: parents.clone(),
-                    records: Vec::new(),
-                    models: committed,
-                    schedules: totals.schedules.clone(),
-                    engine_seconds: totals.engine_seconds,
-                    engine_interactions: totals.engine_interactions,
-                    metrics: pipeline.metrics_registry().snapshot(),
-                };
-                snap.save(dir)?;
+            if let Some(dir) = snapshot_dir {
+                append_dir(dir, &state.records, state.models)?;
+                state.models = state.records.len();
+                state.save(dir)?;
             }
-            if let Some(cancel) = control.cancel {
-                if cancel(generation + 1) {
+            if let Some(cancel) = cancel {
+                if cancel(state.generations_done) {
                     return Err(A4nnError::Interrupted(format!(
                         "search stopped at the generation-{} boundary ({} of {} done); \
                          resume from the snapshot directory to continue",
-                        generation + 1,
-                        generation + 1,
-                        cfg.nas.generations
+                        state.generations_done, state.generations_done, cfg.nas.generations
                     )));
                 }
             }
         }
         // A resume whose snapshot was already the last boundary runs no
         // generation, but its records still belong in the commons.
-        if let Some(dir) = &control.snapshot_dir {
-            if committed < totals.records.len() {
-                append_dir(dir, &totals.records, committed)?;
+        if let Some(dir) = snapshot_dir {
+            if state.models < state.records.len() {
+                append_dir(dir, &state.records, state.models)?;
             }
         }
 
-        Ok(totals)
+        Ok(state)
     }
 }
 
@@ -469,54 +403,6 @@ fn individual(record: &ModelRecord) -> Individual<Genome> {
         generation: record.generation,
         genome: record.genome.clone(),
         objectives: Objectives::new(record.objective_vector()),
-    }
-}
-
-/// What a search accumulates generation by generation: record trails,
-/// cluster schedules, and engine overhead.
-struct SearchTotals {
-    records: Vec<ModelRecord>,
-    schedules: Vec<ScheduleResult>,
-    engine_seconds: f64,
-    engine_interactions: u64,
-}
-
-impl SearchTotals {
-    /// Empty totals sized for `cfg`'s evaluation budget.
-    fn with_capacity(cfg: &WorkflowConfig) -> Self {
-        SearchTotals {
-            records: Vec::with_capacity(cfg.nas.total_models()),
-            schedules: Vec::with_capacity(cfg.nas.generations),
-            engine_seconds: 0.0,
-            engine_interactions: 0,
-        }
-    }
-
-    /// Fold one evaluated generation in.
-    fn absorb(&mut self, batch: BatchResult) {
-        for (outcome, _) in &batch.outcomes {
-            self.engine_seconds += outcome.engine_seconds;
-            self.engine_interactions += outcome.engine_interactions;
-        }
-        self.records.extend(batch.records);
-        self.schedules.push(batch.schedule);
-    }
-
-    /// Close the run: wrap the totals with the pipeline's dispatch
-    /// counters (under `transport`'s name) and metrics snapshot.
-    fn into_run_output(self, pipeline: &EvalPipeline<'_>, transport: &str) -> RunOutput {
-        RunOutput {
-            fault_stats: FaultStats::from_records(&self.records),
-            commons: DataCommons::new(self.records),
-            schedule: GenerationSchedule {
-                generations: self.schedules,
-            },
-            config: pipeline.config().clone(),
-            engine_seconds: self.engine_seconds,
-            engine_interactions: self.engine_interactions,
-            transport_stats: pipeline.transport_stats(transport),
-            metrics: pipeline.metrics_registry().snapshot(),
-        }
     }
 }
 

@@ -38,6 +38,7 @@
 //! breakage with its own CLI exit code.
 
 #![warn(clippy::redundant_clone)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod frame;
 pub mod protocol;

@@ -22,6 +22,7 @@
 //! randomness flows through caller-provided seeds.
 
 #![warn(clippy::redundant_clone)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod data;
 pub mod gemm;

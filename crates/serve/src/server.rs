@@ -120,13 +120,19 @@ pub struct ServeServer {
 
 impl ServeServer {
     /// Bind `addr` (port `0` picks a free port) and start the batch
-    /// workers over `repo`'s models.
+    /// workers over `repo`'s models. A zero `idle_timeout` is a
+    /// [`A4nnError::Config`]: every connection would be idle at once.
     pub fn bind(
         addr: &str,
         repo: ModelRepo,
         cfg: ServeConfig,
         metrics: Arc<MetricsRegistry>,
     ) -> Result<Self, A4nnError> {
+        if cfg.idle_timeout.is_zero() {
+            return Err(A4nnError::Config(
+                "the serve idle timeout must be positive".into(),
+            ));
+        }
         let listener = TcpListener::bind(addr)
             .map_err(|e| A4nnError::Net(format!("binding serve listener on {addr}: {e}")))?;
         let batcher = Arc::new(Batcher::start(repo, cfg.batcher, Arc::clone(&metrics))?);
@@ -281,7 +287,7 @@ fn serve_connection(
     idle_timeout: Duration,
 ) -> Result<(), NetError> {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(idle_timeout.max(Duration::from_millis(1))));
+    let _ = stream.set_read_timeout(Some(idle_timeout));
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
 

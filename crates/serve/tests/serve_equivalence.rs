@@ -7,7 +7,7 @@
 //! path production serving uses.
 
 use a4nn_core::prelude::*;
-use a4nn_net::{read_message, write_message, PROTOCOL_VERSION};
+use a4nn_net::{encode, read_message, write_message, PROTOCOL_VERSION};
 use a4nn_nn::{Tensor4, Workspace};
 use a4nn_serve::{
     Batcher, BatcherConfig, ModelRepo, ServeClient, ServeConfig, ServeRequest, ServeResponse,
@@ -340,6 +340,68 @@ fn foreign_protocol_revision_is_refused_at_handshake() {
         other => panic!("expected a typed refusal, got {other:?}"),
     }
     // The server drops the session after refusing; its budget is spent.
+    handle.join().unwrap();
+}
+
+/// A client may pipeline: requests written back to back, before any
+/// reply is read, are answered in request order, a classification that
+/// rides the batcher included, and the Goodbye behind them closes the
+/// connection once the replies are out.
+#[test]
+fn pipelined_requests_are_answered_in_request_order() {
+    let handle = ServeServer::spawn(
+        "127.0.0.1:0",
+        repo(),
+        ServeConfig::default(),
+        Arc::new(MetricsRegistry::new()),
+        1,
+    )
+    .unwrap();
+    let menu = repo().infos();
+    let default = menu.iter().find(|m| m.default).unwrap();
+    let c = default.input_channels;
+
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = stream.try_clone().unwrap();
+    let mut writer = stream;
+    write_message(
+        &mut writer,
+        &ServeRequest::Hello {
+            version: PROTOCOL_VERSION,
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        read_message::<_, ServeResponse>(&mut reader).unwrap(),
+        Some(ServeResponse::Welcome { .. })
+    ));
+
+    let classify = ServeRequest::Classify {
+        model_id: None,
+        channels: c,
+        height: 8,
+        width: 8,
+        pixels: vec![0.5; c * 64],
+    };
+    let mut frames = Vec::new();
+    for request in [
+        ServeRequest::Models,
+        classify,
+        ServeRequest::Models,
+        ServeRequest::Goodbye,
+    ] {
+        frames.extend(encode(&request).unwrap());
+    }
+    std::io::Write::write_all(&mut writer, &frames).unwrap();
+
+    let mut next = || read_message::<_, ServeResponse>(&mut reader).unwrap();
+    assert!(matches!(next(), Some(ServeResponse::Models(m)) if m.len() == menu.len()));
+    match next() {
+        Some(ServeResponse::Classified { model_id, .. }) => assert_eq!(model_id, default.model_id),
+        other => panic!("expected the classification second, got {other:?}"),
+    }
+    assert!(matches!(next(), Some(ServeResponse::Models(m)) if m.len() == menu.len()));
+    assert!(next().is_none(), "Goodbye closes the connection");
     handle.join().unwrap();
 }
 

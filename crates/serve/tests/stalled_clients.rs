@@ -46,6 +46,23 @@ fn repo() -> ModelRepo {
     ModelRepo::from_commons(commons(), None).expect("search run must yield a servable front")
 }
 
+/// An idle timeout of zero would close every connection on the first
+/// sweep, so the server refuses it before binding, as a config error.
+#[test]
+fn a_zero_idle_timeout_is_refused_at_bind() {
+    let cfg = ServeConfig {
+        idle_timeout: Duration::ZERO,
+        ..ServeConfig::default()
+    };
+    let err = match ServeServer::bind("127.0.0.1:0", repo(), cfg, Arc::new(MetricsRegistry::new()))
+    {
+        Ok(_) => panic!("a zero idle timeout must be refused"),
+        Err(e) => e,
+    };
+    assert!(matches!(err, A4nnError::Config(_)), "{err}");
+    assert_eq!(err.exit_code(), 3);
+}
+
 /// Stall a connection with half a frame on the wire; serve a healthy
 /// client meanwhile; require the healthy answer promptly and the
 /// stalled socket closed at the deadline.

@@ -30,7 +30,7 @@ use a4nn_core::{SurrogateFactory, SurrogateParams};
 use a4nn_lineage::{epochs_csv, models_csv, retries_csv, DataCommons};
 use a4nn_metrics::names;
 use a4nn_net::{SocketOptions, SocketTransport, WorkerHandle, WorkerServer};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Quick-but-nontrivial search: 3 generations so the harness exercises
@@ -91,25 +91,27 @@ impl Mode {
     }
 }
 
-/// Run the NSGA-II search in `mode` under `control`, optionally resuming
-/// from `snapshot`.
+/// Run the NSGA-II search in `mode`, snapshotting into `snapshot_dir`
+/// under `cancel`, optionally resuming from `snapshot`.
 fn run_mode(
     config: &WorkflowConfig,
     mode: Mode,
-    control: RunControl<'_>,
+    snapshot_dir: Option<&Path>,
+    cancel: Option<&CancelHook<'_>>,
     snapshot: Option<SearchSnapshot>,
 ) -> Result<RunOutput, A4nnError> {
-    run_driver(config, Driver::Nsga2, mode, control, snapshot)
+    run_driver(config, Driver::Nsga2, mode, snapshot_dir, cancel, snapshot)
 }
 
-/// Run `driver`'s search in `mode` under `control`, optionally resuming
-/// from `snapshot`. Socket mode spawns a fresh two-worker fleet per call
+/// Run `driver`'s search in `mode`, snapshotting into `snapshot_dir`
+/// under `cancel`, optionally resuming from `snapshot`. Socket mode spawns a fresh two-worker fleet per call
 /// — resume must not depend on transport-side state surviving the kill.
 fn run_driver(
     config: &WorkflowConfig,
     driver: Driver,
     mode: Mode,
-    control: RunControl<'_>,
+    snapshot_dir: Option<&Path>,
+    cancel: Option<&CancelHook<'_>>,
     snapshot: Option<SearchSnapshot>,
 ) -> Result<RunOutput, A4nnError> {
     let factory = SurrogateFactory::new(config, SurrogateParams::for_beam(config.beam));
@@ -117,7 +119,8 @@ fn run_driver(
     let options = |transport| RunOptions {
         driver,
         transport,
-        control,
+        snapshot_dir: snapshot_dir.map(Path::to_path_buf),
+        cancel,
         resume: snapshot,
         ..RunOptions::default()
     };
@@ -151,7 +154,7 @@ fn run_driver(
 /// against gold.
 fn assert_resume_equivalent(driver: Driver, mode: Mode, seed: u64) {
     let config = micro_config(seed);
-    let golden = run_driver(&config, driver, mode, RunControl::default(), None)
+    let golden = run_driver(&config, driver, mode, None, None, None)
         .unwrap_or_else(|e| panic!("{} seed {seed}: golden run failed: {e}", mode.label()));
     let golden_csvs = csvs(&golden);
     let driver_tag = format!("{driver:?}").replace(|c: char| !c.is_alphanumeric(), "");
@@ -163,8 +166,7 @@ fn assert_resume_equivalent(driver: Driver, mode: Mode, seed: u64) {
         // Phase 1: run with a cancel hook that "kills" the process at
         // this boundary. The snapshot commits *before* the hook fires.
         let cancel = move |done: usize| done == boundary;
-        let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-        let err = match run_driver(&config, driver, mode, control, None) {
+        let err = match run_driver(&config, driver, mode, Some(&dir), Some(&cancel), None) {
             Err(e) => e,
             Ok(_) => panic!(
                 "{} seed {seed}: cancel at boundary {boundary} must interrupt the run",
@@ -211,19 +213,13 @@ fn assert_resume_equivalent(driver: Driver, mode: Mode, seed: u64) {
             )
         });
         assert_eq!(snap.generations_done, boundary);
-        let resumed = run_driver(
-            &config,
-            driver,
-            mode,
-            RunControl::snapshot_into(&dir),
-            Some(snap),
-        )
-        .unwrap_or_else(|e| {
-            panic!(
-                "{} seed {seed} boundary {boundary}: resume failed: {e}",
-                mode.label()
-            )
-        });
+        let resumed = run_driver(&config, driver, mode, Some(&dir), None, Some(snap))
+            .unwrap_or_else(|e| {
+                panic!(
+                    "{} seed {seed} boundary {boundary}: resume failed: {e}",
+                    mode.label()
+                )
+            });
 
         assert_eq!(
             golden_csvs,
@@ -292,8 +288,15 @@ fn resuming_under_a_different_driver_is_refused_with_exit_5() {
     let dir = tmp_dir("stale-driver");
     std::fs::remove_dir_all(&dir).ok();
     let cancel = |done: usize| done == 1;
-    let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-    let err = run_driver(&config, AGING, Mode::Direct, control, None).unwrap_err();
+    let err = run_driver(
+        &config,
+        AGING,
+        Mode::Direct,
+        Some(&dir),
+        Some(&cancel),
+        None,
+    )
+    .unwrap_err();
     assert_eq!(err.exit_code(), 10);
 
     let snap = SearchSnapshot::load(&dir, &config).unwrap();
@@ -318,17 +321,16 @@ fn resuming_under_a_different_driver_is_refused_with_exit_5() {
 #[test]
 fn snapshot_committed_on_bus_resumes_on_direct() {
     let config = micro_config(2023);
-    let golden = run_mode(&config, Mode::Direct, RunControl::default(), None).unwrap();
+    let golden = run_mode(&config, Mode::Direct, None, None, None).unwrap();
     let dir = tmp_dir("cross-transport");
     std::fs::remove_dir_all(&dir).ok();
 
     let cancel = |done: usize| done == 2;
-    let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-    let err = run_mode(&config, Mode::Bus, control, None).unwrap_err();
+    let err = run_mode(&config, Mode::Bus, Some(&dir), Some(&cancel), None).unwrap_err();
     assert_eq!(err.exit_code(), 10);
 
     let snap = SearchSnapshot::load(&dir, &config).unwrap();
-    let resumed = run_mode(&config, Mode::Direct, RunControl::default(), Some(snap)).unwrap();
+    let resumed = run_mode(&config, Mode::Direct, None, None, Some(snap)).unwrap();
     assert_eq!(csvs(&golden), csvs(&resumed));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -342,8 +344,7 @@ fn stale_snapshot_is_refused_with_exit_5() {
     std::fs::remove_dir_all(&dir).ok();
 
     let cancel = |done: usize| done == 1;
-    let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-    let err = run_mode(&config, Mode::Direct, control, None).unwrap_err();
+    let err = run_mode(&config, Mode::Direct, Some(&dir), Some(&cancel), None).unwrap_err();
     assert_eq!(err.exit_code(), 10);
 
     let mut other = config.clone();
@@ -371,18 +372,17 @@ fn three_objective_resume_is_bit_exact_across_transports() {
     let mut config = micro_config(2023);
     config.objectives = a4nn_core::ObjectiveSet::parse("neg_fitness,flops,peak_ws_bytes").unwrap();
     for mode in [Mode::Direct, Mode::Bus, Mode::Socket] {
-        let golden = run_mode(&config, mode, RunControl::default(), None)
+        let golden = run_mode(&config, mode, None, None, None)
             .unwrap_or_else(|e| panic!("{}: 3-objective golden run failed: {e}", mode.label()));
         let dir = tmp_dir(&format!("3obj-{}", mode.label()));
         std::fs::remove_dir_all(&dir).ok();
 
         let cancel = |done: usize| done == 2;
-        let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-        let err = run_mode(&config, mode, control, None).unwrap_err();
+        let err = run_mode(&config, mode, Some(&dir), Some(&cancel), None).unwrap_err();
         assert_eq!(err.exit_code(), 10);
 
         let snap = SearchSnapshot::load(&dir, &config).unwrap();
-        let resumed = run_mode(&config, mode, RunControl::default(), Some(snap)).unwrap();
+        let resumed = run_mode(&config, mode, None, None, Some(snap)).unwrap();
         assert_eq!(
             csvs(&golden),
             csvs(&resumed),
@@ -403,8 +403,7 @@ fn changed_objectives_on_resume_are_refused_with_exit_5() {
     std::fs::remove_dir_all(&dir).ok();
 
     let cancel = |done: usize| done == 1;
-    let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-    let err = run_mode(&config, Mode::Direct, control, None).unwrap_err();
+    let err = run_mode(&config, Mode::Direct, Some(&dir), Some(&cancel), None).unwrap_err();
     assert_eq!(err.exit_code(), 10);
 
     let mut widened = config.clone();
@@ -425,10 +424,12 @@ fn changed_objectives_on_resume_are_refused_with_exit_5() {
 }
 
 /// Direct search whose model 1 (generation 0) panics once at epoch 2
-/// and retries, under `control`, optionally resuming from `snapshot`.
+/// and retries, snapshotting into `snapshot_dir` under `cancel`,
+/// optionally resuming from `snapshot`.
 fn run_with_one_retry(
     config: &WorkflowConfig,
-    control: RunControl<'_>,
+    snapshot_dir: Option<&Path>,
+    cancel: Option<&CancelHook<'_>>,
     snapshot: Option<SearchSnapshot>,
 ) -> Result<RunOutput, A4nnError> {
     use a4nn_faults::FaultEvent;
@@ -442,7 +443,8 @@ fn run_with_one_retry(
         &factory,
         RunOptions {
             fault_tolerance: FaultTolerance::new(RetryPolicy::with_retries(2), plan),
-            control,
+            snapshot_dir: snapshot_dir.map(Path::to_path_buf),
+            cancel,
             resume: snapshot,
             ..RunOptions::default()
         },
@@ -453,16 +455,15 @@ fn run_with_one_retry(
 /// fresh directory tagged `tag`: `(golden, resumed)`.
 fn golden_and_resumed_from_boundary_1(tag: &str) -> (RunOutput, RunOutput) {
     let config = micro_config(2023);
-    let golden = run_with_one_retry(&config, RunControl::default(), None).unwrap();
+    let golden = run_with_one_retry(&config, None, None, None).unwrap();
     let dir = tmp_dir(tag);
     std::fs::remove_dir_all(&dir).ok();
     let cancel = |done: usize| done == 1;
-    let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-    let err = run_with_one_retry(&config, control, None).unwrap_err();
+    let err = run_with_one_retry(&config, Some(&dir), Some(&cancel), None).unwrap_err();
     assert_eq!(err.exit_code(), 10);
 
     let snap = SearchSnapshot::load(&dir, &config).unwrap();
-    let resumed = run_with_one_retry(&config, RunControl::default(), Some(snap)).unwrap();
+    let resumed = run_with_one_retry(&config, None, None, Some(snap)).unwrap();
     std::fs::remove_dir_all(&dir).ok();
     (golden, resumed)
 }
@@ -511,12 +512,11 @@ fn transport_stats_count_both_halves_of_a_resumed_run() {
 #[test]
 fn snapshot_with_a_retries_key_still_loads() {
     let config = micro_config(2023);
-    let golden = run_mode(&config, Mode::Direct, RunControl::default(), None).unwrap();
+    let golden = run_mode(&config, Mode::Direct, None, None, None).unwrap();
     let dir = tmp_dir("retries-key");
     std::fs::remove_dir_all(&dir).ok();
     let cancel = |done: usize| done == 1;
-    let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-    let err = run_mode(&config, Mode::Direct, control, None).unwrap_err();
+    let err = run_mode(&config, Mode::Direct, Some(&dir), Some(&cancel), None).unwrap_err();
     assert_eq!(err.exit_code(), 10);
 
     // The older writer's shape: one entry per model of generation 0.
@@ -536,7 +536,7 @@ fn snapshot_with_a_retries_key_still_loads() {
     std::fs::write(&state, legacy).unwrap();
 
     let snap = SearchSnapshot::load(&dir, &config).expect("a retries key is ignored");
-    let resumed = run_mode(&config, Mode::Direct, RunControl::default(), Some(snap)).unwrap();
+    let resumed = run_mode(&config, Mode::Direct, None, None, Some(snap)).unwrap();
     assert_eq!(csvs(&golden), csvs(&resumed));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -550,8 +550,7 @@ fn survivors_outside_the_records_are_refused_with_exit_5() {
     let dir = tmp_dir("bad-parents");
     std::fs::remove_dir_all(&dir).ok();
     let cancel = |done: usize| done == 1;
-    let control = RunControl::snapshot_into(&dir).with_cancel(&cancel);
-    let err = run_mode(&config, Mode::Direct, control, None).unwrap_err();
+    let err = run_mode(&config, Mode::Direct, Some(&dir), Some(&cancel), None).unwrap_err();
     assert_eq!(err.exit_code(), 10);
 
     let state = dir.join("search_state_g0001.json");
@@ -562,7 +561,7 @@ fn survivors_outside_the_records_are_refused_with_exit_5() {
     std::fs::write(&state, tampered).unwrap();
 
     let snap = SearchSnapshot::load(&dir, &config).unwrap();
-    let err = run_mode(&config, Mode::Direct, RunControl::default(), Some(snap)).unwrap_err();
+    let err = run_mode(&config, Mode::Direct, None, None, Some(snap)).unwrap_err();
     assert!(matches!(err, A4nnError::Checkpoint(_)), "got {err}");
     assert_eq!(err.exit_code(), 5);
     std::fs::remove_dir_all(&dir).ok();
@@ -602,9 +601,9 @@ fn snapshot_written_with_archive_seen_and_next_id_still_resumes() {
     for key in ["\"archive\"", "\"seen\"", "\"next_id\""] {
         assert!(state.contains(key), "the fixture carries {key}");
     }
-    let golden = run_mode(&config, Mode::Direct, RunControl::default(), None).unwrap();
+    let golden = run_mode(&config, Mode::Direct, None, None, None).unwrap();
     let snap = SearchSnapshot::load(&fixture, &config).expect("the older keys are ignored");
-    let resumed = run_mode(&config, Mode::Direct, RunControl::default(), Some(snap)).unwrap();
+    let resumed = run_mode(&config, Mode::Direct, None, None, Some(snap)).unwrap();
     assert_eq!(csvs(&golden), csvs(&resumed));
     assert_eq!(golden.commons, resumed.commons);
 }
@@ -614,8 +613,7 @@ fn snapshot_written_with_archive_seen_and_next_id_still_resumes() {
 fn interrupt_at(config: &WorkflowConfig, boundary: usize, dir: &std::path::Path) {
     std::fs::remove_dir_all(dir).ok();
     let cancel = move |done: usize| done == boundary;
-    let control = RunControl::snapshot_into(dir).with_cancel(&cancel);
-    let err = run_mode(config, Mode::Direct, control, None).unwrap_err();
+    let err = run_mode(config, Mode::Direct, Some(dir), Some(&cancel), None).unwrap_err();
     assert_eq!(err.exit_code(), 10, "{err}");
 }
 
@@ -638,7 +636,7 @@ fn damaged_committed_model_file_is_refused_with_exit_5() {
         }
         let err = match SearchSnapshot::load(&dir, &config) {
             Err(e) => e,
-            Ok(snap) => run_mode(&config, Mode::Direct, RunControl::default(), Some(snap))
+            Ok(snap) => run_mode(&config, Mode::Direct, None, None, Some(snap))
                 .expect_err("a damaged commons must not resume"),
         };
         assert!(matches!(err, A4nnError::Checkpoint(_)), "{tag}: got {err}");
@@ -653,7 +651,7 @@ fn damaged_committed_model_file_is_refused_with_exit_5() {
 #[test]
 fn resume_into_another_directory_commits_the_whole_commons() {
     let config = micro_config(2023);
-    let golden = run_mode(&config, Mode::Direct, RunControl::default(), None).unwrap();
+    let golden = run_mode(&config, Mode::Direct, None, None, None).unwrap();
     let gold_dir = tmp_dir("elsewhere-gold");
     std::fs::remove_dir_all(&gold_dir).ok();
     golden.commons.save_dir(&gold_dir).unwrap();
@@ -673,13 +671,7 @@ fn resume_into_another_directory_commits_the_whole_commons() {
         interrupt_at(&config, boundary, &from);
         std::fs::remove_dir_all(&into).ok();
         let snap = SearchSnapshot::load(&from, &config).unwrap();
-        let resumed = run_mode(
-            &config,
-            Mode::Direct,
-            RunControl::snapshot_into(&into),
-            Some(snap),
-        )
-        .unwrap();
+        let resumed = run_mode(&config, Mode::Direct, Some(&into), None, Some(snap)).unwrap();
         assert_eq!(golden.commons, resumed.commons);
 
         let names = commons_files(&gold_dir);

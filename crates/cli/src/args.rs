@@ -166,7 +166,7 @@ pub(crate) const FLAGS: &[Flag] = &[
     Flag("--commons", Some("dir"), "commons whose Pareto front to serve (required);\n\
         no command writes its checkpoints/ yet, so each\n\
         model is an untrained rebuild of its genome\n\
-        (ROADMAP.md item 6(d))", &[Serve]),
+        (ROADMAP.md: \"Serve what was trained\")", &[Serve]),
     Flag("--listen", Some("addr"), "bind address (required), e.g. 0.0.0.0:7463", &[Serve]),
     Flag("--batch", Some("n"), "max requests per micro-batch [8]", &[Serve]),
     Flag("--queue", Some("n"), "admission queue capacity; requests beyond it\n\

@@ -6,7 +6,6 @@
 
 use crate::args::{usage, ArgError, Command, Parsed};
 use a4nn_core::prelude::*;
-use a4nn_core::{RealTrainerFactory, SurrogateFactory, SurrogateParams, TrainingHyperparams};
 use a4nn_genome::viz::{render_ascii, render_dot};
 use a4nn_lineage::{Analyzer, DataCommons};
 use a4nn_net::{SocketOptions, SocketTransport, WorkerServer};
@@ -103,8 +102,9 @@ fn sessions_of(parsed: &Parsed) -> Result<usize, ArgError> {
     Ok(parsed.value("--sessions")?.unwrap_or(DEFAULT_SESSIONS))
 }
 
-/// `--images`, refused below `min`: training passes 2, since fewer images
-/// per class leave a half of the 80/20 split empty.
+/// `--images`, refused below `min`: `xpsi` passes 2, since fewer images
+/// per class leave a half of the 80/20 split empty (a real trainer's
+/// [`WorkflowConfig::trainer_factory`] refuses those itself).
 fn images_of(parsed: &Parsed, min: usize) -> Result<usize, CommandError> {
     let images = parsed.value("--images")?.unwrap_or(DEFAULT_IMAGES);
     if images < min {
@@ -152,6 +152,14 @@ fn workflow_config(parsed: &Parsed, engine: bool) -> Result<WorkflowConfig, Comm
         None => ObjectiveSet::default(),
         Some(spec) => ObjectiveSet::parse(spec)?,
     };
+    let trainer = if parsed.flag("--real") {
+        TrainerSpec::Real {
+            images: images_of(parsed, 0)?,
+            xfel: XfelConfig::default(),
+        }
+    } else {
+        TrainerSpec::Surrogate
+    };
     Ok(WorkflowConfig {
         nas,
         engine,
@@ -159,6 +167,7 @@ fn workflow_config(parsed: &Parsed, engine: bool) -> Result<WorkflowConfig, Comm
         beam: beam_of(parsed)?,
         seed: seed_of(parsed)?,
         objectives,
+        trainer,
     })
 }
 
@@ -238,15 +247,10 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     let config = workflow_config(parsed, engine)?;
     let local = local_transport(parsed)?;
     let tolerance = fault_tolerance(parsed)?;
+    // Before any worker is contacted: a trainer the configuration cannot
+    // build exits 3 without network traffic.
+    let factory = config.trainer_factory()?;
     let workflow = A4nnWorkflow::new(config.clone());
-    if local.is_none() && parsed.flag("--real") {
-        return Err(A4nnError::Config(
-            "--real is not available over --orchestration socket; workers train the \
-             deterministic surrogate rebuilt from the shipped configuration"
-                .into(),
-        )
-        .into());
-    }
 
     // Resume + snapshot wiring. The run directory (--out, or the
     // --resume dir when --out is absent) receives each generation's
@@ -255,14 +259,6 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     // and can continue bit-for-bit with `--resume <dir>` and identical
     // flags.
     let resume_dir = parsed.get("--resume").map(PathBuf::from);
-    if resume_dir.is_some() && parsed.flag("--real") {
-        return Err(A4nnError::Config(
-            "--resume is not available with --real: the training dataset is not part \
-             of the snapshot's configuration fingerprint"
-                .into(),
-        )
-        .into());
-    }
     let out_dir = parsed
         .get("--out")
         .map(PathBuf::from)
@@ -315,27 +311,6 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
             );
             &socket
         }
-    };
-    let factory: Box<dyn TrainerFactory> = if parsed.flag("--real") {
-        let images = images_of(parsed, 2)?;
-        let (train, test) =
-            generate_split(&XfelConfig::default(), config.beam, images, config.seed);
-        println!(
-            "training for real: {} train / {} validation images",
-            train.len(),
-            test.len()
-        );
-        Box::new(RealTrainerFactory::new(
-            config.search_space(),
-            Arc::new(train),
-            Arc::new(test),
-            TrainingHyperparams::default(),
-        ))
-    } else {
-        Box::new(SurrogateFactory::new(
-            &config,
-            SurrogateParams::for_beam(config.beam),
-        ))
     };
     let output = workflow.run(
         factory.as_ref(),
@@ -484,7 +459,7 @@ fn run_serve(parsed: &Parsed) -> Result<(), CommandError> {
     let repo = a4nn_serve::ModelRepo::load(&PathBuf::from(required(parsed, "--commons")?))?;
     let menu = repo.infos();
     // Batch workers share the cores the way search's virtual GPUs do.
-    a4nn_nn::gemm::set_thread_budget(a4nn_sched::intra_op_threads(cfg.batcher.workers));
+    a4nn_core::share_cores(cfg.batcher.workers);
     let server =
         a4nn_serve::ServeServer::bind(listen, repo, cfg, Arc::new(MetricsRegistry::new()))?;
     println!(

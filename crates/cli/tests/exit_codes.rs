@@ -169,11 +169,6 @@ fn socket_misuse_is_invalid_value() {
         3,
         "socket orchestration without --workers"
     );
-    assert_eq!(
-        code("search --generations 1 --orchestration socket --workers 127.0.0.1:1 --real"),
-        3,
-        "--real cannot ride the socket transport"
-    );
     assert_eq!(code("worker --gpus 1"), 3, "worker without --listen");
     assert_eq!(
         code("worker --listen 127.0.0.1:0 --gpus 0"),
@@ -279,6 +274,26 @@ fn stale_resume_snapshot_is_five() {
         0,
         "resuming a completed run with identical flags rebuilds its outputs"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `--real` run's images are part of what it resumes: the same
+/// `--images` resumes, another count or a dropped `--real` is a stale
+/// snapshot — exit code 5.
+#[test]
+fn real_resume_under_other_images_is_five() {
+    let dir = std::env::temp_dir().join(format!("a4nn-exit-codes-real-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let out = dir.to_string_lossy().to_string();
+    let search = "search --population 2 --offspring 2 --generations 1 --epochs 1";
+    assert_eq!(code(&format!("{search} --real --images 2 --out {out}")), 0);
+    for (flags, want) in [("--real --images 3", 5), ("", 5), ("--real --images 2", 0)] {
+        assert_eq!(
+            code(&format!("{search} {flags} --resume {out}")),
+            want,
+            "resuming with {flags:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,10 +1,15 @@
 //! Workflow configuration: the paper's Tables 1 and 2 as data.
 
 use crate::objectives::ObjectiveSet;
+use crate::real::{RealTrainerFactory, TrainingHyperparams};
+use crate::surrogate::{SurrogateFactory, SurrogateParams};
+use crate::trainer::{TrainerFactory, TrainerSpec};
+use a4nn_error::A4nnError;
 use a4nn_genome::SearchSpace;
 use a4nn_penguin::EngineConfig;
-use a4nn_xfel::BeamIntensity;
+use a4nn_xfel::{generate_split, BeamIntensity};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// NSGA-Net settings (Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,6 +74,12 @@ pub struct WorkflowConfig {
     /// different set is stale (exit 5).
     #[serde(default)]
     pub objectives: ObjectiveSet,
+    /// The trainer every model trains on; the surrogate by default.
+    /// Shipped to workers and recorded in snapshots, but not part of the
+    /// config fingerprint ([`config_hash`](crate::config_hash)): a resumed
+    /// run refuses another trainer on its own.
+    #[serde(default)]
+    pub trainer: TrainerSpec,
 }
 
 impl WorkflowConfig {
@@ -81,6 +92,7 @@ impl WorkflowConfig {
             beam,
             seed,
             objectives: ObjectiveSet::default(),
+            trainer: TrainerSpec::Surrogate,
         }
     }
 
@@ -94,6 +106,7 @@ impl WorkflowConfig {
             beam,
             seed,
             objectives: ObjectiveSet::default(),
+            trainer: TrainerSpec::Surrogate,
         }
     }
 
@@ -102,6 +115,32 @@ impl WorkflowConfig {
         SearchSpace {
             nodes_per_phase: self.nas.nodes_per_phase,
             ..SearchSpace::paper_defaults()
+        }
+    }
+
+    /// The factory of [`trainer`](Self::trainer)'s trainers for this run:
+    /// the surrogate calibrated for `beam`, or real training on images
+    /// synthesized from `beam` and `seed`. A real trainer with fewer than
+    /// 2 images per class leaves half of its split empty and is refused
+    /// as [`A4nnError::Config`].
+    pub fn trainer_factory(&self) -> Result<Box<dyn TrainerFactory>, A4nnError> {
+        match &self.trainer {
+            TrainerSpec::Surrogate => Ok(Box::new(SurrogateFactory::new(
+                self,
+                SurrogateParams::for_beam(self.beam),
+            ))),
+            &TrainerSpec::Real { images, .. } if images < 2 => Err(A4nnError::Config(format!(
+                "{images} image(s) per class: real training needs at least 2"
+            ))),
+            TrainerSpec::Real { images, xfel } => {
+                let (train, val) = generate_split(xfel, self.beam, *images, self.seed);
+                Ok(Box::new(RealTrainerFactory::new(
+                    self.search_space(),
+                    Arc::new(train),
+                    Arc::new(val),
+                    TrainingHyperparams::default(),
+                )))
+            }
         }
     }
 }
@@ -141,13 +180,19 @@ mod tests {
     #[test]
     fn legacy_config_json_defaults_to_the_paper_pair() {
         // A config serialized before the objective registry existed has
-        // no `objectives` key and must load as (neg_fitness, flops).
+        // no `objectives` key and must load as (neg_fitness, flops); one
+        // serialized before configurations named a trainer has no
+        // `trainer` key and must load as the surrogate.
         let cfg = WorkflowConfig::a4nn(BeamIntensity::Low, 2, 1);
         let json = serde_json::to_string(&cfg).unwrap();
         let stripped = json.replace(",\"objectives\":[\"neg_fitness\",\"flops\"]", "");
         assert_ne!(json, stripped, "objectives key must serialize");
         let loaded: WorkflowConfig = serde_json::from_str(&stripped).unwrap();
         assert!(loaded.objectives.is_default());
+        let stripped = json.replace(",\"trainer\":\"Surrogate\"", "");
+        assert_ne!(json, stripped, "trainer key must serialize");
+        let loaded: WorkflowConfig = serde_json::from_str(&stripped).unwrap();
+        assert_eq!(loaded.trainer, TrainerSpec::Surrogate);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   trainer** ([`surrogate`]) standing in for the paper's GPU fleet (see
 //!   DESIGN.md §3 for the substitution argument) so the paper-scale
 //!   experiments (100 models × 25 epochs × 3 beams × 2 modes) run in
-//!   seconds.
+//!   seconds. The configuration's [`TrainerSpec`] names one, and
+//!   [`WorkflowConfig::trainer_factory`] builds it.
 //!
 //! ## Running a search
 //!
@@ -39,10 +40,10 @@
 //!     beam: BeamIntensity::Medium,
 //!     seed: 42,
 //!     objectives: ObjectiveSet::default(),
+//!     trainer: TrainerSpec::Surrogate,
 //! };
-//! let workflow = A4nnWorkflow::new(config.clone());
-//! let surrogate = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-//! let output = workflow.run(&surrogate, RunOptions::default())?;
+//! let factory = config.trainer_factory()?;
+//! let output = A4nnWorkflow::new(config).run(factory.as_ref(), RunOptions::default())?;
 //! assert_eq!(output.commons.len(), 12); // 4 + 4×2 models evaluated
 //! assert!(output.total_epochs() > 0);
 //! # Ok::<(), A4nnError>(())
@@ -70,12 +71,13 @@ pub use config::{NasSettings, WorkflowConfig};
 pub use fault::{FaultStats, FaultTolerance};
 pub use objectives::{ModelCost, ObjectiveKind, ObjectiveSet};
 pub use pipeline::{
-    BatchResult, BusTransport, DirectTransport, EvalPipeline, Transport, TransportStats,
+    share_cores, BatchResult, BusTransport, DirectTransport, EvalPipeline, Transport,
+    TransportStats,
 };
 pub use real::{RealTrainerFactory, TrainingHyperparams};
 pub use resume::{config_hash, SearchSnapshot, SNAPSHOT_VERSION};
 pub use surrogate::{SurrogateFactory, SurrogateParams};
-pub use trainer::{EpochResult, Trainer, TrainerFactory};
+pub use trainer::{EpochResult, Trainer, TrainerFactory, TrainerSpec};
 pub use training::{train_model, EngineLink, InlineEngine, TrainingOutcome};
 pub use workflow::{A4nnWorkflow, CancelHook, Driver, RunOptions, RunOutput};
 
@@ -85,7 +87,7 @@ pub mod prelude {
         netspec_from_arch, A4nnError, A4nnWorkflow, BusTransport, CancelHook, CheckpointStore,
         DirectTransport, Driver, EpochResult, EvalPipeline, FaultStats, FaultTolerance, ModelCost,
         NasSettings, ObjectiveKind, ObjectiveSet, RealTrainerFactory, RunOptions, RunOutput,
-        SearchSnapshot, SurrogateFactory, SurrogateParams, Trainer, TrainerFactory,
+        SearchSnapshot, SurrogateFactory, SurrogateParams, Trainer, TrainerFactory, TrainerSpec,
         TrainingHyperparams, TrainingOutcome, Transport, TransportStats, WorkflowConfig,
     };
     pub use a4nn_faults::{ChaosSpec, FaultEvent, FaultPlan};

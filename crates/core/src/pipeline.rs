@@ -53,6 +53,13 @@ use a4nn_penguin::{EngineConfig, Verdict};
 use a4nn_sched::{schedule, GpuPool, RetryPolicy, ScheduleResult, Task, TaskOrdering};
 use std::collections::HashMap;
 
+/// Divide the cores between `concurrent` trainers and each trainer's
+/// GEMM kernels: each gets `cores / concurrent` intra-op threads. Results
+/// are bitwise independent of this budget; it only affects wall time.
+pub fn share_cores(concurrent: usize) {
+    a4nn_nn::gemm::set_thread_budget(a4nn_sched::intra_op_threads(concurrent));
+}
+
 /// Per-transport dispatch counters for one run, read from the metrics
 /// registry — so they cover both halves of a resumed run. All times are
 /// measured wall time (never simulated seconds), so they report the
@@ -263,11 +270,8 @@ impl<'a> EvalPipeline<'a> {
         generation: usize,
         base_id: u64,
     ) -> Result<BatchResult, A4nnError> {
-        // Divide the cores between the generation's concurrent trainers
-        // and each trainer's GEMM kernels: `gpus` models train at once,
-        // so each gets `cores / gpus` intra-op threads (results are
-        // bitwise independent of this budget; it only affects wall time).
-        a4nn_nn::gemm::set_thread_budget(a4nn_sched::intra_op_threads(self.cfg.gpus));
+        // `gpus` models train at once.
+        share_cores(self.cfg.gpus);
         let outcomes = transport.run_generation(self, genomes, generation, base_id)?;
 
         // Engine overhead is measured wall time and reported separately

@@ -57,14 +57,18 @@
 //! and the filter and the id follow from the archive. Under the other
 //! drivers the survivors are the newest `population` model ids, so aging
 //! evolution's queue needs no state of its own either: its genomes and
-//! fitness are read back from the records. The snapshot names its driver, and resuming it under
-//! another one is stale; another objective set is another configuration,
-//! so its fingerprint already refuses it. Because each model trains
+//! fitness are read back from the records. The snapshot names its driver
+//! and its trainer, and resuming it under another of either is stale;
+//! another objective set is another configuration, so its fingerprint
+//! already refuses it. No trained weights cross a boundary, so a real
+//! trainer's resume needs only its images, which its [`TrainerSpec`]
+//! regenerates bit for bit. Because each model trains
 //! independently and every stochastic stream is keyed on
 //! `(seed, model_id)`, no state outside this struct crosses a generation
 //! boundary.
 
 use crate::config::WorkflowConfig;
+use crate::trainer::TrainerSpec;
 use crate::workflow::Driver;
 use a4nn_error::A4nnError;
 use a4nn_lineage::{read_models, write_atomic, ModelRecord};
@@ -85,10 +89,18 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// Name of the commit-point manifest inside a run directory.
 pub const MANIFEST_FILE: &str = "resume_manifest.json";
 
-/// FNV-1a 64 over the config's canonical JSON: the fingerprint that
-/// pins a snapshot to the exact configuration that produced it.
+/// FNV-1a 64 over the config's canonical JSON without its `trainer`
+/// key: the fingerprint that pins a snapshot to the exact configuration
+/// that produced it. Leaving the trainer out keeps every fingerprint what
+/// it was before configurations named one, so older snapshots still
+/// resume; the snapshot records its trainer instead, and
+/// `SearchSnapshot::check_resumes` refuses another.
 pub fn config_hash(cfg: &WorkflowConfig) -> Result<u64, A4nnError> {
-    let bytes = serde_json::to_vec(cfg)
+    let mut value = cfg.to_value();
+    if let serde_json::Value::Object(fields) = &mut value {
+        fields.retain(|(key, _)| key != "trainer");
+    }
+    let bytes = serde_json::to_vec(&value)
         .map_err(|e| A4nnError::Internal(format!("serializing config for hashing: {e}")))?;
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
@@ -123,6 +135,10 @@ pub struct SearchSnapshot {
     /// drivers shared the loop carry none and load as NSGA-II.
     #[serde(default)]
     pub driver: Driver,
+    /// The trainer that trained the records. Snapshots written before
+    /// configurations named one carry none and load as the surrogate.
+    #[serde(default)]
+    pub trainer: TrainerSpec,
     /// Generations fully completed (the next one to run).
     pub generations_done: usize,
     /// Raw xoshiro256** state words of the search RNG, captured after
@@ -158,6 +174,7 @@ impl SearchSnapshot {
             version: SNAPSHOT_VERSION,
             config_hash: config_hash(cfg)?,
             driver,
+            trainer: cfg.trainer.clone(),
             generations_done: 0,
             rng_state: StdRng::seed_from_u64(cfg.seed).state(),
             parents: Vec::new(),
@@ -171,8 +188,8 @@ impl SearchSnapshot {
     }
 
     /// Refuse this snapshot unless it continues `cfg`'s search under
-    /// `driver`: the same schema version, config fingerprint and driver,
-    /// a cursor inside the run, records numbered `0..n` that the
+    /// `driver`: the same schema version, config fingerprint, driver and
+    /// trainer, a cursor inside the run, records numbered `0..n` that the
     /// survivors index into, and objective vectors of the configured
     /// dimension. Every refusal is an [`A4nnError::Checkpoint`] (exit 5).
     pub(crate) fn check_resumes(
@@ -185,6 +202,12 @@ impl SearchSnapshot {
             return Err(A4nnError::Checkpoint(format!(
                 "stale snapshot: state was searched by {:?} but this run drives {:?}",
                 self.driver, driver
+            )));
+        }
+        if self.trainer != cfg.trainer {
+            return Err(A4nnError::Checkpoint(format!(
+                "stale snapshot: state was trained by {:?} but this run trains {:?}",
+                self.trainer, cfg.trainer
             )));
         }
         if self.generations_done == 0 || self.generations_done > cfg.nas.generations {
@@ -380,6 +403,7 @@ mod tests {
             version: SNAPSHOT_VERSION,
             config_hash: config_hash(cfg).unwrap(),
             driver: Driver::default(),
+            trainer: TrainerSpec::default(),
             generations_done,
             rng_state: [1, 2, 3, 4],
             parents: vec![0, 2],
@@ -496,6 +520,32 @@ mod tests {
         let err = SearchSnapshot::load(&dir, &cfg).unwrap_err();
         assert!(err.to_string().contains("torn snapshot"), "got {err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn config_hash_leaves_the_trainer_out() {
+        // Fingerprints written before configurations named a trainer.
+        let pinned = [
+            (
+                WorkflowConfig::a4nn(BeamIntensity::Medium, 2, 5),
+                0x3dc3_abf7_40e2_47b9,
+            ),
+            (
+                WorkflowConfig::a4nn(BeamIntensity::Low, 1, 2023),
+                0xdcac_456e_77b2_6e6b,
+            ),
+        ];
+        for (cfg, hash) in pinned {
+            assert_eq!(config_hash(&cfg).unwrap(), hash);
+            let real = WorkflowConfig {
+                trainer: TrainerSpec::Real {
+                    images: 20,
+                    xfel: a4nn_xfel::XfelConfig::default(),
+                },
+                ..cfg
+            };
+            assert_eq!(config_hash(&real).unwrap(), hash);
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 
 use crate::objectives::ModelCost;
 use a4nn_genome::Genome;
+use a4nn_xfel::XfelConfig;
+use serde::{Deserialize, Serialize};
 
 /// Measurements produced by training one epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,4 +39,25 @@ pub trait TrainerFactory: Sync {
     /// Build a trainer for `genome`. `model_id` and `seed` make the
     /// trainer's stochasticity reproducible and unique per model.
     fn make(&self, genome: &Genome, model_id: u64, seed: u64) -> Box<dyn Trainer>;
+}
+
+/// Which trainer a run's models train on: part of the run's
+/// configuration, so a worker rebuilds the coordinator's trainer and a
+/// resumed run the killed one's. Build it with
+/// [`WorkflowConfig::trainer_factory`](crate::WorkflowConfig::trainer_factory).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub enum TrainerSpec {
+    /// The calibrated surrogate for the run's beam ([`crate::surrogate`]).
+    #[default]
+    Surrogate,
+    /// Real CPU training ([`crate::real`]) on `images` synthetic
+    /// diffraction images per class at the run's beam and seed, split
+    /// 80/20 into training and validation.
+    Real {
+        /// Images per class, at least 2, so both halves of the split
+        /// hold some.
+        images: usize,
+        /// The simulated experiment the images come from.
+        xfel: XfelConfig,
+    },
 }

@@ -429,6 +429,7 @@ mod tests {
             beam: BeamIntensity::Medium,
             seed,
             objectives: crate::objectives::ObjectiveSet::default(),
+            trainer: crate::trainer::TrainerSpec::Surrogate,
         }
     }
 

@@ -27,7 +27,7 @@ use std::io::{self, Read, Write};
 /// change; both the frame header and the `Hello`/`Welcome` handshake
 /// carry it, so mismatched builds refuse each other instead of
 /// misparsing.
-pub const PROTOCOL_VERSION: u16 = 2;
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Frame preamble, for cheap misdial detection.
 pub const MAGIC: [u8; 4] = *b"A4NN";

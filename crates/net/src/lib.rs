@@ -9,8 +9,8 @@
 //!   `u32` length), with typed rejection of truncation, corruption, and
 //!   foreign protocol revisions.
 //! - [`worker`] — the worker process ([`WorkerServer`]): accepts a
-//!   coordinator session, rebuilds the deterministic surrogate trainer
-//!   from the shipped [`RunSetup`](Message::RunSetup), trains jobs with
+//!   coordinator session, rebuilds the deterministic trainer the shipped
+//!   [`RunSetup`](Message::RunSetup) names, trains jobs with
 //!   [`a4nn_core::train_model`], and heartbeats its liveness.
 //! - [`transport`] — the coordinator ([`SocketTransport`]): an
 //!   implementation of the transport trait that shards each generation across

@@ -6,9 +6,9 @@
 //!    [`Welcome`](Message::Welcome) (advertising its GPU count) or
 //!    [`Reject`](Message::Reject) on a protocol-version mismatch;
 //! 2. coordinator → [`RunSetup`](Message::RunSetup): the full workflow
-//!    configuration plus the fault-tolerance contract, so the worker
-//!    reconstructs the *same* deterministic trainer the coordinator
-//!    would run in process;
+//!    configuration, its trainer included, plus the fault-tolerance
+//!    contract, so the worker reconstructs the *same* deterministic
+//!    trainer the coordinator would run in process;
 //! 3. jobs: coordinator → [`Job`](Message::Job), worker →
 //!    [`JobDone`](Message::JobDone), interleaved with periodic
 //!    [`Heartbeat`](Message::Heartbeat)s from the worker;
@@ -52,7 +52,9 @@ pub enum Message {
     /// Everything the worker needs to train deterministically.
     RunSetup {
         /// The run's workflow configuration (search space, engine,
-        /// seed); the worker rebuilds its trainer factory from this.
+        /// seed, trainer); the worker rebuilds its trainer factory from
+        /// this. A worker of protocol 2 would ignore the `trainer` key
+        /// and train the surrogate, hence protocol 3.
         config: WorkflowConfig,
         /// Trainer retry policy — worker-side attempts, identical to
         /// the in-process retry loop.

@@ -3,10 +3,14 @@
 //!
 //! Each accepted connection is one coordinator *session*: handshake,
 //! [`RunSetup`](crate::Message::RunSetup), then a stream of jobs. The
-//! worker reconstructs the surrogate trainer factory from the shipped
-//! configuration, so every job it trains is the *same* deterministic
-//! computation [`a4nn_core::train_model`] would run in
-//! process — remote placement cannot perturb results by construction.
+//! worker builds the trainer factory the shipped configuration names
+//! (`WorkflowConfig::trainer_factory`: the surrogate, or real training
+//! on images it synthesizes from the configuration), so every job it
+//! trains is the *same* deterministic computation
+//! [`a4nn_core::train_model`] would run in process — remote placement
+//! cannot perturb results by construction. A configuration whose trainer
+//! cannot be built ends that session with [`NetError::Protocol`]; the
+//! worker goes on serving the next one.
 //!
 //! A heartbeat thread signs the worker's liveness every
 //! `heartbeat_interval_ms`; the deterministic `WorkerStall` fault mutes
@@ -20,11 +24,12 @@
 
 use crate::frame::{read_message, write_message, NetError, PROTOCOL_VERSION};
 use crate::protocol::Message;
-use a4nn_core::{train_model, FaultTolerance, InlineEngine, SurrogateFactory, SurrogateParams};
+use a4nn_core::{share_cores, train_model, FaultTolerance, InlineEngine};
 use a4nn_error::A4nnError;
 use parking_lot::Mutex;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// A bound worker server, ready to serve coordinator sessions.
@@ -35,13 +40,16 @@ pub struct WorkerServer {
 
 impl WorkerServer {
     /// Bind the listener on `addr` (e.g. `127.0.0.1:7070`; port `0`
-    /// picks a free port) advertising `gpus` concurrent job slots.
+    /// picks a free port) advertising `gpus` concurrent job slots, and
+    /// divide the process's cores among those slots as an in-process
+    /// search divides them among its GPUs.
     pub fn bind(addr: &str, gpus: usize) -> Result<Self, A4nnError> {
         if gpus == 0 {
             return Err(A4nnError::Config(
                 "a worker must advertise at least one GPU".into(),
             ));
         }
+        share_cores(gpus);
         let listener = TcpListener::bind(addr)
             .map_err(|e| A4nnError::Net(format!("binding worker listener on {addr}: {e}")))?;
         Ok(WorkerServer { listener, gpus })
@@ -153,11 +161,10 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
                 )))
             }
         };
-    // The factory is purely configuration-derived, which is the whole
-    // determinism argument: same (config, genome, model_id, seed) ⇒
-    // same trainer ⇒ same outcome, wherever it runs.
-    let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
     let ft = FaultTolerance::new(retry, plan);
+    // Set once the heartbeat runs: a real trainer synthesizes its images
+    // here, which can outlast the coordinator's heartbeat deadline.
+    let factory = OnceLock::new();
 
     let done = AtomicBool::new(false);
     // Jobs accepted and not yet answered; capped at `gpus`.
@@ -184,84 +191,91 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
         // until the session ends).
         let mut jobs: Vec<std::thread::ScopedJoinHandle<'_, ()>> = Vec::new();
         let mut panicked = false;
-        let loop_result = loop {
-            match read_message::<_, Message>(&mut reader) {
-                Ok(Some(Message::Job {
-                    model_id,
-                    generation: _,
-                    dispatch_attempt,
-                    genome,
-                })) => {
-                    if in_flight.load(Ordering::SeqCst) >= gpus {
+        // The factory is purely configuration-derived, which is the whole
+        // determinism argument: same (config, genome, model_id, seed) ⇒
+        // same trainer ⇒ same outcome, wherever it runs.
+        let loop_result = match factory.get_or_init(|| config.trainer_factory()) {
+            Err(e) => Err(NetError::Protocol(format!("unusable RunSetup: {e}"))),
+            Ok(factory) => loop {
+                match read_message::<_, Message>(&mut reader) {
+                    Ok(Some(Message::Job {
+                        model_id,
+                        generation: _,
+                        dispatch_attempt,
+                        genome,
+                    })) => {
+                        if in_flight.load(Ordering::SeqCst) >= gpus {
+                            break Err(NetError::Protocol(format!(
+                                "job {model_id} exceeds the {gpus} advertised GPU(s)"
+                            )));
+                        }
+                        in_flight.fetch_add(1, Ordering::SeqCst);
+                        let mut i = 0;
+                        while i < jobs.len() {
+                            if jobs[i].is_finished() {
+                                panicked |= jobs.swap_remove(i).join().is_err();
+                            } else {
+                                i += 1;
+                            }
+                        }
+                        let factory = factory.as_ref();
+                        let ft = &ft;
+                        let config = &config;
+                        let writer = &writer;
+                        let mute_until = &mute_until;
+                        let done = &done;
+                        let in_flight = &in_flight;
+                        jobs.push(scope.spawn(move || {
+                            let epochs = config.nas.epochs;
+                            let stall_ms: u64 = (1..=epochs)
+                                .map(|e| ft.plan.worker_stall_millis(model_id, e))
+                                .sum();
+                            if stall_ms > 0 {
+                                // Go quiet past the coordinator's deadline:
+                                // heartbeats muted, job frozen.
+                                *mute_until.lock() =
+                                    Instant::now() + Duration::from_millis(stall_ms);
+                                std::thread::sleep(Duration::from_millis(stall_ms));
+                            }
+                            if (1..=epochs)
+                                .any(|e| ft.plan.worker_drop_due(model_id, e, dispatch_attempt))
+                            {
+                                // Sever the connection instead of answering —
+                                // the coordinator must requeue this job (and
+                                // every other one in flight here) elsewhere.
+                                done.store(true, Ordering::SeqCst);
+                                let _ = writer.lock().shutdown(Shutdown::Both);
+                                return;
+                            }
+                            let mut engine =
+                                InlineEngine::new(config.engine.as_ref(), &ft.plan, model_id);
+                            let Ok((outcome, cost)) =
+                                train_model(config, factory, &genome, model_id, ft, &mut engine)
+                            else {
+                                unreachable!("an inline engine link never errs")
+                            };
+                            // Free the slot before answering: the coordinator
+                            // may send the next job as soon as it reads this.
+                            in_flight.fetch_sub(1, Ordering::SeqCst);
+                            let _ = write_message(
+                                &mut *writer.lock(),
+                                &Message::JobDone {
+                                    model_id,
+                                    cost,
+                                    outcome,
+                                },
+                            );
+                        }));
+                    }
+                    Ok(Some(Message::Shutdown)) | Ok(None) => break Ok(()),
+                    Ok(Some(other)) => {
                         break Err(NetError::Protocol(format!(
-                            "job {model_id} exceeds the {gpus} advertised GPU(s)"
-                        )));
+                            "unexpected mid-session message {other:?}"
+                        )))
                     }
-                    in_flight.fetch_add(1, Ordering::SeqCst);
-                    let mut i = 0;
-                    while i < jobs.len() {
-                        if jobs[i].is_finished() {
-                            panicked |= jobs.swap_remove(i).join().is_err();
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    let factory = &factory;
-                    let ft = &ft;
-                    let config = &config;
-                    let writer = &writer;
-                    let mute_until = &mute_until;
-                    let done = &done;
-                    let in_flight = &in_flight;
-                    jobs.push(scope.spawn(move || {
-                        let epochs = config.nas.epochs;
-                        let stall_ms: u64 = (1..=epochs)
-                            .map(|e| ft.plan.worker_stall_millis(model_id, e))
-                            .sum();
-                        if stall_ms > 0 {
-                            // Go quiet past the coordinator's deadline:
-                            // heartbeats muted, job frozen.
-                            *mute_until.lock() = Instant::now() + Duration::from_millis(stall_ms);
-                            std::thread::sleep(Duration::from_millis(stall_ms));
-                        }
-                        if (1..=epochs)
-                            .any(|e| ft.plan.worker_drop_due(model_id, e, dispatch_attempt))
-                        {
-                            // Sever the connection instead of answering —
-                            // the coordinator must requeue this job (and
-                            // every other one in flight here) elsewhere.
-                            done.store(true, Ordering::SeqCst);
-                            let _ = writer.lock().shutdown(Shutdown::Both);
-                            return;
-                        }
-                        let mut engine =
-                            InlineEngine::new(config.engine.as_ref(), &ft.plan, model_id);
-                        let Ok((outcome, cost)) =
-                            train_model(config, factory, &genome, model_id, ft, &mut engine)
-                        else {
-                            unreachable!("an inline engine link never errs")
-                        };
-                        // Free the slot before answering: the coordinator
-                        // may send the next job as soon as it reads this.
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                        let _ = write_message(
-                            &mut *writer.lock(),
-                            &Message::JobDone {
-                                model_id,
-                                cost,
-                                outcome,
-                            },
-                        );
-                    }));
+                    Err(e) => break Err(e),
                 }
-                Ok(Some(Message::Shutdown)) | Ok(None) => break Ok(()),
-                Ok(Some(other)) => {
-                    break Err(NetError::Protocol(format!(
-                        "unexpected mid-session message {other:?}"
-                    )))
-                }
-                Err(e) => break Err(e),
-            }
+            },
         };
         done.store(true, Ordering::SeqCst);
         // Join every thread before judging: a handle left unjoined would

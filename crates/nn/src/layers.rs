@@ -186,75 +186,78 @@ impl Conv2d {
                 im2col::conv_input_grad(g_s, wt, &g, scratch, gin_s);
             }
         };
-        // Two GEMMs per sample: the input gradient and the weight gradient.
-        let threads = gemm::threads_for(n, 2 * c_out * kp * g.pixels());
-        if threads <= 1 {
-            // Serial path: the per-sample (wg, bg) partials live in two
-            // pooled buffers zeroed per sample and reduced immediately —
-            // identical FP order to collecting them first (each partial is
-            // an independent zero-seeded sum, and the reduction still runs
-            // in ascending sample order), with no per-sample allocation.
+        // Samples `range` in order on the calling thread: the per-sample
+        // (wg, bg) partials live in two pooled buffers zeroed per sample
+        // and added to the gradients at once — the same FP order as
+        // collecting them first (each partial is an independent
+        // zero-seeded sum, and the reduction runs in ascending sample
+        // order), with no per-sample allocation.
+        let mut pooled = |range: std::ops::Range<usize>, gin: Option<&mut [f32]>| {
             let mut scratch = ws.take_scratch(scratch_len);
             let mut wg = ws.take_scratch(wlen);
             let mut bg = ws.take_scratch(c_out);
-            let mut grad_in = grad_in;
-            for ni in 0..n {
+            let mut gin_samples = gin.map(|c| c.chunks_mut(sample_in));
+            for ni in range {
                 wg.fill(0.0);
                 bg.fill(0.0);
-                let gin_s = grad_in.as_deref_mut().map(|t| t.sample_mut(ni));
+                let gin_s = gin_samples.as_mut().and_then(Iterator::next);
                 sample(ni, gin_s, &mut scratch, &mut wg, &mut bg);
-                for (acc, v) in self.wgrad.iter_mut().zip(&wg) {
-                    *acc += v;
-                }
-                for (acc, v) in self.bgrad.iter_mut().zip(&bg) {
-                    *acc += v;
-                }
+                add_into(&mut self.wgrad, &wg);
+                add_into(&mut self.bgrad, &bg);
             }
             ws.give(scratch);
             ws.give(wg);
             ws.give(bg);
+        };
+        // Two GEMMs per sample: the input gradient and the weight gradient.
+        let threads = gemm::threads_for(n, 2 * c_out * kp * g.pixels());
+        if threads <= 1 {
+            pooled(0..n, grad_in.map(Tensor4::data_mut));
         } else {
-            // Per-sample (wg, bg) partials in sample order — the
+            // Samples in contiguous groups. Group 0 runs pooled on this
+            // thread, so the pool's high-water mark is the serial path's
+            // at every budget; the other groups keep their per-sample
+            // partials, added after group 0's in sample order — the
             // reduction order (and thus rounding) is fixed no matter how
             // samples were distributed over threads.
-            let mut partials: Vec<(Vec<f32>, Vec<f32>)> = Vec::with_capacity(n);
             let per = n.div_ceil(threads);
-            let gin_groups: Vec<Option<&mut [f32]>> = match grad_in {
+            let mut gin_groups: Vec<Option<&mut [f32]>> = match grad_in {
                 Some(t) => t.data_mut().chunks_mut(per * sample_in).map(Some).collect(),
                 None => (0..n.div_ceil(per)).map(|_| None).collect(),
             };
+            let others = gin_groups.split_off(1);
             let sample = &sample;
-            std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for (gi, gin_group) in gin_groups.into_iter().enumerate() {
-                    handles.push(s.spawn(move || {
-                        let mut scratch = vec![0.0f32; scratch_len];
-                        let mut gin_samples = gin_group.map(|c| c.chunks_mut(sample_in));
-                        let mut group = Vec::new();
-                        for ni in gi * per..n.min((gi + 1) * per) {
-                            let mut wg = vec![0.0f32; wlen];
-                            let mut bg = vec![0.0f32; c_out];
-                            let gin_s = gin_samples.as_mut().and_then(Iterator::next);
-                            sample(ni, gin_s, &mut scratch, &mut wg, &mut bg);
-                            group.push((wg, bg));
-                        }
-                        group
-                    }));
-                }
-                for handle in handles {
-                    match handle.join() {
-                        Ok(group) => partials.extend(group),
+            let partials: Vec<(Vec<f32>, Vec<f32>)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (1..)
+                    .zip(others)
+                    .map(|(gi, gin_group)| {
+                        s.spawn(move || {
+                            let mut scratch = vec![0.0f32; scratch_len];
+                            let mut gin_samples = gin_group.map(|c| c.chunks_mut(sample_in));
+                            let mut group = Vec::new();
+                            for ni in gi * per..n.min((gi + 1) * per) {
+                                let mut wg = vec![0.0f32; wlen];
+                                let mut bg = vec![0.0f32; c_out];
+                                let gin_s = gin_samples.as_mut().and_then(Iterator::next);
+                                sample(ni, gin_s, &mut scratch, &mut wg, &mut bg);
+                                group.push((wg, bg));
+                            }
+                            group
+                        })
+                    })
+                    .collect();
+                pooled(0..per, gin_groups.pop().flatten());
+                handles
+                    .into_iter()
+                    .flat_map(|handle| match handle.join() {
+                        Ok(group) => group,
                         Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
+                    })
+                    .collect()
             });
             for (wg, bg) in &partials {
-                for (acc, v) in self.wgrad.iter_mut().zip(wg) {
-                    *acc += v;
-                }
-                for (acc, v) in self.bgrad.iter_mut().zip(bg) {
-                    *acc += v;
-                }
+                add_into(&mut self.wgrad, wg);
+                add_into(&mut self.bgrad, bg);
             }
         }
         if let Some(wt) = wt {
@@ -280,6 +283,13 @@ impl Conv2d {
     /// Forward FLOPs for one sample at `h × w`.
     pub fn flops(&self, h: usize, w: usize) -> f64 {
         2.0 * (self.kernel * self.kernel * self.c_in * self.c_out * h * w) as f64
+    }
+}
+
+/// `acc[i] += v[i]` for every `i`.
+fn add_into(acc: &mut [f32], v: &[f32]) {
+    for (a, x) in acc.iter_mut().zip(v) {
+        *a += x;
     }
 }
 

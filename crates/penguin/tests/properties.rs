@@ -206,8 +206,8 @@ proptest! {
     /// Quantised accuracy: a validation set of `n_val` images only
     /// yields multiples of `100 / n_val`, so small sets give staircase
     /// curves with flat runs. The engine can lock onto a flat run and
-    /// stop on a stale value (ROADMAP item 4); only the invariants are
-    /// pinned here.
+    /// stop on a stale value (ROADMAP: "Make the engine earn its stops on
+    /// real curves"); only the invariants are pinned here.
     #[test]
     fn quantised_accuracy_keeps_the_replay_invariants(
         family in 0usize..CurveFamily::ALL.len(),
@@ -227,7 +227,8 @@ proptest! {
 
     /// A plateau plus noise: a network that stopped learning, measured
     /// on a noisy validation set. Fits to such curves are poorly
-    /// conditioned and their extrapolations can wander (ROADMAP item 4).
+    /// conditioned and their extrapolations can wander (ROADMAP: "Make
+    /// the engine earn its stops on real curves").
     #[test]
     fn noisy_plateaus_keep_the_replay_invariants(
         family in 0usize..CurveFamily::ALL.len(),
@@ -246,7 +247,8 @@ proptest! {
 
     /// Curves that end near 100: the extrapolation to `e_pred` can
     /// overshoot the ceiling, which the analyzer's bounds veto, so such
-    /// a model may train to the end instead of stopping (ROADMAP item 4).
+    /// a model may train to the end instead of stopping (ROADMAP: "Make
+    /// the engine earn its stops on real curves").
     #[test]
     fn near_ceiling_curves_keep_the_replay_invariants(
         family in 0usize..CurveFamily::ALL.len(),

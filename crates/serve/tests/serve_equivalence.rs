@@ -36,6 +36,7 @@ fn commons() -> &'static DataCommons {
             beam: BeamIntensity::Low,
             seed: 2023,
             objectives: a4nn_core::ObjectiveSet::default(),
+            trainer: a4nn_core::TrainerSpec::Surrogate,
         };
         let factory = SurrogateFactory::new(&cfg, SurrogateParams::for_beam(cfg.beam));
         A4nnWorkflow::new(cfg)

@@ -63,7 +63,7 @@ pub struct ConformerPair {
 }
 
 /// Parameters of the synthetic two-domain protein.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProteinParams {
     /// Atoms per domain.
     pub atoms_per_domain: usize,

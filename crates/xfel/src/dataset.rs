@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the simulated XFEL experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct XfelConfig {
     /// Detector side in pixels (images are `detector × detector`).
     pub detector: usize,

@@ -8,7 +8,6 @@
 //! ```
 
 use a4nn_core::prelude::*;
-use a4nn_core::{SurrogateFactory, SurrogateParams};
 use a4nn_lineage::{
     feature_fitness_correlations, models_csv, success_contrast, Analyzer, DataCommons,
 };
@@ -17,8 +16,8 @@ fn main() -> Result<(), A4nnError> {
     let beam = BeamIntensity::Medium;
     println!("== building a data commons from an A4NN run ==\n");
     let config = WorkflowConfig::a4nn(beam, 2, 7);
-    let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
-    let output = A4nnWorkflow::new(config).run(&factory, RunOptions::default())?;
+    let factory = config.trainer_factory()?;
+    let output = A4nnWorkflow::new(config).run(factory.as_ref(), RunOptions::default())?;
     println!(
         "run complete: {} record trails collected",
         output.commons.len()

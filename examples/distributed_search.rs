@@ -12,7 +12,6 @@
 //! ```
 
 use a4nn_core::prelude::*;
-use a4nn_core::{SurrogateFactory, SurrogateParams};
 use a4nn_sched::GpuPool;
 use a4nn_xfel::generate_split;
 use std::time::Instant;
@@ -28,8 +27,8 @@ fn main() -> Result<(), A4nnError> {
     let mut base = None;
     for gpus in [1usize, 2, 4, 8] {
         let config = WorkflowConfig::a4nn(beam, gpus, 2023);
-        let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
-        let out = A4nnWorkflow::new(config).run(&factory, RunOptions::default())?;
+        let factory = config.trainer_factory()?;
+        let out = A4nnWorkflow::new(config).run(factory.as_ref(), RunOptions::default())?;
         let hours = out.wall_time_s() / 3600.0;
         let baseline = *base.get_or_insert(hours);
         println!(

@@ -8,7 +8,6 @@
 //! ```
 
 use a4nn_core::prelude::*;
-use a4nn_core::{SurrogateFactory, SurrogateParams};
 use a4nn_lineage::Analyzer;
 
 fn run(beam: BeamIntensity, engine: bool, gpus: usize) -> Result<RunOutput, A4nnError> {
@@ -17,8 +16,8 @@ fn run(beam: BeamIntensity, engine: bool, gpus: usize) -> Result<RunOutput, A4nn
     } else {
         WorkflowConfig::standalone(beam, 2023)
     };
-    let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
-    A4nnWorkflow::new(config).run(&factory, RunOptions::default())
+    let factory = config.trainer_factory()?;
+    A4nnWorkflow::new(config).run(factory.as_ref(), RunOptions::default())
 }
 
 fn main() -> Result<(), A4nnError> {

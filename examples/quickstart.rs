@@ -10,27 +10,12 @@
 //! ```
 
 use a4nn_core::prelude::*;
-use a4nn_core::{RealTrainerFactory, TrainingHyperparams};
 use a4nn_lineage::Analyzer;
-use a4nn_xfel::generate_split;
-use std::sync::Arc;
 
 fn main() -> Result<(), A4nnError> {
     let beam = BeamIntensity::High;
-    println!("== A4NN quickstart ==");
-    println!("generating synthetic XFEL diffraction data ({beam} beam intensity)...");
-    let xfel = XfelConfig::default();
-    let (train, test) = generate_split(&xfel, beam, 80, 42);
-    println!(
-        "  {} training images, {} validation images, {}x{} px",
-        train.len(),
-        test.len(),
-        xfel.detector,
-        xfel.detector
-    );
-
     // A miniature Table-2 configuration so the example finishes in about a
-    // minute of CPU training.
+    // minute of CPU training, on 80 images per class.
     let config = WorkflowConfig {
         nas: NasSettings {
             population: 4,
@@ -47,19 +32,20 @@ fn main() -> Result<(), A4nnError> {
         beam,
         seed: 42,
         objectives: a4nn_core::ObjectiveSet::default(),
+        trainer: TrainerSpec::Real {
+            images: 80,
+            xfel: XfelConfig::default(),
+        },
     };
+    println!("== A4NN quickstart ==");
+    println!("generating synthetic XFEL diffraction data ({beam} beam intensity)...");
+    let factory = config.trainer_factory()?;
     println!(
         "searching {} architectures ({} generations, engine: F(x) = a - b^(c-x))...",
         config.nas.total_models(),
         config.nas.generations
     );
-    let factory = RealTrainerFactory::new(
-        config.search_space(),
-        Arc::new(train),
-        Arc::new(test),
-        TrainingHyperparams::default(),
-    );
-    let output = A4nnWorkflow::new(config).run(&factory, RunOptions::default())?;
+    let output = A4nnWorkflow::new(config).run(factory.as_ref(), RunOptions::default())?;
 
     let analyzer = Analyzer::new(&output.commons);
     println!("\nresults:");

@@ -19,6 +19,7 @@ fn run(seed: u64, engine: bool, transport: &dyn Transport) -> RunOutput {
         beam: BeamIntensity::Medium,
         seed,
         objectives: a4nn_core::ObjectiveSet::default(),
+        trainer: a4nn_core::TrainerSpec::Surrogate,
     };
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
     A4nnWorkflow::new(config)

@@ -20,6 +20,7 @@ fn config(seed: u64) -> WorkflowConfig {
         beam: BeamIntensity::Medium,
         seed,
         objectives: a4nn_core::ObjectiveSet::default(),
+        trainer: a4nn_core::TrainerSpec::Surrogate,
     }
 }
 

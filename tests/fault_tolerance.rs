@@ -41,6 +41,7 @@ fn config(seed: u64, engine: bool) -> WorkflowConfig {
         beam: BeamIntensity::Medium,
         seed,
         objectives: a4nn_core::ObjectiveSet::default(),
+        trainer: a4nn_core::TrainerSpec::Surrogate,
     }
 }
 

@@ -128,6 +128,7 @@ fn every_driver_matches_its_parent_golden() {
         beam: BeamIntensity::Medium,
         seed: 2023,
         objectives: a4nn_core::ObjectiveSet::default(),
+        trainer: a4nn_core::TrainerSpec::Surrogate,
     };
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
     for (driver, name) in [
@@ -168,6 +169,7 @@ fn row_format_survives_a_failed_model() {
         beam: BeamIntensity::Medium,
         seed: 2023,
         objectives: a4nn_core::ObjectiveSet::default(),
+        trainer: a4nn_core::TrainerSpec::Surrogate,
     };
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
     let ft = FaultTolerance::new(

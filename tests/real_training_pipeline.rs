@@ -27,6 +27,7 @@ fn tiny_real_run(engine: bool) -> a4nn_core::RunOutput {
         beam: BeamIntensity::High,
         seed: 21,
         objectives: a4nn_core::ObjectiveSet::default(),
+        trainer: a4nn_core::TrainerSpec::Surrogate,
     };
     let factory = RealTrainerFactory::new(
         config.search_space(),
@@ -116,6 +117,7 @@ fn checkpointed_workflow_records_every_epoch_state() {
         beam: BeamIntensity::High,
         seed: 31,
         objectives: a4nn_core::ObjectiveSet::default(),
+        trainer: a4nn_core::TrainerSpec::Surrogate,
     };
     let store = Arc::new(CheckpointStore::new());
     let factory = RealTrainerFactory::new(
@@ -166,6 +168,7 @@ fn a_retried_model_checkpoints_the_fault_free_states() {
         beam: BeamIntensity::High,
         seed: 31,
         objectives: a4nn_core::ObjectiveSet::default(),
+        trainer: a4nn_core::TrainerSpec::Surrogate,
     };
     let genome = config
         .search_space()

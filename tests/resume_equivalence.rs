@@ -53,6 +53,7 @@ fn micro_config(seed: u64) -> WorkflowConfig {
         beam: BeamIntensity::Medium,
         seed,
         objectives: a4nn_core::ObjectiveSet::default(),
+        trainer: a4nn_core::TrainerSpec::Surrogate,
     }
 }
 
@@ -114,7 +115,8 @@ fn run_driver(
     cancel: Option<&CancelHook<'_>>,
     snapshot: Option<SearchSnapshot>,
 ) -> Result<RunOutput, A4nnError> {
-    let factory = SurrogateFactory::new(config, SurrogateParams::for_beam(config.beam));
+    let factory = config.trainer_factory()?;
+    let factory = factory.as_ref();
     let workflow = A4nnWorkflow::new(config.clone());
     let options = |transport| RunOptions {
         driver,
@@ -125,8 +127,8 @@ fn run_driver(
         ..RunOptions::default()
     };
     match mode {
-        Mode::Direct => workflow.run(&factory, options(&DirectTransport as &dyn Transport)),
-        Mode::Bus => workflow.run(&factory, options(&BusTransport)),
+        Mode::Direct => workflow.run(factory, options(&DirectTransport as &dyn Transport)),
+        Mode::Bus => workflow.run(factory, options(&BusTransport)),
         Mode::Socket => {
             let workers: Vec<WorkerHandle> = (0..2)
                 .map(|_| WorkerServer::spawn("127.0.0.1:0", 1, 1).unwrap())
@@ -140,7 +142,7 @@ fn run_driver(
                     heartbeat_deadline: Duration::from_secs(2),
                 },
             )?;
-            let result = workflow.run(&factory, options(&transport));
+            let result = workflow.run(factory, options(&transport));
             drop(transport);
             for w in workers {
                 let _ = w.join();
@@ -389,6 +391,68 @@ fn three_objective_resume_is_bit_exact_across_transports() {
             "{}: 3-objective resume drifted from the golden run",
             mode.label()
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A real-training search resumes to its uninterrupted run on the direct
+/// and socket transports: no weights cross a boundary, so the resumed
+/// half needs only the images, which its `TrainerSpec` regenerates. The
+/// fields real training measures on the wall clock are left out of the
+/// comparison. A resume that names another image count is refused
+/// (exit 5).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
+fn real_training_resume_is_equivalent() {
+    let mut config = micro_config(7);
+    config.nas.generations = 2;
+    config.nas.epochs = 3;
+    config.engine = Some(EngineConfig {
+        e_pred: 3,
+        ..EngineConfig::paper_defaults()
+    });
+    config.objectives = a4nn_core::ObjectiveSet::parse("neg_fitness,flops,peak_ws_bytes").unwrap();
+    config.trainer = TrainerSpec::Real {
+        images: 20,
+        xfel: XfelConfig::default(),
+    };
+    let unmeasured = |out: &RunOutput| {
+        let mut records = out.commons.records.clone();
+        for r in &mut records {
+            r.gpu = None;
+            r.wall_time_s = 0.0;
+            for e in &mut r.epochs {
+                e.duration_s = 0.0;
+            }
+        }
+        records
+    };
+    let golden = unmeasured(&run_mode(&config, Mode::Direct, None, None, None).unwrap());
+    assert_eq!(golden.len(), 8);
+    for mode in [Mode::Direct, Mode::Socket] {
+        let dir = tmp_dir(&format!("real-{}", mode.label()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cancel = |done: usize| done == 1;
+        let err = run_mode(&config, mode, Some(&dir), Some(&cancel), None).unwrap_err();
+        assert_eq!(err.exit_code(), 10);
+
+        let snap = SearchSnapshot::load(&dir, &config).unwrap();
+        assert_eq!(snap.trainer, config.trainer);
+        let resumed = run_mode(&config, mode, Some(&dir), None, Some(snap)).unwrap();
+        assert_eq!(golden, unmeasured(&resumed), "{}", mode.label());
+
+        // The fingerprint leaves the trainer out; the run refuses it.
+        let other = WorkflowConfig {
+            trainer: TrainerSpec::Real {
+                images: 21,
+                xfel: XfelConfig::default(),
+            },
+            ..config.clone()
+        };
+        let snap = SearchSnapshot::load(&dir, &other).unwrap();
+        let err = run_mode(&other, Mode::Direct, None, None, Some(snap)).unwrap_err();
+        assert_eq!(err.exit_code(), 5, "{err}");
+        assert!(err.to_string().contains("stale snapshot"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -41,9 +41,9 @@ fn search_over(
     ft: &FaultTolerance,
     transport: &SocketTransport,
 ) -> Result<RunOutput, A4nnError> {
-    let factory = SurrogateFactory::new(config, SurrogateParams::for_beam(config.beam));
+    let factory = config.trainer_factory()?;
     A4nnWorkflow::new(config.clone()).run(
-        &factory,
+        factory.as_ref(),
         RunOptions {
             transport,
             fault_tolerance: ft.clone(),
@@ -72,10 +72,10 @@ fn socket_run(
 }
 
 fn direct_run(config: &WorkflowConfig, ft: &FaultTolerance) -> RunOutput {
-    let factory = SurrogateFactory::new(config, SurrogateParams::for_beam(config.beam));
+    let factory = config.trainer_factory().unwrap();
     A4nnWorkflow::new(config.clone())
         .run(
-            &factory,
+            factory.as_ref(),
             RunOptions {
                 fault_tolerance: ft.clone(),
                 ..RunOptions::default()
@@ -107,7 +107,65 @@ fn micro_config(seed: u64) -> WorkflowConfig {
         beam: BeamIntensity::Medium,
         seed,
         objectives: a4nn_core::ObjectiveSet::default(),
+        trainer: a4nn_core::TrainerSpec::Surrogate,
     }
+}
+
+/// A micro real-training search: 20 images per class, 4 + 4 models of 3
+/// epochs, with the measured workspace peak as an objective.
+fn real_micro_config(seed: u64) -> WorkflowConfig {
+    let mut config = micro_config(seed);
+    config.nas.epochs = 3;
+    config.engine = Some(EngineConfig {
+        e_pred: 3,
+        ..EngineConfig::paper_defaults()
+    });
+    config.objectives = a4nn_core::ObjectiveSet::parse("neg_fitness,flops,peak_ws_bytes").unwrap();
+    config.trainer = TrainerSpec::Real {
+        images: 20,
+        xfel: XfelConfig::default(),
+    };
+    config
+}
+
+/// The records without what real training measures on the wall clock:
+/// epoch durations, the model's wall time, and the virtual GPU the
+/// scheduler assigns from those times.
+fn unmeasured(out: &RunOutput) -> Vec<ModelRecord> {
+    let mut records = out.commons.records.clone();
+    for r in &mut records {
+        r.gpu = None;
+        r.wall_time_s = 0.0;
+        for e in &mut r.epochs {
+            e.duration_s = 0.0;
+        }
+    }
+    records
+}
+
+/// `--real` runs over sockets: each worker rebuilds the real trainer,
+/// images included, from the shipped configuration, and its records are
+/// the direct run's. Workers advertising 1 and 2 GPUs, and a direct run
+/// on one GPU, divide the cores differently, so the measured workspace
+/// peak objective must not depend on the thread budget either.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
+fn real_training_is_transport_invariant() {
+    let config = real_micro_config(7);
+    let ft = FaultTolerance::new(RetryPolicy::with_retries(0), FaultPlan::none());
+    let direct = unmeasured(&direct_run(&config, &ft));
+    assert_eq!(direct.len(), 8);
+    let one_gpu = WorkflowConfig {
+        gpus: 1,
+        ..config.clone()
+    };
+    assert_eq!(
+        direct,
+        unmeasured(&direct_run(&one_gpu, &ft)),
+        "direct, 1 GPU"
+    );
+    let socket = socket_run(&config, &ft, &[1, 2], Duration::from_secs(2)).unwrap();
+    assert_eq!(direct, unmeasured(&socket), "socket");
 }
 
 /// A hardware-aware 3-objective search is transport-invariant too:
@@ -309,6 +367,7 @@ fn heartbeat_deadline_detects_a_stalled_worker() {
         beam: BeamIntensity::Medium,
         seed: 2023,
         objectives: a4nn_core::ObjectiveSet::default(),
+        trainer: a4nn_core::TrainerSpec::Surrogate,
     };
     // Mute heartbeats for 4 s against a 250 ms deadline; the stall
     // re-fires wherever the job lands, so both workers eventually die.

@@ -19,6 +19,7 @@ fn run(beam: BeamIntensity, engine: bool, gpus: usize, seed: u64) -> a4nn_core::
         beam,
         seed,
         objectives: a4nn_core::ObjectiveSet::default(),
+        trainer: a4nn_core::TrainerSpec::Surrogate,
     };
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(beam));
     A4nnWorkflow::new(config)

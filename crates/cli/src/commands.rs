@@ -247,17 +247,14 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     let config = workflow_config(parsed, engine)?;
     let local = local_transport(parsed)?;
     let tolerance = fault_tolerance(parsed)?;
-    // Before any worker is contacted: a trainer the configuration cannot
-    // build exits 3 without network traffic.
-    let factory = config.trainer_factory()?;
-    let workflow = A4nnWorkflow::new(config.clone());
 
     // Resume + snapshot wiring. The run directory (--out, or the
     // --resume dir when --out is absent) receives each generation's
     // records (the commons) and a search-state snapshot at every
     // generation boundary, so a killed process leaves a readable commons
     // and can continue bit-for-bit with `--resume <dir>` and identical
-    // flags.
+    // flags. The snapshot loads first: one trained by another trainer
+    // exits 5 before this run's trainer synthesises a single image.
     let resume_dir = parsed.get("--resume").map(PathBuf::from);
     let out_dir = parsed
         .get("--out")
@@ -268,6 +265,14 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
         .map(|dir| SearchSnapshot::load(dir, &config))
         .transpose()
         .map_err(CommandError::Workflow)?;
+    if let Some(snap) = &snapshot {
+        snap.check_trainer(&config)
+            .map_err(CommandError::Workflow)?;
+    }
+    // Before any worker is contacted: a trainer the configuration cannot
+    // build exits 3 without network traffic.
+    let factory = config.trainer_factory()?;
+    let workflow = A4nnWorkflow::new(config.clone());
     if let Some(snap) = &snapshot {
         println!(
             "resuming from {} ({} of {} generation(s) already committed)",

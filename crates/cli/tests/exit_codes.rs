@@ -279,7 +279,9 @@ fn stale_resume_snapshot_is_five() {
 
 /// A `--real` run's images are part of what it resumes: the same
 /// `--images` resumes, another count or a dropped `--real` is a stale
-/// snapshot — exit code 5.
+/// snapshot — exit code 5. The snapshot is checked before the trainer is
+/// built, so even a count too small to train from (`--images 1`, exit 3
+/// on a fresh run) is refused as stale.
 #[test]
 fn real_resume_under_other_images_is_five() {
     let dir = std::env::temp_dir().join(format!("a4nn-exit-codes-real-{}", std::process::id()));
@@ -287,7 +289,12 @@ fn real_resume_under_other_images_is_five() {
     let out = dir.to_string_lossy().to_string();
     let search = "search --population 2 --offspring 2 --generations 1 --epochs 1";
     assert_eq!(code(&format!("{search} --real --images 2 --out {out}")), 0);
-    for (flags, want) in [("--real --images 3", 5), ("", 5), ("--real --images 2", 0)] {
+    for (flags, want) in [
+        ("--real --images 3", 5),
+        ("--real --images 1", 5),
+        ("", 5),
+        ("--real --images 2", 0),
+    ] {
         assert_eq!(
             code(&format!("{search} {flags} --resume {out}")),
             want,

@@ -204,12 +204,7 @@ impl SearchSnapshot {
                 self.driver, driver
             )));
         }
-        if self.trainer != cfg.trainer {
-            return Err(A4nnError::Checkpoint(format!(
-                "stale snapshot: state was trained by {:?} but this run trains {:?}",
-                self.trainer, cfg.trainer
-            )));
-        }
+        self.check_trainer(cfg)?;
         if self.generations_done == 0 || self.generations_done > cfg.nas.generations {
             return Err(A4nnError::Checkpoint(format!(
                 "snapshot claims {} completed generation(s) of a {}-generation run",
@@ -252,6 +247,20 @@ impl SearchSnapshot {
                 record.objective_vector().len(),
                 cfg.objectives.len(),
                 cfg.objectives
+            )));
+        }
+        Ok(())
+    }
+
+    /// Refuse this snapshot unless `cfg` trains with the trainer that
+    /// trained its records — one of the checks a resumed run makes, and
+    /// one a caller can make before building `cfg`'s trainer at all (a
+    /// real trainer synthesises its images when built).
+    pub fn check_trainer(&self, cfg: &WorkflowConfig) -> Result<(), A4nnError> {
+        if self.trainer != cfg.trainer {
+            return Err(A4nnError::Checkpoint(format!(
+                "stale snapshot: state was trained by {:?} but this run trains {:?}",
+                self.trainer, cfg.trainer
             )));
         }
         Ok(())

@@ -42,7 +42,11 @@ impl WorkerServer {
     /// Bind the listener on `addr` (e.g. `127.0.0.1:7070`; port `0`
     /// picks a free port) advertising `gpus` concurrent job slots, and
     /// divide the process's cores among those slots as an in-process
-    /// search divides them among its GPUs.
+    /// search divides them among its GPUs. The GEMM thread budget this
+    /// sets is process-wide: workers spawned in one process (and a
+    /// search pipeline beside them, which sets it every generation) train
+    /// at whichever budget was set last; only separate `a4nn worker`
+    /// processes each keep their own.
     pub fn bind(addr: &str, gpus: usize) -> Result<Self, A4nnError> {
         if gpus == 0 {
             return Err(A4nnError::Config(

@@ -19,8 +19,17 @@
 //!
 //! The kernels are deterministic by construction: every output element is
 //! accumulated in a fixed order that does not depend on blocking factors
-//! landing mid-row or on how many threads run, so results are bitwise
-//! reproducible across machines and thread budgets.
+//! landing mid-row, on how many threads run or on the instruction set, so
+//! results are bitwise reproducible across machines and thread budgets.
+//!
+//! Each kernel runs on one [`Isa`] tier, detected once per process: the
+//! portable tiles compiled for the baseline target, the same source
+//! recompiled for AVX2, or on AVX-512 hosts that source recompiled again
+//! plus explicit 16-lane kernels (`gemm/avx512.rs`) — 8×16 `gemm_nn`
+//! tiles, and a weight gradient with its outputs along the `c_out` lanes
+//! for rows of 16 to 64 pixels. Every tier gives every output the same
+//! multiplications and additions in the same order, never a fused
+//! multiply-add, so which tier ran cannot show in a bit.
 //!
 //! The thread budget is a process-wide knob ([`set_thread_budget`]) that
 //! whoever owns the process's workers sets from their count — `a4nn
@@ -97,19 +106,69 @@ fn split_over(threads: usize, rows: usize) -> usize {
     }
 }
 
-/// Cached runtime AVX2 detection. The kernels are written as plain
-/// scalar loops over fixed-size tiles, so the *same* Rust source is
-/// compiled twice — once for the baseline target (SSE2 on x86-64) and
-/// once under `#[target_feature(enable = "avx2")]` — and the fastest
-/// available copy is picked per call. Both copies execute the identical
-/// sequence of f32 additions and multiplications (vectorization packs
-/// independent accumulator chains into wider lanes without reordering
-/// any chain, and rustc never contracts `a*b + c` into a fused
-/// multiply-add), so results are bitwise identical across ISAs.
 #[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+mod avx512;
+
+/// The instruction-set tier the kernels run on. The portable kernels are
+/// plain scalar loops over fixed-size tiles, so the *same* Rust source is
+/// compiled per tier — for the baseline target (SSE2 on x86-64), under
+/// `#[target_feature(enable = "avx2")]`, and under
+/// `avx2,avx512f,avx512vl` — and [`Isa::Avx512`] adds explicit 16-lane
+/// kernels where they pay (`gemm/avx512.rs`). Every tier executes each
+/// output's f32 multiplications and additions in the same order
+/// (vectorization packs independent accumulator chains into wider lanes
+/// without reordering any chain, the explicit kernels issue a separate
+/// multiply and add per step, and rustc never contracts `a*b + c` into a
+/// fused multiply-add), so results are bitwise identical across tiers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Isa {
+    /// AVX-512F with AVX-512VL.
+    Avx512,
+    /// AVX2.
+    Avx2,
+    /// The target's baseline.
+    Base,
+}
+
+impl Isa {
+    /// Every tier, widest first.
+    const ALL: [Isa; 3] = [Isa::Avx512, Isa::Avx2, Isa::Base];
+
+    /// The widest tier this host runs, detected once per process: the
+    /// tier every kernel dispatches to.
+    pub fn host() -> Isa {
+        static HOST: OnceLock<Isa> = OnceLock::new();
+        *HOST.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                use std::arch::is_x86_feature_detected as has;
+                if has!("avx512f") && has!("avx512vl") {
+                    return Isa::Avx512;
+                }
+                if has!("avx2") {
+                    return Isa::Avx2;
+                }
+            }
+            Isa::Base
+        })
+    }
+
+    /// The tiers this host runs: [`Isa::host`] and every narrower one.
+    pub(crate) fn on_host() -> impl Iterator<Item = Isa> {
+        Isa::ALL.into_iter().skip_while(|&isa| isa != Isa::host())
+    }
+
+    /// `self`, after checking that the host runs it: what every dispatch
+    /// matches on, so its `unsafe` calls into a tier's
+    /// `#[target_feature]` code are sound for any tier a caller passes.
+    fn checked(self) -> Isa {
+        assert!(
+            Isa::on_host().any(|isa| isa == self),
+            "{self:?} kernels do not run on this host ({:?})",
+            Isa::host()
+        );
+        self
+    }
 }
 
 /// View an exactly-`N`-element slice as a fixed-size array reference so
@@ -129,6 +188,17 @@ pub(crate) fn array_at<T, const N: usize>(s: &[T], start: usize) -> &[T; N] {
     match s[start..].first_chunk() {
         Some(window) => window,
         None => panic!("window {start}..{start}+{N} leaves a slice of {}", s.len()),
+    }
+}
+
+/// [`array_at`], writable.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn array_at_mut<T, const N: usize>(s: &mut [T], start: usize) -> &mut [T; N] {
+    let len = s.len();
+    match s[start..].first_chunk_mut() {
+        Some(window) => window,
+        None => panic!("window {start}..{start}+{N} leaves a slice of {len}"),
     }
 }
 
@@ -324,12 +394,11 @@ fn run_width(width: usize, max: usize) -> usize {
 }
 
 /// `C[m×n] += A[m×k] · B[k×n]`, all row-major, on the calling thread.
-/// Dispatches to the widest ISA the host supports; both compilations run
-/// the identical sequence of f32 operations, so the choice is bitwise
-/// invisible.
+/// Dispatches to [`Isa::host`]; every tier runs the identical sequence of
+/// f32 operations, so the choice is bitwise invisible.
 pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(b.len(), k * n, "gemm_nn: B shape mismatch");
-    gemm_nn_in::<_, NR>(m, n, k, a, Operand::row_major(b, n), c)
+    gemm_nn_in::<_, NR>(Isa::host(), m, n, k, a, Operand::row_major(b, n), c)
 }
 
 /// [`gemm_nn`] with `B` read in place from image planes: every element of
@@ -343,20 +412,35 @@ pub(crate) fn gemm_nn_planes(
     b: Planes<'_>,
     c: &mut [f32],
 ) {
+    gemm_nn_planes_on(Isa::host(), m, n, k, a, b, c)
+}
+
+/// [`gemm_nn_planes`] on the kernels of `isa`.
+fn gemm_nn_planes_on(
+    isa: Isa,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: Planes<'_>,
+    c: &mut [f32],
+) {
     assert_eq!(b.starts.len(), k, "gemm_nn_planes: B row count mismatch");
     let b = Operand::from(b);
     match run_width(b.layout.width, NR) {
-        NR => gemm_nn_in::<_, NR>(m, n, k, a, b, c),
-        LANES => gemm_nn_in::<_, LANES>(m, n, k, a, b, c),
-        4 => gemm_nn_in::<_, 4>(m, n, k, a, b, c),
-        _ => gemm_nn_in::<_, 1>(m, n, k, a, b, c),
+        NR => gemm_nn_in::<_, NR>(isa, m, n, k, a, b, c),
+        LANES => gemm_nn_in::<_, LANES>(isa, m, n, k, a, b, c),
+        4 => gemm_nn_in::<_, 4>(isa, m, n, k, a, b, c),
+        _ => gemm_nn_in::<_, 1>(isa, m, n, k, a, b, c),
     }
 }
 
-/// The one body behind [`gemm_nn`] and [`gemm_nn_planes`]: `B`'s full
-/// `NR`-column segments are read as runs of `Q` contiguous columns, in
-/// place or, for runs narrower than [`LANES`], from a gathered strip.
+/// The one body behind [`gemm_nn`] and [`gemm_nn_planes`], on the kernels
+/// of `isa`: `B`'s full `NR`-column segments are read as runs of `Q`
+/// contiguous columns, in place or, for runs narrower than [`LANES`],
+/// from a gathered strip.
 fn gemm_nn_in<L: Layout, const Q: usize>(
+    isa: Isa,
     m: usize,
     n: usize,
     k: usize,
@@ -369,13 +453,19 @@ fn gemm_nn_in<L: Layout, const Q: usize>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 presence was verified at runtime above.
-        unsafe { gemm_nn_serial_avx2::<L, Q>(m, n, k, a, b, c) };
-        return;
+    match isa.checked() {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => {
+            // SAFETY: `checked` asserted that the host runs AVX-512F/VL.
+            unsafe { avx512::gemm_nn::<L, Q>(m, n, k, a, b, c) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => {
+            // SAFETY: `checked` asserted that the host runs AVX2.
+            unsafe { gemm_nn_serial_avx2::<L, Q>(m, n, k, a, b, c) }
+        }
+        _ => gemm_nn_serial_generic::<L, Q>(m, n, k, a, b, c),
     }
-    gemm_nn_serial_generic::<L, Q>(m, n, k, a, b, c)
 }
 
 /// The generic kernel body recompiled with AVX2 codegen enabled; the
@@ -555,8 +645,9 @@ pub fn gemm_nn_seq(
         return;
     }
     let t = split_over(threads, m);
+    let isa = Isa::host();
     if t <= 1 {
-        gemm_nn_seq_serial(m, n, k, a, b, c);
+        gemm_nn_seq_serial(isa, m, n, k, a, b, c);
         return;
     }
     let rows_per = m.div_ceil(t);
@@ -564,7 +655,7 @@ pub fn gemm_nn_seq(
         for (ti, c_chunk) in c.chunks_mut(rows_per * n).enumerate() {
             let mh = c_chunk.len() / n;
             let a_chunk = &a[ti * rows_per * k..ti * rows_per * k + mh * k];
-            s.spawn(move || gemm_nn_seq_serial(mh, n, k, a_chunk, b, c_chunk));
+            s.spawn(move || gemm_nn_seq_serial(isa, mh, n, k, a_chunk, b, c_chunk));
         }
     });
 }
@@ -572,17 +663,22 @@ pub fn gemm_nn_seq(
 /// Single-threaded blocked sequential-accumulation GEMM. Identical
 /// blocking to [`gemm_nn`]; only the tile epilogue differs (the
 /// accumulator is *loaded from* and *stored to* `C`, so chaining the `KC`
-/// panels extends one strict sequential sum per element). ISA dispatch
-/// mirrors [`gemm_nn`] and is bitwise-invisible for the same
-/// reason.
-fn gemm_nn_seq_serial(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 presence was verified at runtime above.
-        unsafe { gemm_nn_seq_serial_avx2(m, n, k, a, b, c) };
-        return;
+/// panels extends one strict sequential sum per element), on the kernels
+/// of `isa`, bitwise-invisible for the same reason as [`gemm_nn`]'s.
+fn gemm_nn_seq_serial(isa: Isa, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    match isa.checked() {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => {
+            // SAFETY: `checked` asserted that the host runs AVX-512F/VL.
+            unsafe { avx512::gemm_nn_seq(m, n, k, a, b, c) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => {
+            // SAFETY: `checked` asserted that the host runs AVX2.
+            unsafe { gemm_nn_seq_serial_avx2(m, n, k, a, b, c) }
+        }
+        _ => gemm_nn_seq_serial_generic(m, n, k, a, b, c),
     }
-    gemm_nn_seq_serial_generic(m, n, k, a, b, c)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -693,7 +789,7 @@ fn micro_panel_nn_seq(
 /// [`gemm_nn`].
 pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(b.len(), n * k, "gemm_nt: B shape mismatch");
-    gemm_nt_in(m, n, k, a, RowMajor(k), b, &mut [], c)
+    gemm_nt_in(Isa::host(), m, n, k, a, RowMajor(k), b, &mut [], c)
 }
 
 /// Scratch [`gemm_nt_planes`] gathers `B` rows of `k` pixels into.
@@ -716,9 +812,24 @@ pub(crate) fn gemm_nt_planes(
     panel: &mut [f32],
     c: &mut [f32],
 ) {
+    gemm_nt_planes_on(Isa::host(), m, n, k, a, b, panel, c)
+}
+
+/// [`gemm_nt_planes`] on the kernels of `isa`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_nt_planes_on(
+    isa: Isa,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: Planes<'_>,
+    panel: &mut [f32],
+    c: &mut [f32],
+) {
     assert_eq!(b.starts.len(), n, "gemm_nt_planes: B row count mismatch");
     let b = Operand::from(b);
-    gemm_nt_in(m, n, k, a, b.layout, b.data, panel, c)
+    gemm_nt_in(isa, m, n, k, a, b.layout, b.data, panel, c)
 }
 
 /// Rows of [`gemm_nt`]'s `B` as contiguous slices.
@@ -816,6 +927,7 @@ impl Framed<'_> {
 
 #[allow(clippy::too_many_arguments)] // B's layout, data and panel travel together to the kernel
 fn gemm_nt_in<L: NtRows>(
+    isa: Isa,
     m: usize,
     n: usize,
     k: usize,
@@ -830,13 +942,19 @@ fn gemm_nt_in<L: NtRows>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 presence was verified at runtime above.
-        unsafe { gemm_nt_serial_avx2(m, n, k, a, layout, b, panel, c) };
-        return;
+    match isa.checked() {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => {
+            // SAFETY: `checked` asserted that the host runs AVX-512F/VL.
+            unsafe { avx512::gemm_nt(m, n, k, a, layout, b, panel, c) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => {
+            // SAFETY: `checked` asserted that the host runs AVX2.
+            unsafe { gemm_nt_serial_avx2(m, n, k, a, layout, b, panel, c) }
+        }
+        _ => gemm_nt_serial_generic(m, n, k, a, layout, b, panel, c),
     }
-    gemm_nt_serial_generic(m, n, k, a, layout, b, panel, c)
 }
 
 /// The AVX2 copy of [`gemm_nt_serial_generic`], except that short,
@@ -868,15 +986,30 @@ unsafe fn gemm_nt_serial_avx2<L: NtRows>(
 #[cfg(target_arch = "x86_64")]
 const ACROSS_MAX_K: usize = 32;
 
-/// [`gemm_nt_serial_generic`] for short rows without a scalar tail, on
-/// AVX2: eight `B` rows at a time are gathered pixel-major into `panel`,
-/// so each pixel's eight values lie along the vector lanes, and every row
-/// of `A` meets them through [`dot_lanes_across`]. A function of its own:
-/// inlined into the GEMM body, the vectorizer leaves it scalar.
+/// [`nt_across`] on AVX2. A function of its own: inlined into the GEMM
+/// body, the vectorizer leaves it scalar.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline(never)]
 fn gemm_nt_across<L: NtRows>(
+    n: usize,
+    k: usize,
+    a: &[f32],
+    layout: L,
+    b: &[f32],
+    panel: &mut [f32],
+    c: &mut [f32],
+) {
+    nt_across(n, k, a, layout, b, panel, c)
+}
+
+/// [`gemm_nt_serial_generic`] for short rows without a scalar tail: eight
+/// `B` rows at a time are gathered pixel-major into `panel`, so each
+/// pixel's eight values lie along the vector lanes, and every row of `A`
+/// meets them through [`dot_lanes_across`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn nt_across<L: NtRows>(
     n: usize,
     k: usize,
     a: &[f32],
@@ -1293,7 +1426,7 @@ mod tests {
         let b = pseudo(k * n, 15);
         let seed = pseudo(m * n, 16);
         let mut serial = seed.clone();
-        gemm_nn_seq_serial(m, n, k, &a, &b, &mut serial);
+        gemm_nn_seq_serial(Isa::host(), m, n, k, &a, &b, &mut serial);
         for threads in [2, 3, 4, 8] {
             let mut par = seed.clone();
             gemm_nn_seq(m, n, k, &a, &b, &mut par, threads);
@@ -1301,51 +1434,127 @@ mod tests {
         }
     }
 
-    /// On AVX2 hosts the dispatchers take the wide path; it must be
-    /// bitwise indistinguishable from the baseline-ISA compilation of
-    /// the same source. (On non-AVX2 hosts both sides are the generic
-    /// kernel and the test is trivially true.)
-    #[test]
-    fn isa_dispatch_is_bitwise_invisible() {
-        let (m, n, k) = (13, 37, 301);
-        let a = pseudo(m * k, 21);
-        let b = pseudo(k * n, 22);
-        let seed = pseudo(m * n, 23);
+    /// Bit patterns, every NaN as one pattern: which of two NaNs an
+    /// addition returns depends on its operand order, which the compiler
+    /// may commute. Every other bit, a zero's sign included, is compared.
+    fn nan_bits(values: &[f32]) -> Vec<u32> {
+        let nan = f32::NAN.to_bits();
+        values
+            .iter()
+            .map(|v| if v.is_nan() { nan } else { v.to_bits() })
+            .collect()
+    }
 
-        let mut dispatched = seed.clone();
-        gemm_nn(m, n, k, &a, &b, &mut dispatched);
-        let mut generic = seed.clone();
-        gemm_nn_serial_generic::<_, LANES>(m, n, k, &a, Operand::row_major(&b, n), &mut generic);
-        assert_eq!(dispatched, generic, "gemm_nn ISA paths diverged");
+    /// What an operand is filled with.
+    #[derive(Debug, Clone, Copy)]
+    enum Fill {
+        /// Values in `[-0.5, 0.5)`.
+        Plain,
+        /// Those, with a `-0.0`, `+∞`, `-∞` and NaN every 97 elements.
+        Special,
+        /// `-0.0` throughout: a kernel that seeds an accumulator with its
+        /// first product instead of adding it to `0.0` keeps the sign.
+        NegZero,
+    }
 
-        let mut dispatched = seed.clone();
-        gemm_nn_seq_serial(m, n, k, &a, &b, &mut dispatched);
-        let mut generic = seed;
-        gemm_nn_seq_serial_generic(m, n, k, &a, &b, &mut generic);
-        assert_eq!(dispatched, generic, "gemm_nn_seq ISA paths diverged");
-
-        let bt = {
-            let mut t = vec![0.0f32; k * n];
-            transpose(k, n, &b, &mut t);
-            t
+    fn fill(len: usize, seed: u32, how: Fill) -> Vec<f32> {
+        let special = |(i, v): (usize, f32)| match i % 97 {
+            5 => -0.0,
+            20 => f32::INFINITY,
+            40 => f32::NEG_INFINITY,
+            60 => f32::NAN,
+            _ => v,
         };
-        let mut dispatched = vec![0.0f32; m * n];
-        gemm_nt(m, n, k, &a, &bt, &mut dispatched);
-        let mut generic = vec![0.0f32; m * n];
-        gemm_nt_serial_generic(m, n, k, &a, RowMajor(k), &bt, &mut [], &mut generic);
-        assert_eq!(dispatched, generic, "gemm_nt ISA paths diverged");
-        for (m, n, k) in nt_ragged_shapes() {
-            let a = pseudo(m * k, 24);
-            let bt = pseudo(n * k, 25);
-            let mut dispatched = vec![0.0f32; m * n];
-            gemm_nt(m, n, k, &a, &bt, &mut dispatched);
-            let mut generic = vec![0.0f32; m * n];
-            gemm_nt_serial_generic(m, n, k, &a, RowMajor(k), &bt, &mut [], &mut generic);
+        match how {
+            Fill::Plain => pseudo(len, seed),
+            Fill::Special => pseudo(len, seed)
+                .into_iter()
+                .enumerate()
+                .map(special)
+                .collect(),
+            Fill::NegZero => vec![-0.0; len],
+        }
+    }
+
+    /// `(A, B, C)` fills every tier is compared under.
+    const FILLS: [(Fill, Fill, Fill); 4] = [
+        (Fill::Plain, Fill::Plain, Fill::Plain),
+        (Fill::Special, Fill::Special, Fill::Plain),
+        (Fill::NegZero, Fill::Plain, Fill::NegZero),
+        (Fill::Plain, Fill::Special, Fill::NegZero),
+    ];
+
+    /// `kernel` on every tier the host runs, from the same `C`, gives what
+    /// it gives on [`Isa::Base`], bit for bit.
+    fn tiers_agree(what: &str, c: &[f32], kernel: impl Fn(Isa, &mut [f32])) {
+        let mut base = c.to_vec();
+        kernel(Isa::Base, &mut base);
+        for isa in Isa::on_host() {
+            let mut got = c.to_vec();
+            kernel(isa, &mut got);
             assert_eq!(
-                bits(&dispatched),
-                bits(&generic),
-                "gemm_nt ISA paths diverged at ({m},{n},{k})"
+                nan_bits(&base),
+                nan_bits(&got),
+                "{isa:?} left the base kernel at {what}"
             );
+        }
+    }
+
+    /// Shapes of the 16-lane weight gradient: `c_out` in sixteens, rows of
+    /// 16, 32 and 64 pixels, tap counts with and without a ragged block.
+    fn nt_lane_shapes() -> impl Iterator<Item = (usize, usize, usize)> {
+        [16, 32, 48].into_iter().flat_map(|m| {
+            [1, 9, 20]
+                .into_iter()
+                .flat_map(move |n| [16, 32, 64].into_iter().map(move |k| (m, n, k)))
+        })
+    }
+
+    #[test]
+    fn host_tier_is_detected_once_and_runs_here() {
+        assert_eq!(Isa::host(), Isa::host());
+        assert_eq!(Isa::on_host().next(), Some(Isa::host()));
+        assert_eq!(Isa::on_host().last(), Some(Isa::Base));
+        eprintln!("gemm kernels dispatch to {:?}", Isa::host());
+    }
+
+    /// Each tier the host runs, called on its own, gives the base tier's
+    /// bits on every GEMM shape family: the 8-row tile's edges, panels
+    /// deeper than `KC` and wider than `NC`, the ragged `gemm_nt` shapes
+    /// and the 16-lane weight-gradient shapes, with `-0.0`, ±∞ and NaN.
+    #[test]
+    fn every_tier_matches_the_base_kernels() {
+        for (fa, fb, fc) in FILLS {
+            for (m, n, k) in [
+                (1, 1, 1),
+                (5, 17, 9),
+                (8, 16, 8),
+                (13, 37, 301),
+                (16, 48, 70),
+                (24, 1041, 20),
+                (36, 64, 16),
+            ] {
+                let a = fill(m * k, 21, fa);
+                let b = fill(k * n, 22, fb);
+                let c = fill(m * n, 23, fc);
+                let at = format!("gemm_nn ({m},{n},{k}) {fa:?}/{fb:?}/{fc:?}");
+                tiers_agree(&at, &c, |isa, c| {
+                    gemm_nn_in::<_, NR>(isa, m, n, k, &a, Operand::row_major(&b, n), c)
+                });
+                let at = format!("gemm_nn_seq ({m},{n},{k}) {fa:?}/{fb:?}/{fc:?}");
+                tiers_agree(&at, &c, |isa, c| {
+                    gemm_nn_seq_serial(isa, m, n, k, &a, &b, c)
+                });
+            }
+            for (m, n, k) in nt_ragged_shapes().chain(nt_lane_shapes()) {
+                let a = fill(m * k, 24, fa);
+                let bt = fill(n * k, 25, fb);
+                let c = fill(m * n, 26, fc);
+                let at = format!("gemm_nt ({m},{n},{k}) {fa:?}/{fb:?}/{fc:?}");
+                tiers_agree(&at, &c, |isa, c| {
+                    gemm_nt_in(isa, m, n, k, &a, RowMajor(k), &bt, &mut [], c)
+                });
+            }
         }
     }
 
@@ -1357,10 +1566,11 @@ mod tests {
         rows: usize,
         width: usize,
         seed: u32,
+        how: Fill,
     ) -> (Vec<f32>, Vec<usize>, usize, Vec<f32>) {
         let stride = width + 3;
         let starts: Vec<usize> = (0..n).map(|p| (p * 7) % 5 + p * stride).collect();
-        let data = pseudo(starts[n - 1] + rows * stride, seed);
+        let data = fill(starts[n - 1] + rows * stride, seed, how);
         let matrix = starts
             .iter()
             .flat_map(|&s| (0..rows * width).map(move |j| s + j / width * stride + j % width))
@@ -1369,47 +1579,181 @@ mod tests {
         (data, starts, stride, matrix)
     }
 
-    /// Both planes kernels, at every run width (16, 8, 4 and 1 pixels)
-    /// and ragged shapes on every side, give what the plain kernels give
-    /// on the matrix the planes stand for, bit for bit.
+    /// `(width, rows, m, p)` of the planes sweep: every run width (16, 8,
+    /// 4 and 1 pixels) under ragged shapes on every side, then the 16-lane
+    /// weight gradient's shapes — `c_out` in sixteens over rows of 16, 32
+    /// and 64 pixels.
+    fn planes_sweep() -> impl Iterator<Item = (usize, usize, usize, usize)> {
+        let ragged = [16, 8, 4, 12, 5, 1].into_iter().flat_map(|width| {
+            [1, 2, 3].into_iter().flat_map(move |rows| {
+                [(1, 1), (4, 9), (5, 7), (8, 72), (3, 13), (16, 9)]
+                    .into_iter()
+                    .map(move |(m, p)| (width, rows, m, p))
+            })
+        });
+        let lanes = [(4, 4), (16, 1), (8, 4), (4, 8), (8, 8), (16, 4)]
+            .into_iter()
+            .flat_map(|(width, rows)| {
+                [(16, 9), (32, 20), (48, 3)]
+                    .into_iter()
+                    .map(move |(m, p)| (width, rows, m, p))
+            });
+        ragged.chain(lanes)
+    }
+
+    /// Both planes kernels give what the plain kernels give on the matrix
+    /// the planes stand for, bit for bit.
     #[test]
     fn planes_kernels_equal_the_matrix_kernels() {
-        for width in [16, 8, 4, 12, 5, 1] {
-            for rows in [1, 2, 3] {
-                for (m, p) in [(1, 1), (4, 9), (5, 7), (8, 72), (3, 13)] {
-                    let pixels = rows * width;
-                    let (data, starts, stride, matrix) = planes_and_matrix(p, rows, width, 41);
-                    let planes = Planes {
-                        data: &data,
-                        starts: &starts,
-                        width,
-                        stride,
-                    };
-                    let a = pseudo(m * p, 42);
-                    let seed = pseudo(m * pixels, 43);
-                    let mut want = seed.clone();
-                    gemm_nn(m, pixels, p, &a, &matrix, &mut want);
-                    let mut got = seed;
-                    gemm_nn_planes(m, pixels, p, &a, planes, &mut got);
-                    assert_eq!(
-                        bits(&want),
-                        bits(&got),
-                        "gemm_nn_planes at width {width}, ({m},{pixels},{p})"
-                    );
+        for (width, rows, m, p) in planes_sweep() {
+            let pixels = rows * width;
+            let (data, starts, stride, matrix) = planes_and_matrix(p, rows, width, 41, Fill::Plain);
+            let planes = Planes {
+                data: &data,
+                starts: &starts,
+                width,
+                stride,
+            };
+            let a = pseudo(m * p, 42);
+            let seed = pseudo(m * pixels, 43);
+            let mut want = seed.clone();
+            gemm_nn(m, pixels, p, &a, &matrix, &mut want);
+            let mut got = seed;
+            gemm_nn_planes(m, pixels, p, &a, planes, &mut got);
+            assert_eq!(
+                bits(&want),
+                bits(&got),
+                "gemm_nn_planes at width {width}, ({m},{pixels},{p})"
+            );
 
-                    let g = pseudo(m * pixels, 44);
-                    let seed = pseudo(m * p, 45);
-                    let mut want = seed.clone();
-                    gemm_nt(m, p, pixels, &g, &matrix, &mut want);
-                    let mut got = seed;
+            let g = pseudo(m * pixels, 44);
+            let seed = pseudo(m * p, 45);
+            let mut want = seed.clone();
+            gemm_nt(m, p, pixels, &g, &matrix, &mut want);
+            let mut got = seed;
+            let mut panel = vec![f32::NAN; nt_panel_len(pixels)];
+            gemm_nt_planes(m, p, pixels, &g, planes, &mut panel, &mut got);
+            assert_eq!(
+                bits(&want),
+                bits(&got),
+                "gemm_nt_planes at width {width}, ({m},{p},{pixels})"
+            );
+        }
+    }
+
+    /// Each tier the host runs, called on its own, gives the base tier's
+    /// bits on the planes sweep, with `-0.0`, ±∞ and NaN.
+    #[test]
+    fn every_tier_matches_the_base_kernels_on_planes() {
+        for (fa, fb, fc) in FILLS {
+            for (width, rows, m, p) in planes_sweep() {
+                let pixels = rows * width;
+                let (data, starts, stride, _) = planes_and_matrix(p, rows, width, 51, fb);
+                let planes = Planes {
+                    data: &data,
+                    starts: &starts,
+                    width,
+                    stride,
+                };
+                let at = format!("width {width}, ({m},{pixels},{p}) {fa:?}/{fb:?}/{fc:?}");
+                let a = fill(m * p, 52, fa);
+                let c = fill(m * pixels, 53, fc);
+                tiers_agree(&format!("gemm_nn_planes {at}"), &c, |isa, c| {
+                    gemm_nn_planes_on(isa, m, pixels, p, &a, planes, c)
+                });
+                let g = fill(m * pixels, 54, fa);
+                let c = fill(m * p, 55, fc);
+                tiers_agree(&format!("gemm_nt_planes {at}"), &c, |isa, c| {
                     let mut panel = vec![f32::NAN; nt_panel_len(pixels)];
-                    gemm_nt_planes(m, p, pixels, &g, planes, &mut panel, &mut got);
-                    assert_eq!(
-                        bits(&want),
-                        bits(&got),
-                        "gemm_nt_planes at width {width}, ({m},{p},{pixels})"
-                    );
-                }
+                    gemm_nt_planes_on(isa, m, p, pixels, &g, planes, &mut panel, c)
+                });
+            }
+        }
+    }
+
+    /// GFLOP/s of each tier on the conv shapes a real search runs — 16×16
+    /// images through phases of 8, 16 and 32 channels at 16×16, 8×8 and
+    /// 4×4 — one thread, inputs warm in cache:
+    /// `cargo test --release -p a4nn-nn --lib kernel_throughput -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "a timing table, not a check"]
+    fn kernel_throughput() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        /// Which lowered GEMM a shape is, with its image width.
+        #[derive(Clone, Copy)]
+        enum Op {
+            /// Forward `W·patches` over framed planes.
+            Fwd(usize),
+            /// Weight gradient `g·patchesᵀ` over framed planes.
+            Wgrad(usize),
+            /// Input gradient `Wᵀ·g`, row-major.
+            Igrad,
+        }
+        let shapes = [
+            ("fwd 16x16", Op::Fwd(16), 8, 256, 72),
+            ("fwd 8x8", Op::Fwd(8), 16, 64, 144),
+            ("fwd 4x4", Op::Fwd(4), 32, 16, 288),
+            ("wgrad 16x16", Op::Wgrad(16), 8, 72, 256),
+            ("wgrad 8x8", Op::Wgrad(8), 16, 144, 64),
+            ("wgrad 4x4", Op::Wgrad(4), 32, 288, 16),
+            ("igrad 16x16", Op::Igrad, 36, 256, 8),
+            ("igrad 8x8", Op::Igrad, 36, 64, 16),
+            ("igrad 4x4", Op::Igrad, 252, 16, 32),
+        ];
+        // The best of five rounds of about 0.2 GFLOP each.
+        let time = |flops: usize, run: &mut dyn FnMut()| {
+            let reps = (200_000_000 / flops).max(1);
+            let best = (0..5)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    for _ in 0..reps {
+                        run();
+                    }
+                    t0.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min);
+            (flops * reps) as f64 / best / 1e9
+        };
+        for isa in Isa::on_host() {
+            for (what, op, m, n, k) in shapes {
+                let flops = 2 * m * n * k;
+                let a = pseudo(m * k, 61);
+                let mut c = pseudo(m * n, 62);
+                let (width, taps, pixels) = match op {
+                    Op::Fwd(width) => (width, k, n),
+                    Op::Wgrad(width) => (width, n, k),
+                    Op::Igrad => (1, 1, 1),
+                };
+                let (data, starts, stride, b) =
+                    planes_and_matrix(taps, pixels / width, width, 63, Fill::Plain);
+                let planes = Planes {
+                    data: &data,
+                    starts: &starts,
+                    width,
+                    stride,
+                };
+                let mut panel = vec![0.0; nt_panel_len(pixels)];
+                let b = match op {
+                    Op::Igrad => pseudo(k * n, 64),
+                    _ => b,
+                };
+                let gflops = time(flops, &mut || match op {
+                    Op::Fwd(_) => gemm_nn_planes_on(isa, m, n, k, black_box(&a), planes, &mut c),
+                    Op::Wgrad(_) => {
+                        gemm_nt_planes_on(isa, m, n, k, black_box(&a), planes, &mut panel, &mut c)
+                    }
+                    Op::Igrad => gemm_nn_in::<_, NR>(
+                        isa,
+                        m,
+                        n,
+                        k,
+                        black_box(&a),
+                        Operand::row_major(&b, n),
+                        &mut c,
+                    ),
+                });
+                eprintln!("{isa:?}\t{what}\t({m},{n},{k})\t{gflops:.1} GFLOP/s");
             }
         }
     }

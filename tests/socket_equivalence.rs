@@ -145,9 +145,12 @@ fn unmeasured(out: &RunOutput) -> Vec<ModelRecord> {
 
 /// `--real` runs over sockets: each worker rebuilds the real trainer,
 /// images included, from the shipped configuration, and its records are
-/// the direct run's. Workers advertising 1 and 2 GPUs, and a direct run
-/// on one GPU, divide the cores differently, so the measured workspace
-/// peak objective must not depend on the thread budget either.
+/// the direct run's. The GEMM thread budget is process-wide, so the two
+/// in-process workers (1 and 2 GPUs) train at one budget, whichever the
+/// last `bind` or the coordinator's pipeline set; two budgets meet in the
+/// direct 2-GPU run against the direct 1-GPU run (and in separate
+/// `a4nn worker` processes), so the measured workspace peak objective
+/// must not depend on the budget.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
 fn real_training_is_transport_invariant() {

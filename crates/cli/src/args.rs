@@ -64,7 +64,6 @@ pub enum Command {
     Analyze,
     Viz,
     Export,
-    Stats,
     Worker,
     Serve,
     Reproduce,
@@ -78,10 +77,10 @@ pub(crate) const COMMANDS: &[(Command, &str, &str)] = &[
     (Baseline, "baseline", "run standalone NSGA-Net (no prediction engine)"),
     (Xpsi, "xpsi", "run the XPSI baseline on a synthetic dataset"),
     (Dataset, "dataset", "generate a synthetic XFEL diffraction dataset"),
-    (Analyze, "analyze", "summarize a data commons directory"),
+    (Analyze, "analyze", "summarize a run directory offline: resume state,\n\
+        the commons and its Pareto front, retries, metrics"),
     (Viz, "viz", "render an architecture from a commons (ASCII or DOT)"),
     (Export, "export", "write models.csv and epochs.csv from a commons"),
-    (Stats, "stats", "summarize a run directory offline (metrics, retries, resume state)"),
     (Worker, "worker", "serve trainer jobs to a remote search coordinator over TCP"),
     (Serve, "serve", "serve batched classify requests from a commons' Pareto front"),
     (Reproduce, "reproduce", "regenerate the paper's figures, tables and ablations into\n\
@@ -136,7 +135,7 @@ pub(crate) const FLAGS: &[Flag] = &[
     Flag("--workers", Some("addr,..."), "comma-separated worker addresses for\n\
         --orchestration socket", SEARCH),
     Flag("--heartbeat-ms", Some("n"), "declare a silent worker dead after this many\n\
-        milliseconds (socket) [2000]", SEARCH),
+        milliseconds, at least 4 (socket) [2000]", SEARCH),
     Flag("--max-retries", Some("n"), "retries per model after a crashed training\n\
         attempt [2]", SEARCH),
     Flag("--resume", Some("dir"), "continue the interrupted search committed in\n\
@@ -151,22 +150,20 @@ pub(crate) const FLAGS: &[Flag] = &[
     Flag("--n-converge", Some("n"), "convergence window N [3]", &[Search]),
     Flag("--r", Some("f64"), "tolerance r [0.5]", &[Search]),
     Flag("--out", Some("file"), "write the dataset here as JSON", &[Dataset]),
-    Flag("--commons", Some("dir"), "commons directory (required)", &[Analyze, Viz, Export]),
+    Flag("--commons", Some("dir"), "run directory, a search's --out (required)",
+        &[Analyze, Viz, Export]),
     Flag("--model", Some("id"), "model id (default: best by fitness)", &[Viz]),
     Flag("--dot", None, "emit Graphviz DOT instead of ASCII", &[Viz]),
     Flag("--out", Some("dir"), "write models.csv and epochs.csv here\n\
         (default: the working directory)", &[Export]),
-    Flag("--run", Some("dir"), "run directory to summarize (required): reads\n\
-        metrics.json, the resume manifest and the\n\
-        commons if present; no search is executed", &[Stats]),
     Flag("--listen", Some("addr"), "bind address (required), e.g. 0.0.0.0:7070", &[Worker]),
     Flag("--gpus", Some("n"), "advertised concurrent job slots [1]", &[Worker]),
     Flag("--sessions", Some("n"), "serve this many coordinator sessions then\n\
         exit; 0 serves forever [0]", &[Worker]),
-    Flag("--commons", Some("dir"), "commons whose Pareto front to serve (required);\n\
-        no command writes its checkpoints/ yet, so each\n\
-        model is an untrained rebuild of its genome\n\
-        (ROADMAP.md: \"Serve what was trained\")", &[Serve]),
+    Flag("--commons", Some("dir"), "run directory whose Pareto front to serve\n\
+        (required); no command writes its checkpoints/\n\
+        yet, so each model is an untrained rebuild of its\n\
+        genome (ROADMAP.md: \"Serve what was trained\")", &[Serve]),
     Flag("--listen", Some("addr"), "bind address (required), e.g. 0.0.0.0:7463", &[Serve]),
     Flag("--batch", Some("n"), "max requests per micro-batch [8]", &[Serve]),
     Flag("--queue", Some("n"), "admission queue capacity; requests beyond it\n\

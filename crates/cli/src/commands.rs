@@ -6,13 +6,13 @@
 
 use crate::args::{usage, ArgError, Command, Parsed};
 use a4nn_core::prelude::*;
+use a4nn_core::resume::{ResumeManifest, MANIFEST_FILE};
 use a4nn_genome::viz::{render_ascii, render_dot};
-use a4nn_lineage::{Analyzer, DataCommons};
 use a4nn_net::{SocketOptions, SocketTransport, WorkerServer};
 use a4nn_serve::ServeConfig;
 use a4nn_xfel::generate_split;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -182,8 +182,8 @@ fn fault_tolerance(parsed: &Parsed) -> Result<FaultTolerance, ArgError> {
 /// [`SocketOptions::default`] with `--heartbeat-ms` applied.
 fn socket_options(parsed: &Parsed) -> Result<SocketOptions, ArgError> {
     let mut options = SocketOptions::default();
-    if let Some(ms) = parsed.value::<u64>("--heartbeat-ms")? {
-        options.heartbeat_deadline = Duration::from_millis(ms.max(1));
+    if let Some(ms) = parsed.value("--heartbeat-ms")? {
+        options.heartbeat_deadline = Duration::from_millis(ms);
     }
     Ok(options)
 }
@@ -223,8 +223,8 @@ fn serve_config(parsed: &Parsed) -> Result<ServeConfig, CommandError> {
 /// Print one Pareto front, one `name=value` cell per configured
 /// objective (legacy records fall back to the `(neg_fitness, flops)`
 /// pair), sorted by FLOPs for a stable, cheap-to-expensive reading.
-fn print_objective_front(analyzer: &Analyzer<'_>) -> Result<(), CommandError> {
-    let mut front = analyzer.pareto_front()?;
+fn print_objective_front(commons: &DataCommons) -> Result<(), CommandError> {
+    let mut front = commons.pareto_front()?;
     front.sort_by(|a, b| a.flops.total_cmp(&b.flops));
     for r in front {
         let cells: Vec<String> = r
@@ -329,7 +329,6 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
         },
     )?;
 
-    let analyzer = Analyzer::new(&output.commons);
     println!(
         "evaluated {} architectures in {:.2} simulated hours ({} epochs, {:.1}% saved)",
         output.commons.len(),
@@ -340,7 +339,7 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
     if engine {
         println!(
             "engine: {:.0}% of models terminated early; overhead {:.3}s total",
-            100.0 * analyzer.early_termination_rate(),
+            100.0 * output.commons.early_termination_rate(),
             output.engine_seconds
         );
     }
@@ -356,7 +355,7 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
         println!("{}", output.transport_stats.summary_line());
     }
     println!("Pareto front ({}):", config.objectives);
-    print_objective_front(&analyzer)?;
+    print_objective_front(&output.commons)?;
     if let Some(dir) = &out_dir {
         // Every generation boundary already committed its records to
         // the commons in `dir`. The run bookkeeping is written beside
@@ -375,68 +374,6 @@ fn run_search(parsed: &Parsed, engine: bool) -> Result<(), CommandError> {
             a4nn_lineage::retries_csv(&output.commons.records).as_bytes(),
         )?;
         println!("commons written to {}", dir.display());
-    }
-    Ok(())
-}
-
-/// `a4nn stats`: summarize a run directory offline — the artifacts a
-/// search committed (`metrics.json`, the resume manifest, and the
-/// commons, retries included), without running anything.
-fn run_stats(parsed: &Parsed) -> Result<(), CommandError> {
-    let dir = PathBuf::from(required(parsed, "--run")?);
-    let mut found_any = false;
-
-    let manifest_path = dir.join("resume_manifest.json");
-    if let Ok(bytes) = std::fs::read(&manifest_path) {
-        found_any = true;
-        let manifest: a4nn_core::resume::ResumeManifest =
-            serde_json::from_slice(&bytes).map_err(|e| {
-                A4nnError::Checkpoint(format!("parsing {}: {e}", manifest_path.display()))
-            })?;
-        println!(
-            "resume state : generation boundary {} committed (config {:016x}, {})",
-            manifest.generations_done, manifest.config_hash, manifest.state_file
-        );
-    }
-
-    if let Ok(commons) = DataCommons::load_dir(&dir) {
-        found_any = true;
-        let analyzer = Analyzer::new(&commons);
-        println!(
-            "commons      : {} record trails, {} epochs, {:.0}% early terminations",
-            commons.len(),
-            analyzer.total_epochs(),
-            100.0 * analyzer.early_termination_rate()
-        );
-        if let Some(r) = commons.records.first() {
-            println!(
-                "objectives   : {} ({} model(s) on the front)",
-                r.objective_labels().join(","),
-                analyzer.pareto_front()?.len()
-            );
-        }
-        let faults = FaultStats::from_records(&commons.records);
-        println!(
-            "retries      : {} retries consumed; {} model(s) recovered, {} failed terminally",
-            faults.retries, faults.models_recovered, faults.models_failed
-        );
-    }
-
-    if let Ok(bytes) = std::fs::read(dir.join("metrics.json")) {
-        found_any = true;
-        let metrics = MetricsSnapshot::from_json(&bytes)?;
-        println!("metrics      :");
-        for line in metrics.to_csv().lines().skip(1) {
-            println!("  {line}");
-        }
-    }
-
-    if !found_any {
-        return Err(A4nnError::Config(format!(
-            "{} holds no run artifacts (no resume manifest, commons or metrics.json)",
-            dir.display()
-        ))
-        .into());
     }
     Ok(())
 }
@@ -549,42 +486,99 @@ fn load_commons(parsed: &Parsed) -> Result<DataCommons, CommandError> {
     Ok(DataCommons::load_dir(&dir)?)
 }
 
+/// The bytes of `dir/name`, or `None` when there is no such file.
+fn read_artifact(dir: &Path, name: &str) -> Result<Option<Vec<u8>>, A4nnError> {
+    let path = dir.join(name);
+    match std::fs::read(&path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(A4nnError::io(format!("reading {}", path.display()), e)),
+    }
+}
+
+/// `a4nn analyze`: summarize a run directory offline, without running
+/// anything. Each of its artifacts (the resume manifest, the commons and
+/// `metrics.json`) is read once and reported when present; one that is
+/// present but does not read or parse is an error.
 fn run_analyze(parsed: &Parsed) -> Result<(), CommandError> {
-    let commons = load_commons(parsed)?;
-    let analyzer = Analyzer::new(&commons);
-    println!("commons: {} record trails", commons.len());
-    println!(
-        "  mean fitness            : {:.2}%",
-        analyzer.mean_fitness()
-    );
-    println!("  total epochs            : {}", analyzer.total_epochs());
-    println!(
-        "  total training time     : {:.2} h",
-        analyzer.total_wall_time() / 3600.0
-    );
-    println!(
-        "  early terminations      : {:.0}%",
-        100.0 * analyzer.early_termination_rate()
-    );
-    if let Some(et) = analyzer.mean_termination_epoch() {
-        println!("  mean termination epoch  : {et:.1}");
+    let dir = PathBuf::from(required(parsed, "--commons")?);
+    std::fs::read_dir(&dir).map_err(|e| A4nnError::io(format!("reading {}", dir.display()), e))?;
+    let resume = read_artifact(&dir, MANIFEST_FILE)?
+        .map(|bytes| {
+            serde_json::from_slice::<ResumeManifest>(&bytes).map_err(|e| {
+                A4nnError::Checkpoint(format!(
+                    "parsing {}: {e}",
+                    dir.join(MANIFEST_FILE).display()
+                ))
+            })
+        })
+        .transpose()?;
+    // The commons' own manifest lists its records; `load_dir` reads both.
+    let commons = dir
+        .join("manifest.json")
+        .try_exists()
+        .map_err(|e| A4nnError::io(format!("reading {}", dir.display()), e))?
+        .then(|| DataCommons::load_dir(&dir))
+        .transpose()?;
+    let metrics = read_artifact(&dir, "metrics.json")?
+        .map(|bytes| MetricsSnapshot::from_json(&bytes))
+        .transpose()?;
+    if resume.is_none() && commons.is_none() && metrics.is_none() {
+        return Err(A4nnError::Config(format!(
+            "{} holds no run artifacts (no resume manifest, commons or metrics.json)",
+            dir.display()
+        ))
+        .into());
     }
-    if let Some(c) = analyzer.flops_fitness_correlation() {
-        println!("  FLOPs-accuracy corr.    : {c:+.3}");
+
+    if let Some(manifest) = resume {
+        println!(
+            "resume state: generation boundary {} committed (config {:016x}, {})",
+            manifest.generations_done, manifest.config_hash, manifest.state_file
+        );
     }
-    let labels = commons
-        .records
-        .first()
-        .map(|r| r.objective_labels().join(","))
-        .unwrap_or_default();
-    println!("  Pareto front ({labels}):");
-    print_objective_front(&analyzer)?;
+    if let Some(commons) = commons {
+        println!("commons: {} record trails", commons.len());
+        println!("  mean fitness            : {:.2}%", commons.mean_fitness());
+        println!("  total epochs            : {}", commons.total_epochs());
+        println!(
+            "  total training time     : {:.2} h",
+            commons.total_wall_time() / 3600.0
+        );
+        println!(
+            "  early terminations      : {:.0}%",
+            100.0 * commons.early_termination_rate()
+        );
+        if let Some(et) = commons.mean_termination_epoch() {
+            println!("  mean termination epoch  : {et:.1}");
+        }
+        if let Some(c) = commons.flops_fitness_correlation() {
+            println!("  FLOPs-accuracy corr.    : {c:+.3}");
+        }
+        let faults = FaultStats::from_records(&commons.records);
+        println!(
+            "  retries                 : {} retries consumed; {} model(s) recovered, {} failed terminally",
+            faults.retries, faults.models_recovered, faults.models_failed
+        );
+        let labels = commons
+            .records
+            .first()
+            .map(|r| r.objective_labels().join(","))
+            .unwrap_or_default();
+        println!("  Pareto front ({labels}):");
+        print_objective_front(&commons)?;
+    }
+    if let Some(metrics) = metrics {
+        println!("metrics:");
+        for line in metrics.to_csv().lines().skip(1) {
+            println!("  {line}");
+        }
+    }
     Ok(())
 }
 
 fn run_viz(parsed: &Parsed) -> Result<(), CommandError> {
     let commons = load_commons(parsed)?;
-    let analyzer = Analyzer::new(&commons);
     let record = match parsed.get("--model") {
         Some(raw) => {
             let id: u64 = raw
@@ -594,7 +588,7 @@ fn run_viz(parsed: &Parsed) -> Result<(), CommandError> {
                 .get(id)
                 .ok_or_else(|| A4nnError::Config(format!("model {id} not in commons")))?
         }
-        None => analyzer
+        None => commons
             .best_by_fitness()
             .ok_or_else(|| A4nnError::Config("commons is empty".into()))?,
     };
@@ -652,7 +646,6 @@ pub fn run_command(parsed: &Parsed) -> Result<(), CommandError> {
         Command::Analyze => run_analyze(parsed),
         Command::Viz => run_viz(parsed),
         Command::Export => run_export(parsed),
-        Command::Stats => run_stats(parsed),
         Command::Worker => run_worker(parsed),
         Command::Serve => run_serve(parsed),
         Command::Reproduce => crate::reproduce::run_reproduce(parsed),

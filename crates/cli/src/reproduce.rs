@@ -182,7 +182,7 @@ fn paper(id: &str, beam: BeamIntensity) -> f64 {
 
 /// A run's Pareto front, most accurate first (ties keep commons order).
 fn front_by_fitness(out: &RunOutput) -> Result<Vec<&ModelRecord>, A4nnError> {
-    let mut front = Analyzer::new(&out.commons).pareto_front()?;
+    let mut front = out.commons.pareto_front()?;
     front.sort_by(|a, b| fitness_cmp(b.final_fitness, a.final_fitness));
     Ok(front)
 }
@@ -223,11 +223,10 @@ fn paper_defaults(runs: &mut Runs, r: &mut Report, beam: BeamIntensity) -> Resul
     let one = runs.a4nn(beam, 1)?;
     let four = runs.a4nn(beam, 4)?;
     let base = runs.standalone(beam)?;
-    let analyzer = Analyzer::new(&one.commons);
 
     // Figure 6: (MFLOPs, accuracy) per Pareto-front point.
     let front = |out: &RunOutput| -> Result<Vec<(f64, f64)>, A4nnError> {
-        let front = Analyzer::new(&out.commons).pareto_front()?;
+        let front = out.commons.pareto_front()?;
         Ok(front.iter().map(|m| (m.flops, m.final_fitness)).collect())
     };
     let (a4nn, standalone) = (front(&one)?, front(&base)?);
@@ -252,8 +251,14 @@ fn paper_defaults(runs: &mut Runs, r: &mut Report, beam: BeamIntensity) -> Resul
     ];
     r.rows(beam, "fig7", &values);
     let values = [
-        ("terminated_pct", 100.0 * analyzer.early_termination_rate()),
-        ("mean_et", analyzer.mean_termination_epoch().unwrap_or(NAN)),
+        (
+            "terminated_pct",
+            100.0 * one.commons.early_termination_rate(),
+        ),
+        (
+            "mean_et",
+            one.commons.mean_termination_epoch().unwrap_or(NAN),
+        ),
     ];
     r.rows(beam, "fig8", &values);
     for (shape, models, terminated) in shape_census(&one.commons) {
@@ -276,14 +281,14 @@ fn paper_defaults(runs: &mut Runs, r: &mut Report, beam: BeamIntensity) -> Resul
         ("interactions", one.engine_interactions as f64),
         ("engine_s", one.engine_seconds),
         ("ms_per_interaction", 1e3 * per_interaction),
-        ("mean_epoch_s", analyzer.total_wall_time() / epochs(&one)),
+        ("mean_epoch_s", one.commons.total_wall_time() / epochs(&one)),
     ];
     r.rows(beam, "overhead", &values);
 
     // §6: "is there a significant correlation between high FLOPS and high
     // validation accuracy?" and "are there structural similarities
     // between successful architectures?".
-    let corr = |out: &RunOutput| Analyzer::new(&out.commons).flops_fitness_correlation();
+    let corr = |out: &RunOutput| out.commons.flops_fitness_correlation();
     let values = [("a4nn_r", corr(&one)), ("standalone_r", corr(&base))];
     r.rows(
         beam,
@@ -484,8 +489,10 @@ fn ablation_nas_drivers(
 ) -> Result<(), A4nnError> {
     for (driver, name) in DRIVERS {
         let out = runs.run(driver, WorkflowConfig::a4nn(beam, 1, SEED))?;
-        let analyzer = Analyzer::new(&out.commons);
-        let best = analyzer.best_by_fitness().map_or(NAN, |m| m.final_fitness);
+        let best = out
+            .commons
+            .best_by_fitness()
+            .map_or(NAN, |m| m.final_fitness);
         // The cheapest model within 1 point of the best accuracy: the
         // efficiency axis only the multi-objective driver optimizes.
         let near_best = out
@@ -499,7 +506,7 @@ fn ablation_nas_drivers(
                 "cheapest_near_best_mflops",
                 near_best.map(|m| m.flops).fold(NAN, f64::min),
             ),
-            ("pareto_size", analyzer.pareto_front()?.len() as f64),
+            ("pareto_size", out.commons.pareto_front()?.len() as f64),
             ("epochs", out.total_epochs() as f64),
             ("saved_pct", out.epochs_saved_pct()),
             ("hours", out.wall_time_s() / 3600.0),
@@ -767,6 +774,6 @@ mod tests {
         let s = Runs::default().standalone(BeamIntensity::Low).unwrap();
         assert_eq!(s.total_epochs(), 2500);
         assert_eq!(s.epochs_saved_pct(), 0.0);
-        assert_eq!(Analyzer::new(&s.commons).early_termination_rate(), 0.0);
+        assert_eq!(s.commons.early_termination_rate(), 0.0);
     }
 }

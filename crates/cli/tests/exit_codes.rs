@@ -25,7 +25,9 @@ fn argument_parse_failures_are_two() {
 }
 
 /// Retired flags are unknown flags: the serve connection layer, the
-/// validation chunk size and the metrics persist interval are fixed.
+/// validation chunk size and the metrics persist interval are fixed, and
+/// `analyze --commons` names the run directory `stats --run` did. The
+/// retired `stats` is an unknown command.
 #[test]
 fn retired_flags_are_unknown() {
     use a4nn_cli::{ArgError, Parsed};
@@ -33,6 +35,7 @@ fn retired_flags_are_unknown() {
         "serve --io reactor",
         "search --eval-chunk 64",
         "serve --metrics-interval-ms 5",
+        "analyze --run X",
     ] {
         let argv: Vec<String> = cmdline.split_whitespace().map(String::from).collect();
         let flag = &argv[1];
@@ -41,6 +44,12 @@ fn retired_flags_are_unknown() {
         assert_eq!(err.to_string(), format!("unknown flag {flag}"));
         assert_eq!(code(cmdline), 2, "{cmdline}");
     }
+    let argv = ["stats", "--run", "X"].map(String::from);
+    assert_eq!(
+        Parsed::parse(&argv).unwrap_err(),
+        ArgError::UnknownCommand("stats".into())
+    );
+    assert_eq!(code("stats --run X"), 2);
 }
 
 /// Each command takes only its own flags: another command's flag is
@@ -175,6 +184,19 @@ fn socket_misuse_is_invalid_value() {
         3,
         "a worker advertising zero GPUs"
     );
+    // Workers heartbeat at a quarter of the deadline in whole
+    // milliseconds, so a deadline under 4 ms is refused before any
+    // worker is contacted (nothing listens on port 1).
+    for ms in [0, 3] {
+        assert_eq!(
+            code(&format!(
+                "search --population 2 --offspring 2 --generations 1 --epochs 2 \
+                 --orchestration socket --workers 127.0.0.1:1 --heartbeat-ms {ms}"
+            )),
+            3,
+            "--heartbeat-ms {ms}"
+        );
+    }
 }
 
 /// The README's exit-code table is generated prose over a real mapping;
@@ -339,11 +361,12 @@ fn hostile_checkpoint_is_five() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `a4nn stats` reads a run directory offline: success on a real run
-/// dir, invalid-value on an empty one.
+/// `a4nn analyze` reads a run directory offline: success on a real run
+/// dir, invalid-value on an empty one, and an I/O error on a torn commons
+/// beside readable metrics.
 #[test]
-fn stats_reads_a_run_directory_offline() {
-    let dir = std::env::temp_dir().join(format!("a4nn-exit-codes-stats-{}", std::process::id()));
+fn analyze_reads_a_run_directory_offline() {
+    let dir = std::env::temp_dir().join(format!("a4nn-exit-codes-analyze-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let out = dir.to_string_lossy().to_string();
     assert_eq!(
@@ -364,14 +387,20 @@ fn stats_reads_a_run_directory_offline() {
             "search --out must commit {artifact}"
         );
     }
-    assert_eq!(code(&format!("stats --run {out}")), 0);
-    assert_eq!(code("stats"), 3, "stats without --run");
+    assert_eq!(code(&format!("analyze --commons {out}")), 0);
+    assert_eq!(code("analyze"), 3, "analyze without --commons");
     let empty = dir.join("empty");
     std::fs::create_dir_all(&empty).unwrap();
     assert_eq!(
-        code(&format!("stats --run {}", empty.to_string_lossy())),
+        code(&format!("analyze --commons {}", empty.to_string_lossy())),
         3,
         "a directory with no run artifacts"
+    );
+    std::fs::write(dir.join("manifest.json"), b"{ torn").unwrap();
+    assert_eq!(
+        code(&format!("analyze --commons {out}")),
+        4,
+        "a corrupted commons manifest beside a valid metrics.json"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

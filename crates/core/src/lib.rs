@@ -92,7 +92,7 @@ pub mod prelude {
     };
     pub use a4nn_faults::{ChaosSpec, FaultEvent, FaultPlan};
     pub use a4nn_genome::{Genome, SearchSpace};
-    pub use a4nn_lineage::{Analyzer, DataCommons, ModelRecord, Terminated};
+    pub use a4nn_lineage::{DataCommons, ModelRecord, Terminated};
     pub use a4nn_metrics::{MetricsRegistry, MetricsSnapshot};
     pub use a4nn_penguin::{CurveFamily, EngineConfig, PredictionEngine};
     pub use a4nn_sched::RetryPolicy;

@@ -412,7 +412,6 @@ mod tests {
     use crate::config::NasSettings;
     use crate::pipeline::BusTransport;
     use crate::surrogate::{SurrogateFactory, SurrogateParams};
-    use a4nn_lineage::Analyzer;
     use a4nn_penguin::EngineConfig;
     use a4nn_xfel::BeamIntensity;
 
@@ -639,19 +638,13 @@ mod tests {
         let cfg = eight_by_five(7);
         let nsga = run_with(Driver::Nsga2, cfg.clone());
         let random = run_with(Driver::Random, cfg);
-        let best = |out: &RunOutput| {
-            Analyzer::new(&out.commons)
-                .best_by_fitness()
-                .unwrap()
-                .final_fitness
-        };
+        let best = |out: &RunOutput| out.commons.best_by_fitness().unwrap().final_fitness;
         assert!(best(&nsga) >= best(&random) - 3.0);
     }
 
     #[test]
     fn search_improves_over_random_initialization() {
         let out = run(true, 2, 9);
-        let analyzer = Analyzer::new(&out.commons);
         let gen0_best = out
             .commons
             .records
@@ -659,7 +652,7 @@ mod tests {
             .filter(|r| r.generation == 0)
             .map(|r| r.final_fitness)
             .fold(f64::NEG_INFINITY, f64::max);
-        let overall_best = analyzer.best_by_fitness().unwrap().final_fitness;
+        let overall_best = out.commons.best_by_fitness().unwrap().final_fitness;
         assert!(overall_best >= gen0_best);
     }
 

@@ -1,56 +1,34 @@
 //! The analyzer: query and aggregation over a data commons.
 //!
 //! Rust analogue of the paper's Jupyter-notebook analyzer (§2.4): search
-//! for NNs with specific attributes, study fitness-curve shapes, extract
-//! Pareto-optimal models, and answer the conclusions' questions ("Is there
-//! a significant correlation between high FLOPS and high validation
-//! accuracy?").
+//! for NNs with specific attributes (filter [`DataCommons::records`]),
+//! study fitness-curve shapes, extract Pareto-optimal models, and answer
+//! the conclusions' questions ("Is there a significant correlation
+//! between high FLOPS and high validation accuracy?").
+//!
+//! A failed training's NaN fitness is left out of the fitness mean and
+//! correlation, as its NaN objectives are left off the front: it would
+//! only turn them into NaN.
 
 use crate::commons::DataCommons;
 use crate::record::ModelRecord;
 use a4nn_error::A4nnError;
 use a4nn_nsga::{Dominance, Objectives};
 
-/// Read-only analysis view over a commons.
-#[derive(Debug, Clone, Copy)]
-pub struct Analyzer<'a> {
-    commons: &'a DataCommons,
-}
-
-impl<'a> Analyzer<'a> {
-    /// Build an analyzer over a commons.
-    pub fn new(commons: &'a DataCommons) -> Self {
-        Analyzer { commons }
+impl DataCommons {
+    /// The records whose training produced a fitness.
+    fn scored(&self) -> impl Iterator<Item = &ModelRecord> {
+        self.records.iter().filter(|r| !r.final_fitness.is_nan())
     }
 
-    /// All records.
-    pub fn records(&self) -> &'a [ModelRecord] {
-        &self.commons.records
-    }
-
-    /// Attribute search: records satisfying `pred`.
-    pub fn find(&self, pred: impl Fn(&ModelRecord) -> bool) -> Vec<&'a ModelRecord> {
-        self.commons.records.iter().filter(|r| pred(r)).collect()
-    }
-
-    /// Mean final fitness across the commons.
+    /// Mean final fitness across the commons; 0 when no record has one.
     pub fn mean_fitness(&self) -> f64 {
-        let n = self.commons.records.len();
-        if n == 0 {
-            return 0.0;
-        }
-        self.commons
-            .records
-            .iter()
-            .map(|r| r.final_fitness)
-            .sum::<f64>()
-            / n as f64
+        mean(self.scored().map(|r| r.final_fitness)).unwrap_or(0.0)
     }
 
     /// Total epochs trained across all models (Figure 7's bar heights).
     pub fn total_epochs(&self) -> u64 {
-        self.commons
-            .records
+        self.records
             .iter()
             .map(|r| u64::from(r.epochs_trained()))
             .sum()
@@ -58,29 +36,22 @@ impl<'a> Analyzer<'a> {
 
     /// Total training wall time across all models (GPU-seconds).
     pub fn total_wall_time(&self) -> f64 {
-        self.commons.records.iter().map(|r| r.wall_time_s).sum()
+        self.records.iter().map(|r| r.wall_time_s).sum()
     }
 
     /// Fraction of models whose training was terminated early
     /// (Figure 8's legend percentages), in `[0, 1]`.
     pub fn early_termination_rate(&self) -> f64 {
-        let n = self.commons.records.len();
-        if n == 0 {
+        if self.is_empty() {
             return 0.0;
         }
-        self.commons
-            .records
-            .iter()
-            .filter(|r| r.terminated_early())
-            .count() as f64
-            / n as f64
+        self.records.iter().filter(|r| r.terminated_early()).count() as f64 / self.len() as f64
     }
 
     /// Termination epochs `e_t` of early-terminated models (Figure 8's
     /// distribution).
     pub fn termination_epochs(&self) -> Vec<u32> {
-        self.commons
-            .records
+        self.records
             .iter()
             .filter_map(ModelRecord::termination_epoch)
             .collect()
@@ -88,12 +59,7 @@ impl<'a> Analyzer<'a> {
 
     /// Mean termination epoch of early-terminated models, if any.
     pub fn mean_termination_epoch(&self) -> Option<f64> {
-        let es = self.termination_epochs();
-        if es.is_empty() {
-            None
-        } else {
-            Some(es.iter().map(|&e| f64::from(e)).sum::<f64>() / es.len() as f64)
-        }
+        mean(self.termination_epochs().into_iter().map(f64::from))
     }
 
     /// Pareto-optimal records over each record's *full* objective vector
@@ -110,8 +76,8 @@ impl<'a> Analyzer<'a> {
     /// different `--objectives` sets) is a foreign-data condition and
     /// returns a typed [`A4nnError::Config`] instead of panicking inside
     /// the dominance comparison.
-    pub fn pareto_front(&self) -> Result<Vec<&'a ModelRecord>, A4nnError> {
-        let rs = &self.commons.records;
+    pub fn pareto_front(&self) -> Result<Vec<&ModelRecord>, A4nnError> {
+        let rs = &self.records;
         let vectors: Vec<Objectives> = rs
             .iter()
             .map(|r| Objectives::new(r.objective_vector()))
@@ -128,7 +94,7 @@ impl<'a> Analyzer<'a> {
                 )));
             }
         }
-        let ranked: Vec<(&'a ModelRecord, Objectives)> = rs
+        let ranked: Vec<(&ModelRecord, Objectives)> = rs
             .iter()
             .zip(vectors)
             .filter(|(_, v)| !v.has_nan())
@@ -159,37 +125,33 @@ impl<'a> Analyzer<'a> {
 
     /// The most accurate model. NaN fitness (failed trainings) ranks
     /// strictly worst rather than poisoning the comparison.
-    pub fn best_by_fitness(&self) -> Option<&'a ModelRecord> {
-        self.commons
-            .records
+    pub fn best_by_fitness(&self) -> Option<&ModelRecord> {
+        self.records
             .iter()
             .max_by(|a, b| crate::record::fitness_cmp(a.final_fitness, b.final_fitness))
     }
 
     /// Pearson correlation between FLOPs and final fitness — the
     /// conclusions' open question about high-FLOPs/high-accuracy
-    /// correlation. Returns `None` for degenerate inputs.
+    /// correlation — over the records with a fitness. Returns `None` for
+    /// degenerate inputs.
     pub fn flops_fitness_correlation(&self) -> Option<f64> {
-        let rs = &self.commons.records;
-        let flops: Vec<f64> = rs.iter().map(|r| r.flops).collect();
-        let fitness: Vec<f64> = rs.iter().map(|r| r.final_fitness).collect();
+        let (flops, fitness): (Vec<f64>, Vec<f64>) =
+            self.scored().map(|r| (r.flops, r.final_fitness)).unzip();
         crate::structure::pearson(&flops, &fitness)
     }
 
     /// Mean [stop gap](ModelRecord::stop_gap) over early-terminated models.
     pub fn mean_stop_gap(&self) -> Option<f64> {
-        let errs: Vec<f64> = self
-            .commons
-            .records
-            .iter()
-            .filter_map(ModelRecord::stop_gap)
-            .collect();
-        if errs.is_empty() {
-            None
-        } else {
-            Some(errs.iter().sum::<f64>() / errs.len() as f64)
-        }
+        mean(self.records.iter().filter_map(ModelRecord::stop_gap))
     }
+}
+
+/// The mean of `xs`, or `None` when there are none.
+fn mean(xs: impl Iterator<Item = f64>) -> Option<f64> {
+    let mut n = 0usize;
+    let sum: f64 = xs.inspect(|_| n += 1).sum();
+    (n > 0).then(|| sum / n as f64)
 }
 
 #[cfg(test)]
@@ -251,28 +213,25 @@ mod tests {
     #[test]
     fn totals_and_means() {
         let c = commons();
-        let a = Analyzer::new(&c);
-        assert_eq!(a.total_epochs(), 10 + 14 + 25 + 8 + 25);
-        assert!((a.mean_fitness() - 89.8).abs() < 1e-9);
-        assert!((a.total_wall_time() - 2.0 * 82.0).abs() < 1e-9);
+        assert_eq!(c.total_epochs(), 10 + 14 + 25 + 8 + 25);
+        assert!((c.mean_fitness() - 89.8).abs() < 1e-9);
+        assert!((c.total_wall_time() - 2.0 * 82.0).abs() < 1e-9);
     }
 
     #[test]
     fn termination_statistics() {
         let c = commons();
-        let a = Analyzer::new(&c);
-        assert!((a.early_termination_rate() - 0.6).abs() < 1e-12);
-        let mut es = a.termination_epochs();
+        assert!((c.early_termination_rate() - 0.6).abs() < 1e-12);
+        let mut es = c.termination_epochs();
         es.sort_unstable();
         assert_eq!(es, vec![8, 10, 14]);
-        assert!((a.mean_termination_epoch().unwrap() - 32.0 / 3.0).abs() < 1e-9);
+        assert!((c.mean_termination_epoch().unwrap() - 32.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn pareto_front_max_fitness_min_flops() {
         let c = commons();
-        let a = Analyzer::new(&c);
-        let ids: Vec<u64> = a
+        let ids: Vec<u64> = c
             .pareto_front()
             .unwrap()
             .iter()
@@ -286,10 +245,9 @@ mod tests {
     #[test]
     fn objective_front_agrees_with_legacy_front_on_untagged_records() {
         let c = commons();
-        let a = Analyzer::new(&c);
         // The ids the maximized-fitness, minimized-FLOPs front picks.
         let legacy: Vec<u64> = vec![0, 1, 2, 3];
-        let nd: Vec<u64> = a
+        let nd: Vec<u64> = c
             .pareto_front()
             .unwrap()
             .iter()
@@ -305,13 +263,25 @@ mod tests {
         let mut records = commons().records;
         records.push(record(5, f64::NAN, 100.0, None));
         let c = DataCommons::new(records);
-        let ids: Vec<u64> = Analyzer::new(&c)
+        let ids: Vec<u64> = c
             .pareto_front()
             .unwrap()
             .iter()
             .map(|r| r.model_id)
             .collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn nan_fitness_record_is_in_no_mean_or_correlation() {
+        let mut records = commons().records;
+        records.push(record(5, f64::NAN, 100.0, None));
+        let c = DataCommons::new(records);
+        assert!((c.mean_fitness() - 89.8).abs() < 1e-9);
+        assert_eq!(
+            c.flops_fitness_correlation(),
+            commons().flops_fitness_correlation()
+        );
     }
 
     #[test]
@@ -325,7 +295,7 @@ mod tests {
         b.objective_names = a.objective_names.clone();
         b.objective_values = vec![-90.0, 400.0, 4096.0];
         let c = DataCommons::new(vec![a, b]);
-        let front: Vec<u64> = Analyzer::new(&c)
+        let front: Vec<u64> = c
             .pareto_front()
             .unwrap()
             .iter()
@@ -340,7 +310,7 @@ mod tests {
         tagged.objective_names = vec!["neg_fitness".into(), "flops".into(), "macs".into()];
         tagged.objective_values = vec![-90.0, 400.0, 1e8];
         let c = DataCommons::new(vec![record(0, 85.0, 300.0, None), tagged]);
-        let err = Analyzer::new(&c).pareto_front().unwrap_err();
+        let err = c.pareto_front().unwrap_err();
         assert_eq!(err.exit_code(), 3);
         assert!(err.to_string().contains("mixes objective dimensions"));
     }
@@ -348,46 +318,36 @@ mod tests {
     #[test]
     fn best_by_fitness() {
         let c = commons();
-        assert_eq!(Analyzer::new(&c).best_by_fitness().unwrap().model_id, 3);
+        assert_eq!(c.best_by_fitness().unwrap().model_id, 3);
     }
 
     #[test]
     fn correlation_detects_positive_relation() {
         // Fitness mostly grows with FLOPs in the sample (except model 4).
         let c = commons();
-        let corr = Analyzer::new(&c).flops_fitness_correlation().unwrap();
+        let corr = c.flops_fitness_correlation().unwrap();
         assert!(corr.abs() <= 1.0);
         assert!(corr > 0.0, "expected positive, got {corr}");
     }
 
     #[test]
-    fn find_filters_records() {
-        let c = commons();
-        let a = Analyzer::new(&c);
-        let high_acc = a.find(|r| r.final_fitness > 90.0);
-        assert_eq!(high_acc.len(), 2);
-    }
-
-    #[test]
     fn empty_commons_degenerates_gracefully() {
         let c = DataCommons::default();
-        let a = Analyzer::new(&c);
-        assert_eq!(a.mean_fitness(), 0.0);
-        assert_eq!(a.total_epochs(), 0);
-        assert_eq!(a.early_termination_rate(), 0.0);
-        assert!(a.mean_termination_epoch().is_none());
-        assert!(a.pareto_front().unwrap().is_empty());
-        assert!(a.best_by_fitness().is_none());
-        assert!(a.flops_fitness_correlation().is_none());
-        assert!(a.mean_stop_gap().is_none());
+        assert_eq!(c.mean_fitness(), 0.0);
+        assert_eq!(c.total_epochs(), 0);
+        assert_eq!(c.early_termination_rate(), 0.0);
+        assert!(c.mean_termination_epoch().is_none());
+        assert!(c.pareto_front().unwrap().is_empty());
+        assert!(c.best_by_fitness().is_none());
+        assert!(c.flops_fitness_correlation().is_none());
+        assert!(c.mean_stop_gap().is_none());
     }
 
     #[test]
     fn stop_gap_mean() {
         let c = commons();
-        let a = Analyzer::new(&c);
         // Early records have predicted == final_fitness, measured val_acc
         // = fitness − 1 ⇒ gap 1.0 each.
-        assert!((a.mean_stop_gap().unwrap() - 1.0).abs() < 1e-9);
+        assert!((c.mean_stop_gap().unwrap() - 1.0).abs() < 1e-9);
     }
 }

@@ -10,10 +10,10 @@
 //! - [`commons`] — the data commons: the run's record trails in memory,
 //!   plus an on-disk JSON layout (one file per model and a manifest)
 //!   standing in for the paper's Harvard Dataverse deposit;
-//! - [`analyzer`] — the analyzer: the query/aggregation API behind the
-//!   paper's Jupyter-notebook analysis (Pareto extraction, termination
-//!   distributions, epoch totals, FLOPs/accuracy correlation, attribute
-//!   search);
+//! - [`analyzer`] — the analyzer: query/aggregation methods on
+//!   [`DataCommons`] behind the paper's Jupyter-notebook analysis (Pareto
+//!   extraction, termination distributions, epoch totals, FLOPs/accuracy
+//!   correlation);
 //! - [`structure`] — structural analytics: fixed feature vectors over
 //!   genomes, feature↔fitness correlations, and success-vs-rest contrasts
 //!   (the conclusions' "structural similarities" question);
@@ -30,7 +30,6 @@ pub mod export;
 pub mod record;
 pub mod structure;
 
-pub use analyzer::Analyzer;
 pub use commons::{append_dir, read_models, write_atomic, DataCommons};
 pub use curves::{classify_curve, classify_record, shape_census, CurveShape};
 pub use export::{epochs_csv, models_csv, retries_csv};

@@ -4,7 +4,7 @@
 //! feeds: monotonic [`Counter`]s and fixed-bucket
 //! [`Histogram`]s behind a thread-safe [`MetricsRegistry`], with a
 //! serializable [`MetricsSnapshot`] for atomic persistence beside the
-//! commons CSVs and a CSV/JSON export consumed by the `a4nn stats`
+//! commons CSVs and a CSV/JSON export read by the `a4nn analyze`
 //! subcommand.
 //!
 //! Design constraints, in order:

@@ -103,18 +103,26 @@ impl SocketTransport {
     /// [`RunSetup`](Message::RunSetup) derived from `cfg` and `ft`.
     /// Any unreachable, refusing, or version-mismatched worker fails
     /// the whole construction — a coordinator must start with exactly
-    /// the fleet it was given.
+    /// the fleet it was given. A heartbeat deadline under 4 ms is an
+    /// [`A4nnError::Config`], before any worker is contacted.
     pub fn connect(
         addrs: &[String],
         cfg: &WorkflowConfig,
         ft: &FaultTolerance,
         options: SocketOptions,
     ) -> Result<Self, A4nnError> {
+        // Workers heartbeat at a quarter of the deadline, in whole
+        // milliseconds: a shorter deadline leaves them no interval.
+        let deadline = options.heartbeat_deadline;
+        if deadline < Duration::from_millis(4) {
+            return Err(A4nnError::Config(format!(
+                "heartbeat deadline {deadline:?} is under the 4 ms minimum"
+            )));
+        }
         if addrs.is_empty() {
             return Err(A4nnError::Net("no worker addresses to connect to".into()));
         }
-        let deadline = options.heartbeat_deadline.max(Duration::from_millis(4));
-        let heartbeat_interval_ms = (deadline.as_millis() as u64 / 4).max(1);
+        let heartbeat_interval_ms = deadline.as_millis() as u64 / 4;
 
         let mut accepted = Vec::with_capacity(addrs.len());
         for addr in addrs {

@@ -64,7 +64,7 @@ proptest! {
         prop_assert!((pred - truth).abs() < 1.0, "pred {pred} vs truth {truth}");
     }
 
-    /// Analyzer: scaling the tolerance up can only preserve or create
+    /// The prediction analyzer: scaling the tolerance up can only preserve or create
     /// convergence, never destroy it (monotonicity in r).
     #[test]
     fn analyzer_monotone_in_tolerance(
@@ -86,7 +86,7 @@ proptest! {
         }
     }
 
-    /// Analyzer: the range rule accepts constant windows and rejects
+    /// The prediction analyzer: the range rule accepts constant windows and rejects
     /// out-of-bounds windows.
     #[test]
     fn rules_agree_on_extremes(v in 0.0f64..100.0, oob in 100.01f64..1e4) {

@@ -21,7 +21,7 @@ use crate::protocol::ModelInfo;
 use a4nn_core::{netspec_from_arch, CheckpointStore};
 use a4nn_error::A4nnError;
 use a4nn_genome::SearchSpace;
-use a4nn_lineage::{Analyzer, DataCommons};
+use a4nn_lineage::DataCommons;
 use a4nn_nn::Network;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,7 +63,6 @@ impl ModelRepo {
         commons: &DataCommons,
         checkpoints: Option<&CheckpointStore>,
     ) -> Result<Self, A4nnError> {
-        let analyzer = Analyzer::new(commons);
         let space = SearchSpace::paper_defaults();
         let mut models = Vec::new();
         // The front is computed over each record's full objective
@@ -72,7 +71,7 @@ impl ModelRepo {
         // `objective_vector`, so pre-registry runs serve the same menu
         // they always did. A commons mixing objective dimensions is
         // surfaced as the typed config error instead of a panic.
-        for record in analyzer.pareto_front()? {
+        for record in commons.pareto_front()? {
             if record.failed() || record.final_fitness.is_nan() {
                 continue;
             }

@@ -8,9 +8,7 @@
 //! ```
 
 use a4nn_core::prelude::*;
-use a4nn_lineage::{
-    feature_fitness_correlations, models_csv, success_contrast, Analyzer, DataCommons,
-};
+use a4nn_lineage::{feature_fitness_correlations, models_csv, success_contrast, DataCommons};
 
 fn main() -> Result<(), A4nnError> {
     let beam = BeamIntensity::Medium;
@@ -40,32 +38,35 @@ fn main() -> Result<(), A4nnError> {
         bytes as f64 / 1024.0
     );
 
-    // Analyzer queries (the paper's notebook workflows).
-    let analyzer = Analyzer::new(&loaded);
+    // The analyzer's queries (the paper's notebook workflows).
     println!("analyzer queries:");
     println!(
         "  mean fitness                : {:.2}%",
-        analyzer.mean_fitness()
+        loaded.mean_fitness()
     );
     println!(
         "  models above 99% fitness    : {}",
-        analyzer.find(|r| r.final_fitness > 99.0).len()
+        loaded
+            .records
+            .iter()
+            .filter(|r| r.final_fitness > 99.0)
+            .count()
     );
     println!(
         "  early-terminated models     : {:.0}%",
-        100.0 * analyzer.early_termination_rate()
+        100.0 * loaded.early_termination_rate()
     );
     println!(
         "  FLOPs-accuracy correlation  : {:+.3}",
-        analyzer.flops_fitness_correlation().unwrap_or(f64::NAN)
+        loaded.flops_fitness_correlation().unwrap_or(f64::NAN)
     );
     println!(
         "  mean stop gap               : {:.2} accuracy points",
-        analyzer.mean_stop_gap().unwrap_or(f64::NAN)
+        loaded.mean_stop_gap().unwrap_or(f64::NAN)
     );
 
     // Inspect one record trail end to end.
-    let best = analyzer.best_by_fitness().unwrap();
+    let best = loaded.best_by_fitness().unwrap();
     println!(
         "\nrecord trail of the best model (#{}, gen {}, gpu {:?}):",
         best.model_id, best.generation, best.gpu

@@ -8,7 +8,6 @@
 //! ```
 
 use a4nn_core::prelude::*;
-use a4nn_lineage::Analyzer;
 
 fn run(beam: BeamIntensity, engine: bool, gpus: usize) -> Result<RunOutput, A4nnError> {
     let config = if engine {
@@ -27,8 +26,7 @@ fn main() -> Result<(), A4nnError> {
         let a4nn = run(beam, true, 1)?;
         let standalone = run(beam, false, 1)?;
         let distributed = run(beam, true, 4)?;
-        let a = Analyzer::new(&a4nn.commons);
-        let s = Analyzer::new(&standalone.commons);
+        let (a, s) = (&a4nn.commons, &standalone.commons);
         println!("beam intensity {beam}:");
         println!(
             "  standalone : {:>5} epochs, {:>6.1} h, best acc {:>5.2}%",

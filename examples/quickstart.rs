@@ -10,7 +10,6 @@
 //! ```
 
 use a4nn_core::prelude::*;
-use a4nn_lineage::Analyzer;
 
 fn main() -> Result<(), A4nnError> {
     let beam = BeamIntensity::High;
@@ -47,16 +46,15 @@ fn main() -> Result<(), A4nnError> {
     );
     let output = A4nnWorkflow::new(config).run(factory.as_ref(), RunOptions::default())?;
 
-    let analyzer = Analyzer::new(&output.commons);
     println!("\nresults:");
     println!("  total epochs trained : {}", output.total_epochs());
     println!("  epochs saved         : {:.1}%", output.epochs_saved_pct());
     println!(
         "  early terminations   : {:.0}%",
-        100.0 * analyzer.early_termination_rate()
+        100.0 * output.commons.early_termination_rate()
     );
     println!("\nPareto front (validation accuracy vs MFLOPs):");
-    let mut front = analyzer.pareto_front()?;
+    let mut front = output.commons.pareto_front()?;
     front.sort_by(|a, b| a.flops.partial_cmp(&b.flops).unwrap());
     for model in front {
         println!(
@@ -67,7 +65,10 @@ fn main() -> Result<(), A4nnError> {
             model.genome.to_compact_string()
         );
     }
-    let best = analyzer.best_by_fitness().expect("models were trained");
+    let best = output
+        .commons
+        .best_by_fitness()
+        .expect("models were trained");
     println!(
         "\nbest model: #{} at {:.1}% validation accuracy",
         best.model_id, best.final_fitness

@@ -3,7 +3,7 @@
 
 use a4nn::prelude::*;
 use a4nn_core::{SurrogateFactory, SurrogateParams};
-use a4nn_lineage::{epochs_csv, models_csv, shape_census, Analyzer, CurveShape};
+use a4nn_lineage::{epochs_csv, models_csv, shape_census, CurveShape};
 use a4nn_net::{SocketOptions, SocketTransport, WorkerHandle, WorkerServer};
 use std::time::Duration;
 
@@ -62,9 +62,8 @@ fn drivers_emit_interchangeable_commons() {
     out.commons.save_dir(&dir).unwrap();
     let loaded = a4nn_lineage::DataCommons::load_dir(&dir).unwrap();
     assert_eq!(loaded, out.commons);
-    let analyzer = Analyzer::new(&loaded);
-    assert!(analyzer.best_by_fitness().is_some());
-    assert!(!analyzer.pareto_front().unwrap().is_empty());
+    assert!(loaded.best_by_fitness().is_some());
+    assert!(!loaded.pareto_front().unwrap().is_empty());
     // Shape census covers every record.
     let total: usize = shape_census(&loaded).iter().map(|(_, n, _)| n).sum();
     assert_eq!(total, loaded.len());

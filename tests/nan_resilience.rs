@@ -115,9 +115,7 @@ fn nan_fitness_models_survive_to_models_csv_as_failed() {
         // The failed models never outrank a healthy one: every healthy
         // model has finite fitness, and the selection layer orders NaN
         // strictly worst, so the analyzer's best model is clean.
-        let best = a4nn_lineage::Analyzer::new(&out.commons)
-            .best_by_fitness()
-            .unwrap();
+        let best = out.commons.best_by_fitness().unwrap();
         assert!(
             best.final_fitness.is_finite(),
             "a NaN model won selection ({})",

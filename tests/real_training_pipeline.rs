@@ -4,7 +4,6 @@
 
 use a4nn::prelude::*;
 use a4nn_core::{CheckpointStore, RealTrainerFactory, TrainingHyperparams};
-use a4nn_lineage::Analyzer;
 use a4nn_xfel::generate_split;
 use a4nn_xpsi::{XpsiConfig, XpsiFramework};
 use std::sync::Arc;
@@ -45,8 +44,7 @@ fn tiny_real_run(engine: bool) -> a4nn_core::RunOutput {
 fn real_workflow_trains_networks_above_chance() {
     let out = tiny_real_run(false);
     assert_eq!(out.commons.len(), 6);
-    let analyzer = Analyzer::new(&out.commons);
-    let best = analyzer.best_by_fitness().unwrap();
+    let best = out.commons.best_by_fitness().unwrap();
     assert!(
         best.final_fitness > 62.0,
         "best real-trained model only reached {:.1}%",

@@ -4,7 +4,6 @@
 
 use a4nn::prelude::*;
 use a4nn_core::{SurrogateFactory, SurrogateParams};
-use a4nn_lineage::Analyzer;
 
 fn run(beam: BeamIntensity, engine: bool, gpus: usize, seed: u64) -> a4nn_core::RunOutput {
     let config = WorkflowConfig {
@@ -67,14 +66,8 @@ fn engine_saves_epochs_on_every_beam() {
         assert!(with.wall_time_s() < without.wall_time_s());
         // The engine does not diminish search quality (§4.2.1): the best
         // fitness stays within a few points of the standalone run.
-        let best_with = Analyzer::new(&with.commons)
-            .best_by_fitness()
-            .unwrap()
-            .final_fitness;
-        let best_without = Analyzer::new(&without.commons)
-            .best_by_fitness()
-            .unwrap()
-            .final_fitness;
+        let best_with = with.commons.best_by_fitness().unwrap().final_fitness;
+        let best_without = without.commons.best_by_fitness().unwrap().final_fitness;
         assert!(
             best_with > best_without - 5.0,
             "{beam}: best {best_with} vs standalone {best_without}"
@@ -115,8 +108,7 @@ fn multi_gpu_speedup_is_near_linear_with_identical_search() {
 #[test]
 fn pareto_front_is_mutually_non_dominated() {
     let out = run(BeamIntensity::Medium, true, 2, 7);
-    let analyzer = Analyzer::new(&out.commons);
-    let front = analyzer.pareto_front().unwrap();
+    let front = out.commons.pareto_front().unwrap();
     assert!(!front.is_empty());
     for a in &front {
         for b in &front {

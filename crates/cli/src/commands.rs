@@ -496,10 +496,24 @@ fn read_artifact(dir: &Path, name: &str) -> Result<Option<Vec<u8>>, A4nnError> {
     }
 }
 
+/// The metrics of the snapshot `manifest` commits in `dir`, as of its
+/// generation boundary. A state file that does not read or parse is an
+/// [`A4nnError::Checkpoint`], as it is to a resume.
+fn committed_metrics(dir: &Path, manifest: &ResumeManifest) -> Result<MetricsSnapshot, A4nnError> {
+    let path = manifest.state_path(dir)?;
+    let bytes = std::fs::read(&path)
+        .map_err(|e| A4nnError::Checkpoint(format!("reading {}: {e}", path.display())))?;
+    let state: SearchSnapshot = serde_json::from_slice(&bytes)
+        .map_err(|e| A4nnError::Checkpoint(format!("parsing {}: {e}", path.display())))?;
+    Ok(state.metrics)
+}
+
 /// `a4nn analyze`: summarize a run directory offline, without running
 /// anything. Each of its artifacts (the resume manifest, the commons and
 /// `metrics.json`) is read once and reported when present; one that is
-/// present but does not read or parse is an error.
+/// present but does not read or parse is an error. A killed or
+/// still-running search has no `metrics.json` yet: its metrics are then
+/// those of the snapshot the resume manifest commits.
 fn run_analyze(parsed: &Parsed) -> Result<(), CommandError> {
     let dir = PathBuf::from(required(parsed, "--commons")?);
     std::fs::read_dir(&dir).map_err(|e| A4nnError::io(format!("reading {}", dir.display()), e))?;
@@ -520,9 +534,13 @@ fn run_analyze(parsed: &Parsed) -> Result<(), CommandError> {
         .map_err(|e| A4nnError::io(format!("reading {}", dir.display()), e))?
         .then(|| DataCommons::load_dir(&dir))
         .transpose()?;
-    let metrics = read_artifact(&dir, "metrics.json")?
-        .map(|bytes| MetricsSnapshot::from_json(&bytes))
-        .transpose()?;
+    let metrics = match read_artifact(&dir, "metrics.json")? {
+        Some(bytes) => Some(MetricsSnapshot::from_json(&bytes)?),
+        None => resume
+            .as_ref()
+            .map(|manifest| committed_metrics(&dir, manifest))
+            .transpose()?,
+    };
     if resume.is_none() && commons.is_none() && metrics.is_none() {
         return Err(A4nnError::Config(format!(
             "{} holds no run artifacts (no resume manifest, commons or metrics.json)",

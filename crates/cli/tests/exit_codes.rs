@@ -10,6 +10,16 @@ fn code(cmdline: &str) -> i32 {
     run(&argv)
 }
 
+/// The `a4nn` binary's exit code and standard output for `cmdline`.
+fn output(cmdline: &str) -> (i32, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_a4nn"))
+        .args(cmdline.split_whitespace())
+        .output()
+        .expect("spawning a4nn");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    (out.status.code().expect("exit code"), stdout)
+}
+
 #[test]
 fn success_is_zero() {
     assert_eq!(code("help"), 0);
@@ -362,8 +372,10 @@ fn hostile_checkpoint_is_five() {
 }
 
 /// `a4nn analyze` reads a run directory offline: success on a real run
-/// dir, invalid-value on an empty one, and an I/O error on a torn commons
-/// beside readable metrics.
+/// dir, the same metrics without `metrics.json` (as a killed search
+/// leaves it) and a checkpoint error when the snapshot holding them is
+/// torn, invalid-value on an empty one, and an I/O error on a torn
+/// commons beside readable metrics.
 #[test]
 fn analyze_reads_a_run_directory_offline() {
     let dir = std::env::temp_dir().join(format!("a4nn-exit-codes-analyze-{}", std::process::id()));
@@ -387,7 +399,34 @@ fn analyze_reads_a_run_directory_offline() {
             "search --out must commit {artifact}"
         );
     }
-    assert_eq!(code(&format!("analyze --commons {out}")), 0);
+    let (status, complete) = output(&format!("analyze --commons {out}"));
+    assert_eq!(status, 0);
+    // Without `metrics.json` the metrics come from the committed snapshot.
+    let metrics = dir.join("metrics.json");
+    let aside = dir.join("metrics.json.aside");
+    std::fs::rename(&metrics, &aside).unwrap();
+    let (status, killed) = output(&format!("analyze --commons {out}"));
+    std::fs::write(dir.join("search_state_g0002.json"), b"{ torn").unwrap();
+    assert_eq!(
+        code(&format!("analyze --commons {out}")),
+        5,
+        "a torn snapshot and no metrics.json"
+    );
+    std::fs::rename(&aside, &metrics).unwrap();
+    assert_eq!(status, 0);
+    let counters = |text: &str| -> Vec<String> {
+        let section = text
+            .split_once("\nmetrics:\n")
+            .expect("a metrics section")
+            .1;
+        section
+            .lines()
+            .filter(|l| l.contains(",counter,"))
+            .map(String::from)
+            .collect()
+    };
+    assert!(!counters(&complete).is_empty());
+    assert_eq!(counters(&killed), counters(&complete));
     assert_eq!(code("analyze"), 3, "analyze without --commons");
     let empty = dir.join("empty");
     std::fs::create_dir_all(&empty).unwrap();

@@ -77,7 +77,7 @@ use a4nn_sched::ScheduleResult;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Schema version of [`SearchSnapshot`]; bump on any breaking change so
 /// old snapshots fail loudly instead of resuming wrongly. Dropping a
@@ -121,6 +121,24 @@ pub struct ResumeManifest {
     pub generations_done: usize,
     /// Name of the committed state file inside the same directory.
     pub state_file: String,
+}
+
+impl ResumeManifest {
+    /// Where the state file this manifest (committed in `dir`) names
+    /// lies. Only the bare name `save` writes is accepted: `Path::join`
+    /// with an absolute or `..` path would leave the run directory, and
+    /// that is an [`A4nnError::Checkpoint`].
+    pub fn state_path(&self, dir: &Path) -> Result<PathBuf, A4nnError> {
+        if !is_state_file_name(&self.state_file) {
+            return Err(A4nnError::Checkpoint(format!(
+                "{} names state file {:?}; expected search_state_g<NNNN>.json in the run \
+                 directory",
+                dir.join(MANIFEST_FILE).display(),
+                self.state_file
+            )));
+        }
+        Ok(dir.join(&self.state_file))
+    }
 }
 
 /// The generational loop's state: everything it owns at a generation
@@ -327,17 +345,7 @@ impl SearchSnapshot {
             A4nnError::Checkpoint(format!("parsing {}: {e}", manifest_path.display()))
         })?;
         check_fingerprint(manifest.version, manifest.config_hash, cfg)?;
-        // Only the bare name `save` writes: `Path::join` with an absolute
-        // or `..` path would leave the run directory.
-        if !is_state_file_name(&manifest.state_file) {
-            return Err(A4nnError::Checkpoint(format!(
-                "{} names state file {:?}; expected search_state_g<NNNN>.json in the run \
-                 directory",
-                manifest_path.display(),
-                manifest.state_file
-            )));
-        }
-        let state_path = dir.join(&manifest.state_file);
+        let state_path = manifest.state_path(dir)?;
         let bytes = std::fs::read(&state_path)
             .map_err(|e| A4nnError::Checkpoint(format!("reading {}: {e}", state_path.display())))?;
         let parse_error = |e: &dyn std::fmt::Display| {

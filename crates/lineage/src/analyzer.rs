@@ -17,7 +17,7 @@ use a4nn_nsga::{Dominance, Objectives};
 
 impl DataCommons {
     /// The records whose training produced a fitness.
-    fn scored(&self) -> impl Iterator<Item = &ModelRecord> {
+    pub(crate) fn scored(&self) -> impl Iterator<Item = &ModelRecord> {
         self.records.iter().filter(|r| !r.final_fitness.is_nan())
     }
 

@@ -7,7 +7,9 @@
 //! Architectures are summarized into a fixed [`StructuralFeatures`] vector
 //! (per-phase node/edge/skip counts plus genome density); the module
 //! provides per-feature correlation against fitness and a
-//! success-vs-failure contrast report.
+//! success-vs-failure contrast report. Both read only the models whose
+//! training produced a fitness: a diverged training's NaN would turn a
+//! correlation or a group mean into NaN.
 
 use crate::commons::DataCommons;
 use crate::record::ModelRecord;
@@ -102,8 +104,7 @@ impl StructuralFeatures {
 /// (0 where it is undefined).
 pub fn feature_fitness_correlations(commons: &DataCommons) -> Vec<(&'static str, f64)> {
     let rows: Vec<(Vec<(&'static str, f64)>, f64)> = commons
-        .records
-        .iter()
+        .scored()
         .map(|r| {
             (
                 StructuralFeatures::of(&r.genome).named_scalars(),
@@ -133,10 +134,10 @@ pub fn success_contrast(
     top_fraction: f64,
 ) -> Option<(StructuralMeans, StructuralMeans)> {
     assert!((0.0..=1.0).contains(&top_fraction), "fraction in [0,1]");
-    if commons.records.len() < 2 {
+    let mut sorted: Vec<&ModelRecord> = commons.scored().collect();
+    if sorted.len() < 2 {
         return None;
     }
-    let mut sorted: Vec<&ModelRecord> = commons.records.iter().collect();
     sorted.sort_by(|a, b| crate::record::fitness_cmp(b.final_fitness, a.final_fitness));
     let cut = ((sorted.len() as f64 * top_fraction).round() as usize).clamp(1, sorted.len() - 1);
     let (top, rest) = sorted.split_at(cut);
@@ -309,6 +310,28 @@ mod tests {
         let d_top = top.means.iter().find(|(n, _)| n == "density").unwrap().1;
         let d_rest = rest.means.iter().find(|(n, _)| n == "density").unwrap().1;
         assert!(d_top > d_rest);
+    }
+
+    /// A diverged model (NaN fitness) is left out: the correlations and
+    /// both contrast groups are those of the commons without it.
+    #[test]
+    fn nan_fitness_is_left_out() {
+        let records = vec![
+            record(0, genome("1111111-1111111-1111111"), 99.0),
+            record(1, genome("1111110-1111110-1111110"), 98.0),
+            record(2, genome("0000000-0000000-0000000"), 55.0),
+            record(3, genome("1000000-0000000-0000000"), 52.0),
+        ];
+        let clean = DataCommons::new(records.clone());
+        let mut with_nan = records;
+        with_nan.push(record(4, genome("1100000-1000000-0000000"), f64::NAN));
+        let with_nan = DataCommons::new(with_nan);
+        let corr = feature_fitness_correlations(&with_nan);
+        assert_eq!(corr, feature_fitness_correlations(&clean));
+        assert!(corr.iter().all(|(_, c)| c.is_finite()));
+        let (top, rest) = success_contrast(&with_nan, 0.5).unwrap();
+        assert!(top.mean_fitness.is_finite() && rest.mean_fitness.is_finite());
+        assert_eq!((top, rest), success_contrast(&clean, 0.5).unwrap());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Convolution lowering: convolution as matrix multiplication.
 //!
-//! A convolution is a GEMM against the `(c_in·k·k) × (out_h·out_w)` patch
+//! Every convolution the network builds is stride 1 with `same` padding
+//! ([`ConvGeometry`]). It is a GEMM against the `(c_in·k·k) × (h·w)` patch
 //! matrix of its input: row `(ci, ky, kx)` holds, for every output pixel,
 //! the input pixel that tap reads, or zero where the tap falls in the
 //! padding. Rows are ordered `(ci, ky, kx)`, the order the naive kernel
-//! walks. `Conv2d` (stride 1, `same` padding) never writes that matrix out:
+//! walks. `Conv2d` never writes that matrix out:
 //!
 //! - `frame` copies each sample once into zero-framed planes, `p` zeros
 //!   between rows and `p` zero rows between planes — `(h+p)×(w+p)` per
@@ -24,15 +25,18 @@
 //! Each GEMM reads the same values as it would from the written-out
 //! matrix and performs the same operations in the same order, so the
 //! result is bit for bit what [`im2col`] + `gemm` + [`col2im`] give.
-//! Those, with [`conv_forward`] and [`conv_backward`], write the matrix out
-//! for any stride and padding: they are the oracle the layer is tested
-//! against (`tests/conv_lowering.rs`, `tests/conv_equivalence.rs`), and
-//! nothing trains or serves through them.
+//! Those, with [`conv_forward`] and [`conv_backward`], write the matrix out:
+//! they are the oracle the layer is tested against
+//! (`tests/conv_lowering.rs`, `tests/conv_equivalence.rs`), and nothing
+//! trains or serves through them.
 
 use crate::gemm::{self, array_at, Planes, MR};
 use crate::tensor::Tensor4;
+use std::ops::Range;
 
-/// Shape parameters of one convolution.
+/// Shape of one stride-1 `same` convolution, the only kind the network
+/// builds: an odd square kernel, `kernel / 2` zeros of padding on every
+/// side, and an output the input's size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvGeometry {
     /// Input channels.
@@ -41,35 +45,20 @@ pub struct ConvGeometry {
     pub h: usize,
     /// Input width.
     pub w: usize,
-    /// Square kernel side.
+    /// Square kernel side (odd).
     pub kernel: usize,
-    /// Stride (both axes).
-    pub stride: usize,
-    /// Zero padding (both axes).
-    pub pad: usize,
 }
 
 impl ConvGeometry {
-    /// Stride-1 `same` geometry, as used by the `Conv2d` layer.
+    /// The geometry of a `c_in`-channel `h×w` input under an odd `kernel`.
     pub fn same(c_in: usize, h: usize, w: usize, kernel: usize) -> Self {
-        ConvGeometry {
-            c_in,
-            h,
-            w,
-            kernel,
-            stride: 1,
-            pad: kernel / 2,
-        }
+        assert!(kernel % 2 == 1, "same convolution needs an odd kernel");
+        ConvGeometry { c_in, h, w, kernel }
     }
 
-    /// Output height.
-    pub fn out_h(&self) -> usize {
-        (self.h + 2 * self.pad - self.kernel) / self.stride + 1
-    }
-
-    /// Output width.
-    pub fn out_w(&self) -> usize {
-        (self.w + 2 * self.pad - self.kernel) / self.stride + 1
+    /// Zero padding on every side.
+    pub fn pad(&self) -> usize {
+        self.kernel / 2
     }
 
     /// Patch length `c_in·k·k` (rows of the column matrix).
@@ -79,59 +68,41 @@ impl ConvGeometry {
 
     /// Output pixels per channel (columns of the column matrix).
     pub fn pixels(&self) -> usize {
-        self.out_h() * self.out_w()
+        self.h * self.w
     }
 
     /// Distance between the rows of a framed plane: the input's width and
     /// `pad` zeros, which are one row's right padding and the next row's
     /// left padding at once.
     fn frame_stride(&self) -> usize {
-        self.w + self.pad
+        self.w + self.pad()
     }
 
     /// Elements of one framed plane: the input's rows and `pad` zero rows,
     /// which are this plane's bottom padding and the next plane's top
     /// padding at once.
     fn frame_plane(&self) -> usize {
-        (self.h + self.pad) * self.frame_stride()
+        (self.h + self.pad()) * self.frame_stride()
     }
 
     /// Zeros before the first plane: its top padding and the left padding
     /// of its first row.
     fn frame_lead(&self) -> usize {
-        self.pad * self.frame_stride() + self.pad
+        self.pad() * self.frame_stride() + self.pad()
     }
 
     /// Elements of one framed sample.
     pub(crate) fn framed(&self) -> usize {
         self.frame_lead() + self.c_in * self.frame_plane()
     }
-
-    /// Where input pixel `(ci, y, x)` lies in a framed sample.
-    pub(crate) fn frame_at(&self, ci: usize, y: usize, x: usize) -> usize {
-        self.frame_lead() + ci * self.frame_plane() + y * self.frame_stride() + x
-    }
-
-    fn validate(&self) {
-        assert!(self.stride >= 1, "stride must be at least 1");
-        assert!(
-            self.h + 2 * self.pad >= self.kernel && self.w + 2 * self.pad >= self.kernel,
-            "kernel {k} exceeds padded input {h}x{w}+{p}",
-            k = self.kernel,
-            h = self.h,
-            w = self.w,
-            p = self.pad,
-        );
-    }
 }
 
 /// Copy one sample (`c_in·h·w` contiguous) into `dst` framed by its zero
 /// padding: `pad` zero rows and `pad` zeros, then per channel the input's
-/// rows, each followed by `pad` zeros, and `pad` zero rows
-/// ([`ConvGeometry::frame_at`]). A row's trailing zeros are the next row's
-/// leading ones, and a plane's trailing rows the next plane's leading
-/// ones, so every pixel a tap reads off the image is a zero. Writes every
-/// element of `dst`.
+/// rows, each followed by `pad` zeros, and `pad` zero rows. A row's
+/// trailing zeros are the next row's leading ones, and a plane's trailing
+/// rows the next plane's leading ones, so every pixel a tap reads off the
+/// image is a zero. Writes every element of `dst`.
 pub(crate) fn frame(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
     assert_eq!(src.len(), g.c_in * g.h * g.w, "frame: src shape mismatch");
     assert_eq!(dst.len(), g.framed(), "frame: dst shape mismatch");
@@ -319,7 +290,7 @@ pub(crate) fn conv_input_grad(
 /// the sums are bit-identical. (The window's masked-out lanes belong to a
 /// neighbouring segment or row; they are read, never added.)
 fn scatter_rows<const W: usize>(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
-    let (k, pad, h) = (g.kernel, g.pad, g.h);
+    let (k, pad, h) = (g.kernel, g.pad(), g.h);
     let cols = h * W;
     // Lane mask of tap `kx`: the window `kx − pad` left of the set row.
     let lane_masks = [[0u32; W], [!0u32; W], [0u32; W]];
@@ -362,7 +333,7 @@ fn scatter_rows<const W: usize>(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f
 /// and takes, tap by tap in ascending `(ky, kx)`, the slice of the tap's
 /// segment that lands inside it.
 fn scatter_any(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
-    let (k, pad, h, w) = (g.kernel, g.pad, g.h, g.w);
+    let (k, pad, h, w) = (g.kernel, g.pad(), g.h, g.w);
     let cols = h * w;
     for (ci, plane) in dst.chunks_exact_mut(cols).enumerate() {
         for (yy, drow) in plane.chunks_exact_mut(w).enumerate() {
@@ -390,62 +361,50 @@ fn scatter_any(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
     }
 }
 
+/// The output columns at which tap column `kx` reads a `w`-wide input row,
+/// and the input columns it reads there: output column `ox` reads input
+/// column `ox + kx − pad`. A tap more than a row's width off the row reads
+/// none.
+fn tap_columns(kx: usize, pad: usize, w: usize) -> (Range<usize>, Range<usize>) {
+    let lo = pad.saturating_sub(kx).min(w);
+    let hi = (w + pad).saturating_sub(kx).min(w);
+    if lo >= hi {
+        return (0..0, 0..0);
+    }
+    (lo..hi, lo + kx - pad..hi + kx - pad)
+}
+
 /// Unroll one sample (`c_in·h·w` contiguous) into the patch matrix
-/// `dst[(c_in·k·k) × (out_h·out_w)]`, zero-filling out-of-bounds taps:
-/// per output row, zero-fill the taps that fall off the input and copy
-/// (stride 1) or gather (strided) the rest.
+/// `dst[(c_in·k·k) × (h·w)]`, zero-filling out-of-bounds taps: per output
+/// row, zero-fill the taps that fall off the input and copy the rest.
 #[doc(hidden)]
 pub fn im2col(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
-    g.validate();
     assert_eq!(src.len(), g.c_in * g.h * g.w, "im2col: src shape mismatch");
     assert_eq!(
         dst.len(),
         g.patch() * g.pixels(),
         "im2col: dst shape mismatch"
     );
-    let (k, s, pad, h, w) = (g.kernel, g.stride, g.pad, g.h, g.w);
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let cols = oh * ow;
+    let (k, pad, h, w) = (g.kernel, g.pad(), g.h, g.w);
+    let cols = g.pixels();
     let mut row = 0;
     for ci in 0..g.c_in {
         let plane = &src[ci * h * w..(ci + 1) * h * w];
         for ky in 0..k {
             for kx in 0..k {
                 let drow = &mut dst[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let yy = (oy * s + ky) as isize - pad as isize;
-                    let seg = &mut drow[oy * ow..(oy + 1) * ow];
+                let (out, inp) = tap_columns(kx, pad, w);
+                for oy in 0..h {
+                    let yy = (oy + ky) as isize - pad as isize;
+                    let seg = &mut drow[oy * w..(oy + 1) * w];
                     if yy < 0 || yy >= h as isize {
                         seg.fill(0.0);
                         continue;
                     }
                     let srow = &plane[(yy as usize) * w..(yy as usize + 1) * w];
-                    if s == 1 {
-                        // xx = ox + kx - pad is valid for ox in [lo, hi).
-                        let shift = kx as isize - pad as isize;
-                        let lo = ((-shift).max(0) as usize).min(ow);
-                        let hi = ((w as isize - shift).clamp(0, ow as isize)) as usize;
-                        let hi = hi.max(lo);
-                        seg[..lo].fill(0.0);
-                        // A tap more than a row's width off the row has
-                        // lo == hi and no in-range source column at all.
-                        if lo < hi {
-                            seg[lo..hi].copy_from_slice(
-                                &srow[(lo as isize + shift) as usize
-                                    ..(hi as isize + shift) as usize],
-                            );
-                        }
-                        seg[hi..].fill(0.0);
-                    } else {
-                        for (ox, v) in seg.iter_mut().enumerate() {
-                            let xx = (ox * s + kx) as isize - pad as isize;
-                            *v = if xx < 0 || xx >= w as isize {
-                                0.0
-                            } else {
-                                srow[xx as usize]
-                            };
-                        }
-                    }
+                    seg[..out.start].fill(0.0);
+                    seg[out.clone()].copy_from_slice(&srow[inp.clone()]);
+                    seg[out.end..].fill(0.0);
                 }
                 row += 1;
             }
@@ -458,49 +417,30 @@ pub fn im2col(src: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
 /// input element receives its taps in ascending `(ky, kx)` order.
 #[doc(hidden)]
 pub fn col2im(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
-    g.validate();
     assert_eq!(dst.len(), g.c_in * g.h * g.w, "col2im: dst shape mismatch");
     assert_eq!(
         cols_mat.len(),
         g.patch() * g.pixels(),
         "col2im: src shape mismatch"
     );
-    let (k, s, pad, h, w) = (g.kernel, g.stride, g.pad, g.h, g.w);
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let cols = oh * ow;
+    let (k, pad, h, w) = (g.kernel, g.pad(), g.h, g.w);
+    let cols = g.pixels();
     let mut row = 0;
     for ci in 0..g.c_in {
         let plane = &mut dst[ci * h * w..(ci + 1) * h * w];
         for ky in 0..k {
             for kx in 0..k {
                 let srow_mat = &cols_mat[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let yy = (oy * s + ky) as isize - pad as isize;
+                let (out, inp) = tap_columns(kx, pad, w);
+                for oy in 0..h {
+                    let yy = (oy + ky) as isize - pad as isize;
                     if yy < 0 || yy >= h as isize {
                         continue;
                     }
-                    let seg = &srow_mat[oy * ow..(oy + 1) * ow];
+                    let seg = &srow_mat[oy * w..(oy + 1) * w];
                     let drow = &mut plane[(yy as usize) * w..(yy as usize + 1) * w];
-                    if s == 1 {
-                        let shift = kx as isize - pad as isize;
-                        let lo = ((-shift).max(0) as usize).min(ow);
-                        let hi = (((w as isize - shift).clamp(0, ow as isize)) as usize).max(lo);
-                        if lo < hi {
-                            for (dv, sv) in drow
-                                [(lo as isize + shift) as usize..(hi as isize + shift) as usize]
-                                .iter_mut()
-                                .zip(&seg[lo..hi])
-                            {
-                                *dv += sv;
-                            }
-                        }
-                    } else {
-                        for (ox, sv) in seg.iter().enumerate() {
-                            let xx = (ox * s + kx) as isize - pad as isize;
-                            if xx >= 0 && xx < w as isize {
-                                drow[xx as usize] += sv;
-                            }
-                        }
+                    for (dv, sv) in drow[inp.clone()].iter_mut().zip(&seg[out.clone()]) {
+                        *dv += sv;
                     }
                 }
                 row += 1;
@@ -569,13 +509,13 @@ fn conv_backward_sample(
     col2im(gcol_buf, g, gin_s);
 }
 
-/// Batched oracle forward over a whole tensor, for any stride and
-/// padding: im2col and [`gemm::gemm_nn`], one sample at a time.
+/// Batched oracle forward over a whole tensor: im2col and
+/// [`gemm::gemm_nn`], one sample at a time.
 #[doc(hidden)]
 pub fn conv_forward(x: &Tensor4, weight: &[f32], bias: &[f32], g: &ConvGeometry) -> Tensor4 {
     assert_eq!(x.c, g.c_in, "conv input channel mismatch");
     let c_out = bias.len();
-    let mut out = Tensor4::zeros(x.n, c_out, g.out_h(), g.out_w());
+    let mut out = Tensor4::zeros(x.n, c_out, g.h, g.w);
     let mut col_buf = vec![0.0f32; g.patch() * g.pixels()];
     for ni in 0..x.n {
         conv_forward_sample(
@@ -604,7 +544,7 @@ pub fn conv_backward(
     assert_eq!(x.c, g.c_in, "conv input channel mismatch");
     assert_eq!(
         grad_out.shape(),
-        (x.n, c_out, g.out_h(), g.out_w()),
+        (x.n, c_out, g.h, g.w),
         "conv grad-out shape mismatch"
     );
     let kp = g.patch();
@@ -646,30 +586,20 @@ mod tests {
     #[test]
     fn geometry_shapes() {
         let g = ConvGeometry::same(3, 8, 10, 5);
-        assert_eq!((g.out_h(), g.out_w()), (8, 10));
+        assert_eq!((g.pad(), g.pixels()), (2, 80));
         assert_eq!(g.patch(), 75);
-        let strided = ConvGeometry {
-            c_in: 1,
-            h: 7,
-            w: 7,
-            kernel: 3,
-            stride: 2,
-            pad: 0,
-        };
-        assert_eq!((strided.out_h(), strided.out_w()), (3, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "odd kernel")]
+    fn even_kernel_panics() {
+        ConvGeometry::same(1, 4, 4, 2);
     }
 
     #[test]
     fn im2col_identity_kernel_row_is_the_input() {
-        // With k=1, s=1, pad=0 the patch matrix IS the input plane.
-        let g = ConvGeometry {
-            c_in: 2,
-            h: 3,
-            w: 4,
-            kernel: 1,
-            stride: 1,
-            pad: 0,
-        };
+        // With k=1 (pad 0) the patch matrix IS the input plane.
+        let g = ConvGeometry::same(2, 3, 4, 1);
         let src: Vec<f32> = (0..24).map(|v| v as f32).collect();
         let mut dst = vec![0.0f32; g.patch() * g.pixels()];
         im2col(&src, &g, &mut dst);
@@ -686,50 +616,10 @@ mod tests {
     }
 
     #[test]
-    fn strided_im2col_matches_direct_gather() {
-        let g = ConvGeometry {
-            c_in: 1,
-            h: 5,
-            w: 6,
-            kernel: 3,
-            stride: 2,
-            pad: 1,
-        };
-        let src: Vec<f32> = (0..30).map(|v| v as f32 * 0.25).collect();
-        let mut dst = vec![0.0f32; g.patch() * g.pixels()];
-        im2col(&src, &g, &mut dst);
-        let (oh, ow) = (g.out_h(), g.out_w());
-        for ky in 0..3 {
-            for kx in 0..3 {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let yy = (oy * 2 + ky) as isize - 1;
-                        let xx = (ox * 2 + kx) as isize - 1;
-                        let want = if !(0..5).contains(&yy) || !(0..6).contains(&xx) {
-                            0.0
-                        } else {
-                            src[yy as usize * 6 + xx as usize]
-                        };
-                        let row = ky * 3 + kx;
-                        assert_eq!(dst[row * (oh * ow) + oy * ow + ox], want);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn col2im_is_the_adjoint_of_im2col() {
         // <im2col(x), y> == <x, col2im(y)> for any x, y — the defining
         // property of the adjoint, checked on pseudo-random data.
-        let g = ConvGeometry {
-            c_in: 2,
-            h: 4,
-            w: 5,
-            kernel: 3,
-            stride: 2,
-            pad: 1,
-        };
+        let g = ConvGeometry::same(2, 4, 5, 3);
         let nx = g.c_in * g.h * g.w;
         let ny = g.patch() * g.pixels();
         let x: Vec<f32> = (0..nx).map(|i| ((i * 37 + 11) % 17) as f32 - 8.0).collect();
@@ -744,7 +634,7 @@ mod tests {
     }
 
     /// `pad > w`: some taps lie more than a row's width off the row. The
-    /// stride-1 loop used to slice the source row at a negative offset.
+    /// window loop used to slice the source row at a negative offset.
     #[test]
     fn padding_wider_than_the_image_matches_direct_gather() {
         let g = ConvGeometry::same(1, 3, 5, 13);
@@ -773,20 +663,5 @@ mod tests {
         col2im(&col, &g, &mut back);
         let want_back: Vec<f32> = src.iter().map(|v| v * 15.0).collect();
         assert_eq!(back, want_back);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds padded input")]
-    fn oversized_kernel_panics() {
-        let g = ConvGeometry {
-            c_in: 1,
-            h: 2,
-            w: 2,
-            kernel: 5,
-            stride: 1,
-            pad: 0,
-        };
-        let mut dst = vec![0.0; 25];
-        im2col(&[0.0; 4], &g, &mut dst);
     }
 }

@@ -234,7 +234,7 @@ fn readme_exit_code_table_matches_the_code() {
         (8, "internal invariant violated"),
         (
             9,
-            "network failure (worker lost, bad frame, handshake refused)",
+            "network failure (worker lost, bad frame, protocol revision mismatch)",
         ),
         (10, "interrupted at a generation boundary (resumable)"),
         (11, "serve admission queue saturated (back off and retry)"),

@@ -47,8 +47,9 @@ pub enum A4nnError {
     /// panicked); always a bug, never a user error.
     Internal(String),
     /// The network layer between the coordinator and a worker process
-    /// broke: a handshake was refused, a frame was malformed, a worker
-    /// died past the dispatch-retry budget, or every worker is gone.
+    /// broke: a peer spoke another protocol revision, a frame was
+    /// malformed, a worker died past the dispatch-retry budget, or every
+    /// worker is gone.
     /// Trainer panics *on* a worker are not `Net` errors — they flow
     /// back as failed training outcomes, exactly like local panics.
     Net(String),
@@ -85,7 +86,7 @@ impl A4nnError {
     /// | 5 | checkpoint failure |
     /// | 6 | bus closed |
     /// | 8 | internal invariant broken |
-    /// | 9 | network failure (worker lost, bad frame, handshake refused) |
+    /// | 9 | network failure (worker lost, bad frame, protocol revision mismatch) |
     /// | 10 | interrupted at a generation boundary (resumable) |
     /// | 11 | admission queue saturated (back off and retry) |
     ///

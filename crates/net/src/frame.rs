@@ -24,10 +24,10 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 /// The protocol revision this build speaks. Bumped on any wire-visible
-/// change; both the frame header and the `Hello`/`Welcome` handshake
-/// carry it, so mismatched builds refuse each other instead of
-/// misparsing.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// change. Every frame header carries it and nothing else does, so
+/// mismatched builds refuse each other's first frame as
+/// [`NetError::VersionMismatch`] instead of misparsing.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Frame preamble, for cheap misdial detection.
 pub const MAGIC: [u8; 4] = *b"A4NN";
@@ -74,10 +74,8 @@ pub enum NetError {
     /// The underlying socket failed (includes read timeouts).
     Io(String),
     /// The peer sent a well-formed message that violates the protocol
-    /// state machine (e.g. a `Job` before the handshake).
+    /// state machine (e.g. a `Job` before the `RunSetup`).
     Protocol(String),
-    /// The peer explicitly refused the handshake.
-    Refused(String),
 }
 
 impl fmt::Display for NetError {
@@ -98,7 +96,6 @@ impl fmt::Display for NetError {
             NetError::Decode(msg) => write!(f, "undecodable frame payload: {msg}"),
             NetError::Io(msg) => write!(f, "socket failure: {msg}"),
             NetError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
-            NetError::Refused(reason) => write!(f, "handshake refused: {reason}"),
         }
     }
 }
@@ -443,8 +440,12 @@ mod tests {
 
     #[test]
     fn net_errors_map_to_the_net_failure_class() {
-        let e: a4nn_error::A4nnError = NetError::Refused("old build".into()).into();
+        let e: a4nn_error::A4nnError = NetError::VersionMismatch {
+            ours: PROTOCOL_VERSION,
+            theirs: 3,
+        }
+        .into();
         assert_eq!(e.exit_code(), 9);
-        assert!(e.to_string().contains("handshake refused"));
+        assert!(e.to_string().contains("we speak v4, peer sent v3"), "{e}");
     }
 }

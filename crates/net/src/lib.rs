@@ -9,7 +9,7 @@
 //!   `u32` length), with typed rejection of truncation, corruption, and
 //!   foreign protocol revisions.
 //! - [`worker`] — the worker process ([`WorkerServer`]): accepts a
-//!   coordinator session, rebuilds the deterministic trainer the shipped
+//!   coordinator session, advertises its GPUs unprompted, rebuilds the deterministic trainer the shipped
 //!   [`RunSetup`](Message::RunSetup) names, trains jobs with
 //!   [`a4nn_core::train_model`], and heartbeats its liveness.
 //! - [`transport`] — the coordinator ([`SocketTransport`]): an
@@ -33,7 +33,7 @@
 //!
 //! Failure taxonomy: trainer panics on a worker are *data* (the worker's
 //! retry loop absorbs them; exhaustion becomes `Terminated::Failed`),
-//! while dead workers, bad frames, and refused handshakes are
+//! while dead workers, bad frames, and foreign protocol revisions are
 //! `Net`-class [`A4nnError`](a4nn_error::A4nnError)s — machinery
 //! breakage with its own CLI exit code.
 

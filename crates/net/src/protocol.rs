@@ -2,9 +2,8 @@
 //!
 //! One session, in order:
 //!
-//! 1. coordinator → [`Hello`](Message::Hello); worker → either
-//!    [`Welcome`](Message::Welcome) (advertising its GPU count) or
-//!    [`Reject`](Message::Reject) on a protocol-version mismatch;
+//! 1. worker → [`Welcome`](Message::Welcome), unprompted on accept,
+//!    advertising its GPU count;
 //! 2. coordinator → [`RunSetup`](Message::RunSetup): the full workflow
 //!    configuration, its trainer included, plus the fault-tolerance
 //!    contract, so the worker reconstructs the *same* deterministic
@@ -13,6 +12,14 @@
 //!    [`JobDone`](Message::JobDone), interleaved with periodic
 //!    [`Heartbeat`](Message::Heartbeat)s from the worker;
 //! 4. coordinator → [`Shutdown`](Message::Shutdown) (or just closes).
+//!
+//! No message body carries the protocol revision: every frame header
+//! does, so a peer of another revision fails its first frame with a
+//! typed [`VersionMismatch`](crate::NetError::VersionMismatch).
+//! Revisions: 2, `JobDone` carries the full cost vector; 3, `RunSetup`'s
+//! configuration carries the trainer (a worker of 2 would ignore it and
+//! train the surrogate); 4, the worker speaks first and no body carries
+//! a version.
 //!
 //! Trainer results cross the wire as the full
 //! [`TrainingOutcome`] — every simulated duration and fitness value
@@ -29,32 +36,18 @@ use serde::{Deserialize, Serialize};
 /// Every message either side of an `a4nn-net` connection can send.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Message {
-    /// Coordinator's opener: the protocol revision it speaks.
-    Hello {
-        /// The coordinator's [`PROTOCOL_VERSION`](crate::PROTOCOL_VERSION).
-        version: u16,
-    },
-    /// Worker's acceptance: its revision and how many trainer jobs it
-    /// can run concurrently (the sharding weight).
+    /// Worker's opener: how many trainer jobs it can run concurrently
+    /// (the sharding weight).
     Welcome {
-        /// The worker's protocol revision (equal to the coordinator's,
-        /// or the worker sends [`Reject`](Message::Reject) instead).
-        version: u16,
         /// Advertised GPU count; the coordinator keeps at most this
         /// many jobs in flight on the connection.
         gpus: usize,
-    },
-    /// Worker's refusal (version mismatch); the session ends here.
-    Reject {
-        /// Human-readable refusal reason.
-        reason: String,
     },
     /// Everything the worker needs to train deterministically.
     RunSetup {
         /// The run's workflow configuration (search space, engine,
         /// seed, trainer); the worker rebuilds its trainer factory from
-        /// this. A worker of protocol 2 would ignore the `trainer` key
-        /// and train the surrogate, hence protocol 3.
+        /// this.
         config: WorkflowConfig,
         /// Trainer retry policy — worker-side attempts, identical to
         /// the in-process retry loop.

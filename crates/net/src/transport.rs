@@ -21,7 +21,7 @@
 //! comes back as data (`Terminated::Failed` at worst); `Net` errors are
 //! reserved for the machinery — sockets, frames, worker processes.
 
-use crate::frame::{read_message, write_message, PROTOCOL_VERSION};
+use crate::frame::{read_message, write_message};
 use crate::protocol::Message;
 use a4nn_core::{
     EvalPipeline, FaultTolerance, ModelCost, TrainingOutcome, Transport, WorkflowConfig,
@@ -35,8 +35,10 @@ use std::sync::mpsc::{channel, Receiver};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// TCP connect timeout per worker address.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// TCP connect timeout per worker address, and how long a worker waits
+/// for a session's [`RunSetup`](Message::RunSetup) once it has sent its
+/// `Welcome`.
+pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Tunables for a coordinator connection set.
 #[derive(Debug, Clone)]
@@ -92,19 +94,20 @@ struct Job {
     flight: Option<(usize, Instant, f64)>,
 }
 
-/// A connected, handshaken coordinator transport.
+/// A connected coordinator transport, its run set up on every worker.
 pub struct SocketTransport {
     connections: Vec<Connection>,
     dispatch: Mutex<Dispatch>,
 }
 
 impl SocketTransport {
-    /// Connect to every worker in `addrs`, handshake, and ship the
-    /// [`RunSetup`](Message::RunSetup) derived from `cfg` and `ft`.
-    /// Any unreachable, refusing, or version-mismatched worker fails
-    /// the whole construction — a coordinator must start with exactly
-    /// the fleet it was given. A heartbeat deadline under 4 ms is an
-    /// [`A4nnError::Config`], before any worker is contacted.
+    /// Connect to every worker in `addrs`, read the `Welcome` it opens
+    /// the session with, and ship the [`RunSetup`](Message::RunSetup)
+    /// derived from `cfg` and `ft`. Any unreachable, silent, or
+    /// version-mismatched worker fails the whole construction — a
+    /// coordinator must start with exactly the fleet it was given. A
+    /// heartbeat deadline under 4 ms is an [`A4nnError::Config`], before
+    /// any worker is contacted.
     pub fn connect(
         addrs: &[String],
         cfg: &WorkflowConfig,
@@ -140,33 +143,19 @@ impl SocketTransport {
                 .try_clone()
                 .map_err(|e| A4nnError::Net(format!("cloning stream to worker {addr}: {e}")))?;
             // The read timeout IS the heartbeat deadline: any frame —
-            // heartbeat or result — proves liveness and rearms it.
+            // the worker's opening `Welcome`, a heartbeat or a result —
+            // proves liveness and rearms it.
             reader
                 .set_read_timeout(Some(deadline))
                 .map_err(|e| A4nnError::Net(format!("arming deadline for worker {addr}: {e}")))?;
 
-            write_message(
-                &mut &stream,
-                &Message::Hello {
-                    version: PROTOCOL_VERSION,
-                },
-            )
-            .map_err(|e| A4nnError::Net(format!("greeting worker {addr}: {e}")))?;
+            // A worker of another protocol revision fails here, at its
+            // first frame header, naming both versions.
             let gpus = match read_message::<_, Message>(&mut reader) {
-                Ok(Some(Message::Welcome { version, gpus })) if version == PROTOCOL_VERSION => {
-                    (gpus > 0)
-                        .then_some(gpus)
-                        .ok_or_else(|| format!("worker {addr} advertised zero GPUs"))
-                }
-                Ok(Some(Message::Welcome { version, .. })) => Err(format!(
-                    "worker {addr} speaks protocol v{version}, we speak v{PROTOCOL_VERSION}"
-                )),
-                Ok(Some(Message::Reject { reason })) => {
-                    Err(format!("worker {addr} refused: {reason}"))
-                }
-                Ok(other) => Err(format!(
-                    "worker {addr} answered the handshake with {other:?}"
-                )),
+                Ok(Some(Message::Welcome { gpus })) => (gpus > 0)
+                    .then_some(gpus)
+                    .ok_or_else(|| format!("worker {addr} advertised zero GPUs")),
+                Ok(other) => Err(format!("worker {addr} opened the session with {other:?}")),
                 Err(e) => Err(format!("handshake with worker {addr} failed: {e}")),
             }
             .map_err(A4nnError::Net)?;

@@ -1,7 +1,8 @@
 //! The worker process: a TCP server that trains jobs for a remote
 //! coordinator.
 //!
-//! Each accepted connection is one coordinator *session*: handshake,
+//! Each accepted connection is one coordinator *session*: the worker's
+//! unprompted [`Welcome`](crate::Message::Welcome), the coordinator's
 //! [`RunSetup`](crate::Message::RunSetup), then a stream of jobs. The
 //! worker builds the trainer factory the shipped configuration names
 //! (`WorkflowConfig::trainer_factory`: the surrogate, or real training
@@ -10,7 +11,11 @@
 //! [`a4nn_core::train_model`] would run in process — remote placement
 //! cannot perturb results by construction. A configuration whose trainer
 //! cannot be built ends that session with [`NetError::Protocol`]; the
-//! worker goes on serving the next one.
+//! worker goes on serving the next one. Sessions are served one at a
+//! time, so a peer that never ships its `RunSetup` (a port probe, a
+//! coordinator that died mid-connect) is dropped after the same 5 s the
+//! coordinator allows a TCP connect; once set up, a session may idle
+//! across a generation boundary without limit.
 //!
 //! A heartbeat thread signs the worker's liveness every
 //! `heartbeat_interval_ms`; the deterministic `WorkerStall` fault mutes
@@ -22,8 +27,9 @@
 //! beyond that ends the session with [`NetError::Protocol`], so a peer
 //! cannot make the worker spawn threads without limit.
 
-use crate::frame::{read_message, write_message, NetError, PROTOCOL_VERSION};
+use crate::frame::{read_message, write_message, NetError};
 use crate::protocol::Message;
+use crate::transport::CONNECT_TIMEOUT;
 use a4nn_core::{share_cores, train_model, FaultTolerance, InlineEngine};
 use a4nn_error::A4nnError;
 use parking_lot::Mutex;
@@ -123,48 +129,21 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
     let mut reader = stream.try_clone()?;
     let writer = Mutex::new(stream);
 
-    // Handshake: refuse foreign protocol revisions explicitly so the
-    // coordinator can report *why* instead of seeing a dead socket.
-    match read_message::<_, Message>(&mut reader)? {
-        Some(Message::Hello { version }) if version == PROTOCOL_VERSION => {}
-        Some(Message::Hello { version }) => {
-            let reason = format!(
-                "protocol version mismatch: worker speaks v{PROTOCOL_VERSION}, coordinator v{version}"
-            );
-            let _ = write_message(&mut *writer.lock(), &Message::Reject { reason });
-            return Err(NetError::VersionMismatch {
-                ours: PROTOCOL_VERSION,
-                theirs: version,
-            });
-        }
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected Hello to open the session, got {other:?}"
-            )))
-        }
-    }
-    write_message(
-        &mut *writer.lock(),
-        &Message::Welcome {
-            version: PROTOCOL_VERSION,
-            gpus,
-        },
-    )?;
-
-    let (config, retry, plan, heartbeat_interval_ms) =
-        match read_message::<_, Message>(&mut reader)? {
-            Some(Message::RunSetup {
-                config,
-                retry,
-                plan,
-                heartbeat_interval_ms,
-            }) => (config, retry, plan, heartbeat_interval_ms),
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "expected RunSetup after the handshake, got {other:?}"
-                )))
-            }
-        };
+    write_message(&mut *writer.lock(), &Message::Welcome { gpus })?;
+    reader.set_read_timeout(Some(CONNECT_TIMEOUT))?;
+    let setup = read_message::<_, Message>(&mut reader)?;
+    reader.set_read_timeout(None)?;
+    let Some(Message::RunSetup {
+        config,
+        retry,
+        plan,
+        heartbeat_interval_ms,
+    }) = setup
+    else {
+        return Err(NetError::Protocol(format!(
+            "expected RunSetup after Welcome, got {setup:?}"
+        )));
+    };
     let ft = FaultTolerance::new(retry, plan);
     // Set once the heartbeat runs: a real trainer synthesizes its images
     // here, which can outlast the coordinator's heartbeat deadline.
@@ -296,4 +275,35 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
     // Unblock any peer still reading from us before the session closes.
     let _ = writer.lock().shutdown(Shutdown::Both);
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer that takes its `Welcome` and sends nothing holds the worker
+    /// for [`CONNECT_TIMEOUT`] only: the next connection, queued behind
+    /// it, is welcomed shortly after that deadline.
+    #[test]
+    fn a_silent_peer_is_dropped_at_the_setup_deadline() {
+        let worker = WorkerServer::spawn("127.0.0.1:0", 1, 2).unwrap();
+        let mut silent = TcpStream::connect(worker.addr()).unwrap();
+        let welcome = read_message::<_, Message>(&mut silent).unwrap();
+        assert!(matches!(welcome, Some(Message::Welcome { gpus: 1 })));
+
+        let start = Instant::now();
+        let mut next = TcpStream::connect(worker.addr()).unwrap();
+        next.set_read_timeout(Some(3 * CONNECT_TIMEOUT)).unwrap();
+        let welcome = read_message::<_, Message>(&mut next).unwrap();
+        assert!(matches!(welcome, Some(Message::Welcome { gpus: 1 })));
+        let waited = start.elapsed();
+        assert!(
+            waited > CONNECT_TIMEOUT - Duration::from_millis(500)
+                && waited < CONNECT_TIMEOUT + Duration::from_secs(2),
+            "the second connection was welcomed after {waited:?}"
+        );
+        assert!(matches!(read_message::<_, Message>(&mut silent), Ok(None)));
+        drop(next);
+        worker.join().unwrap();
+    }
 }

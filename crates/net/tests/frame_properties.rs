@@ -1,5 +1,5 @@
-//! Property tests for the wire codec, plus the handshake-refusal
-//! contract against a live worker.
+//! Property tests for the wire codec, plus the version-mismatch contract
+//! against a live worker and a live coordinator.
 //!
 //! The framing invariants must hold for *any* message content and *any*
 //! way the kernel splits or coalesces the byte stream:
@@ -13,17 +13,20 @@
 //!   split of the byte stream into partial writes — including
 //!   interleaved `WouldBlock` — bitwise (the write-side mirror of the
 //!   arbitrary-cut read tests);
-//! - a peer speaking a foreign protocol revision is refused with a typed
-//!   error on both sides of the handshake.
+//! - a peer speaking a foreign protocol revision is refused at its first
+//!   frame header on both sides of a session: the worker closes it, the
+//!   coordinator reports a typed mismatch naming both versions.
 
 use a4nn_core::prelude::*;
 use a4nn_net::{
-    encode, read_message, write_message, FrameDecoder, Message, NetError, SocketOptions,
-    SocketTransport, WorkerServer, WriteQueue, HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
+    encode, read_message, FrameDecoder, Message, NetError, SocketOptions, SocketTransport,
+    WorkerServer, WriteQueue, HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
 /// A `Write` impl emulating a congested nonblocking socket: each call
 /// accepts a bounded number of bytes (cycling through `caps`, all ≥ 1,
@@ -229,59 +232,69 @@ fn zero_byte_payload_is_a_typed_decode_error() {
     ));
 }
 
-/// A live worker refuses a coordinator announcing a foreign protocol
-/// revision with an explicit `Reject` — and keeps serving afterwards.
+/// One frame of `msg` whose header claims the next protocol revision.
+fn foreign_frame(msg: &Message) -> Vec<u8> {
+    let mut frame = encode(msg).unwrap();
+    frame[4..6].copy_from_slice(&(PROTOCOL_VERSION + 1).to_be_bytes());
+    frame
+}
+
+/// A live worker ends a session whose first frame carries a foreign
+/// protocol revision, sending nothing more, and serves the next one.
 #[test]
-fn worker_refuses_a_foreign_hello() {
-    let worker = WorkerServer::spawn("127.0.0.1:0", 1, 1).unwrap();
-    let stream = TcpStream::connect(worker.addr()).unwrap();
-    let mut reader = stream.try_clone().unwrap();
-    write_message(
-        &mut &stream,
-        &Message::Hello {
-            version: PROTOCOL_VERSION + 1,
-        },
-    )
-    .unwrap();
-    match read_message::<_, Message>(&mut reader).unwrap() {
-        Some(Message::Reject { reason }) => {
-            assert!(
-                reason.contains("version"),
-                "refusal names the version mismatch: {reason}"
-            );
-        }
-        other => panic!("expected Reject, got {other:?}"),
+fn worker_ends_a_session_with_a_foreign_header() {
+    let worker = WorkerServer::spawn("127.0.0.1:0", 1, 2).unwrap();
+    let mut stream = TcpStream::connect(worker.addr()).unwrap();
+    let welcome = read_message::<_, Message>(&mut stream).unwrap();
+    assert!(matches!(welcome, Some(Message::Welcome { gpus: 1 })));
+    stream
+        .write_all(&foreign_frame(&Message::Shutdown))
+        .unwrap();
+    // The worker drops the session with the payload unread, which may
+    // reach us as a reset rather than a clean end of stream.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut rest = Vec::new();
+    match stream.read_to_end(&mut rest) {
+        Ok(_) => {}
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
     }
-    drop(stream);
+    assert!(rest.is_empty(), "the worker answered a foreign frame");
+
+    let mut next = TcpStream::connect(worker.addr()).unwrap();
+    let welcome = read_message::<_, Message>(&mut next).unwrap();
+    assert!(matches!(welcome, Some(Message::Welcome { gpus: 1 })));
+    drop(next);
     worker.join().unwrap();
 }
 
-/// The coordinator surfaces a worker's `Reject` as a `Net`-class error
-/// (exit code 9) naming the refusing worker.
+/// A worker of another protocol revision fails the coordinator's
+/// construction at its first frame: a `Net`-class error (exit code 9)
+/// that names both versions.
 #[test]
-fn coordinator_surfaces_refusal_as_a_net_error() {
+fn coordinator_surfaces_a_foreign_worker_as_a_net_error() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let refusing_worker = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = stream.try_clone().unwrap();
-        let hello = read_message::<_, Message>(&mut reader).unwrap();
-        assert!(matches!(hello, Some(Message::Hello { .. })));
-        write_message(
-            &mut &stream,
-            &Message::Reject {
-                reason: "stale build".into(),
-            },
-        )
-        .unwrap();
+    let foreign_worker = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream
+            .write_all(&foreign_frame(&Message::Welcome { gpus: 1 }))
+            .unwrap();
+        // Hold the connection until the coordinator drops it.
+        let _ = stream.read(&mut [0u8; 1]);
     });
 
     let config = WorkflowConfig::a4nn(BeamIntensity::Medium, 1, 7);
     let ft = FaultTolerance::new(RetryPolicy::with_retries(0), FaultPlan::none());
     let err = SocketTransport::connect(&[addr.to_string()], &config, &ft, SocketOptions::default())
         .err()
-        .expect("refused handshake fails construction");
-    assert_eq!(err.exit_code(), 9, "refusals are Net-class: {err}");
-    assert!(err.to_string().contains("refused"), "{err}");
-    refusing_worker.join().unwrap();
+        .expect("a foreign worker fails construction");
+    assert_eq!(err.exit_code(), 9, "a version mismatch is Net-class: {err}");
+    let versions = format!(
+        "we speak v{PROTOCOL_VERSION}, peer sent v{}",
+        PROTOCOL_VERSION + 1
+    );
+    assert!(err.to_string().contains(&versions), "{err}");
+    foreign_worker.join().unwrap();
 }

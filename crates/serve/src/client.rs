@@ -1,26 +1,25 @@
 //! Blocking client for the serve endpoint.
 //!
-//! Wraps one TCP connection: handshake on connect, then synchronous
-//! request/response pairs. Server-side refusals come back as typed
-//! errors — a [`ServeResponse::Rejected`] maps onto
+//! Wraps one TCP connection: synchronous request/response pairs, the
+//! first request opening the session. Server-side refusals come back as
+//! typed errors — a [`ServeResponse::Rejected`] maps onto
 //! [`A4nnError::Saturated`] so callers (the load generator, scripted
 //! clients) can branch on the failure class without string matching.
 
 use crate::batcher::Classification;
 use crate::protocol::{ModelInfo, ServeRequest, ServeResponse};
 use a4nn_error::A4nnError;
-use a4nn_net::{read_message, write_message, PROTOCOL_VERSION};
+use a4nn_net::{read_message, write_message};
 use std::net::TcpStream;
 
 /// One connected serve session.
 pub struct ServeClient {
     reader: TcpStream,
     writer: TcpStream,
-    models: usize,
 }
 
 impl ServeClient {
-    /// Connect to `addr` and complete the handshake.
+    /// Connect to `addr`.
     pub fn connect(addr: &str) -> Result<Self, A4nnError> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| A4nnError::Net(format!("connecting to serve endpoint {addr}: {e}")))?;
@@ -28,31 +27,10 @@ impl ServeClient {
         let reader = stream
             .try_clone()
             .map_err(|e| A4nnError::Net(format!("cloning serve stream: {e}")))?;
-        let mut client = ServeClient {
+        Ok(ServeClient {
             reader,
             writer: stream,
-            models: 0,
-        };
-        client.send(&ServeRequest::Hello {
-            version: PROTOCOL_VERSION,
-        })?;
-        match client.receive()? {
-            ServeResponse::Welcome { models, .. } => {
-                client.models = models;
-                Ok(client)
-            }
-            ServeResponse::Refused { reason } => {
-                Err(A4nnError::Net(format!("serve handshake refused: {reason}")))
-            }
-            other => Err(A4nnError::Net(format!(
-                "unexpected handshake response {other:?}"
-            ))),
-        }
-    }
-
-    /// Number of models the server advertised at handshake.
-    pub fn model_count(&self) -> usize {
-        self.models
+        })
     }
 
     /// Classify one image. `None` picks the server's default model.

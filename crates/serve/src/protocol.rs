@@ -5,7 +5,10 @@
 //! the distributed-search worker speaks — [`a4nn_net::frame`] — so the
 //! serve endpoint inherits its typed rejection of truncation, corruption,
 //! and foreign protocol revisions, plus the incremental payload reader
-//! that caps what an untrusted peer's length header can allocate.
+//! that caps what an untrusted peer's length header can allocate. The
+//! frame header is the only place the protocol revision lives: a session
+//! opens with its first request, and a frame of another revision closes
+//! the connection unanswered.
 //!
 //! Two request kinds: `Classify` (one image in, logits + argmax class
 //! out) and `Models` (the Pareto menu: every served model with its
@@ -19,11 +22,6 @@ use serde::{Deserialize, Serialize};
 /// One request frame from a serve client.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServeRequest {
-    /// Session opener; the server refuses foreign revisions explicitly.
-    Hello {
-        /// The client's `a4nn_net::PROTOCOL_VERSION`.
-        version: u16,
-    },
     /// Classify one image.
     Classify {
         /// Which served model to use; `None` picks the server's default
@@ -79,18 +77,6 @@ pub struct ModelInfo {
 /// One response frame from the server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServeResponse {
-    /// Handshake accept.
-    Welcome {
-        /// The server's protocol version.
-        version: u16,
-        /// Number of models being served.
-        models: usize,
-    },
-    /// Handshake refusal (version mismatch).
-    Refused {
-        /// Human-readable reason.
-        reason: String,
-    },
     /// A classify result.
     Classified {
         /// The model that produced this answer (resolves a `None` pick).

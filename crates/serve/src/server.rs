@@ -3,8 +3,8 @@
 //! The platform picks the connection layer; the operator does not:
 //!
 //! - **Linux** — the epoll event loop from [`a4nn_net::reactor`]: every
-//!   connection is a nonblocking state machine (handshake → request
-//!   decode → batcher hand-off → response flush) multiplexed by one fixed
+//!   connection is a nonblocking state machine (request decode →
+//!   batcher hand-off → response flush) multiplexed by one fixed
 //!   thread, with batch workers posting completions back through the
 //!   reactor's eventfd doorbell. Thread count is reactor + batch workers,
 //!   independent of client count.
@@ -28,7 +28,6 @@ use crate::model::ModelRepo;
 use crate::protocol::{ServeRequest, ServeResponse};
 use a4nn_error::A4nnError;
 use a4nn_metrics::MetricsRegistry;
-use a4nn_net::PROTOCOL_VERSION;
 use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -291,34 +290,6 @@ fn serve_connection(
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
 
-    // Handshake: refuse foreign protocol revisions explicitly, exactly
-    // like the worker server does.
-    match read_message::<_, ServeRequest>(&mut reader)? {
-        Some(ServeRequest::Hello { version }) if version == PROTOCOL_VERSION => {}
-        Some(ServeRequest::Hello { version }) => {
-            let reason = format!(
-                "protocol version mismatch: server speaks v{PROTOCOL_VERSION}, client v{version}"
-            );
-            let _ = write_message(&mut writer, &ServeResponse::Refused { reason });
-            return Err(NetError::VersionMismatch {
-                ours: PROTOCOL_VERSION,
-                theirs: version,
-            });
-        }
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected Hello to open the session, got {other:?}"
-            )))
-        }
-    }
-    write_message(
-        &mut writer,
-        &ServeResponse::Welcome {
-            version: PROTOCOL_VERSION,
-            models: batcher.infos().len(),
-        },
-    )?;
-
     loop {
         match read_message::<_, ServeRequest>(&mut reader)? {
             Some(ServeRequest::Classify {
@@ -348,11 +319,6 @@ fn serve_connection(
                 )?;
             }
             Some(ServeRequest::Goodbye) | None => return Ok(()),
-            Some(other) => {
-                return Err(NetError::Protocol(format!(
-                    "unexpected mid-session request {other:?}"
-                )))
-            }
         }
     }
 }
@@ -376,12 +342,9 @@ mod reactor_handler {
     /// bounds hostile peers' memory.
     const PIPELINE_CAP: usize = 256;
 
-    /// Per-connection protocol state: handshake, then one request in
-    /// flight at a time, made explicit because the reactor cannot block
-    /// between states.
+    /// Per-connection protocol state: one request in flight at a time,
+    /// made explicit because the reactor cannot block between states.
     pub(super) struct Session {
-        /// Hello/Welcome exchanged.
-        greeted: bool,
         /// A classification is at the batcher; its reply frame must be
         /// written before any later request's.
         in_flight: bool,
@@ -464,10 +427,6 @@ mod reactor_handler {
             out: &mut WriteQueue,
         ) -> HandlerAction {
             match request {
-                ServeRequest::Hello { .. } => {
-                    eprintln!("a4nn serve: protocol violation: repeated Hello");
-                    HandlerAction::CloseNow
-                }
                 ServeRequest::Classify {
                     model_id,
                     channels,
@@ -508,7 +467,6 @@ mod reactor_handler {
             self.sessions.insert(
                 token,
                 Session {
-                    greeted: false,
                     in_flight: false,
                     parked: VecDeque::new(),
                 },
@@ -531,42 +489,6 @@ mod reactor_handler {
             let Some(session) = self.sessions.get_mut(&token) else {
                 return HandlerAction::CloseNow;
             };
-            if !session.greeted {
-                // Handshake: refuse foreign protocol revisions
-                // explicitly, exactly like the worker server does.
-                return match request {
-                    ServeRequest::Hello { version } if version == PROTOCOL_VERSION => {
-                        session.greeted = true;
-                        enqueue_or_close(
-                            out,
-                            &ServeResponse::Welcome {
-                                version: PROTOCOL_VERSION,
-                                models: self.batcher.infos().len(),
-                            },
-                        )
-                    }
-                    ServeRequest::Hello { version } => {
-                        let reason = format!(
-                            "protocol version mismatch: server speaks v{PROTOCOL_VERSION}, \
-                             client v{version}"
-                        );
-                        eprintln!(
-                            "a4nn serve: connection ended abnormally: handshake refused: {reason}"
-                        );
-                        match enqueue_or_close(out, &ServeResponse::Refused { reason }) {
-                            HandlerAction::Continue => HandlerAction::CloseAfterFlush,
-                            other => other,
-                        }
-                    }
-                    other => {
-                        eprintln!(
-                            "a4nn serve: protocol violation: expected Hello to open the \
-                             session, got {other:?}"
-                        );
-                        HandlerAction::CloseNow
-                    }
-                };
-            }
             if session.in_flight || !session.parked.is_empty() {
                 // Strict request→response ordering: later requests wait
                 // their turn behind the in-flight classification.

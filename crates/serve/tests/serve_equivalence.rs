@@ -7,7 +7,7 @@
 //! path production serving uses.
 
 use a4nn_core::prelude::*;
-use a4nn_net::{encode, read_message, write_message, PROTOCOL_VERSION};
+use a4nn_net::{encode, read_message, PROTOCOL_VERSION};
 use a4nn_nn::{Tensor4, Workspace};
 use a4nn_serve::{
     Batcher, BatcherConfig, ModelRepo, ServeClient, ServeConfig, ServeRequest, ServeResponse,
@@ -15,6 +15,7 @@ use a4nn_serve::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::{Read, Write};
 use std::sync::{Arc, OnceLock};
 
 /// Request shapes mixed into the load: batching groups by shape, so a
@@ -276,7 +277,6 @@ fn menu_matches_the_commons_pareto_front_and_picker_validates() {
         ServeServer::spawn("127.0.0.1:0", serving, ServeConfig::default(), metrics, 1).unwrap();
 
     let mut client = ServeClient::connect(&handle.addr().to_string()).unwrap();
-    assert_eq!(client.model_count(), expected.len());
     let menu = client.models().unwrap();
     assert_eq!(menu.len(), expected.len());
     for (got, want) in menu.iter().zip(&expected) {
@@ -310,37 +310,37 @@ fn menu_matches_the_commons_pareto_front_and_picker_validates() {
     handle.join().unwrap();
 }
 
+/// A frame of another protocol revision gets its connection closed
+/// with no reply, and the server goes on serving the next client.
 #[test]
-fn foreign_protocol_revision_is_refused_at_handshake() {
+fn foreign_protocol_revision_is_closed_without_a_reply() {
     let handle = ServeServer::spawn(
         "127.0.0.1:0",
         repo(),
         ServeConfig::default(),
         Arc::new(MetricsRegistry::new()),
-        1,
+        2,
     )
     .unwrap();
 
-    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-    let mut reader = stream.try_clone().unwrap();
-    let mut writer = stream;
-    write_message(
-        &mut writer,
-        &ServeRequest::Hello {
-            version: PROTOCOL_VERSION + 1,
-        },
-    )
-    .unwrap();
-    match read_message::<_, ServeResponse>(&mut reader).unwrap() {
-        Some(ServeResponse::Refused { reason }) => {
-            assert!(
-                reason.contains("version"),
-                "refusal names the cause: {reason}"
-            );
-        }
-        other => panic!("expected a typed refusal, got {other:?}"),
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut frame = encode(&ServeRequest::Models).unwrap();
+    frame[4..6].copy_from_slice(&(PROTOCOL_VERSION + 1).to_be_bytes());
+    stream.write_all(&frame).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut reply = Vec::new();
+    // A close with the frame unread may arrive as a reset.
+    match stream.read_to_end(&mut reply) {
+        Ok(_) => {}
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
     }
-    // The server drops the session after refusing; its budget is spent.
+    assert!(reply.is_empty(), "a foreign frame was answered");
+
+    let mut client = ServeClient::connect(&handle.addr().to_string()).unwrap();
+    assert_eq!(client.models().unwrap().len(), repo().infos().len());
+    client.goodbye().unwrap();
     handle.join().unwrap();
 }
 
@@ -365,17 +365,6 @@ fn pipelined_requests_are_answered_in_request_order() {
     let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     let mut reader = stream.try_clone().unwrap();
     let mut writer = stream;
-    write_message(
-        &mut writer,
-        &ServeRequest::Hello {
-            version: PROTOCOL_VERSION,
-        },
-    )
-    .unwrap();
-    assert!(matches!(
-        read_message::<_, ServeResponse>(&mut reader).unwrap(),
-        Some(ServeResponse::Welcome { .. })
-    ));
 
     let classify = ServeRequest::Classify {
         model_id: None,

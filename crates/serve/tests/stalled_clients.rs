@@ -82,9 +82,9 @@ fn stalled_client_is_reaped_without_blocking_others() {
         .expect("spawning the in-process serve endpoint");
     let addr = handle.addr().to_string();
 
-    // The stalled client: half a Hello frame, then silence.
+    // The stalled client: half a Models frame, then silence.
     let mut stalled = TcpStream::connect(&addr).expect("stalled client connects");
-    let frame = encode(&ServeRequest::Hello { version: 1 }).expect("encoding Hello");
+    let frame = encode(&ServeRequest::Models).expect("encoding Models");
     stalled
         .write_all(&frame[..frame.len() / 2])
         .expect("sending the partial frame");

@@ -15,7 +15,6 @@ use crate::beam::BeamIntensity;
 use crate::conformer::Conformer;
 use crate::geometry::Rotation;
 use rand::Rng;
-use rand_distr::{Distribution, Poisson};
 
 /// Compute the noiseless intensity pattern of `conformer` under beam
 /// orientation `orientation` on a `detector × detector` grid.
@@ -88,26 +87,32 @@ pub fn render_pattern<R: Rng + ?Sized>(
     img
 }
 
-/// Poisson sample robust across the full λ range (rand_distr panics on
-/// λ = 0 and loses precision for enormous λ, where the normal
-/// approximation is exact for our purposes).
+/// One Poisson sample of mean `lambda`; a non-positive `lambda` gives 0.
+/// Knuth's multiplication for λ < 30, the rounded normal approximation
+/// N(λ, λ) above. `render_pattern`'s λ never exceeds the beam's photon
+/// budget, where the approximation is close.
 fn sample_poisson<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> f64 {
     if lambda <= 0.0 {
         return 0.0;
     }
-    if lambda > 1e6 {
-        // Normal approximation N(λ, λ).
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-        let z = (-2.0 * u1.ln()).sqrt() * u2.cos();
-        return (lambda + z * lambda.sqrt()).max(0.0);
+    if lambda < 30.0 {
+        // Knuth: multiply uniforms until the product drops below e^-λ.
+        let limit = (-lambda).exp();
+        let mut product = 1.0f64;
+        let mut count = 0u64;
+        loop {
+            product *= rng.gen_range(0.0f64..1.0);
+            if product <= limit {
+                return count as f64;
+            }
+            count += 1;
+        }
     }
-    // Poisson::new only rejects non-positive or non-finite lambda, both
-    // excluded by the guards above.
-    let Ok(dist) = Poisson::new(lambda) else {
-        unreachable!("lambda {lambda} is positive and finite")
-    };
-    dist.sample(rng)
+    // Normal approximation N(λ, λ) via Box–Muller, clamped at 0.
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0f64..1.0);
+    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    (lambda + lambda.sqrt() * z).round().max(0.0)
 }
 
 /// Pearson correlation between two images — used to quantify the
@@ -234,13 +239,15 @@ mod tests {
     #[test]
     fn sample_poisson_mean_tracks_lambda() {
         let mut r = rng(5);
-        for &lambda in &[0.5, 20.0, 2e6] {
+        for &lambda in &[0.5, 4.0, 20.0, 100.0, 2e6] {
             let n = 3000;
-            let mean: f64 = (0..n).map(|_| sample_poisson(lambda, &mut r)).sum::<f64>() / n as f64;
+            let samples: Vec<f64> = (0..n).map(|_| sample_poisson(lambda, &mut r)).collect();
+            let mean = samples.iter().sum::<f64>() / n as f64;
             assert!(
                 (mean - lambda).abs() / lambda < 0.12,
                 "lambda {lambda}: mean {mean}"
             );
+            assert!(samples.iter().all(|&s| s >= 0.0 && s.fract() == 0.0));
         }
         assert_eq!(sample_poisson(0.0, &mut r), 0.0);
     }

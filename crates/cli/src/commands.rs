@@ -400,8 +400,6 @@ fn run_serve(parsed: &Parsed) -> Result<(), CommandError> {
     let listen = required(parsed, "--listen")?;
     let repo = a4nn_serve::ModelRepo::load(&PathBuf::from(required(parsed, "--commons")?))?;
     let menu = repo.infos();
-    // Batch workers share the cores the way search's virtual GPUs do.
-    a4nn_core::share_cores(cfg.batcher.workers);
     let server =
         a4nn_serve::ServeServer::bind(listen, repo, cfg, Arc::new(MetricsRegistry::new()))?;
     println!(

@@ -71,8 +71,7 @@ pub use config::{NasSettings, WorkflowConfig};
 pub use fault::{FaultStats, FaultTolerance};
 pub use objectives::{ModelCost, ObjectiveKind, ObjectiveSet};
 pub use pipeline::{
-    share_cores, BatchResult, BusTransport, DirectTransport, EvalPipeline, Transport,
-    TransportStats,
+    BatchResult, BusTransport, DirectTransport, EvalPipeline, Transport, TransportStats,
 };
 pub use real::{RealTrainerFactory, TrainingHyperparams};
 pub use resume::{config_hash, SearchSnapshot, SNAPSHOT_VERSION};

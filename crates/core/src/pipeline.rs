@@ -2,12 +2,12 @@
 //! [`Transport`].
 //!
 //! Every NAS driver — NSGA-Net, random search, aging evolution — trains
-//! its generations through the same [`EvalPipeline`]: set the intra-op
-//! thread budget, run every genome through the transport (with the
-//! fault-tolerance layer's retries and deterministic injection always
-//! on — a zero-fault plan with no retries *is* the plain path), replay
-//! the simulated durations on the discrete-event scheduler, and emit
-//! record trails.
+//! its generations through the same [`EvalPipeline`]: run every genome
+//! through the transport (with the fault-tolerance layer's retries and
+//! deterministic injection always on — a zero-fault plan with no retries
+//! *is* the plain path), replay the simulated durations on the
+//! discrete-event scheduler, and emit record trails. The `gpus` models of
+//! a generation train at once, each on one thread.
 //!
 //! Every transport trains a model the same way: one job per genome,
 //! running [`train_model`] — Algorithm 1 inside its retry loop. What a
@@ -52,13 +52,6 @@ use a4nn_metrics::{MetricsRegistry, MetricsSnapshot};
 use a4nn_penguin::{EngineConfig, Verdict};
 use a4nn_sched::{schedule, GpuPool, RetryPolicy, ScheduleResult, Task, TaskOrdering};
 use std::collections::HashMap;
-
-/// Divide the cores between `concurrent` trainers and each trainer's
-/// GEMM kernels: each gets `cores / concurrent` intra-op threads. Results
-/// are bitwise independent of this budget; it only affects wall time.
-pub fn share_cores(concurrent: usize) {
-    a4nn_nn::gemm::set_thread_budget(a4nn_sched::intra_op_threads(concurrent));
-}
 
 /// Per-transport dispatch counters for one run, read from the metrics
 /// registry — so they cover both halves of a resumed run. All times are
@@ -270,8 +263,6 @@ impl<'a> EvalPipeline<'a> {
         generation: usize,
         base_id: u64,
     ) -> Result<BatchResult, A4nnError> {
-        // `gpus` models train at once.
-        share_cores(self.cfg.gpus);
         let outcomes = transport.run_generation(self, genomes, generation, base_id)?;
 
         // Engine overhead is measured wall time and reported separately

@@ -181,7 +181,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
     fn real_training_learns_above_chance() {
         let f = factory();
         let mut t = f.make(&genome(2), 0, 9);
@@ -210,7 +209,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
     fn snapshots_capture_training_progress() {
         let store = Arc::new(CheckpointStore::new());
         let f = factory().with_checkpoints(store.clone());

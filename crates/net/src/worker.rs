@@ -30,7 +30,7 @@
 use crate::frame::{read_message, write_message, NetError};
 use crate::protocol::Message;
 use crate::transport::CONNECT_TIMEOUT;
-use a4nn_core::{share_cores, train_model, FaultTolerance, InlineEngine};
+use a4nn_core::{train_model, FaultTolerance, InlineEngine};
 use a4nn_error::A4nnError;
 use parking_lot::Mutex;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -46,20 +46,16 @@ pub struct WorkerServer {
 
 impl WorkerServer {
     /// Bind the listener on `addr` (e.g. `127.0.0.1:7070`; port `0`
-    /// picks a free port) advertising `gpus` concurrent job slots, and
-    /// divide the process's cores among those slots as an in-process
-    /// search divides them among its GPUs. The GEMM thread budget this
-    /// sets is process-wide: workers spawned in one process (and a
-    /// search pipeline beside them, which sets it every generation) train
-    /// at whichever budget was set last; only separate `a4nn worker`
-    /// processes each keep their own.
+    /// picks a free port) advertising `gpus` concurrent job slots. Each
+    /// slot trains its model on one thread, so a worker uses `gpus` cores
+    /// as an in-process search does, and workers in one process train
+    /// exactly as separate `a4nn worker` processes would.
     pub fn bind(addr: &str, gpus: usize) -> Result<Self, A4nnError> {
         if gpus == 0 {
             return Err(A4nnError::Config(
                 "a worker must advertise at least one GPU".into(),
             ));
         }
-        share_cores(gpus);
         let listener = TcpListener::bind(addr)
             .map_err(|e| A4nnError::Net(format!("binding worker listener on {addr}: {e}")))?;
         Ok(WorkerServer { listener, gpus })

@@ -12,15 +12,15 @@
 //! forward) and `gemm_nt_planes` (the weight gradient). Every output
 //! element gets the same products and sums in the same order either way.
 //!
-//! All run on the calling thread: a convolution already splits its batch
-//! over samples, one GEMM per sample. [`gemm_nn_seq`], `Dense`'s and
-//! XPSI's kernel, is the one that splits the *rows* of `C` onto scoped
-//! threads — each element is still produced by exactly one thread.
+//! All run on the calling thread, and so does every layer that calls
+//! them: parallelism comes from models running at once (`--gpus`, serve's
+//! `--batch-workers`), never from splitting one layer across threads.
+//! [`gemm_nn_seq`] is `Dense`'s kernel.
 //!
 //! The kernels are deterministic by construction: every output element is
 //! accumulated in a fixed order that does not depend on blocking factors
-//! landing mid-row, on how many threads run or on the instruction set, so
-//! results are bitwise reproducible across machines and thread budgets.
+//! landing mid-row or on the instruction set, so results are bitwise
+//! reproducible across machines.
 //!
 //! Each kernel runs on one [`Isa`] tier, detected once per process: the
 //! portable tiles compiled for the baseline target, the same source
@@ -30,81 +30,14 @@
 //! for rows of 16 to 64 pixels. Every tier gives every output the same
 //! multiplications and additions in the same order, never a fused
 //! multiply-add, so which tier ran cannot show in a bit.
-//!
-//! The thread budget is a process-wide knob ([`set_thread_budget`]) that
-//! whoever owns the process's workers sets from their count — `a4nn
-//! search` from `--gpus`, `a4nn serve` from `--batch-workers`, both as
-//! `cores / workers` — so intra-op threads and inter-model workers share
-//! the machine instead of oversubscribing it. Left at `0` it means every
-//! core, and the host is asked how many that is once per process
-//! ([`host_parallelism`]): the lookup is a syscall plus cgroup file
-//! reads, 11–13 µs on the benchmark host — more than a 16×16 conv layer
-//! takes per image.
-//!
-//! Whether a layer *uses* its budget is [`threads_for`]'s decision: a
-//! scoped spawn and join costs tens of microseconds, so an op opens a
-//! scope only when every thread gets at least `MIN_MACS_PER_THREAD`
-//! multiply-adds. [`gemm_nn_seq`] is mechanism — it splits as many ways as
-//! the caller asks, capped by the budget and the row count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Process-wide intra-op thread budget; `0` means "auto" (all cores).
-static THREAD_BUDGET: AtomicUsize = AtomicUsize::new(0);
-
-/// Work below which a thread is not worth spawning: about the GEMM a
-/// core finishes in the time one scoped spawn and join takes.
-const MIN_MACS_PER_THREAD: usize = 1 << 20;
-
-/// Set the intra-op thread budget. `0` restores auto (all available
-/// cores). Search and serve both call this with `cores / workers` so
-/// concurrent trainings or batch workers don't oversubscribe the machine.
-pub fn set_thread_budget(n: usize) {
-    THREAD_BUDGET.store(n, Ordering::Relaxed);
-}
-
-/// The raw configured budget (`0` = auto).
-pub fn thread_budget() -> usize {
-    THREAD_BUDGET.load(Ordering::Relaxed)
-}
-
-/// Cores available to this process, asked of the OS once and cached.
-pub fn host_parallelism() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Budget resolved against the host and the amount of splittable work:
-/// at least 1, at most `work` and at most the configured budget.
-pub fn resolved_threads(work: usize) -> usize {
-    let budget = match thread_budget() {
-        0 => host_parallelism(),
-        n => n,
-    };
-    budget.min(work).max(1)
-}
-
-/// Threads worth opening a scope for, given `items` independent units of
-/// `macs_per_item` multiply-adds each: [`resolved_threads`] further capped
-/// so that every thread gets at least `MIN_MACS_PER_THREAD` of work.
-/// Every site that decides whether an op splits asks this; the answer
-/// never changes a result, only who computes it.
-pub fn threads_for(items: usize, macs_per_item: usize) -> usize {
-    let paid_for = items.saturating_mul(macs_per_item) / MIN_MACS_PER_THREAD;
-    resolved_threads(items.min(paid_for))
-}
-
-/// Threads [`gemm_nn_seq`] splits its `rows` over: what the caller asked
-/// for, capped by the budget and the row count. A serial ask is answered
-/// before anything is read.
-fn split_over(threads: usize, rows: usize) -> usize {
-    if threads <= 1 {
-        1
-    } else {
-        threads.min(resolved_threads(rows))
-    }
-}
+/// Does nothing: every layer runs on its caller's thread. It exists only
+/// because the benchmark harness (`benchmark/src/search.rs`,
+/// `benchmark/src/probes.rs`) still calls it; ROADMAP's benchmark-scope
+/// item ("the Bus goes") deletes it together with those calls.
+pub fn set_thread_budget(_: usize) {}
 
 #[cfg(target_arch = "x86_64")]
 mod avx512;
@@ -626,38 +559,15 @@ fn micro_panel_nn<L: Layout, const Q: usize>(
 /// product seeded from `C` (the order `Dense`'s reference loops use), while
 /// still vectorizing: the serial dependency is per *element*, but the
 /// `MR×NR` register tile advances all its elements' chains in lockstep, so
-/// the adds run 16-wide across independent outputs. Thread parallelism
-/// splits the rows of `C` exactly like [`gemm_nn`], so results are
-/// identical for any thread budget.
-pub fn gemm_nn_seq(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-) {
+/// the adds run 16-wide across independent outputs.
+pub fn gemm_nn_seq(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), m * k, "gemm_nn_seq: A shape mismatch");
     assert_eq!(b.len(), k * n, "gemm_nn_seq: B shape mismatch");
     assert_eq!(c.len(), m * n, "gemm_nn_seq: C shape mismatch");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let t = split_over(threads, m);
-    let isa = Isa::host();
-    if t <= 1 {
-        gemm_nn_seq_serial(isa, m, n, k, a, b, c);
-        return;
-    }
-    let rows_per = m.div_ceil(t);
-    std::thread::scope(|s| {
-        for (ti, c_chunk) in c.chunks_mut(rows_per * n).enumerate() {
-            let mh = c_chunk.len() / n;
-            let a_chunk = &a[ti * rows_per * k..ti * rows_per * k + mh * k];
-            s.spawn(move || gemm_nn_seq_serial(isa, mh, n, k, a_chunk, b, c_chunk));
-        }
-    });
+    gemm_nn_seq_serial(Isa::host(), m, n, k, a, b, c);
 }
 
 /// Single-threaded blocked sequential-accumulation GEMM. Identical
@@ -1097,9 +1007,9 @@ const LANES: usize = 8;
 
 /// `NT_MR×NT_NR` outputs per tile, [`dot_lanes`] for the ragged right and
 /// bottom edges. Every element — tiled or not — is one [`dot_lanes`] sum,
-/// so where the tile boundaries fall (and therefore how the rows of `C`
-/// were split over threads) cannot change a bit of the output. Each group
-/// of `NT_NR` B rows is fetched once and met by every pair of A rows.
+/// so where the tile boundaries fall cannot change a bit of the output.
+/// Each group of `NT_NR` B rows is fetched once and met by every pair of
+/// A rows.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn gemm_nt_serial_generic<L: NtRows>(
@@ -1166,7 +1076,7 @@ fn reduce_lanes(lanes: &[f32; LANES], tail: f32) -> f32 {
 
 /// Eight-lane strided dot product: vectorizes despite strict FP ordering
 /// because the lane structure is fixed, and stays deterministic because it
-/// never depends on thread count or slice alignment. Lane `l` sums the
+/// never depends on slice alignment. Lane `l` sums the
 /// products at `k ≡ l (mod 8)` in ascending `k`; the leftover `k mod 8`
 /// products form one scalar chain; [`reduce_lanes`] joins them.
 #[inline(always)]
@@ -1409,28 +1319,13 @@ mod tests {
             let mut want = seed.clone();
             reference_seq(m, n, k, &a, &b, &mut want);
             let mut got = seed.clone();
-            gemm_nn_seq(m, n, k, &a, &b, &mut got, 1);
+            gemm_nn_seq(m, n, k, &a, &b, &mut got);
             let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
             let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
             assert_eq!(
                 wb, gb,
                 "seq gemm diverged from sequential order at ({m},{n},{k})"
             );
-        }
-    }
-
-    #[test]
-    fn gemm_nn_seq_thread_count_invariant() {
-        let (m, n, k) = (37, 29, 301);
-        let a = pseudo(m * k, 14);
-        let b = pseudo(k * n, 15);
-        let seed = pseudo(m * n, 16);
-        let mut serial = seed.clone();
-        gemm_nn_seq_serial(Isa::host(), m, n, k, &a, &b, &mut serial);
-        for threads in [2, 3, 4, 8] {
-            let mut par = seed.clone();
-            gemm_nn_seq(m, n, k, &a, &b, &mut par, threads);
-            assert_eq!(serial, par, "thread count {threads} changed the result");
         }
     }
 
@@ -1756,18 +1651,6 @@ mod tests {
                 eprintln!("{isa:?}\t{what}\t({m},{n},{k})\t{gflops:.1} GFLOP/s");
             }
         }
-    }
-
-    #[test]
-    fn thread_budget_round_trips() {
-        let prev = thread_budget();
-        set_thread_budget(3);
-        assert_eq!(thread_budget(), 3);
-        assert_eq!(resolved_threads(100), 3);
-        assert_eq!(resolved_threads(2), 2);
-        set_thread_budget(0);
-        assert!(resolved_threads(1) == 1);
-        set_thread_budget(prev);
     }
 
     #[test]

@@ -443,8 +443,8 @@ impl Network {
     /// `chunk` samples at a time (capping peak activation memory; `0` is
     /// clamped to 1) without materializing the set as one tensor: chunks
     /// are copied straight from the dataset's flat storage into a pooled
-    /// batch buffer. Serial over chunks (inner ops still use the intra-op
-    /// budget); `ws` persists across calls so steady-state evaluation
+    /// batch buffer, serially on the calling thread; `ws` persists across
+    /// calls so steady-state evaluation
     /// allocates nothing. Chunking cannot change the result: eval-mode
     /// forward treats every sample independently (per-sample im2col,
     /// running BN stats, row-wise dense), and the correct-count sum is an

@@ -74,10 +74,7 @@ impl Conv2d {
     ///
     /// Each sample is framed by its zero padding, and the weight matrix is
     /// multiplied by the patch matrix read in place from the frame
-    /// ([`im2col`] module docs). When the batch is enough work to pay for
-    /// it ([`gemm::threads_for`]) samples are distributed in contiguous
-    /// blocks over scoped threads; every output element is produced by
-    /// exactly one thread, so results are identical for any thread count.
+    /// ([`im2col`] module docs), one sample after another.
     pub fn forward_ws(&mut self, x: &Tensor4, training: bool, ws: &mut Workspace) -> Tensor4 {
         assert_eq!(x.c, self.c_in, "conv input channel mismatch");
         let (n, _, h, w) = x.shape();
@@ -87,34 +84,15 @@ impl Conv2d {
         // contents never leak.
         let mut frames = ws.t2_scratch(n, g.framed());
         let mut out = ws.t4_scratch(n, self.c_out, h, w);
-        let (sample_in, sample_frame, sample_out) =
-            (self.c_in * h * w, g.framed(), self.c_out * h * w);
-        let (weight, bias, taps) = (&self.weight, &self.bias, self.taps.starts(&g));
-        let lower = |xs: &[f32], frames: &mut [f32], outs: &mut [f32]| {
-            for ((x_s, frame_s), out_s) in xs
-                .chunks(sample_in)
-                .zip(frames.chunks_mut(sample_frame))
-                .zip(outs.chunks_mut(sample_out))
-            {
-                im2col::frame(x_s, &g, frame_s);
-                im2col::conv_forward_framed(frame_s, taps, weight, bias, &g, out_s);
-            }
-        };
-        let threads = gemm::threads_for(n, self.c_out * g.patch() * g.pixels());
-        if threads <= 1 {
-            lower(x.data(), frames.data_mut(), out.data_mut());
-        } else {
-            let per = n.div_ceil(threads);
-            std::thread::scope(|s| {
-                for ((xs, frames), outs) in x
-                    .data()
-                    .chunks(per * sample_in)
-                    .zip(frames.data_mut().chunks_mut(per * sample_frame))
-                    .zip(out.data_mut().chunks_mut(per * sample_out))
-                {
-                    s.spawn(move || lower(xs, frames, outs));
-                }
-            });
+        let taps = self.taps.starts(&g);
+        for ((x_s, frame_s), out_s) in x
+            .data()
+            .chunks(self.c_in * h * w)
+            .zip(frames.data_mut().chunks_mut(g.framed()))
+            .zip(out.data_mut().chunks_mut(self.c_out * h * w))
+        {
+            im2col::frame(x_s, &g, frame_s);
+            im2col::conv_forward_framed(frame_s, taps, &self.weight, &self.bias, &g, out_s);
         }
         // Recycle a cache left by a training forward that never ran
         // backward, so the pool gets its buffer back.
@@ -132,10 +110,6 @@ impl Conv2d {
     /// Backward pass: accumulates weight/bias grads and returns the
     /// gradient with respect to the input, drawing all scratch from `ws`;
     /// the framed input kept by forward is recycled back into the pool.
-    ///
-    /// Per-sample partial gradients are computed on scoped threads
-    /// (samples in contiguous blocks) and reduced in sample order, so
-    /// results do not depend on the thread budget.
     pub fn backward_ws(&mut self, grad_out: &Tensor4, ws: &mut Workspace) -> Tensor4 {
         let (n, _, h, w) = grad_out.shape();
         // The scatter writes every element.
@@ -171,95 +145,29 @@ impl Conv2d {
             gemm::transpose(c_out, kp, &self.weight, &mut wt);
             wt
         });
-        let scratch_len = im2col::backward_scratch(&g, wt.is_some());
-        let (wlen, sample_in) = (self.weight.len(), self.c_in * h * w);
+        // Samples in order: each sample's (wg, bg) partial lives in two
+        // pooled buffers zeroed per sample and added to the gradients at
+        // once, so every partial is an independent zero-seeded sum and
+        // the reduction runs in ascending sample order.
+        let mut scratch = ws.take_scratch(im2col::backward_scratch(&g, wt.is_some()));
+        let mut wg = ws.take_scratch(self.weight.len());
+        let mut bg = ws.take_scratch(c_out);
         let taps = self.taps.starts(&g);
-        let (frames_ref, wt_ref) = (&frames, &wt);
-        let sample = |ni: usize,
-                      gin_s: Option<&mut [f32]>,
-                      scratch: &mut [f32],
-                      wg: &mut [f32],
-                      bg: &mut [f32]| {
-            let g_s = grad_out.sample(ni);
-            im2col::conv_param_grads(frames_ref.row(ni), taps, g_s, &g, scratch, wg, bg);
-            if let (Some(gin_s), Some(wt)) = (gin_s, wt_ref) {
-                im2col::conv_input_grad(g_s, wt, &g, scratch, gin_s);
+        let mut gin_samples = grad_in.map(|t| t.data_mut().chunks_mut(self.c_in * h * w));
+        for ni in 0..n {
+            wg.fill(0.0);
+            bg.fill(0.0);
+            let (frame, g_s) = (frames.row(ni), grad_out.sample(ni));
+            im2col::conv_param_grads(frame, taps, g_s, &g, &mut scratch, &mut wg, &mut bg);
+            if let (Some(gin_s), Some(wt)) = (gin_samples.as_mut().and_then(Iterator::next), &wt) {
+                im2col::conv_input_grad(g_s, wt, &g, &mut scratch, gin_s);
             }
-        };
-        // Samples `range` in order on the calling thread: the per-sample
-        // (wg, bg) partials live in two pooled buffers zeroed per sample
-        // and added to the gradients at once — the same FP order as
-        // collecting them first (each partial is an independent
-        // zero-seeded sum, and the reduction runs in ascending sample
-        // order), with no per-sample allocation.
-        let mut pooled = |range: std::ops::Range<usize>, gin: Option<&mut [f32]>| {
-            let mut scratch = ws.take_scratch(scratch_len);
-            let mut wg = ws.take_scratch(wlen);
-            let mut bg = ws.take_scratch(c_out);
-            let mut gin_samples = gin.map(|c| c.chunks_mut(sample_in));
-            for ni in range {
-                wg.fill(0.0);
-                bg.fill(0.0);
-                let gin_s = gin_samples.as_mut().and_then(Iterator::next);
-                sample(ni, gin_s, &mut scratch, &mut wg, &mut bg);
-                add_into(&mut self.wgrad, &wg);
-                add_into(&mut self.bgrad, &bg);
-            }
-            ws.give(scratch);
-            ws.give(wg);
-            ws.give(bg);
-        };
-        // Two GEMMs per sample: the input gradient and the weight gradient.
-        let threads = gemm::threads_for(n, 2 * c_out * kp * g.pixels());
-        if threads <= 1 {
-            pooled(0..n, grad_in.map(Tensor4::data_mut));
-        } else {
-            // Samples in contiguous groups. Group 0 runs pooled on this
-            // thread, so the pool's high-water mark is the serial path's
-            // at every budget; the other groups keep their per-sample
-            // partials, added after group 0's in sample order — the
-            // reduction order (and thus rounding) is fixed no matter how
-            // samples were distributed over threads.
-            let per = n.div_ceil(threads);
-            let mut gin_groups: Vec<Option<&mut [f32]>> = match grad_in {
-                Some(t) => t.data_mut().chunks_mut(per * sample_in).map(Some).collect(),
-                None => (0..n.div_ceil(per)).map(|_| None).collect(),
-            };
-            let others = gin_groups.split_off(1);
-            let sample = &sample;
-            let partials: Vec<(Vec<f32>, Vec<f32>)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (1..)
-                    .zip(others)
-                    .map(|(gi, gin_group)| {
-                        s.spawn(move || {
-                            let mut scratch = vec![0.0f32; scratch_len];
-                            let mut gin_samples = gin_group.map(|c| c.chunks_mut(sample_in));
-                            let mut group = Vec::new();
-                            for ni in gi * per..n.min((gi + 1) * per) {
-                                let mut wg = vec![0.0f32; wlen];
-                                let mut bg = vec![0.0f32; c_out];
-                                let gin_s = gin_samples.as_mut().and_then(Iterator::next);
-                                sample(ni, gin_s, &mut scratch, &mut wg, &mut bg);
-                                group.push((wg, bg));
-                            }
-                            group
-                        })
-                    })
-                    .collect();
-                pooled(0..per, gin_groups.pop().flatten());
-                handles
-                    .into_iter()
-                    .flat_map(|handle| match handle.join() {
-                        Ok(group) => group,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            });
-            for (wg, bg) in &partials {
-                add_into(&mut self.wgrad, wg);
-                add_into(&mut self.bgrad, bg);
-            }
+            add_into(&mut self.wgrad, &wg);
+            add_into(&mut self.bgrad, &bg);
         }
+        ws.give(scratch);
+        ws.give(wg);
+        ws.give(bg);
         if let Some(wt) = wt {
             ws.give(wt);
         }
@@ -746,10 +654,7 @@ impl Dense {
     /// loops ([`reference::dense_forward`]): the output is seeded with
     /// the bias and [`gemm::gemm_nn_seq`] extends each element as one
     /// strict ascending-`i` sum `bias + Σ x[i]·w[i]` — exactly the
-    /// reference order. Rows of the output split across scoped threads
-    /// when there is enough work to pay for them ([`gemm::threads_for`]);
-    /// each element is produced by one thread, so any budget gives
-    /// identical bits.
+    /// reference order.
     pub fn forward_ws(&mut self, x: &Tensor2, training: bool, ws: &mut Workspace) -> Tensor2 {
         assert_eq!(x.cols, self.d_in, "dense input width mismatch");
         let rows = x.rows;
@@ -761,15 +666,7 @@ impl Dense {
         for r in 0..rows {
             out.row_mut(r).copy_from_slice(&self.bias);
         }
-        gemm::gemm_nn_seq(
-            rows,
-            self.d_out,
-            self.d_in,
-            x.data(),
-            &wt,
-            out.data_mut(),
-            gemm::threads_for(rows, self.d_in * self.d_out),
-        );
+        gemm::gemm_nn_seq(rows, self.d_out, self.d_in, x.data(), &wt, out.data_mut());
         ws.give(wt);
         // Recycle a cache left by a training forward that never ran
         // backward, so the pool gets its buffer back.
@@ -817,15 +714,7 @@ impl Dense {
         // A = gᵀ so the shared axis (rows) is the GEMM's sequential k.
         let mut gt = ws.take_scratch(rows * self.d_out);
         gemm::transpose(rows, self.d_out, grad_out.data(), &mut gt);
-        gemm::gemm_nn_seq(
-            self.d_out,
-            self.d_in,
-            rows,
-            &gt,
-            x.data(),
-            &mut self.wgrad,
-            gemm::threads_for(self.d_out, self.d_in * rows),
-        );
+        gemm::gemm_nn_seq(self.d_out, self.d_in, rows, &gt, x.data(), &mut self.wgrad);
         ws.give(gt);
         let mut grad_in = ws.t2_zeroed(rows, self.d_in);
         gemm::gemm_nn_seq(
@@ -835,7 +724,6 @@ impl Dense {
             grad_out.data(),
             &self.weight,
             grad_in.data_mut(),
-            gemm::threads_for(rows, self.d_in * self.d_out),
         );
         ws.give2(x);
         grad_in

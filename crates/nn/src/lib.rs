@@ -17,9 +17,10 @@
 //! - [`serialize`] — model state (de)serialization so every epoch's weights
 //!   can be checkpointed into the data commons, as §2.2.2 requires.
 //!
-//! Minibatch forward/backward is data-parallel over the batch dimension
-//! on scoped threads sized by the intra-op budget ([`gemm`]). All
-//! randomness flows through caller-provided seeds.
+//! Every layer runs on its caller's thread: parallelism comes from
+//! training several models at once, and [`par::par_map`] maps whole
+//! images over the cores. All randomness flows through caller-provided
+//! seeds.
 
 #![warn(clippy::redundant_clone)]
 #![deny(clippy::undocumented_unsafe_blocks)]

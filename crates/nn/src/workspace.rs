@@ -25,9 +25,8 @@
 //!   bytes; [`pooled_bytes`](Workspace::pooled_bytes) /
 //!   [`peak_pooled_bytes`](Workspace::peak_pooled_bytes) make the
 //!   high-water mark observable for metrics export.
-//! - A `Workspace` is single-threaded by design (`&mut` everywhere).
-//!   Parallel code hands plain slices to scoped threads and never shares
-//!   the pool across them.
+//! - A `Workspace` is single-threaded by design (`&mut` everywhere), as
+//!   is every layer that draws from it.
 //!
 //! # Why determinism survives buffer reuse
 //!

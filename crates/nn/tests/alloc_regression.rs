@@ -5,11 +5,8 @@
 //! A counting wrapper around the system allocator is installed as the
 //! global allocator for this test binary only (one test per binary, so
 //! the counter sees nothing but the training loop under measurement).
-//! The thread budget is pinned to 1 because spawning scoped threads
-//! allocates stack bookkeeping; single-thread is also the configuration
-//! the search-throughput bench measures.
 
-use a4nn_nn::{gemm, Dataset, NetSpec, Network, PhaseNetSpec, Sgd, Tensor4, Workspace};
+use a4nn_nn::{Dataset, NetSpec, Network, PhaseNetSpec, Sgd, Tensor4, Workspace};
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,9 +83,6 @@ fn train_batches(
 
 #[test]
 fn steady_state_training_batch_allocates_nothing() {
-    let prev = gemm::thread_budget();
-    gemm::set_thread_budget(1);
-
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     // 26 samples at batch 8 = three full batches and a remainder of two,
     // so every epoch after the first opens with a full batch right after
@@ -141,6 +135,4 @@ fn steady_state_training_batch_allocates_nothing() {
         eval_allocs, 0,
         "a warmed eval-mode forward performed {eval_allocs} heap allocations"
     );
-
-    gemm::set_thread_budget(prev);
 }

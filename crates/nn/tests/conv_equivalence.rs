@@ -3,7 +3,6 @@
 //! gradient, bias gradient, and input gradient — over random stride-1
 //! `same` geometries, odd kernels wider than the image included.
 
-use a4nn_nn::gemm;
 use a4nn_nn::im2col::{conv_backward, conv_forward, ConvGeometry};
 use a4nn_nn::layers::Conv2d;
 use a4nn_nn::{Tensor4, Workspace};
@@ -184,30 +183,16 @@ proptest! {
 }
 
 /// The paper's input geometry (128×128 XFEL images) through the layer and
-/// the direct loops, and thread-budget invariance of the layer: the
-/// result is bitwise identical whatever the intra-op budget.
+/// the direct loops.
 #[test]
-fn paper_shape_agrees_and_is_budget_invariant() {
+fn paper_shape_agrees() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(2023);
     let conv = Conv2d::new(1, 8, 3, &mut rng);
     let x = Tensor4::from_vec(4, 1, 128, 128, fill_random(&mut rng, 4 * 128 * 128));
     let g = ConvGeometry::same(1, 128, 128, 3);
     let want = naive_forward(&x, &conv.weight, &conv.bias, 8, &g);
 
-    let prev = gemm::thread_budget();
-    let mut outs = Vec::new();
-    for budget in [1usize, 2, 4] {
-        gemm::set_thread_budget(budget);
-        if budget > 1 {
-            // 8·9·128² MACs a sample: well over the work threshold, so
-            // the budgets above 1 really do take the threaded branch.
-            assert!(gemm::threads_for(x.n, 8 * 9 * 128 * 128) > 1);
-        }
-        let mut fast = conv.clone();
-        outs.push(fast.forward_ws(&x, true, &mut Workspace::new()));
-    }
-    gemm::set_thread_budget(prev);
-    assert_all_close(outs[0].data(), want.data(), "paper-shape forward");
-    assert_eq!(outs[0].data(), outs[1].data(), "budget 1 vs 2 differ");
-    assert_eq!(outs[0].data(), outs[2].data(), "budget 1 vs 4 differ");
+    let mut fast = conv.clone();
+    let out = fast.forward_ws(&x, true, &mut Workspace::new());
+    assert_all_close(out.data(), want.data(), "paper-shape forward");
 }

@@ -18,11 +18,12 @@ use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-/// Intra-op thread budget for each of `workers` concurrent jobs: the
-/// machine's cores divided evenly among the virtual GPUs, at least 1.
-/// The workflow hands this to the NN substrate's GEMM kernels so
-/// inter-model parallelism (this pool) and intra-model parallelism
-/// (blocked GEMM) share the cores instead of oversubscribing them.
+/// The machine's cores divided evenly among `workers` concurrent jobs,
+/// at least 1. Nothing in the workflow reads it: every layer runs on its
+/// caller's thread. It exists only because the benchmark harness
+/// (`benchmark/src/search.rs`, `benchmark/src/probes.rs`) still calls it;
+/// ROADMAP's benchmark-scope item ("the Bus goes") deletes it together
+/// with those calls.
 pub fn intra_op_threads(workers: usize) -> usize {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)

@@ -40,7 +40,6 @@ fn tiny_real_run(engine: bool) -> a4nn_core::RunOutput {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
 fn real_workflow_trains_networks_above_chance() {
     let out = tiny_real_run(false);
     assert_eq!(out.commons.len(), 6);
@@ -61,7 +60,6 @@ fn real_workflow_trains_networks_above_chance() {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
 fn real_workflow_with_engine_completes_and_records_predictions() {
     let out = tiny_real_run(true);
     assert_eq!(out.commons.len(), 6);
@@ -74,7 +72,6 @@ fn real_workflow_with_engine_completes_and_records_predictions() {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
 fn xpsi_baseline_beats_chance_and_tracks_beam_quality() {
     let cfg = XfelConfig::default();
     let accuracy = |beam| {
@@ -97,7 +94,6 @@ fn xpsi_baseline_beats_chance_and_tracks_beam_quality() {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
 fn checkpointed_workflow_records_every_epoch_state() {
     // §2.2.2: run a tiny real search with a checkpoint store attached and
     // re-evaluate a mid-training model from its stored state.
@@ -147,7 +143,6 @@ fn checkpointed_workflow_records_every_epoch_state() {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
 fn a_retried_model_checkpoints_the_fault_free_states() {
     // Model 0's first attempt puts epoch 1, then panics before epoch 2;
     // the retry trains epochs 1-3 again. The store must end holding the

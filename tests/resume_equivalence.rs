@@ -402,7 +402,6 @@ fn three_objective_resume_is_bit_exact_across_transports() {
 /// comparison. A resume that names another image count is refused
 /// (exit 5).
 #[test]
-#[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
 fn real_training_resume_is_equivalent() {
     let mut config = micro_config(7);
     config.nas.generations = 2;

@@ -145,14 +145,10 @@ fn unmeasured(out: &RunOutput) -> Vec<ModelRecord> {
 
 /// `--real` runs over sockets: each worker rebuilds the real trainer,
 /// images included, from the shipped configuration, and its records are
-/// the direct run's. The GEMM thread budget is process-wide, so the two
-/// in-process workers (1 and 2 GPUs) train at one budget, whichever the
-/// last `bind` or the coordinator's pipeline set; two budgets meet in the
-/// direct 2-GPU run against the direct 1-GPU run (and in separate
-/// `a4nn worker` processes), so the measured workspace peak objective
-/// must not depend on the budget.
+/// the direct run's. Every layer trains on its caller's thread, so the
+/// two in-process workers (1 and 2 GPUs) train as two separate
+/// `a4nn worker` processes would.
 #[test]
-#[cfg_attr(debug_assertions, ignore = "real CNN training; run with --release")]
 fn real_training_is_transport_invariant() {
     let config = real_micro_config(7);
     let ft = FaultTolerance::new(RetryPolicy::with_retries(0), FaultPlan::none());

@@ -400,7 +400,7 @@ fn run_serve(parsed: &Parsed) -> Result<(), CommandError> {
     let listen = required(parsed, "--listen")?;
     let repo = a4nn_serve::ModelRepo::load(&PathBuf::from(required(parsed, "--commons")?))?;
     let menu = repo.infos();
-    let server =
+    let mut server =
         a4nn_serve::ServeServer::bind(listen, repo, cfg, Arc::new(MetricsRegistry::new()))?;
     println!(
         "a4nn serve listening on {} ({} Pareto model(s), {})",

@@ -21,8 +21,8 @@
 //!   loop over hand-written syscall bindings ([`sys`]) that multiplexes
 //!   every connection through one thread, driving nonblocking state
 //!   machines built from the same [`FrameDecoder`] plus the buffered
-//!   partial-write [`WriteQueue`]. The serve endpoint runs on it on
-//!   Linux.
+//!   partial-write [`WriteQueue`]. It is the serve endpoint's only I/O
+//!   model, so `a4nn serve` needs Linux.
 //!
 //! The load-bearing property is *placement invariance*: the worker runs
 //! exactly the in-process training function on a purely
@@ -55,8 +55,6 @@ pub use frame::{
 };
 pub use protocol::Message;
 #[cfg(target_os = "linux")]
-pub use reactor::{
-    CloseReason, FrameHandler, HandlerAction, Reactor, ReactorConfig, ReactorHandle, Token,
-};
+pub use reactor::{FrameHandler, HandlerAction, Reactor, ReactorConfig, ReactorHandle, Token};
 pub use transport::{SocketOptions, SocketTransport};
 pub use worker::{WorkerHandle, WorkerServer};

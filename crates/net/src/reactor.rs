@@ -1,10 +1,9 @@
 //! The event-driven I/O reactor: one thread multiplexing every
 //! connection through `epoll`.
 //!
-//! Thread-per-connection spends an OS thread and stack per client; this
-//! module replaces that with nonblocking connection state machines
-//! driven by readiness events, so a *fixed* reactor thread serves
-//! hundreds of sockets. Each connection is:
+//! Connections are nonblocking state machines driven by readiness
+//! events, so a *fixed* reactor thread serves hundreds of sockets
+//! instead of an OS thread and stack per client. Each connection is:
 //!
 //! ```text
 //!   accept ──▶ read-ready: bytes ──▶ FrameDecoder ──▶ handler.on_frame
@@ -29,8 +28,8 @@
 //! mutex-guarded queue and ring an `eventfd` doorbell, which is itself
 //! just another fd in the epoll set.
 //!
-//! This file is Linux-only (see [`sys`](crate::sys)); other platforms
-//! keep the portable thread-per-connection path.
+//! This file is Linux-only (see [`sys`](crate::sys)); `a4nn serve`,
+//! which runs on it, refuses on other platforms.
 
 use crate::frame::{FrameDecoder, NetError, WriteQueue};
 use crate::sys::{epoll_event, Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -49,20 +48,13 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Token(u64);
 
-impl Token {
-    /// The raw token value (diagnostics).
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-}
-
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_DOORBELL: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
 /// Why a connection left the reactor.
 #[derive(Debug)]
-pub enum CloseReason {
+enum CloseReason {
     /// The peer closed cleanly at a frame boundary.
     PeerClosed,
     /// No read/write progress before the idle deadline — the
@@ -71,7 +63,7 @@ pub enum CloseReason {
     /// The stream carried a framing or protocol violation.
     Protocol(NetError),
     /// The socket failed.
-    Io(String),
+    Io,
     /// The handler asked for the close.
     Requested,
 }
@@ -91,10 +83,8 @@ pub enum HandlerAction {
 /// connection, keyed by [`Token`]. All methods run on the reactor
 /// thread, so `&mut self` needs no locking.
 pub trait FrameHandler {
-    /// A connection was accepted. Frames queued on `out` are sent
-    /// before any request is read (unused by protocols where the client
-    /// speaks first).
-    fn on_open(&mut self, token: Token, out: &mut WriteQueue);
+    /// A connection was accepted; the client speaks first.
+    fn on_open(&mut self, token: Token);
 
     /// One complete, header-validated frame payload arrived.
     fn on_frame(&mut self, token: Token, payload: &[u8], out: &mut WriteQueue) -> HandlerAction;
@@ -104,7 +94,7 @@ pub trait FrameHandler {
     fn on_complete(&mut self, token: Token, frame: Vec<u8>, out: &mut WriteQueue) -> HandlerAction;
 
     /// The connection is gone; drop any per-connection state.
-    fn on_close(&mut self, token: Token, reason: &CloseReason);
+    fn on_close(&mut self, token: Token);
 }
 
 /// Reactor tuning knobs.
@@ -207,10 +197,9 @@ impl Reactor {
     }
 
     /// Accept and multiplex connections until the session budget is
-    /// served (`sessions == 0` serves forever). Counting matches the
-    /// threaded accept loop: a session is one accepted connection, and
-    /// the reactor returns once the budget is accepted *and* every
-    /// connection has closed.
+    /// served (`sessions == 0` serves forever). A session is one
+    /// accepted connection, and the reactor returns once the budget is
+    /// accepted *and* every connection has closed.
     pub fn run<H: FrameHandler>(
         &mut self,
         listener: &TcpListener,
@@ -353,7 +342,7 @@ impl Reactor {
                     let _ = stream.set_nodelay(true);
                     let token = Token(*next_token);
                     *next_token += 1;
-                    let mut conn = Conn {
+                    let conn = Conn {
                         stream,
                         decoder: FrameDecoder::new(),
                         outq: WriteQueue::new(),
@@ -363,18 +352,13 @@ impl Reactor {
                         seen_first_byte: false,
                         interest: EPOLLIN | EPOLLRDHUP,
                     };
-                    handler.on_open(token, &mut conn.outq);
-                    if !conn.outq.is_empty() {
-                        // Optimistic flush of any greeting frames.
-                        let _ = conn.outq.flush_into(&mut conn.stream);
-                        conn.interest = conn.desired_interest();
-                    }
+                    handler.on_open(token);
                     if let Err(e) = self
                         .epoll
                         .add(conn.stream.as_raw_fd(), conn.interest, token.0)
                     {
                         eprintln!("a4nn reactor: registering accepted socket: {e}");
-                        handler.on_close(token, &CloseReason::Io(e.to_string()));
+                        handler.on_close(token);
                         continue;
                     }
                     conns.insert(token.0, conn);
@@ -482,7 +466,7 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return None,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Some(CloseReason::Io(e.to_string())),
+                Err(_) => return Some(CloseReason::Io),
             }
         }
     }
@@ -544,7 +528,7 @@ impl Reactor {
             if let CloseReason::Protocol(e) = &reason {
                 eprintln!("a4nn reactor: connection ended abnormally: {e}");
             }
-            handler.on_close(token, &reason);
+            handler.on_close(token);
             // `conn.stream` drops here, closing the fd.
         }
     }
@@ -573,7 +557,7 @@ fn flush_outbound(
             }
             None
         }
-        Err(e) => Some(CloseReason::Io(e.to_string())),
+        Err(_) => Some(CloseReason::Io),
     }
 }
 

@@ -5,8 +5,8 @@
 //! stand-in for four syscalls, this module declares the exact
 //! `extern "C"` surface the reactor needs and wraps it in two RAII
 //! types, [`Epoll`] and [`EventFd`]. Everything here is
-//! `#[cfg(target_os = "linux")]`; other platforms keep the portable
-//! thread-per-connection path and never compile this file.
+//! `#[cfg(target_os = "linux")]`; other platforms never compile this
+//! file, and the serve endpoint, which needs it, refuses there.
 //!
 //! Errno handling rides on `std::io::Error::last_os_error()`, which
 //! reads the thread-local errno the same way libc leaves it — no

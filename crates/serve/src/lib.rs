@@ -20,10 +20,9 @@
 //! - [`server`] / [`client`] — the TCP endpoint and its blocking client,
 //!   speaking [`protocol`] messages over the `a4nn-net` frame codec
 //!   (same magic, version, and typed frame errors as the distributed
-//!   search). The platform picks the connection layer: on Linux the
-//!   epoll reactor from `a4nn_net::reactor` multiplexes every connection
-//!   through one thread; where epoll does not exist, each connection
-//!   gets its own thread.
+//!   search). The epoll reactor from `a4nn_net::reactor` multiplexes
+//!   every connection through one thread; it is the only I/O model, so
+//!   off Linux [`ServeServer::bind`] refuses with a config error.
 //!
 //! The load-bearing property is the serving restatement of the
 //! workspace determinism argument: eval-mode forward treats every sample

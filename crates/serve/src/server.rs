@@ -1,21 +1,17 @@
 //! The serve endpoint: a TCP listener in front of the micro-batcher.
 //!
-//! The platform picks the connection layer; the operator does not:
+//! Connections run on the epoll event loop from `a4nn_net::reactor`:
+//! every connection is a nonblocking state machine (request decode →
+//! batcher hand-off → response flush) multiplexed by one fixed thread,
+//! with batch workers posting completions back through the reactor's
+//! eventfd doorbell. Thread count is reactor + batch workers,
+//! independent of client count. It is the only I/O model: off Linux,
+//! where there is no epoll, [`ServeServer::bind`] refuses with an
+//! [`A4nnError::Config`] (exit 3).
 //!
-//! - **Linux** — the epoll event loop from [`a4nn_net::reactor`]: every
-//!   connection is a nonblocking state machine (request decode →
-//!   batcher hand-off → response flush) multiplexed by one fixed
-//!   thread, with batch workers posting completions back through the
-//!   reactor's eventfd doorbell. Thread count is reactor + batch workers,
-//!   independent of client count.
-//! - **Elsewhere** (no epoll) — one thread per accepted connection,
-//!   blocking frame reads with the idle deadline applied as a socket read
-//!   timeout. Finished connection threads are reaped as new connections
-//!   arrive, so a long-lived server's bookkeeping stays bounded.
-//!
-//! Either way connection handling does no tensor work: frames are
-//! decoded, requests handed to the [`Batcher`], replies written. All
-//! `f32` scratch lives in the batch workers' pooled arenas.
+//! Connection handling does no tensor work: frames are decoded,
+//! requests handed to the [`Batcher`], replies written. All `f32`
+//! scratch lives in the batch workers' pooled arenas.
 //!
 //! When a metrics path is configured, the registry snapshot is persisted
 //! atomically (tmp+rename) at most once every two seconds as
@@ -25,22 +21,13 @@
 
 use crate::batcher::{Batcher, BatcherConfig};
 use crate::model::ModelRepo;
-use crate::protocol::{ServeRequest, ServeResponse};
 use a4nn_error::A4nnError;
 use a4nn_metrics::MetricsRegistry;
-use parking_lot::Mutex;
+use reactor_handler::Reactor;
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-#[cfg(not(target_os = "linux"))]
-use {
-    a4nn_net::{read_message, write_message, NetError},
-    std::net::TcpStream,
-};
-
-/// Persist the metrics snapshot at most this often as connections close.
-const METRICS_INTERVAL: Duration = Duration::from_secs(2);
+use std::time::Duration;
 
 /// Server configuration: batcher knobs plus the idle deadline and the
 /// metrics sink.
@@ -49,8 +36,7 @@ pub struct ServeConfig {
     /// Admission-queue and batching knobs.
     pub batcher: BatcherConfig,
     /// Close a connection with no read/write progress for this long —
-    /// a client stalled mid-frame cannot hold its slot forever. Applied
-    /// as the reactor deadline or the per-socket read timeout.
+    /// a client stalled mid-frame cannot hold its slot forever.
     pub idle_timeout: Duration,
     /// Where to persist the metrics snapshot (atomic tmp+rename), when
     /// set.
@@ -67,60 +53,33 @@ impl Default for ServeConfig {
     }
 }
 
-/// Debounced metrics persistence shared by every connection closer:
-/// writes are atomic and rate-limited, with an explicit final flush.
-struct MetricsPersist {
-    metrics: Arc<MetricsRegistry>,
-    path: PathBuf,
-    last: Mutex<Option<Instant>>,
-}
-
-impl MetricsPersist {
-    /// Persist if [`METRICS_INTERVAL`] elapsed since the last write (or
-    /// none happened yet). Connection churn beyond the rate costs nothing.
-    fn maybe_persist(&self) {
-        {
-            let mut last = self.last.lock();
-            match *last {
-                Some(at) if at.elapsed() < METRICS_INTERVAL => return,
-                _ => *last = Some(Instant::now()),
-            }
-        }
-        self.persist_now();
-    }
-
-    /// Unconditional write — the shutdown flush.
-    fn persist_now(&self) {
-        if let Err(e) = a4nn_lineage::write_atomic(&self.path, &snapshot_json(&self.metrics)) {
-            eprintln!(
-                "a4nn serve: writing metrics to {}: {e}",
-                self.path.display()
-            );
-        }
-    }
-}
-
-fn snapshot_json(metrics: &MetricsRegistry) -> Vec<u8> {
-    metrics
+/// Write the metrics snapshot to `path` atomically (tmp+rename). A
+/// failed write is logged, never fatal to the server.
+fn persist_metrics(metrics: &MetricsRegistry, path: &Path) {
+    let json = metrics
         .snapshot()
         .to_json()
-        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}").into_bytes())
+        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}").into_bytes());
+    if let Err(e) = a4nn_lineage::write_atomic(path, &json) {
+        eprintln!("a4nn serve: writing metrics to {}: {e}", path.display());
+    }
 }
 
 /// A bound serve endpoint, ready to accept classify connections.
 pub struct ServeServer {
     listener: TcpListener,
+    reactor: Reactor,
     batcher: Arc<Batcher>,
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     metrics: Arc<MetricsRegistry>,
-    idle_timeout: Duration,
-    persist: Option<Arc<MetricsPersist>>,
+    metrics_out: Option<PathBuf>,
 }
 
 impl ServeServer {
-    /// Bind `addr` (port `0` picks a free port) and start the batch
-    /// workers over `repo`'s models. A zero `idle_timeout` is a
-    /// [`A4nnError::Config`]: every connection would be idle at once.
+    /// Create the reactor, bind `addr` (port `0` picks a free port) and
+    /// start the batch workers over `repo`'s models. A zero
+    /// `idle_timeout` is a [`A4nnError::Config`]: every connection would
+    /// be idle at once. So is a platform without epoll, refused before
+    /// the port is bound or a batch worker starts.
     pub fn bind(
         addr: &str,
         repo: ModelRepo,
@@ -132,22 +91,16 @@ impl ServeServer {
                 "the serve idle timeout must be positive".into(),
             ));
         }
+        let reactor = reactor_handler::open(cfg.idle_timeout, Arc::clone(&metrics))?;
         let listener = TcpListener::bind(addr)
             .map_err(|e| A4nnError::Net(format!("binding serve listener on {addr}: {e}")))?;
         let batcher = Arc::new(Batcher::start(repo, cfg.batcher, Arc::clone(&metrics))?);
-        let persist = cfg.metrics_out.map(|path| {
-            Arc::new(MetricsPersist {
-                metrics: Arc::clone(&metrics),
-                path,
-                last: Mutex::new(None),
-            })
-        });
         Ok(ServeServer {
             listener,
+            reactor,
             batcher,
             metrics,
-            idle_timeout: cfg.idle_timeout,
-            persist,
+            metrics_out: cfg.metrics_out,
         })
     }
 
@@ -158,38 +111,24 @@ impl ServeServer {
             .map_err(|e| A4nnError::Net(format!("reading serve listener address: {e}")))
     }
 
-    /// Accept and serve connections through the platform's I/O layer.
-    /// `sessions == 0` serves forever; otherwise the server exits after
-    /// that many connections have been accepted *and* finished. A
-    /// connection that ends abnormally (dropped socket, bad frame, idle
-    /// deadline) is logged and counted, never fatal to the server.
-    pub fn run(&self, sessions: usize) -> Result<(), A4nnError> {
-        #[cfg(target_os = "linux")]
-        let result = self.run_reactor(sessions);
-        #[cfg(not(target_os = "linux"))]
-        let result = self.run_threads(sessions);
-        if let Some(persist) = &self.persist {
-            persist.persist_now();
+    /// Accept and serve connections on the reactor. `sessions == 0`
+    /// serves forever; otherwise the server exits after that many
+    /// connections have been accepted *and* finished. A connection that
+    /// ends abnormally (dropped socket, bad frame, idle deadline) is
+    /// logged and counted, never fatal to the server.
+    pub fn run(&mut self, sessions: usize) -> Result<(), A4nnError> {
+        let result = reactor_handler::serve(
+            &mut self.reactor,
+            &self.listener,
+            &self.batcher,
+            &self.metrics,
+            &self.metrics_out,
+            sessions,
+        );
+        if let Some(path) = &self.metrics_out {
+            persist_metrics(&self.metrics, path);
         }
         result
-    }
-
-    /// The epoll event loop (Linux).
-    #[cfg(target_os = "linux")]
-    fn run_reactor(&self, sessions: usize) -> Result<(), A4nnError> {
-        use a4nn_net::reactor::{Reactor, ReactorConfig};
-        let mut reactor = Reactor::new(ReactorConfig {
-            idle_timeout: self.idle_timeout,
-            metrics: Arc::clone(&self.metrics),
-        })?;
-        let mut handler = ServeHandler {
-            batcher: Arc::clone(&self.batcher),
-            metrics: Arc::clone(&self.metrics),
-            reactor: reactor.handle(),
-            sessions: std::collections::HashMap::new(),
-            persist: self.persist.clone(),
-        };
-        reactor.run(&self.listener, &mut handler, sessions)
     }
 
     /// Bind and serve on a background thread — the in-process server the
@@ -201,7 +140,7 @@ impl ServeServer {
         metrics: Arc<MetricsRegistry>,
         sessions: usize,
     ) -> Result<ServeHandle, A4nnError> {
-        let server = ServeServer::bind(addr, repo, cfg, metrics)?;
+        let mut server = ServeServer::bind(addr, repo, cfg, metrics)?;
         let addr = server.local_addr()?;
         let join = std::thread::spawn(move || server.run(sessions));
         Ok(ServeHandle { addr, join })
@@ -228,113 +167,54 @@ impl ServeHandle {
     }
 }
 
-// ---------------------------------------------------------------------
-// Thread-per-connection path (platforms without epoll)
-// ---------------------------------------------------------------------
-
-#[cfg(not(target_os = "linux"))]
-impl ServeServer {
-    /// The portable thread-per-connection accept loop.
-    fn run_threads(&self, sessions: usize) -> Result<(), A4nnError> {
-        let mut accepted = 0usize;
-        let mut joins: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        for stream in self.listener.incoming() {
-            let stream =
-                stream.map_err(|e| A4nnError::Net(format!("accepting serve connection: {e}")))?;
-            // Reap finished connection threads before tracking another:
-            // a long-lived server must not accumulate a JoinHandle per
-            // connection it ever served.
-            let mut i = 0;
-            while i < joins.len() {
-                if joins[i].is_finished() {
-                    let _ = joins.swap_remove(i).join();
-                } else {
-                    i += 1;
-                }
-            }
-            let batcher = Arc::clone(&self.batcher);
-            let persist = self.persist.clone();
-            let idle = self.idle_timeout;
-            joins.push(std::thread::spawn(move || {
-                if let Err(e) = serve_connection(stream, &batcher, idle) {
-                    eprintln!("a4nn serve: connection ended abnormally: {e}");
-                }
-                if let Some(persist) = persist {
-                    persist.maybe_persist();
-                }
-            }));
-            accepted += 1;
-            if sessions != 0 && accepted >= sessions {
-                break;
-            }
-        }
-        for join in joins {
-            let _ = join.join();
-        }
-        Ok(())
-    }
-}
-
-/// Drive one client session over `stream` (thread-per-connection mode).
-/// The idle deadline is enforced as a socket read timeout: a client
-/// that stalls mid-frame or goes silent is disconnected, matching the
-/// reactor's deadline semantics.
-#[cfg(not(target_os = "linux"))]
-fn serve_connection(
-    stream: TcpStream,
-    batcher: &Batcher,
-    idle_timeout: Duration,
-) -> Result<(), NetError> {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(idle_timeout));
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-
-    loop {
-        match read_message::<_, ServeRequest>(&mut reader)? {
-            Some(ServeRequest::Classify {
-                model_id,
-                channels,
-                height,
-                width,
-                pixels,
-            }) => {
-                let response = match batcher.classify(model_id, channels, height, width, pixels) {
-                    Ok(c) => ServeResponse::Classified {
-                        model_id: c.model_id,
-                        class: c.class,
-                        logits: c.logits,
-                    },
-                    Err(A4nnError::Saturated(reason)) => ServeResponse::Rejected { reason },
-                    Err(e) => ServeResponse::Error {
-                        message: e.to_string(),
-                    },
-                };
-                write_message(&mut writer, &response)?;
-            }
-            Some(ServeRequest::Models) => {
-                write_message(
-                    &mut writer,
-                    &ServeResponse::Models(batcher.infos().to_vec()),
-                )?;
-            }
-            Some(ServeRequest::Goodbye) | None => return Ok(()),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Reactor connection path (Linux)
-// ---------------------------------------------------------------------
-
+/// The serve protocol on the epoll reactor.
 #[cfg(target_os = "linux")]
 mod reactor_handler {
     use super::*;
     use crate::batcher::Classification;
+    use crate::protocol::{ServeRequest, ServeResponse};
     use a4nn_metrics::names;
-    use a4nn_net::reactor::{CloseReason, FrameHandler, HandlerAction, ReactorHandle, Token};
+    pub(super) use a4nn_net::reactor::Reactor;
+    use a4nn_net::reactor::{FrameHandler, HandlerAction, ReactorConfig, ReactorHandle, Token};
     use a4nn_net::{encode, WriteQueue};
     use std::collections::{HashMap, VecDeque};
+    use std::time::Instant;
+
+    /// Persist the metrics snapshot at most this often as connections
+    /// close.
+    const METRICS_INTERVAL: Duration = Duration::from_secs(2);
+
+    /// Create the epoll instance and its completion doorbell.
+    pub(super) fn open(
+        idle_timeout: Duration,
+        metrics: Arc<MetricsRegistry>,
+    ) -> Result<Reactor, A4nnError> {
+        Reactor::new(ReactorConfig {
+            idle_timeout,
+            metrics,
+        })
+    }
+
+    /// Run the event loop over `listener` until the session budget is
+    /// served (`sessions == 0` serves forever).
+    pub(super) fn serve(
+        reactor: &mut Reactor,
+        listener: &TcpListener,
+        batcher: &Arc<Batcher>,
+        metrics: &Arc<MetricsRegistry>,
+        metrics_out: &Option<PathBuf>,
+        sessions: usize,
+    ) -> Result<(), A4nnError> {
+        let mut handler = ServeHandler {
+            batcher: Arc::clone(batcher),
+            metrics: Arc::clone(metrics),
+            reactor: reactor.handle(),
+            sessions: HashMap::new(),
+            metrics_out: metrics_out.clone(),
+            last_persist: None,
+        };
+        reactor.run(listener, &mut handler, sessions)
+    }
 
     /// Most requests a pipelining client may have parked behind an
     /// in-flight classification before the connection is dropped as
@@ -344,7 +224,7 @@ mod reactor_handler {
 
     /// Per-connection protocol state: one request in flight at a time,
     /// made explicit because the reactor cannot block between states.
-    pub(super) struct Session {
+    struct Session {
         /// A classification is at the batcher; its reply frame must be
         /// written before any later request's.
         in_flight: bool,
@@ -355,12 +235,14 @@ mod reactor_handler {
 
     /// The reactor-side serve protocol: one handler instance for all
     /// connections, keyed by token.
-    pub(super) struct ServeHandler {
-        pub(super) batcher: Arc<Batcher>,
-        pub(super) metrics: Arc<MetricsRegistry>,
-        pub(super) reactor: ReactorHandle,
-        pub(super) sessions: HashMap<Token, Session>,
-        pub(super) persist: Option<Arc<MetricsPersist>>,
+    struct ServeHandler {
+        batcher: Arc<Batcher>,
+        metrics: Arc<MetricsRegistry>,
+        reactor: ReactorHandle,
+        sessions: HashMap<Token, Session>,
+        metrics_out: Option<PathBuf>,
+        /// The last on-close snapshot write, for the [`METRICS_INTERVAL`] debounce.
+        last_persist: Option<Instant>,
     }
 
     impl ServeHandler {
@@ -463,7 +345,7 @@ mod reactor_handler {
     }
 
     impl FrameHandler for ServeHandler {
-        fn on_open(&mut self, token: Token, _out: &mut WriteQueue) {
+        fn on_open(&mut self, token: Token) {
             self.sessions.insert(
                 token,
                 Session {
@@ -518,10 +400,16 @@ mod reactor_handler {
             self.pump_parked(token, out)
         }
 
-        fn on_close(&mut self, token: Token, _reason: &CloseReason) {
+        fn on_close(&mut self, token: Token) {
             self.sessions.remove(&token);
-            if let Some(persist) = &self.persist {
-                persist.maybe_persist();
+            if let Some(path) = &self.metrics_out {
+                if self
+                    .last_persist
+                    .is_none_or(|at| at.elapsed() >= METRICS_INTERVAL)
+                {
+                    self.last_persist = Some(Instant::now());
+                    persist_metrics(&self.metrics, path);
+                }
             }
         }
     }
@@ -539,5 +427,28 @@ mod reactor_handler {
     }
 }
 
-#[cfg(target_os = "linux")]
-use reactor_handler::ServeHandler;
+/// Off Linux there is no epoll and so no I/O model to serve on:
+/// [`open`](reactor_handler::open) refuses, so `bind` fails before it
+/// binds the port or starts a batch worker, and no server is ever built
+/// to reach [`serve`](reactor_handler::serve).
+#[cfg(not(target_os = "linux"))]
+mod reactor_handler {
+    use super::*;
+
+    pub(super) enum Reactor {}
+
+    pub(super) fn open(_: Duration, _: Arc<MetricsRegistry>) -> Result<Reactor, A4nnError> {
+        Err(A4nnError::Config("a4nn serve needs epoll (Linux)".into()))
+    }
+
+    pub(super) fn serve(
+        reactor: &mut Reactor,
+        _: &TcpListener,
+        _: &Arc<Batcher>,
+        _: &Arc<MetricsRegistry>,
+        _: &Option<PathBuf>,
+        _: usize,
+    ) -> Result<(), A4nnError> {
+        match *reactor {}
+    }
+}

@@ -1,7 +1,7 @@
 //! How connections end. A client that stalls mid-frame is disconnected
 //! at the idle deadline, and while it stalls it never blocks service to
-//! healthy connections; on the reactor a Goodbye closes the connection
-//! at once, not at that deadline.
+//! healthy connections; a Goodbye closes the connection at once, not at
+//! that deadline.
 //!
 //! The stalled client sends *half* a frame and then goes silent — the
 //! worst case for a server, because the connection is mid-parse: a
@@ -9,7 +9,6 @@
 //! would keep the registration alive with no way to make progress.
 
 use a4nn_core::prelude::*;
-#[cfg(target_os = "linux")]
 use a4nn_metrics::names;
 use a4nn_net::encode;
 use a4nn_serve::{BatcherConfig, ModelRepo, ServeClient, ServeConfig, ServeRequest, ServeServer};
@@ -140,7 +139,6 @@ fn stalled_client_is_reaped_without_blocking_others() {
 /// every `epoll_wait` once the peer left, and only the idle deadline
 /// reaped it — a `--sessions 1` server outlived its client by the whole
 /// timeout, spinning a core.
-#[cfg(target_os = "linux")]
 #[test]
 fn reactor_closes_on_goodbye_without_waiting_for_the_idle_deadline() {
     const SESSIONS: usize = 8;

@@ -158,7 +158,6 @@ pub trait Transport {
         &self,
         pipeline: &EvalPipeline<'_>,
         genomes: &[Genome],
-        generation: usize,
         base_id: u64,
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError>;
 
@@ -263,7 +262,7 @@ impl<'a> EvalPipeline<'a> {
         generation: usize,
         base_id: u64,
     ) -> Result<BatchResult, A4nnError> {
-        let outcomes = transport.run_generation(self, genomes, generation, base_id)?;
+        let outcomes = transport.run_generation(self, genomes, base_id)?;
 
         // Engine overhead is measured wall time and reported separately
         // (§4.3.1 finds it negligible); folding it into simulated
@@ -356,7 +355,6 @@ impl Transport for DirectTransport {
         &self,
         pipeline: &EvalPipeline<'_>,
         genomes: &[Genome],
-        _generation: usize,
         base_id: u64,
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError> {
         let (engine, plan) = (pipeline.cfg.engine.as_ref(), &pipeline.ft.plan);
@@ -388,7 +386,6 @@ impl Transport for BusTransport {
         &self,
         pipeline: &EvalPipeline<'_>,
         genomes: &[Genome],
-        _generation: usize,
         base_id: u64,
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError> {
         let topic: Topic<Event> = Topic::new("a4nn");

@@ -106,12 +106,8 @@ impl DataCommons {
                 if i == j {
                     continue;
                 }
-                // Dimensions verified uniform above; a mismatch here is
-                // unreachable, but stay on the fallible path anyway.
-                let cmp = a
-                    .try_compare(b)
-                    .map_err(|e| A4nnError::Config(format!("objective comparison failed: {e}")))?;
-                if cmp == Dominance::DominatedBy {
+                // Dimensions verified uniform above.
+                if a.compare(b) == Dominance::DominatedBy {
                     dominated = true;
                     break;
                 }

@@ -27,7 +27,7 @@ use std::io::{self, Read, Write};
 /// change. Every frame header carries it and nothing else does, so
 /// mismatched builds refuse each other's first frame as
 /// [`NetError::VersionMismatch`] instead of misparsing.
-pub const PROTOCOL_VERSION: u16 = 4;
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Frame preamble, for cheap misdial detection.
 pub const MAGIC: [u8; 4] = *b"A4NN";
@@ -43,7 +43,8 @@ pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 /// Read granularity for payloads in [`read_message`]. The payload buffer
 /// grows by at most this much ahead of the bytes actually received, so a
 /// peer that announces a huge length but never sends the bytes costs the
-/// reader one chunk of memory, not [`MAX_PAYLOAD`].
+/// reader one chunk of memory, not [`MAX_PAYLOAD`]. The serve event
+/// loop reads its nonblocking sockets in chunks of this size too.
 pub const READ_CHUNK: usize = 64 * 1024;
 
 /// Every way a frame or stream can be malformed. Converted into the
@@ -150,11 +151,6 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet consumed by a complete frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Validate the buffered header and return the full frame length
     /// (header + payload) when the header is complete, `Ok(None)` when
     /// more header bytes are needed.
@@ -176,21 +172,6 @@ impl FrameDecoder {
             .map_err(|e| NetError::Decode(e.to_string()))?;
         self.buf.drain(..total);
         Ok(Some(msg))
-    }
-
-    /// Pop the next complete frame's *raw payload bytes* after header
-    /// validation, leaving deserialization to the caller. This is the
-    /// reactor's entry point: the event loop validates framing once and
-    /// hands the payload to a protocol handler that knows the message
-    /// type.
-    pub fn next_payload(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        let total = match self.frame_len()? {
-            Some(total) if self.buf.len() >= total => total,
-            _ => return Ok(None),
-        };
-        let payload = self.buf[HEADER_LEN..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some(payload))
     }
 
     /// Call when the stream reached clean EOF: leftover buffered bytes
@@ -294,7 +275,7 @@ pub fn read_message<R: Read, T: Deserialize>(r: &mut R) -> Result<Option<T>, Net
 /// A nonblocking socket may accept any prefix of a `write` (including
 /// nothing); the queue owns whatever the kernel did not take, so a
 /// frame's bytes hit the wire exactly once and in order no matter how
-/// the writes are cut. The reactor re-registers write interest exactly
+/// the writes are cut. An event loop watches for write readiness exactly
 /// while [`pending`](Self::pending) is nonzero.
 #[derive(Debug, Default)]
 pub struct WriteQueue {
@@ -446,6 +427,7 @@ mod tests {
         }
         .into();
         assert_eq!(e.exit_code(), 9);
-        assert!(e.to_string().contains("we speak v4, peer sent v3"), "{e}");
+        let expected = format!("we speak v{PROTOCOL_VERSION}, peer sent v3");
+        assert!(e.to_string().contains(&expected), "{e}");
     }
 }

@@ -7,7 +7,9 @@
 //! - [`frame`] — the wire codec: length-prefixed, versioned frames
 //!   carrying JSON payloads (`"A4NN"` magic + `u16` protocol version +
 //!   `u32` length), with typed rejection of truncation, corruption, and
-//!   foreign protocol revisions.
+//!   foreign protocol revisions. Its incremental [`FrameDecoder`] and
+//!   partial-write [`WriteQueue`] are what the `a4nn-serve` event loop
+//!   drives its nonblocking connections with.
 //! - [`worker`] — the worker process ([`WorkerServer`]): accepts a
 //!   coordinator session, advertises its GPUs unprompted, rebuilds the deterministic trainer the shipped
 //!   [`RunSetup`](Message::RunSetup) names, trains jobs with
@@ -17,12 +19,6 @@
 //!   workers weighted by their advertised GPU counts from one dispatch
 //!   loop, detects dead workers by heartbeat deadline, and requeues
 //!   their in-flight jobs on that loop's ready queue.
-//! - [`reactor`] (Linux) — the event-driven I/O layer: an epoll event
-//!   loop over hand-written syscall bindings ([`sys`]) that multiplexes
-//!   every connection through one thread, driving nonblocking state
-//!   machines built from the same [`FrameDecoder`] plus the buffered
-//!   partial-write [`WriteQueue`]. It is the serve endpoint's only I/O
-//!   model, so `a4nn serve` needs Linux.
 //!
 //! The load-bearing property is *placement invariance*: the worker runs
 //! exactly the in-process training function on a purely
@@ -38,14 +34,9 @@
 //! breakage with its own CLI exit code.
 
 #![warn(clippy::redundant_clone)]
-#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod frame;
 pub mod protocol;
-#[cfg(target_os = "linux")]
-pub mod reactor;
-#[cfg(target_os = "linux")]
-pub mod sys;
 pub mod transport;
 pub mod worker;
 
@@ -54,7 +45,5 @@ pub use frame::{
     MAX_PAYLOAD, PROTOCOL_VERSION, READ_CHUNK,
 };
 pub use protocol::Message;
-#[cfg(target_os = "linux")]
-pub use reactor::{FrameHandler, HandlerAction, Reactor, ReactorConfig, ReactorHandle, Token};
 pub use transport::{SocketOptions, SocketTransport};
 pub use worker::{WorkerHandle, WorkerServer};

@@ -19,7 +19,7 @@
 //! Revisions: 2, `JobDone` carries the full cost vector; 3, `RunSetup`'s
 //! configuration carries the trainer (a worker of 2 would ignore it and
 //! train the surrogate); 4, the worker speaks first and no body carries
-//! a version.
+//! a version; 5, `Job` drops its unused `generation` field.
 //!
 //! Trainer results cross the wire as the full
 //! [`TrainingOutcome`] — every simulated duration and fitness value
@@ -63,8 +63,6 @@ pub enum Message {
     Job {
         /// Model id (also the reply correlation key).
         model_id: u64,
-        /// Generation index, for logging symmetry with the bus events.
-        generation: usize,
         /// 1-based dispatch attempt across workers — keys the
         /// `WorkerDrop` fault gate, never the trainer's own retry
         /// counter.

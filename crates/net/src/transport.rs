@@ -235,7 +235,6 @@ impl SocketTransport {
         dispatch: &mut Dispatch,
         pipeline: &EvalPipeline<'_>,
         genomes: &[Genome],
-        generation: usize,
         base_id: u64,
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError> {
         let start = Instant::now();
@@ -281,7 +280,6 @@ impl SocketTransport {
                 job.flight = Some((conn, sent, (sent - job.ready_at).as_secs_f64()));
                 let message = Message::Job {
                     model_id: base_id + k as u64,
-                    generation,
                     dispatch_attempt: job.attempt,
                     genome: genomes[k].clone(),
                 };
@@ -348,12 +346,10 @@ impl Transport for SocketTransport {
         &self,
         pipeline: &EvalPipeline<'_>,
         genomes: &[Genome],
-        generation: usize,
         base_id: u64,
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError> {
         let mut dispatch = self.dispatch.lock();
-        let result =
-            self.dispatch_generation(&mut dispatch, pipeline, genomes, generation, base_id);
+        let result = self.dispatch_generation(&mut dispatch, pipeline, genomes, base_id);
         if result.is_err() {
             // Nothing answers a failed generation: retire every
             // connection so a later run cannot pick up a stale answer.

@@ -179,7 +179,6 @@ fn serve_session(stream: TcpStream, gpus: usize) -> Result<(), NetError> {
                 match read_message::<_, Message>(&mut reader) {
                     Ok(Some(Message::Job {
                         model_id,
-                        generation: _,
                         dispatch_attempt,
                         genome,
                     })) => {

@@ -45,7 +45,6 @@ fn a_job_beyond_the_advertised_gpus_ends_the_session() {
             &mut &stream,
             &Message::Job {
                 model_id,
-                generation: 0,
                 dispatch_attempt: 1,
                 genome: config.search_space().random_genome(&mut rng),
             },
@@ -124,7 +123,6 @@ fn a_bad_trainer_ends_only_its_session() {
         &mut &stream,
         &Message::Job {
             model_id: 0,
-            generation: 0,
             dispatch_attempt: 1,
             genome: config.search_space().random_genome(&mut rng),
         },

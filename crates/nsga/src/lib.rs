@@ -64,6 +64,6 @@ pub mod sort;
 
 pub use crowding::crowding_distance;
 pub use evolve::{breed, environmental_selection, Individual};
-pub use objectives::{cmp_objective, DimensionMismatch, Dominance, Objectives};
+pub use objectives::{cmp_objective, Dominance, Objectives};
 pub use select::{tournament_select, RankedIndividual};
 pub use sort::{fast_non_dominated_sort, ranks_from_fronts};

@@ -14,7 +14,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::fmt;
 
 /// Total order on one objective coordinate under the minimization
 /// convention, ranking NaN of either sign strictly worst (greatest).
@@ -30,30 +29,6 @@ pub fn cmp_objective(a: f64, b: f64) -> Ordering {
         (false, false) => a.total_cmp(&b),
     }
 }
-
-/// Two objective vectors of different dimension were compared — data
-/// from one search was mixed with data from another (a foreign snapshot
-/// or commons). Load boundaries surface this as a typed error instead
-/// of letting [`Objectives::compare`] panic mid-search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DimensionMismatch {
-    /// Dimension of the left-hand vector.
-    pub left: usize,
-    /// Dimension of the right-hand vector.
-    pub right: usize,
-}
-
-impl fmt::Display for DimensionMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "objective vectors have mismatched dimensions ({} vs {})",
-            self.left, self.right
-        )
-    }
-}
-
-impl std::error::Error for DimensionMismatch {}
 
 /// Outcome of a pairwise dominance comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,24 +78,13 @@ impl Objectives {
     /// Pairwise Pareto comparison. Panics if dimensionalities differ —
     /// inside one search every vector shares the configured dimension by
     /// construction, so a mismatch here is a bug. Data crossing a trust
-    /// boundary (snapshot or commons loads) goes through
-    /// [`try_compare`](Self::try_compare) instead.
+    /// boundary (snapshot or commons loads) checks its dimensions first.
     pub fn compare(&self, other: &Objectives) -> Dominance {
-        match self.try_compare(other) {
-            Ok(d) => d,
-            Err(_) => panic!("objective vectors must have equal dimension"),
-        }
-    }
-
-    /// Pairwise Pareto comparison returning a typed error on dimension
-    /// mismatch, for comparisons over loaded (untrusted) vectors.
-    pub fn try_compare(&self, other: &Objectives) -> Result<Dominance, DimensionMismatch> {
-        if self.0.len() != other.0.len() {
-            return Err(DimensionMismatch {
-                left: self.0.len(),
-                right: other.0.len(),
-            });
-        }
+        assert_eq!(
+            self.0.len(),
+            other.0.len(),
+            "objective vectors must have equal dimension"
+        );
         let mut better = false;
         let mut worse = false;
         for (&a, &b) in self.0.iter().zip(&other.0) {
@@ -130,11 +94,11 @@ impl Objectives {
                 Ordering::Equal => {}
             }
         }
-        Ok(match (better, worse) {
+        match (better, worse) {
             (true, false) => Dominance::Dominates,
             (false, true) => Dominance::DominatedBy,
             _ => Dominance::Indifferent,
-        })
+        }
     }
 
     /// `self` strictly dominates `other`.
@@ -192,16 +156,6 @@ mod tests {
         let a = Objectives::new(vec![1.0]);
         let b = Objectives::new(vec![1.0, 2.0]);
         let _ = a.compare(&b);
-    }
-
-    #[test]
-    fn try_compare_surfaces_dimension_mismatch_as_value() {
-        let a = Objectives::new(vec![1.0]);
-        let b = Objectives::new(vec![1.0, 2.0]);
-        let err = a.try_compare(&b).unwrap_err();
-        assert_eq!(err, DimensionMismatch { left: 1, right: 2 });
-        assert!(err.to_string().contains("1 vs 2"));
-        assert_eq!(a.try_compare(&a.clone()), Ok(Dominance::Indifferent));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! *prediction analysis* loop of §2.1, matching Algorithm 1's
 //! `pred_eng(e_pred, F, C_min, r)` interface.
 
-use crate::analyzer::PredictionAnalyzer;
 use crate::curve::CurveFamily;
 use crate::fit::{fit_curve, FitConfig};
 use serde::{Deserialize, Serialize};
@@ -44,12 +43,29 @@ impl EngineConfig {
         }
     }
 
-    fn analyzer(&self) -> PredictionAnalyzer {
-        PredictionAnalyzer {
-            window: self.n_converge,
-            tolerance: self.r,
-            bounds: self.bounds,
+    /// The prediction analyzer (§2.1.2): whether the prediction history
+    /// `P` has converged to a stable, in-bounds value. Only the last
+    /// [`n_converge`](Self::n_converge) entries are inspected; a `None`
+    /// (a failed fit, or too few points) or an out-of-bounds value among
+    /// them vetoes convergence, and otherwise their range `max − min`
+    /// must not exceed [`r`](Self::r). `n_converge == 0` never converges.
+    pub fn converged(&self, predictions: &[Option<f64>]) -> bool {
+        let n = self.n_converge;
+        if n == 0 || predictions.len() < n {
+            return false;
         }
+        let (lo, hi) = self.bounds;
+        let tail = &predictions[predictions.len() - n..];
+        if !tail
+            .iter()
+            .all(|p| p.is_some_and(|v| v.is_finite() && v >= lo && v <= hi))
+        {
+            return false;
+        }
+        let values = || tail.iter().flatten().copied();
+        let max = values().fold(f64::NEG_INFINITY, f64::max);
+        let min = values().fold(f64::INFINITY, f64::min);
+        max - min <= self.r
     }
 }
 
@@ -95,7 +111,6 @@ pub struct EngineStats {
 #[derive(Debug, Clone)]
 pub struct PredictionEngine {
     config: EngineConfig,
-    analyzer: PredictionAnalyzer,
     /// Fitness history `H`: the epochs and their measured fitness, kept
     /// as the two series the fitter reads.
     epochs: Vec<f64>,
@@ -108,10 +123,8 @@ pub struct PredictionEngine {
 impl PredictionEngine {
     /// Build an engine from a configuration.
     pub fn new(config: EngineConfig) -> Self {
-        let analyzer = config.analyzer();
         PredictionEngine {
             config,
-            analyzer,
             epochs: Vec::with_capacity(32),
             fitness: Vec::with_capacity(32),
             predictions: Vec::with_capacity(32),
@@ -135,10 +148,10 @@ impl PredictionEngine {
         let prediction = self.predict_once();
         self.predictions.push(prediction);
         self.stats.interactions += 1;
-        let converged = self.analyzer.converged(&self.predictions);
+        let converged = self.config.converged(&self.predictions);
         self.stats.total_seconds += t0.elapsed().as_secs_f64();
         if converged {
-            // P[-1] — guaranteed Some by the analyzer.
+            // P[-1] — guaranteed Some by `converged`.
             self.predictions.last().copied().flatten()
         } else {
             None
@@ -321,5 +334,77 @@ mod tests {
         let fitness = run.converged.expect("fig2-style curve must converge");
         assert!((6..=18).contains(&run.epochs()), "epoch {}", run.epochs());
         assert!((fitness - f(25)).abs() < 2.0);
+    }
+
+    fn some(vals: &[f64]) -> Vec<Option<f64>> {
+        vals.iter().map(|&v| Some(v)).collect()
+    }
+
+    #[test]
+    fn converges_when_last_n_within_range() {
+        let c = EngineConfig::paper_defaults();
+        assert!(c.converged(&some(&[40.0, 80.0, 95.0, 95.2, 95.4])));
+    }
+
+    #[test]
+    fn does_not_converge_when_spread_exceeds_r() {
+        let c = EngineConfig::paper_defaults();
+        assert!(!c.converged(&some(&[95.0, 95.2, 95.8])));
+    }
+
+    #[test]
+    fn boundary_spread_exactly_r_converges() {
+        let c = EngineConfig::paper_defaults();
+        assert!(c.converged(&some(&[95.0, 95.25, 95.5])));
+    }
+
+    #[test]
+    fn out_of_bounds_prediction_vetoes() {
+        let c = EngineConfig::paper_defaults();
+        // 104 > 100: invalid fitness, per §2.1.2.
+        assert!(!c.converged(&some(&[104.0, 104.1, 104.2])));
+        assert!(!c.converged(&some(&[-1.0, -1.0, -1.0])));
+    }
+
+    #[test]
+    fn nan_and_missing_predictions_veto() {
+        let c = EngineConfig::paper_defaults();
+        assert!(!c.converged(&[Some(95.0), None, Some(95.1)]));
+        assert!(!c.converged(&some(&[95.0, f64::NAN, 95.1])));
+    }
+
+    #[test]
+    fn too_short_history_does_not_converge() {
+        let c = EngineConfig::paper_defaults();
+        assert!(!c.converged(&some(&[95.0, 95.1])));
+        assert!(!c.converged(&[]));
+    }
+
+    #[test]
+    fn only_the_trailing_window_matters() {
+        let c = EngineConfig::paper_defaults();
+        // Early garbage followed by a stable tail converges.
+        assert!(c.converged(&some(&[10.0, 200.0, 95.0, 95.1, 95.2])));
+    }
+
+    #[test]
+    fn zero_window_never_converges() {
+        let c = EngineConfig {
+            n_converge: 0,
+            ..EngineConfig::paper_defaults()
+        };
+        assert!(!c.converged(&some(&[95.0, 95.0, 95.0])));
+    }
+
+    #[test]
+    fn custom_bounds_apply() {
+        // Loss-style fitness in [0, 1].
+        let c = EngineConfig {
+            bounds: (0.0, 1.0),
+            r: 0.01,
+            ..EngineConfig::paper_defaults()
+        };
+        assert!(c.converged(&some(&[0.90, 0.904, 0.908])));
+        assert!(!c.converged(&some(&[1.5, 1.5, 1.5])));
     }
 }

@@ -11,7 +11,7 @@
 //!    squares ([`fit`]), and
 //! 2. extrapolates the fitness the network is expected to attain at a
 //!    target epoch `e_pred`, then decides via the **prediction analyzer**
-//!    ([`analyzer`]) whether the sequence of predictions has converged to a
+//!    ([`EngineConfig::converged`]) whether the sequence of predictions has converged to a
 //!    stable, in-bounds value, in which case training can be terminated
 //!    early.
 //!
@@ -40,12 +40,10 @@
 //! ```
 #![warn(clippy::redundant_clone)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
-pub mod analyzer;
 pub mod curve;
 pub mod engine;
 pub mod fit;
 
-pub use analyzer::PredictionAnalyzer;
 pub use curve::CurveFamily;
 pub use engine::{replay, EngineConfig, EngineStats, PredictionEngine, Replay, Verdict};
 pub use fit::{fit_curve, FitConfig, FitError, FitResult};

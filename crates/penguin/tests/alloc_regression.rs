@@ -7,7 +7,7 @@
 //! global allocator for this test binary only (one test per binary, so
 //! the counter sees nothing but the calls under measurement).
 
-use a4nn_penguin::{fit_curve, CurveFamily, FitConfig, PredictionAnalyzer};
+use a4nn_penguin::{fit_curve, CurveFamily, EngineConfig, FitConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -93,10 +93,10 @@ fn fits_allocate_per_call_and_convergence_tests_not_at_all() {
         &[Some(95.0), Some(104.0), Some(95.1)],
         &[Some(94.0), None, Some(95.0), Some(96.0)],
     ];
-    let analyzer = PredictionAnalyzer::paper_defaults();
+    let config = EngineConfig::paper_defaults();
     for preds in histories {
-        let warm = analyzer.converged(preds);
-        let (n, again) = allocations(|| analyzer.converged(preds));
+        let warm = config.converged(preds);
+        let (n, again) = allocations(|| config.converged(preds));
         assert_eq!(warm, again);
         assert_eq!(n, 0, "convergence test allocated {n} times");
     }

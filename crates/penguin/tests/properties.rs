@@ -1,6 +1,6 @@
 //! Property-based tests of the prediction engine.
 
-use a4nn_penguin::{fit_curve, replay, CurveFamily, EngineConfig, FitConfig, PredictionAnalyzer};
+use a4nn_penguin::{fit_curve, replay, CurveFamily, EngineConfig, FitConfig};
 use proptest::prelude::*;
 
 /// Valid parameters of `family` mapped from `unit`'s draws in `[0, 1)`,
@@ -73,13 +73,13 @@ proptest! {
         extra in 0.0f64..5.0,
     ) {
         let preds: Vec<Option<f64>> = values.into_iter().map(Some).collect();
-        let tight = PredictionAnalyzer {
-            tolerance: r_small,
-            ..PredictionAnalyzer::paper_defaults()
+        let tight = EngineConfig {
+            r: r_small,
+            ..EngineConfig::paper_defaults()
         };
-        let loose = PredictionAnalyzer {
-            tolerance: r_small + extra,
-            ..PredictionAnalyzer::paper_defaults()
+        let loose = EngineConfig {
+            r: r_small + extra,
+            ..EngineConfig::paper_defaults()
         };
         if tight.converged(&preds) {
             prop_assert!(loose.converged(&preds));
@@ -90,7 +90,7 @@ proptest! {
     /// out-of-bounds windows.
     #[test]
     fn rules_agree_on_extremes(v in 0.0f64..100.0, oob in 100.01f64..1e4) {
-        let a = PredictionAnalyzer::paper_defaults();
+        let a = EngineConfig::paper_defaults();
         prop_assert!(a.converged(&[Some(v), Some(v), Some(v)]));
         prop_assert!(!a.converged(&[Some(oob), Some(oob), Some(oob)]));
     }

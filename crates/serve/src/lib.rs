@@ -20,9 +20,13 @@
 //! - [`server`] / [`client`] — the TCP endpoint and its blocking client,
 //!   speaking [`protocol`] messages over the `a4nn-net` frame codec
 //!   (same magic, version, and typed frame errors as the distributed
-//!   search). The epoll reactor from `a4nn_net::reactor` multiplexes
-//!   every connection through one thread; it is the only I/O model, so
-//!   off Linux [`ServeServer::bind`] refuses with a config error.
+//!   search). One epoll event loop, over the crate's own syscall
+//!   bindings, multiplexes every connection through one thread and
+//!   speaks the protocol itself: a connection with a classification in
+//!   flight is not read until the reply is queued, so replies leave in
+//!   request order and a pipelining peer waits in its own socket. It is
+//!   the only I/O model, so off Linux [`ServeServer::bind`] refuses
+//!   with a config error.
 //!
 //! The load-bearing property is the serving restatement of the
 //! workspace determinism argument: eval-mode forward treats every sample
@@ -32,15 +36,53 @@
 //! answer is the answer a local single-request evaluation would give.
 
 #![warn(clippy::redundant_clone)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod batcher;
 pub mod client;
 pub mod model;
 pub mod protocol;
+#[cfg(target_os = "linux")]
+mod reactor;
 pub mod server;
+#[cfg(target_os = "linux")]
+mod sys;
 
 pub use batcher::{Batcher, BatcherConfig, Classification};
 pub use client::ServeClient;
 pub use model::{ModelRepo, ServedModel};
 pub use protocol::{ModelInfo, ServeRequest, ServeResponse};
 pub use server::{ServeConfig, ServeHandle, ServeServer};
+
+/// Off Linux there is no epoll and so no I/O model to serve on:
+/// [`Reactor::new`](reactor::Reactor::new) refuses, so
+/// [`ServeServer::bind`] fails before it binds the port or starts a
+/// batch worker, and no server is ever built to reach `run`.
+#[cfg(not(target_os = "linux"))]
+mod reactor {
+    use crate::batcher::Batcher;
+    use a4nn_error::A4nnError;
+    use a4nn_metrics::MetricsRegistry;
+    use std::net::TcpListener;
+    use std::path::Path;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    pub(crate) enum Reactor {}
+
+    impl Reactor {
+        pub(crate) fn new(_: Duration, _: Arc<MetricsRegistry>) -> Result<Self, A4nnError> {
+            Err(A4nnError::Config("a4nn serve needs epoll (Linux)".into()))
+        }
+
+        pub(crate) fn run(
+            &self,
+            _: &TcpListener,
+            _: &Batcher,
+            _: Option<&Path>,
+            _: usize,
+        ) -> Result<(), A4nnError> {
+            match *self {}
+        }
+    }
+}

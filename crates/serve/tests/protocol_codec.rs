@@ -79,7 +79,6 @@ fn train_one() -> Vec<Message> {
         },
         Message::Job {
             model_id: 3,
-            generation: 1,
             dispatch_attempt: 2,
             genome,
         },

@@ -395,6 +395,111 @@ fn pipelined_requests_are_answered_in_request_order() {
     handle.join().unwrap();
 }
 
+/// A pipeline is answered in full however deep it runs: one write of a
+/// Classify, 300 `Models` and a `Goodbye` reads back the
+/// classification, then 300 menus, then EOF. Frames that arrive behind
+/// the in-flight classification wait in the connection's read buffer,
+/// not in a capped queue that drops the connection when it fills.
+#[test]
+fn a_deep_pipeline_is_answered_in_full() {
+    const MENUS: usize = 300;
+    let handle = ServeServer::spawn(
+        "127.0.0.1:0",
+        repo(),
+        ServeConfig::default(),
+        Arc::new(MetricsRegistry::new()),
+        1,
+    )
+    .unwrap();
+    let menu = repo().infos();
+    let c = menu.iter().find(|m| m.default).unwrap().input_channels;
+
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = stream.try_clone().unwrap();
+    let mut writer = stream;
+    let mut frames = encode(&ServeRequest::Classify {
+        model_id: None,
+        channels: c,
+        height: 8,
+        width: 8,
+        pixels: vec![0.5; c * 64],
+    })
+    .unwrap();
+    for _ in 0..MENUS {
+        frames.extend(encode(&ServeRequest::Models).unwrap());
+    }
+    frames.extend(encode(&ServeRequest::Goodbye).unwrap());
+    writer.write_all(&frames).unwrap();
+
+    let mut replies = Vec::new();
+    let end = loop {
+        match read_message::<_, ServeResponse>(&mut reader) {
+            Ok(Some(reply)) => replies.push(reply),
+            other => break other,
+        }
+    };
+    assert_eq!(
+        replies.len(),
+        MENUS + 1,
+        "{} of {} requests answered, then {end:?}",
+        replies.len(),
+        MENUS + 1
+    );
+    assert!(matches!(end, Ok(None)), "Goodbye closes the connection");
+    assert!(matches!(replies[0], ServeResponse::Classified { .. }));
+    assert!(replies[1..]
+        .iter()
+        .all(|r| matches!(r, ServeResponse::Models(m) if m.len() == menu.len())));
+    handle.join().unwrap();
+}
+
+/// A peer that shuts its socket down while a slow classification is in
+/// flight is closed without a busy loop: the readable hang-up is not
+/// read until the reply is queued, and the event loop stops watching it
+/// meanwhile instead of waking on it again and again. The server then
+/// serves its next session.
+#[test]
+fn a_hang_up_during_a_classification_costs_no_busy_loop() {
+    let metrics = Arc::new(MetricsRegistry::new());
+    let handle = ServeServer::spawn(
+        "127.0.0.1:0",
+        repo(),
+        ServeConfig::default(),
+        Arc::clone(&metrics),
+        2,
+    )
+    .unwrap();
+    let menu = repo().infos();
+    let c = menu.iter().find(|m| m.default).unwrap().input_channels;
+
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let classify = ServeRequest::Classify {
+        model_id: None,
+        channels: c,
+        height: 384,
+        width: 384,
+        pixels: vec![0.5; c * 384 * 384],
+    };
+    stream.write_all(&encode(&classify).unwrap()).unwrap();
+    stream.shutdown(std::net::Shutdown::Both).unwrap();
+
+    let mut client = ServeClient::connect(&handle.addr().to_string()).unwrap();
+    assert_eq!(client.models().unwrap().len(), menu.len());
+    client.goodbye().unwrap();
+    handle.join().unwrap();
+
+    let wakeups = metrics
+        .snapshot()
+        .counter(a4nn_metrics::names::REACTOR_WAKEUPS);
+    assert!(
+        wakeups < 100,
+        "{wakeups} event-loop wakeups for two short sessions"
+    );
+}
+
 #[test]
 fn an_unservable_commons_is_a_typed_config_error() {
     let empty = DataCommons::new(Vec::new());

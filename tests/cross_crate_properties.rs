@@ -2,7 +2,7 @@
 
 use a4nn_genome::{Genome, PhaseGenome, SearchSpace};
 use a4nn_nsga::Objectives;
-use a4nn_penguin::PredictionAnalyzer;
+use a4nn_penguin::EngineConfig;
 use a4nn_sched::{schedule, RetryPolicy, Task, TaskOrdering};
 use proptest::prelude::*;
 
@@ -112,7 +112,7 @@ proptest! {
         value in 0.0f64..100.0,
         garbage in 100.0001f64..1e6,
     ) {
-        let analyzer = PredictionAnalyzer::paper_defaults();
+        let analyzer = EngineConfig::paper_defaults();
         let stable = vec![Some(value); 3];
         prop_assert!(analyzer.converged(&stable));
         let poisoned = vec![Some(value), Some(garbage), Some(value)];

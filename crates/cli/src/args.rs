@@ -165,11 +165,6 @@ pub(crate) const FLAGS: &[Flag] = &[
         yet, so each model is an untrained rebuild of its\n\
         genome (ROADMAP.md: \"Serve what was trained\")", &[Serve]),
     Flag("--listen", Some("addr"), "bind address (required), e.g. 0.0.0.0:7463", &[Serve]),
-    Flag("--batch", Some("n"), "max requests per micro-batch [8]", &[Serve]),
-    Flag("--queue", Some("n"), "admission queue capacity; requests beyond it\n\
-        are rejected with exit-class 11 [64]", &[Serve]),
-    Flag("--batch-workers", Some("n"), "batch worker threads [1]", &[Serve]),
-    Flag("--ws-limit-mb", Some("n"), "workspace pool cap per worker, MiB [8]", &[Serve]),
     Flag("--sessions", Some("n"), "serve this many connections then exit;\n\
         0 serves forever [0]", &[Serve]),
     Flag("--idle-ms", Some("n"), "drop a connection with no read/write progress\n\

@@ -205,14 +205,6 @@ fn local_transport(parsed: &Parsed) -> Result<Option<&'static dyn Transport>, Ar
 /// [`ServeConfig::default`] with `serve`'s flags applied.
 fn serve_config(parsed: &Parsed) -> Result<ServeConfig, CommandError> {
     let mut cfg = ServeConfig::default();
-    parsed.set("--batch", &mut cfg.batcher.max_batch)?;
-    parsed.set("--queue", &mut cfg.batcher.queue_cap)?;
-    parsed.set("--batch-workers", &mut cfg.batcher.workers)?;
-    if let Some(mb) = parsed.value::<usize>("--ws-limit-mb")? {
-        cfg.batcher.ws_limit_bytes = mb
-            .checked_mul(1024 * 1024)
-            .ok_or_else(|| A4nnError::Config("--ws-limit-mb is too large".into()))?;
-    }
     if let Some(ms) = parsed.value("--idle-ms")? {
         cfg.idle_timeout = Duration::from_millis(ms);
     }
@@ -788,7 +780,7 @@ mod tests {
                 }
             }
         }
-        assert!(checked >= 80, "only {checked} defaults checked");
+        assert!(checked >= 76, "only {checked} defaults checked");
     }
 
     #[test]

@@ -35,9 +35,10 @@ fn argument_parse_failures_are_two() {
 }
 
 /// Retired flags are unknown flags: the serve connection layer, the
-/// validation chunk size and the metrics persist interval are fixed, and
-/// `analyze --commons` names the run directory `stats --run` did. The
-/// retired `stats` is an unknown command.
+/// validation chunk size, the metrics persist interval and serve's batch
+/// size, queue capacity, batch worker count and workspace cap are
+/// fixed, and `analyze --commons` names the run directory `stats --run`
+/// did. The retired `stats` is an unknown command.
 #[test]
 fn retired_flags_are_unknown() {
     use a4nn_cli::{ArgError, Parsed};
@@ -45,6 +46,10 @@ fn retired_flags_are_unknown() {
         "serve --io reactor",
         "search --eval-chunk 64",
         "serve --metrics-interval-ms 5",
+        "serve --batch 8",
+        "serve --queue 64",
+        "serve --batch-workers 1",
+        "serve --ws-limit-mb 8",
         "analyze --run X",
     ] {
         let argv: Vec<String> = cmdline.split_whitespace().map(String::from).collect();
@@ -123,14 +128,6 @@ fn invalid_values_are_three() {
             );
         }
     }
-    assert_eq!(
-        code(
-            "serve --commons /nonexistent/a4nn-commons --listen 127.0.0.1:0 \
-             --ws-limit-mb 18446744073709551615"
-        ),
-        3,
-        "a workspace cap whose byte count overflows"
-    );
 }
 
 #[test]

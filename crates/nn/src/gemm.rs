@@ -13,8 +13,8 @@
 //! element gets the same products and sums in the same order either way.
 //!
 //! All run on the calling thread, and so does every layer that calls
-//! them: parallelism comes from models running at once (`--gpus`, serve's
-//! `--batch-workers`), never from splitting one layer across threads.
+//! them: parallelism comes from models running at once (`--gpus`), never
+//! from splitting one layer across threads.
 //! [`gemm_nn_seq`] is `Dense`'s kernel.
 //!
 //! The kernels are deterministic by construction: every output element is

@@ -2,24 +2,29 @@
 //! eval-mode forward passes.
 //!
 //! Concurrent classify requests from any number of connections land in
-//! one bounded queue. Admission is all-or-nothing and non-blocking: a
+//! one queue of `QUEUE_CAP` (64) slots. Admission is all-or-nothing and non-blocking: a
 //! full queue refuses the request with [`A4nnError::Saturated`] instead
 //! of queueing unboundedly — the caller sees a typed rejection and backs
 //! off, and the server's memory stays bounded no matter the offered load.
 //!
-//! Batch workers drain the queue greedily: each batch takes consecutive
-//! requests for the *same model and image shape* up to `max_batch` and
-//! runs them through a single eval-mode `forward_ws`. Eval-mode forward
-//! treats every sample independently (per-sample im2col, running BN
-//! stats, row-wise dense), so a request's logits are bitwise identical
-//! whether it rode a batch of one or sixteen — the property the
-//! equivalence suite pins.
+//! One batch worker drains the queue greedily: each batch takes
+//! consecutive requests for the *same model and image shape*, up to
+//! `MAX_BATCH` (8), and runs them through a single eval-mode `forward_ws`.
+//! Eval-mode forward treats every sample independently (per-sample
+//! im2col, running BN stats, row-wise dense), so a request's logits are
+//! bitwise identical whether it rode a batch of one or eight — the
+//! property the equivalence suite pins.
 //!
-//! Each worker owns one [`Workspace`] arena: after warm-up, steady-state
-//! serving performs no heap allocation in the forward path, and a
-//! [`trim_to`](Workspace::trim_to) after every batch bounds the pool
-//! when request shapes vary. The pool's high-water mark is exported
-//! through the metrics registry (summed across workers).
+//! The worker owns the served networks and one [`Workspace`] arena:
+//! after warm-up, steady-state serving performs no heap allocation in
+//! the forward path, and a [`trim_to`](Workspace::trim_to) after every
+//! batch bounds the pool to `WS_LIMIT_BYTES` (8 MiB) when request
+//! shapes vary. The pool's high-water mark is exported through the metrics
+//! registry.
+//!
+//! The bounds (batch size, queue capacity, workspace cap) are constants,
+//! not settings, and a serve process is one event-loop thread plus this
+//! one worker.
 
 use crate::model::ModelRepo;
 use crate::protocol::ModelInfo;
@@ -28,33 +33,26 @@ use a4nn_metrics::{names, MetricsRegistry};
 use a4nn_nn::{Network, Workspace};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Batcher tuning knobs.
-#[derive(Debug, Clone)]
-pub struct BatcherConfig {
-    /// Most requests folded into one forward pass.
-    pub max_batch: usize,
-    /// Admission queue capacity; requests beyond it are rejected.
-    pub queue_cap: usize,
-    /// Batch worker threads (each owns a clone of every served model).
-    pub workers: usize,
-    /// Workspace pool cap per worker, bytes; trimmed after every batch.
-    pub ws_limit_bytes: usize,
-}
+/// Most requests folded into one forward pass.
+const MAX_BATCH: usize = 8;
+/// Admission queue capacity; requests beyond it are rejected.
+const QUEUE_CAP: usize = 64;
+/// The worker's workspace pool is trimmed to this many bytes after
+/// every batch.
+const WS_LIMIT_BYTES: usize = 8 * 1024 * 1024;
 
-impl Default for BatcherConfig {
-    fn default() -> Self {
-        BatcherConfig {
-            max_batch: 8,
-            queue_cap: 64,
-            workers: 1,
-            ws_limit_bytes: 8 * 1024 * 1024,
-        }
-    }
-}
+/// Configures nothing: the batcher's bounds are constants. It exists
+/// only because the benchmark harness (`benchmark/src/probes.rs`) still
+/// calls `Batcher::start(repo, BatcherConfig::default(), …)`; ROADMAP's
+/// benchmark-scope item ("the Bus goes") deletes it together with that
+/// call.
+#[derive(Debug, Clone, Copy, Default)]
+#[non_exhaustive]
+pub struct BatcherConfig;
 
 /// One classify answer.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,7 +91,6 @@ struct Queue {
 struct Shared {
     queue: Mutex<Queue>,
     cond: Condvar,
-    cfg: BatcherConfig,
     infos: Vec<ModelInfo>,
     default_idx: usize,
     metrics: Arc<MetricsRegistry>,
@@ -102,21 +99,17 @@ struct Shared {
 /// The running batcher: submit requests, receive classifications.
 pub struct Batcher {
     shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    worker: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Batcher {
-    /// Consume `repo` and start the batch workers.
+    /// Consume `repo` and start the batch worker, which owns its
+    /// networks. Fails only when the OS refuses the thread.
     pub fn start(
         repo: ModelRepo,
-        cfg: BatcherConfig,
+        _: BatcherConfig,
         metrics: Arc<MetricsRegistry>,
     ) -> Result<Self, A4nnError> {
-        if cfg.max_batch == 0 || cfg.queue_cap == 0 || cfg.workers == 0 {
-            return Err(A4nnError::Config(
-                "batcher max_batch, queue_cap, and workers must all be positive".into(),
-            ));
-        }
         let (infos, default_idx, nets) = repo.into_parts();
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
@@ -124,26 +117,21 @@ impl Batcher {
                 shutdown: false,
             }),
             cond: Condvar::new(),
-            cfg: cfg.clone(),
             infos,
             default_idx,
             metrics,
         });
-        let mut workers = Vec::with_capacity(cfg.workers);
-        // The last worker takes the original networks; earlier ones
-        // clone. Identical weights either way, so which worker executes
-        // a batch cannot perturb answers.
-        let mut pool = Some(nets);
-        for w in 0..cfg.workers {
-            let nets: Vec<Network> = if w + 1 == cfg.workers {
-                pool.take().unwrap_or_default()
-            } else {
-                pool.as_ref().cloned().unwrap_or_default()
-            };
+        let worker = {
             let shared = Arc::clone(&shared);
-            workers.push(std::thread::spawn(move || worker_loop(&shared, nets)));
-        }
-        Ok(Batcher { shared, workers })
+            std::thread::Builder::new()
+                .name("a4nn-batch".into())
+                .spawn(move || worker_loop(&shared, nets))
+                .map_err(|e| A4nnError::Internal(format!("starting the batch worker: {e}")))?
+        };
+        Ok(Batcher {
+            shared,
+            worker: Some(worker),
+        })
     }
 
     /// The Pareto menu the batcher serves.
@@ -151,30 +139,11 @@ impl Batcher {
         &self.shared.infos
     }
 
-    /// Validate and admit one request. Returns the reply receiver, or a
-    /// typed error: `Config` for malformed requests, `Saturated` when the
-    /// admission queue is full.
-    pub fn submit(
-        &self,
-        model_id: Option<u64>,
-        channels: usize,
-        height: usize,
-        width: usize,
-        pixels: Vec<f32>,
-    ) -> Result<Receiver<Classification>, A4nnError> {
-        let (tx, rx) = sync_channel(1);
-        self.submit_sink(model_id, channels, height, width, pixels, move |c| {
-            // A receiver that hung up (dead connection) is not an error.
-            let _ = tx.send(c);
-        })?;
-        Ok(rx)
-    }
-
-    /// [`submit`](Self::submit) with a reply callback — the reactor's
-    /// nonblocking entry point. Validation and admission control are
-    /// identical; only where the answer lands differs. `reply` runs once
-    /// on the batch worker thread, so it must be cheap: encode and
-    /// notify, no tensor work.
+    /// Validate and admit one request, whose answer goes to `reply`.
+    /// Returns a typed error instead: `Config` for a malformed request,
+    /// `Saturated` when the admission queue is full. `reply` runs once on
+    /// the batch worker thread, so it must be cheap: encode and notify,
+    /// no tensor work.
     pub fn submit_sink(
         &self,
         model_id: Option<u64>,
@@ -202,11 +171,15 @@ impl Batcher {
                 info.model_id, info.input_channels
             )));
         }
-        if height == 0 || width == 0 || pixels.len() != channels * height * width {
+        // The shape comes off the wire: a product that overflows is a
+        // malformed request, not a wrapped length that happens to match.
+        let expected = channels
+            .checked_mul(height)
+            .and_then(|n| n.checked_mul(width));
+        if height == 0 || width == 0 || expected != Some(pixels.len()) {
             return Err(A4nnError::Config(format!(
-                "pixel payload is {} value(s), expected {channels}x{height}x{width} = {}",
-                pixels.len(),
-                channels * height * width
+                "pixel payload is {} value(s), expected {channels}x{height}x{width}",
+                pixels.len()
             )));
         }
         let pending = Pending {
@@ -223,12 +196,11 @@ impl Batcher {
             if q.shutdown {
                 return Err(A4nnError::Internal("serve batcher is shut down".into()));
             }
-            if q.items.len() >= self.shared.cfg.queue_cap {
+            if q.items.len() >= QUEUE_CAP {
                 drop(q);
                 self.shared.metrics.add(names::SERVE_REJECTED, 1);
                 return Err(A4nnError::Saturated(format!(
-                    "serve queue holds {} request(s)",
-                    self.shared.cfg.queue_cap
+                    "serve queue holds {QUEUE_CAP} request(s)"
                 )));
             }
             q.items.push_back(pending);
@@ -248,28 +220,27 @@ impl Batcher {
         pixels: Vec<f32>,
     ) -> Result<Classification, A4nnError> {
         let t0 = Instant::now();
-        let rx = self.submit(model_id, channels, height, width, pixels)?;
-        let result = rx
+        let (tx, rx) = sync_channel(1);
+        self.submit_sink(model_id, channels, height, width, pixels, move |c| {
+            // A receiver that hung up is not an error.
+            let _ = tx.send(c);
+        })?;
+        let answer = rx
             .recv()
-            .map_err(|_| A4nnError::Internal("serve batch worker died before replying".into()));
-        if result.is_ok() {
-            self.shared
-                .metrics
-                .observe_duration(names::SERVE_LATENCY_US, t0.elapsed().as_secs_f64());
-        }
-        result
+            .map_err(|_| A4nnError::Internal("serve batch worker died before replying".into()))?;
+        self.shared
+            .metrics
+            .observe_duration(names::SERVE_LATENCY_US, t0.elapsed().as_secs_f64());
+        Ok(answer)
     }
 
-    /// Drain the queue and stop the workers. Requests already admitted
+    /// Drain the queue and stop the worker. Requests already admitted
     /// are answered; the queue refuses new work immediately.
     pub fn shutdown(&mut self) {
-        {
-            let mut q = self.shared.queue.lock();
-            q.shutdown = true;
-        }
+        self.shared.queue.lock().shutdown = true;
         self.shared.cond.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
         }
     }
 }
@@ -294,40 +265,26 @@ fn argmax(row: &[f32]) -> usize {
 
 fn worker_loop(shared: &Shared, mut nets: Vec<Network>) {
     let mut ws = Workspace::new();
-    // Each worker exports the growth of its own pool high-water mark as a
-    // counter delta, so the shared counter sums per-worker peaks.
+    // The registry has counters, not gauges: the pool's high-water mark
+    // goes out as its growth since the last export.
     let mut exported_peak = 0usize;
     loop {
-        let batch: Vec<Pending> = {
+        let (key, batch) = {
             let mut q = shared.queue.lock();
             while q.items.is_empty() && !q.shutdown {
                 shared.cond.wait(&mut q);
             }
-            if q.items.is_empty() {
-                // Shutdown with a drained queue: done.
-                return;
-            }
-            let mut batch = Vec::with_capacity(shared.cfg.max_batch);
+            // Empty here means shut down with the queue drained.
             let Some(first) = q.items.pop_front() else {
-                continue;
+                return;
             };
             let key = first.shape_key();
+            let mut batch = Vec::with_capacity(MAX_BATCH);
             batch.push(first);
-            while batch.len() < shared.cfg.max_batch
-                && q.items.front().is_some_and(|p| p.shape_key() == key)
-            {
-                if let Some(p) = q.items.pop_front() {
-                    batch.push(p);
-                }
+            while batch.len() < MAX_BATCH && q.items.front().is_some_and(|p| p.shape_key() == key) {
+                batch.extend(q.items.pop_front());
             }
-            batch
-        };
-        // Admission control can in principle hand a worker zero work (a
-        // sibling drained the queue between wake-up and pop); the guard
-        // above makes that an explicit skip, never a zero-size forward,
-        // whose accuracy-style reductions are undefined.
-        let Some(first) = batch.first() else {
-            continue;
+            (key, batch)
         };
         let now = Instant::now();
         for p in &batch {
@@ -336,7 +293,7 @@ fn worker_loop(shared: &Shared, mut nets: Vec<Network>) {
                 now.duration_since(p.enqueued).as_secs_f64(),
             );
         }
-        let (model_idx, c, h, w) = first.shape_key();
+        let (model_idx, c, h, w) = key;
         let n = batch.len();
         let mut x = ws.t4_scratch(n, c, h, w);
         let stride = c * h * w;
@@ -360,7 +317,7 @@ fn worker_loop(shared: &Shared, mut nets: Vec<Network>) {
             });
         }
         ws.give2(logits);
-        ws.trim_to(shared.cfg.ws_limit_bytes);
+        ws.trim_to(WS_LIMIT_BYTES);
         shared.metrics.add(names::SERVE_BATCHES, 1);
         shared.metrics.observe(names::SERVE_BATCH_SIZE, n as u64);
         let peak = ws.peak_pooled_bytes();

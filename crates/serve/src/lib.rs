@@ -14,9 +14,9 @@
 //!   deterministic genome rebuild otherwise.
 //! - [`batcher`] — [`Batcher`]: a bounded admission queue (full ⇒ typed
 //!   [`A4nnError::Saturated`](a4nn_error::A4nnError) rejection, CLI exit
-//!   code 11) feeding batch workers that fold same-model, same-shape
-//!   requests into single eval-mode forward passes over pooled
-//!   [`Workspace`](a4nn_nn::Workspace) arenas.
+//!   code 11) feeding one batch worker that folds same-model, same-shape
+//!   requests into single eval-mode forward passes over a pooled
+//!   [`Workspace`](a4nn_nn::Workspace) arena. Its bounds are constants.
 //! - [`server`] / [`client`] — the TCP endpoint and its blocking client,
 //!   speaking [`protocol`] messages over the `a4nn-net` frame codec
 //!   (same magic, version, and typed frame errors as the distributed
@@ -24,16 +24,17 @@
 //!   bindings, multiplexes every connection through one thread and
 //!   speaks the protocol itself: a connection with a classification in
 //!   flight is not read until the reply is queued, so replies leave in
-//!   request order and a pipelining peer waits in its own socket. It is
-//!   the only I/O model, so off Linux [`ServeServer::bind`] refuses
+//!   request order and a pipelining peer waits in its own socket; so
+//!   does one that leaves its replies unread past a fixed byte cap. It
+//!   is the only I/O model, so off Linux [`ServeServer::bind`] refuses
 //!   with a config error.
 //!
 //! The load-bearing property is the serving restatement of the
 //! workspace determinism argument: eval-mode forward treats every sample
-//! independently, so micro-batching, buffer reuse, worker placement, and
-//! the JSON wire codec (f32→f64 widening is exact, and the vendored
-//! serde_json round-trips f64) all preserve logits *bitwise*. A served
-//! answer is the answer a local single-request evaluation would give.
+//! independently, so micro-batching, buffer reuse, and the JSON wire
+//! codec (f32→f64 widening is exact, and the vendored serde_json
+//! round-trips f64) all preserve logits *bitwise*. A served answer is
+//! the answer a local single-request evaluation would give.
 
 #![warn(clippy::redundant_clone)]
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -56,7 +57,7 @@ pub use server::{ServeConfig, ServeHandle, ServeServer};
 
 /// Off Linux there is no epoll and so no I/O model to serve on:
 /// [`Reactor::new`](reactor::Reactor::new) refuses, so
-/// [`ServeServer::bind`] fails before it binds the port or starts a
+/// [`ServeServer::bind`] fails before it binds the port or starts the
 /// batch worker, and no server is ever built to reach `run`.
 #[cfg(not(target_os = "linux"))]
 mod reactor {

@@ -21,7 +21,10 @@
 //!
 //! One request is answered at a time per connection, so replies leave
 //! in request order. A pipelining peer is bounded by what one read
-//! pulled in: the rest waits in its socket, under TCP flow control.
+//! pulled in: the rest waits in its socket, under TCP flow control. So
+//! is a peer that does not read its replies: once more than
+//! `MAX_QUEUED_REPLY_BYTES` of them wait unsent, its connection is
+//! neither decoded nor read until a flush brings them back under.
 //! Cross-thread completions land in a mutex-guarded queue and ring an
 //! `eventfd` doorbell, which is itself just another fd in the epoll set.
 //!
@@ -52,7 +55,12 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// close.
 const METRICS_INTERVAL: Duration = Duration::from_secs(2);
 
-/// Encoded replies the batch workers finished, keyed by connection
+/// Unsent reply bytes past which a connection's requests are neither
+/// decoded nor read, so a peer that pipelines and never reads is held
+/// by TCP flow control, not by server memory.
+const MAX_QUEUED_REPLY_BYTES: usize = 64 * 1024;
+
+/// Encoded replies the batch worker finished, keyed by connection
 /// token, and the eventfd that wakes the reactor thread for them.
 struct Completions {
     replies: Mutex<Vec<(u64, Vec<u8>)>>,
@@ -62,7 +70,8 @@ struct Completions {
 /// Where a connection is in its request/response cycle.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum State {
-    /// Reading and answering frames.
+    /// Reading and answering frames, while its unsent replies are
+    /// within `MAX_QUEUED_REPLY_BYTES`.
     Reading,
     /// A classification is at the batcher. Nothing is decoded or read
     /// until its reply is queued; the registration still watches reads,
@@ -91,12 +100,19 @@ struct Conn {
 }
 
 impl Conn {
-    /// Reads are watched while the connection reads or waits for its
-    /// reply; writes exactly while bytes are queued.
+    /// Whether its requests are decoded and read: it is reading, and its
+    /// unsent replies are within `MAX_QUEUED_REPLY_BYTES`.
+    fn takes_requests(&self) -> bool {
+        self.state == State::Reading && self.outq.pending() <= MAX_QUEUED_REPLY_BYTES
+    }
+
+    /// Reads are watched while the connection takes requests or waits for
+    /// its reply; writes exactly while bytes are queued.
     fn desired_interest(&self) -> u32 {
-        let reads = match self.state {
-            State::Reading | State::Busy => EPOLLIN | EPOLLRDHUP,
-            State::BusyUnwatched | State::Closing => 0,
+        let reads = if self.takes_requests() || self.state == State::Busy {
+            EPOLLIN | EPOLLRDHUP
+        } else {
+            0
         };
         let writes = if self.outq.is_empty() { 0 } else { EPOLLOUT };
         reads | writes
@@ -283,7 +299,7 @@ impl EventLoop<'_> {
         true
     }
 
-    /// Queue each reply the batch workers finished, then answer the
+    /// Queue each reply the batch worker finished, then answer the
     /// frames its connection read while it was busy.
     fn deliver_replies(&mut self) {
         self.reactor.completions.doorbell.drain();
@@ -329,7 +345,7 @@ impl EventLoop<'_> {
     }
 
     /// Pull bytes until `WouldBlock`, answering complete frames as they
-    /// arrive, and stop early once the connection is busy or closing.
+    /// arrive, and stop early once the connection takes no requests.
     /// EOF at a frame boundary closes after the flush; an error closes
     /// now.
     fn read(&mut self, t: u64, read_buf: &mut [u8]) -> Result<(), NetError> {
@@ -337,7 +353,7 @@ impl EventLoop<'_> {
             let Some(conn) = self.conns.get_mut(&t) else {
                 return Ok(());
             };
-            if conn.state != State::Reading {
+            if !conn.takes_requests() {
                 return Ok(());
             }
             match conn.stream.read(read_buf) {
@@ -366,12 +382,12 @@ impl EventLoop<'_> {
     }
 
     /// Answer the complete frames in the connection's read buffer, in
-    /// order, until it runs dry or the connection turns busy or closing.
+    /// order, until it runs dry or the connection takes no more requests.
     fn answer_buffered(&mut self, t: u64) -> Result<(), NetError> {
         let Some(conn) = self.conns.get_mut(&t) else {
             return Ok(());
         };
-        while conn.state == State::Reading {
+        while conn.takes_requests() {
             let Some(request) = conn.decoder.next_frame::<ServeRequest>()? else {
                 break;
             };
@@ -445,6 +461,17 @@ impl EventLoop<'_> {
                 conn.last_progress = Instant::now();
             }
         }
+        // A flush that brought the unsent replies back under the cap
+        // resumes the frames already read; reads resume with the
+        // interest below.
+        if queued > MAX_QUEUED_REPLY_BYTES && conn.takes_requests() {
+            if let Err(e) = self.answer_buffered(t) {
+                return self.close(t, Some(e));
+            }
+        }
+        let Some(conn) = self.conns.get_mut(&t) else {
+            return;
+        };
         if conn.state == State::Closing && conn.outq.is_empty() {
             return self.close(t, None);
         }

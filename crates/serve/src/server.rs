@@ -2,15 +2,15 @@
 //!
 //! Connections run on the crate's epoll event loop: every connection is
 //! a nonblocking state machine (request decode → batcher hand-off →
-//! response flush) multiplexed by one fixed thread, with batch workers
-//! posting completions back through an eventfd doorbell. Thread count
-//! is that one thread + batch workers, independent of client count. It
-//! is the only I/O model: off Linux, where there is no epoll,
+//! response flush) multiplexed by one fixed thread, with the batch
+//! worker posting completions back through an eventfd doorbell. A
+//! server is those two threads, whatever its client count. It is the
+//! only I/O model: off Linux, where there is no epoll,
 //! [`ServeServer::bind`] refuses with an [`A4nnError::Config`] (exit 3).
 //!
 //! Connection handling does no tensor work: frames are decoded,
 //! requests handed to the [`Batcher`], replies written. All `f32`
-//! scratch lives in the batch workers' pooled arenas.
+//! scratch lives in the batch worker's pooled arena.
 //!
 //! When a metrics path is configured, the registry snapshot is persisted
 //! atomically (tmp+rename) at most once every two seconds as
@@ -28,12 +28,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Server configuration: batcher knobs plus the idle deadline and the
-/// metrics sink.
+/// Server configuration: the idle deadline and the metrics sink. The
+/// batcher's bounds are constants (see [`crate::batcher`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Admission-queue and batching knobs.
-    pub batcher: BatcherConfig,
     /// Close a connection with no read/write progress for this long —
     /// a client stalled mid-frame cannot hold its slot forever.
     pub idle_timeout: Duration,
@@ -45,7 +43,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            batcher: BatcherConfig::default(),
             idle_timeout: Duration::from_secs(30),
             metrics_out: None,
         }
@@ -75,10 +72,10 @@ pub struct ServeServer {
 
 impl ServeServer {
     /// Create the reactor, bind `addr` (port `0` picks a free port) and
-    /// start the batch workers over `repo`'s models. A zero
+    /// start the batch worker over `repo`'s models. A zero
     /// `idle_timeout` is a [`A4nnError::Config`]: every connection would
     /// be idle at once. So is a platform without epoll, refused before
-    /// the port is bound or a batch worker starts.
+    /// the port is bound or the batch worker starts.
     pub fn bind(
         addr: &str,
         repo: ModelRepo,
@@ -93,7 +90,7 @@ impl ServeServer {
         let reactor = Reactor::new(cfg.idle_timeout, Arc::clone(&metrics))?;
         let listener = TcpListener::bind(addr)
             .map_err(|e| A4nnError::Net(format!("binding serve listener on {addr}: {e}")))?;
-        let batcher = Batcher::start(repo, cfg.batcher, Arc::clone(&metrics))?;
+        let batcher = Batcher::start(repo, BatcherConfig, Arc::clone(&metrics))?;
         Ok(ServeServer {
             listener,
             reactor,

@@ -10,12 +10,13 @@ use a4nn_core::prelude::*;
 use a4nn_net::{encode, read_message, PROTOCOL_VERSION};
 use a4nn_nn::{Tensor4, Workspace};
 use a4nn_serve::{
-    Batcher, BatcherConfig, ModelRepo, ServeClient, ServeConfig, ServeRequest, ServeResponse,
-    ServeServer,
+    Batcher, BatcherConfig, Classification, ModelRepo, ServeClient, ServeConfig, ServeRequest,
+    ServeResponse, ServeServer,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, OnceLock};
 
 /// Request shapes mixed into the load: batching groups by shape, so a
@@ -93,18 +94,15 @@ fn micro_batched_responses_match_single_request_eval_bitwise() {
 
     let serving = repo();
     let menu = serving.infos();
-    let cfg = ServeConfig {
-        batcher: BatcherConfig {
-            max_batch: 4,
-            queue_cap: 256,
-            workers: 2,
-            ..BatcherConfig::default()
-        },
-        ..ServeConfig::default()
-    };
     let metrics = Arc::new(MetricsRegistry::new());
-    let handle = ServeServer::spawn("127.0.0.1:0", serving, cfg, Arc::clone(&metrics), CLIENTS)
-        .expect("spawning the in-process serve endpoint");
+    let handle = ServeServer::spawn(
+        "127.0.0.1:0",
+        serving,
+        ServeConfig::default(),
+        Arc::clone(&metrics),
+        CLIENTS,
+    )
+    .expect("spawning the in-process serve endpoint");
     let addr = handle.addr().to_string();
 
     // Concurrent clients, each cycling model picks and shapes, recording
@@ -139,7 +137,7 @@ fn micro_batched_responses_match_single_request_eval_bitwise() {
                         let pix = pixels(&mut rng, channels * h * w);
                         let answer = client
                             .classify(pick, channels, h, w, pix.clone())
-                            .expect("well-formed request under an uncapped queue");
+                            .expect("well-formed request, one in flight per client");
                         out.push((
                             answer.model_id,
                             channels,
@@ -199,33 +197,36 @@ fn micro_batched_responses_match_single_request_eval_bitwise() {
 
 #[test]
 fn saturation_is_typed_and_never_poisons_accepted_requests() {
+    const BURST: usize = 400;
     let serving = repo();
     let menu = serving.infos();
     let default = menu.iter().find(|m| m.default).unwrap().clone();
     let metrics = Arc::new(MetricsRegistry::new());
-    let batcher = Batcher::start(
-        serving,
-        BatcherConfig {
-            max_batch: 1,
-            queue_cap: 1,
-            workers: 1,
-            ..BatcherConfig::default()
-        },
-        Arc::clone(&metrics),
-    )
-    .unwrap();
+    let batcher = Batcher::start(serving, BatcherConfig::default(), Arc::clone(&metrics)).unwrap();
 
-    // Submit far faster than one worker can evaluate 16x16 forward
-    // passes: with a single-slot queue the burst must overrun admission.
+    // The first request's reply holds the batch worker until the burst
+    // is in, so the queue fills on every run: the worker takes at most
+    // one batch before it blocks, and the rest of the burst overruns
+    // the admission queue however fast the host evaluates.
+    let (release, hold) = sync_channel::<()>(0);
+    let mut hold = Some(hold);
     let (h, w) = (16usize, 16usize);
     let len = default.input_channels * h * w;
     let mut rng = StdRng::seed_from_u64(99);
     let mut accepted = Vec::new();
     let mut rejected = 0usize;
-    for _ in 0..400 {
+    for _ in 0..BURST {
         let pix = pixels(&mut rng, len);
-        match batcher.submit(None, default.input_channels, h, w, pix.clone()) {
-            Ok(rx) => accepted.push((pix, rx)),
+        let (tx, rx) = sync_channel(1);
+        let hold = hold.take();
+        let reply = move |answer: Classification| {
+            if let Some(hold) = hold {
+                let _ = hold.recv();
+            }
+            let _ = tx.send(answer);
+        };
+        match batcher.submit_sink(None, default.input_channels, h, w, pix.clone(), reply) {
+            Ok(()) => accepted.push((pix, rx)),
             Err(A4nnError::Saturated(reason)) => {
                 assert_eq!(A4nnError::Saturated(reason).exit_code(), 11);
                 rejected += 1;
@@ -233,9 +234,10 @@ fn saturation_is_typed_and_never_poisons_accepted_requests() {
             Err(other) => panic!("only Saturated may reject a well-formed request: {other}"),
         }
     }
+    drop(release);
     assert!(
         rejected > 0,
-        "a 400-request burst into a 1-slot queue must saturate"
+        "a {BURST}-request burst into a held worker's queue must saturate"
     );
     assert!(!accepted.is_empty(), "admission must still accept work");
 
@@ -263,7 +265,7 @@ fn saturation_is_typed_and_never_poisons_accepted_requests() {
     let snap = metrics.snapshot();
     assert_eq!(
         snap.counter("serve_requests") + snap.counter("serve_rejected"),
-        400,
+        BURST as u64,
         "admission accounting must partition the offered load"
     );
 }
@@ -303,7 +305,16 @@ fn menu_matches_the_commons_pareto_front_and_picker_validates() {
     );
     let err = client.classify(None, c, 8, 8, vec![0.0; 3]).unwrap_err();
     assert!(matches!(err, A4nnError::Config(_)), "bad payload: {err}");
-    // The session survives both errors.
+    // A shape whose element count overflows is malformed too, not a
+    // wrapped count that matches an empty payload.
+    let err = client
+        .classify(None, c, 1 << 32, 1 << 32, Vec::new())
+        .unwrap_err();
+    assert!(
+        matches!(err, A4nnError::Config(_)),
+        "overflowing shape: {err}"
+    );
+    // The session survives all three errors.
     let answer = client.classify(None, c, 8, 8, vec![0.5; c * 64]).unwrap();
     assert_eq!(answer.logits.len(), menu[0].num_classes);
     client.goodbye().unwrap();

@@ -11,7 +11,7 @@
 use a4nn_core::prelude::*;
 use a4nn_metrics::names;
 use a4nn_net::encode;
-use a4nn_serve::{BatcherConfig, ModelRepo, ServeClient, ServeConfig, ServeRequest, ServeServer};
+use a4nn_serve::{ModelRepo, ServeClient, ServeConfig, ServeRequest, ServeServer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
@@ -72,7 +72,6 @@ fn stalled_client_is_reaped_without_blocking_others() {
     let serving = repo();
     let metrics = Arc::new(MetricsRegistry::new());
     let cfg = ServeConfig {
-        batcher: BatcherConfig::default(),
         idle_timeout: IDLE,
         ..ServeConfig::default()
     };

@@ -11,7 +11,7 @@
 
 use crate::data::Dataset;
 use crate::layers::{
-    reference, BatchNorm2d, Conv2d, Dense, GlobalAvgPool, MaxPool2d, ParamVisitor, Relu,
+    reference, BatchNormRelu, Conv2d, Dense, GlobalAvgPool, MaxPool2d, ParamVisitor,
 };
 use crate::tensor::{Tensor2, Tensor4};
 use crate::workspace::Workspace;
@@ -85,20 +85,23 @@ pub struct NetSpec {
     pub num_classes: usize,
 }
 
-/// Conv → BN → ReLU composite block.
+/// Conv → BN → ReLU composite block, the ReLU inside [`BatchNormRelu`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct ConvBnRelu {
     conv: Conv2d,
-    bn: BatchNorm2d,
-    relu: Relu,
+    bn: BatchNormRelu,
 }
 
 impl ConvBnRelu {
-    fn new<R: Rng + ?Sized>(c_in: usize, c_out: usize, kernel: usize, rng: &mut R) -> Self {
+    pub(crate) fn new<R: Rng + ?Sized>(
+        c_in: usize,
+        c_out: usize,
+        kernel: usize,
+        rng: &mut R,
+    ) -> Self {
         ConvBnRelu {
             conv: Conv2d::new(c_in, c_out, kernel, rng),
-            bn: BatchNorm2d::new(c_out),
-            relu: Relu::new(),
+            bn: BatchNormRelu::new(c_out),
         }
     }
 
@@ -106,7 +109,7 @@ impl ConvBnRelu {
         let a = self.conv.forward_ws(x, training, ws);
         let b = self.bn.forward_ws(&a, training, ws);
         ws.give4(a);
-        self.relu.forward_owned(b)
+        b
     }
 
     /// Backward through the block; the gradient with respect to its input
@@ -117,8 +120,7 @@ impl ConvBnRelu {
         input_grad: bool,
         ws: &mut Workspace,
     ) -> Option<Tensor4> {
-        let g = self.relu.backward_owned(grad);
-        let g = self.bn.backward_owned(g, ws);
+        let g = self.bn.backward_owned(grad, ws);
         let gin = if input_grad {
             Some(self.conv.backward_ws(&g, ws))
         } else {
@@ -139,8 +141,8 @@ impl ConvBnRelu {
         self.bn.rebuild_buffers();
     }
 
-    fn flops(&self, h: usize, w: usize) -> f64 {
-        self.conv.flops(h, w) + self.bn.flops(h, w) + self.relu.flops(self.conv.c_out, h, w)
+    pub(crate) fn flops(&self, h: usize, w: usize) -> f64 {
+        self.conv.flops(h, w) + self.bn.flops(h, w)
     }
 }
 

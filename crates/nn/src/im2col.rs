@@ -20,7 +20,9 @@
 //!   into a panel of scratch that every row of `g` then meets.
 //! - The input gradient is `Wᵀ[K×c_out] · g[c_out×P]` scattered back onto
 //!   the input (`conv_input_grad`), computed a block of input channels
-//!   at a time so the block's rows stay in cache.
+//!   at a time so the block's rows stay in cache. The scatter is compiled
+//!   for the one kernel side the search space builds, 3×3, at widths 16,
+//!   8 and 4 (`scatter_rows`); other shapes take the general loop.
 //!
 //! Each GEMM reads the same values as it would from the written-out
 //! matrix and performs the same operations in the same order, so the
@@ -269,17 +271,20 @@ pub(crate) fn conv_input_grad(
         cols_mat.fill(0.0);
         gemm::gemm_nn(rows, p, c_out, wt_rows, g_s, cols_mat);
         let block_g = ConvGeometry::same(rows / kk, g.h, g.w, g.kernel);
-        match g.w {
-            16 => scatter_rows::<16>(cols_mat, &block_g, gin_block),
-            8 => scatter_rows::<8>(cols_mat, &block_g, gin_block),
-            4 => scatter_rows::<4>(cols_mat, &block_g, gin_block),
+        match (g.w, g.kernel) {
+            (16, 3) => scatter_rows::<16, 3>(cols_mat, &block_g, gin_block),
+            (8, 3) => scatter_rows::<8, 3>(cols_mat, &block_g, gin_block),
+            (4, 3) => scatter_rows::<4, 3>(cols_mat, &block_g, gin_block),
             _ => scatter_any(cols_mat, &block_g, gin_block),
         }
     }
 }
 
-/// The stride-1 `same` scatter for a compile-time input width: each input
-/// row is accumulated in registers from `0.0` and stored once.
+/// The stride-1 `same` scatter for a compile-time input width `W` and
+/// kernel side `K`: each input row is accumulated in registers from `0.0`
+/// and stored once. `K` is a constant because the search space builds only
+/// 3×3 kernels: its tap loops unroll, and the lane masks and tap bounds
+/// fold to constants.
 ///
 /// Input element `x` of a row takes, from tap `(ky, kx)`, the patch
 /// matrix element `x − (kx − pad)` of that tap's segment — when that lies
@@ -289,8 +294,12 @@ pub(crate) fn conv_input_grad(
 /// zeroed buffer, in the same ascending `(ky, kx)` order per element, so
 /// the sums are bit-identical. (The window's masked-out lanes belong to a
 /// neighbouring segment or row; they are read, never added.)
-fn scatter_rows<const W: usize>(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
-    let (k, pad, h) = (g.kernel, g.pad(), g.h);
+fn scatter_rows<const W: usize, const K: usize>(
+    cols_mat: &[f32],
+    g: &ConvGeometry,
+    dst: &mut [f32],
+) {
+    let (pad, h) = (K / 2, g.h);
     let cols = h * W;
     // Lane mask of tap `kx`: the window `kx − pad` left of the set row.
     let lane_masks = [[0u32; W], [!0u32; W], [0u32; W]];
@@ -301,13 +310,13 @@ fn scatter_rows<const W: usize>(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f
             let mut acc = [0.0f32; W];
             // Tap row `ky` reaches this input row from output row
             // `yy + pad − ky`.
-            for ky in 0..k.min(yy + pad + 1) {
+            for ky in 0..K.min(yy + pad + 1) {
                 let oy = yy + pad - ky;
                 if oy >= h {
                     continue;
                 }
-                let seg_base = (ci * k + ky) * k * cols + oy * W;
-                for kx in 0..k {
+                let seg_base = (ci * K + ky) * K * cols + oy * W;
+                for kx in 0..K {
                     // A tap a full width off either side touches no lane.
                     if kx + W <= pad || kx >= pad + W {
                         continue;
@@ -329,9 +338,9 @@ fn scatter_rows<const W: usize>(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f
     }
 }
 
-/// [`scatter_rows`] for any input width: each input row starts at `0.0`
-/// and takes, tap by tap in ascending `(ky, kx)`, the slice of the tap's
-/// segment that lands inside it.
+/// [`scatter_rows`] for any other width or kernel: each input row starts
+/// at `0.0` and takes, tap by tap in ascending `(ky, kx)`, the slice of
+/// the tap's segment that lands inside it.
 fn scatter_any(cols_mat: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
     let (k, pad, h, w) = (g.kernel, g.pad(), g.h, g.w);
     let cols = h * w;

@@ -145,29 +145,25 @@ impl Conv2d {
             gemm::transpose(c_out, kp, &self.weight, &mut wt);
             wt
         });
-        // Samples in order: each sample's (wg, bg) partial lives in two
-        // pooled buffers zeroed per sample and added to the gradients at
-        // once, so every partial is an independent zero-seeded sum and
-        // the reduction runs in ascending sample order.
+        // Samples in order, each adding its weight and bias gradients
+        // straight onto the layer's. That is bit for bit the sum of
+        // zero-seeded per-sample partials: every `gemm_nt` path
+        // (`dot_lanes`, `dot_lanes_tile`, `nt_across`, AVX-512 `dot_tap`)
+        // gives an output one `c += dot`, and each bias row is one
+        // `c += sum`. `sum` starts at `+0.0`, and every `dot` ends by
+        // adding a chain that starts at `+0.0` (`+ tail`, `+ z`), so
+        // neither is ever `−0.0`, and a partial `0.0 + dot` was `dot`.
         let mut scratch = ws.take_scratch(im2col::backward_scratch(&g, wt.is_some()));
-        let mut wg = ws.take_scratch(self.weight.len());
-        let mut bg = ws.take_scratch(c_out);
-        let taps = self.taps.starts(&g);
+        let (taps, wg, bg) = (self.taps.starts(&g), &mut self.wgrad, &mut self.bgrad);
         let mut gin_samples = grad_in.map(|t| t.data_mut().chunks_mut(self.c_in * h * w));
         for ni in 0..n {
-            wg.fill(0.0);
-            bg.fill(0.0);
             let (frame, g_s) = (frames.row(ni), grad_out.sample(ni));
-            im2col::conv_param_grads(frame, taps, g_s, &g, &mut scratch, &mut wg, &mut bg);
+            im2col::conv_param_grads(frame, taps, g_s, &g, &mut scratch, wg, bg);
             if let (Some(gin_s), Some(wt)) = (gin_samples.as_mut().and_then(Iterator::next), &wt) {
                 im2col::conv_input_grad(g_s, wt, &g, &mut scratch, gin_s);
             }
-            add_into(&mut self.wgrad, &wg);
-            add_into(&mut self.bgrad, &bg);
         }
         ws.give(scratch);
-        ws.give(wg);
-        ws.give(bg);
         if let Some(wt) = wt {
             ws.give(wt);
         }
@@ -194,21 +190,17 @@ impl Conv2d {
     }
 }
 
-/// `acc[i] += v[i]` for every `i`.
-fn add_into(acc: &mut [f32], v: &[f32]) {
-    for (a, x) in acc.iter_mut().zip(v) {
-        *a += x;
-    }
-}
-
 // ---------------------------------------------------------------------------
-// BatchNorm2d
+// BatchNormRelu
 // ---------------------------------------------------------------------------
 
 /// Per-channel batch normalization with learnable scale/shift and running
-/// statistics for inference.
+/// statistics for inference, followed by a rectified linear unit: the
+/// search space builds BatchNorm only ever followed by ReLU, so one pass
+/// writes the rectified output. The ReLU is a select, `v > 0.0 ? v : +0.0`:
+/// anything not `> 0.0` — negatives, `-0.0`, NaN — becomes `+0.0`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchNorm2d {
+pub struct BatchNormRelu {
     /// Channel count.
     pub channels: usize,
     /// Learnable scale γ.
@@ -229,6 +221,10 @@ pub struct BatchNorm2d {
     bgrad: Vec<f32>,
     #[serde(skip)]
     cache: Option<BnCache>,
+    /// Where a training forward's output was `> 0.0`. Its capacity
+    /// persists across calls, so steady state allocates nothing.
+    #[serde(skip)]
+    mask: Vec<bool>,
 }
 
 #[derive(Debug, Clone)]
@@ -272,10 +268,10 @@ fn sum_channels(acc: &mut [f32], hw: usize, term: impl Fn(usize, usize) -> f32) 
     }
 }
 
-impl BatchNorm2d {
+impl BatchNormRelu {
     /// Identity-initialized batch norm.
     pub fn new(channels: usize) -> Self {
-        BatchNorm2d {
+        BatchNormRelu {
             channels,
             gamma: vec![1.0; channels],
             beta: vec![0.0; channels],
@@ -286,16 +282,17 @@ impl BatchNorm2d {
             ggrad: vec![0.0; channels],
             bgrad: vec![0.0; channels],
             cache: None,
+            mask: Vec::new(),
         }
     }
 
     /// Forward pass drawing the output, `x̂` cache and per-channel stat
-    /// buffers from `ws`. `training` selects batch statistics (and
-    /// updates the running averages) versus running statistics.
+    /// buffers from `ws`. `training` selects batch statistics (and updates
+    /// the running averages and the ReLU mask) versus running statistics.
     pub fn forward_ws(&mut self, x: &Tensor4, training: bool, ws: &mut Workspace) -> Tensor4 {
         assert_eq!(x.c, self.channels, "batchnorm channel mismatch");
         let (n, c, h, w) = x.shape();
-        let per_c = (n * h * w) as f32;
+        let (hw, per_c) = (h * w, (n * h * w) as f32);
         // Every element of `out` (and `xhat`) is written below.
         let mut out = ws.t4_scratch(n, c, h, w);
         if training {
@@ -303,12 +300,12 @@ impl BatchNorm2d {
             let mut var = ws.take_zeroed(c);
             for ni in 0..n {
                 let s = x.sample(ni);
-                sum_channels(&mut mean, h * w, |_, i| s[i]);
+                sum_channels(&mut mean, hw, |_, i| s[i]);
             }
             mean.iter_mut().for_each(|m| *m /= per_c);
             for ni in 0..n {
                 let s = x.sample(ni);
-                sum_channels(&mut var, h * w, |ci, i| {
+                sum_channels(&mut var, hw, |ci, i| {
                     let d = s[i] - mean[ci];
                     d * d
                 });
@@ -319,16 +316,28 @@ impl BatchNorm2d {
                 *is = 1.0 / (v + self.eps).sqrt();
             }
             let mut xhat = ws.t4_scratch(n, c, h, w);
+            // Every slot is overwritten below; `resize` only fixes the length.
+            self.mask.resize(x.len(), false);
             for ni in 0..n {
+                let mask_s = &mut self.mask[ni * c * hw..(ni + 1) * c * hw];
                 let xs = x.sample(ni);
                 let xh = xhat.sample_mut(ni);
                 let os = out.sample_mut(ni);
                 for ci in 0..c {
                     let (m, is, g, b) = (mean[ci], inv_std[ci], self.gamma[ci], self.beta[ci]);
-                    for i in ci * h * w..(ci + 1) * h * w {
-                        let norm = (xs[i] - m) * is;
-                        xh[i] = norm;
-                        os[i] = g * norm + b;
+                    // Zipped: the same loop indexed measured a fifth slower.
+                    let plane = ci * hw..(ci + 1) * hw;
+                    for (((xv, xh), o), on) in xs[plane.clone()]
+                        .iter()
+                        .zip(&mut xh[plane.clone()])
+                        .zip(&mut os[plane.clone()])
+                        .zip(&mut mask_s[plane])
+                    {
+                        let norm = (xv - m) * is;
+                        *xh = norm;
+                        let v = g * norm + b;
+                        *on = v > 0.0;
+                        *o = if *on { v } else { 0.0 };
                     }
                 }
             }
@@ -354,8 +363,10 @@ impl BatchNorm2d {
                     let m = self.running_mean[ci];
                     let is = 1.0 / (self.running_var[ci] + self.eps).sqrt();
                     let (g, b) = (self.gamma[ci], self.beta[ci]);
-                    for i in ci * h * w..(ci + 1) * h * w {
-                        os[i] = g * (xs[i] - m) * is + b;
+                    let plane = ci * hw..(ci + 1) * hw;
+                    for (xv, o) in xs[plane.clone()].iter().zip(&mut os[plane]) {
+                        let v = g * (xv - m) * is + b;
+                        *o = if v > 0.0 { v } else { 0.0 };
                     }
                 }
             }
@@ -363,23 +374,30 @@ impl BatchNorm2d {
         out
     }
 
-    /// Backward through the training-mode normalization, writing the input
-    /// gradient in place over `grad_out` (each element is read exactly
-    /// once before its slot is overwritten) and recycling the `x̂` cache.
+    /// Backward through the ReLU and the training-mode normalization,
+    /// writing the input gradient in place over `grad_out` (each element is
+    /// read before its slot is overwritten) and recycling the `x̂` cache.
     pub fn backward_owned(&mut self, mut grad_out: Tensor4, ws: &mut Workspace) -> Tensor4 {
         let Some(cache) = self.cache.take() else {
             panic!("backward before training forward")
         };
+        assert_eq!(grad_out.len(), self.mask.len(), "batchnorm backward shape");
         let (n, c, h, w) = grad_out.shape();
-        let per_c = (n * h * w) as f32;
-        // Channel reductions: Σg, Σ(g·xhat).
+        let (hw, per_c) = (h * w, (n * h * w) as f32);
+        // Per sample, while it is in cache: the ReLU's gradient, then Σg and
+        // Σ(g·xhat) one after the other — walked together, their sixteen
+        // accumulators spill out of the registers.
         let mut sum_g = ws.take_zeroed(c);
         let mut sum_gx = ws.take_zeroed(c);
         for ni in 0..n {
-            let gs = grad_out.sample(ni);
-            let xh = cache.xhat.sample(ni);
-            sum_channels(&mut sum_g, h * w, |_, i| gs[i]);
-            sum_channels(&mut sum_gx, h * w, |_, i| gs[i] * xh[i]);
+            let mask_s = &self.mask[ni * c * hw..(ni + 1) * c * hw];
+            let gs = grad_out.sample_mut(ni);
+            for (v, &on) in gs.iter_mut().zip(mask_s) {
+                *v = if on { *v } else { 0.0 };
+            }
+            let (gs, xh) = (&*gs, cache.xhat.sample(ni));
+            sum_channels(&mut sum_g, hw, |_, i| gs[i]);
+            sum_channels(&mut sum_gx, hw, |_, i| gs[i] * xh[i]);
         }
         for ci in 0..c {
             self.bgrad[ci] += sum_g[ci];
@@ -391,7 +409,7 @@ impl BatchNorm2d {
             for ci in 0..c {
                 let scale = self.gamma[ci] * cache.inv_std[ci] / per_c;
                 let (sg, sgx) = (sum_g[ci], sum_gx[ci]);
-                for i in ci * h * w..(ci + 1) * h * w {
+                for i in ci * hw..(ci + 1) * hw {
                     gi[i] = scale * (per_c * gi[i] - sg - xh[i] * sgx);
                 }
             }
@@ -416,59 +434,10 @@ impl BatchNorm2d {
         self.cache = None;
     }
 
-    /// Forward FLOPs for one sample at `h × w` (scale + shift).
+    /// Forward FLOPs for one sample at `h × w`: scale and shift, then the
+    /// ReLU, per element.
     pub fn flops(&self, h: usize, w: usize) -> f64 {
-        2.0 * (self.channels * h * w) as f64
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ReLU
-// ---------------------------------------------------------------------------
-
-/// Elementwise rectified linear unit.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Relu {
-    #[serde(skip)]
-    mask: Vec<bool>,
-}
-
-impl Relu {
-    /// New ReLU.
-    pub fn new() -> Self {
-        Relu::default()
-    }
-
-    /// In-place forward over an owned tensor: rectifies `x` directly and
-    /// records the activation mask, with no copy. The mask capacity
-    /// persists across calls, so steady state allocates nothing.
-    ///
-    /// The mask is sized once and both it and `x` are written through a
-    /// select, not a `push` behind a branch, so the loop vectorizes.
-    /// Anything not `> 0.0` — negatives, `-0.0`, NaN — becomes `+0.0`.
-    pub fn forward_owned(&mut self, mut x: Tensor4) -> Tensor4 {
-        // Every slot is overwritten below; `resize` only fixes the length.
-        self.mask.resize(x.len(), false);
-        for (v, on) in x.data_mut().iter_mut().zip(&mut self.mask) {
-            *on = *v > 0.0;
-            *v = if *on { *v } else { 0.0 };
-        }
-        x
-    }
-
-    /// Backward: zero gradients where the forward input was not `> 0.0`,
-    /// in place over an owned gradient tensor.
-    pub fn backward_owned(&mut self, mut grad_out: Tensor4) -> Tensor4 {
-        assert_eq!(grad_out.len(), self.mask.len(), "relu backward shape");
-        for (v, &on) in grad_out.data_mut().iter_mut().zip(&self.mask) {
-            *v = if on { *v } else { 0.0 };
-        }
-        grad_out
-    }
-
-    /// Forward FLOPs for one sample with `c` channels at `h × w`.
-    pub fn flops(&self, c: usize, h: usize, w: usize) -> f64 {
-        (c * h * w) as f64
+        3.0 * (self.channels * h * w) as f64
     }
 }
 
@@ -842,39 +811,55 @@ mod tests {
         assert!(conv.cached_frames.is_none());
     }
 
+    /// The branchy ReLU: the rectified values and the mask.
+    fn branchy_relu(values: &[f32]) -> (Vec<f32>, Vec<bool>) {
+        let mut out = values.to_vec();
+        let mut mask = Vec::new();
+        for v in &mut out {
+            let on = *v > 0.0;
+            mask.push(on);
+            if !on {
+                *v = 0.0;
+            }
+        }
+        (out, mask)
+    }
+
     #[test]
     fn batchnorm_normalizes_training_batch() {
-        let mut bn = BatchNorm2d::new(2);
+        let mut bn = BatchNormRelu::new(2);
         let mut x = Tensor4::zeros(4, 2, 3, 3);
         let mut r = rng(4);
         for v in x.data_mut() {
             *v = r.gen_range(-5.0..5.0);
         }
         let y = bn.forward_ws(&x, true, &mut Workspace::new());
-        // Per-channel mean ≈ 0, var ≈ 1.
-        let (n, c, h, w) = y.shape();
+        let xhat = &bn.cache.as_ref().expect("training forward caches").xhat;
+        // Per-channel mean ≈ 0, var ≈ 1 before the ReLU.
+        let (n, c, h, w) = xhat.shape();
         for ci in 0..c {
-            let mut vals = Vec::new();
-            for ni in 0..n {
-                for hi in 0..h {
-                    for wi in 0..w {
-                        vals.push(y.get(ni, ci, hi, wi));
-                    }
-                }
-            }
+            let plane = |ni| xhat.sample(ni)[ci * h * w..(ci + 1) * h * w].to_vec();
+            let vals: Vec<f32> = (0..n).flat_map(plane).collect();
             let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
             let var: f32 =
                 vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / vals.len() as f32;
             assert!(mean.abs() < 1e-4, "mean {mean}");
             assert!((var - 1.0).abs() < 1e-2, "var {var}");
         }
+        // At γ = 1, β = 0 the output is x̂ rectified.
+        let (want, want_mask) = branchy_relu(xhat.data());
+        assert_eq!(bits(y.data()), bits(&want));
+        assert_eq!(bn.mask, want_mask);
     }
 
     #[test]
     fn batchnorm_backward_zeroes_constant_shift() {
         // dL/dx of BN is invariant to adding a constant per channel:
-        // gradient of a constant grad_out distributes to ~0.
-        let mut bn = BatchNorm2d::new(1);
+        // gradient of a constant grad_out distributes to ~0. A shift of
+        // β = 10 keeps every output above zero, so the ReLU passes the
+        // whole gradient.
+        let mut bn = BatchNormRelu::new(1);
+        bn.beta[0] = 10.0;
         let mut x = Tensor4::zeros(2, 1, 2, 2);
         let mut r = rng(5);
         for v in x.data_mut() {
@@ -882,6 +867,7 @@ mod tests {
         }
         let mut ws = Workspace::new();
         let _ = bn.forward_ws(&x, true, &mut ws);
+        assert!(bn.mask.iter().all(|&on| on));
         let mut g = Tensor4::zeros(2, 1, 2, 2);
         g.data_mut().iter_mut().for_each(|v| *v = 3.0);
         let gi = bn.backward_owned(g, &mut ws);
@@ -890,24 +876,16 @@ mod tests {
 
     #[test]
     fn batchnorm_eval_uses_running_stats() {
-        let mut bn = BatchNorm2d::new(1);
+        let mut bn = BatchNormRelu::new(1);
         bn.running_mean[0] = 2.0;
         bn.running_var[0] = 4.0;
-        let x = Tensor4::from_vec(1, 1, 1, 2, vec![2.0, 4.0]);
+        let x = Tensor4::from_vec(1, 1, 1, 3, vec![2.0, 4.0, 0.0]);
         let y = bn.forward_ws(&x, false, &mut Workspace::new());
         assert!((y.data()[0] - 0.0).abs() < 1e-4);
         assert!((y.data()[1] - 1.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn relu_masks_forward_and_backward() {
-        let mut relu = Relu::new();
-        let x = Tensor4::from_vec(1, 1, 1, 4, vec![-1.0, 2.0, -3.0, 4.0]);
-        let y = relu.forward_owned(x);
-        assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
-        let g = Tensor4::from_vec(1, 1, 1, 4, vec![1.0, 1.0, 1.0, 1.0]);
-        let gi = relu.backward_owned(g);
-        assert_eq!(gi.data(), &[0.0, 1.0, 0.0, 1.0]);
+        // (0 − 2) / 2 = −1, rectified.
+        assert_eq!(y.data()[2].to_bits(), 0.0f32.to_bits());
+        assert!(bn.mask.is_empty(), "an eval forward records no mask");
     }
 
     /// Values on every side of the `> 0.0` test, then ordinary ones so
@@ -929,41 +907,41 @@ mod tests {
         v
     }
 
-    fn row_tensor(values: &[f32]) -> Tensor4 {
-        Tensor4::from_vec(1, 1, 1, values.len(), values.to_vec())
-    }
-
     #[test]
     fn relu_select_loops_equal_the_branchy_form_on_edge_values() {
         let input = relu_edge_values();
+        let c = input.len();
         // The loops the select-based ones replaced: push a flag per
         // element, zero behind a branch.
-        let mut want = input.clone();
-        let mut want_mask = Vec::new();
-        for v in &mut want {
-            let on = *v > 0.0;
-            want_mask.push(on);
-            if !on {
-                *v = 0.0;
-            }
-        }
+        let (want, want_mask) = branchy_relu(&input);
         let mut grad = input.clone();
-        grad.rotate_left(3); // every edge value meets both mask states
-        let mut want_grad = grad.clone();
-        for (v, &on) in want_grad.iter_mut().zip(&want_mask) {
-            if !on {
-                *v = 0.0;
-            }
-        }
+        // Every edge value meets both mask states.
+        grad.rotate_left(3);
+        // Σg of one element where the mask passed it, onto a zero gradient.
+        let want_bgrad: Vec<f32> = (grad.iter().zip(&want_mask))
+            .map(|(g, &on)| if on { 0.0 + (0.0 + g) } else { 0.0 })
+            .collect();
+        let mut ws = Workspace::new();
 
-        let mut relu = Relu::new();
-        // A longer forward first: the mask must shrink to this input.
-        let _ = relu.forward_owned(Tensor4::zeros(1, 1, 8, 8));
-        let got = relu.forward_owned(row_tensor(&input));
+        // Eval at γ = 1, β = 0, mean 0 and variance 1 with no floor:
+        // `γ·(x − m)·is + β` is `x` (`+0.0` for `−0.0`).
+        let mut bn = BatchNormRelu::new(1);
+        bn.eps = 0.0;
+        let x = Tensor4::from_vec(1, 1, 1, c, input.clone());
+        let got = bn.forward_ws(&x, false, &mut ws);
         assert_eq!(bits(got.data()), bits(&want));
-        assert_eq!(relu.mask, want_mask);
-        let got_grad = relu.backward_owned(row_tensor(&grad));
-        assert_eq!(bits(got_grad.data()), bits(&want_grad));
+
+        // Training with one element per channel, so every x̂ is 0.0, and
+        // the edge values as the shift: `γ·x̂ + β` is `β` (`+0.0` for `−0.0`).
+        let mut bn = BatchNormRelu::new(c);
+        bn.beta.copy_from_slice(&input);
+        // A longer forward first: the mask must shrink to this input.
+        let _ = bn.forward_ws(&Tensor4::zeros(4, c, 1, 1), true, &mut ws);
+        let got = bn.forward_ws(&Tensor4::zeros(1, c, 1, 1), true, &mut ws);
+        assert_eq!(bits(got.data()), bits(&want));
+        assert_eq!(bn.mask, want_mask);
+        let _ = bn.backward_owned(Tensor4::from_vec(1, c, 1, 1, grad), &mut ws);
+        assert_eq!(bits(&bn.bgrad), bits(&want_bgrad));
     }
 
     #[test]
@@ -976,7 +954,7 @@ mod tests {
         for v in x.data_mut().iter_mut().chain(g.data_mut()) {
             *v = r.gen_range(-3.0f32..3.0);
         }
-        let mut bn = BatchNorm2d::new(c);
+        let mut bn = BatchNormRelu::new(c);
         let mut ws = Workspace::new();
         let _ = bn.forward_ws(&x, true, &mut ws);
         let xhat = bn
@@ -987,7 +965,9 @@ mod tests {
             .clone();
         let _ = bn.backward_owned(g.clone(), &mut ws);
 
-        // The four reductions, one channel at a time in (n, h, w) order.
+        // The four reductions, one channel at a time in (n, h, w) order,
+        // on the gradient the ReLU let through (at γ = 1, β = 0 where
+        // x̂ > 0).
         let hw = h * w;
         let per_c = (n * hw) as f32;
         let chan =
@@ -1006,6 +986,7 @@ mod tests {
                     var += d * d;
                 }
                 for (gv, xh) in chan(&g, ni, ci).into_iter().zip(chan(&xhat, ni, ci)) {
+                    let gv = if xh > 0.0 { gv } else { 0.0 };
                     sum_g += gv;
                     sum_gx += gv * xh;
                 }
@@ -1139,7 +1120,14 @@ mod tests {
         let mut r = rng(8);
         let conv = Conv2d::new(2, 4, 3, &mut r);
         assert_eq!(conv.flops(8, 8), 2.0 * (9 * 2 * 4 * 64) as f64);
+        // Scale and shift, then the ReLU: 3·c·h·w.
+        assert_eq!(BatchNormRelu::new(4).flops(8, 8), (3 * 4 * 64) as f64);
         let dense = Dense::new(16, 2, &mut r);
         assert_eq!(dense.flops(), 64.0);
+        // One block is what the genome's closed form counts for it
+        // (`a4nn-genome`'s `conv_block_flops`): 3×3, 1→8 channels on 4×4
+        // is conv 2·9·1·8·16 = 2304 plus BN and ReLU 3·8·16 = 384.
+        let block = crate::graph::ConvBnRelu::new(1, 8, 3, &mut r);
+        assert_eq!(block.flops(4, 4), 2304.0 + 384.0);
     }
 }

@@ -6,9 +6,9 @@
 //! every architecture the NSGA-Net macro search space can express:
 //!
 //! - [`tensor`] — dense `f32` tensors in NCHW layout plus 2-D matrices,
-//! - [`layers`] — Conv2d, BatchNorm2d, ReLU, MaxPool2d, global average
-//!   pooling, and Dense, each with hand-derived backward passes and exact
-//!   FLOPs accounting,
+//! - [`layers`] — Conv2d, BatchNorm with its ReLU folded in, MaxPool2d,
+//!   global average pooling, and Dense, each with hand-derived backward
+//!   passes and exact FLOPs accounting,
 //! - [`graph`] — phase-DAG networks with sum joins and residual skips
 //!   (the decoded NSGA-Net macro genome), built from a [`NetSpec`],
 //! - [`loss`] — softmax cross-entropy,

@@ -12,8 +12,16 @@
 //! step evaluates the curve's values and Jacobian in one pass
 //! ([`CurveFamily::eval_grad`]); an accepted step keeps both, so the
 //! next iteration builds `JᵀJ` and `Jᵀr` without evaluating the curve
-//! again. A fit allocates its buffers once and reuses them across starts
-//! and iterations.
+//! again.
+//!
+//! The descent is generic over the parameter count `N` (3 or 4), which
+//! [`fit_curve`] reads from the family once. θ, the trial point, the step,
+//! `JᵀJ`, `Jᵀr` and their damped copies are `[f64; N]` and
+//! `[[f64; N]; N]` arrays on the stack, and the normal equations are
+//! solved by a fixed-size Gaussian elimination. Only the per-point curve
+//! values and Jacobians, for the current and the trial point, live on the
+//! heap: a fit allocates them once and reuses them across starts and
+//! iterations.
 
 use crate::curve::CurveFamily;
 
@@ -77,53 +85,52 @@ impl std::fmt::Display for FitError {
 
 impl std::error::Error for FitError {}
 
-/// Solve the dense linear system `A x = b` (A is `n×n`, row-major),
-/// overwriting `a` and `b` and writing the solution into `x`. Returns
-/// `false` for singular systems and non-finite solutions. Partial pivoting
-/// keeps the tiny systems we solve here stable.
-fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize, x: &mut [f64]) -> bool {
-    for col in 0..n {
+/// Solve the `N×N` system `A x = b` by Gaussian elimination with
+/// partial pivoting, which keeps the tiny systems we solve here stable.
+/// Returns `None` for singular systems and non-finite solutions.
+fn solve<const N: usize>(mut a: [[f64; N]; N], mut b: [f64; N]) -> Option<[f64; N]> {
+    for col in 0..N {
         // Pivot.
         let mut pivot_row = col;
-        let mut pivot_val = a[col * n + col].abs();
-        for row in (col + 1)..n {
-            let v = a[row * n + col].abs();
+        let mut pivot_val = a[col][col].abs();
+        for (row, r) in a.iter().enumerate().skip(col + 1) {
+            let v = r[col].abs();
             if v > pivot_val {
                 pivot_val = v;
                 pivot_row = row;
             }
         }
         if pivot_val < 1e-300 {
-            return false;
+            return None;
         }
         if pivot_row != col {
-            for k in 0..n {
-                a.swap(col * n + k, pivot_row * n + k);
-            }
+            a.swap(col, pivot_row);
             b.swap(col, pivot_row);
         }
         // Eliminate below.
-        let diag = a[col * n + col];
-        for row in (col + 1)..n {
-            let factor = a[row * n + col] / diag;
+        let pivot = a[col];
+        let diag = pivot[col];
+        for row in (col + 1)..N {
+            let factor = a[row][col] / diag;
             if factor == 0.0 {
                 continue;
             }
-            for k in col..n {
-                a[row * n + k] -= factor * a[col * n + k];
+            for (t, &p) in a[row][col..].iter_mut().zip(&pivot[col..]) {
+                *t -= factor * p;
             }
             b[row] -= factor * b[col];
         }
     }
     // Back substitution.
-    for col in (0..n).rev() {
+    let mut x = [0.0; N];
+    for col in (0..N).rev() {
         let mut acc = b[col];
-        for k in (col + 1)..n {
-            acc -= a[col * n + k] * x[k];
+        for k in (col + 1)..N {
+            acc -= a[col][k] * x[k];
         }
-        x[col] = acc / a[col * n + col];
+        x[col] = acc / a[col][col];
     }
-    x[..n].iter().all(|v| v.is_finite())
+    x.iter().all(|v| v.is_finite()).then_some(x)
 }
 
 /// Sum of squared residuals of the curve values `vals` against `ys`.
@@ -137,62 +144,46 @@ fn sse_of(vals: &[f64], ys: &[f64]) -> f64 {
         .sum()
 }
 
-/// The buffers of one fit, sized for `n_params` parameters and
-/// `n_points` observations and shared by all its starts.
+/// The per-point buffers of one fit, sized for `n_points` observations
+/// of an `n_params`-parameter curve and shared by all its starts.
 struct Scratch {
-    /// The current point θ, its curve values and its Jacobian.
-    params: Vec<f64>,
+    /// The current point's curve values and row-major Jacobian.
     vals: Vec<f64>,
     jac: Vec<f64>,
-    /// The trial point θ + δ, its values and its Jacobian; swapped with
-    /// the current ones when the step is accepted.
-    trial: Vec<f64>,
+    /// The trial point's values and Jacobian; swapped with the current
+    /// ones when the step is accepted.
     trial_vals: Vec<f64>,
     trial_jac: Vec<f64>,
-    /// The normal equations `JᵀJ`, `Jᵀr`, their damped copies and the
-    /// step δ solving them.
-    jtj: Vec<f64>,
-    jtr: Vec<f64>,
-    a: Vec<f64>,
-    b: Vec<f64>,
-    step: Vec<f64>,
 }
 
 impl Scratch {
     fn new(n_params: usize, n_points: usize) -> Self {
         Scratch {
-            params: vec![0.0; n_params],
             vals: vec![0.0; n_points],
             jac: vec![0.0; n_points * n_params],
-            trial: vec![0.0; n_params],
             trial_vals: vec![0.0; n_points],
             trial_jac: vec![0.0; n_points * n_params],
-            jtj: vec![0.0; n_params * n_params],
-            jtr: vec![0.0; n_params],
-            a: vec![0.0; n_params * n_params],
-            b: vec![0.0; n_params],
-            step: vec![0.0; n_params],
         }
     }
 }
 
-/// One Levenberg–Marquardt descent from `start`, leaving the refined
-/// parameters in `s.params`. Returns their SSE and the iterations used,
-/// or `None` if the descent left the valid parameter domain.
-fn lm_from_start(
+/// One Levenberg–Marquardt descent of an `N`-parameter curve from
+/// `start`. Returns the refined parameters, their SSE and the iterations
+/// used, or `None` if the descent left the valid parameter domain.
+fn lm_from_start<const N: usize>(
     curve: &CurveFamily,
     xs: &[f64],
     ys: &[f64],
     start: &[f64],
     cfg: &FitConfig,
     s: &mut Scratch,
-) -> Option<(f64, usize)> {
-    let n_params = curve.n_params();
+) -> Option<([f64; N], f64, usize)> {
     if !curve.params_valid(start) {
         return None;
     }
-    s.params.copy_from_slice(start);
-    curve.eval_grad(&s.params, xs, &mut s.vals, &mut s.jac);
+    let mut params = [0.0; N];
+    params.copy_from_slice(start);
+    curve.eval_grad(&params, xs, &mut s.vals, &mut s.jac);
     let mut cost = sse_of(&s.vals, ys);
     if !cost.is_finite() {
         return None;
@@ -203,52 +194,53 @@ fn lm_from_start(
     for iter in 0..cfg.max_iters {
         iterations = iter + 1;
         // Build JᵀJ and Jᵀr from the current point's values and Jacobian.
-        s.jtj.fill(0.0);
-        s.jtr.fill(0.0);
-        for ((&y, &v), g) in ys.iter().zip(&s.vals).zip(s.jac.chunks_exact(n_params)) {
+        let mut jtj = [[0.0; N]; N];
+        let mut jtr = [0.0; N];
+        for ((&y, &v), g) in ys.iter().zip(&s.vals).zip(s.jac.chunks_exact(N)) {
             let r = y - v;
             if g.iter().any(|g| !g.is_finite()) || !r.is_finite() {
                 return None;
             }
-            for a in 0..n_params {
-                s.jtr[a] += g[a] * r;
-                for b in a..n_params {
-                    s.jtj[a * n_params + b] += g[a] * g[b];
+            for (a, (row, &ga)) in jtj.iter_mut().zip(g).enumerate() {
+                jtr[a] += ga * r;
+                for (t, &gb) in row[a..].iter_mut().zip(&g[a..]) {
+                    *t += ga * gb;
                 }
             }
         }
         // Mirror the upper triangle.
-        for a in 0..n_params {
-            for b in 0..a {
-                s.jtj[a * n_params + b] = s.jtj[b * n_params + a];
+        let upper = jtj;
+        for (a, row) in jtj.iter_mut().enumerate() {
+            for (b, t) in row[..a].iter_mut().enumerate() {
+                *t = upper[b][a];
             }
         }
 
         // Try damped steps, increasing λ until one is accepted.
         let mut accepted = false;
         for _ in 0..12 {
-            s.a.copy_from_slice(&s.jtj);
-            for d in 0..n_params {
-                s.a[d * n_params + d] += lambda * (1.0 + s.jtj[d * n_params + d]);
+            let mut damped = jtj;
+            for (d, row) in damped.iter_mut().enumerate() {
+                row[d] += lambda * (1.0 + jtj[d][d]);
             }
-            s.b.copy_from_slice(&s.jtr);
-            if solve_dense(&mut s.a, &mut s.b, n_params, &mut s.step) {
-                for ((t, p), d) in s.trial.iter_mut().zip(&s.params).zip(&s.step) {
-                    *t = p + d;
+            if let Some(step) = solve(damped, jtr) {
+                let mut trial = params;
+                for (t, d) in trial.iter_mut().zip(&step) {
+                    *t += d;
                 }
-                if curve.params_valid(&s.trial) {
-                    curve.eval_grad(&s.trial, xs, &mut s.trial_vals, &mut s.trial_jac);
+                if curve.params_valid(&trial) {
+                    curve.eval_grad(&trial, xs, &mut s.trial_vals, &mut s.trial_jac);
                     let c = sse_of(&s.trial_vals, ys);
                     if c.is_finite() && c < cost {
                         let rel = (cost - c) / cost.max(1e-300);
-                        std::mem::swap(&mut s.params, &mut s.trial);
+                        params = trial;
                         std::mem::swap(&mut s.vals, &mut s.trial_vals);
                         std::mem::swap(&mut s.jac, &mut s.trial_jac);
                         cost = c;
                         lambda = (lambda / cfg.lambda_factor).max(1e-12);
                         accepted = true;
                         if rel < cfg.tol {
-                            return Some((cost, iterations));
+                            return Some((params, cost, iterations));
                         }
                         break;
                     }
@@ -263,7 +255,32 @@ fn lm_from_start(
             break;
         }
     }
-    Some((cost, iterations))
+    Some((params, cost, iterations))
+}
+
+/// Every start of an `N`-parameter fit, keeping the lowest SSE.
+fn fit_n<const N: usize>(
+    curve: &CurveFamily,
+    xs: &[f64],
+    ys: &[f64],
+    cfg: &FitConfig,
+) -> Result<FitResult, FitError> {
+    let mut s = Scratch::new(N, xs.len());
+    let mut best: Option<([f64; N], f64, usize)> = None;
+    for start in curve.initial_guesses(xs, ys) {
+        let fit = lm_from_start::<N>(curve, xs, ys, &start, cfg, &mut s);
+        if let Some((_, c, _)) = fit {
+            if best.is_none_or(|(_, bc, _)| c < bc) {
+                best = fit;
+            }
+        }
+    }
+    best.map(|(params, sse, iterations)| FitResult {
+        params: params.to_vec(),
+        sse,
+        iterations,
+    })
+    .ok_or(FitError::DidNotConverge)
 }
 
 /// Fit `curve` to the observed learning curve `(xs, ys)` with
@@ -292,23 +309,11 @@ pub fn fit_curve(
             need: n_params,
         });
     }
-    let mut s = Scratch::new(n_params, xs.len());
-    let mut params = vec![0.0; n_params];
-    let mut best: Option<(f64, usize)> = None;
-    for start in curve.initial_guesses(xs, ys) {
-        if let Some((c, it)) = lm_from_start(curve, xs, ys, &start, cfg, &mut s) {
-            if best.is_none_or(|(bc, _)| c < bc) {
-                best = Some((c, it));
-                params.copy_from_slice(&s.params);
-            }
-        }
+    match n_params {
+        3 => fit_n::<3>(curve, xs, ys, cfg),
+        4 => fit_n::<4>(curve, xs, ys, cfg),
+        n => unreachable!("curve families have 3 or 4 parameters, not {n}"),
     }
-    best.map(|(sse, iterations)| FitResult {
-        params,
-        sse,
-        iterations,
-    })
-    .ok_or(FitError::DidNotConverge)
 }
 
 #[cfg(test)]
@@ -389,22 +394,45 @@ mod tests {
     }
 
     #[test]
-    fn solve_dense_solves_known_system() {
+    fn solve_solves_known_system() {
         // [2 1; 1 3] x = [3; 5] → x = [4/5, 7/5]
-        let mut a = vec![2.0, 1.0, 1.0, 3.0];
-        let mut b = vec![3.0, 5.0];
-        let mut x = vec![0.0; 2];
-        assert!(solve_dense(&mut a, &mut b, 2, &mut x));
+        let x = solve([[2.0, 1.0], [1.0, 3.0]], [3.0, 5.0]).unwrap();
         assert!((x[0] - 0.8).abs() < 1e-12);
         assert!((x[1] - 1.4).abs() < 1e-12);
     }
 
     #[test]
-    fn solve_dense_rejects_singular() {
-        let mut a = vec![1.0, 2.0, 2.0, 4.0];
-        let mut b = vec![1.0, 2.0];
-        let mut x = vec![0.0; 2];
-        assert!(!solve_dense(&mut a, &mut b, 2, &mut x));
+    fn solve_rejects_singular() {
+        assert!(solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]).is_none());
+    }
+
+    #[test]
+    fn solve_swaps_rows_for_a_zero_pivot() {
+        // [0 1 0; 1 0 0; 0 0 2] x = [2; 3; 8] → x = [3, 2, 4]: without
+        // the row swap the first pivot is zero and the solve would fail.
+        let x = solve(
+            [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]],
+            [2.0, 3.0, 8.0],
+        )
+        .unwrap();
+        assert_eq!(x, [3.0, 2.0, 4.0]);
+    }
+
+    #[test]
+    fn solve_solves_a_four_by_four_system() {
+        // Weibull4's size: A·[1, −2, 3, 0.5] = b.
+        let a = [
+            [4.0, 1.0, 0.0, 2.0],
+            [1.0, 5.0, 1.0, 0.0],
+            [0.0, 1.0, 6.0, 1.0],
+            [2.0, 0.0, 1.0, 7.0],
+        ];
+        let want = [1.0, -2.0, 3.0, 0.5];
+        let b = a.map(|row| row.iter().zip(&want).map(|(r, w)| r * w).sum());
+        let x = solve(a, b).unwrap();
+        for (x, w) in x.iter().zip(&want) {
+            assert!((x - w).abs() < 1e-12, "{x} vs {w}");
+        }
     }
 
     #[test]

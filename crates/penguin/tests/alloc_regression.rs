@@ -1,7 +1,7 @@
 //! Allocation-regression guard for the prediction engine: a curve fit
 //! allocates a fixed number of times however many Levenberg–Marquardt
-//! iterations it runs and however many points it fits, and a warmed
-//! convergence test allocates nothing.
+//! iterations it runs and however many points it fits, that number is
+//! pinned for ExpBase, and a warmed convergence test allocates nothing.
 //!
 //! A counting wrapper around the system allocator is installed as the
 //! global allocator for this test binary only (one test per binary, so
@@ -30,6 +30,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
+
+/// Allocations of one ExpBase fit: the three initial guesses and the
+/// list holding them (4), the current and trial points' values and
+/// Jacobians (4), and the result's parameters (1). θ, the step and the
+/// normal equations live on the stack, so a per-fit parameter `Vec`
+/// shows here as one more.
+const EXP_BASE_FIT_ALLOCS: usize = 9;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -74,6 +81,11 @@ fn fits_allocate_per_call_and_convergence_tests_not_at_all() {
         short, long,
         "a fit allocated {short} times in 2 iterations and {long} in 60: \
          a per-iteration allocation crept back in"
+    );
+
+    assert_eq!(
+        long, EXP_BASE_FIT_ALLOCS,
+        "an ExpBase fit allocated {long} times, not {EXP_BASE_FIT_ALLOCS}"
     );
 
     // Per point: 8 and 25 observations.

@@ -7,7 +7,9 @@
 //! Levenberg–Marquardt loop was rewritten to evaluate each curve once per
 //! step (one-pass values + Jacobian, reused buffers), by running
 //! `cargo test --release -p a4nn-penguin --test fit_golden -- --ignored --nocapture`
-//! there and keeping the lines between the markers. It must only be
+//! there and keeping the lines between the markers. It held unedited
+//! through that rewrite and through the next, which moved θ, the step
+//! and the normal equations onto fixed-size stack arrays. It must only be
 //! regenerated by a change that means to alter predictions.
 //!
 //! The corpus is the surrogate trainer's five curve kinds (stable,
